@@ -107,9 +107,10 @@ fn unobserved_run_takes_the_inert_path() {
     let runner = TrialRunner::new(2);
     assert!(runner.observer().is_none());
 
-    // No ambient observer is installed anywhere in a trial closure, so
-    // the per-trial observability check is a single relaxed load that
-    // answers false — the no-op path.
+    // No ambient observer is installed on any worker of this runner, so
+    // the per-trial observability check reads the worker's own empty
+    // slot and answers false — the no-op path — even while sibling
+    // tests install observers on their own threads.
     let saw_active = Arc::new(AtomicBool::new(false));
     let saw = Arc::clone(&saw_active);
     let out = runner.run(11, 64, move |t| {

@@ -126,17 +126,18 @@ impl<'a, P: Protocol> HierarchicalSimulator<'a, P> {
                 reason: "noise parameter outside [0, 1)",
             });
         }
+        let mut channel = StochasticChannel::new(n, model, seed);
         if model.is_shared() {
-            return crate::soa::hierarchical_collapsed(
+            return crate::soa::hierarchical_collapsed_over(
                 self.protocol,
                 &self.config,
                 inputs,
                 model,
-                seed,
+                &*self.config.build_code(),
+                channel,
                 scratch,
             );
         }
-        let mut channel = StochasticChannel::new(n, model, seed);
         self.simulate_over(inputs, model, &mut channel)
     }
 
@@ -165,12 +166,18 @@ impl<'a, P: Protocol> HierarchicalSimulator<'a, P> {
                 .map(|&seed| self.simulate(inputs, model, seed))
                 .collect();
         }
-        seeds
-            .chunks(beeps_channel::LANES)
-            .flat_map(|group| {
-                crate::lanes::hierarchical_lanes(self.protocol, &self.config, inputs, model, group)
-            })
-            .collect()
+        let code = self.config.build_code();
+        crate::lanes::collapsed_lanes(model, seeds, |bits, scratch| {
+            crate::soa::hierarchical_collapsed_over(
+                self.protocol,
+                &self.config,
+                inputs,
+                model,
+                &*code,
+                bits,
+                scratch,
+            )
+        })
     }
 
     /// Runs over a caller-supplied channel (failure injection, reduction

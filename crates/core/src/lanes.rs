@@ -3,17 +3,19 @@
 //! A [`LaneChannel`] carries up to 64 independent trials, one bit-lane
 //! each, with every lane's noise drawn from that trial's own seed in
 //! exactly the order a scalar `StochasticChannel` would draw it. On top
-//! of that contract these engines exploit two structural facts of the
+//! of that contract the batch path exploits two structural facts of the
 //! shared-noise regimes:
 //!
 //! * **State collapse** — under shared noise every party hears the same
 //!   bit every round, so all per-party decode state (decoded chunk
 //!   bits, owners bookkeeping, committed prefix) is identical across
-//!   parties. The engines keep *one* copy per lane and decode each
-//!   owners codeword once instead of `n` times. The hierarchical,
-//!   one-to-zero, and owned-rounds engines reuse the collapsed bodies
-//!   of [`crate::soa`] verbatim, driving them one lane at a time
-//!   through the [`LaneBits`] backend.
+//!   parties. The rewind, hierarchical, one-to-zero, and owned-rounds
+//!   schemes have no lane code of their own: [`collapsed_lanes`] runs
+//!   each scheme's one collapsed body from [`crate::soa`] one lane at a
+//!   time through the [`LaneBits`] backend, so `simulate` and
+//!   `simulate_batch` execute the same body over two channel backends.
+//!   Repetition keeps a lockstep engine, [`repetition_lanes`], that
+//!   shares one protocol evaluation across lanes with equal prefixes.
 //! * **Span batching** — whenever the true OR is constant over a span
 //!   (an `R`-round repetition block, an idle owners iteration, a
 //!   `V`-round verification vote), the only observable is the number of
@@ -36,14 +38,12 @@
 //! pinned scheme-by-scheme by `tests/packed_equivalence.rs`.
 
 use crate::outcome::{PhaseRounds, SimError, SimOutcome, SimStats};
-use crate::owners::metric_for;
 use crate::params::SimulatorConfig;
 use crate::soa::{SharedBits, SoaScratch};
 use beeps_channel::{
     lanes::{IndependentLaneChannel, LaneChannel},
-    NoiseModel, Protocol,
+    NoiseModel, Protocol, LANES,
 };
-use beeps_ecc::bits::PackedBits;
 
 /// Heard 1s in a constant-OR span of `span` rounds with `flips` flipped
 /// deliveries: every flip turns a heard 1 into a 0 or vice versa.
@@ -61,7 +61,7 @@ fn ones_in_span(span: u64, flips: u64, true_or: bool) -> u64 {
 /// constant-OR spans batch into [`LaneChannel::flips_in_span`], so a
 /// whole repetition block, verification vote, or idle owners iteration
 /// costs RNG work proportional to its flips, not its rounds.
-struct LaneBits<'a> {
+pub(crate) struct LaneBits<'a> {
     channel: &'a mut LaneChannel,
     lane: usize,
 }
@@ -81,116 +81,37 @@ impl SharedBits for LaneBits<'_> {
     }
 }
 
-/// Runs up to 64 hierarchical-scheme trials lane-sliced, bitwise
-/// identical to `HierarchicalSimulator::simulate` per seed: the
-/// collapsed body of [`crate::soa::hierarchical_collapsed`] re-driven
-/// one lane at a time with span-batched noise. All lanes share one
-/// scratch arena (the body resets it per trial).
+/// Runs one shared-noise trial per seed through a collapsed engine body,
+/// lane-sliced and bitwise identical to `simulate` per seed: the seeds
+/// split into [`LANES`]-sized groups that each share one
+/// [`LaneChannel`], and `body` runs once per lane with that lane as its
+/// [`LaneBits`] backend. One [`SoaScratch`] serves the whole batch (the
+/// bodies reset it per trial). Results come back in seed order.
 ///
 /// # Panics
 ///
 /// Panics if `model` is not a validated shared-delivery model (the
-/// scheme's `simulate_batch` routes everything else to the scalar
-/// loop) or if `inputs.len() != protocol.num_parties()`.
-pub(crate) fn hierarchical_lanes<P: Protocol>(
-    protocol: &P,
-    config: &SimulatorConfig,
-    inputs: &[P::Input],
+/// schemes' `simulate_batch` routes everything else to the per-seed
+/// loop).
+pub(crate) fn collapsed_lanes<T>(
     model: NoiseModel,
     seeds: &[u64],
-) -> Vec<Result<SimOutcome<P::Output>, SimError>> {
-    let mut channel =
-        LaneChannel::shared(model, seeds).expect("simulate_batch routes only shared models here");
+    mut body: impl FnMut(LaneBits<'_>, &mut SoaScratch) -> Result<SimOutcome<T>, SimError>,
+) -> Vec<Result<SimOutcome<T>, SimError>> {
     let mut scratch = SoaScratch::default();
-    (0..seeds.len())
-        .map(|lane| {
-            crate::soa::hierarchical_collapsed_over(
-                protocol,
-                config,
-                inputs,
-                model,
-                LaneBits {
-                    channel: &mut channel,
-                    lane,
-                },
-                &mut scratch,
-            )
-        })
-        .collect()
-}
-
-/// Runs up to 64 one-to-zero-scheme trials lane-sliced, bitwise
-/// identical to `OneToZeroSimulator::simulate` per seed (same
-/// transcripts, statistics, and `BudgetExhausted` errors), via the
-/// collapsed body of [`crate::soa::one_to_zero_collapsed`].
-///
-/// # Panics
-///
-/// Panics if `model` is not a validated shared-delivery model (the
-/// scheme's `simulate_batch` routes everything else to the scalar
-/// loop) or if `inputs.len() != protocol.num_parties()`.
-pub(crate) fn one_to_zero_lanes<P: Protocol>(
-    protocol: &P,
-    base: usize,
-    budget_factor: f64,
-    inputs: &[P::Input],
-    model: NoiseModel,
-    seeds: &[u64],
-) -> Vec<Result<SimOutcome<P::Output>, SimError>> {
-    let mut channel =
-        LaneChannel::shared(model, seeds).expect("simulate_batch routes only shared models here");
-    let mut scratch = SoaScratch::default();
-    (0..seeds.len())
-        .map(|lane| {
-            crate::soa::one_to_zero_collapsed_over(
-                protocol,
-                base,
-                budget_factor,
-                inputs,
-                LaneBits {
-                    channel: &mut channel,
-                    lane,
-                },
-                &mut scratch,
-            )
-        })
-        .collect()
-}
-
-/// Runs up to 64 owned-rounds-scheme trials lane-sliced, bitwise
-/// identical to `OwnedRoundsSimulator::simulate` per seed, via the
-/// collapsed body of [`crate::soa::owned_rounds_collapsed`].
-///
-/// # Panics
-///
-/// Panics if `model` is not a validated shared-delivery model (the
-/// scheme's `simulate_batch` routes everything else to the scalar
-/// loop) or if `inputs.len() != protocol.num_parties()`.
-pub(crate) fn owned_rounds_lanes<P: beeps_channel::UniquelyOwned>(
-    protocol: &P,
-    config: &SimulatorConfig,
-    inputs: &[P::Input],
-    model: NoiseModel,
-    seeds: &[u64],
-) -> Vec<Result<SimOutcome<P::Output>, SimError>> {
-    let mut channel =
-        LaneChannel::shared(model, seeds).expect("simulate_batch routes only shared models here");
-    let mut scratch = SoaScratch::default();
-    (0..seeds.len())
-        .map(|lane| {
-            crate::soa::owned_rounds_collapsed_over(
-                protocol,
-                config,
-                inputs,
-                model,
-                LaneBits {
-                    channel: &mut channel,
-                    lane,
-                },
-                &mut scratch,
-            )
-        })
-        .collect()
+    let mut results = Vec::with_capacity(seeds.len());
+    for group in seeds.chunks(LANES) {
+        let mut channel = LaneChannel::shared(model, group)
+            .expect("simulate_batch routes only shared models here");
+        for lane in 0..group.len() {
+            let bits = LaneBits {
+                channel: &mut channel,
+                lane,
+            };
+            results.push(body(bits, &mut scratch));
+        }
+    }
+    results
 }
 
 /// Runs up to 64 repetition-scheme trials under **independent** noise,
@@ -315,25 +236,33 @@ pub(crate) fn repetition_lanes<P: Protocol>(
     // lanes with equal prefixes shares one protocol evaluation — under
     // majority decode most lanes sit on the same transcript, collapsing
     // the n beep() calls per round to (nearly) one set per batch.
+    // `same_as_prev[lane]` says lane's decoded prefix still equals
+    // lane − 1's; it clears the first round the two decode different
+    // bits, so the check is O(1) per lane and round.
+    let mut same_as_prev = vec![true; seeds.len()];
     let span = beeps_observe::phase("sim.repetition.chunk");
-    for round in 0..t {
-        let mut prev: Option<(usize, bool)> = None;
+    for _ in 0..t {
+        let mut prev: Option<usize> = None;
+        let mut prev_bit = false;
         for lane in 0..transcripts.len() {
-            let reuse = lane > 0 && transcripts[lane][..] == transcripts[lane - 1][..round];
-            let (beeps, or) = match (prev, reuse) {
-                (Some(cached), true) => cached,
+            let beeps = match prev {
+                Some(cached) if same_as_prev[lane] => cached,
                 _ => {
                     let transcript = &transcripts[lane];
-                    let beeps = (0..n)
+                    (0..n)
                         .filter(|&i| protocol.beep(i, &inputs[i], transcript))
-                        .count();
-                    (beeps, beeps > 0)
+                        .count()
                 }
             };
-            prev = Some((beeps, or));
+            prev = Some(beeps);
+            let or = beeps > 0;
             let flips = channel.flips_in_span(lane, r as u64, or);
-            let ones = ones_in_span(r as u64, flips, or);
-            transcripts[lane].push(ones >= resolved.rep_ones as u64);
+            let bit = ones_in_span(r as u64, flips, or) >= resolved.rep_ones as u64;
+            transcripts[lane].push(bit);
+            if lane > 0 && bit != prev_bit {
+                same_as_prev[lane] = false;
+            }
+            prev_bit = bit;
             energy[lane] += r * beeps;
         }
     }
@@ -366,293 +295,4 @@ pub(crate) fn repetition_lanes<P: Protocol>(
             ))
         })
         .collect()
-}
-
-/// Runs up to 64 rewind-scheme trials lane-sliced, bitwise identical to
-/// `RewindSimulator::simulate` per seed (same transcripts, statistics,
-/// and `BudgetExhausted` errors).
-///
-/// Lanes run independently (each lane's rewind history is its own), but
-/// within a lane the per-party state machines of the scalar path are
-/// collapsed into one: chunk decoding, owners bookkeeping, and the
-/// committed prefix are shared under shared noise, and every
-/// constant-OR span is sampled in one batched draw.
-pub(crate) fn rewind_lanes<P: Protocol>(
-    protocol: &P,
-    config: &SimulatorConfig,
-    inputs: &[P::Input],
-    model: NoiseModel,
-    seeds: &[u64],
-) -> Vec<Result<SimOutcome<P::Output>, SimError>> {
-    let n = protocol.num_parties();
-    assert_eq!(inputs.len(), n, "need one input per party");
-    let mut channel =
-        LaneChannel::shared(model, seeds).expect("simulate_batch routes only shared models here");
-    let t = protocol.length();
-    let resolved = config.resolve(model);
-    let code = config.build_code();
-    let metric = metric_for(model);
-    let next_symbol = code.alphabet_size() - 1;
-    let code_len = code.codeword_len();
-    let r = config.repetitions;
-    let v = config.verify_repetitions;
-
-    // Same budget formula as `RewindSimulator::simulate_over`.
-    let chunks_needed = t.div_ceil(config.chunk_len).max(1);
-    let ideal = chunks_needed
-        * (config.chunk_len * r
-            + crate::owners::OwnersState::channel_rounds(config.chunk_len, n, config.code_len)
-            + v);
-    let budget = (config.budget_factor * ideal as f64).ceil() as usize;
-
-    (0..seeds.len())
-        .map(|lane| {
-            rewind_one_lane(
-                protocol,
-                inputs,
-                &mut channel,
-                lane,
-                Params {
-                    n,
-                    t,
-                    chunk_len: config.chunk_len,
-                    r,
-                    v,
-                    rep_ones: resolved.rep_ones,
-                    verify_ones: resolved.verify_ones,
-                    budget,
-                    code: &code,
-                    metric,
-                    next_symbol,
-                    code_len,
-                },
-            )
-        })
-        .collect()
-}
-
-/// Trial-invariant parameters of one rewind batch.
-struct Params<'a> {
-    n: usize,
-    t: usize,
-    chunk_len: usize,
-    r: usize,
-    v: usize,
-    rep_ones: usize,
-    verify_ones: usize,
-    budget: usize,
-    code: &'a crate::owners::SharedCode,
-    metric: beeps_ecc::BitMetric,
-    next_symbol: usize,
-    code_len: usize,
-}
-
-/// The collapsed (shared across parties) state of one rewind lane.
-#[derive(Default)]
-struct LaneRun {
-    committed_bits: Vec<bool>,
-    committed_owners: Vec<Option<usize>>,
-    chunk_lens: Vec<usize>,
-    /// Committed prefix plus the decoded bits of the in-flight chunk.
-    working: Vec<bool>,
-    chunks_committed: usize,
-    rewinds: usize,
-    phase_rounds: PhaseRounds,
-    rounds: usize,
-    energy: usize,
-}
-
-/// Party `me`'s verification flag over the working prefix — the exact
-/// three conditions of `RewindParty::compute_flag`.
-fn verify_flag<P: Protocol>(
-    protocol: &P,
-    input: &P::Input,
-    me: usize,
-    working: &[bool],
-    committed_owners: &[Option<usize>],
-    chunk_owners: &[Option<usize>],
-) -> bool {
-    let committed = committed_owners.len();
-    for m in 0..working.len() {
-        let b = protocol.beep(me, input, &working[..m]);
-        if !working[m] {
-            if b {
-                return true; // my 1 is missing from the transcript
-            }
-        } else {
-            let owner = if m < committed {
-                committed_owners[m]
-            } else {
-                chunk_owners[m - committed]
-            };
-            match owner {
-                Some(owner) => {
-                    if owner == me && !b {
-                        return true; // I own a 1 I would not beep
-                    }
-                }
-                None => return true, // unowned 1: flagged by everyone
-            }
-        }
-    }
-    false
-}
-
-fn rewind_one_lane<P: Protocol>(
-    protocol: &P,
-    inputs: &[P::Input],
-    channel: &mut LaneChannel,
-    lane: usize,
-    p: Params<'_>,
-) -> Result<SimOutcome<P::Output>, SimError> {
-    let mut run = LaneRun::default();
-    // A span the budget cannot cover is where the scalar driver would
-    // burn its remaining rounds mid-phase and stop: nothing commits, so
-    // the error carries the committed count as of the last full
-    // verification (`rounds_used` is always the whole budget).
-    let exhausted = |run: &LaneRun| SimError::BudgetExhausted {
-        rounds_used: p.budget,
-        committed: run.committed_bits.len().min(p.t),
-    };
-
-    loop {
-        let remaining = p.t.saturating_sub(run.committed_bits.len());
-        if remaining == 0 {
-            break;
-        }
-        let len = remaining.min(p.chunk_len);
-        assert!(
-            len < p.code.alphabet_size(),
-            "chunk of {len} rounds needs an alphabet of at least {} symbols",
-            len + 1
-        );
-
-        // --- Chunk phase: `len` simulated rounds, R channel rounds each.
-        let chunk_span = beeps_observe::phase("sim.rewind.chunk");
-        let mut bits: Vec<bool> = Vec::with_capacity(len);
-        let mut my_bits: Vec<Vec<bool>> = vec![Vec::with_capacity(len); p.n];
-        for _ in 0..len {
-            if p.budget - run.rounds < p.r {
-                return Err(exhausted(&run));
-            }
-            let mut beeps = 0usize;
-            for (i, input) in inputs.iter().enumerate() {
-                let b = protocol.beep(i, input, &run.working);
-                my_bits[i].push(b);
-                beeps += usize::from(b);
-            }
-            let or = beeps > 0;
-            let flips = channel.flips_in_span(lane, p.r as u64, or);
-            let ones = ones_in_span(p.r as u64, flips, or);
-            let bit = ones >= p.rep_ones as u64;
-            bits.push(bit);
-            run.working.push(bit);
-            run.energy += p.r * beeps;
-            run.rounds += p.r;
-            run.phase_rounds.chunk += p.r;
-        }
-        drop(chunk_span);
-
-        // --- Owners phase: `len + n` codeword iterations.
-        let owners_span = beeps_observe::phase("sim.rewind.owners");
-        let mut claimed = vec![false; len];
-        let mut chunk_owners: Vec<Option<usize>> = vec![None; len];
-        let mut turn = 0usize;
-        let mut word = PackedBits::new();
-        for _ in 0..len + p.n {
-            if p.budget - run.rounds < p.code_len {
-                return Err(exhausted(&run));
-            }
-            if turn < p.n {
-                // The turn-holder transmits the codeword of the smallest
-                // unclaimed 1-round it beeped in, else `Next`; everyone
-                // decodes the same heard word, so one decode suffices.
-                let claim = (0..len).find(|&j| bits[j] && my_bits[turn][j] && !claimed[j]);
-                let symbol = claim.unwrap_or(p.next_symbol);
-                let codeword = p.code.encode_packed(symbol);
-                word.clear();
-                for idx in 0..p.code_len {
-                    let or = codeword.get(idx);
-                    run.energy += usize::from(or);
-                    word.push(channel.step(lane, or));
-                }
-                let decoded = p.code.decode_packed(&word, p.metric);
-                if decoded == p.next_symbol {
-                    turn += 1;
-                } else if decoded < len {
-                    claimed[decoded] = true;
-                    chunk_owners[decoded] = Some(turn);
-                }
-            } else {
-                // Idle iteration: every party is past its turn, nobody
-                // beeps, nothing is decoded — but the channel still
-                // samples `code_len` silent rounds.
-                channel.flips_in_span(lane, p.code_len as u64, false);
-            }
-            run.rounds += p.code_len;
-            run.phase_rounds.owners += p.code_len;
-        }
-        drop(owners_span);
-
-        // --- Verification: V rounds of the flag OR.
-        let verify_span = beeps_observe::phase("sim.rewind.verify");
-        if p.budget - run.rounds < p.v {
-            return Err(exhausted(&run));
-        }
-        let flags = (0..p.n)
-            .filter(|&i| {
-                verify_flag(
-                    protocol,
-                    &inputs[i],
-                    i,
-                    &run.working,
-                    &run.committed_owners,
-                    &chunk_owners,
-                )
-            })
-            .count();
-        let or = flags > 0;
-        let flips = channel.flips_in_span(lane, p.v as u64, or);
-        let ones = ones_in_span(p.v as u64, flips, or);
-        let failed = ones >= p.verify_ones as u64;
-        run.energy += p.v * flags;
-        run.rounds += p.v;
-        run.phase_rounds.verify += p.v;
-        drop(verify_span);
-
-        if failed {
-            run.rewinds += 1;
-            beeps_observe::mark("sim.rewind.rewind");
-            // Discard the pending chunk and pop one committed chunk.
-            if let Some(popped) = run.chunk_lens.pop() {
-                let new_len = run.committed_bits.len() - popped;
-                run.committed_bits.truncate(new_len);
-                run.committed_owners.truncate(new_len);
-                run.chunks_committed = run.chunks_committed.saturating_sub(1);
-            }
-        } else {
-            run.committed_bits.extend_from_slice(&bits);
-            run.committed_owners.extend_from_slice(&chunk_owners);
-            run.chunk_lens.push(bits.len());
-            run.chunks_committed += 1;
-        }
-        run.working.truncate(run.committed_bits.len());
-    }
-
-    let transcript: Vec<bool> = run.committed_bits[..p.t].to_vec();
-    let outputs = (0..p.n)
-        .map(|i| protocol.output(i, &inputs[i], &transcript))
-        .collect();
-    let stats = SimStats {
-        channel_rounds: run.rounds,
-        phase_rounds: run.phase_rounds,
-        protocol_rounds: p.t,
-        chunks_committed: run.chunks_committed,
-        rewinds: run.rewinds,
-        // Shared noise keeps every party's bookkeeping in lockstep.
-        agreement: true,
-        energy: run.energy,
-        corrupted_rounds: channel.corrupted(lane) as usize,
-    };
-    Ok(SimOutcome::new(transcript, outputs, stats))
 }

@@ -29,7 +29,7 @@
 
 use crate::driver::{drive, SimParty};
 use crate::outcome::{PhaseRounds, SimError, SimOutcome, SimStats};
-use beeps_channel::{NoiseModel, Protocol};
+use beeps_channel::{NoiseModel, Protocol, StochasticChannel};
 
 /// Constant-overhead simulator for the one-sided `1→0` noise regime.
 ///
@@ -128,13 +128,12 @@ impl<'a, P: Protocol> OneToZeroSimulator<'a, P> {
         assert_eq!(inputs.len(), n, "need one input per party");
         match model {
             NoiseModel::OneSidedOneToZero { .. } | NoiseModel::Noiseless => {
-                crate::soa::one_to_zero_collapsed(
+                crate::soa::one_to_zero_collapsed_over(
                     self.protocol,
                     self.base,
                     self.budget_factor,
                     inputs,
-                    model,
-                    seed,
+                    StochasticChannel::new(n, model, seed),
                     scratch,
                 )
             }
@@ -171,19 +170,16 @@ impl<'a, P: Protocol> OneToZeroSimulator<'a, P> {
                 .map(|&seed| self.simulate(inputs, model, seed))
                 .collect();
         }
-        seeds
-            .chunks(beeps_channel::LANES)
-            .flat_map(|group| {
-                crate::lanes::one_to_zero_lanes(
-                    self.protocol,
-                    self.base,
-                    self.budget_factor,
-                    inputs,
-                    model,
-                    group,
-                )
-            })
-            .collect()
+        crate::lanes::collapsed_lanes(model, seeds, |bits, scratch| {
+            crate::soa::one_to_zero_collapsed_over(
+                self.protocol,
+                self.base,
+                self.budget_factor,
+                inputs,
+                bits,
+                scratch,
+            )
+        })
     }
 
     /// Runs over a caller-supplied channel (failure injection). The

@@ -111,17 +111,17 @@ impl<'a, P: UniquelyOwned> OwnedRoundsSimulator<'a, P> {
                 reason: "noise parameter outside [0, 1)",
             });
         }
+        let mut channel = StochasticChannel::new(n, model, seed);
         if model.is_shared() {
-            return crate::soa::owned_rounds_collapsed(
+            return crate::soa::owned_rounds_collapsed_over(
                 self.protocol,
                 &self.config,
                 inputs,
                 model,
-                seed,
+                channel,
                 scratch,
             );
         }
-        let mut channel = StochasticChannel::new(n, model, seed);
         self.simulate_over(inputs, model, &mut channel)
     }
 
@@ -149,12 +149,16 @@ impl<'a, P: UniquelyOwned> OwnedRoundsSimulator<'a, P> {
                 .map(|&seed| self.simulate(inputs, model, seed))
                 .collect();
         }
-        seeds
-            .chunks(beeps_channel::LANES)
-            .flat_map(|group| {
-                crate::lanes::owned_rounds_lanes(self.protocol, &self.config, inputs, model, group)
-            })
-            .collect()
+        crate::lanes::collapsed_lanes(model, seeds, |bits, scratch| {
+            crate::soa::owned_rounds_collapsed_over(
+                self.protocol,
+                &self.config,
+                inputs,
+                model,
+                bits,
+                scratch,
+            )
+        })
     }
 
     /// Runs over a caller-supplied channel (failure injection, reduction

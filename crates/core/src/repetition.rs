@@ -97,11 +97,18 @@ impl<'a, P: Protocol> RepetitionSimulator<'a, P> {
                 reason: "noise parameter outside [0, 1)",
             });
         }
+        let mut channel = StochasticChannel::new(n, model, seed);
         if matches!(model, NoiseModel::Independent { .. }) {
-            let mut channel = StochasticChannel::new(n, model, seed);
             return self.simulate_over(inputs, model, &mut channel);
         }
-        crate::soa::repetition_collapsed(self.protocol, &self.config, inputs, model, seed, scratch)
+        crate::soa::repetition_collapsed_over(
+            self.protocol,
+            &self.config,
+            inputs,
+            model,
+            channel,
+            scratch,
+        )
     }
 
     /// Runs one trial per seed, lane-sliced: up to 64 trials share each

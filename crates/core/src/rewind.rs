@@ -119,17 +119,18 @@ impl<'a, P: Protocol> RewindSimulator<'a, P> {
                 reason: "noise parameter outside [0, 1)",
             });
         }
+        let mut channel = StochasticChannel::new(n, model, seed);
         if model.is_shared() {
-            return crate::soa::rewind_collapsed(
+            return crate::soa::rewind_collapsed_over(
                 self.protocol,
                 &self.config,
                 inputs,
                 model,
-                seed,
+                &*self.config.build_code(),
+                channel,
                 scratch,
             );
         }
-        let mut channel = StochasticChannel::new(n, model, seed);
         self.simulate_over(inputs, model, &mut channel)
     }
 
@@ -153,18 +154,24 @@ impl<'a, P: Protocol> RewindSimulator<'a, P> {
         model: NoiseModel,
         seeds: &[u64],
     ) -> Vec<Result<SimOutcome<P::Output>, SimError>> {
-        if model.validate().is_err() || matches!(model, NoiseModel::Independent { .. }) {
+        if model.validate().is_err() || !model.is_shared() {
             return seeds
                 .iter()
                 .map(|&seed| self.simulate(inputs, model, seed))
                 .collect();
         }
-        seeds
-            .chunks(beeps_channel::LANES)
-            .flat_map(|group| {
-                crate::lanes::rewind_lanes(self.protocol, &self.config, inputs, model, group)
-            })
-            .collect()
+        let code = self.config.build_code();
+        crate::lanes::collapsed_lanes(model, seeds, |bits, scratch| {
+            crate::soa::rewind_collapsed_over(
+                self.protocol,
+                &self.config,
+                inputs,
+                model,
+                &*code,
+                bits,
+                scratch,
+            )
+        })
     }
 
     /// Runs the simulation over a caller-supplied channel — the hook for

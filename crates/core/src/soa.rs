@@ -1,15 +1,22 @@
-//! Collapsed struct-of-arrays engines for million-party simulation.
+//! Collapsed struct-of-arrays engines: the one shared-noise body of
+//! every scheme.
 //!
-//! The scalar `simulate` path keeps one heap-allocated state machine per
-//! party — an array-of-structs layout whose per-round cost is `O(n)`
-//! pointer-chasing `hear` calls and whose committed transcript costs
-//! `O(T · n)` memory (every party stores its own copy). Under every
-//! *shared*-delivery regime (all models except `Independent`) that
-//! redundancy is structural: each party hears the same bit each round, so
-//! decoded chunk bits, owners bookkeeping, and the committed prefix are
-//! identical across parties. The engines here exploit the collapse the
-//! same way the lane engines in [`crate::lanes`] do, but for a *single*
-//! trial at very large `n`:
+//! The per-party engines (`simulate_over`) keep one heap-allocated state
+//! machine per party — an array-of-structs layout whose per-round cost
+//! is `O(n)` pointer-chasing `hear` calls and whose committed transcript
+//! costs `O(T · n)` memory (every party stores its own copy). Under
+//! every *shared*-delivery regime (all models except `Independent`) that
+//! redundancy is structural: each party hears the same bit each round,
+//! so decoded chunk bits, owners bookkeeping, and the committed prefix
+//! are identical across parties, and one collapsed copy suffices.
+//!
+//! Each scheme has exactly one collapsed body here (`*_collapsed_over`),
+//! generic over the `SharedBits` channel backend. Two backends drive
+//! it: a [`StochasticChannel`] for one trial (the `simulate` /
+//! `simulate_with_scratch` front doors, up to million-party `n`) and one
+//! lane of a [`beeps_channel::LaneChannel`] for up to 64 trials per word
+//! (`simulate_batch`, via `lanes::collapsed_lanes`). The bodies
+//! are built for very large `n`:
 //!
 //! * **Struct-of-arrays party state** — the only per-party facts are
 //!   "would party `i` beep in simulated round `m`" and "does party `i`
@@ -43,6 +50,7 @@ use crate::owners::metric_for;
 use crate::params::SimulatorConfig;
 use beeps_channel::{Channel, NoiseModel, Protocol, StochasticChannel};
 use beeps_ecc::bits::PackedBits;
+use beeps_ecc::SymbolCode;
 
 /// Reads bit `i` of a packed party row.
 #[inline]
@@ -138,27 +146,15 @@ pub(crate) trait SharedBits {
     fn corrupted(&self) -> usize;
 }
 
-/// The scalar backend: one freshly seeded [`StochasticChannel`] serving
-/// one trial.
-pub(crate) struct ScalarBits {
-    channel: StochasticChannel,
-}
-
-impl ScalarBits {
-    /// Wraps a channel seeded for this trial.
-    pub(crate) fn new(channel: StochasticChannel) -> Self {
-        Self { channel }
-    }
-}
-
-impl SharedBits for ScalarBits {
+/// The scalar backend: one [`StochasticChannel`] serving one trial.
+impl SharedBits for StochasticChannel {
     /// # Panics
     ///
     /// Panics if the channel hands back a per-party delivery: the
     /// collapsed engines only run under shared-noise models, whose
     /// deliveries are a single bit by construction.
     fn bit(&mut self, or: bool) -> bool {
-        self.channel.transmit(or).shared().expect("shared delivery")
+        self.transmit(or).shared().expect("shared delivery")
     }
 
     fn ones(&mut self, span: usize, or: bool) -> usize {
@@ -170,7 +166,7 @@ impl SharedBits for ScalarBits {
     }
 
     fn corrupted(&self) -> usize {
-        self.channel.corrupted_rounds()
+        self.corrupted_rounds()
     }
 }
 
@@ -253,35 +249,19 @@ impl SoaScratch {
     }
 }
 
-/// The collapsed rewind-scheme engine. Caller guarantees `model` is a
-/// validated shared-delivery model; `Independent` noise must take the
-/// scalar path (per-party deliveries break the collapse).
-pub(crate) fn rewind_collapsed<P: Protocol>(
-    protocol: &P,
-    config: &SimulatorConfig,
-    inputs: &[P::Input],
-    model: NoiseModel,
-    seed: u64,
-    scratch: &mut SoaScratch,
-) -> Result<SimOutcome<P::Output>, SimError> {
-    let channel = StochasticChannel::new(protocol.num_parties(), model, seed);
-    rewind_collapsed_over(
-        protocol,
-        config,
-        inputs,
-        model,
-        ScalarBits::new(channel),
-        scratch,
-    )
-}
-
-/// [`rewind_collapsed`] generic over the channel backend — the body the
-/// lane engines in [`crate::lanes`] re-drive one lane at a time.
+/// The collapsed rewind-scheme engine (Theorem 1.2): chunk by
+/// repetition, the Algorithm 1 owners phase, then a verification vote
+/// that pops one committed chunk when it fails. `code` is the owners
+/// code of `config` (built once by the caller, so a lane batch shares
+/// one table). Caller guarantees `model` is a validated shared-delivery
+/// model; `Independent` noise must take the scalar path (per-party
+/// deliveries break the collapse).
 pub(crate) fn rewind_collapsed_over<P: Protocol, S: SharedBits>(
     protocol: &P,
     config: &SimulatorConfig,
     inputs: &[P::Input],
     model: NoiseModel,
+    code: &dyn SymbolCode,
     mut source: S,
     scratch: &mut SoaScratch,
 ) -> Result<SimOutcome<P::Output>, SimError> {
@@ -289,7 +269,6 @@ pub(crate) fn rewind_collapsed_over<P: Protocol, S: SharedBits>(
     assert_eq!(inputs.len(), n, "need one input per party");
     let t = protocol.length();
     let resolved = config.resolve(model);
-    let code = config.build_code();
     let metric = metric_for(model);
     let next_symbol = code.alphabet_size() - 1;
     let code_len = code.codeword_len();
@@ -558,26 +537,6 @@ pub(crate) fn rewind_collapsed_over<P: Protocol, S: SharedBits>(
 /// [`RepetitionSimulator::simulate_over`](crate::RepetitionSimulator::simulate_over)
 /// collapse entirely. Caller guarantees `model` is a validated
 /// shared-delivery model; `Independent` noise must take the scalar path.
-pub(crate) fn repetition_collapsed<P: Protocol>(
-    protocol: &P,
-    config: &SimulatorConfig,
-    inputs: &[P::Input],
-    model: NoiseModel,
-    seed: u64,
-    scratch: &mut SoaScratch,
-) -> Result<SimOutcome<P::Output>, SimError> {
-    let channel = StochasticChannel::new(protocol.num_parties(), model, seed);
-    repetition_collapsed_over(
-        protocol,
-        config,
-        inputs,
-        model,
-        ScalarBits::new(channel),
-        scratch,
-    )
-}
-
-/// [`repetition_collapsed`] generic over the channel backend.
 pub(crate) fn repetition_collapsed_over<P: Protocol, S: SharedBits>(
     protocol: &P,
     config: &SimulatorConfig,
@@ -638,26 +597,6 @@ pub(crate) fn repetition_collapsed_over<P: Protocol, S: SharedBits>(
 /// one settable bit per round (the owner whose committed bit disagrees
 /// with its own beep). Caller guarantees `model` is a validated
 /// shared-delivery model.
-pub(crate) fn owned_rounds_collapsed<P: beeps_channel::UniquelyOwned>(
-    protocol: &P,
-    config: &SimulatorConfig,
-    inputs: &[P::Input],
-    model: NoiseModel,
-    seed: u64,
-    scratch: &mut SoaScratch,
-) -> Result<SimOutcome<P::Output>, SimError> {
-    let channel = StochasticChannel::new(protocol.num_parties(), model, seed);
-    owned_rounds_collapsed_over(
-        protocol,
-        config,
-        inputs,
-        model,
-        ScalarBits::new(channel),
-        scratch,
-    )
-}
-
-/// [`owned_rounds_collapsed`] generic over the channel backend.
 pub(crate) fn owned_rounds_collapsed_over<P: beeps_channel::UniquelyOwned, S: SharedBits>(
     protocol: &P,
     config: &SimulatorConfig,
@@ -839,31 +778,9 @@ pub(crate) fn owned_rounds_collapsed_over<P: beeps_channel::UniquelyOwned, S: Sh
 /// scalar path (each party's private error marks) collapses to one row
 /// per witnessed erasure — the parties that beeped the erased 1 — and
 /// the check-round flag OR is the running OR of the active rows.
-/// Caller guarantees `model` is validated and is `OneSidedOneToZero`
-/// or `Noiseless`.
-pub(crate) fn one_to_zero_collapsed<P: Protocol>(
-    protocol: &P,
-    base: usize,
-    budget_factor: f64,
-    inputs: &[P::Input],
-    model: NoiseModel,
-    seed: u64,
-    scratch: &mut SoaScratch,
-) -> Result<SimOutcome<P::Output>, SimError> {
-    let channel = StochasticChannel::new(protocol.num_parties(), model, seed);
-    one_to_zero_collapsed_over(
-        protocol,
-        base,
-        budget_factor,
-        inputs,
-        ScalarBits::new(channel),
-        scratch,
-    )
-}
-
-/// [`one_to_zero_collapsed`] generic over the channel backend. (The
-/// noise model only seeds the channel, so the generic body does not
-/// take it.)
+/// Caller guarantees the backend runs a validated `OneSidedOneToZero`
+/// or `Noiseless` model. (The model only seeds the channel, so the
+/// body does not take it.)
 pub(crate) fn one_to_zero_collapsed_over<P: Protocol, S: SharedBits>(
     protocol: &P,
     base: usize,
@@ -1161,33 +1078,15 @@ fn truncate_chunks<P: Protocol>(
 /// final full-coverage confirmation with `my_flag: false` for every
 /// party (without consulting `flag_for_boundary`) — only fallback votes
 /// after a flagged confirmation probe real flags — and the collapsed
-/// engine replicates that silent first vote exactly. Caller guarantees
+/// engine replicates that silent first vote exactly. `code` is the
+/// owners code of `config`, built once by the caller. Caller guarantees
 /// `model` is a validated shared-delivery model.
-pub(crate) fn hierarchical_collapsed<P: Protocol>(
-    protocol: &P,
-    config: &SimulatorConfig,
-    inputs: &[P::Input],
-    model: NoiseModel,
-    seed: u64,
-    scratch: &mut SoaScratch,
-) -> Result<SimOutcome<P::Output>, SimError> {
-    let channel = StochasticChannel::new(protocol.num_parties(), model, seed);
-    hierarchical_collapsed_over(
-        protocol,
-        config,
-        inputs,
-        model,
-        ScalarBits::new(channel),
-        scratch,
-    )
-}
-
-/// [`hierarchical_collapsed`] generic over the channel backend.
 pub(crate) fn hierarchical_collapsed_over<P: Protocol, S: SharedBits>(
     protocol: &P,
     config: &SimulatorConfig,
     inputs: &[P::Input],
     model: NoiseModel,
+    code: &dyn SymbolCode,
     mut source: S,
     scratch: &mut SoaScratch,
 ) -> Result<SimOutcome<P::Output>, SimError> {
@@ -1195,7 +1094,6 @@ pub(crate) fn hierarchical_collapsed_over<P: Protocol, S: SharedBits>(
     assert_eq!(inputs.len(), n, "need one input per party");
     let t = protocol.length();
     let resolved = config.resolve(model);
-    let code = config.build_code();
     let metric = metric_for(model);
     let next_symbol = code.alphabet_size() - 1;
     let code_len = code.codeword_len();

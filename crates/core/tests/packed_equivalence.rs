@@ -13,9 +13,11 @@ use beeps_channel::{
 };
 use beeps_core::{
     HierarchicalSimulator, OneToZeroSimulator, OwnedRoundsSimulator, RepetitionSimulator,
-    RewindSimulator, SimulatorConfig,
+    RewindSimulator, SimError, SimOutcome, SimulatorConfig,
 };
 use beeps_protocols::{InputSet, RollCall};
+use std::fmt::Debug;
+use std::ops::Range;
 
 /// Delegates to a [`StochasticChannel`] but re-materialises every
 /// per-party delivery through `Vec<bool>`, so downstream code consumes a
@@ -78,6 +80,47 @@ fn models() -> Vec<NoiseModel> {
     ]
 }
 
+/// The inputs the oracle tests sweep for a Theorem 1.2 scheme at `n`
+/// parties: the default budget over every regime, then a budget-starved
+/// config (ε = 0.2 against `budget_factor(starved)`) over more seeds,
+/// so `BudgetExhausted { rounds_used, committed }` is exercised too.
+fn oracle_cases(n: usize, starved: f64) -> Vec<(SimulatorConfig, NoiseModel, Range<u64>)> {
+    let config = SimulatorConfig::builder(n)
+        .model(NoiseModel::Correlated { epsilon: 0.1 })
+        .build();
+    let mut cases: Vec<_> = models()
+        .into_iter()
+        .map(|model| (config.clone(), model, 0..2))
+        .collect();
+    let model = NoiseModel::Correlated { epsilon: 0.2 };
+    let starved = SimulatorConfig::builder(n)
+        .model(model)
+        .budget_factor(starved)
+        .build();
+    cases.push((starved, model, 0..32));
+    cases
+}
+
+/// Asserts that a `simulate` run (the collapsed body under shared
+/// noise) and a per-party `simulate_over` run of the same trial agree
+/// bit for bit: transcript, outputs and stats on success, the full
+/// `SimError` on failure. Returns whether the runs failed.
+fn assert_matches_oracle<O: PartialEq + Debug>(
+    packed: Result<SimOutcome<O>, SimError>,
+    unpacked: Result<SimOutcome<O>, SimError>,
+    context: &str,
+) -> bool {
+    match (&packed, &unpacked) {
+        (Ok(a), Ok(b)) => {
+            assert_eq!(a.transcript(), b.transcript(), "transcript: {context}");
+            assert_eq!(a.outputs(), b.outputs(), "outputs: {context}");
+            assert_eq!(a.stats(), b.stats(), "stats: {context}");
+        }
+        (a, b) => assert_eq!(a.as_ref().err(), b.as_ref().err(), "error: {context}"),
+    }
+    packed.is_err()
+}
+
 #[test]
 fn naked_execution_matches_roundtrip() {
     let p = InputSet::new(6);
@@ -125,75 +168,56 @@ fn repetition_scheme_matches_roundtrip() {
 fn rewind_scheme_matches_roundtrip() {
     let p = InputSet::new(4);
     let inputs = [1, 5, 5, 2];
-    let config = SimulatorConfig::builder(4)
-        .model(NoiseModel::Correlated { epsilon: 0.1 })
-        .build();
-    let sim = RewindSimulator::new(&p, config);
-    for model in models() {
-        for seed in 0..2 {
+    let mut failed = 0usize;
+    for (config, model, seeds) in oracle_cases(4, 1.0) {
+        let sim = RewindSimulator::new(&p, config);
+        for seed in seeds {
             let packed = sim.simulate(&inputs, model, seed);
             let mut rt = RoundtripChannel::new(4, model, seed);
             let unpacked = sim.simulate_over(&inputs, model, &mut rt);
-            match (packed, unpacked) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a.transcript(), b.transcript());
-                    assert_eq!(a.outputs(), b.outputs());
-                    assert_eq!(a.stats(), b.stats());
-                }
-                (a, b) => assert_eq!(a.is_err(), b.is_err(), "error mismatch over {model}"),
-            }
+            let context = format!("{model} seed {seed}");
+            failed += usize::from(assert_matches_oracle(packed, unpacked, &context));
         }
     }
+    assert!(failed > 0, "starved budget never exhausted: weak test");
 }
 
 #[test]
 fn hierarchical_scheme_matches_roundtrip() {
     let p = InputSet::new(4);
     let inputs = [1, 6, 6, 3];
-    let config = SimulatorConfig::builder(4)
-        .model(NoiseModel::Correlated { epsilon: 0.1 })
-        .build();
-    let sim = HierarchicalSimulator::new(&p, config);
-    for model in models() {
-        for seed in 0..2 {
+    let mut failed = 0usize;
+    // The hierarchical budget carries fixed check slack on top of
+    // `budget_factor`, so starving it takes a factor well below 1.
+    for (config, model, seeds) in oracle_cases(4, 0.3) {
+        let sim = HierarchicalSimulator::new(&p, config);
+        for seed in seeds {
             let packed = sim.simulate(&inputs, model, seed);
             let mut rt = RoundtripChannel::new(4, model, seed);
             let unpacked = sim.simulate_over(&inputs, model, &mut rt);
-            match (packed, unpacked) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a.transcript(), b.transcript());
-                    assert_eq!(a.outputs(), b.outputs());
-                    assert_eq!(a.stats(), b.stats());
-                }
-                (a, b) => assert_eq!(a.is_err(), b.is_err(), "error mismatch over {model}"),
-            }
+            let context = format!("{model} seed {seed}");
+            failed += usize::from(assert_matches_oracle(packed, unpacked, &context));
         }
     }
+    assert!(failed > 0, "starved budget never exhausted: weak test");
 }
 
 #[test]
 fn owned_rounds_scheme_matches_roundtrip() {
     let p = RollCall::new(8);
     let inputs = [true, false, true, true, false, false, true, false];
-    let config = SimulatorConfig::builder(8)
-        .model(NoiseModel::Correlated { epsilon: 0.1 })
-        .build();
-    let sim = OwnedRoundsSimulator::new(&p, config);
-    for model in models() {
-        for seed in 0..2 {
+    let mut failed = 0usize;
+    for (config, model, seeds) in oracle_cases(8, 1.0) {
+        let sim = OwnedRoundsSimulator::new(&p, config);
+        for seed in seeds {
             let packed = sim.simulate(&inputs, model, seed);
             let mut rt = RoundtripChannel::new(8, model, seed);
             let unpacked = sim.simulate_over(&inputs, model, &mut rt);
-            match (packed, unpacked) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a.transcript(), b.transcript());
-                    assert_eq!(a.outputs(), b.outputs());
-                    assert_eq!(a.stats(), b.stats());
-                }
-                (a, b) => assert_eq!(a.is_err(), b.is_err(), "error mismatch over {model}"),
-            }
+            let context = format!("{model} seed {seed}");
+            failed += usize::from(assert_matches_oracle(packed, unpacked, &context));
         }
     }
+    assert!(failed > 0, "starved budget never exhausted: weak test");
 }
 
 /// Transposition proof for the lane-sliced repetition engine: a 64-lane
@@ -307,18 +331,7 @@ fn degenerate_party_counts_match_roundtrip() {
                 let packed = sim.simulate(&inputs, model, seed);
                 let mut rt = RoundtripChannel::new(n, model, seed);
                 let unpacked = sim.simulate_over(&inputs, model, &mut rt);
-                match (packed, unpacked) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a.transcript(), b.transcript(), "n={n} {model} seed {seed}");
-                        assert_eq!(a.outputs(), b.outputs());
-                        assert_eq!(a.stats(), b.stats());
-                    }
-                    (a, b) => assert_eq!(
-                        a.is_err(),
-                        b.is_err(),
-                        "error mismatch n={n} over {model} seed {seed}"
-                    ),
-                }
+                assert_matches_oracle(packed, unpacked, &format!("n={n} {model} seed {seed}"));
             }
         }
     }
@@ -712,19 +725,26 @@ fn independent_repetition_batch_matches_at_degenerate_party_counts() {
 fn one_to_zero_scheme_matches_roundtrip() {
     let p = InputSet::new(5);
     let inputs = [2, 8, 8, 1, 0];
-    let sim = OneToZeroSimulator::new(&p, 2, 32.0);
-    let model = NoiseModel::OneSidedOneToZero { epsilon: 1.0 / 3.0 };
-    for seed in 0..4 {
-        let packed = sim.simulate(&inputs, model, seed);
-        let mut rt = RoundtripChannel::new(5, model, seed);
-        let unpacked = sim.simulate_over(&inputs, model, &mut rt);
-        match (packed, unpacked) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a.transcript(), b.transcript());
-                assert_eq!(a.outputs(), b.outputs());
-                assert_eq!(a.stats(), b.stats());
-            }
-            (a, b) => assert_eq!(a.is_err(), b.is_err(), "error mismatch seed {seed}"),
+    // The default budget, then the minimum legal one (`budget_factor`
+    // 2) under heavy erasure so `BudgetExhausted` is exercised too.
+    let cases = [
+        (
+            32.0,
+            NoiseModel::OneSidedOneToZero { epsilon: 1.0 / 3.0 },
+            0..4,
+        ),
+        (2.0, NoiseModel::OneSidedOneToZero { epsilon: 0.45 }, 0..32),
+    ];
+    let mut failed = 0usize;
+    for (budget_factor, model, seeds) in cases {
+        let sim = OneToZeroSimulator::new(&p, 2, budget_factor);
+        for seed in seeds {
+            let packed = sim.simulate(&inputs, model, seed);
+            let mut rt = RoundtripChannel::new(5, model, seed);
+            let unpacked = sim.simulate_over(&inputs, model, &mut rt);
+            let context = format!("{model} seed {seed}");
+            failed += usize::from(assert_matches_oracle(packed, unpacked, &context));
         }
     }
+    assert!(failed > 0, "starved budget never exhausted: weak test");
 }

@@ -9,15 +9,15 @@
 //! [`mark`] ambiently.
 //!
 //! The contract that keeps this free for unobserved runs: [`phase`]
-//! and [`mark`] first check a global relaxed [`AtomicUsize`] install
-//! count. When zero (no observer installed anywhere in the process —
-//! the common case for tests and unobserved benchmarks), they return
-//! after **one atomic load**: no TLS access, no clock read, no
-//! allocation. This is the "zero overhead when no observer is
+//! and [`mark`] first read this thread's own installation slot. When
+//! it is empty (no observer installed on this thread — the common case
+//! for tests, unobserved benchmarks, and unobserved threads next to an
+//! observed runner), they return after **one thread-local read**: no
+//! clock read, no allocation, and no shared state another thread's
+//! install could flip. This is the "zero overhead when no observer is
 //! attached" guarantee asserted by `crates/bench/tests/observer_progress.rs`.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::clock;
@@ -26,10 +26,6 @@ use crate::observer::Observer;
 /// Worker index reported for instrumented work on the invoking thread
 /// (outside the worker pool), e.g. the trial-index-order metrics merge.
 pub const MAIN_WORKER: usize = usize::MAX;
-
-/// Number of observer installations currently live across all threads.
-/// Zero means every ambient call is a single relaxed load.
-static ACTIVE: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     static CURRENT: RefCell<Option<Installed>> = const { RefCell::new(None) };
@@ -46,7 +42,6 @@ struct Installed {
 /// restores whatever was installed before).
 #[must_use = "the observer is uninstalled when the guard drops"]
 pub fn install(observer: Arc<dyn Observer>, worker: usize) -> InstallGuard {
-    ACTIVE.fetch_add(1, Ordering::Relaxed);
     let previous = CURRENT.with(|c| c.replace(Some(Installed { observer, worker })));
     InstallGuard { previous }
 }
@@ -59,27 +54,23 @@ pub struct InstallGuard {
 impl Drop for InstallGuard {
     fn drop(&mut self) {
         CURRENT.with(|c| *c.borrow_mut() = self.previous.take());
-        ACTIVE.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
-/// Whether any thread currently has an observer installed. The inverse
+/// Whether the calling thread has an observer installed. The inverse
 /// is the fast-path guarantee: when false, [`phase`] and [`mark`] cost
-/// one relaxed atomic load.
+/// one thread-local read. Installs on other threads do not count.
 #[must_use]
 pub fn is_active() -> bool {
-    ACTIVE.load(Ordering::Relaxed) != 0
+    CURRENT.with(|c| c.borrow().is_some())
 }
 
 fn with_current<R>(f: impl FnOnce(&Installed) -> R) -> Option<R> {
-    if !is_active() {
-        return None;
-    }
     CURRENT.with(|c| c.borrow().as_ref().map(f))
 }
 
 /// An open wall-clock span; reports to the ambient observer when
-/// dropped. Inert (and cost-free beyond one atomic load) when no
+/// dropped. Inert (and cost-free beyond one thread-local read) when no
 /// observer is installed on this thread.
 #[must_use = "a span reports its duration when dropped"]
 pub struct PhaseSpan {
@@ -187,8 +178,9 @@ mod tests {
         let _guard = install(Arc::clone(&obs) as Arc<dyn Observer>, 0);
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                // The other thread sees the process-wide ACTIVE count,
-                // but has no thread-local observer: marks go nowhere.
+                // The other thread has no observer of its own: it stays
+                // on the inert path and its marks go nowhere.
+                assert!(!is_active());
                 mark("other-thread");
             });
         });

@@ -17,9 +17,10 @@
 //!   the one sanctioned [`clock`] module — see the beeps-lint
 //!   `wall-clock` rule); the deterministic engine never touches it.
 //! * The inactive path is free. Instrumentation points in hot code go
-//!   through [`ambient`], whose fast path is a single relaxed atomic
-//!   load when no observer is installed — no clock read, no TLS
-//!   access, no allocation.
+//!   through [`ambient`], whose fast path is a single read of the
+//!   calling thread's own installation slot when no observer is
+//!   installed there — no clock read, no allocation, and no state an
+//!   observed thread elsewhere in the process can switch on.
 //!
 //! Three production observers ship here:
 //!

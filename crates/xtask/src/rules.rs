@@ -343,15 +343,12 @@ const LANE_SEED_PATTERNS: &[&str] = &[
 ];
 
 /// The atomics policy table: files whose `Ordering::Relaxed` uses are
-/// sanctioned wholesale. Exactly the observe progress/ambient counters
-/// — monotone telemetry read by a reporter thread, where staleness is
+/// sanctioned wholesale. Exactly the observe progress counters —
+/// monotone telemetry read by a reporter thread, where staleness is
 /// harmless and the hot-path cost of a fence is not. Everywhere else,
 /// `Relaxed` needs a documented `beeps-lint: allow(atomic-ordering)`
 /// arguing the load/store is inert.
-const ATOMIC_RELAXED_ALLOWED: &[&str] = &[
-    "crates/observe/src/progress.rs",
-    "crates/observe/src/ambient.rs",
-];
+const ATOMIC_RELAXED_ALLOWED: &[&str] = &["crates/observe/src/progress.rs"];
 
 /// The `std::sync::atomic::Ordering` variants.
 const ATOMIC_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
