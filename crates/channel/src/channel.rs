@@ -11,6 +11,15 @@
 //! *stream* of RNG draws differs, so seeded golden numbers change when
 //! switching between the two.
 //!
+//! Shared-noise models run one such countdown over the rounds where a
+//! flip is possible (`SharedCountdown`, also each lane of a
+//! [`crate::LaneChannel`]). Besides single rounds it delivers a
+//! constant-OR span ([`StochasticChannel::flips_in_span`]) or a word of
+//! up to 64 rounds ([`StochasticChannel::transmit_rounds`], the shape
+//! of an owners codeword) by walking from flip to flip, and either
+//! draws, flips and counts exactly as the same rounds delivered one at
+//! a time (pinned by `tests/proptests.rs`).
+//!
 //! Independent-noise flips land in per-round *buckets* of flipped-party
 //! indices, delivered as [`Delivery::Sparse`] when a round's flip count
 //! stays below [`sparse_crossover`] and expanded to a dense
@@ -30,7 +39,7 @@ const BLOCK_ROUNDS: usize = 64;
 /// Bernoulli(ε) stream: geometric on `{0, 1, …}` with
 /// `P(k) = ε(1−ε)^k`, via inversion of one uniform draw. Returns
 /// `u64::MAX` ("never") for ε ≤ 0 without consuming randomness.
-pub(crate) fn geometric_gap(epsilon: f64, rng: &mut StdRng) -> u64 {
+fn geometric_gap(epsilon: f64, rng: &mut StdRng) -> u64 {
     if epsilon <= 0.0 {
         return u64::MAX;
     }
@@ -187,21 +196,179 @@ impl IndependentSampler {
     }
 }
 
+/// Which rounds a shared-noise countdown runs over — the rounds on
+/// which a flip is possible at all.
+#[derive(Debug, Clone, Copy)]
+enum FlipsOn {
+    /// No round (noiseless).
+    Never,
+    /// Every round (`Correlated`).
+    Every,
+    /// Silent rounds (`0→1`).
+    Zeros,
+    /// Beeping rounds (`1→0`).
+    Ones,
+}
+
+/// The shared-noise skip sampler: one geometric countdown over the
+/// *eligible* rounds of a shared-delivery model, with its RNG.
+///
+/// This is the one flip process behind every shared-noise delivery: a
+/// [`StochasticChannel`] runs one, and each lane of a
+/// [`crate::LaneChannel`] runs its own. Rounds can be delivered one at
+/// a time ([`SharedCountdown::step`]), as a constant-OR span
+/// ([`SharedCountdown::flips_in_span`]) or as a word of up to 64
+/// rounds ([`SharedCountdown::transmit_rounds`]); all three decrement
+/// the countdown once per eligible round and redraw it on each flip,
+/// so any interleaving draws, flips and counts exactly as the same
+/// rounds delivered one by one.
+#[derive(Debug)]
+pub(crate) struct SharedCountdown {
+    rng: StdRng,
+    epsilon: f64,
+    flips_on: FlipsOn,
+    /// Eligible rounds remaining before the next flip.
+    skip: u64,
+    /// Flipped rounds delivered so far.
+    flips: u64,
+}
+
+impl SharedCountdown {
+    /// Draws the first gap from `rng` — the construction-time RNG
+    /// contract of a shared-noise [`StochasticChannel`].
+    ///
+    /// # Panics
+    ///
+    /// Panics under [`NoiseModel::Independent`], whose flips are per
+    /// party; callers route it to the [`IndependentSampler`].
+    pub(crate) fn new(model: NoiseModel, mut rng: StdRng) -> Self {
+        let flips_on = match model {
+            NoiseModel::Noiseless => FlipsOn::Never,
+            NoiseModel::Correlated { .. } => FlipsOn::Every,
+            NoiseModel::OneSidedZeroToOne { .. } => FlipsOn::Zeros,
+            NoiseModel::OneSidedOneToZero { .. } => FlipsOn::Ones,
+            NoiseModel::Independent { .. } => panic!("independent noise has no shared countdown"),
+        };
+        let epsilon = model.epsilon();
+        let skip = geometric_gap(epsilon, &mut rng);
+        Self {
+            rng,
+            epsilon,
+            flips_on,
+            skip,
+            flips: 0,
+        }
+    }
+
+    /// Restarts the countdown from `rng` as [`SharedCountdown::new`]
+    /// would.
+    fn restart(&mut self, mut rng: StdRng) {
+        self.skip = geometric_gap(self.epsilon, &mut rng);
+        self.rng = rng;
+        self.flips = 0;
+    }
+
+    /// Flipped rounds delivered so far.
+    pub(crate) fn flips(&self) -> u64 {
+        self.flips
+    }
+
+    /// The eligible rounds among those whose true ORs are the bits of
+    /// `sent` — the one statement of the eligibility rule.
+    fn eligible(&self, sent: u64) -> u64 {
+        match self.flips_on {
+            FlipsOn::Never => 0,
+            FlipsOn::Every => u64::MAX,
+            FlipsOn::Zeros => !sent,
+            FlipsOn::Ones => sent,
+        }
+    }
+
+    /// Delivers one round with true OR `true_or`; returns the heard bit.
+    pub(crate) fn step(&mut self, true_or: bool) -> bool {
+        if self.eligible(u64::from(true_or)) & 1 == 0 {
+            return true_or;
+        }
+        if self.skip > 0 {
+            self.skip -= 1;
+            return true_or;
+        }
+        self.skip = geometric_gap(self.epsilon, &mut self.rng);
+        self.flips += 1;
+        !true_or
+    }
+
+    /// Delivers `rounds` consecutive rounds with constant true OR
+    /// `true_or`; returns how many of them flipped. RNG work is
+    /// proportional to the flips, not the rounds.
+    pub(crate) fn flips_in_span(&mut self, rounds: u64, true_or: bool) -> u64 {
+        if rounds == 0 || self.eligible(u64::from(true_or)) & 1 == 0 {
+            return 0;
+        }
+        let mut flips = 0u64;
+        let mut rem = rounds;
+        let mut pos = self.skip;
+        // A flip with `pos` clean rounds ahead of it consumes pos + 1
+        // rounds of the span and forces a redraw.
+        while pos < rem {
+            flips += 1;
+            rem -= pos + 1;
+            pos = geometric_gap(self.epsilon, &mut self.rng);
+        }
+        self.skip = pos - rem;
+        self.flips += flips;
+        flips
+    }
+
+    /// Delivers `len ≤ 64` consecutive rounds whose true ORs are the
+    /// low `len` bits of `sent` (round `k` is bit `k`); returns the
+    /// heard bits. Bits of `sent` at or above `len` are ignored and
+    /// the returned bits there are zero. RNG work is proportional to
+    /// the flips, not the rounds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len > 64`.
+    pub(crate) fn transmit_rounds(&mut self, sent: u64, len: usize) -> u64 {
+        assert!(len <= 64, "a word carries at most 64 rounds, got {len}");
+        let live = if len == 64 {
+            u64::MAX
+        } else {
+            (1u64 << len) - 1
+        };
+        let sent = sent & live;
+        let mut eligible = self.eligible(sent) & live;
+        let mut flipped = 0u64;
+        loop {
+            let count = u64::from(eligible.count_ones());
+            if self.skip >= count {
+                self.skip -= count;
+                break;
+            }
+            // The next flip lands on eligible round number `skip`: the
+            // `skip` eligible rounds below it are clean.
+            for _ in 0..self.skip {
+                eligible &= eligible - 1;
+            }
+            let round = eligible & eligible.wrapping_neg();
+            flipped |= round;
+            eligible ^= round;
+            self.skip = geometric_gap(self.epsilon, &mut self.rng);
+        }
+        self.flips += u64::from(flipped.count_ones());
+        sent ^ flipped
+    }
+}
+
 /// Batched noise state of a [`StochasticChannel`].
 #[derive(Debug)]
 enum Sampler {
-    /// No randomness consumed, ever.
-    Noiseless,
-    /// Shared-output regimes: one geometric countdown over *eligible*
-    /// rounds (every round for `Correlated`; silent rounds for `0→1`;
-    /// beeping rounds for `1→0`).
-    Shared {
-        /// Eligible rounds remaining before the next flip.
-        skip: u64,
-    },
+    /// Shared-output regimes, noiseless included: one countdown.
+    Shared(SharedCountdown),
     /// Independent noise: the skip sampler plus the channel-side
     /// delivery scratch.
     Independent {
+        rng: StdRng,
         /// Per-round flip buckets behind the skip calendar.
         skipper: IndependentSampler,
         /// Scratch row (`⌈n/64⌉` words) for expanding a bucket into a
@@ -210,24 +377,22 @@ enum Sampler {
         /// Route every delivery through the dense path (see
         /// [`StochasticChannel::set_dense_deliveries`]).
         force_dense: bool,
+        /// Rounds in which at least one party's copy flipped.
+        corrupted: usize,
     },
 }
 
 impl Sampler {
-    fn new(n: usize, model: NoiseModel, rng: &mut StdRng) -> Self {
-        let eps = model.epsilon();
+    fn new(n: usize, model: NoiseModel, mut rng: StdRng) -> Self {
         match model {
-            NoiseModel::Noiseless => Sampler::Noiseless,
-            NoiseModel::Correlated { .. }
-            | NoiseModel::OneSidedZeroToOne { .. }
-            | NoiseModel::OneSidedOneToZero { .. } => Sampler::Shared {
-                skip: geometric_gap(eps, rng),
-            },
-            NoiseModel::Independent { .. } => Sampler::Independent {
-                skipper: IndependentSampler::new(n, eps, rng),
+            NoiseModel::Independent { epsilon } => Sampler::Independent {
+                skipper: IndependentSampler::new(n, epsilon, &mut rng),
+                rng,
                 dense_row: vec![0; n.div_ceil(64)],
                 force_dense: false,
+                corrupted: 0,
             },
+            _ => Sampler::Shared(SharedCountdown::new(model, rng)),
         }
     }
 }
@@ -293,10 +458,8 @@ impl<C: Channel + ?Sized> Channel for &mut C {
 pub struct StochasticChannel {
     n: usize,
     model: NoiseModel,
-    rng: StdRng,
     sampler: Sampler,
     rounds: usize,
-    corrupted: usize,
 }
 
 impl StochasticChannel {
@@ -309,15 +472,12 @@ impl StochasticChannel {
     pub fn new(n: usize, model: NoiseModel, seed: u64) -> Self {
         assert!(n > 0, "channel needs at least one party");
         model.validate().expect("invalid noise parameter");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let sampler = Sampler::new(n, model, &mut rng);
+        let rng = StdRng::seed_from_u64(seed);
         Self {
             n,
             model,
-            rng,
-            sampler,
+            sampler: Sampler::new(n, model, rng),
             rounds: 0,
-            corrupted: 0,
         }
     }
 
@@ -339,14 +499,20 @@ impl StochasticChannel {
     /// offset forces a bucket-clearing refill before the first
     /// delivery).
     pub fn reseed(&mut self, seed: u64) {
-        self.rng = StdRng::seed_from_u64(seed);
+        let mut fresh = StdRng::seed_from_u64(seed);
         self.rounds = 0;
-        self.corrupted = 0;
-        let eps = self.model.epsilon();
         match &mut self.sampler {
-            Sampler::Noiseless => {}
-            Sampler::Shared { skip } => *skip = geometric_gap(eps, &mut self.rng),
-            Sampler::Independent { skipper, .. } => skipper.restart(self.n, eps, &mut self.rng),
+            Sampler::Shared(countdown) => countdown.restart(fresh),
+            Sampler::Independent {
+                rng,
+                skipper,
+                corrupted,
+                ..
+            } => {
+                skipper.restart(self.n, self.model.epsilon(), &mut fresh);
+                *rng = fresh;
+                *corrupted = 0;
+            }
         }
     }
 
@@ -361,6 +527,57 @@ impl StochasticChannel {
             *force_dense = dense;
         }
     }
+
+    /// Delivers `len ≤ 64` consecutive rounds at once: bit `k` of
+    /// `sent` is the true OR of round `k`, bit `k` of the result is
+    /// what every party hears in it. Bits of `sent` at or above `len`
+    /// are ignored and the result is zero there.
+    ///
+    /// Draws, flips and counts ([`Channel::rounds`],
+    /// [`Channel::corrupted_rounds`]) exactly as `len` calls to
+    /// [`Channel::transmit`] would, with RNG work proportional to the
+    /// flips rather than the rounds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len > 64` or the model is
+    /// [`NoiseModel::Independent`] (whose deliveries differ per party).
+    pub fn transmit_rounds(&mut self, sent: u64, len: usize) -> u64 {
+        let heard = self.shared_countdown().transmit_rounds(sent, len);
+        self.rounds += len;
+        heard
+    }
+
+    /// Delivers `rounds` consecutive rounds with constant true OR
+    /// `true_or`; returns how many of them flipped. Equivalent to
+    /// `rounds` calls to [`Channel::transmit`], with RNG work
+    /// proportional to the flips rather than the rounds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model is [`NoiseModel::Independent`] (whose
+    /// deliveries differ per party).
+    pub fn flips_in_span(&mut self, rounds: usize, true_or: bool) -> usize {
+        let flips = self
+            .shared_countdown()
+            .flips_in_span(rounds as u64, true_or);
+        self.rounds += rounds;
+        flips as usize
+    }
+
+    /// The shared-noise countdown behind the word and span deliveries.
+    ///
+    /// # Panics
+    ///
+    /// Panics under independent noise.
+    fn shared_countdown(&mut self) -> &mut SharedCountdown {
+        match &mut self.sampler {
+            Sampler::Shared(countdown) => countdown,
+            Sampler::Independent { .. } => {
+                panic!("word and span deliveries need a shared-noise model")
+            }
+        }
+    }
 }
 
 impl Channel for StochasticChannel {
@@ -370,51 +587,21 @@ impl Channel for StochasticChannel {
 
     fn transmit(&mut self, true_or: bool) -> Delivery {
         self.rounds += 1;
-        let Self {
-            n,
-            model,
-            rng,
-            sampler,
-            corrupted,
-            ..
-        } = self;
-        match sampler {
-            Sampler::Noiseless => Delivery::Shared(true_or),
-            Sampler::Shared { skip } => {
-                // One-sided regimes only consume the countdown on rounds
-                // where a flip is possible at all.
-                let eligible = match model {
-                    NoiseModel::Correlated { .. } => true,
-                    NoiseModel::OneSidedZeroToOne { .. } => !true_or,
-                    NoiseModel::OneSidedOneToZero { .. } => true_or,
-                    _ => unreachable!("shared sampler only for shared noisy models"),
-                };
-                let flip = if eligible {
-                    if *skip == 0 {
-                        *skip = geometric_gap(model.epsilon(), rng);
-                        true
-                    } else {
-                        *skip -= 1;
-                        false
-                    }
-                } else {
-                    false
-                };
-                if flip {
-                    *corrupted += 1;
-                }
-                Delivery::Shared(true_or ^ flip)
-            }
+        let n = self.n;
+        match &mut self.sampler {
+            Sampler::Shared(countdown) => Delivery::Shared(countdown.step(true_or)),
             Sampler::Independent {
+                rng,
                 skipper,
                 dense_row,
                 force_dense,
+                corrupted,
             } => {
-                let bucket = skipper.advance(model.epsilon(), rng);
+                let bucket = skipper.advance(self.model.epsilon(), rng);
                 if !bucket.is_empty() {
                     *corrupted += 1;
                 }
-                if *force_dense || bucket.len() >= sparse_crossover(*n) {
+                if *force_dense || bucket.len() >= sparse_crossover(n) {
                     for word in dense_row.iter_mut() {
                         *word = 0;
                     }
@@ -422,12 +609,12 @@ impl Channel for StochasticChannel {
                         dense_row[p as usize / 64] |= 1u64 << (p as usize % 64);
                     }
                     bucket.clear();
-                    Delivery::PerParty(BitVec::from_flips(dense_row, true_or, *n))
+                    Delivery::PerParty(BitVec::from_flips(dense_row, true_or, n))
                 } else {
                     // `mem::take` hands the bucket's buffer to the
                     // delivery without copying; clean rounds move an
                     // empty Vec, so the common case allocates nothing.
-                    Delivery::Sparse(SparseDelivery::new(true_or, *n, std::mem::take(bucket)))
+                    Delivery::Sparse(SparseDelivery::new(true_or, n, std::mem::take(bucket)))
                 }
             }
         }
@@ -438,7 +625,10 @@ impl Channel for StochasticChannel {
     }
 
     fn corrupted_rounds(&self) -> usize {
-        self.corrupted
+        match &self.sampler {
+            Sampler::Shared(countdown) => countdown.flips() as usize,
+            Sampler::Independent { corrupted, .. } => *corrupted,
+        }
     }
 }
 

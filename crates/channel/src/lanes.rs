@@ -35,37 +35,28 @@
 //! The `lane-seed-discipline` beeps-lint rule enforces this: the two
 //! constructors below are the only sanctioned seeding sites.
 
-use crate::channel::{geometric_gap, IndependentSampler};
+use crate::channel::{IndependentSampler, SharedCountdown};
 use crate::noise::NoiseModel;
 use rand::{rngs::StdRng, SeedableRng};
 
 /// Trial-lanes per transcript word.
 pub const LANES: usize = 64;
 
-/// Per-lane shared-noise state: the same `{rng, skip}` pair a scalar
-/// [`StochasticChannel`](crate::StochasticChannel)'s shared sampler
-/// carries, advanced in the same draw order.
-#[derive(Debug)]
-struct LaneNoise {
-    rng: StdRng,
-    /// Eligible rounds remaining before this lane's next flip.
-    skip: u64,
-}
-
 /// A shared-noise channel carrying up to [`LANES`] independent trials,
 /// one bit-lane each.
 ///
 /// Construct with [`LaneChannel::shared`]; advance either one round at
 /// a time across all lanes ([`LaneChannel::transmit_word`]), one round
-/// on one lane ([`LaneChannel::step`]), or a whole constant-OR span on
-/// one lane ([`LaneChannel::flips_in_span`]). All three consume each
-/// lane's RNG in exactly the order the scalar channel would.
+/// on one lane ([`LaneChannel::step`]), a whole constant-OR span on
+/// one lane ([`LaneChannel::flips_in_span`]), or up to 64 rounds of
+/// one lane at once ([`LaneChannel::transmit_rounds`]). Each lane runs
+/// the scalar channel's own shared-noise countdown, so all four
+/// consume each lane's RNG in exactly the order the scalar channel
+/// would.
 #[derive(Debug)]
 pub struct LaneChannel {
     model: NoiseModel,
-    epsilon: f64,
-    lanes: Vec<LaneNoise>,
-    corrupted: Vec<u64>,
+    lanes: Vec<SharedCountdown>,
 }
 
 impl LaneChannel {
@@ -92,24 +83,17 @@ impl LaneChannel {
         if matches!(model, NoiseModel::Independent { .. }) || model.validate().is_err() {
             return None;
         }
-        let epsilon = model.epsilon();
         let lanes = seeds
             .iter()
             .map(|&seed| {
                 // The one sanctioned lane seeding site: each lane replays
                 // the scalar channel's construction for its trial seed.
                 // beeps-lint: allow(lane-seed-discipline) -- lanes are seeded here, and only here, from the per-trial splitmix seeds
-                let mut rng = StdRng::seed_from_u64(seed);
-                let skip = geometric_gap(epsilon, &mut rng);
-                LaneNoise { rng, skip }
+                let rng = StdRng::seed_from_u64(seed);
+                SharedCountdown::new(model, rng)
             })
             .collect();
-        Some(Self {
-            model,
-            epsilon,
-            lanes,
-            corrupted: vec![0; seeds.len()],
-        })
+        Some(Self { model, lanes })
     }
 
     /// Number of active trial-lanes.
@@ -127,42 +111,13 @@ impl LaneChannel {
     /// Corrupted (flipped) rounds delivered on `lane` so far.
     #[must_use]
     pub fn corrupted(&self, lane: usize) -> u64 {
-        self.corrupted[lane]
-    }
-
-    /// Whether a round with true OR `true_or` can flip at all — the
-    /// one-sided regimes only consume their countdown on rounds where a
-    /// flip is possible (mirrors the scalar shared sampler).
-    fn eligible(&self, true_or: bool) -> bool {
-        match self.model {
-            NoiseModel::Noiseless => false,
-            NoiseModel::Correlated { .. } => true,
-            NoiseModel::OneSidedZeroToOne { .. } => !true_or,
-            NoiseModel::OneSidedOneToZero { .. } => true_or,
-            NoiseModel::Independent { .. } => {
-                unreachable!("lane channel is shared-noise only")
-            }
-        }
+        self.lanes[lane].flips()
     }
 
     /// Delivers one round on one lane: returns the bit the lane's
     /// parties hear (`true_or ^ flip`).
     pub fn step(&mut self, lane: usize, true_or: bool) -> bool {
-        if !self.eligible(true_or) {
-            return true_or;
-        }
-        let state = &mut self.lanes[lane];
-        let flip = if state.skip == 0 {
-            state.skip = geometric_gap(self.epsilon, &mut state.rng);
-            true
-        } else {
-            state.skip -= 1;
-            false
-        };
-        if flip {
-            self.corrupted[lane] += 1;
-        }
-        true_or ^ flip
+        self.lanes[lane].step(true_or)
     }
 
     /// Delivers `rounds` consecutive rounds with constant true OR
@@ -175,23 +130,20 @@ impl LaneChannel {
     ///
     /// [`step`]: LaneChannel::step
     pub fn flips_in_span(&mut self, lane: usize, rounds: u64, true_or: bool) -> u64 {
-        if rounds == 0 || !self.eligible(true_or) {
-            return 0;
-        }
-        let state = &mut self.lanes[lane];
-        let mut flips = 0u64;
-        let mut rem = rounds;
-        let mut pos = state.skip;
-        // A flip with `pos` clean rounds ahead of it consumes pos + 1
-        // rounds of the span and forces a redraw.
-        while pos < rem {
-            flips += 1;
-            rem -= pos + 1;
-            pos = geometric_gap(self.epsilon, &mut state.rng);
-        }
-        state.skip = pos - rem;
-        self.corrupted[lane] += flips;
-        flips
+        self.lanes[lane].flips_in_span(rounds, true_or)
+    }
+
+    /// Delivers `len ≤ 64` consecutive rounds on one lane: bit `k` of
+    /// `sent` is the true OR of round `k`, bit `k` of the result is
+    /// what the lane's parties hear. The per-lane twin of
+    /// [`StochasticChannel::transmit_rounds`](crate::StochasticChannel::transmit_rounds),
+    /// with the same draws and the same zeroed bits at and above `len`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len > 64`.
+    pub fn transmit_rounds(&mut self, lane: usize, sent: u64, len: usize) -> u64 {
+        self.lanes[lane].transmit_rounds(sent, len)
     }
 
     /// Delivers one round across all lanes: bit `l` of `or_word` is
@@ -200,9 +152,9 @@ impl LaneChannel {
     /// zero and are delivered as zero.
     pub fn transmit_word(&mut self, or_word: u64) -> u64 {
         let mut heard = 0u64;
-        for lane in 0..self.lanes.len() {
+        for (lane, countdown) in self.lanes.iter_mut().enumerate() {
             let true_or = or_word >> lane & 1 == 1;
-            if self.step(lane, true_or) {
+            if countdown.step(true_or) {
                 heard |= 1u64 << lane;
             }
         }

@@ -2,7 +2,7 @@
 //! must hold for arbitrary beep sequences, not just curated ones.
 
 use beeps_channel::{
-    run_noiseless, Channel, CorrectingAdversaryChannel, CorrectionPolicy, Delivery,
+    run_noiseless, Channel, CorrectingAdversaryChannel, CorrectionPolicy, Delivery, LaneChannel,
     MultiplicationChannel, NoiseModel, Protocol, ReducedTwoSidedChannel, ScriptedChannel,
     StochasticChannel,
 };
@@ -170,5 +170,173 @@ proptest! {
         for &bit in &bits {
             prop_assert_eq!(a.transmit(bit), b.transmit(bit));
         }
+    }
+}
+
+/// One delivery call of the word-primitive equivalence tests.
+#[derive(Debug, Clone, Copy)]
+enum Delivered {
+    /// `transmit_rounds(sent, len)`.
+    Word { sent: u64, len: usize },
+    /// `flips_in_span(rounds, or)`.
+    Span { rounds: usize, or: bool },
+    /// One `transmit(or)` / `step(or)`.
+    Round(bool),
+}
+
+fn delivered() -> impl Strategy<Value = Delivered> {
+    (
+        0u8..3,
+        any::<u64>(),
+        0usize..=64,
+        0usize..150,
+        any::<bool>(),
+    )
+        .prop_map(|(kind, sent, len, rounds, or)| match kind {
+            0 => Delivered::Word { sent, len },
+            1 => Delivered::Span { rounds, or },
+            _ => Delivered::Round(or),
+        })
+}
+
+/// A random interleaving of deliveries that always holds a 63- and a
+/// 64-round word (the limb-boundary lengths), at random positions.
+fn interleaving() -> impl Strategy<Value = Vec<Delivered>> {
+    (
+        prop::collection::vec(delivered(), 0..40),
+        any::<u64>(),
+        any::<u64>(),
+        any::<usize>(),
+        any::<usize>(),
+    )
+        .prop_map(|(mut ops, w63, w64, at63, at64)| {
+            ops.insert(
+                at63 % (ops.len() + 1),
+                Delivered::Word { sent: w63, len: 63 },
+            );
+            ops.insert(
+                at64 % (ops.len() + 1),
+                Delivered::Word { sent: w64, len: 64 },
+            );
+            ops
+        })
+}
+
+/// Every shared-delivery model at ε ∈ {0, 10⁻³, 0.1, 1/3, 0.49}.
+fn shared_model() -> impl Strategy<Value = NoiseModel> {
+    (0usize..4, 0usize..5).prop_map(|(kind, e)| {
+        let epsilon = [0.0, 1e-3, 0.1, 1.0 / 3.0, 0.49][e];
+        match kind {
+            0 => NoiseModel::Noiseless,
+            1 => NoiseModel::Correlated { epsilon },
+            2 => NoiseModel::OneSidedZeroToOne { epsilon },
+            _ => NoiseModel::OneSidedOneToZero { epsilon },
+        }
+    })
+}
+
+/// The per-round reference for one delivery call: the heard word (bit
+/// `k` = round `k`) and the number of flipped rounds, from single
+/// `transmit` calls on `reference`.
+fn per_round(reference: &mut StochasticChannel, op: Delivered) -> (u64, usize) {
+    let (sent, len) = match op {
+        Delivered::Word { sent, len } => (sent, len),
+        Delivered::Span { rounds, or } => {
+            let flips = (0..rounds)
+                .filter(|_| reference.transmit(or).shared() != Some(or))
+                .count();
+            return (0, flips);
+        }
+        Delivered::Round(or) => (u64::from(or), 1),
+    };
+    let (mut heard, mut flips) = (0u64, 0usize);
+    for k in 0..len {
+        let or = sent >> k & 1 == 1;
+        let bit = reference.transmit(or).shared().expect("shared delivery");
+        heard |= u64::from(bit) << k;
+        flips += usize::from(bit != or);
+    }
+    (heard, flips)
+}
+
+/// Bits of a delivered word at or above its length must be zero.
+fn above(heard: u64, len: usize) -> u64 {
+    heard.checked_shr(len as u32).unwrap_or(0)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Word and span deliveries draw, flip and count exactly as the same
+    /// rounds delivered one `transmit` at a time, in any interleaving.
+    #[test]
+    fn word_and_span_deliveries_match_per_round_transmits(
+        model in shared_model(),
+        seed in any::<u64>(),
+        ops in interleaving(),
+    ) {
+        let mut batched = StochasticChannel::new(3, model, seed);
+        let mut reference = StochasticChannel::new(3, model, seed);
+        for op in ops {
+            let (want, want_flips) = per_round(&mut reference, op);
+            match op {
+                Delivered::Word { sent, len } => {
+                    let heard = batched.transmit_rounds(sent, len);
+                    prop_assert_eq!(above(heard, len), 0, "{}: bits above len {}", model, len);
+                    prop_assert_eq!(heard, want, "{}: word of {}", model, len);
+                }
+                Delivered::Span { rounds, or } => {
+                    prop_assert_eq!(batched.flips_in_span(rounds, or), want_flips, "{}: span", model);
+                }
+                Delivered::Round(or) => {
+                    prop_assert_eq!(batched.transmit(or).shared(), Some(want == 1), "{}: round", model);
+                }
+            }
+            prop_assert_eq!(batched.rounds(), reference.rounds());
+            prop_assert_eq!(batched.corrupted_rounds(), reference.corrupted_rounds());
+        }
+        for r in 0..256u64 {
+            let or = (seed >> (r % 64)) & 1 == 1;
+            prop_assert_eq!(batched.transmit(or), reference.transmit(or), "{}: tail round {}", model, r);
+        }
+        prop_assert_eq!(batched.corrupted_rounds(), reference.corrupted_rounds());
+    }
+
+    /// The same contract for one lane of a `LaneChannel`, against the
+    /// scalar channel built from that lane's seed.
+    #[test]
+    fn lane_word_and_span_deliveries_match_the_scalar_channel(
+        model in shared_model(),
+        seeds in (any::<u64>(), any::<u64>(), any::<u64>()),
+        lane in 0usize..3,
+        ops in interleaving(),
+    ) {
+        let seeds = [seeds.0, seeds.1, seeds.2];
+        let mut lanes = LaneChannel::shared(model, &seeds).expect("shared model");
+        let mut reference = StochasticChannel::new(3, model, seeds[lane]);
+        for op in ops {
+            let (want, want_flips) = per_round(&mut reference, op);
+            match op {
+                Delivered::Word { sent, len } => {
+                    let heard = lanes.transmit_rounds(lane, sent, len);
+                    prop_assert_eq!(above(heard, len), 0, "{}: bits above len {}", model, len);
+                    prop_assert_eq!(heard, want, "{}: word of {}", model, len);
+                }
+                Delivered::Span { rounds, or } => {
+                    let flips = lanes.flips_in_span(lane, rounds as u64, or);
+                    prop_assert_eq!(flips, want_flips as u64, "{}: span", model);
+                }
+                Delivered::Round(or) => {
+                    prop_assert_eq!(lanes.step(lane, or), want == 1, "{}: round", model);
+                }
+            }
+            prop_assert_eq!(lanes.corrupted(lane), reference.corrupted_rounds() as u64);
+        }
+        for r in 0..256u64 {
+            let or = (seeds[lane] >> (r % 64)) & 1 == 1;
+            let want = reference.transmit(or).shared().expect("shared delivery");
+            prop_assert_eq!(lanes.step(lane, or), want, "{}: tail round {}", model, r);
+        }
+        prop_assert_eq!(lanes.corrupted(lane), reference.corrupted_rounds() as u64);
     }
 }

@@ -39,28 +39,20 @@
 
 use crate::outcome::{PhaseRounds, SimError, SimOutcome, SimStats};
 use crate::params::SimulatorConfig;
-use crate::soa::{SharedBits, SoaScratch};
+use crate::soa::{ones_in_span, SharedBits, SoaScratch};
 use beeps_channel::{
     lanes::{IndependentLaneChannel, LaneChannel},
     NoiseModel, Protocol, LANES,
 };
 
-/// Heard 1s in a constant-OR span of `span` rounds with `flips` flipped
-/// deliveries: every flip turns a heard 1 into a 0 or vice versa.
-fn ones_in_span(span: u64, flips: u64, true_or: bool) -> u64 {
-    if true_or {
-        span - flips
-    } else {
-        flips
-    }
-}
-
 /// One lane of a [`LaneChannel`] exposed as a scalar stream of shared
 /// heard bits, the backend the collapsed engine bodies in
 /// [`crate::soa`] are generic over. Single rounds step the lane;
-/// constant-OR spans batch into [`LaneChannel::flips_in_span`], so a
-/// whole repetition block, verification vote, or idle owners iteration
-/// costs RNG work proportional to its flips, not its rounds.
+/// constant-OR spans batch into [`LaneChannel::flips_in_span`] and
+/// owners codewords into [`LaneChannel::transmit_rounds`], so a whole
+/// repetition block, verification vote, idle owners iteration or
+/// codeword word costs RNG work proportional to its flips, not its
+/// rounds.
 pub(crate) struct LaneBits<'a> {
     channel: &'a mut LaneChannel,
     lane: usize,
@@ -74,6 +66,10 @@ impl SharedBits for LaneBits<'_> {
     fn ones(&mut self, span: usize, or: bool) -> usize {
         let flips = self.channel.flips_in_span(self.lane, span as u64, or);
         ones_in_span(span as u64, flips, or) as usize
+    }
+
+    fn word(&mut self, sent: u64, len: usize) -> u64 {
+        self.channel.transmit_rounds(self.lane, sent, len)
     }
 
     fn corrupted(&self) -> usize {

@@ -15,6 +15,19 @@
 //! bookkeeping *always* agrees; decoding errors can only make an owner
 //! invalid, which the verification phase then catches.
 //!
+//! That agreement is structural, so the phase exists in two forms:
+//!
+//! * under shared noise, one collapsed run decodes each codeword once
+//!   (the owners body in [`crate::soa`], shared with the collapsed
+//!   rewind and hierarchical engines) and its owner table is every
+//!   party's;
+//! * under independent noise each party hears its own word, so `n`
+//!   per-party `OwnersState` machines each decode every codeword.
+//!   These machines are also the oracle the collapsed body is tested
+//!   against.
+//!
+//! [`run_owners_phase`] picks the form by the noise model.
+//!
 //! Deviations from the paper's Algorithm 1, documented for fidelity:
 //!
 //! * iterations: the paper fixes `2n` (chunks of length `n`); we use
@@ -26,7 +39,8 @@
 //!   idle instead of decoding silence into garbage.
 
 use crate::driver::{drive, SimParty};
-use beeps_channel::{NoiseModel, StochasticChannel};
+use crate::soa::{owners_standalone, SoaScratch};
+use beeps_channel::{Channel, NoiseModel, StochasticChannel};
 use beeps_ecc::bits::PackedBits;
 use beeps_ecc::{BitMetric, RandomCode, SymbolCode};
 
@@ -228,6 +242,11 @@ impl OwnersOutcome {
 /// [`beeps_info::tail::random_code_length`]. Returns every party's owner
 /// table so tests can check both agreement and validity.
 ///
+/// Shared noise runs the phase once on the collapsed owners body (every
+/// party hears, and so decodes, the same words); independent noise runs
+/// one `OwnersState` machine per party. Either way the call opens one
+/// `owners.phase` span.
+///
 /// # Panics
 ///
 /// Panics if `bits` is empty or ragged, or the noise parameter is invalid.
@@ -265,8 +284,47 @@ pub fn run_owners_phase(
     );
     model.validate().expect("invalid noise parameter");
 
-    let pi: Vec<bool> = (0..len).map(|j| bits.iter().any(|b| b[j])).collect();
     let code: SharedCode = Arc::new(RandomCode::with_length(len + 1, code_len, code_seed));
+    if model.is_shared() {
+        collapsed_owners(bits, model, &*code, channel_seed)
+    } else {
+        per_party_owners(bits, model, code, channel_seed)
+    }
+}
+
+/// The shared-noise owners phase: every party hears the same word, so
+/// the collapsed body runs once, over one channel, and its owner table
+/// is every party's. Opens the `owners.phase` span.
+fn collapsed_owners(
+    bits: &[Vec<bool>],
+    model: NoiseModel,
+    code: &dyn SymbolCode,
+    channel_seed: u64,
+) -> OwnersOutcome {
+    let n = bits.len();
+    let mut channel = StochasticChannel::new(n, model, channel_seed);
+    let mut scratch = SoaScratch::default();
+    let table = owners_standalone(bits, code, model, &mut channel, &mut scratch);
+    OwnersOutcome {
+        owners: vec![table.to_vec(); n],
+        channel_rounds: channel.rounds(),
+    }
+}
+
+/// The per-party owners phase: `n` [`OwnersState`] machines driven over
+/// one channel, each decoding every codeword itself. Independent noise
+/// runs here; under shared noise it is the oracle of
+/// [`collapsed_owners`]. Opens the `owners.phase` span.
+fn per_party_owners(
+    bits: &[Vec<bool>],
+    model: NoiseModel,
+    code: SharedCode,
+    channel_seed: u64,
+) -> OwnersOutcome {
+    let _span = beeps_observe::phase("owners.phase");
+    let n = bits.len();
+    let len = bits[0].len();
+    let pi: Vec<bool> = (0..len).map(|j| bits.iter().any(|b| b[j])).collect();
     let metric = metric_for(model);
 
     let mut parties: Vec<OwnersOnlyParty> = (0..n)
@@ -418,27 +476,123 @@ mod tests {
         assert!(valid >= trials - 1, "only {valid}/{trials} valid phases");
     }
 
-    #[test]
-    fn parties_always_agree_under_shared_noise_even_when_wrong() {
-        // Even with an absurdly short code (frequent decode errors), the
-        // shared channel forces identical bookkeeping.
+    /// Codeword lengths on and around the word loop's limb boundaries.
+    const CODE_LENS: [usize; 5] = [8, 63, 64, 65, 130];
+
+    /// Shared model `kind` (0..4) for a cell; code_len 8 runs at ε = 0.4,
+    /// where decode errors are common.
+    fn shared_model(kind: usize, code_len: usize) -> NoiseModel {
+        let epsilon = if code_len == 8 { 0.4 } else { 0.2 };
+        match kind {
+            0 => NoiseModel::Noiseless,
+            1 => NoiseModel::Correlated { epsilon },
+            2 => NoiseModel::OneSidedZeroToOne { epsilon },
+            _ => NoiseModel::OneSidedOneToZero { epsilon },
+        }
+    }
+
+    /// Runs the per-party oracle and the collapsed body on random inputs
+    /// for each `(n, len, code_len, model)` cell and asserts equal
+    /// outcomes. Half the codes carry more symbols than `len + 1` (as a
+    /// tail chunk's code does), so decode errors also land on stray
+    /// symbols in `[len, Next)`; some tables must come out invalid,
+    /// proving decode errors occurred.
+    fn assert_collapsed_matches_oracle(cells: &[(usize, usize, usize, NoiseModel)]) {
         let mut rng = StdRng::seed_from_u64(0xD3);
-        for t in 0..20 {
-            let bits: Vec<Vec<bool>> = (0..5)
-                .map(|_| (0..6).map(|_| rng.gen_bool(0.5)).collect())
+        let mut stray_codes = 0usize;
+        let mut invalid = 0usize;
+        for &(n, len, code_len, model) in cells {
+            let bits: Vec<Vec<bool>> = (0..n)
+                .map(|_| (0..len).map(|_| rng.gen_bool(0.3)).collect())
                 .collect();
-            let out = run_owners_phase(
-                &bits,
-                NoiseModel::Correlated { epsilon: 0.4 },
-                8, // deliberately hopeless
-                t,
-                t,
+            let alphabet = if rng.gen_bool(0.5) { len + 1 } else { n + 4 };
+            stray_codes += usize::from(alphabet > len + 1);
+            let code: SharedCode =
+                Arc::new(RandomCode::with_length(alphabet, code_len, rng.next_u64()));
+            let seed = rng.next_u64();
+            let want = per_party_owners(&bits, model, Arc::clone(&code), seed);
+            let got = collapsed_owners(&bits, model, &*code, seed);
+            assert_eq!(
+                got, want,
+                "{model} n={n} len={len} code_len={code_len} alphabet={alphabet}"
             );
-            let first = &out.owners[0];
-            assert!(
-                out.owners.iter().all(|o| o == first),
-                "owner tables diverged under shared noise"
-            );
+            invalid += usize::from(!got.valid_for(&bits));
+        }
+        assert!(stray_codes > 0 && stray_codes < cells.len());
+        assert!(invalid > 0, "no decode error in {} cells", cells.len());
+    }
+
+    #[test]
+    fn collapsed_phase_matches_per_party_oracle() {
+        // Small n: every shared model × chunk length 1..=n+3 × code
+        // length, 16 seeds per cell. The per-party oracle costs O(n) per
+        // round, so n = 64 and 65 take ten chunk lengths each (the ends
+        // of 1..=n+3 and three interior points), which between them run
+        // every (model, code_len) pair once; the full grid is
+        // `collapsed_phase_matches_per_party_oracle_full_grid`.
+        let mut cells = Vec::new();
+        for n in [1usize, 2, 5] {
+            for len in 1..=n + 3 {
+                for code_len in CODE_LENS {
+                    for kind in 0..4 {
+                        let model = shared_model(kind, code_len);
+                        cells.extend((0..16).map(|_| (n, len, code_len, model)));
+                    }
+                }
+            }
+        }
+        let mut pair = 0usize;
+        for n in [64usize, 65] {
+            for len in [1, 2, 3, n / 4, n / 2, 3 * n / 4, n, n + 1, n + 2, n + 3] {
+                let code_len = CODE_LENS[pair / 4];
+                cells.push((n, len, code_len, shared_model(pair % 4, code_len)));
+                pair += 1;
+            }
+        }
+        assert_collapsed_matches_oracle(&cells);
+    }
+
+    #[test]
+    #[ignore = "minutes-long in a debug build"]
+    fn collapsed_phase_matches_per_party_oracle_full_grid() {
+        let mut cells = Vec::new();
+        for n in [64usize, 65] {
+            for len in 1..=n + 3 {
+                for code_len in CODE_LENS {
+                    for kind in 0..4 {
+                        cells.push((n, len, code_len, shared_model(kind, code_len)));
+                    }
+                }
+            }
+        }
+        assert_collapsed_matches_oracle(&cells);
+    }
+
+    #[test]
+    fn owners_phase_opens_one_span_per_call() {
+        #[derive(Default)]
+        struct Recording(std::sync::Mutex<Vec<&'static str>>);
+
+        impl beeps_observe::Observer for Recording {
+            fn on_phase(&self, _worker: usize, name: &'static str, _start: u64, _end: u64) {
+                self.0.lock().expect("recording lock").push(name);
+            }
+        }
+
+        let bits = vec![vec![true, false, true], vec![false, true, true]];
+        // Shared noise runs the collapsed body, independent noise the
+        // per-party machines: one span either way.
+        for model in [
+            NoiseModel::Correlated { epsilon: 0.1 },
+            NoiseModel::Independent { epsilon: 0.1 },
+        ] {
+            let recording = Arc::new(Recording::default());
+            {
+                let _guard = beeps_observe::install(Arc::clone(&recording) as _, 0);
+                run_owners_phase(&bits, model, 32, 1, 2);
+            }
+            let spans = recording.0.lock().expect("recording lock");
+            assert_eq!(*spans, ["owners.phase"], "{model}");
         }
     }
 

@@ -15,8 +15,14 @@
 //! it: a [`StochasticChannel`] for one trial (the `simulate` /
 //! `simulate_with_scratch` front doors, up to million-party `n`) and one
 //! lane of a [`beeps_channel::LaneChannel`] for up to 64 trials per word
-//! (`simulate_batch`, via `lanes::collapsed_lanes`). The bodies
-//! are built for very large `n`:
+//! (`simulate_batch`, via `lanes::collapsed_lanes`). The finding-owners
+//! phase of Algorithm 1 likewise exists once, as `owners_collapsed`:
+//! the rewind and hierarchical bodies run it per chunk, and
+//! [`crate::run_owners_phase`] runs it under shared noise through
+//! `owners_standalone`. It decodes each codeword once, not once per
+//! party, and sends it one channel word (≤ 64 rounds,
+//! `SharedBits::word`) at a time from a codeword table built once per
+//! body call. The bodies are built for very large `n`:
 //!
 //! * **Struct-of-arrays party state** — the only per-party facts are
 //!   "would party `i` beep in simulated round `m`" and "does party `i`
@@ -46,7 +52,7 @@
 //! per-trial allocation.
 
 use crate::outcome::{PhaseRounds, SimError, SimOutcome, SimStats};
-use crate::owners::metric_for;
+use crate::owners::{metric_for, OwnersState};
 use crate::params::SimulatorConfig;
 use beeps_channel::{Channel, NoiseModel, Protocol, StochasticChannel};
 use beeps_ecc::bits::PackedBits;
@@ -131,9 +137,10 @@ impl CumEntry {
 /// round-for-round body drives both the scalar [`StochasticChannel`]
 /// (one trial) and one lane of a [`beeps_channel::LaneChannel`] (up to
 /// 64 trials per word, see [`crate::lanes`]). Implementations must be
-/// RNG-identical to the scalar channel: `ones(span, or)` must consume
-/// exactly the draws of `span` consecutive `bit(or)` calls, and
-/// `corrupted` must count every flipped delivery either way.
+/// RNG-identical to the scalar channel: `ones(span, or)` and
+/// `word(sent, len)` must consume exactly the draws of `span` (`len`)
+/// consecutive `bit` calls with the same true ORs, and `corrupted`
+/// must count every flipped delivery either way.
 pub(crate) trait SharedBits {
     /// One channel round with true OR `or`; returns the heard bit.
     fn bit(&mut self, or: bool) -> bool;
@@ -142,11 +149,28 @@ pub(crate) trait SharedBits {
     /// how many deliveries were heard as 1.
     fn ones(&mut self, span: usize, or: bool) -> usize;
 
+    /// `len ≤ 64` consecutive rounds whose true ORs are the low `len`
+    /// bits of `sent` (round `k` is bit `k`); returns the heard bits,
+    /// zero at and above `len`.
+    fn word(&mut self, sent: u64, len: usize) -> u64;
+
     /// Corrupted rounds delivered so far.
     fn corrupted(&self) -> usize;
 }
 
+/// Heard 1s in a constant-OR span of `span` rounds with `flips` flipped
+/// deliveries: every flip turns a heard 1 into a 0 or vice versa.
+pub(crate) fn ones_in_span(span: u64, flips: u64, true_or: bool) -> u64 {
+    if true_or {
+        span - flips
+    } else {
+        flips
+    }
+}
+
 /// The scalar backend: one [`StochasticChannel`] serving one trial.
+/// Spans and words go through the channel's batched deliveries, whose
+/// RNG work scales with the flips, not the rounds.
 impl SharedBits for StochasticChannel {
     /// # Panics
     ///
@@ -158,11 +182,12 @@ impl SharedBits for StochasticChannel {
     }
 
     fn ones(&mut self, span: usize, or: bool) -> usize {
-        let mut ones = 0usize;
-        for _ in 0..span {
-            ones += usize::from(self.bit(or));
-        }
-        ones
+        let flips = self.flips_in_span(span, or);
+        ones_in_span(span as u64, flips as u64, or) as usize
+    }
+
+    fn word(&mut self, sent: u64, len: usize) -> u64 {
+        self.transmit_rounds(sent, len)
     }
 
     fn corrupted(&self) -> usize {
@@ -188,6 +213,11 @@ pub struct SoaScratch {
     /// Owners bookkeeping of the pending chunk.
     claimed: Vec<bool>,
     chunk_owners: Vec<Option<usize>>,
+    /// The owners code's codewords as packed limbs, `alphabet × limbs`
+    /// flat, rebuilt once per body call (see [`load_codewords`]).
+    codewords: Vec<u64>,
+    /// Heard bits of the in-flight owners codeword.
+    heard: PackedBits,
     /// Per-round beep bit of the schedule owner (owned-rounds engine).
     owner_beeps: Vec<bool>,
     /// Witnessed-erasure rows of the one-to-zero engine: `(position,
@@ -249,6 +279,143 @@ impl SoaScratch {
     }
 }
 
+/// Packs every codeword of `code` into `scratch.codewords`, one
+/// `⌈code_len/64⌉`-limb row per symbol. Built once per body call, so an
+/// owners iteration reads its codeword instead of cloning it.
+fn load_codewords(code: &dyn SymbolCode, scratch: &mut SoaScratch) {
+    scratch.codewords.clear();
+    for symbol in 0..code.alphabet_size() {
+        scratch
+            .codewords
+            .extend_from_slice(code.encode_packed(symbol).limbs());
+    }
+    debug_assert_eq!(
+        scratch.codewords.len(),
+        code.alphabet_size() * code.codeword_len().div_ceil(64)
+    );
+}
+
+/// One finding-owners phase of Algorithm 1 (Appendix D.1) on collapsed
+/// state: the one owners body of every engine that runs the phase.
+///
+/// The chunk is `scratch.bits` (its transcript `π`, `len` rounds) with
+/// beep rows `scratch.cols` (bit `i` of row `j`: party `i` beeped in
+/// round `j`), and `scratch.codewords` holds the code's table
+/// ([`load_codewords`]). The phase runs `len + n` iterations in turn
+/// order. The turn-holder sends the codeword of the smallest unclaimed
+/// 1-round it beeped in, else `Next`, one channel word (≤ 64 rounds) at
+/// a time. The heard word is decoded once, since every party hears the
+/// same one, and a claim lands in `scratch.claimed` /
+/// `scratch.chunk_owners`. Once every party has passed, the remaining
+/// iterations deliver silence.
+///
+/// Opens the phase span `span` (the caller's name for the phase) and
+/// decodes with the metric matched to `model`. Returns the beeping
+/// energy spent, or `None` as soon as an iteration's `code_len` rounds
+/// no longer fit in the `room` left of the caller's budget.
+fn owners_collapsed<S: SharedBits>(
+    span: &'static str,
+    n: usize,
+    code: &dyn SymbolCode,
+    model: NoiseModel,
+    room: usize,
+    source: &mut S,
+    scratch: &mut SoaScratch,
+) -> Option<usize> {
+    let _span = beeps_observe::phase(span);
+    let metric = metric_for(model);
+    let words = n.div_ceil(64);
+    let code_len = code.codeword_len();
+    let limbs = code_len.div_ceil(64);
+    let next_symbol = code.alphabet_size() - 1;
+    let SoaScratch {
+        cols,
+        bits,
+        claimed,
+        chunk_owners,
+        codewords,
+        heard,
+        ..
+    } = scratch;
+    let len = bits.len();
+    claimed.clear();
+    claimed.resize(len, false);
+    chunk_owners.clear();
+    chunk_owners.resize(len, None);
+    let mut turn = 0usize;
+    let mut used = 0usize;
+    let mut energy = 0usize;
+    for _ in 0..len + n {
+        if room - used < code_len {
+            return None;
+        }
+        used += code_len;
+        if turn == n {
+            // Idle iteration: every party is past its turn, nobody
+            // beeps, but the channel still delivers silent rounds.
+            let _ = source.ones(code_len, false);
+            continue;
+        }
+        let claim = (0..len)
+            .find(|&j| bits[j] && !claimed[j] && row_get(&cols[j * words..(j + 1) * words], turn));
+        let symbol = claim.unwrap_or(next_symbol);
+        heard.clear();
+        let codeword = &codewords[symbol * limbs..(symbol + 1) * limbs];
+        for (k, &limb) in codeword.iter().enumerate() {
+            let rounds = (code_len - 64 * k).min(64);
+            energy += limb.count_ones() as usize;
+            heard.push_word(source.word(limb, rounds), rounds);
+        }
+        let decoded = code.decode_packed(heard, metric);
+        if decoded == next_symbol {
+            turn += 1;
+        } else if decoded < len {
+            claimed[decoded] = true;
+            chunk_owners[decoded] = Some(turn);
+        }
+        // A decoded symbol in [len, Next) names no round of this chunk
+        // (tail chunks, decode errors): it claims nothing.
+    }
+    Some(energy)
+}
+
+/// The standalone owners phase of [`crate::run_owners_phase`] under
+/// shared noise, as in the premise of Theorem D.1: party `i` beeped
+/// `bits[i][j]` in round `j` of a chunk whose transcript
+/// `π_j = ⋁_i bits[i][j]` everyone knows. Loads the beep rows and `π`,
+/// builds the codeword table and runs [`owners_collapsed`] once under
+/// the `owners.phase` span, over exactly the phase's own rounds.
+/// Returns the owner table, which is every party's.
+pub(crate) fn owners_standalone<'s, S: SharedBits>(
+    bits: &[Vec<bool>],
+    code: &dyn SymbolCode,
+    model: NoiseModel,
+    source: &mut S,
+    scratch: &'s mut SoaScratch,
+) -> &'s [Option<usize>] {
+    let n = bits.len();
+    let len = bits.first().map_or(0, Vec::len);
+    let words = n.div_ceil(64);
+    scratch.cols.clear();
+    scratch.cols.resize(len * words, 0);
+    for (i, party) in bits.iter().enumerate() {
+        for (j, &beeped) in party.iter().enumerate() {
+            if beeped {
+                row_set(&mut scratch.cols[j * words..(j + 1) * words], i);
+            }
+        }
+    }
+    scratch.bits.clear();
+    for col in scratch.cols.chunks_exact(words) {
+        scratch.bits.push(row_count(col) > 0);
+    }
+    load_codewords(code, scratch);
+    let rounds = OwnersState::channel_rounds(len, n, code.codeword_len());
+    let spent = owners_collapsed("owners.phase", n, code, model, rounds, source, scratch);
+    debug_assert!(spent.is_some(), "the phase fits its own round count");
+    &scratch.chunk_owners
+}
+
 /// The collapsed rewind-scheme engine (Theorem 1.2): chunk by
 /// repetition, the Algorithm 1 owners phase, then a verification vote
 /// that pops one committed chunk when it fails. `code` is the owners
@@ -269,8 +436,6 @@ pub(crate) fn rewind_collapsed_over<P: Protocol, S: SharedBits>(
     assert_eq!(inputs.len(), n, "need one input per party");
     let t = protocol.length();
     let resolved = config.resolve(model);
-    let metric = metric_for(model);
-    let next_symbol = code.alphabet_size() - 1;
     let code_len = code.codeword_len();
     let r = config.repetitions;
     let v = config.verify_repetitions;
@@ -281,18 +446,18 @@ pub(crate) fn rewind_collapsed_over<P: Protocol, S: SharedBits>(
     let chunks_needed = t.div_ceil(config.chunk_len).max(1);
     let ideal = chunks_needed
         * (config.chunk_len * r
-            + crate::owners::OwnersState::channel_rounds(config.chunk_len, n, config.code_len)
+            + OwnersState::channel_rounds(config.chunk_len, n, config.code_len)
             + v);
     let budget = (config.budget_factor * ideal as f64).ceil() as usize;
 
     scratch.reset();
+    load_codewords(code, scratch);
     let corrupted_before = source.corrupted();
     let mut rounds = 0usize;
     let mut energy = 0usize;
     let mut phase_rounds = PhaseRounds::default();
     let mut chunks_committed = 0usize;
     let mut rewinds = 0usize;
-    let mut word = PackedBits::new();
 
     // A span the budget cannot cover is where the scalar driver would
     // burn its remaining rounds mid-phase and stop: nothing commits, so
@@ -347,48 +512,21 @@ pub(crate) fn rewind_collapsed_over<P: Protocol, S: SharedBits>(
 
         // --- Owners phase: `len + n` codeword iterations, decoded once
         // (every party hears the same word) instead of once per party.
-        let owners_span = beeps_observe::phase("sim.rewind.owners");
-        scratch.claimed.clear();
-        scratch.claimed.resize(len, false);
-        scratch.chunk_owners.clear();
-        scratch.chunk_owners.resize(len, None);
-        let mut turn = 0usize;
-        for _ in 0..len + n {
-            if budget - rounds < code_len {
-                return Err(exhausted(scratch));
-            }
-            if turn < n {
-                // The turn-holder transmits the codeword of the smallest
-                // unclaimed 1-round it beeped in, else `Next`.
-                let claim = (0..len).find(|&j| {
-                    scratch.bits[j]
-                        && !scratch.claimed[j]
-                        && row_get(&scratch.cols[j * words..(j + 1) * words], turn)
-                });
-                let symbol = claim.unwrap_or(next_symbol);
-                let codeword = code.encode_packed(symbol);
-                word.clear();
-                for idx in 0..code_len {
-                    let or = codeword.get(idx);
-                    energy += usize::from(or);
-                    word.push(source.bit(or));
-                }
-                let decoded = code.decode_packed(&word, metric);
-                if decoded == next_symbol {
-                    turn += 1;
-                } else if decoded < len {
-                    scratch.claimed[decoded] = true;
-                    scratch.chunk_owners[decoded] = Some(turn);
-                }
-            } else {
-                // Idle iteration: every party is past its turn, nobody
-                // beeps — but the channel still delivers silent rounds.
-                let _ = source.ones(code_len, false);
-            }
-            rounds += code_len;
-            phase_rounds.owners += code_len;
-        }
-        drop(owners_span);
+        let Some(owners_energy) = owners_collapsed(
+            "sim.rewind.owners",
+            n,
+            code,
+            model,
+            budget - rounds,
+            &mut source,
+            scratch,
+        ) else {
+            return Err(exhausted(scratch));
+        };
+        let owners_rounds = OwnersState::channel_rounds(len, n, code_len);
+        energy += owners_energy;
+        rounds += owners_rounds;
+        phase_rounds.owners += owners_rounds;
 
         // --- Verification: V rounds of the flag OR. The flag row is the
         // cumulative violation row of the committed prefix (top of the
@@ -1094,8 +1232,6 @@ pub(crate) fn hierarchical_collapsed_over<P: Protocol, S: SharedBits>(
     assert_eq!(inputs.len(), n, "need one input per party");
     let t = protocol.length();
     let resolved = config.resolve(model);
-    let metric = metric_for(model);
-    let next_symbol = code.alphabet_size() - 1;
     let code_len = code.codeword_len();
     let r = config.repetitions;
     let v = config.verify_repetitions;
@@ -1107,19 +1243,19 @@ pub(crate) fn hierarchical_collapsed_over<P: Protocol, S: SharedBits>(
     let chunks_needed = t.div_ceil(config.chunk_len).max(1);
     let max_level = (usize::BITS - chunks_needed.next_power_of_two().leading_zeros()) as usize + 1;
     let per_iter = config.chunk_len * r
-        + crate::owners::OwnersState::channel_rounds(config.chunk_len, n, config.code_len)
+        + OwnersState::channel_rounds(config.chunk_len, n, config.code_len)
         + v * 4;
     let budget = (config.budget_factor * (chunks_needed * per_iter) as f64).ceil() as usize
         + v * (max_level + 2) * (max_level + 2) * 4;
 
     scratch.reset();
+    load_codewords(code, scratch);
     let corrupted_before = source.corrupted();
     let mut rounds = 0usize;
     let mut energy = 0usize;
     let mut phase_rounds = PhaseRounds::default();
     let mut truncations = 0usize;
     let mut iteration = 0usize;
-    let mut word = PackedBits::new();
 
     let exhausted = |scratch: &SoaScratch| SimError::BudgetExhausted {
         rounds_used: budget,
@@ -1227,45 +1363,22 @@ pub(crate) fn hierarchical_collapsed_over<P: Protocol, S: SharedBits>(
         }
         drop(chunk_span);
 
-        // --- Owners phase: identical mechanics to the rewind engine.
-        let owners_span = beeps_observe::phase("sim.hierarchical.owners");
-        scratch.claimed.clear();
-        scratch.claimed.resize(len, false);
-        scratch.chunk_owners.clear();
-        scratch.chunk_owners.resize(len, None);
-        let mut turn = 0usize;
-        for _ in 0..len + n {
-            if budget - rounds < code_len {
-                return Err(exhausted(scratch));
-            }
-            if turn < n {
-                let claim = (0..len).find(|&j| {
-                    scratch.bits[j]
-                        && !scratch.claimed[j]
-                        && row_get(&scratch.cols[j * words..(j + 1) * words], turn)
-                });
-                let symbol = claim.unwrap_or(next_symbol);
-                let codeword = code.encode_packed(symbol);
-                word.clear();
-                for idx in 0..code_len {
-                    let or = codeword.get(idx);
-                    energy += usize::from(or);
-                    word.push(source.bit(or));
-                }
-                let decoded = code.decode_packed(&word, metric);
-                if decoded == next_symbol {
-                    turn += 1;
-                } else if decoded < len {
-                    scratch.claimed[decoded] = true;
-                    scratch.chunk_owners[decoded] = Some(turn);
-                }
-            } else {
-                let _ = source.ones(code_len, false);
-            }
-            rounds += code_len;
-            phase_rounds.owners += code_len;
-        }
-        drop(owners_span);
+        // --- Owners phase: the same body as the rewind engine's.
+        let Some(owners_energy) = owners_collapsed(
+            "sim.hierarchical.owners",
+            n,
+            code,
+            model,
+            budget - rounds,
+            &mut source,
+            scratch,
+        ) else {
+            return Err(exhausted(scratch));
+        };
+        let owners_rounds = OwnersState::channel_rounds(len, n, code_len);
+        energy += owners_energy;
+        rounds += owners_rounds;
+        phase_rounds.owners += owners_rounds;
 
         // --- Provisional commit: no verification gate — the progress
         // checks repair damage after the fact. The chunk's violation

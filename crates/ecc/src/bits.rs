@@ -50,6 +50,39 @@ impl PackedBits {
         self.len += 1;
     }
 
+    /// Appends the low `len` bits of `word` (bit `k` becomes position
+    /// `self.len() + k`); bits of `word` at or above `len` are ignored.
+    /// The word-at-a-time form of [`PackedBits::push`], used to
+    /// assemble a received codeword from whole channel words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len > 64`.
+    pub fn push_word(&mut self, word: u64, len: usize) {
+        assert!(len <= 64, "a word holds at most 64 bits, got {len}");
+        if len == 0 {
+            return;
+        }
+        let word = word & (u64::MAX >> (64 - len));
+        let offset = self.len % 64;
+        if offset == 0 {
+            self.limbs.push(word);
+        } else {
+            let last = self.limbs.len() - 1;
+            self.limbs[last] |= word << offset;
+            if offset + len > 64 {
+                self.limbs.push(word >> (64 - offset));
+            }
+        }
+        self.len += len;
+    }
+
+    /// The packed limbs, LSB-first; bits at or above [`PackedBits::len`]
+    /// are zero.
+    pub fn limbs(&self) -> &[u64] {
+        &self.limbs
+    }
+
     /// Empties the bit string, retaining the limb allocation so a reused
     /// receive buffer (e.g. the owners-phase word accumulator) never
     /// reallocates.
@@ -214,6 +247,30 @@ mod tests {
             p.push(b);
         }
         assert_eq!(p, PackedBits::from_bools(&bits[..70]));
+    }
+
+    #[test]
+    fn push_word_matches_bitwise_push_at_every_offset() {
+        // Word lengths that land on, straddle and fill limb boundaries,
+        // with junk above `len` that must be dropped.
+        let words = [(0xDEAD_BEEF_u64, 8), (u64::MAX, 63), (0x5555, 64), (7, 1)];
+        for lead in 0..70 {
+            let mut by_word = PackedBits::new();
+            let mut by_bit = PackedBits::new();
+            for i in 0..lead {
+                by_word.push(i % 3 == 0);
+                by_bit.push(i % 3 == 0);
+            }
+            for &(word, len) in &words {
+                by_word.push_word(word, len);
+                for k in 0..len {
+                    by_bit.push(word >> k & 1 == 1);
+                }
+                by_word.push_word(u64::MAX, 0);
+            }
+            assert_eq!(by_word, by_bit, "lead {lead}");
+            assert_eq!(by_word.limbs().len(), by_word.len().div_ceil(64));
+        }
     }
 
     #[test]

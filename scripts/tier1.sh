@@ -3,8 +3,9 @@
 #
 #   scripts/tier1.sh
 #
-# Runs the release build, the full test suite, clippy with warnings
-# denied, the beeps-lint static-analysis pass, the formatting check,
+# Runs the release build, the full test suite, the benchmark's pinned
+# digest self-test, clippy with warnings denied, the beeps-lint
+# static-analysis pass, the formatting check,
 # a one-iteration smoke run of the hot-path benchmark harness plus
 # its baseline-comparison plumbing, and observed smoke runs of
 # fig6_phase_breakdown and fig_scale — the same sequence CI runs.
@@ -13,6 +14,11 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+# The repository benchmark (perfbench/, a workspace of its own) checks
+# every workload's digest against its pinned value, E4's owners tables
+# included: a change that moves any bit of the benchmarked experiment
+# traffic fails here.
+cargo test --release --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 cargo xtask lint
 # Same findings as SARIF: proves the emitter stays valid on every run
