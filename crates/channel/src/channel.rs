@@ -25,7 +25,10 @@
 //! stays below [`sparse_crossover`] and expanded to a dense
 //! [`Delivery::PerParty`] row above it — so both delivery work and
 //! memory traffic scale with `εn` instead of `n` in the common lightly
-//! corrupted round.
+//! corrupted round. A word of up to 64 rounds
+//! ([`Channel::transmit_word`]) skips the per-round deliveries: each
+//! bucket's flips are XORed straight into the flipped parties' heard
+//! words.
 
 use crate::bits::BitVec;
 use crate::noise::{Delivery, NoiseModel};
@@ -331,11 +334,7 @@ impl SharedCountdown {
     /// Panics if `len > 64`.
     pub(crate) fn transmit_rounds(&mut self, sent: u64, len: usize) -> u64 {
         assert!(len <= 64, "a word carries at most 64 rounds, got {len}");
-        let live = if len == 64 {
-            u64::MAX
-        } else {
-            (1u64 << len) - 1
-        };
+        let live = word_mask(len);
         let sent = sent & live;
         let mut eligible = self.eligible(sent) & live;
         let mut flipped = 0u64;
@@ -417,6 +416,62 @@ pub trait Channel {
     /// round counts as corrupted if *any* party's copy differs from the
     /// true OR.
     fn corrupted_rounds(&self) -> usize;
+
+    /// Delivers `len ≤ 64` consecutive rounds: bit `k` of `sent` is the
+    /// true OR of round `k`, and on return bit `k` of `heard[i]` is what
+    /// party `i` heard in it. Bits of `sent` at or above `len` are
+    /// ignored and those of every `heard[i]` are zero.
+    ///
+    /// The default makes `len` calls to [`Channel::transmit`], so every
+    /// channel keeps its exact per-round behaviour, and reads each
+    /// delivery as a broadcast bit plus the parties that differ from it:
+    /// O(n + flips) per word for shared and sparse deliveries. Channels
+    /// that override it must draw, flip and count ([`Channel::rounds`],
+    /// [`Channel::corrupted_rounds`]) exactly as that default would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len > 64` or `heard.len() != self.num_parties()`.
+    fn transmit_word(&mut self, sent: u64, len: usize, heard: &mut [u64]) {
+        assert!(len <= 64, "a word carries at most 64 rounds, got {len}");
+        assert_eq!(heard.len(), self.num_parties(), "one heard word per party");
+        // `heard` collects each party's differences from `base`.
+        heard.fill(0);
+        let mut base = 0u64;
+        for k in 0..len {
+            let round = 1u64 << k;
+            match self.transmit(sent & round != 0) {
+                Delivery::Shared(bit) => base |= u64::from(bit) << k,
+                Delivery::Sparse(sparse) => {
+                    base |= u64::from(sparse.base()) << k;
+                    for &p in sparse.flips() {
+                        heard[p as usize] ^= round;
+                    }
+                }
+                Delivery::PerParty(bits) => {
+                    for (w, &word) in bits.words().iter().enumerate() {
+                        let mut ones = word;
+                        while ones != 0 {
+                            heard[w * 64 + ones.trailing_zeros() as usize] ^= round;
+                            ones &= ones - 1;
+                        }
+                    }
+                }
+            }
+        }
+        for word in heard.iter_mut() {
+            *word ^= base;
+        }
+    }
+}
+
+/// The low `len ≤ 64` bits of a word: the live rounds of a delivery.
+fn word_mask(len: usize) -> u64 {
+    if len == 64 {
+        u64::MAX
+    } else {
+        (1u64 << len) - 1
+    }
 }
 
 /// Mutable references are channels too, so channel-generic drivers like
@@ -429,6 +484,10 @@ impl<C: Channel + ?Sized> Channel for &mut C {
 
     fn transmit(&mut self, true_or: bool) -> Delivery {
         (**self).transmit(true_or)
+    }
+
+    fn transmit_word(&mut self, sent: u64, len: usize, heard: &mut [u64]) {
+        (**self).transmit_word(sent, len, heard);
     }
 
     fn rounds(&self) -> usize {
@@ -629,6 +688,37 @@ impl Channel for StochasticChannel {
             Sampler::Shared(countdown) => countdown.flips() as usize,
             Sampler::Independent { corrupted, .. } => *corrupted,
         }
+    }
+
+    /// Shared models run the one countdown over the word
+    /// ([`StochasticChannel::transmit_rounds`]). Independent noise walks
+    /// the same flip buckets `len` single rounds would and XORs each
+    /// flipped party's bit into its copy of `sent`, building no
+    /// per-round [`Delivery`].
+    fn transmit_word(&mut self, sent: u64, len: usize, heard: &mut [u64]) {
+        assert!(len <= 64, "a word carries at most 64 rounds, got {len}");
+        assert_eq!(heard.len(), self.n, "one heard word per party");
+        match &mut self.sampler {
+            Sampler::Shared(countdown) => heard.fill(countdown.transmit_rounds(sent, len)),
+            Sampler::Independent {
+                rng,
+                skipper,
+                corrupted,
+                ..
+            } => {
+                heard.fill(sent & word_mask(len));
+                for k in 0..len {
+                    let bucket = skipper.advance(self.model.epsilon(), rng);
+                    if !bucket.is_empty() {
+                        *corrupted += 1;
+                    }
+                    for &p in bucket.iter() {
+                        heard[p as usize] ^= 1u64 << k;
+                    }
+                }
+            }
+        }
+        self.rounds += len;
     }
 }
 

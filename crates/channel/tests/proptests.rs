@@ -176,7 +176,7 @@ proptest! {
 /// One delivery call of the word-primitive equivalence tests.
 #[derive(Debug, Clone, Copy)]
 enum Delivered {
-    /// `transmit_rounds(sent, len)`.
+    /// `transmit_rounds(sent, len)`, or `Channel::transmit_word`.
     Word { sent: u64, len: usize },
     /// `flips_in_span(rounds, or)`.
     Span { rounds: usize, or: bool },
@@ -264,6 +264,122 @@ fn above(heard: u64, len: usize) -> u64 {
     heard.checked_shr(len as u32).unwrap_or(0)
 }
 
+/// Words and single rounds: an [`interleaving`] without its spans.
+fn words_and_rounds() -> impl Strategy<Value = Vec<Delivered>> {
+    interleaving().prop_map(|ops| {
+        ops.into_iter()
+            .filter(|op| !matches!(op, Delivered::Span { .. }))
+            .collect()
+    })
+}
+
+/// Every model, independent noise included, at
+/// ε ∈ {0, 10⁻³, 0.1, 1/3, 0.49, 0.9}; at ε = 0.9 independent rounds
+/// cross `sparse_crossover` into dense rows.
+fn any_model() -> impl Strategy<Value = NoiseModel> {
+    (0usize..5, 0usize..6).prop_map(|(kind, e)| {
+        let epsilon = [0.0, 1e-3, 0.1, 1.0 / 3.0, 0.49, 0.9][e];
+        match kind {
+            0 => NoiseModel::Noiseless,
+            1 => NoiseModel::Correlated { epsilon },
+            2 => NoiseModel::OneSidedZeroToOne { epsilon },
+            3 => NoiseModel::OneSidedOneToZero { epsilon },
+            _ => NoiseModel::Independent { epsilon },
+        }
+    })
+}
+
+/// Party counts on and around the word boundaries of a delivery row.
+fn party_count() -> impl Strategy<Value = usize> {
+    (0usize..5).prop_map(|i| [1, 5, 64, 65, 200][i])
+}
+
+/// Forwards only the four required `Channel` methods, so
+/// `transmit_word` takes the provided per-round default.
+struct PerRound<C>(C);
+
+impl<C: Channel> Channel for PerRound<C> {
+    fn num_parties(&self) -> usize {
+        self.0.num_parties()
+    }
+
+    fn transmit(&mut self, true_or: bool) -> Delivery {
+        self.0.transmit(true_or)
+    }
+
+    fn rounds(&self) -> usize {
+        self.0.rounds()
+    }
+
+    fn corrupted_rounds(&self) -> usize {
+        self.0.corrupted_rounds()
+    }
+}
+
+/// Drives `worded` through `ops` — `Channel::transmit_word` for words,
+/// `transmit` for single rounds — and its same-seed twin `reference`
+/// through `transmit` alone. Asserts that every party hears the same
+/// bits, zero at and above each word's length; that `rounds()` and
+/// `corrupted_rounds()` agree after every call; and that the next 256
+/// deliveries (true ORs from `tail`) are equal.
+fn assert_words_match_rounds(
+    worded: &mut dyn Channel,
+    reference: &mut dyn Channel,
+    ops: &[Delivered],
+    tail: u64,
+    context: &str,
+) {
+    let n = reference.num_parties();
+    let mut heard = vec![0u64; n];
+    for (step, &op) in ops.iter().enumerate() {
+        match op {
+            Delivered::Word { sent, len } => {
+                // Junk in the buffer must not survive the call.
+                heard.fill(u64::MAX);
+                worded.transmit_word(sent, len, &mut heard);
+                let mut want = vec![0u64; n];
+                for k in 0..len {
+                    let delivery = reference.transmit(sent >> k & 1 == 1);
+                    for (i, word) in want.iter_mut().enumerate() {
+                        *word |= u64::from(delivery.heard_by(i)) << k;
+                    }
+                }
+                for (i, &word) in heard.iter().enumerate() {
+                    assert_eq!(above(word, len), 0, "{context}: party {i} above len {len}");
+                }
+                assert_eq!(heard, want, "{context}: word of {len} at step {step}");
+            }
+            Delivered::Round(or) => {
+                assert_eq!(
+                    worded.transmit(or),
+                    reference.transmit(or),
+                    "{context}: step {step}"
+                );
+            }
+            Delivered::Span { .. } => unreachable!("spans are shared-countdown calls"),
+        }
+        assert_eq!(
+            worded.rounds(),
+            reference.rounds(),
+            "{context}: step {step}"
+        );
+        assert_eq!(
+            worded.corrupted_rounds(),
+            reference.corrupted_rounds(),
+            "{context}: step {step}"
+        );
+    }
+    for r in 0..256u64 {
+        let or = (tail >> (r % 64)) & 1 == 1;
+        assert_eq!(
+            worded.transmit(or),
+            reference.transmit(or),
+            "{context}: tail round {r}"
+        );
+    }
+    assert_eq!(worded.corrupted_rounds(), reference.corrupted_rounds());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -338,5 +454,59 @@ proptest! {
             prop_assert_eq!(lanes.step(lane, or), want, "{}: tail round {}", model, r);
         }
         prop_assert_eq!(lanes.corrupted(lane), reference.corrupted_rounds() as u64);
+    }
+
+    /// `Channel::transmit_word` matches single `transmit`s for every
+    /// model, in any interleaving with them: the stochastic channel's
+    /// override (the countdown for shared models, the flip buckets for
+    /// independent noise) and the provided per-round default over the
+    /// same channel, whose independent deliveries come sparse and, at
+    /// ε = 0.9, dense.
+    #[test]
+    fn channel_words_match_per_round_transmits(
+        model in any_model(),
+        n in party_count(),
+        seed in any::<u64>(),
+        ops in words_and_rounds(),
+    ) {
+        let context = format!("{model} n={n}");
+        assert_words_match_rounds(
+            &mut StochasticChannel::new(n, model, seed),
+            &mut StochasticChannel::new(n, model, seed),
+            &ops,
+            seed,
+            &context,
+        );
+        assert_words_match_rounds(
+            &mut PerRound(StochasticChannel::new(n, model, seed)),
+            &mut StochasticChannel::new(n, model, seed),
+            &ops,
+            seed,
+            &format!("per-round default, {context}"),
+        );
+    }
+
+    /// The same contract for channels that keep the per-round default.
+    #[test]
+    fn default_words_match_per_round_transmits(
+        script in prop::collection::vec(any::<bool>(), 0..600),
+        n in party_count(),
+        seed in any::<u64>(),
+        ops in words_and_rounds(),
+    ) {
+        assert_words_match_rounds(
+            &mut ScriptedChannel::new(n, script.clone()),
+            &mut ScriptedChannel::new(n, script),
+            &ops,
+            seed,
+            &format!("scripted n={n}"),
+        );
+        assert_words_match_rounds(
+            &mut ReducedTwoSidedChannel::new(n, seed),
+            &mut ReducedTwoSidedChannel::new(n, seed),
+            &ops,
+            seed,
+            &format!("reduced two-sided n={n}"),
+        );
     }
 }

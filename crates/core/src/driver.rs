@@ -1,13 +1,77 @@
 //! Internal round loop for simulator parties with termination detection.
+//!
+//! The loop steps a channel word at a time. Each step asks every party
+//! for its [`SimParty::plan`]: its beeps over the *run* of rounds before
+//! its state next changes — the rest of a repetition block, an owners
+//! codeword limb or a verification vote. The step then sends
+//! `len = min(every run, 64, budget left)` rounds through one
+//! [`Channel::transmit_word`] and hands each party its heard word.
+//!
+//! **The run rule.** A run ends exactly where the per-round machine
+//! would next change state, and `hear_word` keeps that machine's own
+//! transition test — `rep == repetitions` or `idx == verify_repetitions`
+//! (never `>=`) in the repetition blocks and rewind-family votes,
+//! `idx < total` in the owned-rounds vote and the one-to-zero checks —
+//! so stepping by words changes no transcript, stat or error. Under an
+//! `==` test a zero-length block can never end: its counter has already
+//! passed 0 when it is first tested, so the machine stays in the phase
+//! until the budget runs out, and its run is unbounded ([`WORD`]
+//! rounds). Under a `<` test a zero-length block ends after one round.
+//! No run is 0, which would make the loop spin.
 
-use beeps_channel::{Channel, Delivery};
+use beeps_channel::Channel;
 
-/// A simulator party: a [`beeps_channel::Party`]-shaped state machine that
-/// additionally knows when it has finished.
+/// The most rounds one step delivers, and the run of a party whose
+/// state cannot change (done, or in a block that never ends).
+pub(crate) const WORD: usize = 64;
+
+/// A simulator party: a [`beeps_channel::Party`]-shaped state machine,
+/// stepped a run of rounds at a time, that additionally knows when it
+/// has finished.
 pub(crate) trait SimParty {
-    fn beep(&mut self) -> bool;
-    fn hear(&mut self, heard: bool);
+    /// The party's next run of already-decided beeps: bit `k` of the
+    /// word is its beep `k` rounds from now, for `1 ≤ run` rounds (the
+    /// driver reads at most [`WORD`] of them). Bits past the run are
+    /// ignored.
+    fn plan(&mut self) -> (u64, usize);
+
+    /// Takes in `len` heard rounds (bit `k` = round `k`, zero at and
+    /// above `len`), where `len` is at most the run of the last
+    /// [`SimParty::plan`].
+    fn hear_word(&mut self, heard: u64, len: usize);
+
     fn is_done(&self) -> bool;
+}
+
+/// The run of a block of `total` rounds of which `done` have gone by,
+/// for a machine that ends the block when `done == total`: the rounds
+/// left, or [`WORD`] when the test can no longer fire.
+pub(crate) fn block_run(done: usize, total: usize) -> usize {
+    if done < total {
+        total - done
+    } else {
+        WORD
+    }
+}
+
+/// A beep held for a whole run: all ones or all zeros.
+pub(crate) fn held(beep: bool) -> u64 {
+    if beep {
+        u64::MAX
+    } else {
+        0
+    }
+}
+
+/// The low `len` bits of a word, `1 ≤ len ≤ WORD`: the rounds a step
+/// delivers.
+fn live(len: usize) -> u64 {
+    u64::MAX >> (WORD - len)
+}
+
+/// Heard ones among the `len` rounds of a heard word.
+pub(crate) fn ones(heard: u64, len: usize) -> usize {
+    (heard & live(len)).count_ones() as usize
 }
 
 /// Result of driving parties to completion (or budget exhaustion).
@@ -33,52 +97,29 @@ pub(crate) fn drive<P: SimParty>(
         channel.num_parties(),
         "channel sized for wrong number of parties"
     );
+    let mut beeps = vec![0u64; parties.len()];
+    let mut heard = vec![0u64; parties.len()];
     let mut rounds = 0usize;
     let mut energy = 0usize;
     while rounds < budget && parties.iter().any(|p| !p.is_done()) {
-        let mut or = false;
-        for party in parties.iter_mut() {
-            let b = party.beep();
-            energy += usize::from(b);
-            or |= b;
+        let mut len = WORD.min(budget - rounds);
+        for (party, word) in parties.iter_mut().zip(beeps.iter_mut()) {
+            let (planned, run) = party.plan();
+            debug_assert!(run > 0, "a zero-length run would never advance");
+            *word = planned;
+            len = len.min(run);
         }
-        // Uniform deliveries (all shared regimes, and independent-noise
-        // rounds without divergent flips) broadcast without per-party
-        // indexing.
-        match channel.transmit(or) {
-            Delivery::Shared(bit) => {
-                for party in parties.iter_mut() {
-                    party.hear(bit);
-                }
-            }
-            Delivery::PerParty(bits) => {
-                if let Some(bit) = bits.uniform() {
-                    for party in parties.iter_mut() {
-                        party.hear(bit);
-                    }
-                } else {
-                    for (i, party) in parties.iter_mut().enumerate() {
-                        party.hear(bits.get(i));
-                    }
-                }
-            }
-            Delivery::Sparse(sparse) => {
-                if let Some(bit) = sparse.uniform() {
-                    for party in parties.iter_mut() {
-                        party.hear(bit);
-                    }
-                } else {
-                    // Cursor-merge against the sorted flip list.
-                    let base = sparse.base();
-                    let mut flips = sparse.flips().iter().peekable();
-                    for (i, party) in parties.iter_mut().enumerate() {
-                        let flipped = flips.next_if(|&&p| p as usize == i).is_some();
-                        party.hear(base ^ flipped);
-                    }
-                }
-            }
+        let mut sent = 0u64;
+        for &word in &beeps {
+            let word = word & live(len);
+            energy += word.count_ones() as usize;
+            sent |= word;
         }
-        rounds += 1;
+        channel.transmit_word(sent, len, &mut heard);
+        for (party, &word) in parties.iter_mut().zip(&heard) {
+            party.hear_word(word, len);
+        }
+        rounds += len;
     }
     DriveResult {
         rounds,
@@ -97,12 +138,12 @@ mod tests {
     }
 
     impl SimParty for CountDown {
-        fn beep(&mut self) -> bool {
-            self.left > 0
+        fn plan(&mut self) -> (u64, usize) {
+            (held(self.left > 0), block_run(0, self.left))
         }
 
-        fn hear(&mut self, _heard: bool) {
-            self.left = self.left.saturating_sub(1);
+        fn hear_word(&mut self, _heard: u64, len: usize) {
+            self.left = self.left.saturating_sub(len);
         }
 
         fn is_done(&self) -> bool {
@@ -128,5 +169,17 @@ mod tests {
         let result = drive(&mut parties, &mut ch, 10);
         assert_eq!(result.rounds, 10);
         assert!(!result.all_done);
+    }
+
+    #[test]
+    fn long_runs_step_a_word_at_a_time() {
+        // 150 rounds: two full words and a 22-round tail, all beeped.
+        let mut parties = vec![CountDown { left: 150 }, CountDown { left: 0 }];
+        let mut ch = StochasticChannel::new(2, NoiseModel::Noiseless, 0);
+        let result = drive(&mut parties, &mut ch, 1_000);
+        assert_eq!(result.rounds, 150);
+        assert_eq!(ch.rounds(), 150);
+        assert_eq!(result.energy, 150);
+        assert!(result.all_done);
     }
 }

@@ -31,7 +31,7 @@
 //! provisionally and repairs with exact back-jumps — the trade-off the
 //! `tab5_scheme_ablation` experiment measures.
 
-use crate::driver::{drive, SimParty};
+use crate::driver::{block_run, drive, held, ones, SimParty, WORD};
 use crate::outcome::{PhaseRounds, SimError, SimOutcome, SimStats};
 use crate::owners::{metric_for, OwnersState, SharedCode};
 use crate::params::{ResolvedParams, SimulatorConfig};
@@ -562,31 +562,34 @@ impl<'a, P: Protocol> HierParty<'a, P> {
 }
 
 impl<P: Protocol> SimParty for HierParty<'_, P> {
-    fn beep(&mut self) -> bool {
+    fn plan(&mut self) -> (u64, usize) {
         match &mut self.phase {
             HPhase::Chunk(c) => {
                 if c.rep == 0 {
                     c.current = self.protocol.beep(self.me, &self.input, &self.working);
                 }
-                c.current
+                (held(c.current), block_run(c.rep, self.repetitions))
             }
-            HPhase::Owners(o) => o.beep(),
-            HPhase::Check(v) => v.my_flag,
-            HPhase::Done => false,
+            HPhase::Owners(o) => o.plan(),
+            HPhase::Check(v) => {
+                let (flag, idx, level) = (v.my_flag, v.idx, v.level);
+                (held(flag), block_run(idx, self.vote_len(level)))
+            }
+            HPhase::Done => (0, WORD),
         }
     }
 
-    fn hear(&mut self, heard: bool) {
+    fn hear_word(&mut self, heard: u64, len: usize) {
         match &self.phase {
-            HPhase::Chunk(_) => self.phase_rounds.chunk += 1,
-            HPhase::Owners(_) => self.phase_rounds.owners += 1,
-            HPhase::Check(_) => self.phase_rounds.verify += 1,
+            HPhase::Chunk(_) => self.phase_rounds.chunk += len,
+            HPhase::Owners(_) => self.phase_rounds.owners += len,
+            HPhase::Check(_) => self.phase_rounds.verify += len,
             HPhase::Done => {}
         }
         match std::mem::replace(&mut self.phase, HPhase::Done) {
             HPhase::Chunk(mut c) => {
-                c.ones += usize::from(heard);
-                c.rep += 1;
+                c.ones += ones(heard, len);
+                c.rep += len;
                 if c.rep == self.repetitions {
                     let bit = c.ones >= self.params.rep_ones;
                     c.bits.push(bit);
@@ -609,7 +612,7 @@ impl<P: Protocol> SimParty for HierParty<'_, P> {
                 }
             }
             HPhase::Owners(mut o) => {
-                o.hear(heard);
+                o.hear_word(heard, len);
                 if o.finished() {
                     // Commit provisionally; checks repair later.
                     let bits = o.pi_bits().to_vec();
@@ -624,8 +627,8 @@ impl<P: Protocol> SimParty for HierParty<'_, P> {
                 }
             }
             HPhase::Check(mut v) => {
-                v.ones += usize::from(heard);
-                v.idx += 1;
+                v.ones += ones(heard, len);
+                v.idx += len;
                 let vote_len = self.vote_len(v.level);
                 let verify_threshold = |ones: usize| {
                     // Scale the per-V threshold to the level's vote length.

@@ -27,7 +27,7 @@
 //! party can vouch for a heard 1 — and every scheme pays `Ω(log n)`.
 //! Experiment E3 plots the two regimes side by side.
 
-use crate::driver::{drive, SimParty};
+use crate::driver::{drive, held, ones, SimParty, WORD};
 use crate::outcome::{PhaseRounds, SimError, SimOutcome, SimStats};
 use beeps_channel::{NoiseModel, Protocol, StochasticChannel};
 
@@ -364,28 +364,33 @@ impl<P: Protocol> ZParty<'_, P> {
 }
 
 impl<P: Protocol> SimParty for ZParty<'_, P> {
-    fn beep(&mut self) -> bool {
+    fn plan(&mut self) -> (u64, usize) {
         match &mut self.mode {
             Mode::Data { my_bit, decided } => {
                 if !*decided {
                     *my_bit = self.protocol.beep(self.me, &self.input, &self.sigma);
                     *decided = true;
                 }
-                *my_bit
+                (u64::from(*my_bit), 1)
             }
-            Mode::Check(_) => !self.error_marks.is_empty(),
-            Mode::Done => false,
+            // The level ends once `idx < rounds_in_level` fails.
+            Mode::Check(c) => (
+                held(!self.error_marks.is_empty()),
+                c.rounds_in_level.saturating_sub(c.idx).max(1),
+            ),
+            Mode::Done => (0, WORD),
         }
     }
 
-    fn hear(&mut self, heard: bool) {
+    fn hear_word(&mut self, heard: u64, len: usize) {
         match &self.mode {
-            Mode::Data { .. } => self.phase_rounds.chunk += 1,
-            Mode::Check(_) => self.phase_rounds.verify += 1,
+            Mode::Data { .. } => self.phase_rounds.chunk += len,
+            Mode::Check(_) => self.phase_rounds.verify += len,
             Mode::Done => {}
         }
         match std::mem::replace(&mut self.mode, Mode::Done) {
             Mode::Data { my_bit, .. } => {
+                let heard = heard & 1 == 1;
                 self.sigma.push(heard);
                 if my_bit && !heard {
                     // I witnessed an erasure: remember it until a rewind
@@ -403,8 +408,8 @@ impl<P: Protocol> SimParty for ZParty<'_, P> {
                 }
             }
             Mode::Check(mut c) => {
-                c.heard_any |= heard;
-                c.idx += 1;
+                c.heard_any |= ones(heard, len) > 0;
+                c.idx += len;
                 if c.idx < c.rounds_in_level {
                     self.mode = Mode::Check(c);
                     return;

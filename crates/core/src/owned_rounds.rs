@@ -17,7 +17,7 @@
 //! two simulators side by side on an owned workload to price the
 //! difference.
 
-use crate::driver::{drive, SimParty};
+use crate::driver::{block_run, drive, held, ones, SimParty, WORD};
 use crate::outcome::{PhaseRounds, SimError, SimOutcome, SimStats};
 use crate::params::{ResolvedParams, SimulatorConfig};
 use beeps_channel::{NoiseModel, StochasticChannel, UniquelyOwned};
@@ -318,29 +318,34 @@ impl<P: UniquelyOwned> OwnedParty<'_, P> {
 }
 
 impl<P: UniquelyOwned> SimParty for OwnedParty<'_, P> {
-    fn beep(&mut self) -> bool {
+    fn plan(&mut self) -> (u64, usize) {
         match &mut self.phase {
             OwnedPhase::Chunk(c) => {
                 if c.rep == 0 {
                     c.current = self.protocol.beep(self.me, &self.input, &self.working);
                 }
-                c.current
+                (held(c.current), block_run(c.rep, self.repetitions))
             }
-            OwnedPhase::Verify(v) => v.my_flag,
-            OwnedPhase::Done => false,
+            // The vote resolves once `idx < verify_repetitions` fails,
+            // which a zero-length vote does after one round.
+            OwnedPhase::Verify(v) => (
+                held(v.my_flag),
+                self.verify_repetitions.saturating_sub(v.idx).max(1),
+            ),
+            OwnedPhase::Done => (0, WORD),
         }
     }
 
-    fn hear(&mut self, heard: bool) {
+    fn hear_word(&mut self, heard: u64, len: usize) {
         match &self.phase {
-            OwnedPhase::Chunk(_) => self.phase_rounds.chunk += 1,
-            OwnedPhase::Verify(_) => self.phase_rounds.verify += 1,
+            OwnedPhase::Chunk(_) => self.phase_rounds.chunk += len,
+            OwnedPhase::Verify(_) => self.phase_rounds.verify += len,
             OwnedPhase::Done => {}
         }
         match std::mem::replace(&mut self.phase, OwnedPhase::Done) {
             OwnedPhase::Chunk(mut c) => {
-                c.ones += usize::from(heard);
-                c.rep += 1;
+                c.ones += ones(heard, len);
+                c.rep += len;
                 if c.rep == self.repetitions {
                     let bit = c.ones >= self.params.rep_ones;
                     c.bits.push(bit);
@@ -361,8 +366,8 @@ impl<P: UniquelyOwned> SimParty for OwnedParty<'_, P> {
                 }
             }
             OwnedPhase::Verify(mut v) => {
-                v.ones += usize::from(heard);
-                v.idx += 1;
+                v.ones += ones(heard, len);
+                v.idx += len;
                 if v.idx < self.verify_repetitions {
                     self.phase = OwnedPhase::Verify(v);
                     return;

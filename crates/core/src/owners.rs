@@ -38,7 +38,7 @@
 //! * once every party has passed (`turn = n`), the remaining iterations
 //!   idle instead of decoding silence into garbage.
 
-use crate::driver::{drive, SimParty};
+use crate::driver::{drive, SimParty, WORD};
 use crate::soa::{owners_standalone, SoaScratch};
 use beeps_channel::{Channel, NoiseModel, StochasticChannel};
 use beeps_ecc::bits::PackedBits;
@@ -153,23 +153,31 @@ impl OwnersState {
         };
     }
 
-    pub(crate) fn beep(&mut self) -> bool {
+    /// The rest of the in-flight codeword's current limb: this party's
+    /// bits of it (zeros unless it holds the turn) and the run to the
+    /// limb's or the codeword's end. A finished phase idles silently.
+    pub(crate) fn plan(&self) -> (u64, usize) {
         if self.finished() {
-            return false;
+            return (0, WORD);
         }
-        match &self.sending {
-            Some(word) => word.get(self.bit_idx),
-            None => false,
-        }
+        let offset = self.bit_idx % 64;
+        let run = (self.code.codeword_len() - self.bit_idx).min(64 - offset);
+        let beeps = self
+            .sending
+            .as_ref()
+            .map_or(0, |word| word.limbs()[self.bit_idx / 64] >> offset);
+        (beeps, run)
     }
 
-    pub(crate) fn hear(&mut self, heard: bool) {
+    /// Takes in `len` heard bits of the in-flight codeword (at most the
+    /// run of [`OwnersState::plan`]), decoding it once it is complete.
+    pub(crate) fn hear_word(&mut self, heard: u64, len: usize) {
         if self.finished() {
             return;
         }
-        self.word.push(heard);
-        self.bit_idx += 1;
-        if self.bit_idx < self.code.codeword_len() {
+        self.word.push_word(heard, len);
+        self.bit_idx += len;
+        if self.bit_idx != self.code.codeword_len() {
             return;
         }
         // Iteration complete: decode and update the shared bookkeeping.
@@ -288,7 +296,8 @@ pub fn run_owners_phase(
     if model.is_shared() {
         collapsed_owners(bits, model, &*code, channel_seed)
     } else {
-        per_party_owners(bits, model, code, channel_seed)
+        let mut channel = StochasticChannel::new(n, model, channel_seed);
+        per_party_owners(bits, model, code, &mut channel)
     }
 }
 
@@ -312,14 +321,14 @@ fn collapsed_owners(
 }
 
 /// The per-party owners phase: `n` [`OwnersState`] machines driven over
-/// one channel, each decoding every codeword itself. Independent noise
+/// `channel`, each decoding every codeword itself. Independent noise
 /// runs here; under shared noise it is the oracle of
 /// [`collapsed_owners`]. Opens the `owners.phase` span.
 fn per_party_owners(
     bits: &[Vec<bool>],
     model: NoiseModel,
     code: SharedCode,
-    channel_seed: u64,
+    channel: &mut dyn Channel,
 ) -> OwnersOutcome {
     let _span = beeps_observe::phase("owners.phase");
     let n = bits.len();
@@ -332,9 +341,8 @@ fn per_party_owners(
             state: OwnersState::new(i, n, pi.clone(), bits[i].clone(), Arc::clone(&code), metric),
         })
         .collect();
-    let mut channel = StochasticChannel::new(n, model, channel_seed);
     let budget = OwnersState::channel_rounds(len, n, code.codeword_len());
-    let result = drive(&mut parties, &mut channel, budget);
+    let result = drive(&mut parties, channel, budget);
     debug_assert!(result.all_done);
 
     OwnersOutcome {
@@ -361,12 +369,12 @@ struct OwnersOnlyParty {
 }
 
 impl SimParty for OwnersOnlyParty {
-    fn beep(&mut self) -> bool {
-        self.state.beep()
+    fn plan(&mut self) -> (u64, usize) {
+        self.state.plan()
     }
 
-    fn hear(&mut self, heard: bool) {
-        self.state.hear(heard);
+    fn hear_word(&mut self, heard: u64, len: usize) {
+        self.state.hear_word(heard, len);
     }
 
     fn is_done(&self) -> bool {
@@ -377,7 +385,30 @@ impl SimParty for OwnersOnlyParty {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use beeps_channel::Delivery;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// Forwards only the four required [`Channel`] methods, so
+    /// [`Channel::transmit_word`] takes its per-round default.
+    struct PerRound<C>(C);
+
+    impl<C: Channel> Channel for PerRound<C> {
+        fn num_parties(&self) -> usize {
+            self.0.num_parties()
+        }
+
+        fn transmit(&mut self, true_or: bool) -> Delivery {
+            self.0.transmit(true_or)
+        }
+
+        fn rounds(&self) -> usize {
+            self.0.rounds()
+        }
+
+        fn corrupted_rounds(&self) -> usize {
+            self.0.corrupted_rounds()
+        }
+    }
 
     #[test]
     fn noiseless_owners_are_valid_and_first_claimant_wins() {
@@ -493,7 +524,8 @@ mod tests {
 
     /// Runs the per-party oracle and the collapsed body on random inputs
     /// for each `(n, len, code_len, model)` cell and asserts equal
-    /// outcomes. Half the codes carry more symbols than `len + 1` (as a
+    /// outcomes, and the oracle equal to itself over single-round
+    /// deliveries. Half the codes carry more symbols than `len + 1` (as a
     /// tail chunk's code does), so decode errors also land on stray
     /// symbols in `[len, Next)`; some tables must come out invalid,
     /// proving decode errors occurred.
@@ -510,12 +542,23 @@ mod tests {
             let code: SharedCode =
                 Arc::new(RandomCode::with_length(alphabet, code_len, rng.next_u64()));
             let seed = rng.next_u64();
-            let want = per_party_owners(&bits, model, Arc::clone(&code), seed);
-            let got = collapsed_owners(&bits, model, &*code, seed);
-            assert_eq!(
-                got, want,
-                "{model} n={n} len={len} code_len={code_len} alphabet={alphabet}"
+            let want = per_party_owners(
+                &bits,
+                model,
+                Arc::clone(&code),
+                &mut StochasticChannel::new(n, model, seed),
             );
+            let got = collapsed_owners(&bits, model, &*code, seed);
+            let context =
+                format!("{model} n={n} len={len} code_len={code_len} alphabet={alphabet}");
+            assert_eq!(got, want, "{context}");
+            let per_round = per_party_owners(
+                &bits,
+                model,
+                Arc::clone(&code),
+                &mut PerRound(StochasticChannel::new(n, model, seed)),
+            );
+            assert_eq!(per_round, want, "single rounds, {context}");
             invalid += usize::from(!got.valid_for(&bits));
         }
         assert!(stray_codes > 0 && stray_codes < cells.len());
@@ -566,6 +609,60 @@ mod tests {
             }
         }
         assert_collapsed_matches_oracle(&cells);
+    }
+
+    #[test]
+    fn independent_per_party_phase_steps_words_like_single_rounds() {
+        // Independent noise never reaches the collapsed body, so its
+        // per-party phase is held to single-round delivery here, at every
+        // codeword length around the limb boundaries: all of them for
+        // n ∈ {1, 5}, one per seed at n ∈ {64, 65}, 8 seeds per n. Both
+        // runs step the machines alike, so the outcomes' digest is also
+        // pinned to those of the machines stepped one round at a time
+        // (`beep`/`hear` per round).
+        let mut rng = StdRng::seed_from_u64(0xD4);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut invalid = 0usize;
+        for n in [1usize, 5, 64, 65] {
+            for seed in 0..8 {
+                let code_lens = if n > 5 {
+                    &CODE_LENS[seed % CODE_LENS.len()..][..1]
+                } else {
+                    &CODE_LENS[..]
+                };
+                for &code_len in code_lens {
+                    let len = 1 + rng.gen_range(0..n + 3);
+                    let bits: Vec<Vec<bool>> = (0..n)
+                        .map(|_| (0..len).map(|_| rng.gen_bool(0.3)).collect())
+                        .collect();
+                    let model = NoiseModel::Independent {
+                        epsilon: if code_len == 8 { 0.3 } else { 0.1 },
+                    };
+                    let code: SharedCode =
+                        Arc::new(RandomCode::with_length(len + 1, code_len, rng.next_u64()));
+                    let channel_seed = rng.next_u64();
+                    let run = |channel: &mut dyn Channel| {
+                        per_party_owners(&bits, model, Arc::clone(&code), channel)
+                    };
+                    let words = run(&mut StochasticChannel::new(n, model, channel_seed));
+                    let rounds = run(&mut PerRound(StochasticChannel::new(
+                        n,
+                        model,
+                        channel_seed,
+                    )));
+                    assert_eq!(words, rounds, "{model} n={n} len={len} code_len={code_len}");
+                    invalid += usize::from(!words.valid_for(&bits));
+                    for byte in format!("{words:?}").bytes() {
+                        digest = (digest ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+                    }
+                }
+            }
+        }
+        assert!(invalid > 0, "no decode error: weak test");
+        assert_eq!(
+            digest, 0xb2c5_d378_71bd_393f,
+            "owner tables moved off the per-round machines'"
+        );
     }
 
     #[test]

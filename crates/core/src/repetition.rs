@@ -7,7 +7,7 @@
 //! correctly with high probability — the easy `O(log n)` upper bound the
 //! paper contrasts with its general Theorem 1.2.
 
-use crate::driver::{drive, SimParty};
+use crate::driver::{block_run, drive, held, ones, SimParty, WORD};
 use crate::outcome::{SimError, SimOutcome, SimStats};
 use crate::params::{ResolvedParams, SimulatorConfig};
 use beeps_channel::{NoiseModel, Protocol, StochasticChannel};
@@ -249,26 +249,26 @@ struct RepParty<'a, P: Protocol> {
 }
 
 impl<P: Protocol> SimParty for IndexedParty<'_, P> {
-    fn beep(&mut self) -> bool {
+    fn plan(&mut self) -> (u64, usize) {
         let inner = &mut self.inner;
         if inner.sim_transcript.len() >= inner.protocol.length() {
-            return false;
+            return (0, WORD);
         }
         if inner.rep == 0 {
             inner.current = inner
                 .protocol
                 .beep(self.index, &inner.input, &inner.sim_transcript);
         }
-        inner.current
+        (held(inner.current), block_run(inner.rep, inner.repetitions))
     }
 
-    fn hear(&mut self, heard: bool) {
+    fn hear_word(&mut self, heard: u64, len: usize) {
         let inner = &mut self.inner;
         if inner.sim_transcript.len() >= inner.protocol.length() {
             return;
         }
-        inner.ones += usize::from(heard);
-        inner.rep += 1;
+        inner.ones += ones(heard, len);
+        inner.rep += len;
         if inner.rep == inner.repetitions {
             inner
                 .sim_transcript

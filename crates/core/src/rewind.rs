@@ -30,7 +30,7 @@
 //! prefixes are always correct there; over the two-sided channel the missed
 //! -flag probability is driven below `target_error` by `V`.
 
-use crate::driver::{drive, SimParty};
+use crate::driver::{block_run, drive, held, ones, SimParty, WORD};
 use crate::outcome::{PhaseRounds, SimError, SimOutcome, SimStats};
 use crate::owners::{metric_for, OwnersState, SharedCode};
 use crate::params::{ResolvedParams, SimulatorConfig};
@@ -437,7 +437,7 @@ impl<'a, P: Protocol> RewindParty<'a, P> {
 }
 
 impl<P: Protocol> SimParty for RewindParty<'_, P> {
-    fn beep(&mut self) -> bool {
+    fn plan(&mut self) -> (u64, usize) {
         match &mut self.phase {
             Phase::Chunk(c) => {
                 if c.rep == 0 {
@@ -446,27 +446,27 @@ impl<P: Protocol> SimParty for RewindParty<'_, P> {
                     // which is exactly the working buffer.
                     c.current = self.protocol.beep(self.me, &self.input, &self.working);
                 }
-                c.current
+                (held(c.current), block_run(c.rep, self.repetitions))
             }
-            Phase::Owners(o) => o.beep(),
-            Phase::Verify(v) => v.my_flag,
-            Phase::Done => false,
+            Phase::Owners(o) => o.plan(),
+            Phase::Verify(v) => (held(v.my_flag), block_run(v.idx, self.verify_repetitions)),
+            Phase::Done => (0, WORD),
         }
     }
 
-    fn hear(&mut self, heard: bool) {
-        // Attribute the round to the phase it belonged to.
+    fn hear_word(&mut self, heard: u64, len: usize) {
+        // Attribute the run to the phase it belonged to.
         match &self.phase {
-            Phase::Chunk(_) => self.phase_rounds.chunk += 1,
-            Phase::Owners(_) => self.phase_rounds.owners += 1,
-            Phase::Verify(_) => self.phase_rounds.verify += 1,
+            Phase::Chunk(_) => self.phase_rounds.chunk += len,
+            Phase::Owners(_) => self.phase_rounds.owners += len,
+            Phase::Verify(_) => self.phase_rounds.verify += len,
             Phase::Done => {}
         }
         // Take the phase out so transitions can borrow `self` freely.
         match std::mem::replace(&mut self.phase, Phase::Done) {
             Phase::Chunk(mut c) => {
-                c.ones += usize::from(heard);
-                c.rep += 1;
+                c.ones += ones(heard, len);
+                c.rep += len;
                 if c.rep == self.repetitions {
                     let bit = c.ones >= self.params.rep_ones;
                     c.bits.push(bit);
@@ -490,7 +490,7 @@ impl<P: Protocol> SimParty for RewindParty<'_, P> {
                 }
             }
             Phase::Owners(mut o) => {
-                o.hear(heard);
+                o.hear_word(heard, len);
                 if o.finished() {
                     let chunk_bits = o.pi_bits().to_vec();
                     let chunk_owners = o.owners().to_vec();
@@ -507,8 +507,8 @@ impl<P: Protocol> SimParty for RewindParty<'_, P> {
                 }
             }
             Phase::Verify(mut v) => {
-                v.ones += usize::from(heard);
-                v.idx += 1;
+                v.ones += ones(heard, len);
+                v.idx += len;
                 if v.idx == self.verify_repetitions {
                     let failed = v.ones >= self.params.verify_ones;
                     self.finish_verification(failed, v);

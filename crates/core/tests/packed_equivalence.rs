@@ -15,7 +15,7 @@ use beeps_core::{
     HierarchicalSimulator, OneToZeroSimulator, OwnedRoundsSimulator, RepetitionSimulator,
     RewindSimulator, SimError, SimOutcome, SimulatorConfig,
 };
-use beeps_protocols::{InputSet, RollCall};
+use beeps_protocols::{Broadcast, InputSet, MultiOr, RollCall};
 use std::fmt::Debug;
 use std::ops::Range;
 
@@ -65,6 +65,29 @@ impl Channel for RoundtripChannel {
 
     fn corrupted_rounds(&self) -> usize {
         self.inner.corrupted_rounds()
+    }
+}
+
+/// Forwards only the four required `Channel` methods, so every word the
+/// per-party driver sends takes the provided per-round
+/// `Channel::transmit_word`.
+struct PerRound<C>(C);
+
+impl<C: Channel> Channel for PerRound<C> {
+    fn num_parties(&self) -> usize {
+        self.0.num_parties()
+    }
+
+    fn transmit(&mut self, true_or: bool) -> Delivery {
+        self.0.transmit(true_or)
+    }
+
+    fn rounds(&self) -> usize {
+        self.0.rounds()
+    }
+
+    fn corrupted_rounds(&self) -> usize {
+        self.0.corrupted_rounds()
     }
 }
 
@@ -119,6 +142,189 @@ fn assert_matches_oracle<O: PartialEq + Debug>(
         (a, b) => assert_eq!(a.as_ref().err(), b.as_ref().err(), "error: {context}"),
     }
     packed.is_err()
+}
+
+/// Runs one per-party `simulate_over` trial over a word-delivering
+/// `StochasticChannel` and over [`PerRound`] of the same channel,
+/// asserts the two outcomes equal, full `SimError` included, and folds
+/// the outcome into `digest` (FNV-1a over its `Debug` text). Returns
+/// whether the runs failed.
+fn assert_words_match_rounds<O: PartialEq + Debug>(
+    digest: &mut u64,
+    n: usize,
+    model: NoiseModel,
+    seed: u64,
+    context: &str,
+    run: impl Fn(&mut dyn Channel) -> Result<SimOutcome<O>, SimError>,
+) -> bool {
+    let words = run(&mut StochasticChannel::new(n, model, seed));
+    let rounds = run(&mut PerRound(StochasticChannel::new(n, model, seed)));
+    for byte in format!("{words:?}").bytes() {
+        *digest = (*digest ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+    }
+    assert_matches_oracle(words, rounds, &format!("n={n} {context}"))
+}
+
+/// [`oracle_cases`] with two-chunk schedules (`chunk_len` 3 of a
+/// 6-round protocol) plus configs whose per-party repetition blocks
+/// (`repetitions = 0`) or votes (`verify_repetitions = 0`) can never
+/// end, so the machines idle in one phase until the budget runs out.
+/// Codewords cross a limb boundary (65 bits) at n ≤ 5 and stay short
+/// (16 bits) at n ≥ 64, where every party decodes every codeword.
+fn word_cases(n: usize, starved: f64) -> Vec<(SimulatorConfig, NoiseModel)> {
+    let mut cases: Vec<_> = oracle_cases(n, starved)
+        .into_iter()
+        .map(|(config, model, _)| (config, model))
+        .collect();
+    // Silence lets a vote pass: a block that wrongly ended would commit.
+    for model in [
+        NoiseModel::Noiseless,
+        NoiseModel::Correlated { epsilon: 0.1 },
+        NoiseModel::Independent { epsilon: 0.1 },
+    ] {
+        let config = SimulatorConfig::builder(n)
+            .model(model)
+            .budget_factor(1.0)
+            .build();
+        let mut no_repetitions = config.clone();
+        no_repetitions.repetitions = 0;
+        let mut no_vote = config;
+        no_vote.verify_repetitions = 0;
+        cases.push((no_repetitions, model));
+        cases.push((no_vote, model));
+    }
+    for (config, _) in &mut cases {
+        config.chunk_len = 3;
+        config.code_len = if n <= 5 { 65 } else { 16 };
+    }
+    cases
+}
+
+/// The per-party engines step a channel word at a time. Over
+/// [`PerRound`], which delivers those words one `transmit` at a time,
+/// every engine must reach the identical `Result` at `n` parties in
+/// every regime it accepts, at 8 seeds per case, through budget-starved
+/// and zero-length-block configs. Returns the digest of every outcome.
+///
+/// Both runs step the parties alike, so a run that ended anywhere but
+/// where the per-round machine changes state would pass that
+/// comparison; the callers pin the digest to the outcomes the engines
+/// produced when they were stepped one round at a time (`beep`/`hear`
+/// per round), which it would not.
+fn assert_engines_step_words_like_single_rounds(n: usize) -> u64 {
+    let seeds = 0..8u64;
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut failed = 0usize;
+    let multi_or = MultiOr::new(n, 6);
+    let inputs: Vec<Vec<bool>> = (0..n)
+        .map(|i| (0..6).map(|m| (3 * i + m) % 4 == 0).collect())
+        .collect();
+    let broadcast = Broadcast::new(n, n / 2, 6);
+    let mut messages = vec![0usize; n];
+    messages[n / 2] = 0b10_1101;
+    for (config, model) in word_cases(n, 1.0) {
+        let rewind = RewindSimulator::new(&multi_or, config.clone());
+        let owned = OwnedRoundsSimulator::new(&broadcast, config.clone());
+        let repetition = RepetitionSimulator::new(&multi_or, config.clone());
+        for seed in seeds.clone() {
+            let context = format!("{model} seed {seed}");
+            failed += usize::from(assert_words_match_rounds(
+                &mut digest,
+                n,
+                model,
+                seed,
+                &context,
+                |ch| rewind.simulate_over(&inputs, model, ch),
+            ));
+            failed += usize::from(assert_words_match_rounds(
+                &mut digest,
+                n,
+                model,
+                seed,
+                &context,
+                |ch| owned.simulate_over(&messages, model, ch),
+            ));
+            if config.repetitions > 0 {
+                // A zero-round repetition schedule has no budget at all.
+                assert_words_match_rounds(&mut digest, n, model, seed, &context, |ch| {
+                    repetition.simulate_over(&inputs, model, ch)
+                });
+            }
+        }
+    }
+    // The hierarchical budget carries fixed check slack on top of
+    // `budget_factor`, so starving it takes a factor well below 1.
+    for (config, model) in word_cases(n, 0.3) {
+        let hierarchical = HierarchicalSimulator::new(&multi_or, config);
+        for seed in seeds.clone() {
+            let context = format!("hierarchical {model} seed {seed}");
+            failed += usize::from(assert_words_match_rounds(
+                &mut digest,
+                n,
+                model,
+                seed,
+                &context,
+                |ch| hierarchical.simulate_over(&inputs, model, ch),
+            ));
+        }
+    }
+    // One-to-zero accepts 1->0 noise and silence; the minimum legal
+    // budget under heavy erasure starves it.
+    for (base, budget_factor, model) in [
+        (2, 32.0, NoiseModel::Noiseless),
+        (
+            2,
+            32.0,
+            NoiseModel::OneSidedOneToZero { epsilon: 1.0 / 3.0 },
+        ),
+        (1, 2.0, NoiseModel::OneSidedOneToZero { epsilon: 0.45 }),
+    ] {
+        let one_to_zero = OneToZeroSimulator::new(&multi_or, base, budget_factor);
+        for seed in seeds.clone() {
+            let context = format!("one-to-zero {model} seed {seed}");
+            failed += usize::from(assert_words_match_rounds(
+                &mut digest,
+                n,
+                model,
+                seed,
+                &context,
+                |ch| one_to_zero.simulate_over(&inputs, model, ch),
+            ));
+        }
+    }
+    assert!(failed > 0, "n={n}: no run exhausted its budget: weak test");
+    digest
+}
+
+#[test]
+fn per_party_engines_step_words_like_single_rounds() {
+    for (n, pinned) in [(1, 0xfab6_efad_e292_25c2), (5, 0xd2de_339e_350a_b8ac)] {
+        let digest = assert_engines_step_words_like_single_rounds(n);
+        assert_eq!(
+            digest, pinned,
+            "n={n}: outcomes moved off the per-round engines'"
+        );
+    }
+}
+
+// The word-sized party counts get a test each, so the parallel harness
+// can run them side by side.
+#[test]
+fn per_party_engines_step_words_like_single_rounds_at_64_parties() {
+    let digest = assert_engines_step_words_like_single_rounds(64);
+    assert_eq!(
+        digest, 0x2182_7f5d_f765_bba5,
+        "outcomes moved off the per-round engines'"
+    );
+}
+
+#[test]
+fn per_party_engines_step_words_like_single_rounds_at_65_parties() {
+    let digest = assert_engines_step_words_like_single_rounds(65);
+    assert_eq!(
+        digest, 0x81bb_b8ad_aea7_d6f6,
+        "outcomes moved off the per-round engines'"
+    );
 }
 
 #[test]

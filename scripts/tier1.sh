@@ -12,6 +12,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Build output stays out of git: `.gitignore` lists every `target/`,
+# but ignore rules do not cover paths already in the index.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  if git ls-files | grep -E '(^|/)target/'; then
+    echo "tier-1: build output is tracked (git rm -r --cached it)" >&2
+    exit 1
+  fi
+fi
 cargo build --release
 cargo test -q
 # The repository benchmark (perfbench/, a workspace of its own) checks
