@@ -38,28 +38,55 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 /// Rounds covered by one independent-noise mask block.
 const BLOCK_ROUNDS: usize = 64;
 
-/// Draws the number of clean eligible rounds before the next flip of a
-/// Bernoulli(ε) stream: geometric on `{0, 1, …}` with
-/// `P(k) = ε(1−ε)^k`, via inversion of one uniform draw. Returns
-/// `u64::MAX` ("never") for ε ≤ 0 without consuming randomness.
-fn geometric_gap(epsilon: f64, rng: &mut StdRng) -> u64 {
-    if epsilon <= 0.0 {
-        return u64::MAX;
+/// Geometric gap draws for one flip rate ε: the number of clean eligible
+/// rounds before the next flip of a Bernoulli(ε) stream, geometric on
+/// `{0, 1, …}` with `P(k) = ε(1−ε)^k`, by inversion of one uniform draw.
+///
+/// `ln(1−ε)` is taken once, here, so a draw evaluates one `ln`.
+#[derive(Debug, Clone, Copy)]
+struct GeometricGap {
+    /// `ln(1−ε)`, or 0 for ε ≤ 0 ("never flips"); negative for every
+    /// ε > 0.
+    ln_keep: f64,
+}
+
+impl GeometricGap {
+    fn new(epsilon: f64) -> Self {
+        let keep = 1.0 - epsilon;
+        let ln_keep = if epsilon <= 0.0 {
+            0.0
+        } else if keep == 1.0 {
+            // 0 < ε ≤ 2⁻⁵⁴: `1 − ε` rounds to 1, whose log 0 would make
+            // every gap 0 and flip every round. Every larger ε keeps the
+            // `(1 − ε).ln()` that seeded streams are drawn with.
+            (-epsilon).ln_1p()
+        } else {
+            keep.ln()
+        };
+        Self { ln_keep }
     }
-    let u: f64 = rng.gen_range(0.0..1.0);
-    // floor(ln(1−U) / ln(1−ε)): U ∈ [1−(1−ε)^k, 1−(1−ε)^{k+1}) ⇒ gap k.
-    let gap = ((1.0 - u).ln() / (1.0 - epsilon).ln()).floor();
-    if gap >= u64::MAX as f64 {
-        u64::MAX
-    } else {
-        gap as u64
+
+    /// Draws one gap. Returns `u64::MAX` ("never") for ε ≤ 0 without
+    /// consuming randomness.
+    fn draw(self, rng: &mut StdRng) -> u64 {
+        if self.ln_keep == 0.0 {
+            return u64::MAX;
+        }
+        let u: f64 = rng.gen_range(0.0..1.0);
+        // floor(ln(1−U) / ln(1−ε)): U ∈ [1−(1−ε)^k, 1−(1−ε)^{k+1}) ⇒ gap k.
+        let gap = ((1.0 - u).ln() / self.ln_keep).floor();
+        if gap >= u64::MAX as f64 {
+            u64::MAX
+        } else {
+            gap as u64
+        }
     }
 }
 
 /// Advances a flip position by one round plus a fresh geometric gap,
 /// saturating at "never".
-fn next_flip_position(pos: u64, epsilon: f64, rng: &mut StdRng) -> u64 {
-    let gap = geometric_gap(epsilon, rng);
+fn next_flip_position(pos: u64, gap: GeometricGap, rng: &mut StdRng) -> u64 {
+    let gap = gap.draw(rng);
     if gap == u64::MAX {
         u64::MAX
     } else {
@@ -91,12 +118,12 @@ fn calendar_insert(
 fn seed_calendar(
     calendar: &mut std::collections::BTreeMap<u64, Vec<(u32, u8)>>,
     n: usize,
-    eps: f64,
+    gap: GeometricGap,
     rng: &mut StdRng,
 ) {
     calendar.clear();
     for p in 0..n {
-        calendar_insert(calendar, p as u32, geometric_gap(eps, rng));
+        calendar_insert(calendar, p as u32, gap.draw(rng));
     }
 }
 
@@ -129,6 +156,8 @@ pub(crate) struct IndependentSampler {
     calendar: std::collections::BTreeMap<u64, Vec<(u32, u8)>>,
     /// Absolute index of the next block to refill.
     block: u64,
+    /// Every party's gap draws.
+    gap: GeometricGap,
 }
 
 impl IndependentSampler {
@@ -136,13 +165,15 @@ impl IndependentSampler {
     /// construction-time RNG contract of `StochasticChannel::new` under
     /// independent noise.
     pub(crate) fn new(n: usize, epsilon: f64, rng: &mut StdRng) -> Self {
+        let gap = GeometricGap::new(epsilon);
         let mut calendar = std::collections::BTreeMap::new();
-        seed_calendar(&mut calendar, n, epsilon, rng);
+        seed_calendar(&mut calendar, n, gap, rng);
         Self {
             buckets: vec![Vec::new(); BLOCK_ROUNDS],
             offset: BLOCK_ROUNDS,
             calendar,
             block: 0,
+            gap,
         }
     }
 
@@ -150,18 +181,18 @@ impl IndependentSampler {
     /// `rng` in construction order) while reusing the bucket
     /// allocations. Stale buckets are ignored because the reset offset
     /// forces a bucket-clearing refill before the first delivery.
-    pub(crate) fn restart(&mut self, n: usize, epsilon: f64, rng: &mut StdRng) {
+    pub(crate) fn restart(&mut self, n: usize, rng: &mut StdRng) {
         self.offset = BLOCK_ROUNDS;
         self.block = 0;
-        seed_calendar(&mut self.calendar, n, epsilon, rng);
+        seed_calendar(&mut self.calendar, n, self.gap, rng);
     }
 
     /// Advances one round and returns the bucket of parties flipped in
     /// it (ascending). The caller may `mem::take` the bucket; a taken
     /// bucket is simply replaced by an empty one.
-    pub(crate) fn advance(&mut self, epsilon: f64, rng: &mut StdRng) -> &mut Vec<u32> {
+    pub(crate) fn advance(&mut self, rng: &mut StdRng) -> &mut Vec<u32> {
         if self.offset == BLOCK_ROUNDS {
-            self.refill(epsilon, rng);
+            self.refill(rng);
         }
         let bucket = &mut self.buckets[self.offset];
         self.offset += 1;
@@ -178,7 +209,7 @@ impl IndependentSampler {
     /// RNG, so seeded flip sets are bitwise unchanged. Ascending party
     /// order also leaves every bucket sorted as [`SparseDelivery::new`]
     /// requires.
-    fn refill(&mut self, epsilon: f64, rng: &mut StdRng) {
+    fn refill(&mut self, rng: &mut StdRng) {
         for bucket in self.buckets.iter_mut() {
             bucket.clear();
         }
@@ -189,7 +220,7 @@ impl IndependentSampler {
                 let mut pos = u64::from(off);
                 while pos < BLOCK_ROUNDS as u64 {
                     self.buckets[pos as usize].push(p);
-                    pos = next_flip_position(pos, epsilon, rng);
+                    pos = next_flip_position(pos, self.gap, rng);
                 }
                 calendar_insert(&mut self.calendar, p, base.saturating_add(pos));
             }
@@ -228,7 +259,7 @@ enum FlipsOn {
 #[derive(Debug)]
 pub(crate) struct SharedCountdown {
     rng: StdRng,
-    epsilon: f64,
+    gap: GeometricGap,
     flips_on: FlipsOn,
     /// Eligible rounds remaining before the next flip.
     skip: u64,
@@ -252,11 +283,11 @@ impl SharedCountdown {
             NoiseModel::OneSidedOneToZero { .. } => FlipsOn::Ones,
             NoiseModel::Independent { .. } => panic!("independent noise has no shared countdown"),
         };
-        let epsilon = model.epsilon();
-        let skip = geometric_gap(epsilon, &mut rng);
+        let gap = GeometricGap::new(model.epsilon());
+        let skip = gap.draw(&mut rng);
         Self {
             rng,
-            epsilon,
+            gap,
             flips_on,
             skip,
             flips: 0,
@@ -266,7 +297,7 @@ impl SharedCountdown {
     /// Restarts the countdown from `rng` as [`SharedCountdown::new`]
     /// would.
     fn restart(&mut self, mut rng: StdRng) {
-        self.skip = geometric_gap(self.epsilon, &mut rng);
+        self.skip = self.gap.draw(&mut rng);
         self.rng = rng;
         self.flips = 0;
     }
@@ -296,7 +327,7 @@ impl SharedCountdown {
             self.skip -= 1;
             return true_or;
         }
-        self.skip = geometric_gap(self.epsilon, &mut self.rng);
+        self.skip = self.gap.draw(&mut self.rng);
         self.flips += 1;
         !true_or
     }
@@ -316,7 +347,7 @@ impl SharedCountdown {
         while pos < rem {
             flips += 1;
             rem -= pos + 1;
-            pos = geometric_gap(self.epsilon, &mut self.rng);
+            pos = self.gap.draw(&mut self.rng);
         }
         self.skip = pos - rem;
         self.flips += flips;
@@ -346,13 +377,21 @@ impl SharedCountdown {
             }
             // The next flip lands on eligible round number `skip`: the
             // `skip` eligible rounds below it are clean.
-            for _ in 0..self.skip {
-                eligible &= eligible - 1;
-            }
-            let round = eligible & eligible.wrapping_neg();
+            let round = if matches!(self.flips_on, FlipsOn::Every) {
+                // Every live round is eligible, so `eligible` is one
+                // contiguous run and its `skip`-th round is `skip` above
+                // its lowest.
+                (eligible & eligible.wrapping_neg()) << self.skip
+            } else {
+                for _ in 0..self.skip {
+                    eligible &= eligible - 1;
+                }
+                eligible & eligible.wrapping_neg()
+            };
             flipped |= round;
-            eligible ^= round;
-            self.skip = geometric_gap(self.epsilon, &mut self.rng);
+            // The flip and every eligible round below it are spent.
+            eligible &= round.wrapping_neg() << 1;
+            self.skip = self.gap.draw(&mut self.rng);
         }
         self.flips += u64::from(flipped.count_ones());
         sent ^ flipped
@@ -568,7 +607,7 @@ impl StochasticChannel {
                 corrupted,
                 ..
             } => {
-                skipper.restart(self.n, self.model.epsilon(), &mut fresh);
+                skipper.restart(self.n, &mut fresh);
                 *rng = fresh;
                 *corrupted = 0;
             }
@@ -656,7 +695,7 @@ impl Channel for StochasticChannel {
                 force_dense,
                 corrupted,
             } => {
-                let bucket = skipper.advance(self.model.epsilon(), rng);
+                let bucket = skipper.advance(rng);
                 if !bucket.is_empty() {
                     *corrupted += 1;
                 }
@@ -708,7 +747,7 @@ impl Channel for StochasticChannel {
             } => {
                 heard.fill(sent & word_mask(len));
                 for k in 0..len {
-                    let bucket = skipper.advance(self.model.epsilon(), rng);
+                    let bucket = skipper.advance(rng);
                     if !bucket.is_empty() {
                         *corrupted += 1;
                     }
@@ -931,6 +970,33 @@ mod tests {
                     );
                 }
                 assert_eq!(reused.corrupted_rounds(), fresh.corrupted_rounds());
+            }
+        }
+    }
+
+    #[test]
+    fn near_noiseless_channels_deliver_cleanly() {
+        // 0 < ε ≤ 2⁻⁵⁴ rounds `1 − ε` to 1, whose log 0 would make every
+        // gap 0: the channel would flip every eligible round.
+        for epsilon in [1e-17, 2f64.powi(-54)] {
+            for model in [
+                NoiseModel::Correlated { epsilon },
+                NoiseModel::OneSidedZeroToOne { epsilon },
+                NoiseModel::OneSidedOneToZero { epsilon },
+                NoiseModel::Independent { epsilon },
+            ] {
+                let mut ch = StochasticChannel::new(5, model, 3);
+                for r in 0..10_000 {
+                    ch.transmit(r % 2 == 0);
+                }
+                let mut heard = [0u64; 5];
+                for w in 0..160u64 {
+                    let sent = w.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    ch.transmit_word(sent, 64, &mut heard);
+                    assert_eq!(heard, [sent; 5], "{model}");
+                }
+                assert_eq!(ch.rounds(), 20_240);
+                assert_eq!(ch.corrupted_rounds(), 0, "{model}");
             }
         }
     }

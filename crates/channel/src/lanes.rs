@@ -186,7 +186,6 @@ struct IndependentLaneNoise {
 #[derive(Debug)]
 pub struct IndependentLaneChannel {
     n: usize,
-    epsilon: f64,
     lanes: Vec<IndependentLaneNoise>,
     corrupted: Vec<u64>,
     /// Per-party flip words for the round most recently transmitted:
@@ -245,7 +244,6 @@ impl IndependentLaneChannel {
             .collect();
         Some(Self {
             n,
-            epsilon,
             lanes,
             corrupted: vec![0; seeds.len()],
             flip_words: vec![0; n],
@@ -289,7 +287,7 @@ impl IndependentLaneChannel {
         }
         self.touched.clear();
         for (lane, state) in self.lanes.iter_mut().enumerate() {
-            let bucket = state.skipper.advance(self.epsilon, &mut state.rng);
+            let bucket = state.skipper.advance(&mut state.rng);
             if bucket.is_empty() {
                 continue;
             }
@@ -324,7 +322,7 @@ impl IndependentLaneChannel {
     pub fn span_flips(&mut self, lane: usize, rounds: u64) -> &[(u32, u32)] {
         let state = &mut self.lanes[lane];
         for _ in 0..rounds {
-            let bucket = state.skipper.advance(self.epsilon, &mut state.rng);
+            let bucket = state.skipper.advance(&mut state.rng);
             if bucket.is_empty() {
                 continue;
             }

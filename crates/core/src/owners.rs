@@ -666,6 +666,27 @@ mod tests {
     }
 
     #[test]
+    fn near_noiseless_phase_finds_every_owner() {
+        // 0 < ε ≤ 2⁻⁵⁴ rounds `1 − ε` to 1; the channel must still flip
+        // (almost) never, so the phase must come out exact.
+        let mut rng = StdRng::seed_from_u64(0xD5);
+        let bits: Vec<Vec<bool>> = (0..8)
+            .map(|_| (0..8).map(|_| rng.gen_bool(0.3)).collect())
+            .collect();
+        for epsilon in [1e-17, 2f64.powi(-54)] {
+            for model in [
+                NoiseModel::Correlated { epsilon },
+                NoiseModel::OneSidedZeroToOne { epsilon },
+                NoiseModel::OneSidedOneToZero { epsilon },
+                NoiseModel::Independent { epsilon },
+            ] {
+                let out = run_owners_phase(&bits, model, 32, 7, 11);
+                assert!(out.valid_for(&bits), "{model}");
+            }
+        }
+    }
+
+    #[test]
     fn owners_phase_opens_one_span_per_call() {
         #[derive(Default)]
         struct Recording(std::sync::Mutex<Vec<&'static str>>);

@@ -305,7 +305,9 @@ fn load_codewords(code: &dyn SymbolCode, scratch: &mut SoaScratch) {
 /// order. The turn-holder sends the codeword of the smallest unclaimed
 /// 1-round it beeped in, else `Next`, one channel word (≤ 64 rounds) at
 /// a time. The heard word is decoded once, since every party hears the
-/// same one, and a claim lands in `scratch.claimed` /
+/// same one, with [`SymbolCode::decode_sent`]: knowing the sent symbol
+/// lets most decodes skip the full scan, with the scan's result. A claim
+/// lands in `scratch.claimed` /
 /// `scratch.chunk_owners`. Once every party has passed, the remaining
 /// iterations deliver silence.
 ///
@@ -366,7 +368,7 @@ fn owners_collapsed<S: SharedBits>(
             energy += limb.count_ones() as usize;
             heard.push_word(source.word(limb, rounds), rounds);
         }
-        let decoded = code.decode_packed(heard, metric);
+        let decoded = code.decode_sent(symbol, heard, metric);
         if decoded == next_symbol {
             turn += 1;
         } else if decoded < len {

@@ -15,6 +15,7 @@
 //! the caller's [`BitMetric`].
 
 use crate::bits::{BitMetric, PackedBits};
+use crate::table::CodeTable;
 use crate::SymbolCode;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -33,10 +34,8 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 /// ```
 #[derive(Debug, Clone)]
 pub struct ConstantWeightCode {
-    q: usize,
-    len: usize,
     weight: usize,
-    codewords: Vec<PackedBits>,
+    table: CodeTable,
 }
 
 impl ConstantWeightCode {
@@ -54,39 +53,25 @@ impl ConstantWeightCode {
             "weight must be in 1..len, got {weight} of {len}"
         );
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut codewords: Vec<PackedBits> = Vec::with_capacity(alphabet_size);
-        // Set-membership duplicate rejection: same draws and resulting
-        // code as the old O(q²) linear scan, minus the quadratic scans.
-        let mut seen = std::collections::BTreeSet::new();
-        let mut attempts = 0usize;
-        while codewords.len() < alphabet_size {
-            // Partial Fisher–Yates draw of a w-subset.
-            let mut positions: Vec<usize> = (0..len).collect();
-            for i in 0..weight {
-                let j = rng.gen_range(i..len);
-                positions.swap(i, j);
-            }
-            let mut bits = vec![false; len];
-            for &p in &positions[..weight] {
-                bits[p] = true;
-            }
-            let cw = PackedBits::from_bools(&bits);
-            if !seen.insert(cw.clone()) {
-                attempts += 1;
-                assert!(
-                    attempts < 10_000,
-                    "could not draw distinct supports; increase len or weight"
-                );
-                continue;
-            }
-            codewords.push(cw);
-        }
-        Self {
-            q: alphabet_size,
+        let table = CodeTable::draw(
+            alphabet_size,
             len,
-            weight,
-            codewords,
-        }
+            || {
+                // Partial Fisher–Yates draw of a w-subset.
+                let mut positions: Vec<usize> = (0..len).collect();
+                for i in 0..weight {
+                    let j = rng.gen_range(i..len);
+                    positions.swap(i, j);
+                }
+                let mut bits = vec![false; len];
+                for &p in &positions[..weight] {
+                    bits[p] = true;
+                }
+                PackedBits::from_bools(&bits)
+            },
+            "could not draw distinct supports; increase len or weight",
+        );
+        Self { weight, table }
     }
 
     /// The common Hamming weight of every codeword.
@@ -94,60 +79,42 @@ impl ConstantWeightCode {
         self.weight
     }
 
-    /// Largest pairwise support intersection (O(q²); for analysis).
+    /// Largest pairwise support intersection: `|A ∩ B| = w − d/2` for
+    /// equal-weight words, largest at the minimum distance `d` (O(q²)
+    /// on a fresh code; for analysis).
     pub fn max_support_overlap(&self) -> u32 {
-        let mut worst = 0;
-        for i in 0..self.q {
-            for j in (i + 1)..self.q {
-                let d = self.codewords[i].hamming(&self.codewords[j]);
-                // |A ∩ B| = w − d/2 for equal-weight words.
-                let overlap = self.weight as u32 - d / 2;
-                worst = worst.max(overlap);
-            }
-        }
-        worst
+        self.weight as u32 - self.table.min_distance() / 2
     }
 }
 
 impl SymbolCode for ConstantWeightCode {
     fn alphabet_size(&self) -> usize {
-        self.q
+        self.table.alphabet_size()
     }
 
     fn codeword_len(&self) -> usize {
-        self.len
+        self.table.codeword_len()
     }
 
     fn encode(&self, symbol: usize) -> Vec<bool> {
-        self.encode_packed(symbol).to_bools()
+        self.table.codeword(symbol).to_bools()
     }
 
     fn decode(&self, received: &[bool], metric: BitMetric) -> usize {
-        assert_eq!(received.len(), self.len, "wrong word length");
-        self.decode_packed(&PackedBits::from_bools(received), metric)
+        self.table
+            .decode_packed(&PackedBits::from_bools(received), metric)
     }
 
     fn encode_packed(&self, symbol: usize) -> PackedBits {
-        assert!(
-            symbol < self.q,
-            "symbol {symbol} outside alphabet of {}",
-            self.q
-        );
-        self.codewords[symbol].clone()
+        self.table.codeword(symbol).clone()
     }
 
     fn decode_packed(&self, received: &PackedBits, metric: BitMetric) -> usize {
-        assert_eq!(received.len(), self.len, "wrong word length");
-        let mut best = 0usize;
-        let mut best_cost = u64::MAX;
-        for (sym, cw) in self.codewords.iter().enumerate() {
-            let cost = metric.cost(cw, received);
-            if cost < best_cost {
-                best_cost = cost;
-                best = sym;
-            }
-        }
-        best
+        self.table.decode_packed(received, metric)
+    }
+
+    fn decode_sent(&self, sent: usize, received: &PackedBits, metric: BitMetric) -> usize {
+        self.table.decode_sent(sent, received, metric)
     }
 }
 

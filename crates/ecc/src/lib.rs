@@ -32,6 +32,15 @@
 //! the decoder switches to the Z-channel metric: codeword 1s can never have
 //! been erased.
 //!
+//! ## Certified decoding
+//!
+//! When the caller knows which symbol was sent, as the owners phase's
+//! collapsed engine does, [`SymbolCode::decode_sent`] returns the full
+//! scan's answer without running the scan whenever a distance
+//! certificate proves it. The random and constant-weight codes share the
+//! one codeword table that implements it; the full scan,
+//! [`SymbolCode::decode_packed`], stays the oracle.
+//!
 //! # Examples
 //!
 //! ```
@@ -55,6 +64,7 @@ pub mod hadamard;
 pub mod random_code;
 pub mod repetition;
 pub mod rs;
+mod table;
 
 pub use bits::BitMetric;
 pub use concat::ConcatenatedCode;
@@ -117,5 +127,33 @@ pub trait SymbolCode: std::fmt::Debug {
     /// Panics if `received.len() != self.codeword_len()`.
     fn decode_packed(&self, received: &bits::PackedBits, metric: BitMetric) -> usize {
         self.decode(&received.to_bools(), metric)
+    }
+
+    /// Decodes `received` when the caller knows it was sent as the
+    /// codeword of `sent` — the owners phase's case, where every party
+    /// hears the same word and the simulator knows what was sent.
+    ///
+    /// Returns exactly [`SymbolCode::decode_packed`]`(received,
+    /// metric)`: `sent` only lets a code skip its scan when it can prove
+    /// the scan's answer. The default decodes in full. The random and
+    /// constant-weight codes return `sent` outright when
+    /// `c₀ + k < r`, where `k` is the Hamming distance from `sent`'s
+    /// codeword to `received`, `c₀` its `metric` cost and `r` the
+    /// distance from that codeword to its nearest other one (computed on
+    /// the symbol's first such decode and kept in the code). That is
+    /// exact: every metric's cost is at least the Hamming distance, so
+    /// every other codeword costs at least `r − k > c₀`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sent >= self.alphabet_size()` or
+    /// `received.len() != self.codeword_len()`.
+    fn decode_sent(&self, sent: usize, received: &bits::PackedBits, metric: BitMetric) -> usize {
+        assert!(
+            sent < self.alphabet_size(),
+            "symbol {sent} outside alphabet of {}",
+            self.alphabet_size()
+        );
+        self.decode_packed(received, metric)
     }
 }

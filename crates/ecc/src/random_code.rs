@@ -6,6 +6,7 @@
 //! paper's `ε = 1/3` noise rate.
 
 use crate::bits::{BitMetric, PackedBits};
+use crate::table::CodeTable;
 use crate::SymbolCode;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -28,9 +29,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 /// ```
 #[derive(Debug, Clone)]
 pub struct RandomCode {
-    q: usize,
-    len: usize,
-    codewords: Vec<PackedBits>,
+    table: CodeTable,
 }
 
 impl RandomCode {
@@ -66,84 +65,54 @@ impl RandomCode {
             "alphabet does not fit at this codeword length"
         );
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut codewords: Vec<PackedBits> = Vec::with_capacity(alphabet_size);
-        // Duplicate rejection via set membership: the draws (and therefore
-        // the resulting code) are identical to the old O(q²) linear scan,
-        // construction is just O(q log q) comparisons instead.
-        let mut seen = std::collections::BTreeSet::new();
-        let mut attempts = 0usize;
-        while codewords.len() < alphabet_size {
-            let bits_vec: Vec<bool> = (0..len).map(|_| rng.gen_bool(0.5)).collect();
-            let cw = PackedBits::from_bools(&bits_vec);
-            if !seen.insert(cw.clone()) {
-                attempts += 1;
-                assert!(
-                    attempts < 10_000,
-                    "could not draw distinct codewords; increase expansion"
-                );
-                continue;
-            }
-            codewords.push(cw);
-        }
-        Self {
-            q: alphabet_size,
+        let table = CodeTable::draw(
+            alphabet_size,
             len,
-            codewords,
-        }
+            || {
+                let bits: Vec<bool> = (0..len).map(|_| rng.gen_bool(0.5)).collect();
+                PackedBits::from_bools(&bits)
+            },
+            "could not draw distinct codewords; increase expansion",
+        );
+        Self { table }
     }
 
-    /// Minimum pairwise Hamming distance of the code (O(q²) scan; intended
-    /// for tests and experiment reporting, not hot paths).
+    /// Minimum pairwise Hamming distance of the code: the least of the
+    /// codewords' radii (see [`SymbolCode::decode_sent`]), computing
+    /// the ones no decode has needed yet — O(q²) on a fresh code.
     pub fn min_distance(&self) -> u32 {
-        let mut best = u32::MAX;
-        for i in 0..self.q {
-            for j in (i + 1)..self.q {
-                best = best.min(self.codewords[i].hamming(&self.codewords[j]));
-            }
-        }
-        best
+        self.table.min_distance()
     }
 }
 
 impl SymbolCode for RandomCode {
     fn alphabet_size(&self) -> usize {
-        self.q
+        self.table.alphabet_size()
     }
 
     fn codeword_len(&self) -> usize {
-        self.len
+        self.table.codeword_len()
     }
 
     fn encode(&self, symbol: usize) -> Vec<bool> {
-        self.encode_packed(symbol).to_bools()
+        self.table.codeword(symbol).to_bools()
     }
 
     fn decode(&self, received: &[bool], metric: BitMetric) -> usize {
-        assert_eq!(received.len(), self.len, "wrong word length");
-        self.decode_packed(&PackedBits::from_bools(received), metric)
+        self.table
+            .decode_packed(&PackedBits::from_bools(received), metric)
     }
 
     fn encode_packed(&self, symbol: usize) -> PackedBits {
-        assert!(
-            symbol < self.q,
-            "symbol {symbol} outside alphabet of {}",
-            self.q
-        );
-        self.codewords[symbol].clone()
+        self.table.codeword(symbol).clone()
     }
 
     fn decode_packed(&self, received: &PackedBits, metric: BitMetric) -> usize {
-        assert_eq!(received.len(), self.len, "wrong word length");
-        let mut best = 0usize;
-        let mut best_cost = u64::MAX;
-        for (sym, cw) in self.codewords.iter().enumerate() {
-            let cost = metric.cost(cw, received);
-            if cost < best_cost {
-                best_cost = cost;
-                best = sym;
-            }
-        }
-        best
+        self.table.decode_packed(received, metric)
+    }
+
+    fn decode_sent(&self, sent: usize, received: &PackedBits, metric: BitMetric) -> usize {
+        self.table.decode_sent(sent, received, metric)
     }
 }
 

@@ -2,11 +2,55 @@
 //! for *arbitrary* error patterns within the design radius, not just the
 //! hand-picked ones in the unit tests.
 
+use beeps_ecc::bits::PackedBits;
 use beeps_ecc::{
-    BitMetric, ConcatenatedCode, GfField, Hadamard, RandomCode, ReedSolomon, RepetitionCode,
-    SymbolCode,
+    BitMetric, ConcatenatedCode, ConstantWeightCode, GfField, Hadamard, RandomCode, ReedSolomon,
+    RepetitionCode, SymbolCode,
 };
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
+
+/// Shuffles `items` in place (Fisher–Yates).
+fn shuffle(items: &mut [usize], rng: &mut StdRng) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.gen_range(0..=i));
+    }
+}
+
+/// The words a certified decode of `sent` is checked on: `c ⊕ e` for
+/// one random error `e` of every weight 0..=len; every step of two
+/// walks from `c` to `toward` (its nearest neighbour), one changing
+/// `c`'s 0s first and one its 1s first, so each metric's boundary
+/// `c₀ + k = r` lies on a walk; and words far from every codeword
+/// (random words and the complement of `c`).
+fn certificate_words(c: &[bool], toward: &[bool], rng: &mut StdRng) -> Vec<Vec<bool>> {
+    let len = c.len();
+    let mut words = Vec::new();
+    let mut positions: Vec<usize> = (0..len).collect();
+    for weight in 0..=len {
+        shuffle(&mut positions, rng);
+        let mut y = c.to_vec();
+        for &p in &positions[..weight] {
+            y[p] = !y[p];
+        }
+        words.push(y);
+    }
+    for zeros_first in [true, false] {
+        let mut diff: Vec<usize> = (0..len).filter(|&i| c[i] != toward[i]).collect();
+        shuffle(&mut diff, rng);
+        diff.sort_by_key(|&i| c[i] == zeros_first);
+        let mut y = c.to_vec();
+        for &p in &diff {
+            y[p] = toward[p];
+            words.push(y.clone());
+        }
+    }
+    for _ in 0..4 {
+        words.push((0..len).map(|_| rng.gen_bool(0.5)).collect());
+    }
+    words.push(c.iter().map(|&b| !b).collect());
+    words
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -157,6 +201,53 @@ proptest! {
         );
         if a != 0 {
             prop_assert_eq!(f.mul(a, f.inv(a)), 1);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The certified decode returns exactly the full scan's symbol, for
+    /// both table codes under every metric, at q ∈ {2, 3, 17, 65} and
+    /// code lengths around the limb boundaries, on the words of
+    /// [`certificate_words`]. Under Hamming an even radius puts the
+    /// boundary word, a tie with the nearest neighbour, on both walks.
+    #[test]
+    fn certified_decode_matches_full_scan(
+        q_index in 0usize..4,
+        len_index in 0usize..5,
+        constant_weight in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let q = [2usize, 3, 17, 65][q_index];
+        let len = [8usize, 63, 64, 65, 130][len_index];
+        let code: Box<dyn SymbolCode> = if constant_weight {
+            // Every weight in 2..=len-2 has enough supports for q = 65
+            // once len ≥ 63; at len 8 only weight 4 does.
+            let weight = if len == 8 { 4 } else { 2 + (seed % (len as u64 - 3)) as usize };
+            Box::new(ConstantWeightCode::new(q, len, weight, seed))
+        } else {
+            Box::new(RandomCode::with_length(q, len, seed))
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sent = rng.gen_range(0..q);
+        let c = code.encode(sent);
+        let distance = |t: usize| code.encode(t).iter().zip(&c).filter(|(a, b)| a != b).count();
+        let nearest = (0..q)
+            .filter(|&t| t != sent)
+            .min_by_key(|&t| distance(t))
+            .expect("q ≥ 2");
+        for y in certificate_words(&c, &code.encode(nearest), &mut rng) {
+            let y = PackedBits::from_bools(&y);
+            for metric in [BitMetric::Hamming, BitMetric::ZUp, BitMetric::ZDown] {
+                prop_assert_eq!(
+                    code.decode_sent(sent, &y, metric),
+                    code.decode_packed(&y, metric),
+                    "q={} len={} constant_weight={} sent={} {:?}",
+                    q, len, constant_weight, sent, metric
+                );
+            }
         }
     }
 }
