@@ -2,26 +2,20 @@
 //! executor/channel/metrics stack so perf regressions are visible in a
 //! diff, not just in vibes.
 //!
-//! Measures three layers of the stack:
+//! Measures four layers of the stack:
 //!
 //! * raw [`StochasticChannel::transmit`] throughput per noise model
 //!   (the per-round sampling cost each Monte Carlo sweep pays);
 //! * [`Executor::run`] / [`Executor::run_with_metrics`] round throughput
 //!   under `Independent` and `Correlated` noise (the inner loop of every
 //!   experiment binary);
-//! * the bit-sliced lane engine (`executor.lanes.*`): the same striding
-//!   workload through [`LaneExecutor`], 64 trial-lanes per word — under
-//!   shared noise and, via [`IndependentLaneChannel`], under
-//!   independent noise (`executor.lanes.independent`) — with ops
-//!   counted per *trial-round* so the numbers are directly comparable
-//!   to the scalar `executor.run.*` rows;
-//! * one full scheme per family end to end, plus the batch path of
-//!   every lane-sliced scheme (`scheme.repetition.n64.batch`,
-//!   `scheme.rewind.batch`, `scheme.hierarchical.batch`,
-//!   `scheme.one_to_zero.batch`) driving `simulate_batch` over one full
-//!   64-seed lane group against scalar per-party twins on the same
-//!   workload, and the collapsed repetition engine
-//!   (`scheme.repetition.soa`) against the same twin;
+//! * every scheme end to end, twice on the same seeds and workload:
+//!   through the per-party engines (`simulate_over` over an explicit
+//!   channel, the oracle: `scheme.repetition.n64`, `scheme.rewind`,
+//!   `scheme.hierarchical`, `scheme.one_to_zero`,
+//!   `scheme.owned_rounds`) and through the collapsed engine that
+//!   `simulate` routes shared noise to (`simulate_with_scratch` with one
+//!   reused [`SoaScratch`], the matching `scheme.*.soa` rows);
 //! * the cross-trial layer: skewed Monte Carlo fan-out through the
 //!   [`TrialRunner`] scratch arenas (`runner.skewed`), the shared
 //!   owners-code table cache (`code_cache`), and the packed
@@ -35,15 +29,15 @@
 //! paying measurement-grade iteration counts.
 //!
 //! Independently of `--baseline`, the output always carries a flat
-//! `"lanes"` object pairing each lane-sliced benchmark with its scalar
-//! twin *from the same run* — `{scalar name: scalar ns ÷ lane ns}` —
-//! which `scripts/bench_compare.sh` gates at ≥ 4× in full mode, and a
-//! flat `"soa"` object doing the same for the scaling pairs
-//! (`party.soa.*` collapsed-vs-scalar, `channel.sparse.*`
-//! sparse-vs-dense), gated at ≥ 3×. The `scheme.rewind.n1e5` row pins
-//! the collapsed engine's wall-clock at fig_scale's scale regime. The
-//! `config` block records the host's core count and `BEEPS_THREADS` so
-//! the comparison script can flag cross-hardware baselines.
+//! `"soa"` object pairing each fast path with its slow twin *from the
+//! same run* — `{slow name: slow ns ÷ fast ns}` — for every collapsed
+//! scheme engine against its per-party twin, the collapsed rewind
+//! engine at n = 10^4 (`party.soa.*`) and the sparse channel against
+//! the dense one (`channel.sparse.*`); `scripts/bench_compare.sh`
+//! gates each ratio at ≥ 3× in full mode. The `scheme.rewind.n1e5` row
+//! pins the collapsed engine's wall-clock at fig_scale's scale regime.
+//! The `config` block records the host's core count and `BEEPS_THREADS`
+//! so the comparison script can flag cross-hardware baselines.
 //!
 //! Timing uses the sanctioned [`Stopwatch`] wrapper; everything else in
 //! the harness is seed-deterministic, so two runs measure the same work.
@@ -51,13 +45,10 @@
 use std::path::PathBuf;
 
 use beeps_bench::{Json, Observation, TrialRunner};
-use beeps_channel::{
-    Channel, Executor, IndependentLaneChannel, LaneChannel, LaneExecutor, LaneParty, NoiseModel,
-    Party, StochasticChannel, LANES,
-};
+use beeps_channel::{Channel, Executor, NoiseModel, Party, StochasticChannel};
 use beeps_core::{
-    CodeCache, HierarchicalSimulator, OneToZeroSimulator, RepetitionSimulator, RewindSimulator,
-    SimulatorConfig, SoaScratch,
+    CodeCache, HierarchicalSimulator, OneToZeroSimulator, OwnedRoundsSimulator,
+    RepetitionSimulator, RewindSimulator, SimulatorConfig, SoaScratch,
 };
 use beeps_ecc::{BitMetric, RandomCode, SymbolCode};
 use beeps_metrics::{MetricsRegistry, Stopwatch};
@@ -69,12 +60,9 @@ const PARTIES: usize = 64;
 const EPS: f64 = 0.05;
 /// Noise rate for the *independent-noise executor* rows: the sparse
 /// regime the per-party flip calendar targets (fig_scale sweeps ε down
-/// to 10^-5). Under independent noise each trial's flip sampling is
-/// irreducible — bitwise fidelity pins one RNG stream per trial — so at
-/// dense ε sampling dominates both sides and word-slicing cannot pay;
-/// the pinned pair measures the regime the engine exists for. Dense
-/// independent *sampling* throughput stays pinned by
-/// `noise.independent` (at [`EPS`]).
+/// to 10^-5), where the rows measure the executor's round loop rather
+/// than flip sampling. Dense independent *sampling* throughput stays
+/// pinned by `noise.independent` (at [`EPS`]).
 const INDEP_EPS: f64 = 1e-3;
 
 struct Args {
@@ -168,66 +156,26 @@ fn striders(n: usize) -> Vec<Strider> {
         .collect()
 }
 
-/// Lane-sliced benchmarks paired with their scalar twins: the `"lanes"`
-/// section of the output reports `scalar ns_per_op ÷ lane ns_per_op`
-/// under each scalar name. Both sides count ops per trial-round
-/// (executor rows) or per trial (scheme rows), so the ratio is the
-/// honest per-trial speedup of the bit-sliced path.
-const LANE_PAIRS: [(&str, &str); 6] = [
-    ("executor.run.correlated", "executor.lanes.correlated"),
-    ("executor.run.independent", "executor.lanes.independent"),
-    ("scheme.repetition.n64", "scheme.repetition.n64.batch"),
-    ("scheme.rewind", "scheme.rewind.batch"),
-    ("scheme.hierarchical", "scheme.hierarchical.batch"),
-    ("scheme.one_to_zero", "scheme.one_to_zero.batch"),
-];
-
-/// Scaling benchmarks paired with their pre-scaling twins: the `"soa"`
-/// section reports `slow ns_per_op ÷ fast ns_per_op` under the slow
-/// (baseline) name, and `scripts/bench_compare.sh` gates each ratio at
-/// ≥ 3× in full mode. Per-party round ops on the soa pair and transmit
-/// ops on the channel pair keep both ratios honest per-unit-of-work.
-const SOA_PAIRS: [(&str, &str); 3] = [
+/// Fast paths paired with their slow twins: the `"soa"` section
+/// reports `slow ns_per_op ÷ fast ns_per_op` under the slow (baseline)
+/// name, and `scripts/bench_compare.sh` gates each ratio at ≥ 3× in
+/// full mode. Both sides of a pair count the same ops — shared channel
+/// rounds on the `party.soa` pair, transmits on the channel pair,
+/// trials on the scheme pairs — so every ratio is per unit of work.
+/// The scheme pairs cover every engine `simulate` routes shared noise
+/// to, each against the per-party oracle on the same seeds.
+const SOA_PAIRS: [(&str, &str); 7] = [
     ("party.soa.scalar.n1e4", "party.soa.collapsed.n1e4"),
     (
         "channel.dense.transmit.n1e4",
         "channel.sparse.transmit.n1e4",
     ),
     ("scheme.repetition.n64", "scheme.repetition.soa"),
+    ("scheme.rewind", "scheme.rewind.soa"),
+    ("scheme.hierarchical", "scheme.hierarchical.soa"),
+    ("scheme.one_to_zero", "scheme.one_to_zero.soa"),
+    ("scheme.owned_rounds", "scheme.owned_rounds.soa"),
 ];
-
-/// The word-level [`Strider`]: same stride schedule, but beeping on all
-/// 64 trial-lanes of the word at once.
-struct WordStrider {
-    stride: usize,
-    round: usize,
-    last: u64,
-}
-
-impl LaneParty for WordStrider {
-    fn beep_word(&mut self) -> u64 {
-        if self.round.is_multiple_of(self.stride) {
-            u64::MAX
-        } else {
-            0
-        }
-    }
-
-    fn hear_word(&mut self, heard: u64) {
-        self.round += 1;
-        self.last = heard;
-    }
-}
-
-fn word_striders(n: usize) -> Vec<WordStrider> {
-    (0..n)
-        .map(|i| WordStrider {
-            stride: 2 + (i % 7),
-            round: 0,
-            last: 0,
-        })
-        .collect()
-}
 
 /// One measurement: runs `work` (which reports how many operations it
 /// performed) `iters` times and keeps the fastest iteration.
@@ -357,45 +305,6 @@ fn executor_benches(suite: &mut Suite) {
     });
 }
 
-fn lane_benches(suite: &mut Suite) {
-    // The word-level twin of executor.run.*: the same PARTIES striders,
-    // but every word round advances 64 trials at once. Ops count
-    // trial-rounds (rounds × LANES), so ns/op here and ns/op on the
-    // scalar rows measure the same unit of work.
-    let rounds = suite.args.rounds;
-    let seeds: Vec<u64> = (0..LANES as u64).map(|l| 7 + l).collect();
-    let models: [(&str, NoiseModel); 2] = [
-        ("executor.lanes.noiseless", NoiseModel::Noiseless),
-        (
-            "executor.lanes.correlated",
-            NoiseModel::Correlated { epsilon: EPS },
-        ),
-    ];
-    for (name, model) in models {
-        suite.bench(name, || {
-            let mut parties = word_striders(PARTIES);
-            let mut ch = LaneChannel::shared(model, &seeds).expect("shared model");
-            let stats = LaneExecutor::run(&mut parties, &mut ch, rounds);
-            std::hint::black_box(stats.energy);
-            rounds * LANES
-        });
-    }
-
-    // The independent-noise twin of executor.run.independent: the same
-    // striders, but 64 trials per word over the per-party×per-lane flip
-    // calendar. Ops again count trial-rounds, so the lane gate compares
-    // like with like.
-    suite.bench("executor.lanes.independent", || {
-        let mut parties = word_striders(PARTIES);
-        let model = NoiseModel::Independent { epsilon: INDEP_EPS };
-        let mut ch =
-            IndependentLaneChannel::new(PARTIES, model, &seeds).expect("independent model");
-        let stats = LaneExecutor::run_independent(&mut parties, &mut ch, rounds);
-        std::hint::black_box(stats.energy);
-        rounds * LANES
-    });
-}
-
 fn scheme_benches(suite: &mut Suite) {
     let n = 8usize;
     let trials = suite.args.scheme_trials;
@@ -405,13 +314,7 @@ fn scheme_benches(suite: &mut Suite) {
     let down = NoiseModel::OneSidedOneToZero { epsilon: 1.0 / 3.0 };
     let config = SimulatorConfig::builder(n).model(two).build();
 
-    // The batch benches push one full lane group (64 seeds) through
-    // simulate_batch; per-trial ops keep them comparable to the scalar
-    // per-seed loops above. --smoke shrinks the group, which is fine:
-    // smoke numbers are plumbing checks, not measurements.
-    let batch_seeds: Vec<u64> = (0..if suite.args.smoke { 8 } else { LANES } as u64).collect();
-
-    let rep = RepetitionSimulator::new(&protocol, config.clone());
+    let rep = RepetitionSimulator::new(&protocol, config);
     suite.bench("scheme.repetition", || {
         for seed in 0..trials as u64 {
             let out = rep.simulate(&inputs, two, seed).expect("fixed length");
@@ -420,111 +323,101 @@ fn scheme_benches(suite: &mut Suite) {
         trials
     });
 
-    // The repetition lane pair runs RollCall at n = 64 — cheap beeps
-    // and allocation-free outputs, so the pair measures the simulation
-    // harness rather than per-trial protocol-output construction, and
-    // the n-scaling regime where the lane engine's payoff lives. The
-    // scalar twin drives an explicit channel through `simulate_over`
-    // (the per-party engine): the `simulate` front door now routes
-    // shared noise through the collapsed engine, and both gates on this
-    // row — lanes (batch) and soa (collapsed) — measure their speedup
-    // over the per-party path they replace.
+    // Every pair below runs one scheme twice over the same seeds: the
+    // per-party twin drives an explicit channel through `simulate_over`
+    // (the oracle engine), the `.soa` row runs `simulate_with_scratch`
+    // with one reused scratch (the collapsed engine `simulate` routes
+    // shared noise to). Each workload is sized so that the per-party
+    // work the collapsed engine removes dominates the twin.
+    macro_rules! soa_pair {
+        ($slow:literal, $fast:literal, $sim:expr, $n:expr, $inputs:expr, $model:expr) => {{
+            let (sim, n, inputs, model) = (&$sim, $n, $inputs, $model);
+            suite.bench($slow, || {
+                for seed in 0..trials as u64 {
+                    let mut ch = StochasticChannel::new(n, model, seed);
+                    let out = sim.simulate_over(inputs, model, &mut ch);
+                    std::hint::black_box(out.ok().map_or(0, |o| o.stats().energy));
+                }
+                trials
+            });
+            let mut scratch = SoaScratch::default();
+            suite.bench($fast, || {
+                for seed in 0..trials as u64 {
+                    let out = sim.simulate_with_scratch(inputs, model, seed, &mut scratch);
+                    std::hint::black_box(out.ok().map_or(0, |o| o.stats().energy));
+                }
+                trials
+            });
+        }};
+    }
+
+    // Repetition and owned rounds run RollCall at n = 64: cheap beeps
+    // and allocation-free outputs, so the pairs measure the simulation
+    // rather than per-trial protocol-output construction.
     let wide = 64usize;
     let wide_protocol = RollCall::new(wide);
     let wide_inputs: Vec<bool> = (0..wide).map(|i| i % 3 != 0).collect();
     let wide_config = SimulatorConfig::builder(wide).model(two).build();
-    let wide_rep = RepetitionSimulator::new(&wide_protocol, wide_config);
-    suite.bench("scheme.repetition.n64", || {
-        for seed in 0..trials as u64 {
-            let mut ch = StochasticChannel::new(wide, two, seed);
-            let out = wide_rep
-                .simulate_over(&wide_inputs, two, &mut ch)
-                .expect("fixed length");
-            std::hint::black_box(out.stats().energy);
-        }
-        trials
-    });
-    let mut rep_scratch = SoaScratch::default();
-    suite.bench("scheme.repetition.soa", || {
-        for seed in 0..trials as u64 {
-            let out = wide_rep
-                .simulate_with_scratch(&wide_inputs, two, seed, &mut rep_scratch)
-                .expect("fixed length");
-            std::hint::black_box(out.stats().energy);
-        }
-        trials
-    });
-    suite.bench("scheme.repetition.n64.batch", || {
-        let outs = wide_rep.simulate_batch(&wide_inputs, two, &batch_seeds);
-        for out in outs {
-            std::hint::black_box(out.expect("fixed length").stats().energy);
-        }
-        batch_seeds.len()
-    });
-    // The rewind scalar twin drives an explicit channel through
-    // `simulate_over`, which is pinned to the per-party engine: the
-    // `simulate` front door now routes shared-noise models through the
-    // collapsed engine, and the lane gate's job is to keep the
-    // bit-sliced batch path ≥ 4× the *per-party* path it slices.
-    // The collapsed front door is pinned separately (`party.soa.*`).
-    let rew = RewindSimulator::new(&protocol, config.clone());
-    suite.bench("scheme.rewind", || {
-        for seed in 0..trials as u64 {
-            let mut ch = StochasticChannel::new(n, two, seed);
-            let out = rew.simulate_over(&inputs, two, &mut ch);
-            std::hint::black_box(out.ok().map_or(0, |o| o.stats().energy));
-        }
-        trials
-    });
-    suite.bench("scheme.rewind.batch", || {
-        let outs = rew.simulate_batch(&inputs, two, &batch_seeds);
-        for out in outs {
-            std::hint::black_box(out.ok().map_or(0, |o| o.stats().energy));
-        }
-        batch_seeds.len()
-    });
-    // Hierarchical and one-to-zero follow the rewind pattern: scalar
-    // twin through the per-party `simulate_over`, batch through the
-    // lane-sliced `simulate_batch` over the same seeds.
-    let hier = HierarchicalSimulator::new(&protocol, config);
-    suite.bench("scheme.hierarchical", || {
-        for seed in 0..trials as u64 {
-            let mut ch = StochasticChannel::new(n, two, seed);
-            let out = hier.simulate_over(&inputs, two, &mut ch);
-            std::hint::black_box(out.ok().map_or(0, |o| o.stats().energy));
-        }
-        trials
-    });
-    suite.bench("scheme.hierarchical.batch", || {
-        let outs = hier.simulate_batch(&inputs, two, &batch_seeds);
-        for out in outs {
-            std::hint::black_box(out.ok().map_or(0, |o| o.stats().energy));
-        }
-        batch_seeds.len()
-    });
-    // The one-to-zero pair runs at n = 16: under its dense ε = 1/3
-    // erasure noise the span sampler advances only ~3 rounds per flip,
-    // so the lane engine's edge is the per-party work it removes — n
-    // must be wide enough that the twin's cost is party-dominated.
+    let wide_rep = RepetitionSimulator::new(&wide_protocol, wide_config.clone());
+    soa_pair!(
+        "scheme.repetition.n64",
+        "scheme.repetition.soa",
+        wide_rep,
+        wide,
+        &wide_inputs,
+        two
+    );
+    let owned = OwnedRoundsSimulator::new(&wide_protocol, wide_config);
+    soa_pair!(
+        "scheme.owned_rounds",
+        "scheme.owned_rounds.soa",
+        owned,
+        wide,
+        &wide_inputs,
+        two
+    );
+
+    // Rewind and hierarchical run InputSet at n = 32, where the
+    // per-party owners and verify work the collapsed engine removes
+    // dominates: on a 2-core host these pairs read 9–16×, against
+    // 3.3–4.2× at n = 8, too close to the 3× floor.
+    let mid = 32usize;
+    let mid_protocol = InputSet::new(mid);
+    let mid_inputs: Vec<usize> = (0..mid).map(|i| (5 * i + 3) % (2 * mid)).collect();
+    let mid_config = SimulatorConfig::builder(mid).model(two).build();
+    let rew = RewindSimulator::new(&mid_protocol, mid_config.clone());
+    soa_pair!(
+        "scheme.rewind",
+        "scheme.rewind.soa",
+        rew,
+        mid,
+        &mid_inputs,
+        two
+    );
+    let hier = HierarchicalSimulator::new(&mid_protocol, mid_config);
+    soa_pair!(
+        "scheme.hierarchical",
+        "scheme.hierarchical.soa",
+        hier,
+        mid,
+        &mid_inputs,
+        two
+    );
+
+    // One-to-zero runs at n = 16 under its dense ε = 1/3 erasure noise:
+    // wide enough that the twin's cost is party-dominated.
     let z_n = 16usize;
     let z_protocol = InputSet::new(z_n);
     let z_inputs: Vec<usize> = (0..z_n).map(|i| (5 * i + 3) % (2 * z_n)).collect();
     let z = OneToZeroSimulator::new(&z_protocol, 2, 32.0);
-    suite.bench("scheme.one_to_zero", || {
-        for seed in 0..trials as u64 {
-            let mut ch = StochasticChannel::new(z_n, down, seed);
-            let out = z.simulate_over(&z_inputs, down, &mut ch);
-            std::hint::black_box(out.ok().map_or(0, |o| o.stats().energy));
-        }
-        trials
-    });
-    suite.bench("scheme.one_to_zero.batch", || {
-        let outs = z.simulate_batch(&z_inputs, down, &batch_seeds);
-        for out in outs {
-            std::hint::black_box(out.ok().map_or(0, |o| o.stats().energy));
-        }
-        batch_seeds.len()
-    });
+    soa_pair!(
+        "scheme.one_to_zero",
+        "scheme.one_to_zero.soa",
+        z,
+        z_n,
+        &z_inputs,
+        down
+    );
 }
 
 fn soa_benches(suite: &mut Suite) {
@@ -608,36 +501,6 @@ fn soa_benches(suite: &mut Suite) {
         consume(&mut ch, rounds)
     });
 
-    // --- channel.lanes.sparse.n1e4: the same light independent noise
-    // at n = 10^4 through the lane channel's span sampler, consumed the
-    // way the independent-noise repetition engine consumes it: spans of
-    // 8 rounds per lane, reading back only the flipped parties. Ops
-    // count trial-rounds (rounds × LANES) so the row is comparable to
-    // the per-round scalar rows above. The channel is built once —
-    // seeding 64 flip calendars over 10^4 parties costs ~100 ms, which
-    // would otherwise swamp the sampling cost this row pins. Pinned by
-    // the regression tolerance but deliberately not ratio-gated: span
-    // sampling's steady state is at parity with the scalar sparse path
-    // (both are O(flips) off the same calendar); the lane wins live in
-    // the scheme rows, where spans replace per-party work.
-    let lane_seeds: Vec<u64> = (0..LANES as u64).map(|l| 0x5BA + l).collect();
-    let span = 8usize;
-    let spans = rounds / span;
-    let mut lane_ch =
-        IndependentLaneChannel::new(n, light, &lane_seeds).expect("independent model");
-    suite.bench("channel.lanes.sparse.n1e4", || {
-        let mut sink = 0usize;
-        for _ in 0..spans {
-            for lane in 0..LANES {
-                for &(party, flips) in lane_ch.span_flips(lane, span as u64) {
-                    sink += party as usize + flips as usize;
-                }
-            }
-        }
-        std::hint::black_box(sink);
-        spans * span * LANES
-    });
-
     // --- scheme.rewind.n1e5: the collapsed engine end to end at
     // n = 10^5 (10^3 in smoke) — the scale regime fig_scale sweeps,
     // pinned here so a wall-clock regression at large n shows up in
@@ -701,29 +564,11 @@ fn crosstrial_benches(suite: &mut Suite) {
         trials
     });
 
-    // --- runner.batch: the TrialRunner's lane-group dispatch — dynamic
-    // chunks claimed as 64-seed groups and pushed through
-    // simulate_batch, merged in trial-index order. Pins the end-to-end
-    // Monte Carlo fan-out an experiment binary pays per sweep point.
-    let batch_trials = if suite.args.smoke { 8 } else { 192 };
-    let n = 8usize;
-    let protocol = InputSet::new(n);
-    let inputs: Vec<usize> = (0..n).map(|i| (5 * i + 3) % (2 * n)).collect();
-    let two = NoiseModel::Correlated { epsilon: 0.1 };
-    let config = SimulatorConfig::builder(n).model(two).build();
-    let rep = RepetitionSimulator::new(&protocol, config);
-    let runner = suite.runner(4);
-    suite.bench("runner.batch", || {
-        let outs = runner.run_simulations(0xBA7C, batch_trials, &rep, &inputs, two);
-        let ok = outs.iter().filter(|r| r.is_ok()).count();
-        std::hint::black_box(ok);
-        batch_trials
-    });
-
     // --- code_cache: the owners-phase code table an experiment's config
     // describes, requested once per trial (as the rewind/hierarchical
     // simulators do per simulate() call).
     let builds = (suite.args.rounds / 2_000).max(2);
+    let two = NoiseModel::Correlated { epsilon: 0.1 };
     suite.bench("code_cache", || {
         // One cache per experiment run: the first request builds the
         // table, every later trial gets the shared Arc back.
@@ -808,7 +653,7 @@ pub fn main() {
     }
     let observation = Observation::from_args("bench_hotpaths", 0xBEE5, &obs_args);
     // Instrumented code outside the TrialRunner (direct Executor /
-    // simulate_batch benches) reports through the ambient install.
+    // scheme benches) reports through the ambient install.
     let ambient = observation.install_ambient();
     let mut suite = Suite {
         args,
@@ -818,7 +663,6 @@ pub fn main() {
 
     channel_benches(&mut suite);
     executor_benches(&mut suite);
-    lane_benches(&mut suite);
     scheme_benches(&mut suite);
     soa_benches(&mut suite);
     crosstrial_benches(&mut suite);
@@ -852,8 +696,6 @@ pub fn main() {
     root.set("config", cfg);
     root.set("results", results);
 
-    // Lane-vs-scalar ratios from this run (independent of --baseline):
-    // keyed by the scalar benchmark name, gated by bench_compare.sh.
     let ns_of = |name: &str| {
         suite
             .results
@@ -861,22 +703,13 @@ pub fn main() {
             .find(|(n, _, _)| n == name)
             .map(|&(_, ns, _)| ns)
     };
-    let mut lanes = Json::object();
-    println!();
-    for (scalar, lane) in LANE_PAIRS {
-        if let (Some(s), Some(l)) = (ns_of(scalar), ns_of(lane)) {
-            if l > 0.0 {
-                lanes.set(scalar, s / l);
-                println!("{scalar:<40} lanes {:>8.2}x", s / l);
-            }
-        }
-    }
-    root.set("lanes", lanes);
 
-    // Scaling ratios from this run — the collapsed engine and the
-    // sparse channel against their pre-scaling twins, keyed by the slow
-    // twin's name; bench_compare.sh gates these at >= 3x in full mode.
+    // Fast-vs-slow ratios from this run (independent of --baseline):
+    // the collapsed engines and the sparse channel against their twins,
+    // keyed by the slow twin's name; bench_compare.sh gates these at
+    // >= 3x in full mode.
     let mut soa = Json::object();
+    println!();
     for (slow, fast) in SOA_PAIRS {
         if let (Some(s), Some(f)) = (ns_of(slow), ns_of(fast)) {
             if f > 0.0 {

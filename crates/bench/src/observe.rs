@@ -193,8 +193,8 @@ impl Observation {
 
     /// Ambiently installs the observer stack on the calling thread (as
     /// the main worker) until the guard drops — for instrumented code
-    /// invoked outside a [`TrialRunner`], e.g. direct `simulate_batch`
-    /// calls. `None` when nothing is active.
+    /// invoked outside a [`TrialRunner`], e.g. direct `simulate` calls.
+    /// `None` when nothing is active.
     #[must_use]
     pub fn install_ambient(&self) -> Option<beeps_observe::InstallGuard> {
         self.observer()

@@ -25,17 +25,15 @@
 //! variable, and finally [`std::thread::available_parallelism`].
 //!
 //! An [`Observer`] attached via [`TrialRunner::with_observer`] receives
-//! run / chunk / lane-group lifecycle hooks and is ambiently installed
-//! on every worker (so deep instrumentation points — the executor's
-//! transmit loop, the lane engines' phases — report to it too). Hooks
+//! run / chunk lifecycle hooks and is ambiently installed on every
+//! worker (so deep instrumentation points — the executor's transmit
+//! loop, the scheme engines' phases — report to it too). Hooks
 //! are observation-only and carry no data back into the engine; with no
 //! observer attached every hook site is skipped and the run takes the
 //! exact same code path as before the hooks existed.
 
 use std::sync::Arc;
 
-use beeps_channel::NoiseModel;
-use beeps_core::{SimError, SimOutcome, SimulationRecorder, Simulator};
 use beeps_metrics::MetricsRegistry;
 use beeps_observe::{ambient, Observer, RunInfo, MAIN_WORKER};
 use rand::{rngs::StdRng, SeedableRng};
@@ -128,11 +126,10 @@ impl TrialRunner {
         }
     }
 
-    /// Attaches an [`Observer`] that receives run / chunk / lane-group
-    /// hooks and is ambiently installed on every worker thread for the
-    /// duration of each run. Observation-only: attaching one never
-    /// changes results or metrics (pinned by
-    /// `tests/metrics_determinism.rs`).
+    /// Attaches an [`Observer`] that receives run / chunk hooks and is
+    /// ambiently installed on every worker thread for the duration of
+    /// each run. Observation-only: attaching one never changes results
+    /// or metrics (pinned by `tests/metrics_determinism.rs`).
     #[must_use]
     pub fn with_observer(mut self, observer: Arc<dyn Observer>) -> Self {
         self.observer = Some(observer);
@@ -359,276 +356,6 @@ impl TrialRunner {
             obs.on_run_end(RunInfo { trials, workers });
         }
         merged
-    }
-
-    /// Runs `trials` Monte Carlo trials of `sim` through the
-    /// lane-sliced batch path: each dynamically claimed chunk of trial
-    /// indices becomes one [`Simulator::simulate_batch`] lane-group
-    /// (seeded by [`trial_seed`] exactly as the per-trial path would
-    /// be), and results are merged back in trial-index order.
-    ///
-    /// Because every `simulate_batch` override is bitwise identical to
-    /// per-trial [`Simulator::simulate`], the returned vector is
-    /// identical for every thread count *and* to a plain
-    /// `run(.., |t| sim.simulate(inputs, model, t.seed))` loop — only
-    /// faster for schemes with a lane engine.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from the simulator.
-    pub fn run_simulations<I, O, S>(
-        &self,
-        base_seed: u64,
-        trials: usize,
-        sim: &S,
-        inputs: &[I],
-        model: NoiseModel,
-    ) -> Vec<Result<SimOutcome<O>, SimError>>
-    where
-        S: Simulator<I, O> + Sync + ?Sized,
-        I: Sync,
-        O: Send,
-    {
-        let chunk_seeds = |start: usize, end: usize| -> Vec<u64> {
-            (start..end)
-                .map(|i| trial_seed(base_seed, i as u64))
-                .collect()
-        };
-        let workers = self.threads.min(trials.max(1));
-        let observer = self.observer.as_ref();
-        if workers <= 1 {
-            let Some(obs) = observer else {
-                return sim.simulate_batch(inputs, model, &chunk_seeds(0, trials));
-            };
-            // Observed serial run: dispatch chunk-sized lane groups so
-            // progress is visible. Batch boundaries are unobservable in
-            // the output (`simulate_batch` ≡ per-trial `simulate`).
-            obs.on_run_start(RunInfo { trials, workers: 1 });
-            let guard = ambient::install(Arc::clone(obs), MAIN_WORKER);
-            let chunk = Self::chunk_size(trials, 1);
-            let mut out = Vec::with_capacity(trials);
-            let mut start = 0;
-            while start < trials {
-                let end = (start + chunk).min(trials);
-                obs.on_chunk_claimed(MAIN_WORKER, start, end - start);
-                obs.on_lane_group(MAIN_WORKER, end - start);
-                out.extend(sim.simulate_batch(inputs, model, &chunk_seeds(start, end)));
-                obs.on_chunk_completed(MAIN_WORKER, start, end - start);
-                start = end;
-            }
-            drop(guard);
-            obs.on_run_end(RunInfo { trials, workers: 1 });
-            return out;
-        }
-
-        if let Some(obs) = observer {
-            obs.on_run_start(RunInfo { trials, workers });
-        }
-        let chunk = Self::chunk_size(trials, workers);
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        // One shard per claimed chunk: its starting trial index plus the
-        // batch results for that index range.
-        type Shard<O> = (usize, Vec<Result<SimOutcome<O>, SimError>>);
-        let shards: Vec<Vec<Shard<O>>> = std::thread::scope(|scope| {
-            let next = &next;
-            let chunk_seeds = &chunk_seeds;
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let _ambient = observer.map(|obs| ambient::install(Arc::clone(obs), w));
-                        let mut out = Vec::new();
-                        loop {
-                            let start = next.fetch_add(chunk, std::sync::atomic::Ordering::AcqRel);
-                            if start >= trials {
-                                break;
-                            }
-                            let end = (start + chunk).min(trials);
-                            if let Some(obs) = observer {
-                                obs.on_chunk_claimed(w, start, end - start);
-                                obs.on_lane_group(w, end - start);
-                            }
-                            let batch = sim.simulate_batch(inputs, model, &chunk_seeds(start, end));
-                            debug_assert_eq!(batch.len(), end - start);
-                            if let Some(obs) = observer {
-                                obs.on_chunk_completed(w, start, end - start);
-                            }
-                            out.push((start, batch));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("simulation worker panicked"))
-                .collect()
-        });
-
-        let merge_guard = observer.map(|obs| ambient::install(Arc::clone(obs), MAIN_WORKER));
-        let merge_span = ambient::phase("runner.merge");
-        let mut slots: Vec<Option<Result<SimOutcome<O>, SimError>>> =
-            (0..trials).map(|_| None).collect();
-        for (start, batch) in shards.into_iter().flatten() {
-            for (offset, result) in batch.into_iter().enumerate() {
-                debug_assert!(slots[start + offset].is_none(), "trial ran twice");
-                slots[start + offset] = Some(result);
-            }
-        }
-        let merged: Vec<Result<SimOutcome<O>, SimError>> = slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| r.unwrap_or_else(|| panic!("trial {i} produced no result")))
-            .collect();
-        drop(merge_span);
-        drop(merge_guard);
-        if let Some(obs) = observer {
-            obs.on_run_end(RunInfo { trials, workers });
-        }
-        merged
-    }
-
-    /// [`TrialRunner::run_simulations`] plus metrics: every trial's
-    /// outcome is folded into a `sim.<name>.*` registry through a
-    /// [`SimulationRecorder`] interned once per worker chunk (not once
-    /// per trial), and the per-chunk registries are merged in
-    /// trial-index order, so the aggregate is bitwise identical for
-    /// every thread count.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from the simulator.
-    pub fn run_simulations_with_metrics<I, O, S>(
-        &self,
-        base_seed: u64,
-        trials: usize,
-        sim: &S,
-        inputs: &[I],
-        model: NoiseModel,
-    ) -> (Vec<Result<SimOutcome<O>, SimError>>, MetricsRegistry)
-    where
-        S: Simulator<I, O> + Sync + ?Sized,
-        I: Sync,
-        O: Send,
-    {
-        let chunk_seeds = |start: usize, end: usize| -> Vec<u64> {
-            (start..end)
-                .map(|i| trial_seed(base_seed, i as u64))
-                .collect()
-        };
-        let workers = self.threads.min(trials.max(1));
-        let observer = self.observer.as_ref();
-        if workers <= 1 {
-            let Some(obs) = observer else {
-                let mut merged = MetricsRegistry::new();
-                let recorder = SimulationRecorder::new(sim.name(), &mut merged);
-                let results = sim.simulate_batch(inputs, model, &chunk_seeds(0, trials));
-                for result in &results {
-                    recorder.record(result, &mut merged);
-                }
-                return (results, merged);
-            };
-            // Observed serial run: per-chunk registries merged in index
-            // order reproduce the single-recorder registry exactly
-            // (same equivalence the parallel path already relies on).
-            obs.on_run_start(RunInfo { trials, workers: 1 });
-            let guard = ambient::install(Arc::clone(obs), MAIN_WORKER);
-            let chunk = Self::chunk_size(trials, 1);
-            let mut merged = MetricsRegistry::new();
-            let mut results = Vec::with_capacity(trials);
-            let mut start = 0;
-            while start < trials {
-                let end = (start + chunk).min(trials);
-                obs.on_chunk_claimed(MAIN_WORKER, start, end - start);
-                obs.on_lane_group(MAIN_WORKER, end - start);
-                let batch = sim.simulate_batch(inputs, model, &chunk_seeds(start, end));
-                let mut metrics = MetricsRegistry::new();
-                let recorder = SimulationRecorder::new(sim.name(), &mut metrics);
-                for result in &batch {
-                    recorder.record(result, &mut metrics);
-                }
-                merged.merge_from(&metrics);
-                results.extend(batch);
-                obs.on_chunk_completed(MAIN_WORKER, start, end - start);
-                start = end;
-            }
-            drop(guard);
-            obs.on_run_end(RunInfo { trials, workers: 1 });
-            return (results, merged);
-        }
-
-        if let Some(obs) = observer {
-            obs.on_run_start(RunInfo { trials, workers });
-        }
-        let chunk = Self::chunk_size(trials, workers);
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        type Shard<O> = (usize, Vec<Result<SimOutcome<O>, SimError>>, MetricsRegistry);
-        let shards: Vec<Vec<Shard<O>>> = std::thread::scope(|scope| {
-            let next = &next;
-            let chunk_seeds = &chunk_seeds;
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let _ambient = observer.map(|obs| ambient::install(Arc::clone(obs), w));
-                        let mut out = Vec::new();
-                        loop {
-                            let start = next.fetch_add(chunk, std::sync::atomic::Ordering::AcqRel);
-                            if start >= trials {
-                                break;
-                            }
-                            let end = (start + chunk).min(trials);
-                            if let Some(obs) = observer {
-                                obs.on_chunk_claimed(w, start, end - start);
-                                obs.on_lane_group(w, end - start);
-                            }
-                            let batch = sim.simulate_batch(inputs, model, &chunk_seeds(start, end));
-                            let mut metrics = MetricsRegistry::new();
-                            let recorder = SimulationRecorder::new(sim.name(), &mut metrics);
-                            for result in &batch {
-                                recorder.record(result, &mut metrics);
-                            }
-                            if let Some(obs) = observer {
-                                obs.on_chunk_completed(w, start, end - start);
-                            }
-                            out.push((start, batch, metrics));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("simulation worker panicked"))
-                .collect()
-        });
-
-        // Chunks are contiguous index ranges, so merging the per-chunk
-        // registries sorted by start index reproduces the per-trial
-        // merge order exactly.
-        let merge_guard = observer.map(|obs| ambient::install(Arc::clone(obs), MAIN_WORKER));
-        let merge_span = ambient::phase("runner.merge");
-        let mut chunks: Vec<Shard<O>> = shards.into_iter().flatten().collect();
-        chunks.sort_by_key(|(start, _, _)| *start);
-        let mut merged = MetricsRegistry::new();
-        let mut slots: Vec<Option<Result<SimOutcome<O>, SimError>>> =
-            (0..trials).map(|_| None).collect();
-        for (start, batch, metrics) in chunks {
-            merged.merge_from(&metrics);
-            for (offset, result) in batch.into_iter().enumerate() {
-                debug_assert!(slots[start + offset].is_none(), "trial ran twice");
-                slots[start + offset] = Some(result);
-            }
-        }
-        let results = slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| r.unwrap_or_else(|| panic!("trial {i} produced no result")))
-            .collect();
-        drop(merge_span);
-        drop(merge_guard);
-        if let Some(obs) = observer {
-            obs.on_run_end(RunInfo { trials, workers });
-        }
-        (results, merged)
     }
 
     /// [`TrialRunner::run`] for the common record shape: runs the

@@ -208,79 +208,6 @@ fn merged_registries_survive_adversarial_cost_skew_up_to_64_threads() {
     }
 }
 
-/// The lane-grouped batch path: for every scheme and every noise
-/// regime, `run_simulations_with_metrics` must return per-trial results
-/// bitwise equal to scalar `simulate` calls with the same derived
-/// seeds, and a merged registry that is identical at 1, 2, and 8
-/// threads (chunk boundaries become lane-group boundaries, which must
-/// not be observable).
-#[test]
-fn batch_dispatch_matches_per_trial_at_every_thread_count() {
-    let p = InputSet::new(N);
-    let owned_p = RollCall::new(N);
-    let two = NoiseModel::Correlated { epsilon: 0.05 };
-    let config = || SimulatorConfig::builder(N).model(two).build();
-
-    let naked = NakedSimulator::new(&p);
-    let repetition = RepetitionSimulator::new(&p, config());
-    let rewind = RewindSimulator::new(&p, config());
-    let hierarchical = HierarchicalSimulator::new(&p, config());
-    let one_to_zero = OneToZeroSimulator::new(&p, 2, 32.0);
-    let owned = OwnedRoundsSimulator::new(&owned_p, SimulatorConfig::builder(N).model(two).build());
-
-    let models = [
-        NoiseModel::Noiseless,
-        NoiseModel::Correlated { epsilon: 0.1 },
-        NoiseModel::OneSidedZeroToOne { epsilon: 0.2 },
-        NoiseModel::OneSidedOneToZero { epsilon: 0.2 },
-        NoiseModel::Independent { epsilon: 0.05 },
-    ];
-    let base = trial_seed(0xBA7C, 1);
-    let trials = TRIALS * 8; // spans several parallel chunks
-
-    let inputs: Vec<usize> = vec![3, 0, 8, 8, 11, 5];
-    let generic: [&(dyn Simulator<usize, std::collections::BTreeSet<usize>> + Sync); 5] =
-        [&naked, &repetition, &rewind, &hierarchical, &one_to_zero];
-    for sim in generic {
-        for model in models {
-            let reference: Vec<_> = (0..trials)
-                .map(|i| sim.simulate(&inputs, model, trial_seed(base, i as u64)))
-                .collect();
-            let (serial, serial_metrics) =
-                TrialRunner::new(1).run_simulations_with_metrics(base, trials, sim, &inputs, model);
-            assert_eq!(
-                serial,
-                reference,
-                "{} over {model}: batch diverged from per-trial simulate",
-                sim.name()
-            );
-            for threads in [2, 8] {
-                let (parallel, metrics) = TrialRunner::new(threads)
-                    .run_simulations_with_metrics(base, trials, sim, &inputs, model);
-                assert_eq!(parallel, reference, "{} {threads} threads", sim.name());
-                assert_eq!(
-                    metrics,
-                    serial_metrics,
-                    "{} over {model}: merged registry moved at {threads} threads",
-                    sim.name()
-                );
-            }
-        }
-    }
-
-    let inputs: Vec<bool> = vec![true, false, true, true, false, false];
-    for model in models {
-        let reference: Vec<_> = (0..trials)
-            .map(|i| Simulator::simulate(&owned, &inputs, model, trial_seed(base, i as u64)))
-            .collect();
-        for threads in [1, 2, 8] {
-            let (results, _) = TrialRunner::new(threads)
-                .run_simulations_with_metrics(base, trials, &owned, &inputs, model);
-            assert_eq!(results, reference, "owned_rounds {threads} threads");
-        }
-    }
-}
-
 /// The full production observer stack: progress tracker + phase
 /// profiler + run log writing to an in-memory sink, fanned out exactly
 /// like `--progress --profile` builds it.
@@ -304,8 +231,7 @@ fn full_observer_stack() -> Arc<dyn beeps_observe::Observer> {
 /// Observing a run is a pure side channel: for every scheme, per-trial
 /// results AND the merged registry from a fully observed runner
 /// (progress + profiler + run log) are bitwise identical to the
-/// unobserved ones at 1, 2, and 8 threads — through both the scalar
-/// metrics path and the lane-grouped batch path.
+/// unobserved ones at 1, 2, and 8 threads.
 #[test]
 fn observed_runs_are_bitwise_identical_to_unobserved_runs() {
     let p = InputSet::new(N);
@@ -323,7 +249,6 @@ fn observed_runs_are_bitwise_identical_to_unobserved_runs() {
 
     let base = trial_seed(0x0B5E, 7);
     let trials = TRIALS * 4;
-    let inputs: Vec<usize> = vec![3, 0, 8, 8, 11, 5];
 
     let generic: [(
         &(dyn Simulator<usize, std::collections::BTreeSet<usize>> + Sync),
@@ -366,45 +291,26 @@ fn observed_runs_are_bitwise_identical_to_unobserved_runs() {
                 sim.name()
             );
         }
-
-        // Lane-grouped batch path.
-        let batch = |threads: usize, observed: bool| {
-            let mut runner = TrialRunner::new(threads);
-            if observed {
-                runner = runner.with_observer(full_observer_stack());
-            }
-            runner.run_simulations_with_metrics(base, trials, sim, &inputs, model)
-        };
-        let (batch_results, batch_metrics) = batch(1, false);
-        for threads in [1, 2, 8] {
-            let (results, metrics) = batch(threads, true);
-            assert_eq!(
-                results,
-                batch_results,
-                "{}: observed batch results moved at {threads} threads",
-                sim.name()
-            );
-            assert_eq!(
-                metrics,
-                batch_metrics,
-                "{}: observed batch metrics moved at {threads} threads",
-                sim.name()
-            );
-        }
     }
 
     // The sixth scheme has a distinct input type; same contract.
-    let bool_inputs: Vec<bool> = vec![true, false, true, true, false, false];
-    let owned_batch = |threads: usize, observed: bool| {
+    let owned_scalar = |threads: usize, observed: bool| {
         let mut runner = TrialRunner::new(threads);
         if observed {
             runner = runner.with_observer(full_observer_stack());
         }
-        runner.run_simulations_with_metrics(base, trials, &owned, &bool_inputs, two)
+        runner.run_with_metrics(base, trials, |trial, m| {
+            let mut rng = trial.sub_rng(0);
+            let trial_inputs = roll_call_gen(&mut rng);
+            owned
+                .simulate_with_metrics(&trial_inputs, two, trial.seed, m)
+                .map(|out| out.outputs().to_vec())
+                .ok()
+        })
     };
-    let (owned_results, owned_metrics) = owned_batch(1, false);
+    let (owned_results, owned_metrics) = owned_scalar(1, false);
     for threads in [1, 2, 8] {
-        let (results, metrics) = owned_batch(threads, true);
+        let (results, metrics) = owned_scalar(threads, true);
         assert_eq!(
             results, owned_results,
             "owned_rounds: observed results moved at {threads} threads"
@@ -448,22 +354,5 @@ fn epsilon_zero_runs_report_zero_flip_and_rewind_counters() {
             merged.counter(&format!("sim.{name}.failures.budget_exhausted")),
             0
         );
-
-        // The lane-grouped batch path must report the same quiet
-        // channel: zero flips and zero rewinds through simulate_batch.
-        let inputs: Vec<usize> = vec![1, 4, 9, 2, 0, 7];
-        let (_, batch_merged) = TrialRunner::new(2).run_simulations_with_metrics(
-            trial_seed(0xD37, N as u64),
-            TRIALS,
-            sim,
-            &inputs,
-            quiet,
-        );
-        assert_eq!(
-            batch_merged.counter(&format!("sim.{name}.corrupted_rounds")),
-            0,
-            "{name}: quiet batch path must corrupt nothing"
-        );
-        assert_eq!(batch_merged.counter(&format!("sim.{name}.rewinds")), 0);
     }
 }

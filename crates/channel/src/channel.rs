@@ -12,8 +12,8 @@
 //! switching between the two.
 //!
 //! Shared-noise models run one such countdown over the rounds where a
-//! flip is possible (`SharedCountdown`, also each lane of a
-//! [`crate::LaneChannel`]). Besides single rounds it delivers a
+//! flip is possible (`SharedCountdown`). Besides single rounds it
+//! delivers a
 //! constant-OR span ([`StochasticChannel::flips_in_span`]) or a word of
 //! up to 64 rounds ([`StochasticChannel::transmit_rounds`], the shape
 //! of an owners codeword) by walking from flip to flip, and either
@@ -127,16 +127,11 @@ fn seed_calendar(
     }
 }
 
-/// The independent-noise skip sampler: per-party geometric skips
-/// expanded into 64-round blocks of per-round flipped-party buckets.
-///
-/// Extracted from the [`StochasticChannel`] so the lane-sliced channel
-/// ([`crate::lanes::IndependentLaneChannel`]) can run one of these per
-/// lane with the *exact* construction-time and refill-time RNG draw
-/// order of the scalar channel — the bitwise-equivalence contract every
-/// lane engine is pinned against.
+/// The independent-noise skip sampler of a [`StochasticChannel`]:
+/// per-party geometric skips expanded into 64-round blocks of per-round
+/// flipped-party buckets.
 #[derive(Debug)]
-pub(crate) struct IndependentSampler {
+struct IndependentSampler {
     /// `buckets[r]`: ascending indices of the parties flipped in
     /// block round `r`.
     buckets: Vec<Vec<u32>>,
@@ -164,7 +159,7 @@ impl IndependentSampler {
     /// Seeds the flip calendar with one geometric draw per party — the
     /// construction-time RNG contract of `StochasticChannel::new` under
     /// independent noise.
-    pub(crate) fn new(n: usize, epsilon: f64, rng: &mut StdRng) -> Self {
+    fn new(n: usize, epsilon: f64, rng: &mut StdRng) -> Self {
         let gap = GeometricGap::new(epsilon);
         let mut calendar = std::collections::BTreeMap::new();
         seed_calendar(&mut calendar, n, gap, rng);
@@ -181,7 +176,7 @@ impl IndependentSampler {
     /// `rng` in construction order) while reusing the bucket
     /// allocations. Stale buckets are ignored because the reset offset
     /// forces a bucket-clearing refill before the first delivery.
-    pub(crate) fn restart(&mut self, n: usize, rng: &mut StdRng) {
+    fn restart(&mut self, n: usize, rng: &mut StdRng) {
         self.offset = BLOCK_ROUNDS;
         self.block = 0;
         seed_calendar(&mut self.calendar, n, self.gap, rng);
@@ -190,7 +185,7 @@ impl IndependentSampler {
     /// Advances one round and returns the bucket of parties flipped in
     /// it (ascending). The caller may `mem::take` the bucket; a taken
     /// bucket is simply replaced by an empty one.
-    pub(crate) fn advance(&mut self, rng: &mut StdRng) -> &mut Vec<u32> {
+    fn advance(&mut self, rng: &mut StdRng) -> &mut Vec<u32> {
         if self.offset == BLOCK_ROUNDS {
             self.refill(rng);
         }
@@ -247,17 +242,16 @@ enum FlipsOn {
 /// The shared-noise skip sampler: one geometric countdown over the
 /// *eligible* rounds of a shared-delivery model, with its RNG.
 ///
-/// This is the one flip process behind every shared-noise delivery: a
-/// [`StochasticChannel`] runs one, and each lane of a
-/// [`crate::LaneChannel`] runs its own. Rounds can be delivered one at
-/// a time ([`SharedCountdown::step`]), as a constant-OR span
+/// This is the one flip process behind every shared-noise delivery of
+/// a [`StochasticChannel`]. Rounds can be delivered one at a time
+/// ([`SharedCountdown::step`]), as a constant-OR span
 /// ([`SharedCountdown::flips_in_span`]) or as a word of up to 64
 /// rounds ([`SharedCountdown::transmit_rounds`]); all three decrement
 /// the countdown once per eligible round and redraw it on each flip,
 /// so any interleaving draws, flips and counts exactly as the same
 /// rounds delivered one by one.
 #[derive(Debug)]
-pub(crate) struct SharedCountdown {
+struct SharedCountdown {
     rng: StdRng,
     gap: GeometricGap,
     flips_on: FlipsOn,
@@ -275,7 +269,7 @@ impl SharedCountdown {
     ///
     /// Panics under [`NoiseModel::Independent`], whose flips are per
     /// party; callers route it to the [`IndependentSampler`].
-    pub(crate) fn new(model: NoiseModel, mut rng: StdRng) -> Self {
+    fn new(model: NoiseModel, mut rng: StdRng) -> Self {
         let flips_on = match model {
             NoiseModel::Noiseless => FlipsOn::Never,
             NoiseModel::Correlated { .. } => FlipsOn::Every,
@@ -303,7 +297,7 @@ impl SharedCountdown {
     }
 
     /// Flipped rounds delivered so far.
-    pub(crate) fn flips(&self) -> u64 {
+    fn flips(&self) -> u64 {
         self.flips
     }
 
@@ -319,7 +313,7 @@ impl SharedCountdown {
     }
 
     /// Delivers one round with true OR `true_or`; returns the heard bit.
-    pub(crate) fn step(&mut self, true_or: bool) -> bool {
+    fn step(&mut self, true_or: bool) -> bool {
         if self.eligible(u64::from(true_or)) & 1 == 0 {
             return true_or;
         }
@@ -335,7 +329,7 @@ impl SharedCountdown {
     /// Delivers `rounds` consecutive rounds with constant true OR
     /// `true_or`; returns how many of them flipped. RNG work is
     /// proportional to the flips, not the rounds.
-    pub(crate) fn flips_in_span(&mut self, rounds: u64, true_or: bool) -> u64 {
+    fn flips_in_span(&mut self, rounds: u64, true_or: bool) -> u64 {
         if rounds == 0 || self.eligible(u64::from(true_or)) & 1 == 0 {
             return 0;
         }
@@ -363,7 +357,7 @@ impl SharedCountdown {
     /// # Panics
     ///
     /// Panics if `len > 64`.
-    pub(crate) fn transmit_rounds(&mut self, sent: u64, len: usize) -> u64 {
+    fn transmit_rounds(&mut self, sent: u64, len: usize) -> u64 {
         assert!(len <= 64, "a word carries at most 64 rounds, got {len}");
         let live = word_mask(len);
         let sent = sent & live;

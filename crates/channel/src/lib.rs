@@ -66,7 +66,6 @@ pub mod bits;
 pub mod burst;
 pub mod channel;
 pub mod executor;
-pub mod lanes;
 pub mod multiplication;
 pub mod noise;
 pub mod protocol;
@@ -78,7 +77,6 @@ pub use bits::BitVec;
 pub use burst::BurstNoiseChannel;
 pub use channel::{Channel, ReducedTwoSidedChannel, ScriptedChannel, StochasticChannel};
 pub use executor::{ExecutionStats, Executor, Party};
-pub use lanes::{IndependentLaneChannel, LaneChannel, LaneExecutor, LaneParty, LaneStats, LANES};
 pub use multiplication::MultiplicationChannel;
 pub use noise::{Delivery, NoiseModel};
 pub use protocol::{

@@ -2,7 +2,7 @@
 //! must hold for arbitrary beep sequences, not just curated ones.
 
 use beeps_channel::{
-    run_noiseless, Channel, CorrectingAdversaryChannel, CorrectionPolicy, Delivery, LaneChannel,
+    run_noiseless, Channel, CorrectingAdversaryChannel, CorrectionPolicy, Delivery,
     MultiplicationChannel, NoiseModel, Protocol, ReducedTwoSidedChannel, ScriptedChannel,
     StochasticChannel,
 };
@@ -416,44 +416,6 @@ proptest! {
             prop_assert_eq!(batched.transmit(or), reference.transmit(or), "{}: tail round {}", model, r);
         }
         prop_assert_eq!(batched.corrupted_rounds(), reference.corrupted_rounds());
-    }
-
-    /// The same contract for one lane of a `LaneChannel`, against the
-    /// scalar channel built from that lane's seed.
-    #[test]
-    fn lane_word_and_span_deliveries_match_the_scalar_channel(
-        model in shared_model(),
-        seeds in (any::<u64>(), any::<u64>(), any::<u64>()),
-        lane in 0usize..3,
-        ops in interleaving(),
-    ) {
-        let seeds = [seeds.0, seeds.1, seeds.2];
-        let mut lanes = LaneChannel::shared(model, &seeds).expect("shared model");
-        let mut reference = StochasticChannel::new(3, model, seeds[lane]);
-        for op in ops {
-            let (want, want_flips) = per_round(&mut reference, op);
-            match op {
-                Delivered::Word { sent, len } => {
-                    let heard = lanes.transmit_rounds(lane, sent, len);
-                    prop_assert_eq!(above(heard, len), 0, "{}: bits above len {}", model, len);
-                    prop_assert_eq!(heard, want, "{}: word of {}", model, len);
-                }
-                Delivered::Span { rounds, or } => {
-                    let flips = lanes.flips_in_span(lane, rounds as u64, or);
-                    prop_assert_eq!(flips, want_flips as u64, "{}: span", model);
-                }
-                Delivered::Round(or) => {
-                    prop_assert_eq!(lanes.step(lane, or), want == 1, "{}: round", model);
-                }
-            }
-            prop_assert_eq!(lanes.corrupted(lane), reference.corrupted_rounds() as u64);
-        }
-        for r in 0..256u64 {
-            let or = (seeds[lane] >> (r % 64)) & 1 == 1;
-            let want = reference.transmit(or).shared().expect("shared delivery");
-            prop_assert_eq!(lanes.step(lane, or), want, "{}: tail round {}", model, r);
-        }
-        prop_assert_eq!(lanes.corrupted(lane), reference.corrupted_rounds() as u64);
     }
 
     /// `Channel::transmit_word` matches single `transmit`s for every

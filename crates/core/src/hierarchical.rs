@@ -134,50 +134,11 @@ impl<'a, P: Protocol> HierarchicalSimulator<'a, P> {
                 inputs,
                 model,
                 &*self.config.build_code(),
-                channel,
+                &mut channel,
                 scratch,
             );
         }
         self.simulate_over(inputs, model, &mut channel)
-    }
-
-    /// Runs one trial per seed, lane-sliced: up to 64 trials share each
-    /// channel word, every result bitwise identical to
-    /// [`HierarchicalSimulator::simulate`] with that seed (same
-    /// transcripts, statistics, and `BudgetExhausted` errors).
-    ///
-    /// Independent noise (and invalid ε) falls back to the scalar
-    /// per-trial loop — per-party deliveries diverge there, so the
-    /// shared-transcript collapse the lane engine relies on does not
-    /// hold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != protocol.num_parties()`.
-    pub fn simulate_batch(
-        &self,
-        inputs: &[P::Input],
-        model: NoiseModel,
-        seeds: &[u64],
-    ) -> Vec<Result<SimOutcome<P::Output>, SimError>> {
-        if model.validate().is_err() || !model.is_shared() {
-            return seeds
-                .iter()
-                .map(|&seed| self.simulate(inputs, model, seed))
-                .collect();
-        }
-        let code = self.config.build_code();
-        crate::lanes::collapsed_lanes(model, seeds, |bits, scratch| {
-            crate::soa::hierarchical_collapsed_over(
-                self.protocol,
-                &self.config,
-                inputs,
-                model,
-                &*code,
-                bits,
-                scratch,
-            )
-        })
     }
 
     /// Runs over a caller-supplied channel (failure injection, reduction

@@ -55,7 +55,6 @@
 #![deny(missing_docs)]
 
 mod driver;
-mod lanes;
 
 pub mod code_cache;
 pub mod hierarchical;

@@ -133,7 +133,7 @@ impl<'a, P: Protocol> OneToZeroSimulator<'a, P> {
                     self.base,
                     self.budget_factor,
                     inputs,
-                    StochasticChannel::new(n, model, seed),
+                    &mut StochasticChannel::new(n, model, seed),
                     scratch,
                 )
             }
@@ -141,45 +141,6 @@ impl<'a, P: Protocol> OneToZeroSimulator<'a, P> {
                 reason: "the constant-overhead scheme requires 1->0-only noise",
             }),
         }
-    }
-
-    /// Runs one trial per seed, lane-sliced: up to 64 trials share each
-    /// channel word, every result bitwise identical to
-    /// [`OneToZeroSimulator::simulate`] with that seed (same
-    /// transcripts, statistics, and `BudgetExhausted` errors).
-    ///
-    /// Models the scheme rejects (and invalid ε) fall back to the
-    /// per-seed loop so the errors match the scalar path exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != protocol.num_parties()`.
-    pub fn simulate_batch(
-        &self,
-        inputs: &[P::Input],
-        model: NoiseModel,
-        seeds: &[u64],
-    ) -> Vec<Result<SimOutcome<P::Output>, SimError>> {
-        let supported = matches!(
-            model,
-            NoiseModel::OneSidedOneToZero { .. } | NoiseModel::Noiseless
-        );
-        if model.validate().is_err() || !supported {
-            return seeds
-                .iter()
-                .map(|&seed| self.simulate(inputs, model, seed))
-                .collect();
-        }
-        crate::lanes::collapsed_lanes(model, seeds, |bits, scratch| {
-            crate::soa::one_to_zero_collapsed_over(
-                self.protocol,
-                self.base,
-                self.budget_factor,
-                inputs,
-                bits,
-                scratch,
-            )
-        })
     }
 
     /// Runs over a caller-supplied channel (failure injection). The

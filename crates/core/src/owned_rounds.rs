@@ -118,47 +118,11 @@ impl<'a, P: UniquelyOwned> OwnedRoundsSimulator<'a, P> {
                 &self.config,
                 inputs,
                 model,
-                channel,
+                &mut channel,
                 scratch,
             );
         }
         self.simulate_over(inputs, model, &mut channel)
-    }
-
-    /// Runs one trial per seed, lane-sliced: up to 64 trials share each
-    /// channel word, every result bitwise identical to
-    /// [`OwnedRoundsSimulator::simulate`] with that seed.
-    ///
-    /// Independent noise (and invalid ε) falls back to the scalar
-    /// per-trial loop — per-party deliveries diverge there, so the
-    /// shared-transcript collapse the lane engine relies on does not
-    /// hold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != protocol.num_parties()`.
-    pub fn simulate_batch(
-        &self,
-        inputs: &[P::Input],
-        model: NoiseModel,
-        seeds: &[u64],
-    ) -> Vec<Result<SimOutcome<P::Output>, SimError>> {
-        if model.validate().is_err() || !model.is_shared() {
-            return seeds
-                .iter()
-                .map(|&seed| self.simulate(inputs, model, seed))
-                .collect();
-        }
-        crate::lanes::collapsed_lanes(model, seeds, |bits, scratch| {
-            crate::soa::owned_rounds_collapsed_over(
-                self.protocol,
-                &self.config,
-                inputs,
-                model,
-                bits,
-                scratch,
-            )
-        })
     }
 
     /// Runs over a caller-supplied channel (failure injection, reduction

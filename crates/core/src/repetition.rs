@@ -106,57 +106,9 @@ impl<'a, P: Protocol> RepetitionSimulator<'a, P> {
             &self.config,
             inputs,
             model,
-            channel,
+            &mut channel,
             scratch,
         )
-    }
-
-    /// Runs one trial per seed, lane-sliced: up to 64 trials share each
-    /// channel word, with per-lane noise drawn from each trial's own
-    /// seed stream so every result is bitwise identical to
-    /// [`RepetitionSimulator::simulate`] with that seed.
-    ///
-    /// Shared-noise models run the shared-transcript lane engine;
-    /// independent noise runs the per-party lane engine (sparse
-    /// span-sampled flips per lane, see
-    /// [`crate::lanes`]); only invalid ε falls back to the scalar
-    /// per-trial loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != protocol.num_parties()`.
-    pub fn simulate_batch(
-        &self,
-        inputs: &[P::Input],
-        model: NoiseModel,
-        seeds: &[u64],
-    ) -> Vec<Result<SimOutcome<P::Output>, SimError>> {
-        if model.validate().is_err() {
-            return seeds
-                .iter()
-                .map(|&seed| self.simulate(inputs, model, seed))
-                .collect();
-        }
-        if matches!(model, NoiseModel::Independent { .. }) {
-            return seeds
-                .chunks(beeps_channel::LANES)
-                .flat_map(|group| {
-                    crate::lanes::repetition_lanes_independent(
-                        self.protocol,
-                        &self.config,
-                        inputs,
-                        model,
-                        group,
-                    )
-                })
-                .collect();
-        }
-        seeds
-            .chunks(beeps_channel::LANES)
-            .flat_map(|group| {
-                crate::lanes::repetition_lanes(self.protocol, &self.config, inputs, model, group)
-            })
-            .collect()
     }
 
     /// Runs the simulation over a caller-supplied channel — the hook for

@@ -127,51 +127,11 @@ impl<'a, P: Protocol> RewindSimulator<'a, P> {
                 inputs,
                 model,
                 &*self.config.build_code(),
-                channel,
+                &mut channel,
                 scratch,
             );
         }
         self.simulate_over(inputs, model, &mut channel)
-    }
-
-    /// Runs one trial per seed, lane-sliced: up to 64 trials share each
-    /// channel word, with per-lane noise drawn from each trial's own
-    /// seed stream so every result — transcript, statistics, and
-    /// `BudgetExhausted` errors alike — is bitwise identical to
-    /// [`RewindSimulator::simulate`] with that seed.
-    ///
-    /// Independent noise (and invalid ε) falls back to the scalar
-    /// per-trial loop — per-party deliveries diverge there, so the
-    /// collapsed shared decode state the lane engine relies on does not
-    /// hold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != protocol.num_parties()`.
-    pub fn simulate_batch(
-        &self,
-        inputs: &[P::Input],
-        model: NoiseModel,
-        seeds: &[u64],
-    ) -> Vec<Result<SimOutcome<P::Output>, SimError>> {
-        if model.validate().is_err() || !model.is_shared() {
-            return seeds
-                .iter()
-                .map(|&seed| self.simulate(inputs, model, seed))
-                .collect();
-        }
-        let code = self.config.build_code();
-        crate::lanes::collapsed_lanes(model, seeds, |bits, scratch| {
-            crate::soa::rewind_collapsed_over(
-                self.protocol,
-                &self.config,
-                inputs,
-                model,
-                &*code,
-                bits,
-                scratch,
-            )
-        })
     }
 
     /// Runs the simulation over a caller-supplied channel — the hook for

@@ -94,30 +94,6 @@ pub trait Simulator<I, O> {
         })
     }
 
-    /// Runs one independent trial per seed and returns the outcomes in
-    /// seed order.
-    ///
-    /// The default body loops [`Simulator::simulate`]. Every scheme
-    /// with a lane-sliced engine (repetition, rewind, hierarchical,
-    /// owned-rounds, one-to-zero) overrides it to run up to
-    /// [`beeps_channel::LANES`] trials per channel word; every override
-    /// must keep each trial **bitwise identical** to `simulate` with
-    /// the same seed — transcripts, statistics, and errors alike — a
-    /// contract pinned by the transposition tests in
-    /// `tests/packed_equivalence.rs` (see DESIGN.md §13 for the full
-    /// scheme × regime engine matrix).
-    fn simulate_batch(
-        &self,
-        inputs: &[I],
-        model: NoiseModel,
-        seeds: &[u64],
-    ) -> Vec<Result<SimOutcome<O>, SimError>> {
-        seeds
-            .iter()
-            .map(|&seed| self.simulate(inputs, model, seed))
-            .collect()
-    }
-
     /// Like [`Simulator::simulate`], but records the attempt into
     /// `metrics` under the `sim.<name>.*` namespace (see
     /// [`record_simulation`] for the exact counters) plus a wall-clock
@@ -284,15 +260,6 @@ impl<P: Protocol> Simulator<P::Input, P::Output> for RepetitionSimulator<'_, P> 
     ) -> Result<SimOutcome<P::Output>, SimError> {
         RepetitionSimulator::simulate_over(self, inputs, model, channel)
     }
-
-    fn simulate_batch(
-        &self,
-        inputs: &[P::Input],
-        model: NoiseModel,
-        seeds: &[u64],
-    ) -> Vec<Result<SimOutcome<P::Output>, SimError>> {
-        RepetitionSimulator::simulate_batch(self, inputs, model, seeds)
-    }
 }
 
 impl<P: Protocol> Simulator<P::Input, P::Output> for RewindSimulator<'_, P> {
@@ -316,15 +283,6 @@ impl<P: Protocol> Simulator<P::Input, P::Output> for RewindSimulator<'_, P> {
         channel: &mut dyn Channel,
     ) -> Result<SimOutcome<P::Output>, SimError> {
         RewindSimulator::simulate_over(self, inputs, model, channel)
-    }
-
-    fn simulate_batch(
-        &self,
-        inputs: &[P::Input],
-        model: NoiseModel,
-        seeds: &[u64],
-    ) -> Vec<Result<SimOutcome<P::Output>, SimError>> {
-        RewindSimulator::simulate_batch(self, inputs, model, seeds)
     }
 }
 
@@ -350,15 +308,6 @@ impl<P: Protocol> Simulator<P::Input, P::Output> for HierarchicalSimulator<'_, P
     ) -> Result<SimOutcome<P::Output>, SimError> {
         HierarchicalSimulator::simulate_over(self, inputs, model, channel)
     }
-
-    fn simulate_batch(
-        &self,
-        inputs: &[P::Input],
-        model: NoiseModel,
-        seeds: &[u64],
-    ) -> Vec<Result<SimOutcome<P::Output>, SimError>> {
-        HierarchicalSimulator::simulate_batch(self, inputs, model, seeds)
-    }
 }
 
 impl<P: Protocol> Simulator<P::Input, P::Output> for OneToZeroSimulator<'_, P> {
@@ -383,15 +332,6 @@ impl<P: Protocol> Simulator<P::Input, P::Output> for OneToZeroSimulator<'_, P> {
     ) -> Result<SimOutcome<P::Output>, SimError> {
         OneToZeroSimulator::simulate_over(self, inputs, model, channel)
     }
-
-    fn simulate_batch(
-        &self,
-        inputs: &[P::Input],
-        model: NoiseModel,
-        seeds: &[u64],
-    ) -> Vec<Result<SimOutcome<P::Output>, SimError>> {
-        OneToZeroSimulator::simulate_batch(self, inputs, model, seeds)
-    }
 }
 
 impl<P: UniquelyOwned> Simulator<P::Input, P::Output> for OwnedRoundsSimulator<'_, P> {
@@ -415,15 +355,6 @@ impl<P: UniquelyOwned> Simulator<P::Input, P::Output> for OwnedRoundsSimulator<'
         channel: &mut dyn Channel,
     ) -> Result<SimOutcome<P::Output>, SimError> {
         OwnedRoundsSimulator::simulate_over(self, inputs, model, channel)
-    }
-
-    fn simulate_batch(
-        &self,
-        inputs: &[P::Input],
-        model: NoiseModel,
-        seeds: &[u64],
-    ) -> Vec<Result<SimOutcome<P::Output>, SimError>> {
-        OwnedRoundsSimulator::simulate_batch(self, inputs, model, seeds)
     }
 }
 

@@ -11,18 +11,16 @@
 //! are identical across parties, and one collapsed copy suffices.
 //!
 //! Each scheme has exactly one collapsed body here (`*_collapsed_over`),
-//! generic over the `SharedBits` channel backend. Two backends drive
-//! it: a [`StochasticChannel`] for one trial (the `simulate` /
-//! `simulate_with_scratch` front doors, up to million-party `n`) and one
-//! lane of a [`beeps_channel::LaneChannel`] for up to 64 trials per word
-//! (`simulate_batch`, via `lanes::collapsed_lanes`). The finding-owners
-//! phase of Algorithm 1 likewise exists once, as `owners_collapsed`:
-//! the rewind and hierarchical bodies run it per chunk, and
-//! [`crate::run_owners_phase`] runs it under shared noise through
-//! `owners_standalone`. It decodes each codeword once, not once per
-//! party, and sends it one channel word (≤ 64 rounds,
-//! `SharedBits::word`) at a time from a codeword table built once per
-//! body call. The bodies are built for very large `n`:
+//! run over one trial's [`StochasticChannel`] by the `simulate` /
+//! `simulate_with_scratch` front doors, up to million-party `n`. The
+//! finding-owners phase of Algorithm 1 likewise exists once, as
+//! `owners_collapsed`: the rewind and hierarchical bodies run it per
+//! chunk, and [`crate::run_owners_phase`] runs it under shared noise
+//! through `owners_standalone`. It decodes each codeword once, not once
+//! per party, and sends it one channel word (≤ 64 rounds,
+//! [`StochasticChannel::transmit_rounds`]) at a time from a codeword
+//! table built once per body call. The bodies are built for very large
+//! `n`:
 //!
 //! * **Struct-of-arrays party state** — the only per-party facts are
 //!   "would party `i` beep in simulated round `m`" and "does party `i`
@@ -130,37 +128,9 @@ impl CumEntry {
     }
 }
 
-/// A shared-delivery channel viewed as a stream of heard OR bits — the
-/// seam between the collapsed engine bodies and their channel backends.
-///
-/// The collapsed engines are generic over this trait so the same
-/// round-for-round body drives both the scalar [`StochasticChannel`]
-/// (one trial) and one lane of a [`beeps_channel::LaneChannel`] (up to
-/// 64 trials per word, see [`crate::lanes`]). Implementations must be
-/// RNG-identical to the scalar channel: `ones(span, or)` and
-/// `word(sent, len)` must consume exactly the draws of `span` (`len`)
-/// consecutive `bit` calls with the same true ORs, and `corrupted`
-/// must count every flipped delivery either way.
-pub(crate) trait SharedBits {
-    /// One channel round with true OR `or`; returns the heard bit.
-    fn bit(&mut self, or: bool) -> bool;
-
-    /// `span` consecutive rounds with constant true OR `or`; returns
-    /// how many deliveries were heard as 1.
-    fn ones(&mut self, span: usize, or: bool) -> usize;
-
-    /// `len ≤ 64` consecutive rounds whose true ORs are the low `len`
-    /// bits of `sent` (round `k` is bit `k`); returns the heard bits,
-    /// zero at and above `len`.
-    fn word(&mut self, sent: u64, len: usize) -> u64;
-
-    /// Corrupted rounds delivered so far.
-    fn corrupted(&self) -> usize;
-}
-
 /// Heard 1s in a constant-OR span of `span` rounds with `flips` flipped
 /// deliveries: every flip turns a heard 1 into a 0 or vice versa.
-pub(crate) fn ones_in_span(span: u64, flips: u64, true_or: bool) -> u64 {
+fn ones_in_span(span: u64, flips: u64, true_or: bool) -> u64 {
     if true_or {
         span - flips
     } else {
@@ -168,31 +138,24 @@ pub(crate) fn ones_in_span(span: u64, flips: u64, true_or: bool) -> u64 {
     }
 }
 
-/// The scalar backend: one [`StochasticChannel`] serving one trial.
-/// Spans and words go through the channel's batched deliveries, whose
-/// RNG work scales with the flips, not the rounds.
-impl SharedBits for StochasticChannel {
-    /// # Panics
-    ///
-    /// Panics if the channel hands back a per-party delivery: the
-    /// collapsed engines only run under shared-noise models, whose
-    /// deliveries are a single bit by construction.
-    fn bit(&mut self, or: bool) -> bool {
-        self.transmit(or).shared().expect("shared delivery")
-    }
+/// One shared-noise round with true OR `or`; returns the heard bit.
+///
+/// # Panics
+///
+/// Panics if the channel hands back a per-party delivery: the collapsed
+/// engines only run under shared-noise models, whose deliveries are a
+/// single bit by construction.
+fn bit(channel: &mut StochasticChannel, or: bool) -> bool {
+    channel.transmit(or).shared().expect("shared delivery")
+}
 
-    fn ones(&mut self, span: usize, or: bool) -> usize {
-        let flips = self.flips_in_span(span, or);
-        ones_in_span(span as u64, flips as u64, or) as usize
-    }
-
-    fn word(&mut self, sent: u64, len: usize) -> u64 {
-        self.transmit_rounds(sent, len)
-    }
-
-    fn corrupted(&self) -> usize {
-        self.corrupted_rounds()
-    }
+/// `span` consecutive shared-noise rounds with constant true OR `or`;
+/// returns how many deliveries were heard as 1. The span goes through
+/// [`StochasticChannel::flips_in_span`], whose RNG work scales with the
+/// flips, not the rounds, and draws exactly as `span` calls of [`bit`].
+fn ones(channel: &mut StochasticChannel, span: usize, or: bool) -> usize {
+    let flips = channel.flips_in_span(span, or);
+    ones_in_span(span as u64, flips as u64, or) as usize
 }
 
 /// Reusable buffers of the collapsed engines; hand one to
@@ -315,13 +278,13 @@ fn load_codewords(code: &dyn SymbolCode, scratch: &mut SoaScratch) {
 /// decodes with the metric matched to `model`. Returns the beeping
 /// energy spent, or `None` as soon as an iteration's `code_len` rounds
 /// no longer fit in the `room` left of the caller's budget.
-fn owners_collapsed<S: SharedBits>(
+fn owners_collapsed(
     span: &'static str,
     n: usize,
     code: &dyn SymbolCode,
     model: NoiseModel,
     room: usize,
-    source: &mut S,
+    channel: &mut StochasticChannel,
     scratch: &mut SoaScratch,
 ) -> Option<usize> {
     let _span = beeps_observe::phase(span);
@@ -355,7 +318,7 @@ fn owners_collapsed<S: SharedBits>(
         if turn == n {
             // Idle iteration: every party is past its turn, nobody
             // beeps, but the channel still delivers silent rounds.
-            let _ = source.ones(code_len, false);
+            let _ = ones(channel, code_len, false);
             continue;
         }
         let claim = (0..len)
@@ -366,7 +329,7 @@ fn owners_collapsed<S: SharedBits>(
         for (k, &limb) in codeword.iter().enumerate() {
             let rounds = (code_len - 64 * k).min(64);
             energy += limb.count_ones() as usize;
-            heard.push_word(source.word(limb, rounds), rounds);
+            heard.push_word(channel.transmit_rounds(limb, rounds), rounds);
         }
         let decoded = code.decode_sent(symbol, heard, metric);
         if decoded == next_symbol {
@@ -388,11 +351,11 @@ fn owners_collapsed<S: SharedBits>(
 /// builds the codeword table and runs [`owners_collapsed`] once under
 /// the `owners.phase` span, over exactly the phase's own rounds.
 /// Returns the owner table, which is every party's.
-pub(crate) fn owners_standalone<'s, S: SharedBits>(
+pub(crate) fn owners_standalone<'s>(
     bits: &[Vec<bool>],
     code: &dyn SymbolCode,
     model: NoiseModel,
-    source: &mut S,
+    channel: &mut StochasticChannel,
     scratch: &'s mut SoaScratch,
 ) -> &'s [Option<usize>] {
     let n = bits.len();
@@ -413,7 +376,7 @@ pub(crate) fn owners_standalone<'s, S: SharedBits>(
     }
     load_codewords(code, scratch);
     let rounds = OwnersState::channel_rounds(len, n, code.codeword_len());
-    let spent = owners_collapsed("owners.phase", n, code, model, rounds, source, scratch);
+    let spent = owners_collapsed("owners.phase", n, code, model, rounds, channel, scratch);
     debug_assert!(spent.is_some(), "the phase fits its own round count");
     &scratch.chunk_owners
 }
@@ -421,17 +384,16 @@ pub(crate) fn owners_standalone<'s, S: SharedBits>(
 /// The collapsed rewind-scheme engine (Theorem 1.2): chunk by
 /// repetition, the Algorithm 1 owners phase, then a verification vote
 /// that pops one committed chunk when it fails. `code` is the owners
-/// code of `config` (built once by the caller, so a lane batch shares
-/// one table). Caller guarantees `model` is a validated shared-delivery
+/// code of `config`. Caller guarantees `model` is a validated shared-delivery
 /// model; `Independent` noise must take the scalar path (per-party
 /// deliveries break the collapse).
-pub(crate) fn rewind_collapsed_over<P: Protocol, S: SharedBits>(
+pub(crate) fn rewind_collapsed_over<P: Protocol>(
     protocol: &P,
     config: &SimulatorConfig,
     inputs: &[P::Input],
     model: NoiseModel,
     code: &dyn SymbolCode,
-    mut source: S,
+    channel: &mut StochasticChannel,
     scratch: &mut SoaScratch,
 ) -> Result<SimOutcome<P::Output>, SimError> {
     let n = protocol.num_parties();
@@ -454,7 +416,7 @@ pub(crate) fn rewind_collapsed_over<P: Protocol, S: SharedBits>(
 
     scratch.reset();
     load_codewords(code, scratch);
-    let corrupted_before = source.corrupted();
+    let corrupted_before = channel.corrupted_rounds();
     let mut rounds = 0usize;
     let mut energy = 0usize;
     let mut phase_rounds = PhaseRounds::default();
@@ -502,7 +464,7 @@ pub(crate) fn rewind_collapsed_over<P: Protocol, S: SharedBits>(
                 }
             }
             let or = beeps > 0;
-            let ones = source.ones(r, or);
+            let ones = ones(channel, r, or);
             let bit = ones >= resolved.rep_ones;
             scratch.bits.push(bit);
             scratch.working.push(bit);
@@ -520,7 +482,7 @@ pub(crate) fn rewind_collapsed_over<P: Protocol, S: SharedBits>(
             code,
             model,
             budget - rounds,
-            &mut source,
+            channel,
             scratch,
         ) else {
             return Err(exhausted(scratch));
@@ -569,7 +531,7 @@ pub(crate) fn rewind_collapsed_over<P: Protocol, S: SharedBits>(
         }
         let flag_count = row_count(&scratch.flags);
         let or = flag_count > 0;
-        let ones = source.ones(v, or);
+        let ones = ones(channel, v, or);
         let failed = ones >= resolved.verify_ones;
         energy += v * flag_count;
         rounds += v;
@@ -665,7 +627,7 @@ pub(crate) fn rewind_collapsed_over<P: Protocol, S: SharedBits>(
         // Shared noise keeps every party's bookkeeping in lockstep.
         agreement: true,
         energy,
-        corrupted_rounds: source.corrupted() - corrupted_before,
+        corrupted_rounds: channel.corrupted_rounds() - corrupted_before,
     };
     Ok(SimOutcome::new(transcript, outputs, stats))
 }
@@ -677,12 +639,12 @@ pub(crate) fn rewind_collapsed_over<P: Protocol, S: SharedBits>(
 /// [`RepetitionSimulator::simulate_over`](crate::RepetitionSimulator::simulate_over)
 /// collapse entirely. Caller guarantees `model` is a validated
 /// shared-delivery model; `Independent` noise must take the scalar path.
-pub(crate) fn repetition_collapsed_over<P: Protocol, S: SharedBits>(
+pub(crate) fn repetition_collapsed_over<P: Protocol>(
     protocol: &P,
     config: &SimulatorConfig,
     inputs: &[P::Input],
     model: NoiseModel,
-    mut source: S,
+    channel: &mut StochasticChannel,
     scratch: &mut SoaScratch,
 ) -> Result<SimOutcome<P::Output>, SimError> {
     let n = protocol.num_parties();
@@ -692,7 +654,7 @@ pub(crate) fn repetition_collapsed_over<P: Protocol, S: SharedBits>(
     let r = config.repetitions;
 
     scratch.reset();
-    let corrupted_before = source.corrupted();
+    let corrupted_before = channel.corrupted_rounds();
     let mut energy = 0usize;
     let chunk_span = beeps_observe::phase("sim.repetition.chunk");
     for _ in 0..t {
@@ -703,7 +665,7 @@ pub(crate) fn repetition_collapsed_over<P: Protocol, S: SharedBits>(
             }
         }
         let or = beeps > 0;
-        let ones = source.ones(r, or);
+        let ones = ones(channel, r, or);
         scratch.committed_bits.push(ones >= resolved.rep_ones);
         energy += r * beeps;
     }
@@ -726,7 +688,7 @@ pub(crate) fn repetition_collapsed_over<P: Protocol, S: SharedBits>(
         rewinds: 0,
         agreement: true,
         energy,
-        corrupted_rounds: source.corrupted() - corrupted_before,
+        corrupted_rounds: channel.corrupted_rounds() - corrupted_before,
     };
     Ok(SimOutcome::new(transcript, outputs, stats))
 }
@@ -737,12 +699,12 @@ pub(crate) fn repetition_collapsed_over<P: Protocol, S: SharedBits>(
 /// one settable bit per round (the owner whose committed bit disagrees
 /// with its own beep). Caller guarantees `model` is a validated
 /// shared-delivery model.
-pub(crate) fn owned_rounds_collapsed_over<P: beeps_channel::UniquelyOwned, S: SharedBits>(
+pub(crate) fn owned_rounds_collapsed_over<P: beeps_channel::UniquelyOwned>(
     protocol: &P,
     config: &SimulatorConfig,
     inputs: &[P::Input],
     model: NoiseModel,
-    mut source: S,
+    channel: &mut StochasticChannel,
     scratch: &mut SoaScratch,
 ) -> Result<SimOutcome<P::Output>, SimError> {
     let n = protocol.num_parties();
@@ -760,7 +722,7 @@ pub(crate) fn owned_rounds_collapsed_over<P: beeps_channel::UniquelyOwned, S: Sh
     let budget = (config.budget_factor * (chunks_needed * per_iteration) as f64).ceil() as usize;
 
     scratch.reset();
-    let corrupted_before = source.corrupted();
+    let corrupted_before = channel.corrupted_rounds();
     let mut rounds = 0usize;
     let mut energy = 0usize;
     let mut phase_rounds = PhaseRounds::default();
@@ -802,7 +764,7 @@ pub(crate) fn owned_rounds_collapsed_over<P: beeps_channel::UniquelyOwned, S: Sh
                 }
             }
             let or = beeps > 0;
-            let ones = source.ones(r, or);
+            let ones = ones(channel, r, or);
             let bit = ones >= resolved.rep_ones;
             scratch.bits.push(bit);
             scratch.owner_beeps.push(owner_beep);
@@ -833,7 +795,7 @@ pub(crate) fn owned_rounds_collapsed_over<P: beeps_channel::UniquelyOwned, S: Sh
         }
         let flag_count = row_count(&scratch.flags);
         let or = flag_count > 0;
-        let ones = source.ones(v, or);
+        let ones = ones(channel, v, or);
         let failed = ones >= resolved.verify_ones;
         energy += v * flag_count;
         rounds += v;
@@ -908,7 +870,7 @@ pub(crate) fn owned_rounds_collapsed_over<P: beeps_channel::UniquelyOwned, S: Sh
         rewinds,
         agreement: true,
         energy,
-        corrupted_rounds: source.corrupted() - corrupted_before,
+        corrupted_rounds: channel.corrupted_rounds() - corrupted_before,
     };
     Ok(SimOutcome::new(transcript, outputs, stats))
 }
@@ -918,15 +880,15 @@ pub(crate) fn owned_rounds_collapsed_over<P: beeps_channel::UniquelyOwned, S: Sh
 /// scalar path (each party's private error marks) collapses to one row
 /// per witnessed erasure — the parties that beeped the erased 1 — and
 /// the check-round flag OR is the running OR of the active rows.
-/// Caller guarantees the backend runs a validated `OneSidedOneToZero`
+/// Caller guarantees the channel runs a validated `OneSidedOneToZero`
 /// or `Noiseless` model. (The model only seeds the channel, so the
 /// body does not take it.)
-pub(crate) fn one_to_zero_collapsed_over<P: Protocol, S: SharedBits>(
+pub(crate) fn one_to_zero_collapsed_over<P: Protocol>(
     protocol: &P,
     base: usize,
     budget_factor: f64,
     inputs: &[P::Input],
-    mut source: S,
+    channel: &mut StochasticChannel,
     scratch: &mut SoaScratch,
 ) -> Result<SimOutcome<P::Output>, SimError> {
     let n = protocol.num_parties();
@@ -939,7 +901,7 @@ pub(crate) fn one_to_zero_collapsed_over<P: Protocol, S: SharedBits>(
     let budget = (budget_factor * t.max(1) as f64).ceil() as usize + base * (max_level + 2) * 4;
 
     scratch.reset();
-    let corrupted_before = source.corrupted();
+    let corrupted_before = channel.corrupted_rounds();
     let mut rounds = 0usize;
     let mut energy = 0usize;
     let mut phase_rounds = PhaseRounds::default();
@@ -969,7 +931,7 @@ pub(crate) fn one_to_zero_collapsed_over<P: Protocol, S: SharedBits>(
             }
         }
         let or = beeps > 0;
-        let heard = source.bit(or);
+        let heard = bit(channel, or);
         scratch.committed_bits.push(heard);
         if or && !heard {
             // An erasure, witnessed by exactly the parties that beeped.
@@ -1016,7 +978,7 @@ pub(crate) fn one_to_zero_collapsed_over<P: Protocol, S: SharedBits>(
             }
             let flag_count = row_count(&scratch.flags);
             let or = flag_count > 0;
-            let heard_any = source.ones(rounds_in_level, or) > 0;
+            let heard_any = ones(channel, rounds_in_level, or) > 0;
             rounds += rounds_in_level;
             energy += rounds_in_level * flag_count;
             phase_rounds.verify += rounds_in_level;
@@ -1061,7 +1023,7 @@ pub(crate) fn one_to_zero_collapsed_over<P: Protocol, S: SharedBits>(
         rewinds,
         agreement: true,
         energy,
-        corrupted_rounds: source.corrupted() - corrupted_before,
+        corrupted_rounds: channel.corrupted_rounds() - corrupted_before,
     };
     Ok(SimOutcome::new(transcript, outputs, stats))
 }
@@ -1221,13 +1183,13 @@ fn truncate_chunks<P: Protocol>(
 /// engine replicates that silent first vote exactly. `code` is the
 /// owners code of `config`, built once by the caller. Caller guarantees
 /// `model` is a validated shared-delivery model.
-pub(crate) fn hierarchical_collapsed_over<P: Protocol, S: SharedBits>(
+pub(crate) fn hierarchical_collapsed_over<P: Protocol>(
     protocol: &P,
     config: &SimulatorConfig,
     inputs: &[P::Input],
     model: NoiseModel,
     code: &dyn SymbolCode,
-    mut source: S,
+    channel: &mut StochasticChannel,
     scratch: &mut SoaScratch,
 ) -> Result<SimOutcome<P::Output>, SimError> {
     let n = protocol.num_parties();
@@ -1252,7 +1214,7 @@ pub(crate) fn hierarchical_collapsed_over<P: Protocol, S: SharedBits>(
 
     scratch.reset();
     load_codewords(code, scratch);
-    let corrupted_before = source.corrupted();
+    let corrupted_before = channel.corrupted_rounds();
     let mut rounds = 0usize;
     let mut energy = 0usize;
     let mut phase_rounds = PhaseRounds::default();
@@ -1283,11 +1245,11 @@ pub(crate) fn hierarchical_collapsed_over<P: Protocol, S: SharedBits>(
             if budget - rounds < vote_len {
                 return Err(exhausted(scratch));
             }
-            let ones = source.ones(vote_len, false);
+            let final_ones = ones(channel, vote_len, false);
             rounds += vote_len;
             phase_rounds.verify += vote_len;
             drop(final_span);
-            if !flagged_at(ones, vote_len) {
+            if !flagged_at(final_ones, vote_len) {
                 break 'outer;
             }
             let mut lo = 0usize;
@@ -1308,7 +1270,7 @@ pub(crate) fn hierarchical_collapsed_over<P: Protocol, S: SharedBits>(
                 if budget - rounds < vote_len {
                     return Err(exhausted(scratch));
                 }
-                let ones = source.ones(vote_len, or);
+                let ones = ones(channel, vote_len, or);
                 rounds += vote_len;
                 energy += vote_len * flag_count;
                 phase_rounds.verify += vote_len;
@@ -1355,7 +1317,7 @@ pub(crate) fn hierarchical_collapsed_over<P: Protocol, S: SharedBits>(
                 }
             }
             let or = beeps > 0;
-            let ones = source.ones(r, or);
+            let ones = ones(channel, r, or);
             let bit = ones >= resolved.rep_ones;
             scratch.bits.push(bit);
             scratch.working.push(bit);
@@ -1372,7 +1334,7 @@ pub(crate) fn hierarchical_collapsed_over<P: Protocol, S: SharedBits>(
             code,
             model,
             budget - rounds,
-            &mut source,
+            channel,
             scratch,
         ) else {
             return Err(exhausted(scratch));
@@ -1458,7 +1420,7 @@ pub(crate) fn hierarchical_collapsed_over<P: Protocol, S: SharedBits>(
                 if budget - rounds < vote_len {
                     return Err(exhausted(scratch));
                 }
-                let ones = source.ones(vote_len, or);
+                let ones = ones(channel, vote_len, or);
                 rounds += vote_len;
                 energy += vote_len * flag_count;
                 phase_rounds.verify += vote_len;
@@ -1494,7 +1456,7 @@ pub(crate) fn hierarchical_collapsed_over<P: Protocol, S: SharedBits>(
         rewinds: truncations,
         agreement: true,
         energy,
-        corrupted_rounds: source.corrupted() - corrupted_before,
+        corrupted_rounds: channel.corrupted_rounds() - corrupted_before,
     };
     Ok(SimOutcome::new(transcript, outputs, stats))
 }

@@ -13,9 +13,10 @@ use beeps_channel::{
 };
 use beeps_core::{
     HierarchicalSimulator, OneToZeroSimulator, OwnedRoundsSimulator, RepetitionSimulator,
-    RewindSimulator, SimError, SimOutcome, SimulatorConfig,
+    RewindSimulator, SimError, SimOutcome, Simulator, SimulatorConfig,
 };
 use beeps_protocols::{Broadcast, InputSet, MultiOr, RollCall};
+use std::collections::BTreeSet;
 use std::fmt::Debug;
 use std::ops::Range;
 
@@ -406,6 +407,29 @@ fn hierarchical_scheme_matches_roundtrip() {
         }
     }
     assert!(failed > 0, "starved budget never exhausted: weak test");
+
+    // A wider starved case: n = 8 at half the default budget, where
+    // some runs exhaust it mid-search.
+    let p = InputSet::new(8);
+    let inputs = [1, 5, 5, 2, 9, 0, 12, 3];
+    let model = NoiseModel::Correlated { epsilon: 0.2 };
+    let config = SimulatorConfig::builder(8)
+        .model(model)
+        .budget_factor(0.5)
+        .build();
+    let sim = HierarchicalSimulator::new(&p, config);
+    let mut exhausted = 0usize;
+    for seed in 0..32 {
+        let packed = sim.simulate(&inputs, model, seed);
+        let mut rt = RoundtripChannel::new(8, model, seed);
+        let unpacked = sim.simulate_over(&inputs, model, &mut rt);
+        let context = format!("n=8 {model} seed {seed}");
+        exhausted += usize::from(assert_matches_oracle(packed, unpacked, &context));
+    }
+    assert!(
+        exhausted > 0,
+        "starved n = 8 budget never exhausted: weak test"
+    );
 }
 
 #[test]
@@ -426,118 +450,44 @@ fn owned_rounds_scheme_matches_roundtrip() {
     assert!(failed > 0, "starved budget never exhausted: weak test");
 }
 
-/// Transposition proof for the lane-sliced repetition engine: a 64-lane
-/// batch must be bitwise equal, trial by trial, to the scalar path.
-#[test]
-fn repetition_batch_matches_per_trial() {
-    let p = InputSet::new(5);
-    let inputs = [2, 9, 0, 0, 4];
-    let config = SimulatorConfig::builder(5)
-        .model(NoiseModel::Correlated { epsilon: 0.1 })
-        .build();
-    let sim = RepetitionSimulator::new(&p, config);
-    let seeds: Vec<u64> = (0..9).map(|i| i * 1_000_003 + 17).collect();
-    for model in models() {
-        let batch = sim.simulate_batch(&inputs, model, &seeds);
-        assert_eq!(batch.len(), seeds.len());
-        for (&seed, sliced) in seeds.iter().zip(batch) {
-            let scalar = sim.simulate(&inputs, model, seed).unwrap();
-            let sliced = sliced.unwrap();
-            assert_eq!(
-                scalar.transcript(),
-                sliced.transcript(),
-                "transcript diverged over {model} seed {seed}"
-            );
-            assert_eq!(scalar.outputs(), sliced.outputs());
-            assert_eq!(scalar.stats(), sliced.stats());
-        }
-    }
-}
-
-/// Transposition proof for the lane-sliced rewind engine, including the
-/// `BudgetExhausted` error path (transcripts, stats, and errors must all
-/// be bitwise equal to the scalar path, trial by trial).
-#[test]
-fn rewind_batch_matches_per_trial() {
-    let p = InputSet::new(4);
-    let inputs = [1, 5, 5, 2];
-    let config = SimulatorConfig::builder(4)
-        .model(NoiseModel::Correlated { epsilon: 0.1 })
-        .build();
-    let sim = RewindSimulator::new(&p, config);
-    let seeds: Vec<u64> = (0..9).map(|i| i * 6_700_417 + 3).collect();
-    for model in models() {
-        let batch = sim.simulate_batch(&inputs, model, &seeds);
-        assert_eq!(batch.len(), seeds.len());
-        for (&seed, sliced) in seeds.iter().zip(batch) {
-            let scalar = sim.simulate(&inputs, model, seed);
-            match (scalar, sliced) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(
-                        a.transcript(),
-                        b.transcript(),
-                        "transcript diverged over {model} seed {seed}"
-                    );
-                    assert_eq!(a.outputs(), b.outputs());
-                    assert_eq!(a.stats(), b.stats());
-                }
-                (a, b) => assert_eq!(a.err(), b.err(), "error mismatch over {model} seed {seed}"),
-            }
-        }
-    }
-}
-
-/// A rewind batch under a starved budget must reproduce the scalar
-/// path's `BudgetExhausted` errors exactly (rounds and committed count).
-#[test]
-fn rewind_batch_matches_per_trial_when_budget_starved() {
-    let p = InputSet::new(4);
-    let inputs = [1, 5, 5, 2];
-    let config = SimulatorConfig::builder(4)
-        .model(NoiseModel::Correlated { epsilon: 0.2 })
-        .budget_factor(1.0)
-        .build();
-    let sim = RewindSimulator::new(&p, config);
-    let seeds: Vec<u64> = (0..16).collect();
-    let model = NoiseModel::Correlated { epsilon: 0.2 };
-    let batch = sim.simulate_batch(&inputs, model, &seeds);
-    let mut exhausted = 0;
-    for (&seed, sliced) in seeds.iter().zip(batch) {
-        let scalar = sim.simulate(&inputs, model, seed);
-        match (scalar, sliced) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a.transcript(), b.transcript(), "seed {seed}");
-                assert_eq!(a.stats(), b.stats());
-            }
-            (a, b) => {
-                assert_eq!(a.err(), b.err(), "error mismatch seed {seed}");
-                exhausted += 1;
-            }
-        }
-    }
-    assert!(exhausted > 0, "starved budget never exhausted: weak test");
-}
-
 /// Degenerate party counts: a single party (every delivery word is all
 /// tail) and 65 parties (one bit past a word boundary, so the packed
-/// path straddles two words). The rewind scheme must stay bitwise
-/// identical between the packed and roundtrip representations at both,
-/// in every noise regime.
+/// path straddles two words). Every scheme with a collapsed body must
+/// stay bitwise identical between `simulate` and the per-party engine
+/// over the roundtrip representation at both, in every noise regime
+/// (one-to-zero must reject the regimes it does not accept alike).
 #[test]
 fn degenerate_party_counts_match_roundtrip() {
     for n in [1usize, 65] {
         let p = InputSet::new(n);
         let inputs: Vec<usize> = (0..n).map(|i| (7 * i + 1) % (2 * n)).collect();
+        let roll_call = RollCall::new(n);
+        let flags: Vec<bool> = (0..n).map(|i| i % 3 != 1).collect();
         let config = SimulatorConfig::builder(n)
             .model(NoiseModel::Correlated { epsilon: 0.1 })
             .build();
-        let sim = RewindSimulator::new(&p, config);
+        let repetition = RepetitionSimulator::new(&p, config.clone());
+        let rewind = RewindSimulator::new(&p, config.clone());
+        let hierarchical = HierarchicalSimulator::new(&p, config.clone());
+        let one_to_zero = OneToZeroSimulator::new(&p, 2, 32.0);
+        let owned = OwnedRoundsSimulator::new(&roll_call, config);
+        let schemes: [&dyn Simulator<usize, BTreeSet<usize>>; 4] =
+            [&repetition, &rewind, &hierarchical, &one_to_zero];
         for model in models() {
             for seed in 0..2 {
-                let packed = sim.simulate(&inputs, model, seed);
-                let mut rt = RoundtripChannel::new(n, model, seed);
-                let unpacked = sim.simulate_over(&inputs, model, &mut rt);
-                assert_matches_oracle(packed, unpacked, &format!("n={n} {model} seed {seed}"));
+                let rt = || RoundtripChannel::new(n, model, seed);
+                for sim in schemes {
+                    assert_matches_oracle(
+                        sim.simulate(&inputs, model, seed),
+                        sim.simulate_over(&inputs, model, &mut rt()),
+                        &format!("{} n={n} {model} seed {seed}", sim.name()),
+                    );
+                }
+                assert_matches_oracle(
+                    owned.simulate(&flags, model, seed),
+                    owned.simulate_over(&flags, model, &mut rt()),
+                    &format!("owned_rounds n={n} {model} seed {seed}"),
+                );
             }
         }
     }
@@ -713,218 +663,6 @@ fn windowed_retention_matches_full_when_budget_starved() {
         }
     }
     assert!(exhausted > 0, "starved budget never exhausted: weak test");
-}
-
-/// Transposition proof for the lane-sliced hierarchical engine: a batch
-/// must be bitwise equal, trial by trial, to the scalar path in every
-/// regime (independent noise falls back to the per-seed loop, which
-/// must be equally invisible).
-#[test]
-fn hierarchical_batch_matches_per_trial() {
-    let p = InputSet::new(4);
-    let inputs = [1, 6, 6, 3];
-    let config = SimulatorConfig::builder(4)
-        .model(NoiseModel::Correlated { epsilon: 0.1 })
-        .build();
-    let sim = HierarchicalSimulator::new(&p, config);
-    let seeds: Vec<u64> = (0..9).map(|i| i * 999_983 + 29).collect();
-    for model in models() {
-        let batch = sim.simulate_batch(&inputs, model, &seeds);
-        assert_eq!(batch.len(), seeds.len());
-        for (&seed, sliced) in seeds.iter().zip(batch) {
-            let scalar = sim.simulate(&inputs, model, seed);
-            match (scalar, sliced) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(
-                        a.transcript(),
-                        b.transcript(),
-                        "transcript diverged over {model} seed {seed}"
-                    );
-                    assert_eq!(a.outputs(), b.outputs());
-                    assert_eq!(a.stats(), b.stats());
-                }
-                (a, b) => assert_eq!(a.err(), b.err(), "error mismatch over {model} seed {seed}"),
-            }
-        }
-    }
-}
-
-/// A hierarchical batch under a starved budget must reproduce the
-/// scalar path's `BudgetExhausted` errors exactly through the
-/// lane-sliced engine (rounds and committed count).
-#[test]
-fn hierarchical_batch_matches_per_trial_when_budget_starved() {
-    let p = InputSet::new(8);
-    let inputs = [1, 5, 5, 2, 9, 0, 12, 3];
-    let model = NoiseModel::Correlated { epsilon: 0.2 };
-    let config = SimulatorConfig::builder(8)
-        .model(model)
-        .budget_factor(0.5)
-        .build();
-    let sim = HierarchicalSimulator::new(&p, config);
-    let seeds: Vec<u64> = (0..32).collect();
-    let batch = sim.simulate_batch(&inputs, model, &seeds);
-    let mut exhausted = 0;
-    for (&seed, sliced) in seeds.iter().zip(batch) {
-        let scalar = sim.simulate(&inputs, model, seed);
-        match (scalar, sliced) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a.transcript(), b.transcript(), "seed {seed}");
-                assert_eq!(a.stats(), b.stats());
-            }
-            (a, b) => {
-                assert_eq!(a.err(), b.err(), "error mismatch seed {seed}");
-                exhausted += 1;
-            }
-        }
-    }
-    assert!(exhausted > 0, "starved budget never exhausted: weak test");
-}
-
-/// Transposition proof for the lane-sliced owned-rounds engine across
-/// every regime (shared regimes ride the lane channel, independent
-/// noise the per-seed fallback — both must match the scalar path).
-#[test]
-fn owned_rounds_batch_matches_per_trial() {
-    let p = RollCall::new(8);
-    let inputs = [true, false, true, true, false, false, true, false];
-    let config = SimulatorConfig::builder(8)
-        .model(NoiseModel::Correlated { epsilon: 0.1 })
-        .build();
-    let sim = OwnedRoundsSimulator::new(&p, config);
-    let seeds: Vec<u64> = (0..9).map(|i| i * 104_729 + 7).collect();
-    for model in models() {
-        let batch = sim.simulate_batch(&inputs, model, &seeds);
-        assert_eq!(batch.len(), seeds.len());
-        for (&seed, sliced) in seeds.iter().zip(batch) {
-            let scalar = sim.simulate(&inputs, model, seed);
-            match (scalar, sliced) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(
-                        a.transcript(),
-                        b.transcript(),
-                        "transcript diverged over {model} seed {seed}"
-                    );
-                    assert_eq!(a.outputs(), b.outputs());
-                    assert_eq!(a.stats(), b.stats());
-                }
-                (a, b) => assert_eq!(a.err(), b.err(), "error mismatch over {model} seed {seed}"),
-            }
-        }
-    }
-}
-
-/// Transposition proof for the lane-sliced one-to-zero engine. The
-/// sweep includes the regimes the scheme rejects: those must surface
-/// the identical `UnsupportedNoise` error from the batch path.
-#[test]
-fn one_to_zero_batch_matches_per_trial() {
-    let p = InputSet::new(5);
-    let inputs = [2, 8, 8, 1, 0];
-    let sim = OneToZeroSimulator::new(&p, 2, 32.0);
-    let seeds: Vec<u64> = (0..9).map(|i| i * 15_485_863 + 11).collect();
-    for model in models() {
-        let batch = sim.simulate_batch(&inputs, model, &seeds);
-        assert_eq!(batch.len(), seeds.len());
-        for (&seed, sliced) in seeds.iter().zip(batch) {
-            let scalar = sim.simulate(&inputs, model, seed);
-            match (scalar, sliced) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(
-                        a.transcript(),
-                        b.transcript(),
-                        "transcript diverged over {model} seed {seed}"
-                    );
-                    assert_eq!(a.outputs(), b.outputs());
-                    assert_eq!(a.stats(), b.stats());
-                }
-                (a, b) => assert_eq!(a.err(), b.err(), "error mismatch over {model} seed {seed}"),
-            }
-        }
-    }
-}
-
-/// A one-to-zero batch at the minimum legal budget under heavy erasure
-/// must reproduce the scalar path's `BudgetExhausted` errors exactly
-/// through the lane-sliced engine.
-#[test]
-fn one_to_zero_batch_matches_per_trial_when_budget_starved() {
-    let p = InputSet::new(5);
-    let inputs = [2, 8, 8, 1, 0];
-    let sim = OneToZeroSimulator::new(&p, 2, 2.0);
-    let model = NoiseModel::OneSidedOneToZero { epsilon: 0.45 };
-    let seeds: Vec<u64> = (0..24).collect();
-    let batch = sim.simulate_batch(&inputs, model, &seeds);
-    let mut exhausted = 0;
-    for (&seed, sliced) in seeds.iter().zip(batch) {
-        let scalar = sim.simulate(&inputs, model, seed);
-        match (scalar, sliced) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a.transcript(), b.transcript(), "seed {seed}");
-                assert_eq!(a.stats(), b.stats());
-            }
-            (a, b) => {
-                assert_eq!(a.err(), b.err(), "error mismatch seed {seed}");
-                exhausted += 1;
-            }
-        }
-    }
-    assert!(exhausted > 0, "starved budget never exhausted: weak test");
-}
-
-/// A batch one trial past a full lane group (65 seeds = 64 + 1) must
-/// split cleanly: the full group and the single-lane remainder both
-/// bitwise match the scalar path.
-#[test]
-fn partial_final_lane_group_matches_per_trial() {
-    let p = InputSet::new(5);
-    let inputs = [2, 9, 0, 0, 4];
-    let model = NoiseModel::Correlated { epsilon: 0.1 };
-    let config = SimulatorConfig::builder(5).model(model).build();
-    let sim = RepetitionSimulator::new(&p, config);
-    let seeds: Vec<u64> = (0..65).map(|i| i * 2_097_593 + 41).collect();
-    let batch = sim.simulate_batch(&inputs, model, &seeds);
-    assert_eq!(batch.len(), seeds.len());
-    for (&seed, sliced) in seeds.iter().zip(batch) {
-        let scalar = sim.simulate(&inputs, model, seed).unwrap();
-        let sliced = sliced.unwrap();
-        assert_eq!(
-            scalar.transcript(),
-            sliced.transcript(),
-            "transcript diverged at seed {seed}"
-        );
-        assert_eq!(scalar.outputs(), sliced.outputs());
-        assert_eq!(scalar.stats(), sliced.stats());
-    }
-}
-
-/// Independent noise through the repetition lane engine at the
-/// degenerate party counts: one party (a delivery word that is all
-/// tail) and 65 parties (the flip calendar straddles a word boundary).
-/// Both must stay bitwise identical to the scalar path.
-#[test]
-fn independent_repetition_batch_matches_at_degenerate_party_counts() {
-    let model = NoiseModel::Independent { epsilon: 0.05 };
-    for n in [1usize, 65] {
-        let p = InputSet::new(n);
-        let inputs: Vec<usize> = (0..n).map(|i| (7 * i + 1) % (2 * n)).collect();
-        let config = SimulatorConfig::builder(n).model(model).build();
-        let sim = RepetitionSimulator::new(&p, config);
-        let seeds: Vec<u64> = (0..6).map(|i| i * 32_452_843 + 13).collect();
-        let batch = sim.simulate_batch(&inputs, model, &seeds);
-        assert_eq!(batch.len(), seeds.len());
-        for (&seed, sliced) in seeds.iter().zip(batch) {
-            let scalar = sim.simulate(&inputs, model, seed).unwrap();
-            let sliced = sliced.unwrap();
-            assert_eq!(
-                scalar.transcript(),
-                sliced.transcript(),
-                "transcript diverged at n={n} seed {seed}"
-            );
-            assert_eq!(scalar.outputs(), sliced.outputs());
-            assert_eq!(scalar.stats(), sliced.stats());
-        }
-    }
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //!
 //! The runner can pass an [`Observer`] handle explicitly, but the
 //! interesting spans live far below it — the executor's round loop,
-//! the lane engines' chunk/owners/verify phases — behind APIs whose
+//! the scheme engines' chunk/owners/verify phases — behind APIs whose
 //! signatures must not grow an observability parameter. Instead, each
 //! worker *installs* its observer into thread-local storage for the
 //! duration of its work, and instrumentation points call [`phase`] /

@@ -11,8 +11,8 @@
 //! The design enforces that invariant structurally:
 //!
 //! * Hooks are **observation-only**. The [`Observer`] trait receives
-//!   copies of scheduling facts (chunk claims, lane-group dispatches,
-//!   phase spans); nothing it returns is read by the engine.
+//!   copies of scheduling facts (chunk claims, phase spans); nothing
+//!   it returns is read by the engine.
 //! * Timing flows one way. Observers read the clock *themselves* (via
 //!   the one sanctioned [`clock`] module — see the beeps-lint
 //!   `wall-clock` rule); the deterministic engine never touches it.
@@ -25,7 +25,7 @@
 //! Three production observers ship here:
 //!
 //! * [`ProgressTracker`] — lock-free atomic counters (trials completed,
-//!   lane-groups dispatched, per-worker chunk claims) sampled by a
+//!   per-worker chunk claims) sampled by a
 //!   [`ProgressReporter`] thread that renders throughput + ETA to
 //!   stderr (`--progress` / `BEEPS_PROGRESS=1` in the binaries).
 //! * [`PhaseProfiler`] — aggregates wall-clock phase spans per worker

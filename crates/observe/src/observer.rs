@@ -54,12 +54,6 @@ pub trait Observer: Send + Sync {
         let _ = (worker, start, len);
     }
 
-    /// Worker `worker` dispatched a claimed chunk as one lane-sliced
-    /// `simulate_batch` group of `trials` trials.
-    fn on_lane_group(&self, worker: usize, trials: usize) {
-        let _ = (worker, trials);
-    }
-
     /// A named wall-clock span closed on worker `worker`
     /// (`start_micros..end_micros` on the [`crate::clock`] timebase).
     fn on_phase(&self, worker: usize, name: &'static str, start_micros: u64, end_micros: u64) {
@@ -133,12 +127,6 @@ impl Observer for MultiObserver {
     fn on_chunk_completed(&self, worker: usize, start: usize, len: usize) {
         for o in &self.observers {
             o.on_chunk_completed(worker, start, len);
-        }
-    }
-
-    fn on_lane_group(&self, worker: usize, trials: usize) {
-        for o in &self.observers {
-            o.on_lane_group(worker, trials);
         }
     }
 

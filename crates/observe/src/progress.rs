@@ -33,8 +33,6 @@ pub struct ProgressTracker {
     trials_total: AtomicU64,
     trials_done: AtomicU64,
     chunks_claimed: AtomicU64,
-    lane_groups: AtomicU64,
-    lane_trials: AtomicU64,
     runs_started: AtomicU64,
     runs_completed: AtomicU64,
     worker_claims: [AtomicU64; WORKER_SLOTS],
@@ -54,8 +52,6 @@ impl ProgressTracker {
             trials_total: AtomicU64::new(0),
             trials_done: AtomicU64::new(0),
             chunks_claimed: AtomicU64::new(0),
-            lane_groups: AtomicU64::new(0),
-            lane_trials: AtomicU64::new(0),
             runs_started: AtomicU64::new(0),
             runs_completed: AtomicU64::new(0),
             worker_claims: [const { AtomicU64::new(0) }; WORKER_SLOTS],
@@ -75,8 +71,6 @@ impl ProgressTracker {
             trials_total: self.trials_total.load(Ordering::Relaxed),
             trials_done: self.trials_done.load(Ordering::Relaxed),
             chunks_claimed: self.chunks_claimed.load(Ordering::Relaxed),
-            lane_groups: self.lane_groups.load(Ordering::Relaxed),
-            lane_trials: self.lane_trials.load(Ordering::Relaxed),
             runs_started: self.runs_started.load(Ordering::Relaxed),
             runs_completed: self.runs_completed.load(Ordering::Relaxed),
             worker_claims: self
@@ -107,11 +101,6 @@ impl Observer for ProgressTracker {
     fn on_chunk_completed(&self, _worker: usize, _start: usize, len: usize) {
         self.trials_done.fetch_add(len as u64, Ordering::Relaxed);
     }
-
-    fn on_lane_group(&self, _worker: usize, trials: usize) {
-        self.lane_groups.fetch_add(1, Ordering::Relaxed);
-        self.lane_trials.fetch_add(trials as u64, Ordering::Relaxed);
-    }
 }
 
 /// One sampled view of a [`ProgressTracker`].
@@ -123,10 +112,6 @@ pub struct ProgressSnapshot {
     pub trials_done: u64,
     /// Chunks claimed from the shared counter.
     pub chunks_claimed: u64,
-    /// Chunks dispatched as lane-sliced `simulate_batch` groups.
-    pub lane_groups: u64,
-    /// Trials carried by those lane groups.
-    pub lane_trials: u64,
     /// Runner invocations started.
     pub runs_started: u64,
     /// Runner invocations completed.
@@ -159,11 +144,10 @@ fn render_line(snap: &ProgressSnapshot, elapsed_micros: u64) -> String {
     };
     let line = format!(
         "[beeps] {}/{} trials ({pct:.1}%) \u{b7} {rate:.0}/s \u{b7} ETA {eta:.1}s \u{b7} \
-         {} chunks / {} lane-groups on {} worker(s)",
+         {} chunks on {} worker(s)",
         snap.trials_done,
         snap.trials_total,
         snap.chunks_claimed,
-        snap.lane_groups,
         snap.active_workers().max(1),
     );
     // Pad so a shorter line fully overwrites the previous one.
@@ -253,7 +237,6 @@ mod tests {
         let t = ProgressTracker::new();
         t.on_run_start(run_info(100, 4));
         t.on_chunk_claimed(0, 0, 8);
-        t.on_lane_group(0, 8);
         t.on_chunk_completed(0, 0, 8);
         t.on_chunk_claimed(1, 8, 8);
         t.on_chunk_completed(1, 8, 8);
@@ -262,8 +245,6 @@ mod tests {
         assert_eq!(s.trials_total, 100);
         assert_eq!(s.trials_done, 16);
         assert_eq!(s.chunks_claimed, 2);
-        assert_eq!(s.lane_groups, 1);
-        assert_eq!(s.lane_trials, 8);
         assert_eq!(s.runs_started, 1);
         assert_eq!(s.runs_completed, 1);
         assert_eq!(s.active_workers(), 2);

@@ -17,14 +17,12 @@
 //!   EXPERIMENTS.md, and `#[deprecated]` APIs slated for removal must
 //!   not gain new call sites.
 //! * **Performance** (`hot-path-alloc`, `party-loop-alloc`,
-//!   `trial-scope-precompute`, `lane-seed-discipline`) — the
-//!   executor's round loop is the innermost loop of every simulation;
-//!   no `format!`/`String` allocation may creep back into it, the
-//!   per-round per-party loops of the scaling engines must stay
-//!   heap-allocation-free (scratch arenas and pooled rows only),
-//!   code-table construction must not run per-trial, and lane-sliced
-//!   code must draw every lane's noise from the per-trial splitmix
-//!   stream (DESIGN.md §9–§10, §12).
+//!   `trial-scope-precompute`) — the executor's round loop is the
+//!   innermost loop of every simulation; no `format!`/`String`
+//!   allocation may creep back into it, the per-round per-party loops
+//!   of the scaling engines must stay heap-allocation-free (scratch
+//!   arenas and pooled rows only), and code-table construction must not
+//!   run per-trial (DESIGN.md §9, §12).
 //! * **Semantic** (`atomic-ordering`, `seed-provenance`,
 //!   `observer-purity`, `panic-path`) — token-tree passes the old
 //!   line lexer could not express: every `Ordering::*` use classified
@@ -69,8 +67,6 @@ pub enum RuleId {
     PartyLoopAlloc,
     /// Code-table construction inside a `TrialRunner` per-trial closure.
     TrialScopePrecompute,
-    /// Direct RNG seeding inside lane-sliced executor code.
-    LaneSeedDiscipline,
     /// `Ordering::Relaxed` outside the per-module atomics policy.
     AtomicOrdering,
     /// RNG seeds that do not trace to a per-trial splitmix derivation.
@@ -97,7 +93,6 @@ impl RuleId {
         RuleId::HotPathAlloc,
         RuleId::PartyLoopAlloc,
         RuleId::TrialScopePrecompute,
-        RuleId::LaneSeedDiscipline,
         RuleId::AtomicOrdering,
         RuleId::SeedProvenance,
         RuleId::ObserverPurity,
@@ -121,7 +116,6 @@ impl RuleId {
             RuleId::HotPathAlloc => "hot-path-alloc",
             RuleId::PartyLoopAlloc => "party-loop-alloc",
             RuleId::TrialScopePrecompute => "trial-scope-precompute",
-            RuleId::LaneSeedDiscipline => "lane-seed-discipline",
             RuleId::AtomicOrdering => "atomic-ordering",
             RuleId::SeedProvenance => "seed-provenance",
             RuleId::ObserverPurity => "observer-purity",
@@ -186,12 +180,6 @@ impl RuleId {
                  trial; hoist it before the runner call or attach a \
                  shared CodeCache to the SimulatorConfig"
             }
-            RuleId::LaneSeedDiscipline => {
-                "lane-sliced executor code must draw every lane's noise \
-                 from the per-trial splitmix seed stream; a direct \
-                 StdRng::seed_from_u64 there silently breaks per-trial \
-                 bitwise identity with the scalar path"
-            }
             RuleId::AtomicOrdering => {
                 "Ordering::Relaxed is reserved for the observe progress \
                  counters and documented inert-path loads; merge and \
@@ -201,8 +189,7 @@ impl RuleId {
             RuleId::SeedProvenance => {
                 "every RNG seed in core/channel/bench must trace to the \
                  per-trial splitmix derivation (trial_seed) or a known \
-                 seed-deriving fn; literal seeds and cross-lane reuse \
-                 silently couple trials"
+                 seed-deriving fn; literal seeds silently couple trials"
             }
             RuleId::ObserverPurity => {
                 "observation is a pure side channel: Observer impls and \
@@ -319,27 +306,6 @@ const TRIAL_PRECOMPUTE_PATTERNS: &[&str] = &[
     "build_code(",
     "RandomCode::with_length(",
     "ConstantWeightCode::new(",
-];
-
-/// Files holding lane-sliced (bit-sliced, 64-trials-per-word) executor
-/// code. Every lane's randomness must come from that trial's splitmix
-/// seed via the two sanctioned seeding sites — `LaneChannel::shared`
-/// (shared noise) and `IndependentLaneChannel::new` (per-party flip
-/// calendars), each fanning the per-trial splitmix seeds out to lanes;
-/// any other direct seeding would let two lanes share (or skew) a
-/// stream and break bitwise identity with the per-trial scalar path.
-const LANE_SLICED_FILES: &[&str] = &["crates/channel/src/lanes.rs", "crates/core/src/lanes.rs"];
-
-/// RNG seeding constructors banned in lane-sliced files outside the
-/// sanctioned sites. `StochasticChannel::new` is on the list because
-/// constructing a scalar channel seeds a fresh RNG stream internally:
-/// lane engines must draw through `LaneChannel` /
-/// `IndependentLaneChannel` (or take an already-seeded source), never
-/// re-seed per lane themselves.
-const LANE_SEED_PATTERNS: &[&str] = &[
-    "seed_from_u64(",
-    "SeedableRng::from_seed(",
-    "StochasticChannel::new(",
 ];
 
 /// The atomics policy table: files whose `Ordering::Relaxed` uses are
@@ -554,10 +520,6 @@ pub fn passes() -> Vec<Pass> {
         Pass {
             rule: RuleId::TrialScopePrecompute,
             run: pass_trial_scope_precompute,
-        },
-        Pass {
-            rule: RuleId::LaneSeedDiscipline,
-            run: pass_lane_seed_discipline,
         },
         Pass {
             rule: RuleId::AtomicOrdering,
@@ -935,42 +897,6 @@ fn pass_party_loop_alloc(files: &[SourceFile], _facts: &Facts, out: &mut Vec<Fin
     }
 }
 
-/// Flags direct RNG seeding in lane-sliced executor files. The two
-/// sanctioned sites (`LaneChannel::shared` and
-/// `IndependentLaneChannel::new`, which fan the per-trial splitmix
-/// seeds out to lanes) carry justified suppressions; any new seeding —
-/// including indirect seeding via `StochasticChannel::new` — must
-/// either route through them or argue its case in a suppression
-/// comment.
-fn pass_lane_seed_discipline(files: &[SourceFile], _facts: &Facts, out: &mut Vec<Finding>) {
-    for file in files {
-        let rel = rel_path(file);
-        if !LANE_SLICED_FILES.contains(&rel.as_str()) {
-            continue;
-        }
-        for (idx, line) in file.lines.iter().enumerate() {
-            if line.in_test {
-                continue; // tests may seed scalar reference channels freely
-            }
-            for pat in LANE_SEED_PATTERNS {
-                if line.code.contains(pat) {
-                    out.push(finding(
-                        RuleId::LaneSeedDiscipline,
-                        &rel,
-                        idx,
-                        format!(
-                            "`{pat}…)` seeds an RNG inside lane-sliced executor code; draw \
-                             lane randomness from the per-trial splitmix seed stream via \
-                             `LaneChannel::shared` / `IndependentLaneChannel::new` so lanes \
-                             stay bitwise identical to per-trial runs"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
 /// Flags trial-invariant code-table construction inside the argument
 /// list (in practice: the per-trial closure) of a [`TRIAL_RUN_MARKERS`]
 /// call in an experiment binary. Regions are tracked by paren depth
@@ -1126,8 +1052,7 @@ fn pass_atomic_ordering(files: &[SourceFile], _facts: &Facts, out: &mut Vec<Find
     }
 }
 
-/// Renders an argument token slice to compact text (for cross-lane
-/// seed-reuse comparison and messages).
+/// Renders an argument token slice to compact text (for messages).
 fn render_args(tokens: &[Token]) -> String {
     let mut out = String::new();
     for t in tokens {
@@ -1166,8 +1091,7 @@ fn render_args(tokens: &[Token]) -> String {
 /// [`SEED_SINKS`] call's arguments must trace to a per-trial splitmix
 /// derivation — an identifier carrying `seed`/`splitmix`, or a call to
 /// a [`Facts::seed_fns`] deriver. Integer-literal seeds and argument
-/// expressions with no traceable identifier are findings, as is the
-/// same seed expression feeding two sinks in a lane-sliced file.
+/// expressions with no traceable identifier are findings.
 fn pass_seed_provenance(files: &[SourceFile], facts: &Facts, out: &mut Vec<Finding>) {
     let traced = |id: &str| {
         let lower = id.to_lowercase();
@@ -1178,9 +1102,6 @@ fn pass_seed_provenance(files: &[SourceFile], facts: &Facts, out: &mut Vec<Findi
         if !SEED_SCOPE_PREFIXES.iter().any(|p| rel.starts_with(p)) || rel.contains("tests/") {
             continue;
         }
-        let lane_file = LANE_SLICED_FILES.contains(&rel.as_str());
-        // seed expression text -> 0-based line of its first sink.
-        let mut lane_seen: BTreeMap<String, usize> = BTreeMap::new();
         let toks = &file.tokens;
         for i in 0..toks.len() {
             let Some(name) = toks[i].tok.ident() else {
@@ -1244,24 +1165,6 @@ fn pass_seed_provenance(files: &[SourceFile], facts: &Facts, out: &mut Vec<Findi
                         }
                     ),
                 ));
-            }
-            if lane_file {
-                if let Some(&prev) = lane_seen.get(&render_args(args)) {
-                    out.push(finding(
-                        RuleId::SeedProvenance,
-                        &rel,
-                        line,
-                        format!(
-                            "seed expression `{}` already feeds a lane sink on line {}; \
-                             reusing one seed across lanes collapses their noise \
-                             streams into lockstep",
-                            render_args(args),
-                            prev + 1
-                        ),
-                    ));
-                } else {
-                    lane_seen.insert(render_args(args), line);
-                }
             }
         }
     }
@@ -1583,18 +1486,6 @@ mod tests {
         assert!(lint_one("crates/metrics/src/registry.rs", src2)
             .iter()
             .all(|f| f.rule != RuleId::SeedProvenance));
-    }
-
-    #[test]
-    fn cross_lane_seed_reuse_fires_in_lane_files() {
-        let src = "fn lanes(seed: u64) {\n    let a = StdRng::seed_from_u64(seed);\n    let b = StdRng::seed_from_u64(seed);\n}\n";
-        let out = lint_one("crates/channel/src/lanes.rs", src);
-        let reuse: Vec<_> = out
-            .iter()
-            .filter(|f| f.rule == RuleId::SeedProvenance && f.message.contains("already feeds"))
-            .collect();
-        assert_eq!(reuse.len(), 1);
-        assert_eq!(reuse[0].line, 3);
     }
 
     #[test]

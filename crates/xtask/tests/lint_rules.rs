@@ -204,34 +204,6 @@ fn trial_scope_precompute_fires_inside_trial_closures_only() {
 }
 
 #[test]
-fn lane_seed_discipline_fires_outside_sanctioned_site_only() {
-    let report = run("lane_seed");
-    assert_eq!(
-        rules_of(&report),
-        [RuleId::LaneSeedDiscipline, RuleId::LaneSeedDiscipline]
-    );
-    assert_eq!(
-        report.findings[0].path, "crates/channel/src/lanes.rs",
-        "seeding outside the lane-sliced files must not fire: {:?}",
-        report.findings
-    );
-    assert_eq!(report.findings[0].line, 2);
-    assert!(report.findings[0].message.contains("seed_from_u64"));
-    // Constructing a scalar channel inside a lane engine seeds a fresh
-    // RNG stream just as directly as seed_from_u64.
-    assert_eq!(report.findings[1].path, "crates/core/src/lanes.rs");
-    assert_eq!(report.findings[1].line, 2);
-    assert!(report.findings[1]
-        .message
-        .contains("StochasticChannel::new"));
-    assert_eq!(
-        report.suppressed, 2,
-        "each justified sanctioned-site allow silences its finding"
-    );
-    // The cfg(test) scalar-reference seeding never fires.
-}
-
-#[test]
 fn atomic_ordering_polices_relaxed_outside_observe_counters() {
     let report = run("atomic_ordering");
     assert_eq!(
@@ -265,29 +237,25 @@ fn seed_provenance_requires_trial_seed_lineage() {
     assert_eq!(
         rules_of(&report),
         [
-            RuleId::SeedProvenance, // cross-lane reuse
             RuleId::SeedProvenance, // integer-literal seed
             RuleId::SeedProvenance  // untraced expression
         ]
     );
-    assert_eq!(report.findings[0].path, "crates/channel/src/lanes.rs");
-    assert_eq!(report.findings[0].line, 5);
-    assert!(report.findings[0].message.contains("already feeds"));
-    assert_eq!(report.findings[1].path, "crates/core/src/rng.rs");
-    assert!(report.findings[1].message.contains("literal seed"));
+    assert_eq!(report.findings[0].path, "crates/core/src/rng.rs");
+    assert!(report.findings[0].message.contains("literal seed"));
     assert!(
-        report.findings[2].message.contains("does not trace"),
+        report.findings[1].message.contains("does not trace"),
         "{}",
-        report.findings[2].message
+        report.findings[1].message
     );
     assert!(
-        report.findings[2].message.contains("trial_seed"),
+        report.findings[1].message.contains("trial_seed"),
         "message lists the Facts-discovered seed fns: {}",
-        report.findings[2].message
+        report.findings[1].message
     );
     // seed_from_u64(trial_seed(base, trial)) and the cfg(test) scratch
-    // seed never fire; the two lane-seed allows count as suppressions.
-    assert_eq!(report.suppressed, 2);
+    // seed never fire.
+    assert_eq!(report.suppressed, 0);
 }
 
 #[test]
@@ -394,7 +362,6 @@ fn cli_exit_codes_reflect_findings() {
         "hot_path_alloc",
         "party_loop_alloc",
         "trial_scope_precompute",
-        "lane_seed",
         "atomic_ordering",
         "seed_provenance",
         "observer_purity",

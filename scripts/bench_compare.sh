@@ -6,12 +6,11 @@
 # Re-runs bench_hotpaths against the checked-in BENCH_hotpaths.json and
 # fails when any benchmark regresses by more than BEEPS_BENCH_TOLERANCE
 # percent (default 25, i.e. speedup < 0.75 relative to the pinned
-# numbers). The harness also emits a "lanes" section — the bit-sliced
-# engine's per-trial speedup over its scalar twin, measured within the
-# same run — and full mode fails when any lane ratio drops below
-# BEEPS_LANES_FLOOR (default 4); likewise a "soa" section — the
-# collapsed struct-of-arrays engine and the sparse channel against
-# their pre-scaling twins — gated at BEEPS_SOA_FLOOR (default 3).
+# numbers). The harness also emits a "soa" section — each collapsed
+# struct-of-arrays scheme engine against its per-party twin, and the
+# sparse channel against the dense one, measured within the same run —
+# and full mode fails when any ratio drops below BEEPS_SOA_FLOOR
+# (default 3).
 # When the baseline was pinned on different hardware (the config
 # block's host_cores / beeps_threads fields differ from this run's),
 # the speedup comparison warns instead of failing: cross-machine
@@ -46,55 +45,37 @@ if [[ -z "$SPEEDUPS" ]]; then
   exit 1
 fi
 
-# The lane gate reads the same-run "lanes" section (scalar ns ÷ lane
-# ns per scalar benchmark name) — also flat, no nested braces.
-LANES_SECTION=$(sed -n 's/.*"lanes":{\([^}]*\)}.*/\1/p' "$OUT")
-if [[ -z "$LANES_SECTION" ]]; then
-  echo "bench_compare: no lanes section in $OUT (bench_hotpaths too old?)" >&2
-  exit 1
-fi
-
-# Same shape for the "soa" section: collapsed-engine and sparse-channel
-# ratios over their pre-scaling twins, measured within the same run.
+# The ratio gate reads the same-run "soa" section (slow ns ÷ fast ns
+# per slow benchmark name) — also flat, no nested braces.
 SOA_SECTION=$(sed -n 's/.*"soa":{\([^}]*\)}.*/\1/p' "$OUT")
 if [[ -z "$SOA_SECTION" ]]; then
   echo "bench_compare: no soa section in $OUT (bench_hotpaths too old?)" >&2
   exit 1
 fi
 
-# Every gated ratio the harness is supposed to emit, by section. A
-# missing key is a hard failure even in smoke mode: if a benchmark row
-# is renamed or dropped, its floor must not silently stop applying.
-REQUIRED_LANES=(
-  executor.run.correlated
-  executor.run.independent
-  scheme.repetition.n64
-  scheme.rewind
-  scheme.hierarchical
-  scheme.one_to_zero
-)
+# Every gated ratio the harness is supposed to emit. A missing key is a
+# hard failure even in smoke mode: if a benchmark row is renamed or
+# dropped, its floor must not silently stop applying.
 REQUIRED_SOA=(
   party.soa.scalar.n1e4
   channel.dense.transmit.n1e4
   scheme.repetition.n64
+  scheme.rewind
+  scheme.hierarchical
+  scheme.one_to_zero
+  scheme.owned_rounds
 )
 STATUS=0
-for key in "${REQUIRED_LANES[@]}"; do
-  if [[ "$LANES_SECTION" != *"\"$key\":"* ]]; then
-    echo "bench_compare: required lane ratio '$key' missing from lanes section" >&2
-    STATUS=1
-  fi
-done
 for key in "${REQUIRED_SOA[@]}"; do
   if [[ "$SOA_SECTION" != *"\"$key\":"* ]]; then
     echo "bench_compare: required soa ratio '$key' missing from soa section" >&2
     STATUS=1
   fi
 done
-# The speedup section must cover every gated scalar row too: a gated
-# benchmark absent from the pinned baseline would otherwise be
-# silently exempt from the regression tolerance.
-for key in "${REQUIRED_LANES[@]}" "${REQUIRED_SOA[@]}" channel.lanes.sparse.n1e4 scheme.repetition.soa; do
+# The speedup section must cover every gated row too: a gated benchmark
+# absent from the pinned baseline would otherwise be silently exempt
+# from the regression tolerance.
+for key in "${REQUIRED_SOA[@]}" scheme.{repetition,rewind,hierarchical,one_to_zero,owned_rounds}.soa; do
   if [[ "$SPEEDUPS" != *"\"$key\":"* ]]; then
     echo "bench_compare: '$key' missing from speedup section (not in $BASELINE? re-pin it)" >&2
     STATUS=1
@@ -119,7 +100,7 @@ elif [[ "$BASE_CORES" != "$CUR_CORES" || "$BASE_THREADS" != "$CUR_THREADS" ]]; t
 fi
 
 if [[ -n "$SMOKE" ]]; then
-  echo "bench_compare: smoke mode — harness, lanes and soa sections, and comparison plumbing OK, thresholds skipped"
+  echo "bench_compare: smoke mode — harness, soa section, and comparison plumbing OK, thresholds skipped"
   exit 0
 fi
 
@@ -133,18 +114,6 @@ for entry in "${ENTRIES[@]}"; do
   ok=$(awk -v v="$value" -v f="$FLOOR" 'BEGIN { print (v >= f) ? 1 : 0 }')
   if [[ "$ok" != 1 ]]; then
     echo "bench_compare: $name regressed: speedup ${value}x < ${FLOOR}x (tolerance ${TOLERANCE}%)" >&2
-    STATUS=1
-  fi
-done
-LANE_FLOOR="${BEEPS_LANES_FLOOR:-4}"
-IFS=',' read -ra LANE_ENTRIES <<<"$LANES_SECTION"
-for entry in "${LANE_ENTRIES[@]}"; do
-  name="${entry%%:*}"
-  name="${name//\"/}"
-  value="${entry##*:}"
-  ok=$(awk -v v="$value" -v f="$LANE_FLOOR" 'BEGIN { print (v >= f) ? 1 : 0 }')
-  if [[ "$ok" != 1 ]]; then
-    echo "bench_compare: lane engine on $name only ${value}x vs scalar, floor ${LANE_FLOOR}x" >&2
     STATUS=1
   fi
 done
@@ -162,6 +131,6 @@ for entry in "${SOA_ENTRIES[@]}"; do
 done
 
 if [[ "$STATUS" == 0 ]]; then
-  echo "bench_compare: all benchmarks within ${TOLERANCE}% of $BASELINE; lane ratios >= ${LANE_FLOOR}x; soa ratios >= ${SOA_FLOOR}x"
+  echo "bench_compare: all benchmarks within ${TOLERANCE}% of $BASELINE; soa ratios >= ${SOA_FLOOR}x"
 fi
 exit "$STATUS"

@@ -35,13 +35,12 @@ cargo xtask lint --format sarif > target/beeps-lint.sarif
 cargo fmt --check
 # Smoke-run the pinned benchmark harness (1 iteration, tiny rounds)
 # through the regression-gate script: catches bit-rot in the bench
-# binary and the comparison plumbing — including the bit-sliced
-# "lanes" and collapsed-engine "soa" sections the ratio gates read,
-# and the presence of every required gated key (executor.lanes.*,
-# scheme.*.batch, scheme.repetition.soa, channel.lanes.sparse.*): a
-# renamed or dropped gated row fails the smoke, not just the full run.
-# Run `scripts/bench_compare.sh` without --smoke for the real >25%
-# regression gate plus the >=4x lane / >=3x soa engine floors.
+# binary and the comparison plumbing — including the "soa" section the
+# ratio gate reads, and the presence of every required gated key
+# (party.soa.*, channel.dense.*, the per-party scheme.* twins and their
+# scheme.*.soa rows): a renamed or dropped gated row fails the smoke,
+# not just the full run. Run `scripts/bench_compare.sh` without
+# --smoke for the real >25% regression gate plus the >=3x soa floor.
 scripts/bench_compare.sh --smoke
 # Observability smoke: a real experiment run under --progress --profile
 # must produce a loadable Chrome trace and a sealed JSONL run log
