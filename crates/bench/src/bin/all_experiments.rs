@@ -63,7 +63,7 @@ fn main() {
             i + 1,
             experiments.len()
         );
-        let sw = beeps_metrics::Stopwatch::start();
+        let sw = beeps_observe::clock::Stopwatch::start();
         run();
         println!("(took {:.1}s)\n", sw.elapsed().as_secs_f64());
     }

@@ -1,14 +1,11 @@
 //! **Hot-path benchmark suite** — pins the wall-clock performance of the
-//! executor/channel/metrics stack so perf regressions are visible in a
+//! channel/scheme/runner stack so perf regressions are visible in a
 //! diff, not just in vibes.
 //!
-//! Measures four layers of the stack:
+//! Measures three layers of the stack:
 //!
 //! * raw [`StochasticChannel::transmit`] throughput per noise model
 //!   (the per-round sampling cost each Monte Carlo sweep pays);
-//! * [`Executor::run`] / [`Executor::run_with_metrics`] round throughput
-//!   under `Independent` and `Correlated` noise (the inner loop of every
-//!   experiment binary);
 //! * every scheme end to end, twice on the same seeds and workload:
 //!   through the per-party engines (`simulate_over` over an explicit
 //!   channel, the oracle: `scheme.repetition.n64`, `scheme.rewind`,
@@ -39,31 +36,25 @@
 //! The `config` block records the host's core count and `BEEPS_THREADS`
 //! so the comparison script can flag cross-hardware baselines.
 //!
-//! Timing uses the sanctioned [`Stopwatch`] wrapper; everything else in
+//! Timing uses the sanctioned [`Stopwatch`]; everything else in
 //! the harness is seed-deterministic, so two runs measure the same work.
 
 use std::path::PathBuf;
 
 use beeps_bench::{Json, Observation, TrialRunner};
-use beeps_channel::{Channel, Executor, NoiseModel, Party, StochasticChannel};
+use beeps_channel::{Channel, NoiseModel, StochasticChannel};
 use beeps_core::{
     CodeCache, HierarchicalSimulator, OneToZeroSimulator, OwnedRoundsSimulator,
     RepetitionSimulator, RewindSimulator, SimulatorConfig, SoaScratch,
 };
 use beeps_ecc::{BitMetric, RandomCode, SymbolCode};
-use beeps_metrics::{MetricsRegistry, Stopwatch};
+use beeps_observe::clock::Stopwatch;
 use beeps_protocols::{Broadcast, InputSet, RollCall};
 
-/// Parties attached to the executor/channel benchmarks.
+/// Parties attached to the channel benchmarks.
 const PARTIES: usize = 64;
-/// Noise rate used by the channel/executor benchmarks.
+/// Noise rate used by the channel benchmarks.
 const EPS: f64 = 0.05;
-/// Noise rate for the *independent-noise executor* rows: the sparse
-/// regime the per-party flip calendar targets (fig_scale sweeps ε down
-/// to 10^-5), where the rows measure the executor's round loop rather
-/// than flip sampling. Dense independent *sampling* throughput stays
-/// pinned by `noise.independent` (at [`EPS`]).
-const INDEP_EPS: f64 = 1e-3;
 
 struct Args {
     iters: usize,
@@ -125,35 +116,6 @@ impl Args {
 fn parse_num(v: Option<String>, flag: &str) -> usize {
     v.and_then(|s| s.parse().ok())
         .unwrap_or_else(|| panic!("{flag} needs a positive integer"))
-}
-
-/// A deliberately cheap party so the benchmarks measure the harness, not
-/// the protocol: beeps on multiples of its stride, remembers one bit.
-struct Strider {
-    stride: usize,
-    round: usize,
-    last: bool,
-}
-
-impl Party for Strider {
-    fn beep(&mut self) -> bool {
-        self.round.is_multiple_of(self.stride)
-    }
-
-    fn hear(&mut self, heard: bool) {
-        self.round += 1;
-        self.last = heard;
-    }
-}
-
-fn striders(n: usize) -> Vec<Strider> {
-    (0..n)
-        .map(|i| Strider {
-            stride: 2 + (i % 7),
-            round: 0,
-            last: false,
-        })
-        .collect()
 }
 
 /// Fast paths paired with their slow twins: the `"soa"` section
@@ -266,43 +228,6 @@ fn channel_benches(suite: &mut Suite) {
             rounds
         });
     }
-}
-
-fn executor_benches(suite: &mut Suite) {
-    let rounds = suite.args.rounds;
-    let independent = NoiseModel::Independent { epsilon: INDEP_EPS };
-    let correlated = NoiseModel::Correlated { epsilon: EPS };
-
-    suite.bench("executor.run.independent", || {
-        let mut parties = striders(PARTIES);
-        let mut ch = StochasticChannel::new(PARTIES, independent, 7);
-        let stats = Executor::run(&mut parties, &mut ch, rounds);
-        std::hint::black_box(stats.energy);
-        rounds
-    });
-    suite.bench("executor.run.correlated", || {
-        let mut parties = striders(PARTIES);
-        let mut ch = StochasticChannel::new(PARTIES, correlated, 7);
-        let stats = Executor::run(&mut parties, &mut ch, rounds);
-        std::hint::black_box(stats.energy);
-        rounds
-    });
-    suite.bench("executor.run_with_metrics.independent", || {
-        let mut parties = striders(PARTIES);
-        let mut ch = StochasticChannel::new(PARTIES, independent, 7);
-        let mut metrics = MetricsRegistry::new();
-        let stats = Executor::run_with_metrics(&mut parties, &mut ch, rounds, &mut metrics);
-        std::hint::black_box(stats.energy + metrics.counter("channel.energy") as usize);
-        rounds
-    });
-    suite.bench("executor.run_with_metrics.correlated", || {
-        let mut parties = striders(PARTIES);
-        let mut ch = StochasticChannel::new(PARTIES, correlated, 7);
-        let mut metrics = MetricsRegistry::new();
-        let stats = Executor::run_with_metrics(&mut parties, &mut ch, rounds, &mut metrics);
-        std::hint::black_box(stats.energy + metrics.counter("channel.energy") as usize);
-        rounds
-    });
 }
 
 fn scheme_benches(suite: &mut Suite) {
@@ -652,8 +577,8 @@ pub fn main() {
         obs_args.push(format!("--profile={}", p.display()));
     }
     let observation = Observation::from_args("bench_hotpaths", 0xBEE5, &obs_args);
-    // Instrumented code outside the TrialRunner (direct Executor /
-    // scheme benches) reports through the ambient install.
+    // Instrumented code outside the TrialRunner (the direct scheme
+    // benches) reports through the ambient install.
     let ambient = observation.install_ambient();
     let mut suite = Suite {
         args,
@@ -662,7 +587,6 @@ pub fn main() {
     };
 
     channel_benches(&mut suite);
-    executor_benches(&mut suite);
     scheme_benches(&mut suite);
     soa_benches(&mut suite);
     crosstrial_benches(&mut suite);

@@ -28,7 +28,7 @@
 use beeps_bench::{f3, trial_seed, ExperimentLog, Observation, Table, TrialRunner};
 use beeps_channel::NoiseModel;
 use beeps_core::{RewindSimulator, SimulatorConfig, SoaScratch};
-use beeps_metrics::Stopwatch;
+use beeps_observe::clock::Stopwatch;
 use beeps_protocols::{Broadcast, InputSet};
 use rand::Rng;
 

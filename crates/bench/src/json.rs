@@ -1,8 +1,8 @@
 //! Hand-rolled JSON emission for experiment logs.
 //!
 //! The workspace deliberately keeps its dependency set to
-//! `rand`/`proptest`/`criterion`, so experiment results are serialised
-//! by this small emitter instead of `serde`. Output is fully
+//! `rand`/`proptest`, so experiment results are serialised by this
+//! small emitter instead of `serde`. Output is fully
 //! deterministic: object keys keep insertion order, floats render via
 //! Rust's shortest-round-trip `Display`, and nothing environmental
 //! (thread count, timestamps, hostnames) is ever written — the same
@@ -420,7 +420,8 @@ mod tests {
         m.inc("sim.rewind.rewinds", 2);
         m.observe("sim.rewind.rounds", 100);
         m.event("sim.rewind.rewind_storm", 100, 2);
-        m.time("sim.rewind.simulate", || ()); // wall: must not appear
+        // A wall timing, which must not appear in the JSON.
+        m.record_wall("sim.rewind.simulate", std::time::Duration::from_millis(1));
         let rendered = metrics_json(&m).render();
         assert!(rendered.contains(r#""sim.rewind.rewinds":2"#));
         assert!(rendered.contains(r#""count":1"#));

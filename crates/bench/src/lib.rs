@@ -1,6 +1,6 @@
 //! Shared helpers for the experiment binaries (`src/bin/fig*_*.rs`,
 //! `src/bin/tab*_*.rs`) that regenerate every experiment in
-//! `EXPERIMENTS.md`, and for the Criterion micro-benchmarks in `benches/`.
+//! `EXPERIMENTS.md`, and for the `bench_hotpaths` benchmark harness.
 //!
 //! The experiment engine lives in [`runner`] (seed-deterministic
 //! parallel trial execution), [`json`] (dependency-free experiment
@@ -16,7 +16,7 @@ pub mod runner;
 
 pub use json::{metrics_json, ExperimentLog, Json};
 pub use observe::Observation;
-pub use runner::{trial_seed, Summary, Trial, TrialRecord, TrialRunner};
+pub use runner::{trial_seed, Trial, TrialRunner};
 
 use std::fmt::Display;
 

@@ -26,8 +26,8 @@
 //!
 //! An [`Observer`] attached via [`TrialRunner::with_observer`] receives
 //! run / chunk lifecycle hooks and is ambiently installed on every
-//! worker (so deep instrumentation points — the executor's transmit
-//! loop, the scheme engines' phases — report to it too). Hooks
+//! worker (so deep instrumentation points — the scheme engines'
+//! phases, the owners phase — report to it too). Hooks
 //! are observation-only and carry no data back into the engine; with no
 //! observer attached every hook site is skipped and the run takes the
 //! exact same code path as before the hooks existed.
@@ -37,8 +37,6 @@ use std::sync::Arc;
 use beeps_metrics::MetricsRegistry;
 use beeps_observe::{ambient, Observer, RunInfo, MAIN_WORKER};
 use rand::{rngs::StdRng, SeedableRng};
-
-use crate::json::Json;
 
 /// Derives the RNG seed for one trial from the experiment's base seed.
 ///
@@ -358,15 +356,6 @@ impl TrialRunner {
         merged
     }
 
-    /// [`TrialRunner::run`] for the common record shape: runs the
-    /// trials and aggregates the [`TrialRecord`]s into a [`Summary`].
-    pub fn run_records<F>(&self, base_seed: u64, trials: usize, trial_fn: F) -> Summary
-    where
-        F: Fn(Trial) -> TrialRecord + Sync,
-    {
-        Summary::of(&self.run(base_seed, trials, trial_fn))
-    }
-
     /// Like [`TrialRunner::run`], but each trial also gets an **empty**
     /// [`MetricsRegistry`] to record into; the per-trial registries are
     /// merged back **in trial-index order**, so the aggregate — counters,
@@ -449,91 +438,6 @@ impl TrialRunner {
         drop(merge_span);
         drop(merge_guard);
         (results, merged)
-    }
-}
-
-/// What one trial of an experiment measured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrialRecord {
-    /// Channel rounds the trial consumed.
-    pub rounds: u64,
-    /// Total beeps emitted across all parties.
-    pub energy: u64,
-    /// Rounds where noise corrupted at least one listener.
-    pub corrupted_rounds: u64,
-    /// Whether the trial met its experiment's success criterion.
-    pub success: bool,
-}
-
-impl TrialRecord {
-    /// A record for a failed trial with no measurements (e.g. budget
-    /// exhaustion before any round completed).
-    #[must_use]
-    pub fn failure() -> Self {
-        Self {
-            rounds: 0,
-            energy: 0,
-            corrupted_rounds: 0,
-            success: false,
-        }
-    }
-}
-
-/// Aggregate statistics over a batch of [`TrialRecord`]s.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of trials aggregated.
-    pub trials: usize,
-    /// Trials whose success criterion held.
-    pub successes: usize,
-    /// Mean channel rounds per trial.
-    pub mean_rounds: f64,
-    /// Mean energy (total beeps) per trial.
-    pub mean_energy: f64,
-    /// Mean corrupted rounds per trial.
-    pub mean_corrupted_rounds: f64,
-}
-
-impl Summary {
-    /// Aggregates `records` (empty input yields all-zero means).
-    #[must_use]
-    pub fn of(records: &[TrialRecord]) -> Self {
-        let trials = records.len();
-        let denom = trials.max(1) as f64;
-        Self {
-            trials,
-            successes: records.iter().filter(|r| r.success).count(),
-            mean_rounds: records.iter().map(|r| r.rounds as f64).sum::<f64>() / denom,
-            mean_energy: records.iter().map(|r| r.energy as f64).sum::<f64>() / denom,
-            mean_corrupted_rounds: records
-                .iter()
-                .map(|r| r.corrupted_rounds as f64)
-                .sum::<f64>()
-                / denom,
-        }
-    }
-
-    /// Fraction of trials that succeeded.
-    #[must_use]
-    pub fn success_rate(&self) -> f64 {
-        if self.trials == 0 {
-            0.0
-        } else {
-            self.successes as f64 / self.trials as f64
-        }
-    }
-
-    /// This summary as an ordered JSON object for [`crate::ExperimentLog`].
-    #[must_use]
-    pub fn json(&self) -> Json {
-        let mut obj = Json::object();
-        obj.set("trials", self.trials)
-            .set("successes", self.successes)
-            .set("success_rate", self.success_rate())
-            .set("mean_rounds", self.mean_rounds)
-            .set("mean_energy", self.mean_energy)
-            .set("mean_corrupted_rounds", self.mean_corrupted_rounds);
-        obj
     }
 }
 
@@ -660,31 +564,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_aggregates_records() {
-        let records = [
-            TrialRecord {
-                rounds: 10,
-                energy: 4,
-                corrupted_rounds: 1,
-                success: true,
-            },
-            TrialRecord {
-                rounds: 20,
-                energy: 6,
-                corrupted_rounds: 3,
-                success: false,
-            },
-        ];
-        let s = Summary::of(&records);
-        assert_eq!(s.trials, 2);
-        assert_eq!(s.successes, 1);
-        assert!((s.success_rate() - 0.5).abs() < 1e-12);
-        assert!((s.mean_rounds - 15.0).abs() < 1e-12);
-        assert!((s.mean_energy - 5.0).abs() < 1e-12);
-        assert!((s.mean_corrupted_rounds - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn metrics_merge_is_independent_of_thread_count() {
         let work = |t: Trial, m: &mut MetricsRegistry| {
             use rand::Rng;
@@ -693,7 +572,7 @@ mod tests {
             m.inc("rounds", rounds);
             m.observe("rounds", rounds);
             m.event("trial", t.index as u64, rounds);
-            m.time("work", || ());
+            m.record_wall("work", std::time::Duration::from_micros(rounds));
             rounds
         };
         let (baseline_results, baseline) = TrialRunner::new(1).run_with_metrics(11, 29, work);

@@ -1,6 +1,6 @@
 //! Integration tests for the experiment engine: thread-count
-//! independence of rendered experiment logs, and executor invariants
-//! when trials are fanned out through [`TrialRunner`].
+//! independence of rendered experiment logs, and protocol-execution
+//! invariants when trials are fanned out through [`TrialRunner`].
 
 use beeps_bench::{ExperimentLog, Table, TrialRunner};
 use beeps_channel::{run_noiseless, run_protocol, NoiseModel, Protocol};
@@ -47,7 +47,7 @@ fn parallel_and_serial_runs_render_identical_json() {
     }
 }
 
-/// Executor invariants hold for every trial fanned out by the runner:
+/// `run_protocol` invariants hold for every trial fanned out by the runner:
 /// energy counts at least one beep per round whose true OR is 1,
 /// corruption counts stay within the round budget, and a noiseless
 /// channel neither corrupts nor deviates from the reference execution.

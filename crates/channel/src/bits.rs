@@ -277,7 +277,7 @@ impl BitVec {
     /// `Some(bit)` if every stored bit equals `bit` (the empty vector is
     /// uniformly `false` by convention), `None` if the bits diverge.
     ///
-    /// This is the executor's fast path: one word-compare per 64 parties
+    /// This is the delivery fast path: one word-compare per 64 parties
     /// decides whether a per-party delivery needs per-party handling.
     #[inline]
     #[must_use]

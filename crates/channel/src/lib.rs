@@ -22,13 +22,13 @@
 //! * the [`Protocol`] trait — the paper's `(T, {f_m^i}, {g^i})` formalism;
 //! * [`run_noiseless`] / [`run_protocol`] — deterministic and noisy
 //!   executions of a protocol;
-//! * the [`Party`] trait and [`Executor`] — a round-driven state-machine
-//!   runner used by the interactive-coding schemes in `beeps-core`, which
-//!   interleave simulation, owner-finding, and verification phases and so
-//!   cannot be expressed as a fixed `(T, f, g)` table;
-//! * [`channel`] implementations: stochastic, scripted (failure injection),
-//!   and the shared-randomness reduction of two-sided to one-sided noise
-//!   (A.1.2).
+//! * the [`Channel`] trait and its [`channel`] implementations:
+//!   stochastic, scripted (failure injection), and the shared-randomness
+//!   reduction of two-sided to one-sided noise (A.1.2). The
+//!   interactive-coding schemes of `beeps-core` interleave simulation,
+//!   owner-finding, and verification phases, so they cannot be a fixed
+//!   `(T, f, g)` table: they drive a [`Channel`] with their own per-party
+//!   state machines.
 //!
 //! # Examples
 //!
@@ -65,7 +65,6 @@ pub mod adversary;
 pub mod bits;
 pub mod burst;
 pub mod channel;
-pub mod executor;
 pub mod multiplication;
 pub mod noise;
 pub mod protocol;
@@ -76,7 +75,6 @@ pub use adversary::{CorrectingAdversaryChannel, CorrectionPolicy};
 pub use bits::BitVec;
 pub use burst::BurstNoiseChannel;
 pub use channel::{Channel, ReducedTwoSidedChannel, ScriptedChannel, StochasticChannel};
-pub use executor::{ExecutionStats, Executor, Party};
 pub use multiplication::MultiplicationChannel;
 pub use noise::{Delivery, NoiseModel};
 pub use protocol::{

@@ -25,9 +25,9 @@ use beeps_channel::Channel;
 /// state cannot change (done, or in a block that never ends).
 pub(crate) const WORD: usize = 64;
 
-/// A simulator party: a [`beeps_channel::Party`]-shaped state machine,
-/// stepped a run of rounds at a time, that additionally knows when it
-/// has finished.
+/// A simulator party: a state machine that decides its beeps, hears the
+/// channel's output, and knows when it has finished, stepped a run of
+/// rounds at a time.
 pub(crate) trait SimParty {
     /// The party's next run of already-decided beeps: bit `k` of the
     /// word is its beep `k` rounds from now, for `1 ≤ run` rounds (the

@@ -38,7 +38,7 @@
 use beeps_channel::{
     run_protocol, run_protocol_over, Channel, NoiseModel, NoisyExecution, Protocol, UniquelyOwned,
 };
-use beeps_metrics::{CounterHandle, MetricsRegistry, Stopwatch};
+use beeps_metrics::{CounterHandle, MetricsRegistry};
 
 use crate::outcome::{PhaseRounds, SimError, SimOutcome, SimStats};
 use crate::{
@@ -96,8 +96,7 @@ pub trait Simulator<I, O> {
 
     /// Like [`Simulator::simulate`], but records the attempt into
     /// `metrics` under the `sim.<name>.*` namespace (see
-    /// [`record_simulation`] for the exact counters) plus a wall-clock
-    /// span `sim.<name>.simulate` in the non-deterministic section.
+    /// [`record_simulation`] for the exact counters).
     ///
     /// # Errors
     ///
@@ -110,11 +109,8 @@ pub trait Simulator<I, O> {
         seed: u64,
         metrics: &mut MetricsRegistry,
     ) -> Result<SimOutcome<O>, SimError> {
-        let sw = Stopwatch::start();
         let result = self.simulate(inputs, model, seed);
-        let elapsed = sw.elapsed();
         record_simulation(self.name(), &result, metrics);
-        metrics.record_wall(&format!("sim.{}.simulate", self.name()), elapsed);
         result
     }
 }
@@ -518,8 +514,8 @@ mod tests {
             1,
             "one run observed"
         );
-        // The wall span exists but lives outside the deterministic section.
-        assert_eq!(metrics.wall().count(), 1);
+        // Recording reads no clock: the wall section stays empty.
+        assert_eq!(metrics.wall().count(), 0);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Deterministic metrics and event tracing for the simulation stack.
 //!
 //! The paper's claims are quantitative — round overhead, rewinds,
-//! energy — so every layer of this repository (channel executor,
-//! simulators, trial runner, CLI, experiment binaries) reports into one
-//! instrumentation API instead of ad-hoc per-binary counters. The crate
-//! is zero-dependency and split into two strictly separated sections:
+//! energy — so every layer of this repository (simulators, trial
+//! runner, CLI, experiment binaries) reports into one instrumentation
+//! API instead of ad-hoc per-binary counters. The crate is
+//! zero-dependency and split into two strictly separated sections:
 //!
 //! * **Deterministic section** — [`MetricsRegistry`] counters,
 //!   log₂-bucketed [`Histogram`]s, and the bounded [`EventLog`]. These
@@ -12,13 +12,13 @@
 //!   merging per-trial registries in trial-index order (what
 //!   `beeps_bench::TrialRunner::run_with_metrics` does) yields **bitwise
 //!   identical** aggregates at any thread count.
-//! * **Wall-clock section** — [`WallTiming`]s fed by [`Stopwatch`] /
-//!   [`MetricsRegistry::time`]. These measure real elapsed time, are
-//!   inherently non-deterministic, and are excluded from every
-//!   reproducibility surface (experiment JSON logs, the default metrics
-//!   rendering, byte-identity tests). They only appear in the explicitly
-//!   marked wall section of [`MetricsRegistry::render_wall`] and in the
-//!   Prometheus exposition.
+//! * **Wall-clock section** — [`WallTiming`]s fed by
+//!   [`MetricsRegistry::record_wall`] with a caller-measured elapsed
+//!   time. The crate never reads the clock itself: callers time with
+//!   `beeps_observe::clock::Stopwatch`. These values are inherently
+//!   non-deterministic, so registry equality ignores them and no
+//!   rendering shows them (experiment JSON logs, metrics tables, the
+//!   Prometheus exposition).
 //!
 //! # Examples
 //!
@@ -48,4 +48,4 @@ pub mod render;
 
 pub use events::{Event, EventLog};
 pub use histogram::Histogram;
-pub use registry::{CounterHandle, MetricsRegistry, Stopwatch, WallTiming};
+pub use registry::{CounterHandle, MetricsRegistry, WallTiming};

@@ -1,7 +1,7 @@
 //! The [`MetricsRegistry`]: one ordered home for every measurement.
 
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::events::{EventLog, DEFAULT_EVENT_CAPACITY};
 use crate::histogram::Histogram;
@@ -14,34 +14,6 @@ pub struct WallTiming {
     pub calls: u64,
     /// Total elapsed wall-clock time across all calls.
     pub total: Duration,
-}
-
-/// A started wall-clock span; hand it back to
-/// [`MetricsRegistry::record_wall`] (or use the closure-based
-/// [`MetricsRegistry::time`]).
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    start: Instant,
-}
-
-impl Stopwatch {
-    /// Starts timing now.
-    #[must_use]
-    // The workspace-wide `disallowed_methods` ban on `Instant::now`
-    // (clippy.toml) exists to funnel every wall-clock read through this
-    // span module — the one place allowed to call it.
-    #[allow(clippy::disallowed_methods)]
-    pub fn start() -> Self {
-        Self {
-            start: Instant::now(),
-        }
-    }
-
-    /// Elapsed time since [`Stopwatch::start`].
-    #[must_use]
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
 }
 
 /// A pre-interned counter slot: increments through a handle skip the
@@ -58,11 +30,11 @@ impl Stopwatch {
 /// use beeps_metrics::MetricsRegistry;
 ///
 /// let mut m = MetricsRegistry::new();
-/// let h = m.counter_handle("channel.energy");
+/// let h = m.counter_handle("sim.rewind.energy");
 /// for _ in 0..3 {
 ///     m.inc_handle(h, 2); // no lookup, no allocation
 /// }
-/// assert_eq!(m.counter("channel.energy"), 6);
+/// assert_eq!(m.counter("sim.rewind.energy"), 6);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterHandle(usize);
@@ -152,18 +124,6 @@ impl MetricsRegistry {
         self.counter_values[slot] += by;
     }
 
-    /// Interns one counter per index — `<prefix>.000`, `<prefix>.001`, …
-    /// (three zero-padded digits, so name order equals index order up to
-    /// 1000 entries) — and returns their handles in index order.
-    ///
-    /// This is the per-party pattern: intern once before the round
-    /// loop, then [`MetricsRegistry::inc_handle`] inside it.
-    pub fn indexed_handles(&mut self, prefix: &str, count: usize) -> Vec<CounterHandle> {
-        (0..count)
-            .map(|i| self.counter_handle(&format!("{prefix}.{i:03}")))
-            .collect()
-    }
-
     fn slot(&mut self, name: &str) -> usize {
         if let Some(&slot) = self.counter_slots.get(name) {
             return slot;
@@ -221,19 +181,12 @@ impl MetricsRegistry {
 
     // --- wall-clock (non-deterministic) section --------------------
 
-    /// Folds a finished [`Stopwatch`] into the wall timing `name`.
+    /// Folds one call's elapsed time (measured by the caller, e.g. with
+    /// `beeps_observe::clock::Stopwatch`) into the wall timing `name`.
     pub fn record_wall(&mut self, name: &str, elapsed: Duration) {
         let t = self.wall.entry(name.to_owned()).or_default();
         t.calls += 1;
         t.total += elapsed;
-    }
-
-    /// Runs `f` inside a wall-clock span named `name`.
-    pub fn time<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
-        let sw = Stopwatch::start();
-        let out = f();
-        self.record_wall(name, sw.elapsed());
-        out
     }
 
     /// All wall timings in name order (non-deterministic values).
@@ -416,7 +369,7 @@ mod tests {
             }
             m.observe("h", salt * 3);
             m.event("e", salt, 1);
-            m.time("w", || ());
+            m.record_wall("w", Duration::from_micros(salt));
         };
         let mut fresh_merged = MetricsRegistry::new();
         for salt in 1..=4 {
@@ -449,15 +402,5 @@ mod tests {
         assert_eq!(m.histogram("hist").unwrap().count(), 0);
         m.inc_handle(h, 2);
         assert_eq!(m.counter("c"), 2);
-    }
-
-    #[test]
-    fn time_records_calls() {
-        let mut m = MetricsRegistry::new();
-        let out = m.time("span", || 42);
-        assert_eq!(out, 42);
-        let (name, t) = m.wall().next().unwrap();
-        assert_eq!(name, "span");
-        assert_eq!(t.calls, 1);
     }
 }

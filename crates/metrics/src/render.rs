@@ -3,12 +3,9 @@
 //! text exposition (`--metrics-format prom`) for future service
 //! deployment.
 //!
-//! [`MetricsRegistry::render_table`] and
-//! [`MetricsRegistry::render_phase_table`] cover only the deterministic
-//! section, so their output is byte-identical for any thread count;
-//! wall-clock timings render separately via
-//! [`MetricsRegistry::render_wall`] under an explicit
-//! "non-deterministic" banner.
+//! Every rendering covers only the deterministic section, so its
+//! output is byte-identical for any thread count; no rendering shows
+//! the wall-clock timings.
 
 use std::fmt::Write as _;
 
@@ -130,35 +127,12 @@ impl MetricsRegistry {
         out
     }
 
-    /// Renders the wall-clock section under an explicit banner. The
-    /// values here are real elapsed times: they vary run to run and are
-    /// excluded from every reproducibility check.
-    #[must_use]
-    pub fn render_wall(&self) -> String {
-        if self.wall().next().is_none() {
-            return String::new();
-        }
-        let width = self.wall().map(|(n, _)| n.len()).max().unwrap_or(0);
-        let mut out =
-            String::from("wall clock (NON-DETERMINISTIC, excluded from reproducibility checks):\n");
-        for (name, t) in self.wall() {
-            let _ = writeln!(
-                out,
-                "  {name:<width$}  {:>10.3} ms total over {} call(s)",
-                t.total.as_secs_f64() * 1e3,
-                t.calls,
-            );
-        }
-        out
-    }
-
     /// Renders the registry in the Prometheus text exposition format
     /// (`--metrics-format prom`). Counters and histogram series carry a
     /// `beeps_` prefix with names sanitised to `[a-z0-9_]`. Wall-clock
     /// spans are deliberately absent — like the JSON `metrics` block,
     /// the exposition covers only the deterministic section, so it is
-    /// byte-identical for any thread count; use
-    /// [`MetricsRegistry::render_wall`] for elapsed times.
+    /// byte-identical for any thread count.
     #[must_use]
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
@@ -339,16 +313,6 @@ mod tests {
         let mut m = sample();
         m.record_wall("sim.rewind.simulate", std::time::Duration::from_millis(3));
         assert!(!m.render_prometheus().contains("wall"));
-    }
-
-    #[test]
-    fn wall_section_is_marked_non_deterministic() {
-        let mut m = sample();
-        assert!(m.render_wall().is_empty());
-        m.record_wall("sim.rewind.simulate", std::time::Duration::from_millis(1));
-        let s = m.render_wall();
-        assert!(s.contains("NON-DETERMINISTIC"));
-        assert!(s.contains("sim.rewind.simulate"));
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Ambient (thread-local) observer installation for deep code paths.
 //!
 //! The runner can pass an [`Observer`] handle explicitly, but the
-//! interesting spans live far below it — the executor's round loop,
-//! the scheme engines' chunk/owners/verify phases — behind APIs whose
-//! signatures must not grow an observability parameter. Instead, each
-//! worker *installs* its observer into thread-local storage for the
-//! duration of its work, and instrumentation points call [`phase`] /
-//! [`mark`] ambiently.
+//! interesting spans live far below it — the scheme engines'
+//! chunk/owners/verify phases — behind APIs whose signatures must not
+//! grow an observability parameter. Instead, each worker *installs*
+//! its observer into thread-local storage for the duration of its
+//! work, and instrumentation points call [`phase`] / [`mark`]
+//! ambiently.
 //!
 //! The contract that keeps this free for unobserved runs: [`phase`]
 //! and [`mark`] first read this thread's own installation slot. When

@@ -1,17 +1,17 @@
-//! The single sanctioned wall-clock module of the observability stack.
+//! The workspace's single sanctioned wall-clock module.
 //!
 //! The workspace-wide determinism contract bans wall-clock reads from
 //! simulation code (beeps-lint `wall-clock`, clippy
 //! `disallowed-methods`): elapsed time must never flow into
 //! deterministic state. Observability legitimately needs the clock —
-//! for throughput, ETA, phase spans, and run-log timestamps — so this
-//! module is the one place in `beeps-observe` allowed to read it, the
-//! same pattern as `beeps_metrics::Stopwatch` for the metrics crate.
-//! Everything else in the crate calls through these two functions, and
-//! the lint allowlists exactly this file.
+//! for throughput, ETA, phase spans, run-log timestamps, and the
+//! benchmark and experiment binaries' elapsed-time columns — so this
+//! module is the one place allowed to read it. Everything else calls
+//! through [`monotonic_micros`], [`wall_unix_millis`] and
+//! [`Stopwatch`], and the lint allowlists exactly this file.
 
 use std::sync::OnceLock;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Process-lifetime origin for the monotonic microsecond clock: fixed
 /// on first read so every span and trace event shares one timebase.
@@ -26,6 +26,31 @@ static ORIGIN: OnceLock<Instant> = OnceLock::new();
 pub fn monotonic_micros() -> u64 {
     let origin = *ORIGIN.get_or_init(Instant::now);
     Instant::now().duration_since(origin).as_micros() as u64
+}
+
+/// A started elapsed-time measurement with the clock's full (sub-
+/// microsecond) resolution, for timings too short for
+/// [`monotonic_micros`].
+#[derive(Debug, Clone, Copy)]
+pub struct Stopwatch {
+    start: Instant,
+}
+
+impl Stopwatch {
+    /// Starts timing now.
+    #[allow(clippy::disallowed_methods)] // the one sanctioned clock site
+    #[must_use]
+    pub fn start() -> Self {
+        Self {
+            start: Instant::now(),
+        }
+    }
+
+    /// Elapsed time since [`Stopwatch::start`].
+    #[must_use]
+    pub fn elapsed(&self) -> Duration {
+        self.start.elapsed()
+    }
 }
 
 /// Milliseconds since the Unix epoch — for run-log timestamps only

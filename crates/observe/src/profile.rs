@@ -201,9 +201,8 @@ impl PhaseProfiler {
     }
 
     /// Renders per-phase totals, aggregated across workers, as an
-    /// aligned table under the same NON-DETERMINISTIC banner as
-    /// `MetricsRegistry::render_wall`. Empty string when nothing was
-    /// recorded.
+    /// aligned table under a NON-DETERMINISTIC banner (the values are
+    /// wall-clock times). Empty string when nothing was recorded.
     #[must_use]
     pub fn summary_table(&self) -> String {
         let state = self.lock();

@@ -23,8 +23,8 @@ use crate::clock;
 use crate::observer::{Observer, RunInfo};
 
 /// Fixed number of per-worker claim slots. Workers beyond the slot
-/// count fold onto `worker % WORKER_SLOTS`; [`MAIN_WORKER`] folds onto
-/// the last slot.
+/// count fold onto `worker % WORKER_SLOTS`; [`crate::MAIN_WORKER`]
+/// folds onto the last slot.
 pub const WORKER_SLOTS: usize = 64;
 
 /// Lock-free progress counters fed by the runner's [`Observer`] hooks.

@@ -106,7 +106,7 @@ pub struct Suppression {
 /// One lexed source line — the view the line-oriented rules consume.
 #[derive(Debug, Clone, Default)]
 pub struct Line {
-    /// The original source text, trimmed (used for baseline matching).
+    /// The original source text, trimmed (attribute-line detection).
     pub raw: String,
     /// Code view: comments stripped, literal contents blanked.
     pub code: String,

@@ -15,15 +15,13 @@
 //! * Rules and rationale: [`rules::RuleId`] and DESIGN.md §8.
 //! * Inline escapes: `// beeps-lint: allow(<rule>) -- <justification>`
 //!   (justification mandatory; unknown rules and unused allows are
-//!   themselves findings).
-//! * Grandfathering: the checked-in [`baseline::Baseline`] file
-//!   (`xtask-lint.baseline`, empty today).
+//!   themselves findings). There is no other escape hatch: every
+//!   finding is either fixed or justified in place.
 //!
 //! The crate has zero dependencies and is excluded from its own scan
 //! (its source embeds the forbidden patterns as detection strings; see
 //! `scan::collect_sources`).
 
-pub mod baseline;
 pub mod items;
 pub mod jsonck;
 pub mod lexer;
@@ -39,7 +37,6 @@ use std::io;
 use std::path::Path;
 use std::time::Duration;
 
-pub use baseline::Baseline;
 pub use rules::RuleId;
 
 /// Wall-clock helper for `lint --timings`. This is diagnostic output
@@ -81,17 +78,12 @@ impl fmt::Display for Finding {
 /// Outcome of one lint run.
 #[derive(Debug, Default)]
 pub struct LintReport {
-    /// Unsuppressed, un-grandfathered findings (sorted by path, line, rule).
+    /// Unsuppressed findings (sorted by path, line, rule).
     pub findings: Vec<Finding>,
     /// Findings silenced by a justified inline suppression.
     pub suppressed: usize,
-    /// Findings silenced by the baseline file.
-    pub baselined: usize,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Baseline entries for every unsuppressed finding (what
-    /// `--write-baseline` persists, including currently-baselined ones).
-    pub baseline_entries: Vec<(String, String, String)>,
     /// Per-rule wall time, in pass order (shown by `lint --timings`;
     /// never part of lint results or exit codes).
     pub timings: Vec<(&'static str, Duration)>,
@@ -107,12 +99,12 @@ impl LintReport {
     }
 }
 
-/// Lints every first-party source under `root` against `baseline`.
+/// Lints every first-party source under `root`.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the source walk and file reads.
-pub fn lint_workspace(root: &Path, baseline: &Baseline) -> io::Result<LintReport> {
+pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
     let scan_start = timing::now();
     let files = scan::collect_sources(root)?;
     let experiments_md = fs::read_to_string(root.join("EXPERIMENTS.md")).ok();
@@ -148,16 +140,6 @@ pub fn lint_workspace(root: &Path, baseline: &Baseline) -> io::Result<LintReport
         if let Some(sup_line) = file.suppressed_at(idx, finding.rule.as_str()) {
             report.suppressed += 1;
             used_suppressions.push((finding.path.clone(), sup_line));
-            continue;
-        }
-        let text = file.lines[idx].raw.clone();
-        report.baseline_entries.push((
-            finding.rule.as_str().to_string(),
-            finding.path.clone(),
-            text.clone(),
-        ));
-        if baseline.contains(finding.rule.as_str(), &finding.path, &text) {
-            report.baselined += 1;
             continue;
         }
         report.findings.push(finding);

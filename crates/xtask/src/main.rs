@@ -9,10 +9,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use xtask::{jsonck, lint_workspace, sarif, Baseline, LintReport, RuleId};
-
-/// Default baseline filename, resolved relative to the lint root.
-const BASELINE_FILE: &str = "xtask-lint.baseline";
+use xtask::{jsonck, lint_workspace, sarif, LintReport, RuleId};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -38,8 +35,6 @@ invariants over all first-party crates (see DESIGN.md §8).
 
 Options:
   --root <dir>        lint this tree instead of the workspace root
-  --baseline <file>   baseline file (default: <root>/xtask-lint.baseline)
-  --write-baseline    rewrite the baseline to grandfather current findings
   --format <fmt>      output format: text (default) or sarif (SARIF
                       2.1.0 on stdout; summary moves to stderr)
   --timings           print per-rule wall time to stderr
@@ -56,16 +51,12 @@ object framed by a `meta` first line and a `summary` last line.
 
 fn lint(args: &[String]) -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline = false;
     let mut format = Format::Text;
     let mut timings = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--root" => root = it.next().map(PathBuf::from),
-            "--baseline" => baseline_path = it.next().map(PathBuf::from),
-            "--write-baseline" => write_baseline = true,
             "--format" => match it.next().map(String::as_str) {
                 Some("text") => format = Format::Text,
                 Some("sarif") => format = Format::Sarif,
@@ -98,16 +89,7 @@ fn lint(args: &[String]) -> ExitCode {
     // Under the cargo alias, cwd is the workspace root; `--root` serves
     // out-of-tree fixture runs.
     let root = root.unwrap_or_else(|| PathBuf::from("."));
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join(BASELINE_FILE));
-    let baseline = match Baseline::load(&baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("xtask lint: cannot read {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-    };
-
-    let report = match lint_workspace(&root, &baseline) {
+    let report = match lint_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("xtask lint: scan failed: {e}");
@@ -115,30 +97,10 @@ fn lint(args: &[String]) -> ExitCode {
         }
     };
 
-    if write_baseline {
-        let rendered = Baseline::render(&report.baseline_entries);
-        if let Err(e) = std::fs::write(&baseline_path, rendered) {
-            eprintln!("xtask lint: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "beeps-lint: wrote {} entr{} to {}",
-            report.baseline_entries.len(),
-            if report.baseline_entries.len() == 1 {
-                "y"
-            } else {
-                "ies"
-            },
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
     let summary = format!(
-        "beeps-lint: {} finding(s), {} suppressed, {} baselined, {} files scanned",
+        "beeps-lint: {} finding(s), {} suppressed, {} files scanned",
         report.findings.len(),
         report.suppressed,
-        report.baselined,
         report.files_scanned
     );
     match format {

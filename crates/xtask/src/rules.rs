@@ -5,24 +5,20 @@
 //!
 //! * **Determinism** (`wall-clock`, `entropy-rng`, `hash-collections`,
 //!   `env-read`) — the invariants behind "bitwise-identical output at
-//!   any thread count": no wall-clock reads outside the metrics span
+//!   any thread count": no wall-clock reads outside the one clock
 //!   module, no entropy-seeded RNGs, BTree-only collections, no
 //!   environment reads outside the documented `BEEPS_*` allowlist.
 //! * **Conformance** (`sim-name-prefix`, `experiment-id`,
-//!   `metric-key-format`, `deprecated-api`) — cross-file protocol
-//!   contracts clippy cannot express: `sim.<scheme>.*` metric literals
-//!   must name a real `Simulator::name()`, experiment IDs must match
-//!   their binary's filename and be unique, metric keys must be
-//!   lowercase dot-separated under a family documented in
-//!   EXPERIMENTS.md, and `#[deprecated]` APIs slated for removal must
-//!   not gain new call sites.
-//! * **Performance** (`hot-path-alloc`, `party-loop-alloc`,
-//!   `trial-scope-precompute`) — the executor's round loop is the
-//!   innermost loop of every simulation; no `format!`/`String`
-//!   allocation may creep back into it, the per-round per-party loops
-//!   of the scaling engines must stay heap-allocation-free (scratch
-//!   arenas and pooled rows only), and code-table construction must not
-//!   run per-trial (DESIGN.md §9, §12).
+//!   `metric-key-format`) — cross-file protocol contracts clippy cannot
+//!   express: `sim.<scheme>.*` metric literals must name a real
+//!   `Simulator::name()`, experiment IDs must match their binary's
+//!   filename and be unique, and metric keys must be lowercase
+//!   dot-separated under a family documented in EXPERIMENTS.md.
+//! * **Performance** (`party-loop-alloc`, `trial-scope-precompute`) —
+//!   the per-round per-party loops of the scaling engines must stay
+//!   heap-allocation-free (scratch arenas and pooled rows only), and
+//!   code-table construction must not run per-trial (DESIGN.md §9,
+//!   §12).
 //! * **Semantic** (`atomic-ordering`, `seed-provenance`,
 //!   `observer-purity`, `panic-path`) — token-tree passes the old
 //!   line lexer could not express: every `Ordering::*` use classified
@@ -45,7 +41,7 @@ use crate::Finding;
 /// Identifier of one lint rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
-    /// `Instant::now` / `SystemTime::now` outside the metrics span module.
+    /// `Instant::now` / `SystemTime::now` outside the clock module.
     WallClock,
     /// Entropy-seeded RNG constructors (`thread_rng`, `from_entropy`, …).
     EntropyRng,
@@ -59,10 +55,6 @@ pub enum RuleId {
     ExperimentId,
     /// Metric keys that are not lowercase dot-separated in a documented family.
     MetricKeyFormat,
-    /// Calls to first-party `#[deprecated]` APIs.
-    DeprecatedApi,
-    /// `format!` / `String` allocation in the executor's round loop.
-    HotPathAlloc,
     /// Heap allocation in the scaling engines' per-round party loops.
     PartyLoopAlloc,
     /// Code-table construction inside a `TrialRunner` per-trial closure.
@@ -89,8 +81,6 @@ impl RuleId {
         RuleId::SimNamePrefix,
         RuleId::ExperimentId,
         RuleId::MetricKeyFormat,
-        RuleId::DeprecatedApi,
-        RuleId::HotPathAlloc,
         RuleId::PartyLoopAlloc,
         RuleId::TrialScopePrecompute,
         RuleId::AtomicOrdering,
@@ -100,8 +90,7 @@ impl RuleId {
         RuleId::Suppression,
     ];
 
-    /// The stable kebab-case ID used in reports, suppressions, and the
-    /// baseline file.
+    /// The stable kebab-case ID used in reports and suppressions.
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
@@ -112,8 +101,6 @@ impl RuleId {
             RuleId::SimNamePrefix => "sim-name-prefix",
             RuleId::ExperimentId => "experiment-id",
             RuleId::MetricKeyFormat => "metric-key-format",
-            RuleId::DeprecatedApi => "deprecated-api",
-            RuleId::HotPathAlloc => "hot-path-alloc",
             RuleId::PartyLoopAlloc => "party-loop-alloc",
             RuleId::TrialScopePrecompute => "trial-scope-precompute",
             RuleId::AtomicOrdering => "atomic-ordering",
@@ -129,9 +116,8 @@ impl RuleId {
     pub fn rationale(self) -> &'static str {
         match self {
             RuleId::WallClock => {
-                "wall-clock reads outside beeps-metrics' span module and \
-                 beeps-observe's clock module break bitwise-identical \
-                 output; use MetricsRegistry wall spans or observe::clock"
+                "wall-clock reads outside beeps-observe's clock module \
+                 break bitwise-identical output; use observe::clock"
             }
             RuleId::EntropyRng => {
                 "entropy-seeded RNGs make trials unreproducible; derive all \
@@ -157,15 +143,6 @@ impl RuleId {
             RuleId::MetricKeyFormat => {
                 "metric keys must be lowercase dot-separated under a family \
                  documented in EXPERIMENTS.md's schema section"
-            }
-            RuleId::DeprecatedApi => {
-                "first-party #[deprecated] APIs slated for removal must \
-                 not gain call sites"
-            }
-            RuleId::HotPathAlloc => {
-                "the executor round loop runs once per channel round; \
-                 format!/String allocation there dominates profiles — \
-                 intern beeps_metrics::CounterHandle up front instead"
             }
             RuleId::PartyLoopAlloc => {
                 "the collapsed engines and the sparse channel run their \
@@ -222,15 +199,11 @@ impl fmt::Display for RuleId {
 }
 
 /// Files (relative, `/`-separated) where wall-clock reads are legal:
-/// the metrics span module (see `beeps_metrics::Stopwatch`) and the
-/// observability clock module (`beeps_observe::clock`, the single
-/// timestamp source for progress, profiles, and run logs). Everything
-/// else — including the rest of `crates/observe` — must go through
-/// those two.
-const WALL_CLOCK_ALLOWED: &[&str] = &[
-    "crates/metrics/src/registry.rs",
-    "crates/observe/src/clock.rs",
-];
+/// only the clock module (`beeps_observe::clock`, the single source of
+/// timestamps and elapsed times for progress, profiles, run logs, and
+/// the benchmark and experiment binaries). Everything else — including
+/// the rest of `crates/observe` — must go through it.
+const WALL_CLOCK_ALLOWED: &[&str] = &["crates/observe/src/clock.rs"];
 
 /// Substrings that indicate a wall-clock read. Matched against the
 /// comment-stripped, string-blanked code view.
@@ -242,24 +215,9 @@ const WALL_CLOCK_PATTERNS: &[&str] = &["Instant::now", "SystemTime::now"];
 const ENTROPY_PATTERNS: &[&str] = &["thread_rng", "from_entropy", "from_os_rng", "OsRng"];
 
 /// Methods whose first string argument is a deterministic metric key.
-/// Wall-span methods (`time`, `record_wall`) are exempt: wall keys are
-/// never serialized or compared.
+/// The wall-span method (`record_wall`) is exempt: wall keys are never
+/// serialized or compared.
 const METRIC_METHODS: &[&str] = &[".inc(", ".observe(", ".event(", ".counter(", ".histogram("];
-
-/// Files whose non-test code must stay allocation-free: these hold the
-/// innermost per-round loops of every simulation, so a single `format!`
-/// there shows up directly in wall-clock profiles.
-const HOT_PATH_FILES: &[&str] = &["crates/channel/src/executor.rs"];
-
-/// String-allocation constructors banned in hot-path files. Matched
-/// against the comment-stripped code view of non-test lines.
-const HOT_PATH_ALLOC_PATTERNS: &[&str] = &[
-    "format!(",
-    ".to_string(",
-    ".to_owned(",
-    "String::from(",
-    "String::new(",
-];
 
 /// Files holding the per-round per-party loops of the scaling path:
 /// the collapsed struct-of-arrays engines and the sparse delivery
@@ -269,9 +227,8 @@ const HOT_PATH_ALLOC_PATTERNS: &[&str] = &[
 /// round.
 const PARTY_LOOP_FILES: &[&str] = &["crates/core/src/soa.rs", "crates/channel/src/sparse.rs"];
 
-/// Heap-allocating constructors banned in party-loop files. Broader
-/// than the hot-path list: `Vec` growth is the dominant allocator in
-/// these loops, not `String` formatting. Matched against the
+/// Heap-allocating constructors banned in party-loop files: `Vec`
+/// growth, `String` formatting and boxing. Matched against the
 /// comment-stripped code view of non-test lines.
 const PARTY_LOOP_ALLOC_PATTERNS: &[&str] = &[
     "vec![",
@@ -290,14 +247,9 @@ const PARTY_LOOP_ALLOC_PATTERNS: &[&str] = &[
 const TRIAL_BIN_DIR: &str = "crates/bench/src/bin/";
 
 /// `TrialRunner` entry points whose closure argument runs once per
-/// trial. Matched as suffixes of the code up to an opening paren, so
-/// `Executor::run(` (no dot) never opens a region.
-const TRIAL_RUN_MARKERS: &[&str] = &[
-    ".run(",
-    ".run_records(",
-    ".run_with_metrics(",
-    ".run_with_scratch(",
-];
+/// trial. Matched as suffixes of the code up to an opening paren, so a
+/// path call such as `Protocol::run(` (no dot) never opens a region.
+const TRIAL_RUN_MARKERS: &[&str] = &[".run(", ".run_with_metrics(", ".run_with_scratch("];
 
 /// Trial-invariant precomputation that must not run inside a per-trial
 /// closure: code-table construction is the dominant fixed cost of a
@@ -349,8 +301,6 @@ const REGISTRY_MUTATORS: &[&str] = &["inc", "observe", "event", "merge", "record
 pub struct Facts {
     /// `Simulator::name()` return literals (`rewind`, `naked`, …).
     pub simulator_names: BTreeSet<String>,
-    /// First-party `#[deprecated]` function names and their defining file.
-    pub deprecated: BTreeMap<String, String>,
     /// Metric families documented in EXPERIMENTS.md (`sim`, `exp`, …).
     pub metric_families: BTreeSet<String>,
     /// First-party seed-deriving fns (non-test fns whose name contains
@@ -388,41 +338,10 @@ impl Facts {
                         }
                     }
                 }
-                // #[deprecated(…)] pub fn old_api(…)
-                if line.code.contains("#[deprecated") {
-                    for look in file.lines.iter().skip(idx).take(10) {
-                        if let Some(name) = fn_ident(&look.code) {
-                            facts
-                                .deprecated
-                                .insert(name, file.path.to_string_lossy().replace('\\', "/"));
-                            break;
-                        }
-                    }
-                }
             }
         }
         facts
     }
-}
-
-/// Extracts the identifier of a `fn` item declared on `code`.
-fn fn_ident(code: &str) -> Option<String> {
-    let at = code.find("fn ")?;
-    // Reject matches inside a larger identifier (`often `).
-    if at > 0
-        && code[..at]
-            .chars()
-            .last()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_')
-    {
-        return None;
-    }
-    let rest = &code[at + 3..];
-    let name: String = rest
-        .chars()
-        .take_while(|c| c.is_alphanumeric() || *c == '_')
-        .collect();
-    (!name.is_empty()).then_some(name)
 }
 
 /// Parses the metric-family table out of EXPERIMENTS.md: the first
@@ -466,8 +385,8 @@ pub fn parse_metric_families(md: &str) -> BTreeSet<String> {
 pub struct Pass {
     /// The rule this pass implements.
     pub rule: RuleId,
-    /// Runs the pass, appending raw findings (suppression and baseline
-    /// filtering happen in the caller).
+    /// Runs the pass, appending raw findings (suppression filtering
+    /// happens in the caller).
     pub run: fn(&[SourceFile], &Facts, &mut Vec<Finding>),
 }
 
@@ -504,14 +423,6 @@ pub fn passes() -> Vec<Pass> {
         Pass {
             rule: RuleId::MetricKeyFormat,
             run: pass_metric_keys,
-        },
-        Pass {
-            rule: RuleId::DeprecatedApi,
-            run: pass_deprecated,
-        },
-        Pass {
-            rule: RuleId::HotPathAlloc,
-            run: pass_hot_path_alloc,
         },
         Pass {
             rule: RuleId::PartyLoopAlloc,
@@ -574,9 +485,9 @@ fn pass_wall_clock(files: &[SourceFile], _facts: &Facts, out: &mut Vec<Finding>)
                         &rel,
                         idx,
                         format!(
-                            "`{pat}` outside the metrics span module; route timing through \
-                             `beeps_metrics::Stopwatch` / `MetricsRegistry::time` so wall-clock \
-                             stays out of deterministic state"
+                            "`{pat}` outside the clock module; route timing through \
+                             `beeps_observe::clock` (`Stopwatch`, `monotonic_micros`) so \
+                             wall-clock stays out of deterministic state"
                         ),
                     ));
                 }
@@ -812,61 +723,9 @@ fn pass_metric_keys(files: &[SourceFile], facts: &Facts, out: &mut Vec<Finding>)
     }
 }
 
-fn pass_deprecated(files: &[SourceFile], facts: &Facts, out: &mut Vec<Finding>) {
-    for file in files {
-        let rel = rel_path(file);
-        for (idx, line) in file.lines.iter().enumerate() {
-            for (symbol, def_file) in &facts.deprecated {
-                let call = format!("{symbol}(");
-                let def = format!("fn {symbol}(");
-                if line.code.contains(call.as_str()) && !line.code.contains(def.as_str()) {
-                    out.push(finding(
-                        RuleId::DeprecatedApi,
-                        &rel,
-                        idx,
-                        format!(
-                            "call to `{symbol}` (marked #[deprecated] in {def_file}, slated \
-                             for removal); migrate to the replacement named in its note"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-fn pass_hot_path_alloc(files: &[SourceFile], _facts: &Facts, out: &mut Vec<Finding>) {
-    for file in files {
-        let rel = rel_path(file);
-        if !HOT_PATH_FILES.contains(&rel.as_str()) {
-            continue;
-        }
-        for (idx, line) in file.lines.iter().enumerate() {
-            if line.in_test {
-                continue; // unit tests may build diagnostic strings freely
-            }
-            for pat in HOT_PATH_ALLOC_PATTERNS {
-                if line.code.contains(pat) {
-                    out.push(finding(
-                        RuleId::HotPathAlloc,
-                        &rel,
-                        idx,
-                        format!(
-                            "`{pat}…)` allocates inside the executor hot path; intern a \
-                             `beeps_metrics::CounterHandle` before the round loop (or hoist \
-                             the allocation out of this file)"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
 /// Flags heap-allocating constructors in the files holding per-round
-/// per-party loops (`PARTY_LOOP_FILES`). File-scoped like
-/// `hot-path-alloc` rather than loop-scoped: these files exist *for*
-/// their party loops, and setup-time allocation belongs in the
+/// per-party loops (`PARTY_LOOP_FILES`). File-scoped rather than
+/// loop-scoped: these files exist *for* their party loops, and setup-time allocation belongs in the
 /// `SoaScratch` constructors that live elsewhere, so a whole-file ban
 /// is both simpler and the invariant we actually want.
 fn pass_party_loop_alloc(files: &[SourceFile], _facts: &Facts, out: &mut Vec<Finding>) {
@@ -1398,16 +1257,6 @@ mod tests {
             fams.iter().cloned().collect::<Vec<_>>(),
             vec!["exp".to_string(), "sim".to_string()]
         );
-    }
-
-    #[test]
-    fn fn_ident_extraction() {
-        assert_eq!(
-            fn_ident("    pub fn old_entry_point(n: usize) -> Self {"),
-            Some("old_entry_point".to_string())
-        );
-        assert_eq!(fn_ident("let often = 3;"), None);
-        assert_eq!(fn_ident("fn x()"), Some("x".to_string()));
     }
 
     fn lint_one(path: &str, src: &str) -> Vec<Finding> {

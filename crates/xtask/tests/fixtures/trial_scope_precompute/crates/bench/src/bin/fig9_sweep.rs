@@ -7,7 +7,7 @@ pub fn main() {
         let extra = RandomCode::with_length(8, 32, t.seed);
         code.codeword_len() + extra.codeword_len() + hoisted.codeword_len()
     });
-    let summary = runner.run_records(7, 4, |t| {
+    let summary = runner.run(7, 4, |t| {
         let cw = ConstantWeightCode::new(8, 32, t.index);
         cw.codeword_len() > out.len()
     });

@@ -1,4 +1,4 @@
-pub fn sanctioned() {
-    let t = std::time::Instant::now(); // the one allowed module
+pub fn unsanctioned() {
+    let t = std::time::Instant::now(); // not exempt: the registry keeps no clock
     let _ = t;
 }

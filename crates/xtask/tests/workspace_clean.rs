@@ -5,7 +5,7 @@
 
 use std::path::PathBuf;
 
-use xtask::{lint_workspace, rules::Facts, scan, Baseline};
+use xtask::{lint_workspace, rules::Facts, scan};
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -16,9 +16,7 @@ fn workspace_root() -> PathBuf {
 
 #[test]
 fn live_workspace_lints_clean() {
-    let root = workspace_root();
-    let baseline = Baseline::load(&root.join("xtask-lint.baseline")).expect("baseline readable");
-    let report = lint_workspace(&root, &baseline).expect("workspace lints");
+    let report = lint_workspace(&workspace_root()).expect("workspace lints");
     assert!(
         report.is_clean(),
         "beeps-lint found {} violation(s) in the live workspace:\n{}",
@@ -58,7 +56,7 @@ fn facts_discovered_from_live_workspace() {
             facts.simulator_names
         );
     }
-    for family in ["sim", "exp", "channel"] {
+    for family in ["sim", "exp"] {
         assert!(
             facts.metric_families.contains(family),
             "metric family \"{family}\" missing from EXPERIMENTS.md schema table; found {:?}",
@@ -71,13 +69,6 @@ fn facts_discovered_from_live_workspace() {
         facts.seed_fns.contains("trial_seed"),
         "per-trial splitmix derivation fn not discovered; found {:?}",
         facts.seed_fns
-    );
-    // The 0.2.0 release removed the last deprecated wrappers; nothing
-    // in the workspace should carry `#[deprecated]` now.
-    assert!(
-        facts.deprecated.is_empty(),
-        "unexpected deprecated functions: {:?}",
-        facts.deprecated
     );
     // The linter must never scan itself or the vendored deps.
     assert!(

@@ -5,10 +5,11 @@
 #
 # Runs the release build, the full test suite, the benchmark's pinned
 # digest self-test, clippy with warnings denied, the beeps-lint
-# static-analysis pass, the formatting check,
-# a one-iteration smoke run of the hot-path benchmark harness plus
-# its baseline-comparison plumbing, and observed smoke runs of
-# fig6_phase_breakdown and fig_scale — the same sequence CI runs.
+# static-analysis pass, the formatting check, rustdoc with warnings
+# denied (broken intra-doc links fail), a one-iteration smoke run of
+# the hot-path benchmark harness plus its baseline-comparison
+# plumbing, and observed smoke runs of fig6_phase_breakdown and
+# fig_scale — the same sequence CI runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,6 +34,9 @@ cargo xtask lint
 # (CI uploads this file for PR annotations).
 cargo xtask lint --format sarif > target/beeps-lint.sarif
 cargo fmt --check
+# Docs build with warnings denied: an intra-doc link left dangling by a
+# rename or deletion fails here instead of rotting silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # Smoke-run the pinned benchmark harness (1 iteration, tiny rounds)
 # through the regression-gate script: catches bit-rot in the bench
 # binary and the comparison plumbing — including the "soa" section the

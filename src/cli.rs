@@ -340,9 +340,8 @@ pub fn run(scenario: &Scenario) -> Result<Report, ParseError> {
 /// [`MetricsRegistry`] of every trial.
 ///
 /// Trial registries are merged in trial-index order, so the returned
-/// registry's deterministic sections (counters, histograms, events) are
-/// identical for any `--threads` value; only its wall-clock section
-/// varies between runs.
+/// registry (counters, histograms, events) is identical for any
+/// `--threads` value.
 ///
 /// # Errors
 ///

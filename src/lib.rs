@@ -9,7 +9,7 @@
 //!
 //! | module | crate | contents |
 //! |--------|-------|----------|
-//! | [`channel`] | `beeps-channel` | the beeping channel in all five noise regimes, the `(T, f, g)` protocol formalism, and the round executor |
+//! | [`channel`] | `beeps-channel` | the beeping channel in all five noise regimes, the `(T, f, g)` protocol formalism, and the `Channel` trait the schemes drive |
 //! | [`ecc`] | `beeps-ecc` | GF(2^m), Reed–Solomon, Hadamard, repetition, and concatenated codes used by Algorithm 1 |
 //! | [`info`] | `beeps-info` | entropy/mutual-information and the tail bounds that size repetition counts |
 //! | [`protocols`] | `beeps-protocols` | noiseless beeping protocols: `InputSet`, OR, leader election, census, membership, firefly sync |
