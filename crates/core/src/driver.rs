@@ -5,7 +5,11 @@
 //! its state next changes — the rest of a repetition block, an owners
 //! codeword limb or a verification vote. The step then sends
 //! `len = min(every run, 64, budget left)` rounds through one
-//! [`Channel::transmit_word`] and hands each party its heard word.
+//! [`Channel::transmit_word`] and hands each party its heard word,
+//! together with the true OR word the channel was given. That word is a
+//! certificate hint for the owners decode (see
+//! [`beeps_ecc::SymbolCode::decode_near`]); no party's state depends on
+//! it.
 //!
 //! **The run rule.** A run ends exactly where the per-round machine
 //! would next change state, and `hear_word` keeps that machine's own
@@ -37,8 +41,12 @@ pub(crate) trait SimParty {
 
     /// Takes in `len` heard rounds (bit `k` = round `k`, zero at and
     /// above `len`), where `len` is at most the run of the last
-    /// [`SimParty::plan`].
-    fn hear_word(&mut self, heard: u64, len: usize);
+    /// [`SimParty::plan`]. `sent` is the true OR of every party's beeps
+    /// over the same rounds, laid out alike: a hint that lets an owners
+    /// decode skip its scan. The party's state must stay a function of
+    /// `heard` alone, so that a per-party machine still models a party
+    /// that hears only the channel.
+    fn hear_word(&mut self, heard: u64, sent: u64, len: usize);
 
     fn is_done(&self) -> bool;
 }
@@ -117,7 +125,7 @@ pub(crate) fn drive<P: SimParty>(
         }
         channel.transmit_word(sent, len, &mut heard);
         for (party, &word) in parties.iter_mut().zip(&heard) {
-            party.hear_word(word, len);
+            party.hear_word(word, sent, len);
         }
         rounds += len;
     }
@@ -142,7 +150,7 @@ mod tests {
             (held(self.left > 0), block_run(0, self.left))
         }
 
-        fn hear_word(&mut self, _heard: u64, len: usize) {
+        fn hear_word(&mut self, _heard: u64, _sent: u64, len: usize) {
             self.left = self.left.saturating_sub(len);
         }
 

@@ -197,7 +197,10 @@ impl<'a, P: Protocol> HierarchicalSimulator<'a, P> {
             as usize
             + self.config.verify_repetitions * (max_level + 2) * (max_level + 2) * 4;
         let corrupted_before = channel.corrupted_rounds();
-        let result = drive(&mut parties, channel, budget);
+        let result = {
+            let _span = beeps_observe::phase("sim.hierarchical.per_party");
+            drive(&mut parties, channel, budget)
+        };
 
         if !result.all_done {
             return Err(SimError::BudgetExhausted {
@@ -239,6 +242,7 @@ struct ChunkPhase {
 }
 
 /// One binary-search progress check in flight.
+#[derive(Default)]
 struct CheckState {
     /// Pending levels for this iteration (ascending), after this one.
     pending_levels: Vec<usize>,
@@ -259,6 +263,14 @@ struct CheckState {
     my_flag: bool,
     /// Whether this is the terminal full-coverage confirmation.
     is_final: bool,
+}
+
+impl CheckState {
+    /// This level's vote length (escalating redundancy): `V·(level + 1)`
+    /// for a level-0 vote of `verify_repetitions` rounds.
+    fn vote_len(&self, verify_repetitions: usize) -> usize {
+        verify_repetitions * (self.level + 1)
+    }
 }
 
 enum HPhase {
@@ -373,11 +385,6 @@ impl<'a, P: Protocol> HierParty<'a, P> {
     /// boundaries (`0..=w` kept chunks).
     fn steps_for(w: usize) -> usize {
         (usize::BITS - w.next_power_of_two().leading_zeros()) as usize + 1
-    }
-
-    /// Vote length at a given level (escalating redundancy).
-    fn vote_len(&self, level: usize) -> usize {
-        self.verify_repetitions * (level + 1)
     }
 
     /// Whether this party sees an error within the first `boundary`
@@ -532,23 +539,20 @@ impl<P: Protocol> SimParty for HierParty<'_, P> {
                 (held(c.current), block_run(c.rep, self.repetitions))
             }
             HPhase::Owners(o) => o.plan(),
-            HPhase::Check(v) => {
-                let (flag, idx, level) = (v.my_flag, v.idx, v.level);
-                (held(flag), block_run(idx, self.vote_len(level)))
-            }
+            HPhase::Check(v) => (
+                held(v.my_flag),
+                block_run(v.idx, v.vote_len(self.verify_repetitions)),
+            ),
             HPhase::Done => (0, WORD),
         }
     }
 
-    fn hear_word(&mut self, heard: u64, len: usize) {
-        match &self.phase {
-            HPhase::Chunk(_) => self.phase_rounds.chunk += len,
-            HPhase::Owners(_) => self.phase_rounds.owners += len,
-            HPhase::Check(_) => self.phase_rounds.verify += len,
-            HPhase::Done => {}
-        }
-        match std::mem::replace(&mut self.phase, HPhase::Done) {
-            HPhase::Chunk(mut c) => {
+    fn hear_word(&mut self, heard: u64, sent: u64, len: usize) {
+        // Step the in-flight phase in place, attributing the run to it;
+        // the phase moves only when it ends.
+        match &mut self.phase {
+            HPhase::Chunk(c) => {
+                self.phase_rounds.chunk += len;
                 c.ones += ones(heard, len);
                 c.rep += len;
                 if c.rep == self.repetitions {
@@ -560,47 +564,41 @@ impl<P: Protocol> SimParty for HierParty<'_, P> {
                     c.ones = 0;
                 }
                 if c.bits.len() == c.len {
-                    self.phase = HPhase::Owners(OwnersState::new(
+                    let owners = OwnersState::new(
                         self.me,
                         self.n,
-                        c.bits,
-                        c.my_bits,
+                        std::mem::take(&mut c.bits),
+                        std::mem::take(&mut c.my_bits),
                         Arc::clone(&self.code),
                         metric_for(self.model),
-                    ));
-                } else {
-                    self.phase = HPhase::Chunk(c);
+                    );
+                    self.phase = HPhase::Owners(owners);
                 }
             }
-            HPhase::Owners(mut o) => {
-                o.hear_word(heard, len);
+            HPhase::Owners(o) => {
+                self.phase_rounds.owners += len;
+                o.hear_word(heard, sent, len);
                 if o.finished() {
                     // Commit provisionally; checks repair later.
-                    let bits = o.pi_bits().to_vec();
-                    let owners = o.owners().to_vec();
-                    self.committed_bits.extend_from_slice(&bits);
-                    self.committed_owners.extend_from_slice(&owners);
-                    self.chunk_lens.push(bits.len());
+                    let chunk_len = o.pi_bits().len();
+                    self.committed_bits.extend_from_slice(o.pi_bits());
+                    self.committed_owners.extend_from_slice(o.owners());
+                    self.chunk_lens.push(chunk_len);
                     self.iteration += 1;
                     self.start_checks();
-                } else {
-                    self.phase = HPhase::Owners(o);
                 }
             }
-            HPhase::Check(mut v) => {
+            HPhase::Check(v) => {
+                self.phase_rounds.verify += len;
                 v.ones += ones(heard, len);
                 v.idx += len;
-                let vote_len = self.vote_len(v.level);
-                let verify_threshold = |ones: usize| {
+                let vote_len = v.vote_len(self.verify_repetitions);
+                if v.idx == vote_len {
                     // Scale the per-V threshold to the level's vote length.
                     let per = self.params.verify_ones as f64 / self.verify_repetitions as f64;
-                    ones as f64 >= (per * vote_len as f64).max(1.0)
-                };
-                if v.idx == vote_len {
-                    let flagged = verify_threshold(v.ones);
-                    self.vote_resolved(v, flagged);
-                } else {
-                    self.phase = HPhase::Check(v);
+                    let flagged = v.ones as f64 >= (per * vote_len as f64).max(1.0);
+                    let check = std::mem::take(v);
+                    self.vote_resolved(check, flagged);
                 }
             }
             HPhase::Done => {}

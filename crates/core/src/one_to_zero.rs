@@ -202,7 +202,10 @@ impl<'a, P: Protocol> OneToZeroSimulator<'a, P> {
         let budget = (self.budget_factor * t.max(1) as f64).ceil() as usize
             + self.base * (max_level + 2) * 4;
         let corrupted_before = channel.corrupted_rounds();
-        let result = drive(&mut parties, channel, budget);
+        let result = {
+            let _span = beeps_observe::phase("sim.one_to_zero.per_party");
+            drive(&mut parties, channel, budget)
+        };
 
         if !result.all_done {
             return Err(SimError::BudgetExhausted {
@@ -343,7 +346,7 @@ impl<P: Protocol> SimParty for ZParty<'_, P> {
         }
     }
 
-    fn hear_word(&mut self, heard: u64, len: usize) {
+    fn hear_word(&mut self, heard: u64, _sent: u64, len: usize) {
         match &self.mode {
             Mode::Data { .. } => self.phase_rounds.chunk += len,
             Mode::Check(_) => self.phase_rounds.verify += len,

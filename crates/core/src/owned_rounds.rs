@@ -176,7 +176,10 @@ impl<'a, P: UniquelyOwned> OwnedRoundsSimulator<'a, P> {
             * (chunks_needed * self.rounds_per_iteration()) as f64)
             .ceil() as usize;
         let corrupted_before = channel.corrupted_rounds();
-        let result = drive(&mut parties, channel, budget);
+        let result = {
+            let _span = beeps_observe::phase("sim.owned_rounds.per_party");
+            drive(&mut parties, channel, budget)
+        };
 
         if !result.all_done {
             return Err(SimError::BudgetExhausted {
@@ -300,7 +303,7 @@ impl<P: UniquelyOwned> SimParty for OwnedParty<'_, P> {
         }
     }
 
-    fn hear_word(&mut self, heard: u64, len: usize) {
+    fn hear_word(&mut self, heard: u64, _sent: u64, len: usize) {
         match &self.phase {
             OwnedPhase::Chunk(_) => self.phase_rounds.chunk += len,
             OwnedPhase::Verify(_) => self.phase_rounds.verify += len,

@@ -22,9 +22,12 @@
 //!   rewind and hierarchical engines) and its owner table is every
 //!   party's;
 //! * under independent noise each party hears its own word, so `n`
-//!   per-party `OwnersState` machines each decode every codeword.
-//!   These machines are also the oracle the collapsed body is tested
-//!   against.
+//!   per-party `OwnersState` machines each decode every codeword. Each
+//!   decode is certified against the codeword's true OR word, which the
+//!   driver hands every party beside its heard word
+//!   ([`SymbolCode::decode_near`]), and scans only when the certificate
+//!   fails. These machines are also the oracle the collapsed body is
+//!   tested against; a test-only full-scan code holds them to the scan.
 //!
 //! [`run_owners_phase`] picks the form by the noise model.
 //!
@@ -68,6 +71,10 @@ pub(crate) struct OwnersState {
     /// Heard bits of the in-flight codeword, accumulated packed so the
     /// per-iteration decode needs no unpack/repack round-trip.
     word: PackedBits,
+    /// The true OR word of the in-flight codeword, accumulated alike:
+    /// the reference the decode is certified against, never read
+    /// otherwise.
+    sent_or: PackedBits,
     sending: Option<PackedBits>,
     /// `T^i`: rounds already claimed by some owner.
     claimed: Vec<bool>,
@@ -110,6 +117,7 @@ impl OwnersState {
             iter: 0,
             bit_idx: 0,
             word: PackedBits::new(),
+            sent_or: PackedBits::new(),
             sending: None,
             claimed: vec![false; len],
             turn: 0,
@@ -170,19 +178,25 @@ impl OwnersState {
     }
 
     /// Takes in `len` heard bits of the in-flight codeword (at most the
-    /// run of [`OwnersState::plan`]), decoding it once it is complete.
-    pub(crate) fn hear_word(&mut self, heard: u64, len: usize) {
+    /// run of [`OwnersState::plan`]) and the `sent` OR word over the same
+    /// rounds, decoding the heard codeword once it is complete. The
+    /// decode returns the full scan's symbol whatever was sent; `sent`
+    /// only lets it skip the scan.
+    pub(crate) fn hear_word(&mut self, heard: u64, sent: u64, len: usize) {
         if self.finished() {
             return;
         }
         self.word.push_word(heard, len);
+        self.sent_or.push_word(sent, len);
         self.bit_idx += len;
         if self.bit_idx != self.code.codeword_len() {
             return;
         }
         // Iteration complete: decode and update the shared bookkeeping.
         if self.turn < self.n {
-            let symbol = self.code.decode_packed(&self.word, self.metric);
+            let symbol = self
+                .code
+                .decode_near(&self.sent_or, &self.word, self.metric);
             if symbol == self.next_symbol {
                 self.turn += 1;
             } else if symbol < self.pi.len() {
@@ -194,6 +208,7 @@ impl OwnersState {
             // keeping all parties' bookkeeping in lockstep.
         }
         self.word.clear();
+        self.sent_or.clear();
         self.bit_idx = 0;
         self.iter += 1;
         if !self.finished() {
@@ -321,9 +336,10 @@ fn collapsed_owners(
 }
 
 /// The per-party owners phase: `n` [`OwnersState`] machines driven over
-/// `channel`, each decoding every codeword itself. Independent noise
-/// runs here; under shared noise it is the oracle of
-/// [`collapsed_owners`]. Opens the `owners.phase` span.
+/// `channel`, each decoding every codeword itself, certified against
+/// the codeword's true OR word. Independent noise runs here; under
+/// shared noise it is the oracle of [`collapsed_owners`]. Opens the
+/// `owners.phase` span.
 fn per_party_owners(
     bits: &[Vec<bool>],
     model: NoiseModel,
@@ -373,8 +389,8 @@ impl SimParty for OwnersOnlyParty {
         self.state.plan()
     }
 
-    fn hear_word(&mut self, heard: u64, len: usize) {
-        self.state.hear_word(heard, len);
+    fn hear_word(&mut self, heard: u64, sent: u64, len: usize) {
+        self.state.hear_word(heard, sent, len);
     }
 
     fn is_done(&self) -> bool {
@@ -387,6 +403,142 @@ mod tests {
     use super::*;
     use beeps_channel::Delivery;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Forwards only the required [`SymbolCode`] methods and
+    /// [`SymbolCode::decode_packed`], so [`SymbolCode::decode_near`]
+    /// takes its full-scan default: the per-party phase with every
+    /// decode a scan, the oracle the certified decode is held to.
+    #[derive(Debug)]
+    struct FullScan(SharedCode);
+
+    impl SymbolCode for FullScan {
+        fn alphabet_size(&self) -> usize {
+            self.0.alphabet_size()
+        }
+
+        fn codeword_len(&self) -> usize {
+            self.0.codeword_len()
+        }
+
+        fn encode(&self, symbol: usize) -> Vec<bool> {
+            self.0.encode(symbol)
+        }
+
+        fn decode(&self, received: &[bool], metric: BitMetric) -> usize {
+            self.0.decode(received, metric)
+        }
+
+        fn decode_packed(&self, received: &PackedBits, metric: BitMetric) -> usize {
+            self.0.decode_packed(received, metric)
+        }
+    }
+
+    /// Which way a table code's [`SymbolCode::decode_near`] went.
+    #[derive(Debug, Clone, Copy)]
+    enum Branch {
+        /// The reference is a codeword and its certificate holds.
+        Certified,
+        /// The reference is a codeword but its certificate fails: a scan.
+        Scanned,
+        /// The reference is no codeword: a scan.
+        Stray,
+    }
+
+    /// Forwards to a table code like [`FullScan`], and
+    /// [`SymbolCode::decode_near`] too, tallying the [`Branch`] each
+    /// call takes. The tally recomputes the certificate `c₀ + k < r`
+    /// from the codewords.
+    #[derive(Debug)]
+    struct Branches {
+        code: SharedCode,
+        codewords: Vec<PackedBits>,
+        /// Each codeword's Hamming distance to its nearest other one.
+        radii: Vec<u64>,
+        taken: [AtomicUsize; 3],
+    }
+
+    impl Branches {
+        fn new(code: SharedCode) -> Self {
+            let codewords: Vec<PackedBits> = (0..code.alphabet_size())
+                .map(|s| code.encode_packed(s))
+                .collect();
+            let radii = codewords
+                .iter()
+                .enumerate()
+                .map(|(s, c)| {
+                    let others = codewords.iter().enumerate().filter(|&(t, _)| t != s);
+                    others
+                        .map(|(_, o)| u64::from(c.hamming(o)))
+                        .min()
+                        .expect("q ≥ 2")
+                })
+                .collect();
+            Self {
+                code,
+                codewords,
+                radii,
+                taken: Default::default(),
+            }
+        }
+
+        fn branch(
+            &self,
+            reference: &PackedBits,
+            received: &PackedBits,
+            metric: BitMetric,
+        ) -> Branch {
+            match self.codewords.iter().position(|c| c == reference) {
+                None => Branch::Stray,
+                Some(s) => {
+                    let c = &self.codewords[s];
+                    let bound = metric.cost(c, received) + u64::from(c.hamming(received));
+                    if bound < self.radii[s] {
+                        Branch::Certified
+                    } else {
+                        Branch::Scanned
+                    }
+                }
+            }
+        }
+
+        fn taken(&self, branch: Branch) -> usize {
+            self.taken[branch as usize].load(Ordering::Relaxed)
+        }
+    }
+
+    impl SymbolCode for Branches {
+        fn alphabet_size(&self) -> usize {
+            self.code.alphabet_size()
+        }
+
+        fn codeword_len(&self) -> usize {
+            self.code.codeword_len()
+        }
+
+        fn encode(&self, symbol: usize) -> Vec<bool> {
+            self.code.encode(symbol)
+        }
+
+        fn decode(&self, received: &[bool], metric: BitMetric) -> usize {
+            self.code.decode(received, metric)
+        }
+
+        fn decode_packed(&self, received: &PackedBits, metric: BitMetric) -> usize {
+            self.code.decode_packed(received, metric)
+        }
+
+        fn decode_near(
+            &self,
+            reference: &PackedBits,
+            received: &PackedBits,
+            metric: BitMetric,
+        ) -> usize {
+            let branch = self.branch(reference, received, metric);
+            self.taken[branch as usize].fetch_add(1, Ordering::Relaxed);
+            self.code.decode_near(reference, received, metric)
+        }
+    }
 
     /// Forwards only the four required [`Channel`] methods, so
     /// [`Channel::transmit_word`] takes its per-round default.
@@ -522,13 +674,14 @@ mod tests {
         }
     }
 
-    /// Runs the per-party oracle and the collapsed body on random inputs
-    /// for each `(n, len, code_len, model)` cell and asserts equal
-    /// outcomes, and the oracle equal to itself over single-round
-    /// deliveries. Half the codes carry more symbols than `len + 1` (as a
-    /// tail chunk's code does), so decode errors also land on stray
-    /// symbols in `[len, Next)`; some tables must come out invalid,
-    /// proving decode errors occurred.
+    /// Runs the per-party oracle with the full scan ([`FullScan`]) on
+    /// random inputs for each `(n, len, code_len, model)` cell and
+    /// asserts the collapsed body, the certified per-party phase and the
+    /// certified phase over single-round deliveries all equal it. Half
+    /// the codes carry more symbols than `len + 1` (as a tail chunk's
+    /// code does), so decode errors also land on stray symbols in
+    /// `[len, Next)`; some tables must come out invalid, proving decode
+    /// errors occurred.
     fn assert_collapsed_matches_oracle(cells: &[(usize, usize, usize, NoiseModel)]) {
         let mut rng = StdRng::seed_from_u64(0xD3);
         let mut stray_codes = 0usize;
@@ -545,20 +698,27 @@ mod tests {
             let want = per_party_owners(
                 &bits,
                 model,
-                Arc::clone(&code),
+                Arc::new(FullScan(Arc::clone(&code))),
                 &mut StochasticChannel::new(n, model, seed),
             );
             let got = collapsed_owners(&bits, model, &*code, seed);
             let context =
                 format!("{model} n={n} len={len} code_len={code_len} alphabet={alphabet}");
             assert_eq!(got, want, "{context}");
+            let certified = per_party_owners(
+                &bits,
+                model,
+                Arc::clone(&code),
+                &mut StochasticChannel::new(n, model, seed),
+            );
+            assert_eq!(certified, want, "certified, {context}");
             let per_round = per_party_owners(
                 &bits,
                 model,
                 Arc::clone(&code),
                 &mut PerRound(StochasticChannel::new(n, model, seed)),
             );
-            assert_eq!(per_round, want, "single rounds, {context}");
+            assert_eq!(per_round, want, "certified single rounds, {context}");
             invalid += usize::from(!got.valid_for(&bits));
         }
         assert!(stray_codes > 0 && stray_codes < cells.len());
@@ -609,6 +769,57 @@ mod tests {
             }
         }
         assert_collapsed_matches_oracle(&cells);
+    }
+
+    #[test]
+    fn certified_per_party_phase_matches_full_scan() {
+        // Independent noise from rare flips to near-coin flips, at n ∈
+        // {1, 2, 5} in every (ε, code_len) cell and at n ∈ {64, 65} in
+        // one code length per ε. The certified run's decodes must take
+        // every branch: certified, certificate failed (noise past the
+        // radius) and reference no codeword (parties that disagree on
+        // the turn send the OR of two codewords, or nothing).
+        let mut rng = StdRng::seed_from_u64(0xD6);
+        let mut taken = [0usize; 3];
+        for (e, epsilon) in [0.05, 0.1, 0.3, 0.45].into_iter().enumerate() {
+            let model = NoiseModel::Independent { epsilon };
+            for n in [1usize, 2, 5, 64, 65] {
+                let code_lens = if n > 5 {
+                    &CODE_LENS[(e + n) % CODE_LENS.len()..][..1]
+                } else {
+                    &CODE_LENS[..]
+                };
+                for &code_len in code_lens {
+                    let len = 1 + rng.gen_range(0..n + 3);
+                    let bits: Vec<Vec<bool>> = (0..n)
+                        .map(|_| (0..len).map(|_| rng.gen_bool(0.3)).collect())
+                        .collect();
+                    let alphabet = if rng.gen_bool(0.5) { len + 1 } else { n + 4 };
+                    let table: SharedCode =
+                        Arc::new(RandomCode::with_length(alphabet, code_len, rng.next_u64()));
+                    let branches = Arc::new(Branches::new(Arc::clone(&table)));
+                    let seed = rng.next_u64();
+                    let run = |code: SharedCode| {
+                        per_party_owners(
+                            &bits,
+                            model,
+                            code,
+                            &mut StochasticChannel::new(n, model, seed),
+                        )
+                    };
+                    let want = run(Arc::new(FullScan(table)));
+                    let got = run(Arc::clone(&branches) as SharedCode);
+                    assert_eq!(
+                        got, want,
+                        "{model} n={n} len={len} code_len={code_len} alphabet={alphabet}"
+                    );
+                    for branch in [Branch::Certified, Branch::Scanned, Branch::Stray] {
+                        taken[branch as usize] += branches.taken(branch);
+                    }
+                }
+            }
+        }
+        assert!(taken.iter().all(|&t| t > 0), "branches taken: {taken:?}");
     }
 
     #[test]

@@ -155,7 +155,10 @@ impl<'a, P: Protocol> RepetitionSimulator<'a, P> {
             .collect();
         let budget = self.protocol.length() * r;
         let corrupted_before = channel.corrupted_rounds();
-        let result = drive(&mut parties, channel, budget);
+        let result = {
+            let _span = beeps_observe::phase("sim.repetition.per_party");
+            drive(&mut parties, channel, budget)
+        };
         debug_assert!(result.all_done, "fixed-length schedule must finish");
 
         let transcript = parties[0].inner.sim_transcript.clone();
@@ -214,7 +217,7 @@ impl<P: Protocol> SimParty for IndexedParty<'_, P> {
         (held(inner.current), block_run(inner.rep, inner.repetitions))
     }
 
-    fn hear_word(&mut self, heard: u64, len: usize) {
+    fn hear_word(&mut self, heard: u64, _sent: u64, len: usize) {
         let inner = &mut self.inner;
         if inner.sim_transcript.len() >= inner.protocol.length() {
             return;

@@ -183,7 +183,10 @@ impl<'a, P: Protocol> RewindSimulator<'a, P> {
         let ideal = chunks_needed * self.rounds_per_iteration();
         let budget = (self.config.budget_factor * ideal as f64).ceil() as usize;
         let corrupted_before = channel.corrupted_rounds();
-        let result = drive(&mut parties, channel, budget);
+        let result = {
+            let _span = beeps_observe::phase("sim.rewind.per_party");
+            drive(&mut parties, channel, budget)
+        };
 
         if !result.all_done {
             return Err(SimError::BudgetExhausted {
@@ -234,6 +237,7 @@ struct ChunkPhase {
     current: bool,
 }
 
+#[derive(Default)]
 struct VerifyPhase {
     chunk_bits: Vec<bool>,
     chunk_owners: Vec<Option<usize>>,
@@ -414,17 +418,12 @@ impl<P: Protocol> SimParty for RewindParty<'_, P> {
         }
     }
 
-    fn hear_word(&mut self, heard: u64, len: usize) {
-        // Attribute the run to the phase it belonged to.
-        match &self.phase {
-            Phase::Chunk(_) => self.phase_rounds.chunk += len,
-            Phase::Owners(_) => self.phase_rounds.owners += len,
-            Phase::Verify(_) => self.phase_rounds.verify += len,
-            Phase::Done => {}
-        }
-        // Take the phase out so transitions can borrow `self` freely.
-        match std::mem::replace(&mut self.phase, Phase::Done) {
-            Phase::Chunk(mut c) => {
+    fn hear_word(&mut self, heard: u64, sent: u64, len: usize) {
+        // Step the in-flight phase in place, attributing the run to it;
+        // the phase moves only when it ends.
+        match &mut self.phase {
+            Phase::Chunk(c) => {
+                self.phase_rounds.chunk += len;
                 c.ones += ones(heard, len);
                 c.rep += len;
                 if c.rep == self.repetitions {
@@ -437,20 +436,20 @@ impl<P: Protocol> SimParty for RewindParty<'_, P> {
                 }
                 if c.bits.len() == c.len {
                     // Chunk simulated; find owners for its 1s.
-                    self.phase = Phase::Owners(OwnersState::new(
+                    let owners = OwnersState::new(
                         self.me,
                         self.n,
-                        c.bits,
-                        c.my_bits,
+                        std::mem::take(&mut c.bits),
+                        std::mem::take(&mut c.my_bits),
                         Arc::clone(&self.code),
                         metric_for(self.model),
-                    ));
-                } else {
-                    self.phase = Phase::Chunk(c);
+                    );
+                    self.phase = Phase::Owners(owners);
                 }
             }
-            Phase::Owners(mut o) => {
-                o.hear_word(heard, len);
+            Phase::Owners(o) => {
+                self.phase_rounds.owners += len;
+                o.hear_word(heard, sent, len);
                 if o.finished() {
                     let chunk_bits = o.pi_bits().to_vec();
                     let chunk_owners = o.owners().to_vec();
@@ -462,18 +461,16 @@ impl<P: Protocol> SimParty for RewindParty<'_, P> {
                         idx: 0,
                         ones: 0,
                     });
-                } else {
-                    self.phase = Phase::Owners(o);
                 }
             }
-            Phase::Verify(mut v) => {
+            Phase::Verify(v) => {
+                self.phase_rounds.verify += len;
                 v.ones += ones(heard, len);
                 v.idx += len;
                 if v.idx == self.verify_repetitions {
                     let failed = v.ones >= self.params.verify_ones;
+                    let v = std::mem::take(v);
                     self.finish_verification(failed, v);
-                } else {
-                    self.phase = Phase::Verify(v);
                 }
             }
             Phase::Done => {}

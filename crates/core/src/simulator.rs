@@ -481,6 +481,56 @@ mod tests {
     }
 
     #[test]
+    fn per_party_engines_open_one_span_per_call() {
+        #[derive(Default)]
+        struct Recording(std::sync::Mutex<Vec<&'static str>>);
+
+        impl beeps_observe::Observer for Recording {
+            fn on_phase(&self, _worker: usize, name: &'static str, _start: u64, _end: u64) {
+                self.0.lock().expect("recording lock").push(name);
+            }
+        }
+
+        let spans_of = |simulate_over: &dyn Fn(&mut dyn Channel)| {
+            let recording = std::sync::Arc::new(Recording::default());
+            {
+                let _guard = beeps_observe::install(std::sync::Arc::clone(&recording) as _, 0);
+                simulate_over(&mut beeps_channel::StochasticChannel::new(
+                    4,
+                    NoiseModel::Noiseless,
+                    3,
+                ));
+            }
+            let spans = recording.0.lock().expect("recording lock");
+            spans.clone()
+        };
+        let protocol = InputSet::new(4);
+        let inputs = [0usize, 2, 5, 7];
+        let config = SimulatorConfig::builder(4).build();
+        let rep = RepetitionSimulator::new(&protocol, config.clone());
+        let rewind = RewindSimulator::new(&protocol, config.clone());
+        let hier = HierarchicalSimulator::new(&protocol, config.clone());
+        let otz = OneToZeroSimulator::new(&protocol, 2, config.budget_factor);
+        let schemes: [&dyn Simulator<usize, _>; 4] = [&rep, &rewind, &hier, &otz];
+        for scheme in schemes {
+            let spans = spans_of(&|channel| {
+                scheme
+                    .simulate_over(&inputs, NoiseModel::Noiseless, channel)
+                    .expect("noiseless run");
+            });
+            assert_eq!(spans, [format!("sim.{}.per_party", scheme.name())]);
+        }
+        let roll_call = beeps_protocols::RollCall::new(4);
+        let owned = OwnedRoundsSimulator::new(&roll_call, config);
+        let spans = spans_of(&|channel| {
+            owned
+                .simulate_over(&[true, false, true, true], NoiseModel::Noiseless, channel)
+                .expect("noiseless run");
+        });
+        assert_eq!(spans, [format!("sim.{}.per_party", owned.name())]);
+    }
+
+    #[test]
     fn simulate_with_metrics_records_phase_breakdown() {
         let protocol = InputSet::new(4);
         let config = SimulatorConfig::builder(4).build();

@@ -37,9 +37,13 @@
 //! When the caller knows which symbol was sent, as the owners phase's
 //! collapsed engine does, [`SymbolCode::decode_sent`] returns the full
 //! scan's answer without running the scan whenever a distance
-//! certificate proves it. The random and constant-weight codes share the
-//! one codeword table that implements it; the full scan,
-//! [`SymbolCode::decode_packed`], stays the oracle.
+//! certificate proves it. When it knows only the word that was sent, as
+//! each party of the per-party owners phase does (the simulator hands
+//! every party the true OR word), [`SymbolCode::decode_near`] looks that
+//! word up among the codewords and certifies against its symbol. The
+//! random and constant-weight codes share the one codeword table that
+//! implements both; the full scan, [`SymbolCode::decode_packed`], stays
+//! the oracle.
 //!
 //! # Examples
 //!
@@ -154,6 +158,36 @@ pub trait SymbolCode: std::fmt::Debug {
             "symbol {sent} outside alphabet of {}",
             self.alphabet_size()
         );
+        self.decode_packed(received, metric)
+    }
+
+    /// Decodes `received` given `reference`, a word it was likely sent
+    /// as — the per-party owners phase's case, where every party hears
+    /// its own noisy copy of the true OR word and the simulator knows
+    /// that word.
+    ///
+    /// Returns exactly [`SymbolCode::decode_packed`]`(received,
+    /// metric)`: `reference` only lets a code skip its scan when it can
+    /// prove the scan's answer, so any `reference` gives the same
+    /// symbol. The default decodes in full. The random and
+    /// constant-weight codes look `reference` up in an index of their
+    /// codewords: if it is the codeword of `s`, they return
+    /// [`SymbolCode::decode_sent`]`(s, received, metric)`, which equals
+    /// the scan for every `s`; if it is no codeword (parties that
+    /// disagree on whose turn it is send the OR of two codewords, or
+    /// nothing), they run the scan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `received.len() != self.codeword_len()`.
+    fn decode_near(
+        &self,
+        reference: &bits::PackedBits,
+        received: &bits::PackedBits,
+        metric: BitMetric,
+    ) -> usize {
+        // The full scan has no use for the hint.
+        let _ = reference;
         self.decode_packed(received, metric)
     }
 }

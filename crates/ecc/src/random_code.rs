@@ -114,6 +114,15 @@ impl SymbolCode for RandomCode {
     fn decode_sent(&self, sent: usize, received: &PackedBits, metric: BitMetric) -> usize {
         self.table.decode_sent(sent, received, metric)
     }
+
+    fn decode_near(
+        &self,
+        reference: &PackedBits,
+        received: &PackedBits,
+        metric: BitMetric,
+    ) -> usize {
+        self.table.decode_near(reference, received, metric)
+    }
 }
 
 #[cfg(test)]

@@ -4,6 +4,7 @@
 //! and the certificate that lets a decode skip the scan.
 
 use crate::bits::{BitMetric, PackedBits};
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A radius not computed yet. Codewords are distinct and at most
@@ -18,6 +19,10 @@ const UNKNOWN: u32 = u32::MAX;
 pub(crate) struct CodeTable {
     len: usize,
     codewords: Vec<PackedBits>,
+    /// Each codeword's symbol: the map that rejected repeated draws,
+    /// kept so [`CodeTable::decode_near`] can name a reference word's
+    /// symbol. Fixed once drawn.
+    symbols: BTreeMap<PackedBits, usize>,
     /// `radii[s]`: the radius of codeword `s`, or [`UNKNOWN`].
     radii: Vec<AtomicU32>,
 }
@@ -36,22 +41,27 @@ impl CodeTable {
         exhausted: &str,
     ) -> Self {
         let mut codewords: Vec<PackedBits> = Vec::with_capacity(q);
-        // Set-membership duplicate rejection: the same draws, and so the
+        // Map-membership duplicate rejection: the same draws, and so the
         // same code, as an O(q²) linear scan.
-        let mut seen = std::collections::BTreeSet::new();
+        let mut symbols = BTreeMap::new();
         let mut attempts = 0usize;
         while codewords.len() < q {
             let cw = next();
-            if !seen.insert(cw.clone()) {
-                attempts += 1;
-                assert!(attempts < 10_000, "{exhausted}");
-                continue;
+            match symbols.entry(cw) {
+                Entry::Occupied(_) => {
+                    attempts += 1;
+                    assert!(attempts < 10_000, "{exhausted}");
+                }
+                Entry::Vacant(slot) => {
+                    codewords.push(slot.key().clone());
+                    slot.insert(codewords.len() - 1);
+                }
             }
-            codewords.push(cw);
         }
         Self {
             len,
             codewords,
+            symbols,
             radii: (0..q).map(|_| AtomicU32::new(UNKNOWN)).collect(),
         }
     }
@@ -130,6 +140,26 @@ impl CodeTable {
         }
     }
 
+    /// [`CodeTable::decode_packed`], certified against `reference`: if
+    /// `reference` is the codeword of some symbol `s`, this is
+    /// [`CodeTable::decode_sent`]`(s, …)`, which returns the scan's
+    /// answer for every `s`; otherwise it is the scan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `received.len()` is not the codeword length.
+    pub(crate) fn decode_near(
+        &self,
+        reference: &PackedBits,
+        received: &PackedBits,
+        metric: BitMetric,
+    ) -> usize {
+        match self.symbols.get(reference) {
+            Some(&s) => self.decode_sent(s, received, metric),
+            None => self.decode_packed(received, metric),
+        }
+    }
+
     /// The radius of codeword `s`, computed on first request.
     fn radius(&self, s: usize) -> u32 {
         // Threads racing on an unknown radius compute and store the same
@@ -166,6 +196,7 @@ impl Clone for CodeTable {
         Self {
             len: self.len,
             codewords: self.codewords.clone(),
+            symbols: self.symbols.clone(),
             radii: self
                 .radii
                 .iter()

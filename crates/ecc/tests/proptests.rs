@@ -205,14 +205,29 @@ proptest! {
     }
 }
 
+/// The symbol whose codeword is nearest `word` in Hamming distance,
+/// the first on a tie.
+fn closest(codewords: &[PackedBits], word: &PackedBits) -> usize {
+    (0..codewords.len())
+        .min_by_key(|&t| codewords[t].hamming(word))
+        .expect("q ≥ 2")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The certified decode returns exactly the full scan's symbol, for
+    /// The certified decodes return exactly the full scan's symbol, for
     /// both table codes under every metric, at q ∈ {2, 3, 17, 65} and
     /// code lengths around the limb boundaries, on the words of
     /// [`certificate_words`]. Under Hamming an even radius puts the
     /// boundary word, a tie with the nearest neighbour, on both walks.
+    /// `decode_sent` is given the sent symbol; `decode_near` is given
+    /// each of these references: the codeword closest to the word, the
+    /// walk's other codeword (so a tie's later symbol is a reference at
+    /// the midpoint), the closest codeword with one bit flipped, the OR
+    /// of the walk's two codewords and the all-zero word — the true OR
+    /// word of an owners codeword when the parties agree on the turn,
+    /// and when they do not.
     #[test]
     fn certified_decode_matches_full_scan(
         q_index in 0usize..4,
@@ -230,6 +245,7 @@ proptest! {
         } else {
             Box::new(RandomCode::with_length(q, len, seed))
         };
+        let codewords: Vec<PackedBits> = (0..q).map(|s| code.encode_packed(s)).collect();
         let mut rng = StdRng::seed_from_u64(seed);
         let sent = rng.gen_range(0..q);
         let c = code.encode(sent);
@@ -238,15 +254,37 @@ proptest! {
             .filter(|&t| t != sent)
             .min_by_key(|&t| distance(t))
             .expect("q ≥ 2");
+        let or: Vec<bool> = c.iter().zip(code.encode(nearest)).map(|(&a, b)| a | b).collect();
         for y in certificate_words(&c, &code.encode(nearest), &mut rng) {
             let y = PackedBits::from_bools(&y);
+            let close = closest(&codewords, &y);
+            let other = if close == sent { nearest } else { sent };
+            let mut flipped = code.encode(close);
+            let bit = rng.gen_range(0..len);
+            flipped[bit] = !flipped[bit];
+            let references = [
+                codewords[close].clone(),
+                codewords[other].clone(),
+                PackedBits::from_bools(&flipped),
+                PackedBits::from_bools(&or),
+                PackedBits::from_bools(&vec![false; len]),
+            ];
             for metric in [BitMetric::Hamming, BitMetric::ZUp, BitMetric::ZDown] {
+                let scan = code.decode_packed(&y, metric);
                 prop_assert_eq!(
                     code.decode_sent(sent, &y, metric),
-                    code.decode_packed(&y, metric),
+                    scan,
                     "q={} len={} constant_weight={} sent={} {:?}",
                     q, len, constant_weight, sent, metric
                 );
+                for reference in &references {
+                    prop_assert_eq!(
+                        code.decode_near(reference, &y, metric),
+                        scan,
+                        "q={} len={} constant_weight={} reference={:?} {:?}",
+                        q, len, constant_weight, reference, metric
+                    );
+                }
             }
         }
     }

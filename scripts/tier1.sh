@@ -3,8 +3,8 @@
 #
 #   scripts/tier1.sh
 #
-# Runs the release build, the full test suite, the benchmark's pinned
-# digest self-test, clippy with warnings denied, the beeps-lint
+# Runs the release build, the full test suite, the vendored rand
+# crate's own tests, the benchmark's pinned digest self-test, clippy with warnings denied, the beeps-lint
 # static-analysis pass, the formatting check, rustdoc with warnings
 # denied (broken intra-doc links fail), a one-iteration smoke run of
 # the hot-path benchmark harness plus its baseline-comparison
@@ -23,6 +23,11 @@ if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
 fi
 cargo build --release
 cargo test -q
+# vendor/rand is excluded from the workspace, so the line above skips
+# its own tests: the ChaCha20 keystream vector of RFC 7539 and the
+# rand_core block-buffer straddle rule, which every seeded golden
+# rests on.
+cargo test -q --manifest-path vendor/rand/Cargo.toml
 # The repository benchmark (perfbench/, a workspace of its own) checks
 # every workload's digest against its pinned value, E4's owners tables
 # included: a change that moves any bit of the benchmarked experiment
