@@ -141,20 +141,23 @@ impl TrialRunner {
     }
 
     /// A runner sized from `BEEPS_THREADS`, falling back to
-    /// [`std::thread::available_parallelism`].
+    /// [`std::thread::available_parallelism`] when the variable is unset
+    /// or empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `BEEPS_THREADS` is set to anything but an unsigned
+    /// integer, as `--threads` does in [`TrialRunner::from_args`]: a
+    /// mistyped thread count must not run silently at another one.
     #[must_use]
     pub fn from_env() -> Self {
-        if let Some(n) = std::env::var("BEEPS_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            return Self::new(n);
-        }
-        Self::new(
+        let value = std::env::var_os("BEEPS_THREADS");
+        let value = value.as_ref().map(|v| v.to_string_lossy());
+        Self::new(env_threads(value.as_deref()).unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        )
+                .unwrap_or(1)
+        }))
     }
 
     /// A runner sized from a `--threads N` argument in `args`, falling
@@ -441,9 +444,36 @@ impl TrialRunner {
     }
 }
 
+/// The thread count a `BEEPS_THREADS` value asks for, or `None` when the
+/// variable is unset or empty.
+///
+/// # Panics
+///
+/// Panics, naming the variable, if the value is not an unsigned integer.
+fn env_threads(value: Option<&str>) -> Option<usize> {
+    let value = value.filter(|v| !v.is_empty())?;
+    Some(value.parse().unwrap_or_else(|_| {
+        panic!("invalid BEEPS_THREADS value {value:?}: expected an unsigned integer")
+    }))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn env_threads_reads_a_count_and_falls_back_when_unset_or_empty() {
+        assert_eq!(env_threads(None), None);
+        assert_eq!(env_threads(Some("")), None);
+        assert_eq!(env_threads(Some("3")), Some(3));
+        assert_eq!(env_threads(Some("0")), Some(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid BEEPS_THREADS value \"abc\"")]
+    fn env_threads_rejects_a_mistyped_count() {
+        let _ = env_threads(Some("abc"));
+    }
 
     #[test]
     fn trial_seeds_are_stable_and_distinct() {

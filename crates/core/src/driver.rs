@@ -13,8 +13,8 @@
 //!
 //! **The run rule.** A run ends exactly where the per-round machine
 //! would next change state, and `hear_word` keeps that machine's own
-//! transition test — `rep == repetitions` or `idx == verify_repetitions`
-//! (never `>=`) in the repetition blocks and rewind-family votes,
+//! transition test — `rep == repetitions` (never `>=`) in the repetition
+//! blocks and rewind-family votes, all of them a [`Block`], and
 //! `idx < total` in the owned-rounds vote and the one-to-zero checks —
 //! so stepping by words changes no transcript, stat or error. Under an
 //! `==` test a zero-length block can never end: its counter has already
@@ -22,8 +22,13 @@
 //! until the budget runs out, and its run is unbounded ([`WORD`]
 //! rounds). Under a `<` test a zero-length block ends after one round.
 //! No run is 0, which would make the loop spin.
+//!
+//! The parts every per-party machine shares live here too: its [`Seat`]
+//! (index, input, committed [`Prefix`] and stats) and the [`outcome`]
+//! assembled from the seats once `drive` returns.
 
-use beeps_channel::Channel;
+use crate::outcome::{PhaseRounds, SimError, SimOutcome, SimStats};
+use beeps_channel::{Channel, Protocol};
 
 /// The most rounds one step delivers, and the run of a party whose
 /// state cannot change (done, or in a block that never ends).
@@ -82,12 +87,186 @@ pub(crate) fn ones(heard: u64, len: usize) -> usize {
     (heard & live(len)).count_ones() as usize
 }
 
+/// A repetition block: one beep held for every round of the block and
+/// decoded by the ones heard over it. The chunk rounds of every
+/// per-party machine and the votes of the rewind and hierarchical
+/// machines are blocks.
+#[derive(Debug, Default)]
+pub(crate) struct Block {
+    rep: usize,
+    ones: usize,
+    /// The held beep, decided at the block's first round.
+    pub(crate) beep: bool,
+}
+
+impl Block {
+    /// The rest of a block of `repetitions` rounds, whose beep `decide`
+    /// picks at the block's first round.
+    pub(crate) fn plan(
+        &mut self,
+        repetitions: usize,
+        decide: impl FnOnce() -> bool,
+    ) -> (u64, usize) {
+        if self.rep == 0 {
+            self.beep = decide();
+        }
+        (held(self.beep), block_run(self.rep, repetitions))
+    }
+
+    /// Takes in `len` heard rounds of a block of `repetitions` rounds.
+    /// When the block ends, returns the ones heard over it and starts the
+    /// next block.
+    pub(crate) fn hear(&mut self, heard: u64, len: usize, repetitions: usize) -> Option<usize> {
+        self.ones += ones(heard, len);
+        self.rep += len;
+        if self.rep == repetitions {
+            self.rep = 0;
+            return Some(std::mem::take(&mut self.ones));
+        }
+        None
+    }
+}
+
+/// A committed prefix: the committed transcript, the owner of each
+/// committed round and the length of each committed chunk, plus
+/// `working`, the committed transcript followed by the decoded bits of
+/// the pending chunk. Every per-party machine keeps one, and each
+/// collapsed engine keeps one shared copy.
+#[derive(Debug, Default)]
+pub(crate) struct Prefix {
+    pub(crate) bits: Vec<bool>,
+    /// Owners of the committed rounds (empty for owned rounds, whose
+    /// schedule names them).
+    pub(crate) owners: Vec<Option<usize>>,
+    pub(crate) chunk_lens: Vec<usize>,
+    pub(crate) working: Vec<bool>,
+}
+
+impl Prefix {
+    pub(crate) fn clear(&mut self) {
+        self.bits.clear();
+        self.owners.clear();
+        self.chunk_lens.clear();
+        self.working.clear();
+    }
+
+    /// The length of the next chunk of a `t`-round protocol cut into
+    /// chunks of `chunk_len`, or `None` once all `t` rounds are committed.
+    pub(crate) fn next_chunk(&self, t: usize, chunk_len: usize) -> Option<usize> {
+        let remaining = t.saturating_sub(self.bits.len());
+        (remaining > 0).then(|| remaining.min(chunk_len))
+    }
+
+    /// Committed rounds in the first `boundary` committed chunks.
+    pub(crate) fn rounds_in(&self, boundary: usize) -> usize {
+        self.chunk_lens[..boundary].iter().sum()
+    }
+
+    /// Commits the pending chunk (the tail of `working`) with the owners
+    /// of its rounds.
+    pub(crate) fn commit(&mut self, owners: &[Option<usize>]) {
+        let pending = &self.working[self.bits.len()..];
+        self.chunk_lens.push(pending.len());
+        self.bits.extend_from_slice(pending);
+        self.owners.extend_from_slice(owners);
+    }
+
+    /// Keeps the first `boundary` committed chunks and drops the pending
+    /// chunk. Returns whether a committed chunk was cut. A rewind's pop is
+    /// `truncate_to(len − 1)`.
+    pub(crate) fn truncate_to(&mut self, boundary: usize) -> bool {
+        let cut = boundary < self.chunk_lens.len();
+        if cut {
+            let keep = self.rounds_in(boundary);
+            self.bits.truncate(keep);
+            self.owners.truncate(keep);
+            self.chunk_lens.truncate(boundary);
+        }
+        self.working.truncate(self.bits.len());
+        cut
+    }
+}
+
+/// One party of a per-party run: its index and input, its committed
+/// prefix, and the stats it keeps for the [`outcome`].
+pub(crate) struct Seat<'a, P: Protocol> {
+    pub(crate) protocol: &'a P,
+    pub(crate) me: usize,
+    pub(crate) input: P::Input,
+    pub(crate) prefix: Prefix,
+    pub(crate) phase_rounds: PhaseRounds,
+    pub(crate) rewinds: usize,
+}
+
+impl<'a, P: Protocol> Seat<'a, P> {
+    pub(crate) fn new(protocol: &'a P, me: usize, input: P::Input) -> Self {
+        Self {
+            protocol,
+            me,
+            input,
+            prefix: Prefix::default(),
+            phase_rounds: PhaseRounds::default(),
+            rewinds: 0,
+        }
+    }
+
+    /// This party's beep in the next simulated round of its working
+    /// prefix.
+    pub(crate) fn beep(&self) -> bool {
+        self.protocol
+            .beep(self.me, &self.input, &self.prefix.working)
+    }
+}
+
 /// Result of driving parties to completion (or budget exhaustion).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct DriveResult {
     pub rounds: usize,
     pub energy: usize,
     pub all_done: bool,
+    /// Rounds the channel corrupted while driven.
+    pub corrupted: usize,
+}
+
+impl DriveResult {
+    /// `Ok` when every party finished, else the run's `BudgetExhausted`:
+    /// the rounds driven and the rounds `first` committed.
+    pub(crate) fn finished<P: Protocol>(&self, first: &Seat<'_, P>) -> Result<(), SimError> {
+        if self.all_done {
+            return Ok(());
+        }
+        Err(SimError::BudgetExhausted {
+            rounds_used: self.rounds,
+            committed: first.prefix.bits.len().min(first.protocol.length()),
+        })
+    }
+}
+
+/// The outcome of a per-party run whose parties all finished: the first
+/// party's committed transcript and stats, every party's output on its
+/// own transcript, and whether all transcripts agree. A finished party
+/// has committed exactly the protocol's rounds.
+pub(crate) fn outcome<'s, 'a: 's, P: Protocol + 'a>(
+    seats: impl Iterator<Item = &'s Seat<'a, P>> + Clone,
+    result: DriveResult,
+) -> SimOutcome<P::Output> {
+    let first = seats.clone().next().expect("at least one party");
+    let transcript = first.prefix.bits.clone();
+    let agreement = seats.clone().all(|s| s.prefix.bits == transcript);
+    let outputs = seats
+        .map(|s| s.protocol.output(s.me, &s.input, &s.prefix.bits))
+        .collect();
+    let stats = SimStats {
+        channel_rounds: result.rounds,
+        phase_rounds: first.phase_rounds,
+        protocol_rounds: first.protocol.length(),
+        chunks_committed: first.prefix.chunk_lens.len(),
+        rewinds: first.rewinds,
+        agreement,
+        energy: result.energy,
+        corrupted_rounds: result.corrupted,
+    };
+    SimOutcome::new(transcript, outputs, stats)
 }
 
 /// Runs the parties over the channel until every party reports done or the
@@ -107,6 +286,7 @@ pub(crate) fn drive<P: SimParty>(
     );
     let mut beeps = vec![0u64; parties.len()];
     let mut heard = vec![0u64; parties.len()];
+    let corrupted_before = channel.corrupted_rounds();
     let mut rounds = 0usize;
     let mut energy = 0usize;
     while rounds < budget && parties.iter().any(|p| !p.is_done()) {
@@ -133,6 +313,7 @@ pub(crate) fn drive<P: SimParty>(
         rounds,
         energy,
         all_done: parties.iter().all(|p| p.is_done()),
+        corrupted: channel.corrupted_rounds() - corrupted_before,
     }
 }
 

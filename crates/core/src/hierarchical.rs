@@ -31,12 +31,12 @@
 //! provisionally and repairs with exact back-jumps — the trade-off the
 //! `tab5_scheme_ablation` experiment measures.
 
-use crate::driver::{block_run, drive, held, ones, SimParty, WORD};
-use crate::outcome::{PhaseRounds, SimError, SimOutcome, SimStats};
-use crate::owners::{metric_for, OwnersState, SharedCode};
+use crate::driver::{drive, outcome, Block, Seat, SimParty, WORD};
+use crate::outcome::{check_model, SimError, SimOutcome};
+use crate::owners::OwnersState;
 use crate::params::{ResolvedParams, SimulatorConfig};
+use crate::rewind::{ChunkPhase, PartyRun};
 use beeps_channel::{NoiseModel, Protocol, StochasticChannel};
-use std::sync::Arc;
 
 /// The Appendix D.2 hierarchical simulator (`A_l` with binary-search
 /// progress checks).
@@ -120,13 +120,8 @@ impl<'a, P: Protocol> HierarchicalSimulator<'a, P> {
         seed: u64,
         scratch: &mut crate::soa::SoaScratch,
     ) -> Result<SimOutcome<P::Output>, SimError> {
-        let n = self.protocol.num_parties();
-        if model.validate().is_err() {
-            return Err(SimError::UnsupportedNoise {
-                reason: "noise parameter outside [0, 1)",
-            });
-        }
-        let mut channel = StochasticChannel::new(n, model, seed);
+        check_model(model)?;
+        let mut channel = StochasticChannel::new(self.protocol.num_parties(), model, seed);
         if model.is_shared() {
             return crate::soa::hierarchical_collapsed_over(
                 self.protocol,
@@ -159,86 +154,64 @@ impl<'a, P: Protocol> HierarchicalSimulator<'a, P> {
     ) -> Result<SimOutcome<P::Output>, SimError> {
         let n = self.protocol.num_parties();
         assert_eq!(inputs.len(), n, "need one input per party");
-        if model.validate().is_err() {
-            return Err(SimError::UnsupportedNoise {
-                reason: "noise parameter outside [0, 1)",
-            });
-        }
+        check_model(model)?;
         let t = self.protocol.length();
-        let resolved = self.config.resolve(model);
-        let code = self.config.build_code();
-        let chunks_needed = t.div_ceil(self.config.chunk_len).max(1);
-        // Deepest level whose window covers the whole protocol.
-        let max_level =
-            (usize::BITS - chunks_needed.next_power_of_two().leading_zeros()) as usize + 1;
-
+        let scheme = PartyRun::new(&self.config, model, n);
+        let max_level = max_level(&self.config, t);
         let mut parties: Vec<HierParty<'_, P>> = (0..n)
             .map(|i| {
-                HierParty::new(
-                    self.protocol,
-                    inputs[i].clone(),
-                    i,
-                    n,
-                    &self.config,
-                    resolved,
-                    Arc::clone(&code),
-                    model,
-                    max_level,
-                )
+                let seat = Seat::new(self.protocol, i, inputs[i].clone());
+                HierParty::new(&scheme, seat, max_level)
             })
             .collect();
-
-        // Ideal per-iteration cost: chunk + owners + level-0 vote, plus the
-        // amortized higher-level checks (a constant factor, budgeted in).
-        let per_iter = self.config.chunk_len * self.config.repetitions
-            + OwnersState::channel_rounds(self.config.chunk_len, n, self.config.code_len)
-            + self.config.verify_repetitions * 4;
-        let budget = (self.config.budget_factor * (chunks_needed * per_iter) as f64).ceil()
-            as usize
-            + self.config.verify_repetitions * (max_level + 2) * (max_level + 2) * 4;
-        let corrupted_before = channel.corrupted_rounds();
         let result = {
             let _span = beeps_observe::phase("sim.hierarchical.per_party");
-            drive(&mut parties, channel, budget)
+            drive(&mut parties, channel, budget(&self.config, n, t))
         };
-
-        if !result.all_done {
-            return Err(SimError::BudgetExhausted {
-                rounds_used: result.rounds,
-                committed: parties[0].committed_bits.len().min(t),
-            });
-        }
-
-        let transcript: Vec<bool> = parties[0].committed_bits[..t].to_vec();
-        let agreement = parties
-            .iter()
-            .all(|p| p.committed_bits[..t] == transcript[..]);
-        let outputs = parties
-            .iter()
-            .map(|p| self.protocol.output(p.me, &p.input, &p.committed_bits[..t]))
-            .collect();
-        let stats = SimStats {
-            channel_rounds: result.rounds,
-            phase_rounds: parties[0].phase_rounds,
-            protocol_rounds: t,
-            chunks_committed: parties[0].chunk_lens.len(),
-            rewinds: parties[0].truncations,
-            agreement,
-            energy: result.energy,
-            corrupted_rounds: channel.corrupted_rounds() - corrupted_before,
-        };
-        Ok(SimOutcome::new(transcript, outputs, stats))
+        result.finished(&parties[0].seat)?;
+        Ok(outcome(parties.iter().map(|p| &p.seat), result))
     }
 }
 
-/// Chunk-simulation sub-state (same structure as the rewind scheme's).
-struct ChunkPhase {
-    len: usize,
-    bits: Vec<bool>,
-    my_bits: Vec<bool>,
-    rep: usize,
-    ones: usize,
-    current: bool,
+/// `⌈log₂ x⌉ + 2` (2 for `x ≤ 1`): the binary-search steps over the
+/// `x + 1` boundaries of a window of `x` chunks, and the deepest check
+/// level of a schedule over `x` chunks (of one-to-zero: `x` rounds),
+/// whose window covers them all.
+pub(crate) fn log_depth(x: usize) -> usize {
+    (usize::BITS - x.next_power_of_two().leading_zeros()) as usize + 1
+}
+
+/// The deepest check level of a `t`-round protocol, in both engines.
+pub(crate) fn max_level(config: &SimulatorConfig, t: usize) -> usize {
+    log_depth(config.chunks_needed(t))
+}
+
+/// The levels `j ≥ 1` checked after step `k` of a binary-counter
+/// schedule (every `j ≤ max_level` with `2^j | k`), low to high: the
+/// hierarchical scheme's per-iteration checks and one-to-zero's
+/// per-slot checkpoints, in both engines.
+pub(crate) fn levels(k: usize, max_level: usize) -> impl Iterator<Item = usize> {
+    (1..=max_level).take_while(move |&j| k.is_multiple_of(1usize << j))
+}
+
+/// The hierarchical round budget, in both engines: `budget_factor ×` the
+/// ideal per-iteration cost (chunk, owners, and the amortized checks at
+/// four level-0 votes), plus fixed slack for the deep checks.
+pub(crate) fn budget(config: &SimulatorConfig, n: usize, t: usize) -> usize {
+    let max_level = max_level(config, t);
+    let per_iter = config.chunk_len * config.repetitions
+        + OwnersState::channel_rounds(config.chunk_len, n, config.code_len)
+        + config.verify_repetitions * 4;
+    (config.budget_factor * (config.chunks_needed(t) * per_iter) as f64).ceil() as usize
+        + config.verify_repetitions * (max_level + 2) * (max_level + 2) * 4
+}
+
+/// Whether a vote of `vote_len` rounds that heard `ones` ones is
+/// flagged: the `verify_ones`-of-`V` threshold scaled to the vote's
+/// length, float for float in both engines.
+pub(crate) fn flagged(params: &ResolvedParams, v: usize, ones: usize, vote_len: usize) -> bool {
+    let per = params.verify_ones as f64 / v as f64;
+    ones as f64 >= (per * vote_len as f64).max(1.0)
 }
 
 /// One binary-search progress check in flight.
@@ -256,12 +229,11 @@ struct CheckState {
     /// Steps remaining in this level's search (fixed per window for
     /// lockstep).
     steps_left: usize,
-    /// Current vote: boundary under test, rounds seen, ones heard, flag.
+    /// The boundary under test and its vote.
     boundary: usize,
-    idx: usize,
-    ones: usize,
-    my_flag: bool,
-    /// Whether this is the terminal full-coverage confirmation.
+    block: Block,
+    /// Whether this is the terminal full-coverage confirmation, whose
+    /// vote is unarmed: every party beeps `false`.
     is_final: bool,
 }
 
@@ -275,70 +247,27 @@ impl CheckState {
 
 enum HPhase {
     Chunk(ChunkPhase),
-    Owners(OwnersState),
+    Owners(Box<OwnersState>),
     Check(CheckState),
     Done,
 }
 
 struct HierParty<'a, P: Protocol> {
-    protocol: &'a P,
-    input: P::Input,
-    me: usize,
-    n: usize,
-    chunk_len: usize,
-    repetitions: usize,
-    verify_repetitions: usize,
-    params: ResolvedParams,
-    code: SharedCode,
-    model: NoiseModel,
+    scheme: &'a PartyRun<'a>,
+    seat: Seat<'a, P>,
     max_level: usize,
-
-    committed_bits: Vec<bool>,
-    committed_owners: Vec<Option<usize>>,
-    chunk_lens: Vec<usize>,
-    /// `committed_bits` plus the decoded bits of the in-flight chunk, kept
-    /// in sync incrementally so the chunk loop never re-clones the prefix.
-    working: Vec<bool>,
-
     /// Wall-clock iteration counter driving the binary-counter schedule.
     iteration: usize,
-    truncations: usize,
-    phase_rounds: PhaseRounds,
     phase: HPhase,
 }
 
 impl<'a, P: Protocol> HierParty<'a, P> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        protocol: &'a P,
-        input: P::Input,
-        me: usize,
-        n: usize,
-        config: &SimulatorConfig,
-        params: ResolvedParams,
-        code: SharedCode,
-        model: NoiseModel,
-        max_level: usize,
-    ) -> Self {
+    fn new(scheme: &'a PartyRun<'a>, seat: Seat<'a, P>, max_level: usize) -> Self {
         let mut party = Self {
-            protocol,
-            input,
-            me,
-            n,
-            chunk_len: config.chunk_len,
-            repetitions: config.repetitions,
-            verify_repetitions: config.verify_repetitions,
-            params,
-            code,
-            model,
+            scheme,
+            seat,
             max_level,
-            committed_bits: Vec::new(),
-            committed_owners: Vec::new(),
-            chunk_lens: Vec::new(),
-            working: Vec::new(),
             iteration: 0,
-            truncations: 0,
-            phase_rounds: PhaseRounds::default(),
             phase: HPhase::Done,
         };
         party.phase = party.start_chunk();
@@ -346,203 +275,90 @@ impl<'a, P: Protocol> HierParty<'a, P> {
     }
 
     fn start_chunk(&self) -> HPhase {
-        let remaining = self
-            .protocol
-            .length()
-            .saturating_sub(self.committed_bits.len());
-        if remaining == 0 {
-            // Protocol complete: run the final full-coverage confirmation.
-            return self.start_final_check();
+        if let Some(chunk) = ChunkPhase::next(&self.seat, self.scheme.config.chunk_len) {
+            return HPhase::Chunk(chunk);
         }
-        let len = remaining.min(self.chunk_len);
-        HPhase::Chunk(ChunkPhase {
-            len,
-            bits: Vec::with_capacity(len),
-            my_bits: Vec::with_capacity(len),
-            rep: 0,
-            ones: 0,
-            current: false,
-        })
-    }
-
-    fn start_final_check(&self) -> HPhase {
-        let committed = self.chunk_lens.len();
+        // Protocol complete: run the final full-coverage confirmation.
+        let committed = self.seat.prefix.chunk_lens.len();
         HPhase::Check(CheckState {
-            pending_levels: Vec::new(),
             level: self.max_level,
-            lo: 0,
             hi: committed,
-            steps_left: Self::steps_for(committed),
+            steps_left: log_depth(committed),
             boundary: committed,
-            idx: 0,
-            ones: 0,
-            my_flag: false, // set below
             is_final: true,
+            ..CheckState::default()
         })
     }
 
-    /// Binary-search steps needed over a window of `w + 1` candidate
-    /// boundaries (`0..=w` kept chunks).
-    fn steps_for(w: usize) -> usize {
-        (usize::BITS - w.next_power_of_two().leading_zeros()) as usize + 1
-    }
-
-    /// Whether this party sees an error within the first `boundary`
-    /// committed chunks (the prefix-cleanliness flag of a vote).
-    fn flag_for_boundary(&self, boundary: usize) -> bool {
-        let len: usize = self.chunk_lens[..boundary].iter().sum();
-        let prefix = &self.committed_bits[..len];
-        for m in 0..len {
-            let b = self.protocol.beep(self.me, &self.input, &prefix[..m]);
-            if !prefix[m] {
-                if b {
-                    return true;
-                }
-            } else {
-                match self.committed_owners[m] {
-                    Some(owner) => {
-                        if owner == self.me && !b {
-                            return true;
-                        }
-                    }
-                    None => return true,
-                }
-            }
-        }
-        false
-    }
-
-    /// Truncates the committed prefix to exactly `boundary` chunks.
-    fn truncate_to(&mut self, boundary: usize) {
-        if boundary < self.chunk_lens.len() {
-            self.truncations += 1;
-            let keep: usize = self.chunk_lens[..boundary].iter().sum();
-            self.committed_bits.truncate(keep);
-            self.committed_owners.truncate(keep);
-            self.chunk_lens.truncate(boundary);
-            self.working.truncate(keep);
-        }
-    }
-
-    /// Levels scheduled after this iteration (binary-counter rule), low
-    /// to high.
-    fn scheduled_levels(&self) -> Vec<usize> {
-        let k = self.iteration;
-        (1..=self.max_level)
-            .filter(|&j| k.is_multiple_of(1usize << j))
-            .collect()
-    }
-
-    /// Begins the vote for the current binary-search step of `check`.
-    fn arm_vote(&self, check: &mut CheckState) {
-        // Probe the midpoint of lo..=hi (biased up so progress is made).
-        check.boundary = (check.lo + check.hi).div_ceil(2);
-        check.idx = 0;
-        check.ones = 0;
-        check.my_flag = self.flag_for_boundary(check.boundary);
-    }
-
-    /// Starts the check sequence for this iteration: level 0 first, then
-    /// any scheduled higher levels.
-    fn start_checks(&mut self) {
-        let committed = self.chunk_lens.len();
-        let mut levels = self.scheduled_levels();
-        levels.insert(0, 0);
-        let level = levels.remove(0);
+    /// Starts the level-`level` check over the last `2^level` committed
+    /// chunks, with the `pending_levels` of this iteration after it.
+    fn start_level(&mut self, level: usize, pending_levels: Vec<usize>) {
+        let committed = self.seat.prefix.chunk_lens.len();
         let window = committed.min(1usize << level);
-        let mut check = CheckState {
-            pending_levels: levels,
+        let lo = committed - window;
+        self.phase = HPhase::Check(CheckState {
+            pending_levels,
             level,
-            lo: committed - window,
+            lo,
             hi: committed,
-            steps_left: Self::steps_for(window),
-            boundary: committed,
-            idx: 0,
-            ones: 0,
-            my_flag: false,
-            is_final: false,
-        };
-        self.arm_vote(&mut check);
-        self.phase = HPhase::Check(check);
+            steps_left: log_depth(window),
+            // Probe the midpoint of lo..=hi (biased up so progress is made).
+            boundary: (lo + committed).div_ceil(2),
+            ..CheckState::default()
+        });
     }
 
     /// Advances the check sequence after one vote resolves.
     fn vote_resolved(&mut self, mut check: CheckState, flagged: bool) {
         if check.is_final {
-            if flagged {
-                // The confirmation found damage: binary-search it away by
-                // falling back into a normal full-window check.
-                check.is_final = false;
-                check.hi = check.boundary - 1;
-                check.steps_left = Self::steps_for(check.hi - check.lo);
-                if check.steps_left == 0 || check.hi < check.lo {
-                    self.truncate_to(check.lo);
-                    self.phase = self.start_chunk();
-                    return;
-                }
-                self.arm_vote(&mut check);
-                self.phase = HPhase::Check(check);
-            } else {
+            if !flagged {
                 self.phase = HPhase::Done;
+                return;
             }
-            return;
-        }
-
-        // Standard binary-search update over kept-chunk counts.
-        if flagged {
+            // The confirmation found damage: binary-search it away by
+            // falling back into a normal full-window check.
+            check.is_final = false;
             check.hi = check.boundary - 1;
+            check.steps_left = log_depth(check.hi - check.lo);
         } else {
-            check.lo = check.boundary;
+            // Standard binary-search update over kept-chunk counts.
+            if flagged {
+                check.hi = check.boundary - 1;
+            } else {
+                check.lo = check.boundary;
+            }
+            check.steps_left = check.steps_left.saturating_sub(1);
+            if check.steps_left == 0 || check.lo >= check.hi {
+                // Search converged for this level: keep exactly `lo`
+                // chunks, then run the next scheduled level, if any.
+                if self.seat.prefix.truncate_to(check.lo) {
+                    self.seat.rewinds += 1;
+                }
+                if check.pending_levels.is_empty() {
+                    self.phase = self.start_chunk();
+                } else {
+                    let level = check.pending_levels.remove(0);
+                    self.start_level(level, check.pending_levels);
+                }
+                return;
+            }
         }
-        check.steps_left = check.steps_left.saturating_sub(1);
-        if check.steps_left > 0 && check.lo < check.hi {
-            self.arm_vote(&mut check);
-            self.phase = HPhase::Check(check);
-            return;
-        }
-
-        // Search converged for this level: keep exactly `lo` chunks.
-        self.truncate_to(check.lo);
-
-        // Any remaining scheduled levels for this iteration?
-        if !check.pending_levels.is_empty() {
-            let level = check.pending_levels.remove(0);
-            let committed = self.chunk_lens.len();
-            let window = committed.min(1usize << level);
-            let mut next = CheckState {
-                pending_levels: std::mem::take(&mut check.pending_levels),
-                level,
-                lo: committed - window,
-                hi: committed,
-                steps_left: Self::steps_for(window),
-                boundary: committed,
-                idx: 0,
-                ones: 0,
-                my_flag: false,
-                is_final: false,
-            };
-            self.arm_vote(&mut next);
-            self.phase = HPhase::Check(next);
-        } else {
-            self.phase = self.start_chunk();
-        }
+        check.boundary = (check.lo + check.hi).div_ceil(2);
+        self.phase = HPhase::Check(check);
     }
 }
 
 impl<P: Protocol> SimParty for HierParty<'_, P> {
     fn plan(&mut self) -> (u64, usize) {
+        let seat = &self.seat;
+        let config = self.scheme.config;
         match &mut self.phase {
-            HPhase::Chunk(c) => {
-                if c.rep == 0 {
-                    c.current = self.protocol.beep(self.me, &self.input, &self.working);
-                }
-                (held(c.current), block_run(c.rep, self.repetitions))
-            }
+            HPhase::Chunk(c) => c.plan(seat, config.repetitions),
             HPhase::Owners(o) => o.plan(),
-            HPhase::Check(v) => (
-                held(v.my_flag),
-                block_run(v.idx, v.vote_len(self.verify_repetitions)),
-            ),
+            // A vote flags the committed prefix through its boundary.
+            HPhase::Check(v) => v.block.plan(v.vote_len(config.verify_repetitions), || {
+                !v.is_final && seat.flags(seat.prefix.rounds_in(v.boundary), &[])
+            }),
             HPhase::Done => (0, WORD),
         }
     }
@@ -552,51 +368,26 @@ impl<P: Protocol> SimParty for HierParty<'_, P> {
         // the phase moves only when it ends.
         match &mut self.phase {
             HPhase::Chunk(c) => {
-                self.phase_rounds.chunk += len;
-                c.ones += ones(heard, len);
-                c.rep += len;
-                if c.rep == self.repetitions {
-                    let bit = c.ones >= self.params.rep_ones;
-                    c.bits.push(bit);
-                    self.working.push(bit);
-                    c.my_bits.push(c.current);
-                    c.rep = 0;
-                    c.ones = 0;
-                }
-                if c.bits.len() == c.len {
-                    let owners = OwnersState::new(
-                        self.me,
-                        self.n,
-                        std::mem::take(&mut c.bits),
-                        std::mem::take(&mut c.my_bits),
-                        Arc::clone(&self.code),
-                        metric_for(self.model),
-                    );
+                if let Some(owners) = c.hear(&mut self.seat, self.scheme, heard, len) {
                     self.phase = HPhase::Owners(owners);
                 }
             }
             HPhase::Owners(o) => {
-                self.phase_rounds.owners += len;
+                self.seat.phase_rounds.owners += len;
                 o.hear_word(heard, sent, len);
                 if o.finished() {
                     // Commit provisionally; checks repair later.
-                    let chunk_len = o.pi_bits().len();
-                    self.committed_bits.extend_from_slice(o.pi_bits());
-                    self.committed_owners.extend_from_slice(o.owners());
-                    self.chunk_lens.push(chunk_len);
+                    self.seat.prefix.commit(o.owners());
                     self.iteration += 1;
-                    self.start_checks();
+                    self.start_level(0, levels(self.iteration, self.max_level).collect());
                 }
             }
             HPhase::Check(v) => {
-                self.phase_rounds.verify += len;
-                v.ones += ones(heard, len);
-                v.idx += len;
-                let vote_len = v.vote_len(self.verify_repetitions);
-                if v.idx == vote_len {
-                    // Scale the per-V threshold to the level's vote length.
-                    let per = self.params.verify_ones as f64 / self.verify_repetitions as f64;
-                    let flagged = v.ones as f64 >= (per * vote_len as f64).max(1.0);
+                self.seat.phase_rounds.verify += len;
+                let verify = self.scheme.config.verify_repetitions;
+                let vote_len = v.vote_len(verify);
+                if let Some(ones) = v.block.hear(heard, len, vote_len) {
+                    let flagged = flagged(&self.scheme.params, verify, ones, vote_len);
                     let check = std::mem::take(v);
                     self.vote_resolved(check, flagged);
                 }
@@ -606,7 +397,8 @@ impl<P: Protocol> SimParty for HierParty<'_, P> {
     }
 
     fn is_done(&self) -> bool {
-        matches!(self.phase, HPhase::Done) && self.committed_bits.len() >= self.protocol.length()
+        matches!(self.phase, HPhase::Done)
+            && self.seat.prefix.bits.len() >= self.seat.protocol.length()
     }
 }
 

@@ -27,8 +27,9 @@
 //! party can vouch for a heard 1 — and every scheme pays `Ω(log n)`.
 //! Experiment E3 plots the two regimes side by side.
 
-use crate::driver::{drive, held, ones, SimParty, WORD};
-use crate::outcome::{PhaseRounds, SimError, SimOutcome, SimStats};
+use crate::driver::{drive, held, ones, outcome, Seat, SimParty, WORD};
+use crate::hierarchical::{levels, log_depth};
+use crate::outcome::{check_model, SimError, SimOutcome};
 use beeps_channel::{NoiseModel, Protocol, StochasticChannel};
 
 /// Constant-overhead simulator for the one-sided `1→0` noise regime.
@@ -120,27 +121,17 @@ impl<'a, P: Protocol> OneToZeroSimulator<'a, P> {
         scratch: &mut crate::soa::SoaScratch,
     ) -> Result<SimOutcome<P::Output>, SimError> {
         let n = self.protocol.num_parties();
-        if model.validate().is_err() {
-            return Err(SimError::UnsupportedNoise {
-                reason: "noise parameter outside [0, 1)",
-            });
-        }
+        check_model(model)?;
         assert_eq!(inputs.len(), n, "need one input per party");
-        match model {
-            NoiseModel::OneSidedOneToZero { .. } | NoiseModel::Noiseless => {
-                crate::soa::one_to_zero_collapsed_over(
-                    self.protocol,
-                    self.base,
-                    self.budget_factor,
-                    inputs,
-                    &mut StochasticChannel::new(n, model, seed),
-                    scratch,
-                )
-            }
-            _ => Err(SimError::UnsupportedNoise {
-                reason: "the constant-overhead scheme requires 1->0-only noise",
-            }),
-        }
+        never_fabricates(model)?;
+        crate::soa::one_to_zero_collapsed_over(
+            self.protocol,
+            self.base,
+            self.budget_factor,
+            inputs,
+            &mut StochasticChannel::new(n, model, seed),
+            scratch,
+        )
     }
 
     /// Runs over a caller-supplied channel (failure injection). The
@@ -162,76 +153,54 @@ impl<'a, P: Protocol> OneToZeroSimulator<'a, P> {
     ) -> Result<SimOutcome<P::Output>, SimError> {
         let n = self.protocol.num_parties();
         assert_eq!(inputs.len(), n, "need one input per party");
-        match model {
-            NoiseModel::OneSidedOneToZero { .. } | NoiseModel::Noiseless => {}
-            _ => {
-                return Err(SimError::UnsupportedNoise {
-                    reason: "the constant-overhead scheme requires 1->0-only noise",
-                })
-            }
-        }
-        if model.validate().is_err() {
-            return Err(SimError::UnsupportedNoise {
-                reason: "noise parameter outside [0, 1)",
-            });
-        }
-
+        check_model(model)?;
+        never_fabricates(model)?;
         let t = self.protocol.length();
-        // Deepest checkpoint level: rewinds of 2^max_level cover the whole
-        // transcript.
-        let max_level = (usize::BITS - t.next_power_of_two().leading_zeros()) as usize + 1;
+        let max_level = log_depth(t);
         let mut parties: Vec<ZParty<'_, P>> = (0..n)
             .map(|i| ZParty {
-                protocol: self.protocol,
-                input: inputs[i].clone(),
-                me: i,
+                seat: Seat::new(self.protocol, i, inputs[i].clone()),
                 base: self.base,
                 max_level,
                 final_rounds: self.base * (max_level + 2),
-                sigma: Vec::with_capacity(t),
                 error_marks: Vec::new(),
                 slot: 0,
-                rewinds: 0,
-                phase_rounds: PhaseRounds::default(),
                 mode: Mode::Data {
                     my_bit: false,
                     decided: false,
                 },
             })
             .collect();
-        let budget = (self.budget_factor * t.max(1) as f64).ceil() as usize
-            + self.base * (max_level + 2) * 4;
-        let corrupted_before = channel.corrupted_rounds();
         let result = {
             let _span = beeps_observe::phase("sim.one_to_zero.per_party");
-            drive(&mut parties, channel, budget)
+            drive(
+                &mut parties,
+                channel,
+                budget(self.base, self.budget_factor, t),
+            )
         };
-
-        if !result.all_done {
-            return Err(SimError::BudgetExhausted {
-                rounds_used: result.rounds,
-                committed: parties[0].sigma.len().min(t),
-            });
-        }
-
-        let transcript: Vec<bool> = parties[0].sigma[..t].to_vec();
-        let agreement = parties.iter().all(|p| p.sigma[..t] == transcript[..]);
-        let outputs = parties
-            .iter()
-            .map(|p| self.protocol.output(p.me, &p.input, &p.sigma[..t]))
-            .collect();
-        let stats = SimStats {
-            channel_rounds: result.rounds,
-            phase_rounds: parties[0].phase_rounds,
-            protocol_rounds: t,
-            chunks_committed: 0,
-            rewinds: parties[0].rewinds,
-            agreement,
-            energy: result.energy,
-            corrupted_rounds: channel.corrupted_rounds() - corrupted_before,
-        };
-        Ok(SimOutcome::new(transcript, outputs, stats))
+        result.finished(&parties[0].seat)?;
+        Ok(outcome(parties.iter().map(|p| &p.seat), result))
     }
+}
+
+/// The scheme's regime check, run by both front doors after the model
+/// check: its guarantees need noise that never creates beeps.
+fn never_fabricates(model: NoiseModel) -> Result<(), SimError> {
+    match model {
+        NoiseModel::OneSidedOneToZero { .. } | NoiseModel::Noiseless => Ok(()),
+        _ => Err(SimError::UnsupportedNoise {
+            reason: "the constant-overhead scheme requires 1->0-only noise",
+        }),
+    }
+}
+
+/// The one-to-zero round budget, in both engines: `budget_factor × t`
+/// plus four rounds of every checkpoint level's final confirmation. The
+/// deepest level is `log_depth(t)`: its rewinds cover the whole
+/// transcript.
+pub(crate) fn budget(base: usize, budget_factor: f64, t: usize) -> usize {
+    (budget_factor * t.max(1) as f64).ceil() as usize + base * (log_depth(t) + 2) * 4
 }
 
 /// What the lock-step schedule is doing right now.
@@ -259,32 +228,19 @@ struct CheckState {
 }
 
 struct ZParty<'a, P: Protocol> {
-    protocol: &'a P,
-    input: P::Input,
-    me: usize,
+    /// The party; its committed transcript `σ` gains every data round.
+    seat: Seat<'a, P>,
     base: usize,
     max_level: usize,
     final_rounds: usize,
-    /// Committed transcript (everyone appends every data round).
-    sigma: Vec<bool>,
     /// Positions where I beeped 1 but heard 0, not yet rewound away.
     error_marks: Vec<usize>,
     /// Completed data slots (wall clock), drives the check schedule.
     slot: usize,
-    rewinds: usize,
-    phase_rounds: PhaseRounds,
     mode: Mode,
 }
 
 impl<P: Protocol> ZParty<'_, P> {
-    /// Levels scheduled after data slot `s` (1-based): all `j ≥ 1` with
-    /// `2^j | s`, i.e. level 1 every other slot, level 2 every fourth, ...
-    fn scheduled_levels(&self, s: usize) -> Vec<usize> {
-        (1..=self.max_level)
-            .take_while(|&j| s.is_multiple_of(1usize << j))
-            .collect()
-    }
-
     fn start_check(&mut self, levels: Vec<usize>, is_final: bool) {
         if levels.is_empty() {
             self.after_checks();
@@ -309,7 +265,7 @@ impl<P: Protocol> ZParty<'_, P> {
     /// After a slot's checks: either done, run the final confirmation, or
     /// go back to data.
     fn after_checks(&mut self) {
-        if self.sigma.len() >= self.protocol.length() {
+        if self.seat.prefix.bits.len() >= self.seat.protocol.length() {
             self.start_check(vec![self.max_level], true);
         } else {
             self.mode = Mode::Data {
@@ -320,9 +276,10 @@ impl<P: Protocol> ZParty<'_, P> {
     }
 
     fn rewind(&mut self, amount: usize) {
-        self.rewinds += 1;
-        let new_len = self.sigma.len().saturating_sub(amount);
-        self.sigma.truncate(new_len);
+        self.seat.rewinds += 1;
+        let sigma = &mut self.seat.prefix.bits;
+        let new_len = sigma.len().saturating_sub(amount);
+        sigma.truncate(new_len);
         self.error_marks.retain(|&p| p < new_len);
     }
 }
@@ -332,7 +289,8 @@ impl<P: Protocol> SimParty for ZParty<'_, P> {
         match &mut self.mode {
             Mode::Data { my_bit, decided } => {
                 if !*decided {
-                    *my_bit = self.protocol.beep(self.me, &self.input, &self.sigma);
+                    let seat = &self.seat;
+                    *my_bit = seat.protocol.beep(seat.me, &seat.input, &seat.prefix.bits);
                     *decided = true;
                 }
                 (u64::from(*my_bit), 1)
@@ -348,28 +306,25 @@ impl<P: Protocol> SimParty for ZParty<'_, P> {
 
     fn hear_word(&mut self, heard: u64, _sent: u64, len: usize) {
         match &self.mode {
-            Mode::Data { .. } => self.phase_rounds.chunk += len,
-            Mode::Check(_) => self.phase_rounds.verify += len,
+            Mode::Data { .. } => self.seat.phase_rounds.chunk += len,
+            Mode::Check(_) => self.seat.phase_rounds.verify += len,
             Mode::Done => {}
         }
         match std::mem::replace(&mut self.mode, Mode::Done) {
             Mode::Data { my_bit, .. } => {
                 let heard = heard & 1 == 1;
-                self.sigma.push(heard);
+                let sigma = &mut self.seat.prefix.bits;
+                sigma.push(heard);
                 if my_bit && !heard {
                     // I witnessed an erasure: remember it until a rewind
                     // clears it.
-                    self.error_marks.push(self.sigma.len() - 1);
+                    self.error_marks.push(sigma.len() - 1);
                 }
                 self.slot += 1;
-                let levels = self.scheduled_levels(self.slot);
-                if self.sigma.len() >= self.protocol.length() {
-                    // Transcript complete: run any scheduled levels, then
-                    // the final confirmation (triggered by after_checks).
-                    self.start_check(levels, false);
-                } else {
-                    self.start_check(levels, false);
-                }
+                // The levels scheduled after this slot; once the
+                // transcript is complete, `after_checks` then runs the
+                // final confirmation.
+                self.start_check(levels(self.slot, self.max_level).collect(), false);
             }
             Mode::Check(mut c) => {
                 c.heard_any |= ones(heard, len) > 0;
@@ -484,12 +439,22 @@ mod tests {
 
     #[test]
     fn rejects_two_sided_noise() {
+        // The last three models also have a parameter outside [0, 1):
+        // both front doors must run the model check first and agree.
         let p = InputSet::new(2);
         let sim = OneToZeroSimulator::new(&p, 2, 8.0);
-        let err = sim
-            .simulate(&[0, 1], NoiseModel::Correlated { epsilon: 0.1 }, 0)
-            .unwrap_err();
-        assert!(matches!(err, SimError::UnsupportedNoise { .. }));
+        for model in [
+            NoiseModel::Correlated { epsilon: 0.1 },
+            NoiseModel::Correlated { epsilon: 1.5 },
+            NoiseModel::OneSidedZeroToOne { epsilon: -0.1 },
+            NoiseModel::Independent { epsilon: 1.0 },
+        ] {
+            let err = sim.simulate(&[0, 1], model, 0).unwrap_err();
+            assert!(matches!(err, SimError::UnsupportedNoise { .. }), "{model}");
+            let mut channel = StochasticChannel::new(2, NoiseModel::Noiseless, 0);
+            let over = sim.simulate_over(&[0, 1], model, &mut channel);
+            assert_eq!(over.unwrap_err(), err, "{model}");
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Results and statistics of a noise-resilient simulation.
 
+use beeps_channel::NoiseModel;
 use std::fmt;
 
 /// Channel rounds attributed to each phase of a chunked simulation.
@@ -139,6 +140,14 @@ impl fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
+
+/// The model check every front door runs first: a noise parameter
+/// outside `[0, 1)` is [`SimError::UnsupportedNoise`].
+pub(crate) fn check_model(model: NoiseModel) -> Result<(), SimError> {
+    model.validate().map_err(|_| SimError::UnsupportedNoise {
+        reason: "noise parameter outside [0, 1)",
+    })
+}
 
 #[cfg(test)]
 mod tests {

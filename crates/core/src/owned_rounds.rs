@@ -17,8 +17,8 @@
 //! two simulators side by side on an owned workload to price the
 //! difference.
 
-use crate::driver::{block_run, drive, held, ones, SimParty, WORD};
-use crate::outcome::{PhaseRounds, SimError, SimOutcome, SimStats};
+use crate::driver::{drive, held, ones, outcome, Block, Seat, SimParty, WORD};
+use crate::outcome::{check_model, SimError, SimOutcome};
 use crate::params::{ResolvedParams, SimulatorConfig};
 use beeps_channel::{NoiseModel, StochasticChannel, UniquelyOwned};
 
@@ -65,7 +65,7 @@ impl<'a, P: UniquelyOwned> OwnedRoundsSimulator<'a, P> {
 
     /// Channel rounds of one full-length iteration (chunk + verification).
     pub fn rounds_per_iteration(&self) -> usize {
-        self.config.chunk_len * self.config.repetitions + self.config.verify_repetitions
+        iteration_rounds(&self.config)
     }
 
     /// Runs the simulation.
@@ -105,13 +105,8 @@ impl<'a, P: UniquelyOwned> OwnedRoundsSimulator<'a, P> {
         seed: u64,
         scratch: &mut crate::soa::SoaScratch,
     ) -> Result<SimOutcome<P::Output>, SimError> {
-        let n = self.protocol.num_parties();
-        if model.validate().is_err() {
-            return Err(SimError::UnsupportedNoise {
-                reason: "noise parameter outside [0, 1)",
-            });
-        }
-        let mut channel = StochasticChannel::new(n, model, seed);
+        check_model(model)?;
+        let mut channel = StochasticChannel::new(self.protocol.num_parties(), model, seed);
         if model.is_shared() {
             return crate::soa::owned_rounds_collapsed_over(
                 self.protocol,
@@ -143,224 +138,148 @@ impl<'a, P: UniquelyOwned> OwnedRoundsSimulator<'a, P> {
     ) -> Result<SimOutcome<P::Output>, SimError> {
         let n = self.protocol.num_parties();
         assert_eq!(inputs.len(), n, "need one input per party");
-        if model.validate().is_err() {
-            return Err(SimError::UnsupportedNoise {
-                reason: "noise parameter outside [0, 1)",
-            });
-        }
-        let t = self.protocol.length();
-        let resolved = self.config.resolve(model);
+        check_model(model)?;
+        let params = self.config.resolve(model);
         let mut parties: Vec<OwnedParty<'_, P>> = (0..n)
-            .map(|i| OwnedParty {
-                protocol: self.protocol,
-                input: inputs[i].clone(),
-                me: i,
-                chunk_len: self.config.chunk_len,
-                repetitions: self.config.repetitions,
-                verify_repetitions: self.config.verify_repetitions,
-                params: resolved,
-                committed: Vec::new(),
-                chunk_lens: Vec::new(),
-                working: Vec::new(),
-                chunks_committed: 0,
-                rewinds: 0,
-                phase_rounds: PhaseRounds::default(),
-                phase: OwnedPhase::Done,
+            .map(|i| {
+                let seat = Seat::new(self.protocol, i, inputs[i].clone());
+                let phase = start_chunk(&seat, self.config.chunk_len);
+                OwnedParty {
+                    config: &self.config,
+                    params,
+                    seat,
+                    phase,
+                }
             })
             .collect();
-        for party in parties.iter_mut() {
-            party.phase = party.start_chunk();
-        }
-        let chunks_needed = t.div_ceil(self.config.chunk_len).max(1);
-        let budget = (self.config.budget_factor
-            * (chunks_needed * self.rounds_per_iteration()) as f64)
-            .ceil() as usize;
-        let corrupted_before = channel.corrupted_rounds();
         let result = {
             let _span = beeps_observe::phase("sim.owned_rounds.per_party");
-            drive(&mut parties, channel, budget)
+            drive(
+                &mut parties,
+                channel,
+                budget(&self.config, self.protocol.length()),
+            )
         };
-
-        if !result.all_done {
-            return Err(SimError::BudgetExhausted {
-                rounds_used: result.rounds,
-                committed: parties[0].committed.len().min(t),
-            });
-        }
-        let transcript: Vec<bool> = parties[0].committed[..t].to_vec();
-        let agreement = parties.iter().all(|p| p.committed[..t] == transcript[..]);
-        let outputs = parties
-            .iter()
-            .map(|p| self.protocol.output(p.me, &p.input, &p.committed[..t]))
-            .collect();
-        Ok(SimOutcome::new(
-            transcript,
-            outputs,
-            SimStats {
-                channel_rounds: result.rounds,
-                phase_rounds: parties[0].phase_rounds,
-                protocol_rounds: t,
-                chunks_committed: parties[0].chunks_committed,
-                rewinds: parties[0].rewinds,
-                agreement,
-                energy: result.energy,
-                corrupted_rounds: channel.corrupted_rounds() - corrupted_before,
-            },
-        ))
+        result.finished(&parties[0].seat)?;
+        Ok(outcome(parties.iter().map(|p| &p.seat), result))
     }
 }
 
-struct ChunkState {
-    len: usize,
-    bits: Vec<bool>,
-    rep: usize,
-    ones: usize,
-    current: bool,
+/// Channel rounds of one full-length iteration: the chunk and one vote.
+fn iteration_rounds(config: &SimulatorConfig) -> usize {
+    config.chunk_len * config.repetitions + config.verify_repetitions
+}
+
+/// The owned-rounds round budget, in both engines: `budget_factor ×` the
+/// rewind-free cost of a `t`-round protocol.
+pub(crate) fn budget(config: &SimulatorConfig, t: usize) -> usize {
+    let ideal = config.chunks_needed(t) * iteration_rounds(config);
+    (config.budget_factor * ideal as f64).ceil() as usize
+}
+
+enum OwnedPhase {
+    /// A chunk of `len` rounds, one repetition block each.
+    Chunk {
+        len: usize,
+        block: Block,
+    },
+    Verify(VerifyState),
+    Done,
 }
 
 struct VerifyState {
-    chunk_bits: Vec<bool>,
     my_flag: bool,
     idx: usize,
     ones: usize,
 }
 
-enum OwnedPhase {
-    Chunk(ChunkState),
-    Verify(VerifyState),
-    Done,
-}
-
 struct OwnedParty<'a, P: UniquelyOwned> {
-    protocol: &'a P,
-    input: P::Input,
-    me: usize,
-    chunk_len: usize,
-    repetitions: usize,
-    verify_repetitions: usize,
+    config: &'a SimulatorConfig,
     params: ResolvedParams,
-    committed: Vec<bool>,
-    chunk_lens: Vec<usize>,
-    /// `committed` plus the decoded bits of the in-flight chunk, kept in
-    /// sync incrementally so the chunk loop never re-clones the prefix.
-    working: Vec<bool>,
-    chunks_committed: usize,
-    rewinds: usize,
-    phase_rounds: PhaseRounds,
+    seat: Seat<'a, P>,
     phase: OwnedPhase,
 }
 
-impl<P: UniquelyOwned> OwnedParty<'_, P> {
-    fn start_chunk(&self) -> OwnedPhase {
-        let remaining = self.protocol.length().saturating_sub(self.committed.len());
-        if remaining == 0 {
-            return OwnedPhase::Done;
-        }
-        let len = remaining.min(self.chunk_len);
-        OwnedPhase::Chunk(ChunkState {
+fn start_chunk<P: UniquelyOwned>(seat: &Seat<'_, P>, chunk_len: usize) -> OwnedPhase {
+    match seat.prefix.next_chunk(seat.protocol.length(), chunk_len) {
+        Some(len) => OwnedPhase::Chunk {
             len,
-            bits: Vec::with_capacity(len),
-            rep: 0,
-            ones: 0,
-            current: false,
-        })
+            block: Block::default(),
+        },
+        None => OwnedPhase::Done,
     }
+}
 
-    /// Owner-only verification over the committed prefix plus the pending
-    /// chunk: I flag iff some round I own disagrees with what I would
-    /// beep — in either direction.
-    fn compute_flag(&self, chunk_bits: &[bool]) -> bool {
-        debug_assert_eq!(self.working.len(), self.committed.len() + chunk_bits.len());
-        let prefix = &self.working;
-        for m in 0..prefix.len() {
-            if self.protocol.round_owner(m) != self.me {
-                continue;
-            }
-            if self.protocol.beep(self.me, &self.input, &prefix[..m]) != prefix[m] {
-                return true;
-            }
-        }
-        false
-    }
+/// Owner-only verification over the committed prefix plus the pending
+/// chunk: the party flags iff some round it owns disagrees with what it
+/// would beep — in either direction.
+fn flag<P: UniquelyOwned>(seat: &Seat<'_, P>) -> bool {
+    let prefix = &seat.prefix.working;
+    (0..prefix.len()).any(|m| {
+        seat.protocol.round_owner(m) == seat.me
+            && seat.protocol.beep(seat.me, &seat.input, &prefix[..m]) != prefix[m]
+    })
 }
 
 impl<P: UniquelyOwned> SimParty for OwnedParty<'_, P> {
     fn plan(&mut self) -> (u64, usize) {
+        let seat = &self.seat;
         match &mut self.phase {
-            OwnedPhase::Chunk(c) => {
-                if c.rep == 0 {
-                    c.current = self.protocol.beep(self.me, &self.input, &self.working);
-                }
-                (held(c.current), block_run(c.rep, self.repetitions))
-            }
+            OwnedPhase::Chunk { block, .. } => block.plan(self.config.repetitions, || seat.beep()),
             // The vote resolves once `idx < verify_repetitions` fails,
             // which a zero-length vote does after one round.
             OwnedPhase::Verify(v) => (
                 held(v.my_flag),
-                self.verify_repetitions.saturating_sub(v.idx).max(1),
+                self.config.verify_repetitions.saturating_sub(v.idx).max(1),
             ),
             OwnedPhase::Done => (0, WORD),
         }
     }
 
     fn hear_word(&mut self, heard: u64, _sent: u64, len: usize) {
-        match &self.phase {
-            OwnedPhase::Chunk(_) => self.phase_rounds.chunk += len,
-            OwnedPhase::Verify(_) => self.phase_rounds.verify += len,
-            OwnedPhase::Done => {}
-        }
-        match std::mem::replace(&mut self.phase, OwnedPhase::Done) {
-            OwnedPhase::Chunk(mut c) => {
-                c.ones += ones(heard, len);
-                c.rep += len;
-                if c.rep == self.repetitions {
-                    let bit = c.ones >= self.params.rep_ones;
-                    c.bits.push(bit);
-                    self.working.push(bit);
-                    c.rep = 0;
-                    c.ones = 0;
+        // Step the in-flight phase in place, attributing the run to it;
+        // the phase moves only when it ends.
+        let seat = &mut self.seat;
+        match &mut self.phase {
+            OwnedPhase::Chunk {
+                len: chunk_len,
+                block,
+            } => {
+                seat.phase_rounds.chunk += len;
+                if let Some(ones) = block.hear(heard, len, self.config.repetitions) {
+                    seat.prefix.working.push(ones >= self.params.rep_ones);
                 }
-                if c.bits.len() == c.len {
-                    let my_flag = self.compute_flag(&c.bits);
+                if seat.prefix.working.len() - seat.prefix.bits.len() == *chunk_len {
                     self.phase = OwnedPhase::Verify(VerifyState {
-                        chunk_bits: c.bits,
-                        my_flag,
+                        my_flag: flag(seat),
                         idx: 0,
                         ones: 0,
                     });
-                } else {
-                    self.phase = OwnedPhase::Chunk(c);
                 }
             }
-            OwnedPhase::Verify(mut v) => {
+            OwnedPhase::Verify(v) => {
+                seat.phase_rounds.verify += len;
                 v.ones += ones(heard, len);
                 v.idx += len;
-                if v.idx < self.verify_repetitions {
-                    self.phase = OwnedPhase::Verify(v);
+                if v.idx < self.config.verify_repetitions {
                     return;
                 }
-                let failed = v.ones >= self.params.verify_ones;
-                if failed {
-                    self.rewinds += 1;
-                    if let Some(len) = self.chunk_lens.pop() {
-                        let keep = self.committed.len() - len;
-                        self.committed.truncate(keep);
-                        self.chunks_committed = self.chunks_committed.saturating_sub(1);
-                    }
+                if v.ones >= self.params.verify_ones {
+                    seat.rewinds += 1;
+                    seat.prefix
+                        .truncate_to(seat.prefix.chunk_lens.len().saturating_sub(1));
                 } else {
-                    self.committed.extend_from_slice(&v.chunk_bits);
-                    self.chunk_lens.push(v.chunk_bits.len());
-                    self.chunks_committed += 1;
+                    seat.prefix.commit(&[]);
                 }
-                self.working.truncate(self.committed.len());
-                self.phase = self.start_chunk();
+                self.phase = start_chunk(seat, self.config.chunk_len);
             }
             OwnedPhase::Done => {}
         }
     }
 
     fn is_done(&self) -> bool {
-        matches!(self.phase, OwnedPhase::Done) && self.committed.len() >= self.protocol.length()
+        matches!(self.phase, OwnedPhase::Done)
+            && self.seat.prefix.bits.len() >= self.seat.protocol.length()
     }
 }
 

@@ -138,11 +138,6 @@ impl OwnersState {
         &self.owners
     }
 
-    /// The chunk transcript `π` this phase was run for.
-    pub(crate) fn pi_bits(&self) -> &[bool] {
-        &self.pi
-    }
-
     /// Rounds one owners phase occupies on the channel.
     pub(crate) fn channel_rounds(chunk_len: usize, n: usize, code_len: usize) -> usize {
         (chunk_len + n) * code_len

@@ -389,6 +389,12 @@ impl SimulatorConfig {
         }
     }
 
+    /// Chunks of `chunk_len` rounds a `t`-round protocol needs (at least
+    /// one): the count every chunked scheme's budget scales with.
+    pub(crate) fn chunks_needed(&self, t: usize) -> usize {
+        t.div_ceil(self.chunk_len).max(1)
+    }
+
     /// Resolves decode thresholds and the decoding metric for the channel
     /// the simulation will actually run over.
     pub fn resolve(&self, model: NoiseModel) -> ResolvedParams {

@@ -7,9 +7,9 @@
 //! correctly with high probability — the easy `O(log n)` upper bound the
 //! paper contrasts with its general Theorem 1.2.
 
-use crate::driver::{block_run, drive, held, ones, SimParty, WORD};
-use crate::outcome::{SimError, SimOutcome, SimStats};
-use crate::params::{ResolvedParams, SimulatorConfig};
+use crate::driver::{drive, outcome, Block, Seat, SimParty, WORD};
+use crate::outcome::{check_model, SimError, SimOutcome};
+use crate::params::SimulatorConfig;
 use beeps_channel::{NoiseModel, Protocol, StochasticChannel};
 
 /// Simulates a noiseless protocol by per-round repetition.
@@ -91,13 +91,8 @@ impl<'a, P: Protocol> RepetitionSimulator<'a, P> {
         seed: u64,
         scratch: &mut crate::soa::SoaScratch,
     ) -> Result<SimOutcome<P::Output>, SimError> {
-        let n = self.protocol.num_parties();
-        if model.validate().is_err() {
-            return Err(SimError::UnsupportedNoise {
-                reason: "noise parameter outside [0, 1)",
-            });
-        }
-        let mut channel = StochasticChannel::new(n, model, seed);
+        check_model(model)?;
+        let mut channel = StochasticChannel::new(self.protocol.num_parties(), model, seed);
         if matches!(model, NoiseModel::Independent { .. }) {
             return self.simulate_over(inputs, model, &mut channel);
         }
@@ -131,117 +126,68 @@ impl<'a, P: Protocol> RepetitionSimulator<'a, P> {
     ) -> Result<SimOutcome<P::Output>, SimError> {
         let n = self.protocol.num_parties();
         assert_eq!(inputs.len(), n, "need one input per party");
-        if model.validate().is_err() {
-            return Err(SimError::UnsupportedNoise {
-                reason: "noise parameter outside [0, 1)",
-            });
-        }
-        let resolved = self.config.resolve(model);
-        let r = self.config.repetitions;
-        let mut parties: Vec<IndexedParty<'_, P>> = (0..n)
-            .map(|i| IndexedParty {
-                index: i,
-                inner: RepParty {
-                    protocol: self.protocol,
-                    input: inputs[i].clone(),
-                    sim_transcript: Vec::with_capacity(self.protocol.length()),
-                    repetitions: r,
-                    params: resolved,
-                    rep: 0,
-                    ones: 0,
-                    current: false,
-                },
+        check_model(model)?;
+        let rep_ones = self.config.resolve(model).rep_ones;
+        let mut parties: Vec<RepParty<'_, P>> = (0..n)
+            .map(|i| RepParty {
+                seat: Seat::new(self.protocol, i, inputs[i].clone()),
+                repetitions: self.config.repetitions,
+                rep_ones,
+                block: Block::default(),
             })
             .collect();
-        let budget = self.protocol.length() * r;
-        let corrupted_before = channel.corrupted_rounds();
         let result = {
             let _span = beeps_observe::phase("sim.repetition.per_party");
-            drive(&mut parties, channel, budget)
+            drive(
+                &mut parties,
+                channel,
+                budget(&self.config, self.protocol.length()),
+            )
         };
         debug_assert!(result.all_done, "fixed-length schedule must finish");
-
-        let transcript = parties[0].inner.sim_transcript.clone();
-        let agreement = parties.iter().all(|p| p.inner.sim_transcript == transcript);
-        let outputs = parties
-            .iter()
-            .map(|p| {
-                self.protocol
-                    .output(p.index, &p.inner.input, &p.inner.sim_transcript)
-            })
-            .collect();
-        Ok(SimOutcome::new(
-            transcript,
-            outputs,
-            SimStats {
-                channel_rounds: result.rounds,
-                phase_rounds: crate::outcome::PhaseRounds {
-                    chunk: result.rounds,
-                    ..Default::default()
-                },
-                protocol_rounds: self.protocol.length(),
-                chunks_committed: 0,
-                rewinds: 0,
-                agreement,
-                energy: result.energy,
-                corrupted_rounds: channel.corrupted_rounds() - corrupted_before,
-            },
-        ))
+        Ok(outcome(parties.iter().map(|p| &p.seat), result))
     }
+}
+
+/// The repetition scheme's fixed length, in both engines: `R` channel
+/// rounds for each of the protocol's `t` rounds.
+pub(crate) fn budget(config: &SimulatorConfig, t: usize) -> usize {
+    t * config.repetitions
 }
 
 /// Per-party state: replays the protocol against the majority-decoded
-/// transcript, beeping each decision `R` times.
+/// transcript (its committed prefix), beeping each decision `R` times.
 struct RepParty<'a, P: Protocol> {
-    protocol: &'a P,
-    input: P::Input,
-    sim_transcript: Vec<bool>,
+    seat: Seat<'a, P>,
     repetitions: usize,
-    params: ResolvedParams,
-    rep: usize,
-    ones: usize,
-    current: bool,
+    rep_ones: usize,
+    block: Block,
 }
 
-impl<P: Protocol> SimParty for IndexedParty<'_, P> {
+impl<P: Protocol> SimParty for RepParty<'_, P> {
     fn plan(&mut self) -> (u64, usize) {
-        let inner = &mut self.inner;
-        if inner.sim_transcript.len() >= inner.protocol.length() {
+        if self.is_done() {
             return (0, WORD);
         }
-        if inner.rep == 0 {
-            inner.current = inner
-                .protocol
-                .beep(self.index, &inner.input, &inner.sim_transcript);
-        }
-        (held(inner.current), block_run(inner.rep, inner.repetitions))
+        let seat = &self.seat;
+        self.block.plan(self.repetitions, || {
+            seat.protocol.beep(seat.me, &seat.input, &seat.prefix.bits)
+        })
     }
 
     fn hear_word(&mut self, heard: u64, _sent: u64, len: usize) {
-        let inner = &mut self.inner;
-        if inner.sim_transcript.len() >= inner.protocol.length() {
+        if self.is_done() {
             return;
         }
-        inner.ones += ones(heard, len);
-        inner.rep += len;
-        if inner.rep == inner.repetitions {
-            inner
-                .sim_transcript
-                .push(inner.ones >= inner.params.rep_ones);
-            inner.rep = 0;
-            inner.ones = 0;
+        self.seat.phase_rounds.chunk += len;
+        if let Some(ones) = self.block.hear(heard, len, self.repetitions) {
+            self.seat.prefix.bits.push(ones >= self.rep_ones);
         }
     }
 
     fn is_done(&self) -> bool {
-        self.inner.sim_transcript.len() >= self.inner.protocol.length()
+        self.seat.prefix.bits.len() >= self.seat.protocol.length()
     }
-}
-
-/// Pairs a party state machine with its index.
-struct IndexedParty<'a, P: Protocol> {
-    index: usize,
-    inner: RepParty<'a, P>,
 }
 
 #[cfg(test)]

@@ -30,11 +30,12 @@
 //! prefixes are always correct there; over the two-sided channel the missed
 //! -flag probability is driven below `target_error` by `V`.
 
-use crate::driver::{block_run, drive, held, ones, SimParty, WORD};
-use crate::outcome::{PhaseRounds, SimError, SimOutcome, SimStats};
+use crate::driver::{drive, outcome, Block, Seat, SimParty, WORD};
+use crate::outcome::{check_model, SimError, SimOutcome};
 use crate::owners::{metric_for, OwnersState, SharedCode};
 use crate::params::{ResolvedParams, SimulatorConfig};
 use beeps_channel::{NoiseModel, Protocol, StochasticChannel};
+use beeps_ecc::BitMetric;
 use std::sync::Arc;
 
 /// The Theorem 1.2 simulator: `O(T log n)` rounds for any noiseless
@@ -64,11 +65,7 @@ impl<'a, P: Protocol> RewindSimulator<'a, P> {
     /// Channel rounds of one iteration (chunk + owners + verification) for
     /// a full-length chunk.
     pub fn rounds_per_iteration(&self) -> usize {
-        let l = self.config.chunk_len;
-        let n = self.protocol.num_parties();
-        l * self.config.repetitions
-            + OwnersState::channel_rounds(l, n, self.config.code_len)
-            + self.config.verify_repetitions
+        iteration_rounds(&self.config, self.protocol.num_parties())
     }
 
     /// Runs the simulation.
@@ -113,13 +110,8 @@ impl<'a, P: Protocol> RewindSimulator<'a, P> {
         seed: u64,
         scratch: &mut crate::soa::SoaScratch,
     ) -> Result<SimOutcome<P::Output>, SimError> {
-        let n = self.protocol.num_parties();
-        if model.validate().is_err() {
-            return Err(SimError::UnsupportedNoise {
-                reason: "noise parameter outside [0, 1)",
-            });
-        }
-        let mut channel = StochasticChannel::new(n, model, seed);
+        check_model(model)?;
+        let mut channel = StochasticChannel::new(self.protocol.num_parties(), model, seed);
         if model.is_shared() {
             return crate::soa::rewind_collapsed_over(
                 self.protocol,
@@ -156,264 +148,192 @@ impl<'a, P: Protocol> RewindSimulator<'a, P> {
     ) -> Result<SimOutcome<P::Output>, SimError> {
         let n = self.protocol.num_parties();
         assert_eq!(inputs.len(), n, "need one input per party");
-        if model.validate().is_err() {
-            return Err(SimError::UnsupportedNoise {
-                reason: "noise parameter outside [0, 1)",
-            });
-        }
-        let t = self.protocol.length();
-        let resolved = self.config.resolve(model);
-        let code = self.config.build_code();
-
+        check_model(model)?;
+        let scheme = PartyRun::new(&self.config, model, n);
         let mut parties: Vec<RewindParty<'_, P>> = (0..n)
-            .map(|i| {
-                RewindParty::new(
-                    self.protocol,
-                    inputs[i].clone(),
-                    i,
-                    n,
-                    &self.config,
-                    resolved,
-                    Arc::clone(&code),
-                    model,
-                )
-            })
+            .map(|i| RewindParty::new(&scheme, Seat::new(self.protocol, i, inputs[i].clone())))
             .collect();
-        let chunks_needed = t.div_ceil(self.config.chunk_len).max(1);
-        let ideal = chunks_needed * self.rounds_per_iteration();
-        let budget = (self.config.budget_factor * ideal as f64).ceil() as usize;
-        let corrupted_before = channel.corrupted_rounds();
         let result = {
             let _span = beeps_observe::phase("sim.rewind.per_party");
-            drive(&mut parties, channel, budget)
+            drive(
+                &mut parties,
+                channel,
+                budget(&self.config, n, self.protocol.length()),
+            )
         };
+        result.finished(&parties[0].seat)?;
+        Ok(outcome(parties.iter().map(|p| &p.seat), result))
+    }
+}
 
-        if !result.all_done {
-            return Err(SimError::BudgetExhausted {
-                rounds_used: result.rounds,
-                committed: parties[0].committed_bits.len().min(t),
-            });
+/// Channel rounds of one full-length rewind iteration: the chunk, its
+/// owners phase and one vote.
+fn iteration_rounds(config: &SimulatorConfig, n: usize) -> usize {
+    let l = config.chunk_len;
+    l * config.repetitions
+        + OwnersState::channel_rounds(l, n, config.code_len)
+        + config.verify_repetitions
+}
+
+/// The rewind scheme's round budget, in both engines: `budget_factor ×`
+/// the rewind-free cost of a `t`-round protocol at `n` parties.
+pub(crate) fn budget(config: &SimulatorConfig, n: usize, t: usize) -> usize {
+    let ideal = config.chunks_needed(t) * iteration_rounds(config, n);
+    (config.budget_factor * ideal as f64).ceil() as usize
+}
+
+/// What every party of a rewind or hierarchical per-party run reads and
+/// never changes.
+pub(crate) struct PartyRun<'a> {
+    pub(crate) config: &'a SimulatorConfig,
+    pub(crate) params: ResolvedParams,
+    code: SharedCode,
+    metric: BitMetric,
+    n: usize,
+}
+
+impl<'a> PartyRun<'a> {
+    pub(crate) fn new(config: &'a SimulatorConfig, model: NoiseModel, n: usize) -> Self {
+        Self {
+            config,
+            params: config.resolve(model),
+            code: config.build_code(),
+            metric: metric_for(model),
+            n,
         }
+    }
+}
 
-        let transcript: Vec<bool> = parties[0].committed_bits[..t].to_vec();
-        let agreement = parties
+/// The chunk phase of an Algorithm 1 iteration at one party: `len`
+/// simulated rounds, each a repetition block whose decoded bit extends
+/// the working prefix.
+pub(crate) struct ChunkPhase {
+    len: usize,
+    /// What this party beeped in each chunk round so far.
+    my_bits: Vec<bool>,
+    block: Block,
+}
+
+impl ChunkPhase {
+    /// The chunk after `seat`'s committed prefix, or `None` once the
+    /// protocol is fully committed.
+    pub(crate) fn next<P: Protocol>(seat: &Seat<'_, P>, chunk_len: usize) -> Option<Self> {
+        let len = seat.prefix.next_chunk(seat.protocol.length(), chunk_len)?;
+        Some(Self {
+            len,
+            my_bits: Vec::with_capacity(len),
+            block: Block::default(),
+        })
+    }
+
+    pub(crate) fn plan<P: Protocol>(
+        &mut self,
+        seat: &Seat<'_, P>,
+        repetitions: usize,
+    ) -> (u64, usize) {
+        self.block.plan(repetitions, || seat.beep())
+    }
+
+    /// Takes in `len` heard rounds; once the chunk's last round is
+    /// decoded, returns the owners phase that finds owners for its 1s.
+    pub(crate) fn hear<P: Protocol>(
+        &mut self,
+        seat: &mut Seat<'_, P>,
+        scheme: &PartyRun<'_>,
+        heard: u64,
+        len: usize,
+    ) -> Option<Box<OwnersState>> {
+        seat.phase_rounds.chunk += len;
+        if let Some(ones) = self.block.hear(heard, len, scheme.config.repetitions) {
+            seat.prefix.working.push(ones >= scheme.params.rep_ones);
+            self.my_bits.push(self.block.beep);
+        }
+        (self.my_bits.len() == self.len).then(|| {
+            Box::new(OwnersState::new(
+                seat.me,
+                scheme.n,
+                seat.prefix.working[seat.prefix.bits.len()..].to_vec(),
+                std::mem::take(&mut self.my_bits),
+                Arc::clone(&scheme.code),
+                scheme.metric,
+            ))
+        })
+    }
+}
+
+impl<P: Protocol> Seat<'_, P> {
+    /// Whether this party flags the first `len` rounds of its working
+    /// prefix, whose owners are its committed owners followed by
+    /// `pending` (see the module docs for the three conditions).
+    pub(crate) fn flags(&self, len: usize, pending: &[Option<usize>]) -> bool {
+        let prefix = &self.prefix.working[..len];
+        let owners = self.prefix.owners.iter().chain(pending);
+        prefix
             .iter()
-            .all(|p| p.committed_bits[..t] == transcript[..]);
-        let outputs = parties
-            .iter()
-            .map(|p| self.protocol.output(p.me, &p.input, &p.committed_bits[..t]))
-            .collect();
-        let stats = SimStats {
-            channel_rounds: result.rounds,
-            phase_rounds: parties[0].phase_rounds,
-            protocol_rounds: t,
-            chunks_committed: parties[0].chunks_committed,
-            rewinds: parties[0].rewinds,
-            agreement,
-            energy: result.energy,
-            corrupted_rounds: channel.corrupted_rounds() - corrupted_before,
-        };
-        Ok(SimOutcome::new(transcript, outputs, stats))
+            .zip(owners)
+            .enumerate()
+            .any(|(m, (&bit, &owner))| {
+                let beeps = || self.protocol.beep(self.me, &self.input, &prefix[..m]);
+                if bit {
+                    // An unowned 1 is flagged by everyone; an owned one by an
+                    // owner that would not beep it.
+                    owner.is_none_or(|o| o == self.me && !beeps())
+                } else {
+                    beeps() // my 1 is missing from the transcript
+                }
+            })
     }
 }
 
 /// Phase of the per-iteration state machine.
 enum Phase {
     Chunk(ChunkPhase),
-    Owners(OwnersState),
-    Verify(VerifyPhase),
+    Owners(Box<OwnersState>),
+    Verify(Vote),
     Done,
 }
 
-struct ChunkPhase {
-    /// Rounds in this (possibly tail) chunk.
-    len: usize,
-    /// Decoded bits so far.
-    bits: Vec<bool>,
-    /// What I beeped per chunk round.
-    my_bits: Vec<bool>,
-    rep: usize,
-    ones: usize,
-    current: bool,
-}
-
-#[derive(Default)]
-struct VerifyPhase {
-    chunk_bits: Vec<bool>,
-    chunk_owners: Vec<Option<usize>>,
-    my_flag: bool,
-    idx: usize,
-    ones: usize,
+/// A verification vote: the pending chunk's owners and the vote's block.
+struct Vote {
+    owners: Vec<Option<usize>>,
+    block: Block,
 }
 
 /// One party of the rewind protocol.
 struct RewindParty<'a, P: Protocol> {
-    protocol: &'a P,
-    input: P::Input,
-    me: usize,
-    n: usize,
-    chunk_len: usize,
-    repetitions: usize,
-    verify_repetitions: usize,
-    params: ResolvedParams,
-    code: SharedCode,
-    model: NoiseModel,
-
-    /// Committed simulated transcript (concatenated chunks).
-    committed_bits: Vec<bool>,
-    /// Owner of each committed round (None for 0-rounds).
-    committed_owners: Vec<Option<usize>>,
-    /// Length of each committed chunk, for rewinding.
-    chunk_lens: Vec<usize>,
-    /// `committed_bits` plus the decoded bits of the in-flight chunk,
-    /// maintained incrementally so the hot chunk loop never rebuilds the
-    /// prefix (the naive version cloned the whole committed transcript
-    /// once per simulated round).
-    working: Vec<bool>,
-
-    chunks_committed: usize,
-    rewinds: usize,
-    phase_rounds: PhaseRounds,
+    scheme: &'a PartyRun<'a>,
+    seat: Seat<'a, P>,
     phase: Phase,
 }
 
 impl<'a, P: Protocol> RewindParty<'a, P> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        protocol: &'a P,
-        input: P::Input,
-        me: usize,
-        n: usize,
-        config: &SimulatorConfig,
-        params: ResolvedParams,
-        code: SharedCode,
-        model: NoiseModel,
-    ) -> Self {
-        let mut party = Self {
-            protocol,
-            input,
-            me,
-            n,
-            chunk_len: config.chunk_len,
-            repetitions: config.repetitions,
-            verify_repetitions: config.verify_repetitions,
-            params,
-            code,
-            model,
-            committed_bits: Vec::new(),
-            committed_owners: Vec::new(),
-            chunk_lens: Vec::new(),
-            working: Vec::new(),
-            chunks_committed: 0,
-            rewinds: 0,
-            phase_rounds: PhaseRounds::default(),
-            phase: Phase::Done,
-        };
-        party.phase = party.start_chunk();
-        party
+    fn new(scheme: &'a PartyRun<'a>, seat: Seat<'a, P>) -> Self {
+        let phase = Self::start_chunk(scheme, &seat);
+        Self {
+            scheme,
+            seat,
+            phase,
+        }
     }
 
     /// Starts simulating the next chunk (or finishes if the protocol is
     /// fully committed).
-    fn start_chunk(&self) -> Phase {
-        let remaining = self
-            .protocol
-            .length()
-            .saturating_sub(self.committed_bits.len());
-        if remaining == 0 {
-            return Phase::Done;
-        }
-        let len = remaining.min(self.chunk_len);
-        Phase::Chunk(ChunkPhase {
-            len,
-            bits: Vec::with_capacity(len),
-            my_bits: Vec::with_capacity(len),
-            rep: 0,
-            ones: 0,
-            current: false,
-        })
-    }
-
-    /// What this party would beep in simulated round `m` of the transcript
-    /// prefix `prefix[..m]`.
-    fn would_beep(&self, prefix: &[bool], m: usize) -> bool {
-        self.protocol.beep(self.me, &self.input, &prefix[..m])
-    }
-
-    /// The verification flag over the committed prefix plus the pending
-    /// chunk (see the module docs for the three conditions).
-    fn compute_flag(&self, chunk_bits: &[bool], chunk_owners: &[Option<usize>]) -> bool {
-        // `working` already holds committed prefix + decoded chunk, so the
-        // only concatenation left is the owners lookup, done by index.
-        debug_assert_eq!(
-            self.working.len(),
-            self.committed_bits.len() + chunk_bits.len()
-        );
-        debug_assert_eq!(&self.working[self.committed_bits.len()..], chunk_bits);
-        let prefix = &self.working;
-        let committed = self.committed_owners.len();
-        for m in 0..prefix.len() {
-            let b = self.would_beep(prefix, m);
-            if !prefix[m] {
-                if b {
-                    return true; // my 1 is missing from the transcript
-                }
-            } else {
-                let owner = if m < committed {
-                    self.committed_owners[m]
-                } else {
-                    chunk_owners[m - committed]
-                };
-                match owner {
-                    Some(owner) => {
-                        if owner == self.me && !b {
-                            return true; // I own a 1 I would not beep
-                        }
-                    }
-                    None => return true, // unowned 1: flagged by everyone
-                }
-            }
-        }
-        false
-    }
-
-    fn finish_verification(&mut self, failed: bool, v: VerifyPhase) {
-        if failed {
-            self.rewinds += 1;
-            // Discard the pending chunk and pop one committed chunk.
-            if let Some(len) = self.chunk_lens.pop() {
-                let new_len = self.committed_bits.len() - len;
-                self.committed_bits.truncate(new_len);
-                self.committed_owners.truncate(new_len);
-                self.chunks_committed = self.chunks_committed.saturating_sub(1);
-            }
-        } else {
-            self.committed_bits.extend_from_slice(&v.chunk_bits);
-            self.committed_owners.extend_from_slice(&v.chunk_owners);
-            self.chunk_lens.push(v.chunk_bits.len());
-            self.chunks_committed += 1;
-        }
-        // Re-sync the working buffer with the committed prefix (a no-op on
-        // commit, a rewind otherwise).
-        self.working.truncate(self.committed_bits.len());
-        self.phase = self.start_chunk();
+    fn start_chunk(scheme: &PartyRun<'_>, seat: &Seat<'_, P>) -> Phase {
+        ChunkPhase::next(seat, scheme.config.chunk_len).map_or(Phase::Done, Phase::Chunk)
     }
 }
 
 impl<P: Protocol> SimParty for RewindParty<'_, P> {
     fn plan(&mut self) -> (u64, usize) {
+        let seat = &self.seat;
+        let config = self.scheme.config;
         match &mut self.phase {
-            Phase::Chunk(c) => {
-                if c.rep == 0 {
-                    // Decide this simulated round's bit against the
-                    // committed prefix plus the chunk decoded so far —
-                    // which is exactly the working buffer.
-                    c.current = self.protocol.beep(self.me, &self.input, &self.working);
-                }
-                (held(c.current), block_run(c.rep, self.repetitions))
-            }
+            Phase::Chunk(c) => c.plan(seat, config.repetitions),
             Phase::Owners(o) => o.plan(),
-            Phase::Verify(v) => (held(v.my_flag), block_run(v.idx, self.verify_repetitions)),
+            // The flag covers the committed prefix plus the pending chunk.
+            Phase::Verify(v) => v.block.plan(config.verify_repetitions, || {
+                seat.flags(seat.prefix.working.len(), &v.owners)
+            }),
             Phase::Done => (0, WORD),
         }
     }
@@ -421,64 +341,46 @@ impl<P: Protocol> SimParty for RewindParty<'_, P> {
     fn hear_word(&mut self, heard: u64, sent: u64, len: usize) {
         // Step the in-flight phase in place, attributing the run to it;
         // the phase moves only when it ends.
+        let seat = &mut self.seat;
         match &mut self.phase {
             Phase::Chunk(c) => {
-                self.phase_rounds.chunk += len;
-                c.ones += ones(heard, len);
-                c.rep += len;
-                if c.rep == self.repetitions {
-                    let bit = c.ones >= self.params.rep_ones;
-                    c.bits.push(bit);
-                    self.working.push(bit);
-                    c.my_bits.push(c.current);
-                    c.rep = 0;
-                    c.ones = 0;
-                }
-                if c.bits.len() == c.len {
-                    // Chunk simulated; find owners for its 1s.
-                    let owners = OwnersState::new(
-                        self.me,
-                        self.n,
-                        std::mem::take(&mut c.bits),
-                        std::mem::take(&mut c.my_bits),
-                        Arc::clone(&self.code),
-                        metric_for(self.model),
-                    );
+                if let Some(owners) = c.hear(seat, self.scheme, heard, len) {
                     self.phase = Phase::Owners(owners);
                 }
             }
             Phase::Owners(o) => {
-                self.phase_rounds.owners += len;
+                seat.phase_rounds.owners += len;
                 o.hear_word(heard, sent, len);
                 if o.finished() {
-                    let chunk_bits = o.pi_bits().to_vec();
-                    let chunk_owners = o.owners().to_vec();
-                    let my_flag = self.compute_flag(&chunk_bits, &chunk_owners);
-                    self.phase = Phase::Verify(VerifyPhase {
-                        chunk_bits,
-                        chunk_owners,
-                        my_flag,
-                        idx: 0,
-                        ones: 0,
+                    self.phase = Phase::Verify(Vote {
+                        owners: o.owners().to_vec(),
+                        block: Block::default(),
                     });
                 }
             }
             Phase::Verify(v) => {
-                self.phase_rounds.verify += len;
-                v.ones += ones(heard, len);
-                v.idx += len;
-                if v.idx == self.verify_repetitions {
-                    let failed = v.ones >= self.params.verify_ones;
-                    let v = std::mem::take(v);
-                    self.finish_verification(failed, v);
+                seat.phase_rounds.verify += len;
+                let verify = self.scheme.config.verify_repetitions;
+                let Some(ones) = v.block.hear(heard, len, verify) else {
+                    return;
+                };
+                if ones >= self.scheme.params.verify_ones {
+                    // Discard the pending chunk and pop one committed chunk.
+                    seat.rewinds += 1;
+                    seat.prefix
+                        .truncate_to(seat.prefix.chunk_lens.len().saturating_sub(1));
+                } else {
+                    seat.prefix.commit(&v.owners);
                 }
+                self.phase = Self::start_chunk(self.scheme, seat);
             }
             Phase::Done => {}
         }
     }
 
     fn is_done(&self) -> bool {
-        matches!(self.phase, Phase::Done) && self.committed_bits.len() >= self.protocol.length()
+        matches!(self.phase, Phase::Done)
+            && self.seat.prefix.bits.len() >= self.seat.protocol.length()
     }
 }
 

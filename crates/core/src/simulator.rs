@@ -40,7 +40,7 @@ use beeps_channel::{
 };
 use beeps_metrics::{CounterHandle, MetricsRegistry};
 
-use crate::outcome::{PhaseRounds, SimError, SimOutcome, SimStats};
+use crate::outcome::{check_model, PhaseRounds, SimError, SimOutcome, SimStats};
 use crate::{
     HierarchicalSimulator, OneToZeroSimulator, OwnedRoundsSimulator, RepetitionSimulator,
     RewindSimulator,
@@ -409,11 +409,7 @@ impl<P: Protocol> Simulator<P::Input, P::Output> for NakedSimulator<'_, P> {
         model: NoiseModel,
         seed: u64,
     ) -> Result<SimOutcome<P::Output>, SimError> {
-        if model.validate().is_err() {
-            return Err(SimError::UnsupportedNoise {
-                reason: "noise parameter outside [0, 1)",
-            });
-        }
+        check_model(model)?;
         Ok(self.outcome(run_protocol(self.protocol, inputs, model, seed)))
     }
 
@@ -427,11 +423,7 @@ impl<P: Protocol> Simulator<P::Input, P::Output> for NakedSimulator<'_, P> {
         model: NoiseModel,
         mut channel: &mut dyn Channel,
     ) -> Result<SimOutcome<P::Output>, SimError> {
-        if model.validate().is_err() {
-            return Err(SimError::UnsupportedNoise {
-                reason: "noise parameter outside [0, 1)",
-            });
-        }
+        check_model(model)?;
         Ok(self.outcome(run_protocol_over(self.protocol, inputs, &mut channel)))
     }
 }

@@ -19,8 +19,17 @@
 //! through `owners_standalone`. It decodes each codeword once, not once
 //! per party, and sends it one channel word (≤ 64 rounds,
 //! [`StochasticChannel::transmit_rounds`]) at a time from a codeword
-//! table built once per body call. The bodies are built for very large
-//! `n`:
+//! table built once per body call.
+//!
+//! The chunked bodies (rewind, owned rounds, hierarchical) share every
+//! step they have in common, each written once: the committed prefix and
+//! its verification stack (`Committed`: one commit, one `truncate_to`
+//! that rematerializes the window), the chunk and owners phases and the
+//! owners schemes' violation rule (`ChunkedRun`), the verification vote of
+//! rewind and owned rounds, and the hierarchical binary-search check.
+//! Every body keeps its accounting in one `Tally`, which also builds its
+//! outcome, and takes its budget from the function its per-party engine
+//! uses. The bodies are built for very large `n`:
 //!
 //! * **Struct-of-arrays party state** — the only per-party facts are
 //!   "would party `i` beep in simulated round `m`" and "does party `i`
@@ -49,10 +58,13 @@
 //! can run many trials through `TrialRunner::run_with_scratch` without
 //! per-trial allocation.
 
+use crate::driver::Prefix;
+use crate::hierarchical::{flagged, levels, log_depth};
 use crate::outcome::{PhaseRounds, SimError, SimOutcome, SimStats};
 use crate::owners::{metric_for, OwnersState};
-use crate::params::SimulatorConfig;
-use beeps_channel::{Channel, NoiseModel, Protocol, StochasticChannel};
+use crate::params::{ResolvedParams, SimulatorConfig};
+use crate::{hierarchical, one_to_zero, owned_rounds, repetition, rewind};
+use beeps_channel::{Channel, NoiseModel, Protocol, StochasticChannel, UniquelyOwned};
 use beeps_ecc::bits::PackedBits;
 use beeps_ecc::SymbolCode;
 
@@ -80,6 +92,12 @@ fn row_or(dst: &mut [u64], src: &[u64]) {
     for (d, s) in dst.iter_mut().zip(src) {
         *d |= s;
     }
+}
+
+/// Zeroes a packed party row of `words` words.
+fn row_clear(row: &mut Vec<u64>, words: usize) {
+    row.clear();
+    row.resize(words, 0);
 }
 
 /// Sets all `n` party bits (and keeps the tail bits of the last word
@@ -120,9 +138,9 @@ impl CumEntry {
     /// # Panics
     ///
     /// Panics if the row was evicted from the retention window — the
-    /// engines rematerialize the window (see [`rematerialize_window`])
-    /// before reading past entries, so a panic here is an engine bug,
-    /// not a recoverable condition.
+    /// engines rematerialize the window
+    /// ([`Committed::rematerialize_window`]) before reading past entries,
+    /// so a panic here is an engine bug, not a recoverable condition.
     fn row(&self) -> &[u64] {
         self.cum.as_ref().expect("stack entry inside the window")
     }
@@ -188,23 +206,16 @@ pub struct SoaScratch {
     marks: Vec<(usize, Vec<u64>)>,
     /// Check levels scheduled after the current data slot.
     levels: Vec<usize>,
-    /// Committed transcript (single shared copy — not per party).
-    committed_bits: Vec<bool>,
-    committed_owners: Vec<Option<usize>>,
-    chunk_lens: Vec<usize>,
-    /// Committed prefix plus the decoded bits of the in-flight chunk.
-    working: Vec<bool>,
-    /// Per-committed-chunk cumulative violation rows (windowed).
-    stack: Vec<CumEntry>,
-    /// Recycled row buffers for the stack.
-    pool: Vec<Vec<u64>>,
+    /// The committed prefix and its verification stack (one shared copy
+    /// — not per party).
+    committed: Committed,
 }
 
 impl std::fmt::Debug for SoaScratch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SoaScratch")
-            .field("committed_bits", &self.committed_bits.len())
-            .field("stack", &self.stack.len())
+            .field("committed_bits", &self.committed.prefix.bits.len())
+            .field("stack", &self.committed.stack.len())
             .finish_non_exhaustive()
     }
 }
@@ -213,17 +224,9 @@ impl SoaScratch {
     /// Resets per-trial state, returning stack rows to the pool.
     fn reset(&mut self) {
         self.bits.clear();
-        self.committed_bits.clear();
-        self.committed_owners.clear();
-        self.chunk_lens.clear();
-        self.working.clear();
-        while let Some(entry) = self.stack.pop() {
-            if let Some(buf) = entry.cum {
-                self.pool.push(buf);
-            }
-        }
+        self.committed.clear();
         while let Some((_, row)) = self.marks.pop() {
-            self.pool.push(row);
+            self.committed.pool.push(row);
         }
         self.levels.clear();
     }
@@ -233,12 +236,268 @@ impl SoaScratch {
     /// experiment can report it.
     pub fn retained_words(&self) -> usize {
         let live: usize = self
+            .committed
             .stack
             .iter()
             .map(|e| e.cum.as_ref().map_or(0, Vec::len))
             .sum();
-        let pooled: usize = self.pool.iter().map(Vec::len).sum();
+        let pooled: usize = self.committed.pool.iter().map(Vec::len).sum();
         live + pooled
+    }
+}
+
+/// The committed prefix of a collapsed run and its verification stack:
+/// one cumulative violation row per committed chunk, exact for the top
+/// `window` chunks and evicted to a digest below them. The rewind,
+/// owned-rounds and hierarchical bodies commit and truncate through it.
+#[derive(Default)]
+struct Committed {
+    prefix: Prefix,
+    stack: Vec<CumEntry>,
+    /// Recycled row buffers.
+    pool: Vec<Vec<u64>>,
+    /// The run's row width in words, its retained rows
+    /// ([`SimulatorConfig::verify_window`], at least 1), and the mark a
+    /// rematerialization emits.
+    words: usize,
+    window: usize,
+    rematerialize: &'static str,
+}
+
+impl Committed {
+    /// Empties the prefix, returning stack rows to the pool.
+    fn clear(&mut self) {
+        self.prefix.clear();
+        while let Some(entry) = self.stack.pop() {
+            if let Some(buf) = entry.cum {
+                self.pool.push(buf);
+            }
+        }
+    }
+
+    /// Commits the pending chunk with its rounds' `owners` and its
+    /// violation row `viol`: pushes the chunk's cumulative row and evicts
+    /// the row that falls out of the window.
+    fn commit(&mut self, owners: &[Option<usize>], viol: &[u64]) {
+        self.prefix.commit(owners);
+        let mut cum = self.pool.pop().unwrap_or_default();
+        cum.clear();
+        cum.extend_from_slice(viol);
+        if let Some(top) = self.stack.last() {
+            row_or(&mut cum, top.row());
+        }
+        self.stack.push(CumEntry {
+            cum: Some(cum),
+            viol_digest: row_digest(viol),
+        });
+        if self.stack.len() > self.window {
+            let evict = self.stack.len() - self.window - 1;
+            if let Some(buf) = self.stack[evict].cum.take() {
+                self.pool.push(buf);
+            }
+        }
+    }
+
+    /// Keeps the first `boundary` committed chunks and drops the pending
+    /// chunk ([`Prefix::truncate_to`]), returning the cut chunks' rows to
+    /// the pool. A cut that exposes an evicted row re-derives the window
+    /// from the transcript, with `violation` setting the bits of one
+    /// committed round into a zeroed row, and emits the rematerialize
+    /// mark. Returns whether a committed chunk was cut.
+    fn truncate_to(
+        &mut self,
+        boundary: usize,
+        violation: impl FnMut(&Prefix, usize, &mut [u64]),
+    ) -> bool {
+        let cut = self.prefix.truncate_to(boundary);
+        while self.stack.len() > boundary {
+            if let Some(buf) = self.stack.pop().and_then(|entry| entry.cum) {
+                self.pool.push(buf);
+            }
+        }
+        if self.stack.last().is_some_and(|e| e.cum.is_none()) {
+            beeps_observe::mark(self.rematerialize);
+            self.rematerialize_window(violation);
+        }
+        cut
+    }
+
+    /// Recomputes the violation rows of the committed prefix after a cut
+    /// exposed an evicted row: one pass over the transcript re-evaluating
+    /// the protocol (the same work one per-party verification does),
+    /// re-materializing exact cumulative rows for the top `window` chunks
+    /// and leaving deeper chunks evicted. Each recomputed row is checked
+    /// against the digest recorded at commit time.
+    fn rematerialize_window(&mut self, mut violation: impl FnMut(&Prefix, usize, &mut [u64])) {
+        let keep_from = self.stack.len().saturating_sub(self.window);
+        let mut running = self.pool.pop().unwrap_or_default();
+        row_clear(&mut running, self.words);
+        let mut viol = self.pool.pop().unwrap_or_default();
+        let mut pos = 0usize;
+        for (k, &clen) in self.prefix.chunk_lens.iter().enumerate() {
+            row_clear(&mut viol, self.words);
+            for _ in 0..clen {
+                violation(&self.prefix, pos, &mut viol);
+                pos += 1;
+            }
+            debug_assert_eq!(
+                row_digest(&viol),
+                self.stack[k].viol_digest,
+                "recomputed violation row diverged from its commit-time digest"
+            );
+            row_or(&mut running, &viol);
+            if k >= keep_from {
+                let mut cum = self.pool.pop().unwrap_or_default();
+                cum.clear();
+                cum.extend_from_slice(&running);
+                if let Some(buf) = self.stack[k].cum.replace(cum) {
+                    self.pool.push(buf);
+                }
+            }
+        }
+        self.pool.push(viol);
+        self.pool.push(running);
+    }
+
+    /// The progress-check flag row of chunk boundary `boundary` into
+    /// `flags`, returning its popcount. A party flags the boundary iff its
+    /// prefix walk over the first `boundary` chunks finds a violation,
+    /// which is bit `i` of the cumulative violation row through chunk
+    /// `boundary − 1`: `O(1)` from the stack inside the window,
+    /// recomputed from the transcript by `violation` into `viol`
+    /// (digest-checked chunk by chunk) when a deep check probes past it.
+    fn boundary_flags(
+        &self,
+        boundary: usize,
+        flags: &mut Vec<u64>,
+        viol: &mut Vec<u64>,
+        violation: impl Fn(&Prefix, usize, &mut [u64]),
+    ) -> usize {
+        flags.clear();
+        if boundary == 0 {
+            flags.resize(self.words, 0);
+            return 0;
+        }
+        if let Some(cum) = self.stack[boundary - 1].cum.as_ref() {
+            flags.extend_from_slice(cum);
+            return row_count(flags);
+        }
+        // Evicted entries form a prefix of the stack, so everything below
+        // `boundary` needs one transcript pass (the same work one
+        // per-party flag walk does).
+        flags.resize(self.words, 0);
+        let mut pos = 0usize;
+        for (k, &clen) in self.prefix.chunk_lens.iter().take(boundary).enumerate() {
+            row_clear(viol, self.words);
+            for _ in 0..clen {
+                violation(&self.prefix, pos, viol);
+                pos += 1;
+            }
+            debug_assert_eq!(
+                row_digest(viol),
+                self.stack[k].viol_digest,
+                "recomputed violation row diverged from its commit-time digest"
+            );
+            row_or(flags, viol);
+        }
+        row_count(flags)
+    }
+}
+
+/// The accounting of one collapsed run: channel rounds by phase, beeping
+/// energy and rewinds, spent against the scheme's round budget.
+struct Tally {
+    t: usize,
+    budget: usize,
+    rounds: usize,
+    energy: usize,
+    rewinds: usize,
+    phase_rounds: PhaseRounds,
+    corrupted_before: usize,
+}
+
+impl Tally {
+    fn new(t: usize, budget: usize, channel: &StochasticChannel) -> Self {
+        Self {
+            t,
+            budget,
+            rounds: 0,
+            energy: 0,
+            rewinds: 0,
+            phase_rounds: PhaseRounds::default(),
+            corrupted_before: channel.corrupted_rounds(),
+        }
+    }
+
+    /// Rounds left in the budget.
+    fn room(&self) -> usize {
+        self.budget - self.rounds
+    }
+
+    /// The run's `BudgetExhausted`. A span the budget cannot cover is
+    /// where the per-party driver would burn its remaining rounds
+    /// mid-phase and stop: nothing commits, so `rounds_used` is always the
+    /// whole budget and `committed` the rounds committed so far.
+    fn exhausted(&self, committed: &[bool]) -> SimError {
+        SimError::BudgetExhausted {
+            rounds_used: self.budget,
+            committed: committed.len().min(self.t),
+        }
+    }
+
+    /// `Ok` while `len` more rounds fit in the budget.
+    fn fits(&self, len: usize, committed: &[bool]) -> Result<(), SimError> {
+        if self.room() < len {
+            return Err(self.exhausted(committed));
+        }
+        Ok(())
+    }
+
+    fn chunk(&mut self, len: usize, energy: usize) {
+        self.rounds += len;
+        self.phase_rounds.chunk += len;
+        self.energy += energy;
+    }
+
+    fn owners(&mut self, len: usize, energy: usize) {
+        self.rounds += len;
+        self.phase_rounds.owners += len;
+        self.energy += energy;
+    }
+
+    fn verify(&mut self, len: usize, energy: usize) {
+        self.rounds += len;
+        self.phase_rounds.verify += len;
+        self.energy += energy;
+    }
+
+    /// The outcome of a finished run: the first `t` committed rounds,
+    /// every party's output on them, and the run's stats. Shared noise
+    /// keeps every party's bookkeeping in lockstep, so all agree.
+    fn finish<P: Protocol>(
+        self,
+        protocol: &P,
+        inputs: &[P::Input],
+        prefix: &Prefix,
+        channel: &StochasticChannel,
+    ) -> SimOutcome<P::Output> {
+        let mut transcript = Vec::with_capacity(self.t);
+        transcript.extend_from_slice(&prefix.bits[..self.t]);
+        let mut outputs = Vec::with_capacity(inputs.len());
+        for (i, input) in inputs.iter().enumerate() {
+            outputs.push(protocol.output(i, input, &transcript));
+        }
+        let stats = SimStats {
+            channel_rounds: self.rounds,
+            phase_rounds: self.phase_rounds,
+            protocol_rounds: self.t,
+            chunks_committed: prefix.chunk_lens.len(),
+            rewinds: self.rewinds,
+            agreement: true,
+            energy: self.energy,
+            corrupted_rounds: channel.corrupted_rounds() - self.corrupted_before,
+        };
+        SimOutcome::new(transcript, outputs, stats)
     }
 }
 
@@ -361,8 +620,7 @@ pub(crate) fn owners_standalone<'s>(
     let n = bits.len();
     let len = bits.first().map_or(0, Vec::len);
     let words = n.div_ceil(64);
-    scratch.cols.clear();
-    scratch.cols.resize(len * words, 0);
+    row_clear(&mut scratch.cols, len * words);
     for (i, party) in bits.iter().enumerate() {
         for (j, &beeped) in party.iter().enumerate() {
             if beeped {
@@ -381,6 +639,244 @@ pub(crate) fn owners_standalone<'s>(
     &scratch.chunk_owners
 }
 
+/// A chunked scheme's span and mark names.
+struct Names {
+    chunk: &'static str,
+    verify: &'static str,
+    rematerialize: &'static str,
+}
+
+/// What a chunked collapsed body (rewind, owned rounds, hierarchical)
+/// reads and never changes, and the steps those bodies share.
+struct ChunkedRun<'a, P: Protocol> {
+    protocol: &'a P,
+    inputs: &'a [P::Input],
+    names: Names,
+    model: NoiseModel,
+    resolved: ResolvedParams,
+    n: usize,
+    t: usize,
+    words: usize,
+    r: usize,
+    v: usize,
+}
+
+impl<'a, P: Protocol> ChunkedRun<'a, P> {
+    /// A run of `config` over `model`, with `scratch` emptied for it.
+    fn new(
+        protocol: &'a P,
+        inputs: &'a [P::Input],
+        config: &SimulatorConfig,
+        model: NoiseModel,
+        names: Names,
+        scratch: &mut SoaScratch,
+    ) -> Self {
+        let n = protocol.num_parties();
+        assert_eq!(inputs.len(), n, "need one input per party");
+        let words = n.div_ceil(64);
+        scratch.reset();
+        scratch.committed.words = words;
+        scratch.committed.window = config.verify_window.max(1);
+        scratch.committed.rematerialize = names.rematerialize;
+        Self {
+            protocol,
+            inputs,
+            names,
+            model,
+            resolved: config.resolve(model),
+            n,
+            t: protocol.length(),
+            words,
+            r: config.repetitions,
+            v: config.verify_repetitions,
+        }
+    }
+
+    /// Algorithm 1's chunk and owners phases for the next `len`
+    /// simulated rounds. Each round is `R` channel rounds: its beep row
+    /// lands in `scratch.cols` (the owners phase's claim table and the
+    /// violation row's evidence) and its decoded bit in `scratch.bits`
+    /// and the working prefix. The owners phase then runs under
+    /// `owners_span`.
+    fn chunk_and_owners(
+        &self,
+        owners_span: &'static str,
+        len: usize,
+        code: &dyn SymbolCode,
+        tally: &mut Tally,
+        channel: &mut StochasticChannel,
+        scratch: &mut SoaScratch,
+    ) -> Result<(), SimError> {
+        assert!(
+            len < code.alphabet_size(),
+            "chunk of {len} rounds needs an alphabet of at least {} symbols",
+            len + 1
+        );
+        let words = self.words;
+        let chunk_span = beeps_observe::phase(self.names.chunk);
+        scratch.bits.clear();
+        row_clear(&mut scratch.cols, len * words);
+        for j in 0..len {
+            tally.fits(self.r, &scratch.committed.prefix.bits)?;
+            let col = &mut scratch.cols[j * words..(j + 1) * words];
+            let mut beeps = 0usize;
+            for (i, input) in self.inputs.iter().enumerate() {
+                if self
+                    .protocol
+                    .beep(i, input, &scratch.committed.prefix.working)
+                {
+                    row_set(col, i);
+                    beeps += 1;
+                }
+            }
+            let bit = ones(channel, self.r, beeps > 0) >= self.resolved.rep_ones;
+            scratch.bits.push(bit);
+            scratch.committed.prefix.working.push(bit);
+            tally.chunk(self.r, self.r * beeps);
+        }
+        drop(chunk_span);
+        let room = tally.room();
+        let energy = owners_collapsed(
+            owners_span,
+            self.n,
+            code,
+            self.model,
+            room,
+            channel,
+            scratch,
+        )
+        .ok_or_else(|| tally.exhausted(&scratch.committed.prefix.bits))?;
+        tally.owners(
+            OwnersState::channel_rounds(len, self.n, code.codeword_len()),
+            energy,
+        );
+        Ok(())
+    }
+
+    /// The pending chunk's violation row, into the zeroed `scratch.viol`,
+    /// read off its beep rows: a 0-round flags every party that beeped in
+    /// it (condition (a)), an owned 1-round its owner if the owner did not
+    /// beep (b), and an unowned 1-round everyone (c).
+    fn chunk_violation(&self, scratch: &mut SoaScratch) {
+        let words = self.words;
+        for j in 0..scratch.bits.len() {
+            let col = &scratch.cols[j * words..(j + 1) * words];
+            if !scratch.bits[j] {
+                row_or(&mut scratch.viol, col);
+                continue;
+            }
+            match scratch.chunk_owners[j] {
+                None => {
+                    row_fill(&mut scratch.viol, self.n);
+                    break;
+                }
+                Some(owner) => {
+                    if !row_get(col, owner) {
+                        row_set(&mut scratch.viol, owner);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The violation bits of committed round `m` by the same rule, into
+    /// `viol`, with the protocol re-run against the prefix before it.
+    fn round_violation(&self, prefix: &Prefix, m: usize, viol: &mut [u64]) {
+        let before = &prefix.bits[..m];
+        if !prefix.bits[m] {
+            for (i, input) in self.inputs.iter().enumerate() {
+                if self.protocol.beep(i, input, before) {
+                    row_set(viol, i);
+                }
+            }
+            return;
+        }
+        match prefix.owners[m] {
+            None => row_fill(viol, self.n),
+            Some(owner) => {
+                if !self.protocol.beep(owner, &self.inputs[owner], before) {
+                    row_set(viol, owner);
+                }
+            }
+        }
+    }
+
+    /// One verification vote over the committed prefix plus the pending
+    /// chunk: `violation` writes the pending chunk's row into the zeroed
+    /// `scratch.viol`, and every party set in it or in the stack top (the
+    /// committed prefix's cumulative row, `O(1)`) beeps for `V` rounds —
+    /// no per-party transcript re-walk. Returns whether the vote failed.
+    fn vote(
+        &self,
+        tally: &mut Tally,
+        channel: &mut StochasticChannel,
+        scratch: &mut SoaScratch,
+        violation: impl FnOnce(&mut SoaScratch),
+    ) -> Result<bool, SimError> {
+        let _span = beeps_observe::phase(self.names.verify);
+        tally.fits(self.v, &scratch.committed.prefix.bits)?;
+        row_clear(&mut scratch.viol, self.words);
+        violation(scratch);
+        scratch.flags.clear();
+        scratch.flags.extend_from_slice(&scratch.viol);
+        if let Some(top) = scratch.committed.stack.last() {
+            row_or(&mut scratch.flags, top.row());
+        }
+        let flag_count = row_count(&scratch.flags);
+        let failed = ones(channel, self.v, flag_count > 0) >= self.resolved.verify_ones;
+        tally.verify(self.v, self.v * flag_count);
+        Ok(failed)
+    }
+
+    /// A hierarchical progress check: a binary search among the chunk
+    /// boundaries `lo..=hi` for the longest clean prefix, one vote of
+    /// `vote_len` rounds per probed boundary (the parties whose prefix
+    /// through it holds a violation beep), then a truncation to the
+    /// boundary found, counted as a rewind when it cuts.
+    fn search(
+        &self,
+        mut lo: usize,
+        mut hi: usize,
+        vote_len: usize,
+        tally: &mut Tally,
+        channel: &mut StochasticChannel,
+        scratch: &mut SoaScratch,
+    ) -> Result<(), SimError> {
+        let violation =
+            |prefix: &Prefix, m, viol: &mut [u64]| self.round_violation(prefix, m, viol);
+        let mut steps_left = log_depth(hi - lo);
+        loop {
+            let boundary = (lo + hi).div_ceil(2);
+            let SoaScratch {
+                flags,
+                viol,
+                committed,
+                ..
+            } = &mut *scratch;
+            let flag_count = committed.boundary_flags(boundary, flags, viol, violation);
+            let vote_span = beeps_observe::phase(self.names.verify);
+            tally.fits(vote_len, &committed.prefix.bits)?;
+            let heard = ones(channel, vote_len, flag_count > 0);
+            tally.verify(vote_len, vote_len * flag_count);
+            drop(vote_span);
+            if flagged(&self.resolved, self.v, heard, vote_len) {
+                hi = boundary - 1;
+            } else {
+                lo = boundary;
+            }
+            steps_left = steps_left.saturating_sub(1);
+            if steps_left == 0 || lo >= hi {
+                break;
+            }
+        }
+        if scratch.committed.truncate_to(lo, violation) {
+            tally.rewinds += 1;
+            beeps_observe::mark("sim.hierarchical.truncate");
+        }
+        Ok(())
+    }
+}
+
 /// The collapsed rewind-scheme engine (Theorem 1.2): chunk by
 /// repetition, the Algorithm 1 owners phase, then a verification vote
 /// that pops one committed chunk when it fails. `code` is the owners
@@ -396,240 +892,32 @@ pub(crate) fn rewind_collapsed_over<P: Protocol>(
     channel: &mut StochasticChannel,
     scratch: &mut SoaScratch,
 ) -> Result<SimOutcome<P::Output>, SimError> {
-    let n = protocol.num_parties();
-    assert_eq!(inputs.len(), n, "need one input per party");
-    let t = protocol.length();
-    let resolved = config.resolve(model);
-    let code_len = code.codeword_len();
-    let r = config.repetitions;
-    let v = config.verify_repetitions;
-    let words = n.div_ceil(64);
-    let window = config.verify_window.max(1);
-
-    // Same budget formula as `RewindSimulator::simulate_over`.
-    let chunks_needed = t.div_ceil(config.chunk_len).max(1);
-    let ideal = chunks_needed
-        * (config.chunk_len * r
-            + OwnersState::channel_rounds(config.chunk_len, n, config.code_len)
-            + v);
-    let budget = (config.budget_factor * ideal as f64).ceil() as usize;
-
-    scratch.reset();
-    load_codewords(code, scratch);
-    let corrupted_before = channel.corrupted_rounds();
-    let mut rounds = 0usize;
-    let mut energy = 0usize;
-    let mut phase_rounds = PhaseRounds::default();
-    let mut chunks_committed = 0usize;
-    let mut rewinds = 0usize;
-
-    // A span the budget cannot cover is where the scalar driver would
-    // burn its remaining rounds mid-phase and stop: nothing commits, so
-    // `rounds_used` is always the whole budget and `committed` is the
-    // count as of the last completed verification.
-    let exhausted = |scratch: &SoaScratch| SimError::BudgetExhausted {
-        rounds_used: budget,
-        committed: scratch.committed_bits.len().min(t),
+    let names = Names {
+        chunk: "sim.rewind.chunk",
+        verify: "sim.rewind.verify",
+        rematerialize: "sim.rewind.rematerialize",
     };
-
-    loop {
-        let remaining = t.saturating_sub(scratch.committed_bits.len());
-        if remaining == 0 {
-            break;
-        }
-        let len = remaining.min(config.chunk_len);
-        assert!(
-            len < code.alphabet_size(),
-            "chunk of {len} rounds needs an alphabet of at least {} symbols",
-            len + 1
-        );
-
-        // --- Chunk phase: `len` simulated rounds, R channel rounds each.
-        // The beep rows double as the owners phase's claim table and the
-        // verification phase's would-beep evidence.
-        let chunk_span = beeps_observe::phase("sim.rewind.chunk");
-        scratch.bits.clear();
-        scratch.cols.clear();
-        scratch.cols.resize(len * words, 0);
-        for j in 0..len {
-            if budget - rounds < r {
-                return Err(exhausted(scratch));
-            }
-            let col = &mut scratch.cols[j * words..(j + 1) * words];
-            let mut beeps = 0usize;
-            for (i, input) in inputs.iter().enumerate() {
-                if protocol.beep(i, input, &scratch.working) {
-                    row_set(col, i);
-                    beeps += 1;
-                }
-            }
-            let or = beeps > 0;
-            let ones = ones(channel, r, or);
-            let bit = ones >= resolved.rep_ones;
-            scratch.bits.push(bit);
-            scratch.working.push(bit);
-            energy += r * beeps;
-            rounds += r;
-            phase_rounds.chunk += r;
-        }
-        drop(chunk_span);
-
-        // --- Owners phase: `len + n` codeword iterations, decoded once
-        // (every party hears the same word) instead of once per party.
-        let Some(owners_energy) = owners_collapsed(
-            "sim.rewind.owners",
-            n,
-            code,
-            model,
-            budget - rounds,
-            channel,
-            scratch,
-        ) else {
-            return Err(exhausted(scratch));
-        };
-        let owners_rounds = OwnersState::channel_rounds(len, n, code_len);
-        energy += owners_energy;
-        rounds += owners_rounds;
-        phase_rounds.owners += owners_rounds;
-
-        // --- Verification: V rounds of the flag OR. The flag row is the
-        // cumulative violation row of the committed prefix (top of the
-        // stack, O(1)) ORed with the pending chunk's fresh violations —
-        // no per-party transcript re-walk.
-        let verify_span = beeps_observe::phase("sim.rewind.verify");
-        if budget - rounds < v {
-            return Err(exhausted(scratch));
-        }
-        scratch.viol.clear();
-        scratch.viol.resize(words, 0);
-        for j in 0..len {
-            let col = &scratch.cols[j * words..(j + 1) * words];
-            if !scratch.bits[j] {
-                // Condition (a): a 0-round some party would beep in.
-                row_or(&mut scratch.viol, col);
-            } else {
-                match scratch.chunk_owners[j] {
-                    // Condition (c): an unowned 1 is flagged by everyone.
-                    None => {
-                        row_fill(&mut scratch.viol, n);
-                        break;
-                    }
-                    // Condition (b): the owner itself would not beep.
-                    Some(owner) => {
-                        if !row_get(col, owner) {
-                            row_set(&mut scratch.viol, owner);
-                        }
-                    }
-                }
-            }
-        }
-        scratch.flags.clear();
-        scratch.flags.extend_from_slice(&scratch.viol);
-        if let Some(top) = scratch.stack.last() {
-            let cum = top.row();
-            row_or(&mut scratch.flags, cum);
-        }
-        let flag_count = row_count(&scratch.flags);
-        let or = flag_count > 0;
-        let ones = ones(channel, v, or);
-        let failed = ones >= resolved.verify_ones;
-        energy += v * flag_count;
-        rounds += v;
-        phase_rounds.verify += v;
-        drop(verify_span);
-
+    let run = ChunkedRun::new(protocol, inputs, config, model, names, scratch);
+    let mut tally = Tally::new(run.t, rewind::budget(config, run.n, run.t), channel);
+    load_codewords(code, scratch);
+    while let Some(len) = scratch.committed.prefix.next_chunk(run.t, config.chunk_len) {
+        run.chunk_and_owners("sim.rewind.owners", len, code, &mut tally, channel, scratch)?;
+        let failed = run.vote(&mut tally, channel, scratch, |s| run.chunk_violation(s))?;
         if failed {
-            rewinds += 1;
+            tally.rewinds += 1;
             beeps_observe::mark("sim.rewind.rewind");
             // Discard the pending chunk and pop one committed chunk.
-            if let Some(popped) = scratch.chunk_lens.pop() {
-                let new_len = scratch.committed_bits.len() - popped;
-                scratch.committed_bits.truncate(new_len);
-                scratch.committed_owners.truncate(new_len);
-                chunks_committed = chunks_committed.saturating_sub(1);
-                if let Some(entry) = scratch.stack.pop() {
-                    if let Some(buf) = entry.cum {
-                        scratch.pool.push(buf);
-                    }
-                }
-                if scratch.stack.last().is_some_and(|e| e.cum.is_none()) {
-                    // The rewind popped past the retention window:
-                    // re-derive the violation rows from the transcript.
-                    let SoaScratch {
-                        committed_bits,
-                        committed_owners,
-                        chunk_lens,
-                        stack,
-                        pool,
-                        ..
-                    } = &mut *scratch;
-                    rematerialize_window(chunk_lens, stack, pool, words, window, |m, viol| {
-                        let prefix = &committed_bits[..m];
-                        if !committed_bits[m] {
-                            for (i, input) in inputs.iter().enumerate() {
-                                if protocol.beep(i, input, prefix) {
-                                    row_set(viol, i);
-                                }
-                            }
-                        } else {
-                            match committed_owners[m] {
-                                None => row_fill(viol, n),
-                                Some(owner) => {
-                                    if !protocol.beep(owner, &inputs[owner], prefix) {
-                                        row_set(viol, owner);
-                                    }
-                                }
-                            }
-                        }
-                    });
-                }
-            }
-        } else {
-            scratch.committed_bits.extend_from_slice(&scratch.bits);
+            let top = scratch.committed.prefix.chunk_lens.len().saturating_sub(1);
             scratch
-                .committed_owners
-                .extend_from_slice(&scratch.chunk_owners);
-            scratch.chunk_lens.push(scratch.bits.len());
-            chunks_committed += 1;
-            let mut cum = scratch.pool.pop().unwrap_or_default();
-            cum.clear();
-            cum.extend_from_slice(&scratch.viol);
-            if let Some(top) = scratch.stack.last() {
-                let prev = top.row();
-                row_or(&mut cum, prev);
-            }
-            scratch.stack.push(CumEntry {
-                cum: Some(cum),
-                viol_digest: row_digest(&scratch.viol),
-            });
-            if scratch.stack.len() > window {
-                let evict = scratch.stack.len() - window - 1;
-                if let Some(buf) = scratch.stack[evict].cum.take() {
-                    scratch.pool.push(buf);
-                }
-            }
+                .committed
+                .truncate_to(top, |prefix, m, viol| run.round_violation(prefix, m, viol));
+        } else {
+            scratch
+                .committed
+                .commit(&scratch.chunk_owners, &scratch.viol);
         }
-        scratch.working.truncate(scratch.committed_bits.len());
     }
-
-    let mut transcript = Vec::with_capacity(t);
-    transcript.extend_from_slice(&scratch.committed_bits[..t]);
-    let mut outputs = Vec::with_capacity(n);
-    for (i, input) in inputs.iter().enumerate() {
-        outputs.push(protocol.output(i, input, &transcript));
-    }
-    let stats = SimStats {
-        channel_rounds: rounds,
-        phase_rounds,
-        protocol_rounds: t,
-        chunks_committed,
-        rewinds,
-        // Shared noise keeps every party's bookkeeping in lockstep.
-        agreement: true,
-        energy,
-        corrupted_rounds: channel.corrupted_rounds() - corrupted_before,
-    };
-    Ok(SimOutcome::new(transcript, outputs, stats))
+    Ok(tally.finish(protocol, inputs, &scratch.committed.prefix, channel))
 }
 
 /// The collapsed repetition engine: every simulated round is `R`
@@ -647,50 +935,30 @@ pub(crate) fn repetition_collapsed_over<P: Protocol>(
     channel: &mut StochasticChannel,
     scratch: &mut SoaScratch,
 ) -> Result<SimOutcome<P::Output>, SimError> {
-    let n = protocol.num_parties();
-    assert_eq!(inputs.len(), n, "need one input per party");
+    assert_eq!(
+        inputs.len(),
+        protocol.num_parties(),
+        "need one input per party"
+    );
     let t = protocol.length();
-    let resolved = config.resolve(model);
+    let rep_ones = config.resolve(model).rep_ones;
     let r = config.repetitions;
-
     scratch.reset();
-    let corrupted_before = channel.corrupted_rounds();
-    let mut energy = 0usize;
+    let mut tally = Tally::new(t, repetition::budget(config, t), channel);
     let chunk_span = beeps_observe::phase("sim.repetition.chunk");
+    let bits = &mut scratch.committed.prefix.bits;
     for _ in 0..t {
         let mut beeps = 0usize;
         for (i, input) in inputs.iter().enumerate() {
-            if protocol.beep(i, input, &scratch.committed_bits) {
+            if protocol.beep(i, input, bits) {
                 beeps += 1;
             }
         }
-        let or = beeps > 0;
-        let ones = ones(channel, r, or);
-        scratch.committed_bits.push(ones >= resolved.rep_ones);
-        energy += r * beeps;
+        bits.push(ones(channel, r, beeps > 0) >= rep_ones);
+        tally.chunk(r, r * beeps);
     }
     drop(chunk_span);
-
-    let mut transcript = Vec::with_capacity(t);
-    transcript.extend_from_slice(&scratch.committed_bits);
-    let mut outputs = Vec::with_capacity(n);
-    for (i, input) in inputs.iter().enumerate() {
-        outputs.push(protocol.output(i, input, &transcript));
-    }
-    let stats = SimStats {
-        channel_rounds: t * r,
-        phase_rounds: PhaseRounds {
-            chunk: t * r,
-            ..Default::default()
-        },
-        protocol_rounds: t,
-        chunks_committed: 0,
-        rewinds: 0,
-        agreement: true,
-        energy,
-        corrupted_rounds: channel.corrupted_rounds() - corrupted_before,
-    };
-    Ok(SimOutcome::new(transcript, outputs, stats))
+    Ok(tally.finish(protocol, inputs, &scratch.committed.prefix, channel))
 }
 
 /// The collapsed owned-rounds engine: chunked repetition plus the
@@ -699,7 +967,7 @@ pub(crate) fn repetition_collapsed_over<P: Protocol>(
 /// one settable bit per round (the owner whose committed bit disagrees
 /// with its own beep). Caller guarantees `model` is a validated
 /// shared-delivery model.
-pub(crate) fn owned_rounds_collapsed_over<P: beeps_channel::UniquelyOwned>(
+pub(crate) fn owned_rounds_collapsed_over<P: UniquelyOwned>(
     protocol: &P,
     config: &SimulatorConfig,
     inputs: &[P::Input],
@@ -707,172 +975,63 @@ pub(crate) fn owned_rounds_collapsed_over<P: beeps_channel::UniquelyOwned>(
     channel: &mut StochasticChannel,
     scratch: &mut SoaScratch,
 ) -> Result<SimOutcome<P::Output>, SimError> {
-    let n = protocol.num_parties();
-    assert_eq!(inputs.len(), n, "need one input per party");
-    let t = protocol.length();
-    let resolved = config.resolve(model);
-    let r = config.repetitions;
-    let v = config.verify_repetitions;
-    let words = n.div_ceil(64);
-    let window = config.verify_window.max(1);
-
-    // Same budget formula as `OwnedRoundsSimulator::simulate_over`.
-    let chunks_needed = t.div_ceil(config.chunk_len).max(1);
-    let per_iteration = config.chunk_len * r + v;
-    let budget = (config.budget_factor * (chunks_needed * per_iteration) as f64).ceil() as usize;
-
-    scratch.reset();
-    let corrupted_before = channel.corrupted_rounds();
-    let mut rounds = 0usize;
-    let mut energy = 0usize;
-    let mut phase_rounds = PhaseRounds::default();
-    let mut chunks_committed = 0usize;
-    let mut rewinds = 0usize;
-
-    let exhausted = |scratch: &SoaScratch| SimError::BudgetExhausted {
-        rounds_used: budget,
-        committed: scratch.committed_bits.len().min(t),
+    let names = Names {
+        chunk: "sim.owned_rounds.chunk",
+        verify: "sim.owned_rounds.verify",
+        rematerialize: "sim.owned_rounds.rematerialize",
     };
-
-    loop {
-        let committed_len = scratch.committed_bits.len();
-        let remaining = t.saturating_sub(committed_len);
-        if remaining == 0 {
-            break;
-        }
-        let len = remaining.min(config.chunk_len);
-
+    let run = ChunkedRun::new(protocol, inputs, config, model, names, scratch);
+    let mut tally = Tally::new(run.t, owned_rounds::budget(config, run.t), channel);
+    while let Some(len) = scratch.committed.prefix.next_chunk(run.t, config.chunk_len) {
+        let committed = scratch.committed.prefix.bits.len();
         // --- Chunk phase: `len` simulated rounds, R channel rounds each.
         // Only the round owner's beep bit is evidence for verification,
         // so that is the only per-party fact recorded.
-        let chunk_span = beeps_observe::phase("sim.owned_rounds.chunk");
+        let chunk_span = beeps_observe::phase(run.names.chunk);
         scratch.bits.clear();
         scratch.owner_beeps.clear();
         for j in 0..len {
-            if budget - rounds < r {
-                return Err(exhausted(scratch));
-            }
-            let owner = protocol.round_owner(committed_len + j);
+            tally.fits(run.r, &scratch.committed.prefix.bits)?;
+            let owner = protocol.round_owner(committed + j);
             let mut beeps = 0usize;
             let mut owner_beep = false;
             for (i, input) in inputs.iter().enumerate() {
-                if protocol.beep(i, input, &scratch.working) {
+                if protocol.beep(i, input, &scratch.committed.prefix.working) {
                     beeps += 1;
-                    if i == owner {
-                        owner_beep = true;
-                    }
+                    owner_beep |= i == owner;
                 }
             }
-            let or = beeps > 0;
-            let ones = ones(channel, r, or);
-            let bit = ones >= resolved.rep_ones;
+            let bit = ones(channel, run.r, beeps > 0) >= run.resolved.rep_ones;
             scratch.bits.push(bit);
             scratch.owner_beeps.push(owner_beep);
-            scratch.working.push(bit);
-            energy += r * beeps;
-            rounds += r;
-            phase_rounds.chunk += r;
+            scratch.committed.prefix.working.push(bit);
+            tally.chunk(run.r, run.r * beeps);
         }
         drop(chunk_span);
 
         // --- Verification: V rounds of the owner-only flag OR.
-        let verify_span = beeps_observe::phase("sim.owned_rounds.verify");
-        if budget - rounds < v {
-            return Err(exhausted(scratch));
-        }
-        scratch.viol.clear();
-        scratch.viol.resize(words, 0);
-        for j in 0..len {
-            if scratch.owner_beeps[j] != scratch.bits[j] {
-                row_set(&mut scratch.viol, protocol.round_owner(committed_len + j));
+        let failed = run.vote(&mut tally, channel, scratch, |s| {
+            for j in 0..len {
+                if s.owner_beeps[j] != s.bits[j] {
+                    row_set(&mut s.viol, protocol.round_owner(committed + j));
+                }
             }
-        }
-        scratch.flags.clear();
-        scratch.flags.extend_from_slice(&scratch.viol);
-        if let Some(top) = scratch.stack.last() {
-            let cum = top.row();
-            row_or(&mut scratch.flags, cum);
-        }
-        let flag_count = row_count(&scratch.flags);
-        let or = flag_count > 0;
-        let ones = ones(channel, v, or);
-        let failed = ones >= resolved.verify_ones;
-        energy += v * flag_count;
-        rounds += v;
-        phase_rounds.verify += v;
-        drop(verify_span);
-
+        })?;
         if failed {
-            rewinds += 1;
+            tally.rewinds += 1;
             beeps_observe::mark("sim.owned_rounds.rewind");
-            if let Some(popped) = scratch.chunk_lens.pop() {
-                let new_len = scratch.committed_bits.len() - popped;
-                scratch.committed_bits.truncate(new_len);
-                chunks_committed = chunks_committed.saturating_sub(1);
-                if let Some(entry) = scratch.stack.pop() {
-                    if let Some(buf) = entry.cum {
-                        scratch.pool.push(buf);
-                    }
+            let top = scratch.committed.prefix.chunk_lens.len().saturating_sub(1);
+            scratch.committed.truncate_to(top, |prefix, m, viol| {
+                let owner = protocol.round_owner(m);
+                if protocol.beep(owner, &inputs[owner], &prefix.bits[..m]) != prefix.bits[m] {
+                    row_set(viol, owner);
                 }
-                if scratch.stack.last().is_some_and(|e| e.cum.is_none()) {
-                    let SoaScratch {
-                        committed_bits,
-                        chunk_lens,
-                        stack,
-                        pool,
-                        ..
-                    } = &mut *scratch;
-                    rematerialize_window(chunk_lens, stack, pool, words, window, |m, viol| {
-                        let owner = protocol.round_owner(m);
-                        let b = protocol.beep(owner, &inputs[owner], &committed_bits[..m]);
-                        if b != committed_bits[m] {
-                            row_set(viol, owner);
-                        }
-                    });
-                }
-            }
-        } else {
-            scratch.committed_bits.extend_from_slice(&scratch.bits);
-            scratch.chunk_lens.push(scratch.bits.len());
-            chunks_committed += 1;
-            let mut cum = scratch.pool.pop().unwrap_or_default();
-            cum.clear();
-            cum.extend_from_slice(&scratch.viol);
-            if let Some(top) = scratch.stack.last() {
-                let prev = top.row();
-                row_or(&mut cum, prev);
-            }
-            scratch.stack.push(CumEntry {
-                cum: Some(cum),
-                viol_digest: row_digest(&scratch.viol),
             });
-            if scratch.stack.len() > window {
-                let evict = scratch.stack.len() - window - 1;
-                if let Some(buf) = scratch.stack[evict].cum.take() {
-                    scratch.pool.push(buf);
-                }
-            }
+        } else {
+            scratch.committed.commit(&[], &scratch.viol);
         }
-        scratch.working.truncate(scratch.committed_bits.len());
     }
-
-    let mut transcript = Vec::with_capacity(t);
-    transcript.extend_from_slice(&scratch.committed_bits[..t]);
-    let mut outputs = Vec::with_capacity(n);
-    for (i, input) in inputs.iter().enumerate() {
-        outputs.push(protocol.output(i, input, &transcript));
-    }
-    let stats = SimStats {
-        channel_rounds: rounds,
-        phase_rounds,
-        protocol_rounds: t,
-        chunks_committed,
-        rewinds,
-        agreement: true,
-        energy,
-        corrupted_rounds: channel.corrupted_rounds() - corrupted_before,
-    };
-    Ok(SimOutcome::new(transcript, outputs, stats))
+    Ok(tally.finish(protocol, inputs, &scratch.committed.prefix, channel))
 }
 
 /// The collapsed one-to-zero engine: direct data rounds with the
@@ -895,110 +1054,91 @@ pub(crate) fn one_to_zero_collapsed_over<P: Protocol>(
     assert_eq!(inputs.len(), n, "need one input per party");
     let t = protocol.length();
     let words = n.div_ceil(64);
-    // Same level schedule and budget as `OneToZeroSimulator::simulate_over`.
-    let max_level = (usize::BITS - t.next_power_of_two().leading_zeros()) as usize + 1;
+    let max_level = log_depth(t);
     let final_rounds = base * (max_level + 2);
-    let budget = (budget_factor * t.max(1) as f64).ceil() as usize + base * (max_level + 2) * 4;
-
     scratch.reset();
-    let corrupted_before = channel.corrupted_rounds();
-    let mut rounds = 0usize;
-    let mut energy = 0usize;
-    let mut phase_rounds = PhaseRounds::default();
-    let mut rewinds = 0usize;
+    let mut tally = Tally::new(t, one_to_zero::budget(base, budget_factor, t), channel);
     let mut slot = 0usize;
+    let SoaScratch {
+        viol,
+        flags,
+        marks,
+        levels: scheduled,
+        committed,
+        ..
+    } = scratch;
+    let Committed { prefix, pool, .. } = committed;
+    let sigma = &mut prefix.bits;
     // Running OR of the active mark rows = the check-round flag row.
-    scratch.flags.clear();
-    scratch.flags.resize(words, 0);
-
-    let exhausted = |scratch: &SoaScratch| SimError::BudgetExhausted {
-        rounds_used: budget,
-        committed: scratch.committed_bits.len().min(t),
-    };
+    row_clear(flags, words);
 
     let done = 'sim: loop {
         // --- One data round simulating protocol round `|σ|`.
-        if budget - rounds < 1 {
-            return Err(exhausted(scratch));
-        }
-        scratch.viol.clear();
-        scratch.viol.resize(words, 0);
+        tally.fits(1, sigma)?;
+        row_clear(viol, words);
         let mut beeps = 0usize;
         for (i, input) in inputs.iter().enumerate() {
-            if protocol.beep(i, input, &scratch.committed_bits) {
-                row_set(&mut scratch.viol, i);
+            if protocol.beep(i, input, sigma) {
+                row_set(viol, i);
                 beeps += 1;
             }
         }
         let or = beeps > 0;
         let heard = bit(channel, or);
-        scratch.committed_bits.push(heard);
+        sigma.push(heard);
         if or && !heard {
             // An erasure, witnessed by exactly the parties that beeped.
-            let mut row = scratch.pool.pop().unwrap_or_default();
+            let mut row = pool.pop().unwrap_or_default();
             row.clear();
-            row.extend_from_slice(&scratch.viol);
-            row_or(&mut scratch.flags, &row);
-            scratch.marks.push((scratch.committed_bits.len() - 1, row));
+            row.extend_from_slice(viol);
+            row_or(flags, &row);
+            marks.push((sigma.len() - 1, row));
         }
         slot += 1;
-        rounds += 1;
-        energy += beeps;
-        phase_rounds.chunk += 1;
+        tally.chunk(1, beeps);
 
         // --- The checks scheduled after this slot, then possibly the
         // final confirmation (mirrors `start_check`/`after_checks`).
-        scratch.levels.clear();
-        for j in 1..=max_level {
-            if !slot.is_multiple_of(1usize << j) {
-                break;
-            }
-            scratch.levels.push(j);
-        }
+        scheduled.clear();
+        scheduled.extend(levels(slot, max_level));
         let mut li = 0usize;
         let mut is_final = false;
         loop {
-            if li >= scratch.levels.len() {
+            if li >= scheduled.len() {
                 // `after_checks`: transcript complete → final check,
                 // otherwise back to a data round.
-                if scratch.committed_bits.len() >= t {
-                    scratch.levels.clear();
-                    scratch.levels.push(max_level);
+                if sigma.len() >= t {
+                    scheduled.clear();
+                    scheduled.push(max_level);
                     li = 0;
                     is_final = true;
                     continue;
                 }
                 break;
             }
-            let level = scratch.levels[li];
+            let level = scheduled[li];
             li += 1;
             let rounds_in_level = if is_final { final_rounds } else { base * level };
-            if budget - rounds < rounds_in_level {
-                return Err(exhausted(scratch));
-            }
-            let flag_count = row_count(&scratch.flags);
-            let or = flag_count > 0;
-            let heard_any = ones(channel, rounds_in_level, or) > 0;
-            rounds += rounds_in_level;
-            energy += rounds_in_level * flag_count;
-            phase_rounds.verify += rounds_in_level;
+            tally.fits(rounds_in_level, sigma)?;
+            let flag_count = row_count(flags);
+            let heard_any = ones(channel, rounds_in_level, flag_count > 0) > 0;
+            tally.verify(rounds_in_level, rounds_in_level * flag_count);
             if heard_any {
                 // A heard flag is never false under 1→0 noise.
-                rewinds += 1;
-                let new_len = scratch.committed_bits.len().saturating_sub(1usize << level);
-                scratch.committed_bits.truncate(new_len);
-                while scratch.marks.last().is_some_and(|(p, _)| *p >= new_len) {
-                    let (_, row) = scratch.marks.pop().expect("checked non-empty");
-                    scratch.pool.push(row);
+                tally.rewinds += 1;
+                let new_len = sigma.len().saturating_sub(1usize << level);
+                sigma.truncate(new_len);
+                while marks.last().is_some_and(|(p, _)| *p >= new_len) {
+                    let (_, row) = marks.pop().expect("checked non-empty");
+                    pool.push(row);
                 }
-                scratch.flags.clear();
-                scratch.flags.resize(words, 0);
-                for (_, row) in scratch.marks.iter() {
-                    row_or(&mut scratch.flags, row);
+                row_clear(flags, words);
+                for (_, row) in marks.iter() {
+                    row_or(flags, row);
                 }
                 if is_final {
                     // Confirmation failed: back through `after_checks`.
-                    li = scratch.levels.len();
+                    li = scheduled.len();
                     is_final = false;
                     continue;
                 }
@@ -1008,181 +1148,21 @@ pub(crate) fn one_to_zero_collapsed_over<P: Protocol>(
         }
     };
     debug_assert!(done);
-
-    let mut transcript = Vec::with_capacity(t);
-    transcript.extend_from_slice(&scratch.committed_bits[..t]);
-    let mut outputs = Vec::with_capacity(n);
-    for (i, input) in inputs.iter().enumerate() {
-        outputs.push(protocol.output(i, input, &transcript));
-    }
-    let stats = SimStats {
-        channel_rounds: rounds,
-        phase_rounds,
-        protocol_rounds: t,
-        chunks_committed: 0,
-        rewinds,
-        agreement: true,
-        energy,
-        corrupted_rounds: channel.corrupted_rounds() - corrupted_before,
-    };
-    Ok(SimOutcome::new(transcript, outputs, stats))
-}
-
-/// Binary-search steps for a window of `w + 1` candidate boundaries —
-/// the collapsed `HierParty::steps_for`, kept operation-for-operation
-/// identical so both paths walk the same search schedule.
-fn steps_for(w: usize) -> usize {
-    (usize::BITS - w.next_power_of_two().leading_zeros()) as usize + 1
-}
-
-/// Assembles the progress-check flag row for chunk boundary `boundary`
-/// into `scratch.flags` and returns its popcount. A party flags the
-/// boundary iff its `flag_for_boundary` walk over the first `boundary`
-/// chunks finds a violation, which is exactly bit `i` of the cumulative
-/// violation OR through chunk `boundary - 1`: `O(1)` from the stack
-/// inside the retention window, recomputed from the committed transcript
-/// (digest-checked chunk by chunk) when a deep check probes past it.
-fn boundary_flags<P: Protocol>(
-    protocol: &P,
-    inputs: &[P::Input],
-    words: usize,
-    boundary: usize,
-    scratch: &mut SoaScratch,
-) -> usize {
-    let n = protocol.num_parties();
-    let SoaScratch {
-        flags,
-        viol,
-        committed_bits,
-        committed_owners,
-        chunk_lens,
-        stack,
-        ..
-    } = scratch;
-    flags.clear();
-    if boundary == 0 {
-        flags.resize(words, 0);
-        return 0;
-    }
-    if let Some(cum) = stack[boundary - 1].cum.as_ref() {
-        flags.extend_from_slice(cum);
-        return row_count(flags);
-    }
-    // Evicted entries form a prefix of the stack, so everything below
-    // `boundary` needs one transcript pass (the same work one scalar
-    // party's `flag_for_boundary` does).
-    flags.resize(words, 0);
-    let mut pos = 0usize;
-    for (k, &clen) in chunk_lens.iter().take(boundary).enumerate() {
-        viol.clear();
-        viol.resize(words, 0);
-        for _ in 0..clen {
-            let prefix = &committed_bits[..pos];
-            if !committed_bits[pos] {
-                for (i, input) in inputs.iter().enumerate() {
-                    if protocol.beep(i, input, prefix) {
-                        row_set(viol, i);
-                    }
-                }
-            } else {
-                match committed_owners[pos] {
-                    None => row_fill(viol, n),
-                    Some(owner) => {
-                        if !protocol.beep(owner, &inputs[owner], prefix) {
-                            row_set(viol, owner);
-                        }
-                    }
-                }
-            }
-            pos += 1;
-        }
-        debug_assert_eq!(
-            row_digest(viol),
-            stack[k].viol_digest,
-            "recomputed violation row diverged from its commit-time digest"
-        );
-        row_or(flags, viol);
-    }
-    row_count(flags)
-}
-
-/// Truncates the committed prefix to exactly `boundary` chunks — the
-/// collapsed `HierParty::truncate_to`, plus the stack bookkeeping: one
-/// entry per popped chunk goes back to the pool, and if the pops expose
-/// an evicted row the retention window is re-derived from the
-/// transcript. Returns whether anything was truncated (the scalar
-/// counts those as rewinds).
-fn truncate_chunks<P: Protocol>(
-    protocol: &P,
-    inputs: &[P::Input],
-    words: usize,
-    window: usize,
-    boundary: usize,
-    scratch: &mut SoaScratch,
-) -> bool {
-    if boundary >= scratch.chunk_lens.len() {
-        return false;
-    }
-    let n = protocol.num_parties();
-    let mut keep = 0usize;
-    for &len in scratch.chunk_lens.iter().take(boundary) {
-        keep += len;
-    }
-    scratch.committed_bits.truncate(keep);
-    scratch.committed_owners.truncate(keep);
-    scratch.chunk_lens.truncate(boundary);
-    scratch.working.truncate(keep);
-    while scratch.stack.len() > boundary {
-        if let Some(entry) = scratch.stack.pop() {
-            if let Some(buf) = entry.cum {
-                scratch.pool.push(buf);
-            }
-        }
-    }
-    if scratch.stack.last().is_some_and(|e| e.cum.is_none()) {
-        let SoaScratch {
-            committed_bits,
-            committed_owners,
-            chunk_lens,
-            stack,
-            pool,
-            ..
-        } = &mut *scratch;
-        rematerialize_window(chunk_lens, stack, pool, words, window, |m, viol| {
-            let prefix = &committed_bits[..m];
-            if !committed_bits[m] {
-                for (i, input) in inputs.iter().enumerate() {
-                    if protocol.beep(i, input, prefix) {
-                        row_set(viol, i);
-                    }
-                }
-            } else {
-                match committed_owners[m] {
-                    None => row_fill(viol, n),
-                    Some(owner) => {
-                        if !protocol.beep(owner, &inputs[owner], prefix) {
-                            row_set(viol, owner);
-                        }
-                    }
-                }
-            }
-        });
-    }
-    true
+    Ok(tally.finish(protocol, inputs, prefix, channel))
 }
 
 /// The collapsed hierarchical engine (Appendix D.2): chunks commit
 /// provisionally after the owners phase and binary-search progress
 /// checks repair damage with exact back-jumps. Each check vote needs
 /// every party's prefix-cleanliness flag for a probed boundary, which
-/// [`boundary_flags`] reads off the cumulative violation stack instead
-/// of `n` transcript walks. The scalar path arms the *first* vote of the
-/// final full-coverage confirmation with `my_flag: false` for every
-/// party (without consulting `flag_for_boundary`) — only fallback votes
-/// after a flagged confirmation probe real flags — and the collapsed
-/// engine replicates that silent first vote exactly. `code` is the
-/// owners code of `config`, built once by the caller. Caller guarantees
-/// `model` is a validated shared-delivery model.
+/// [`Committed::boundary_flags`] reads off the cumulative violation stack
+/// instead of `n` transcript walks. The per-party path arms the *first*
+/// vote of the final full-coverage confirmation with a `false` flag for
+/// every party (without walking its prefix) — only fallback votes after
+/// a flagged confirmation probe real flags — and the collapsed engine
+/// replicates that silent first vote exactly. `code` is the owners code
+/// of `config`, built once by the caller. Caller guarantees `model` is a
+/// validated shared-delivery model.
 pub(crate) fn hierarchical_collapsed_over<P: Protocol>(
     protocol: &P,
     config: &SimulatorConfig,
@@ -1192,319 +1172,71 @@ pub(crate) fn hierarchical_collapsed_over<P: Protocol>(
     channel: &mut StochasticChannel,
     scratch: &mut SoaScratch,
 ) -> Result<SimOutcome<P::Output>, SimError> {
-    let n = protocol.num_parties();
-    assert_eq!(inputs.len(), n, "need one input per party");
-    let t = protocol.length();
-    let resolved = config.resolve(model);
-    let code_len = code.codeword_len();
-    let r = config.repetitions;
-    let v = config.verify_repetitions;
-    let words = n.div_ceil(64);
-    let window = config.verify_window.max(1);
-
-    // Same budget formula and level schedule as
-    // `HierarchicalSimulator::simulate_over`.
-    let chunks_needed = t.div_ceil(config.chunk_len).max(1);
-    let max_level = (usize::BITS - chunks_needed.next_power_of_two().leading_zeros()) as usize + 1;
-    let per_iter = config.chunk_len * r
-        + OwnersState::channel_rounds(config.chunk_len, n, config.code_len)
-        + v * 4;
-    let budget = (config.budget_factor * (chunks_needed * per_iter) as f64).ceil() as usize
-        + v * (max_level + 2) * (max_level + 2) * 4;
-
-    scratch.reset();
+    let names = Names {
+        chunk: "sim.hierarchical.chunk",
+        verify: "sim.hierarchical.verify",
+        rematerialize: "sim.hierarchical.rematerialize",
+    };
+    let run = ChunkedRun::new(protocol, inputs, config, model, names, scratch);
+    let max_level = hierarchical::max_level(config, run.t);
+    let mut tally = Tally::new(run.t, hierarchical::budget(config, run.n, run.t), channel);
     load_codewords(code, scratch);
-    let corrupted_before = channel.corrupted_rounds();
-    let mut rounds = 0usize;
-    let mut energy = 0usize;
-    let mut phase_rounds = PhaseRounds::default();
-    let mut truncations = 0usize;
     let mut iteration = 0usize;
-
-    let exhausted = |scratch: &SoaScratch| SimError::BudgetExhausted {
-        rounds_used: budget,
-        committed: scratch.committed_bits.len().min(t),
-    };
-    // The level-scaled vote threshold, float-for-float the scalar's.
-    let flagged_at = |ones: usize, vote_len: usize| {
-        let per = resolved.verify_ones as f64 / v as f64;
-        ones as f64 >= (per * vote_len as f64).max(1.0)
-    };
-
-    'outer: loop {
-        let remaining = t.saturating_sub(scratch.committed_bits.len());
-        if remaining == 0 {
+    loop {
+        let Some(len) = scratch.committed.prefix.next_chunk(run.t, config.chunk_len) else {
             // --- Final full-coverage confirmation at `max_level`. The
             // first vote is unarmed (everyone beeps `false`, zero
             // energy); hearing a flag anyway (noise can invent ones)
             // falls back into an armed binary search over the whole
             // prefix, after which chunking resumes.
-            let committed = scratch.chunk_lens.len();
-            let vote_len = v * (max_level + 1);
-            let final_span = beeps_observe::phase("sim.hierarchical.verify");
-            if budget - rounds < vote_len {
-                return Err(exhausted(scratch));
-            }
+            let committed = scratch.committed.prefix.chunk_lens.len();
+            let vote_len = run.v * (max_level + 1);
+            let final_span = beeps_observe::phase(run.names.verify);
+            tally.fits(vote_len, &scratch.committed.prefix.bits)?;
             let final_ones = ones(channel, vote_len, false);
-            rounds += vote_len;
-            phase_rounds.verify += vote_len;
+            tally.verify(vote_len, 0);
             drop(final_span);
-            if !flagged_at(final_ones, vote_len) {
-                break 'outer;
+            if !flagged(&run.resolved, run.v, final_ones, vote_len) {
+                break;
             }
-            let mut lo = 0usize;
-            let mut hi = committed - 1;
-            let mut steps_left = steps_for(hi - lo);
-            if steps_left == 0 || hi < lo {
-                if truncate_chunks(protocol, inputs, words, window, lo, scratch) {
-                    truncations += 1;
-                    beeps_observe::mark("sim.hierarchical.truncate");
-                }
-                continue 'outer;
-            }
-            loop {
-                let boundary = (lo + hi).div_ceil(2);
-                let flag_count = boundary_flags(protocol, inputs, words, boundary, scratch);
-                let or = flag_count > 0;
-                let vote_span = beeps_observe::phase("sim.hierarchical.verify");
-                if budget - rounds < vote_len {
-                    return Err(exhausted(scratch));
-                }
-                let ones = ones(channel, vote_len, or);
-                rounds += vote_len;
-                energy += vote_len * flag_count;
-                phase_rounds.verify += vote_len;
-                drop(vote_span);
-                if flagged_at(ones, vote_len) {
-                    hi = boundary - 1;
-                } else {
-                    lo = boundary;
-                }
-                steps_left = steps_left.saturating_sub(1);
-                if steps_left == 0 || lo >= hi {
-                    break;
-                }
-            }
-            if truncate_chunks(protocol, inputs, words, window, lo, scratch) {
-                truncations += 1;
-                beeps_observe::mark("sim.hierarchical.truncate");
-            }
-            continue 'outer;
-        }
-        let len = remaining.min(config.chunk_len);
-        assert!(
-            len < code.alphabet_size(),
-            "chunk of {len} rounds needs an alphabet of at least {} symbols",
-            len + 1
-        );
-
-        // --- Chunk phase: `len` simulated rounds, R channel rounds
-        // each, beep rows recorded for the owners and check phases.
-        let chunk_span = beeps_observe::phase("sim.hierarchical.chunk");
-        scratch.bits.clear();
-        scratch.cols.clear();
-        scratch.cols.resize(len * words, 0);
-        for j in 0..len {
-            if budget - rounds < r {
-                return Err(exhausted(scratch));
-            }
-            let col = &mut scratch.cols[j * words..(j + 1) * words];
-            let mut beeps = 0usize;
-            for (i, input) in inputs.iter().enumerate() {
-                if protocol.beep(i, input, &scratch.working) {
-                    row_set(col, i);
-                    beeps += 1;
-                }
-            }
-            let or = beeps > 0;
-            let ones = ones(channel, r, or);
-            let bit = ones >= resolved.rep_ones;
-            scratch.bits.push(bit);
-            scratch.working.push(bit);
-            energy += r * beeps;
-            rounds += r;
-            phase_rounds.chunk += r;
-        }
-        drop(chunk_span);
-
-        // --- Owners phase: the same body as the rewind engine's.
-        let Some(owners_energy) = owners_collapsed(
+            run.search(0, committed - 1, vote_len, &mut tally, channel, scratch)?;
+            continue;
+        };
+        run.chunk_and_owners(
             "sim.hierarchical.owners",
-            n,
+            len,
             code,
-            model,
-            budget - rounds,
+            &mut tally,
             channel,
             scratch,
-        ) else {
-            return Err(exhausted(scratch));
-        };
-        let owners_rounds = OwnersState::channel_rounds(len, n, code_len);
-        energy += owners_energy;
-        rounds += owners_rounds;
-        phase_rounds.owners += owners_rounds;
+        )?;
 
         // --- Provisional commit: no verification gate — the progress
         // checks repair damage after the fact. The chunk's violation
-        // row is computed from the recorded beep rows and pushed onto
-        // the cumulative stack so later boundary votes are O(1).
-        scratch.viol.clear();
-        scratch.viol.resize(words, 0);
-        for j in 0..len {
-            let col = &scratch.cols[j * words..(j + 1) * words];
-            if !scratch.bits[j] {
-                row_or(&mut scratch.viol, col);
-            } else {
-                match scratch.chunk_owners[j] {
-                    None => {
-                        row_fill(&mut scratch.viol, n);
-                        break;
-                    }
-                    Some(owner) => {
-                        if !row_get(col, owner) {
-                            row_set(&mut scratch.viol, owner);
-                        }
-                    }
-                }
-            }
-        }
-        scratch.committed_bits.extend_from_slice(&scratch.bits);
+        // row is pushed onto the cumulative stack so later boundary
+        // votes are O(1).
+        row_clear(&mut scratch.viol, run.words);
+        run.chunk_violation(scratch);
         scratch
-            .committed_owners
-            .extend_from_slice(&scratch.chunk_owners);
-        scratch.chunk_lens.push(scratch.bits.len());
-        let mut cum = scratch.pool.pop().unwrap_or_default();
-        cum.clear();
-        cum.extend_from_slice(&scratch.viol);
-        if let Some(top) = scratch.stack.last() {
-            let prev = top.row();
-            row_or(&mut cum, prev);
-        }
-        scratch.stack.push(CumEntry {
-            cum: Some(cum),
-            viol_digest: row_digest(&scratch.viol),
-        });
-        if scratch.stack.len() > window {
-            let evict = scratch.stack.len() - window - 1;
-            if let Some(buf) = scratch.stack[evict].cum.take() {
-                scratch.pool.push(buf);
-            }
-        }
+            .committed
+            .commit(&scratch.chunk_owners, &scratch.viol);
         iteration += 1;
 
         // --- Progress checks: level 0 every iteration plus the
         // binary-counter schedule of higher levels.
-        scratch.levels.clear();
-        scratch.levels.push(0);
-        for j in 1..=max_level {
-            if !iteration.is_multiple_of(1usize << j) {
-                break;
-            }
-            scratch.levels.push(j);
-        }
-        let mut li = 0usize;
-        while li < scratch.levels.len() {
-            let level = scratch.levels[li];
-            li += 1;
-            let committed = scratch.chunk_lens.len();
-            let win = committed.min(1usize << level);
-            let mut lo = committed - win;
-            let mut hi = committed;
-            let mut steps_left = steps_for(win);
-            let vote_len = v * (level + 1);
-            loop {
-                let boundary = (lo + hi).div_ceil(2);
-                let flag_count = boundary_flags(protocol, inputs, words, boundary, scratch);
-                let or = flag_count > 0;
-                let vote_span = beeps_observe::phase("sim.hierarchical.verify");
-                if budget - rounds < vote_len {
-                    return Err(exhausted(scratch));
-                }
-                let ones = ones(channel, vote_len, or);
-                rounds += vote_len;
-                energy += vote_len * flag_count;
-                phase_rounds.verify += vote_len;
-                drop(vote_span);
-                if flagged_at(ones, vote_len) {
-                    hi = boundary - 1;
-                } else {
-                    lo = boundary;
-                }
-                steps_left = steps_left.saturating_sub(1);
-                if steps_left == 0 || lo >= hi {
-                    break;
-                }
-            }
-            if truncate_chunks(protocol, inputs, words, window, lo, scratch) {
-                truncations += 1;
-                beeps_observe::mark("sim.hierarchical.truncate");
-            }
+        for level in std::iter::once(0).chain(levels(iteration, max_level)) {
+            let committed = scratch.committed.prefix.chunk_lens.len();
+            let window = committed.min(1usize << level);
+            let vote_len = run.v * (level + 1);
+            run.search(
+                committed - window,
+                committed,
+                vote_len,
+                &mut tally,
+                channel,
+                scratch,
+            )?;
         }
     }
-
-    let mut transcript = Vec::with_capacity(t);
-    transcript.extend_from_slice(&scratch.committed_bits[..t]);
-    let mut outputs = Vec::with_capacity(n);
-    for (i, input) in inputs.iter().enumerate() {
-        outputs.push(protocol.output(i, input, &transcript));
-    }
-    let stats = SimStats {
-        channel_rounds: rounds,
-        phase_rounds,
-        protocol_rounds: t,
-        chunks_committed: scratch.chunk_lens.len(),
-        rewinds: truncations,
-        agreement: true,
-        energy,
-        corrupted_rounds: channel.corrupted_rounds() - corrupted_before,
-    };
-    Ok(SimOutcome::new(transcript, outputs, stats))
-}
-
-/// Recomputes the violation rows of the committed prefix after a rewind
-/// popped past the retention window: one pass over the transcript
-/// re-evaluating the protocol (the same work one scalar verification
-/// does), re-materializing exact cumulative rows for the top `window`
-/// chunks and leaving deeper chunks evicted. `viol_for_round` sets the
-/// violation bits of one committed round into a zeroed row — each
-/// scheme supplies its own flag conditions. Each recomputed row is
-/// checked against the digest recorded at commit time.
-fn rematerialize_window(
-    chunk_lens: &[usize],
-    stack: &mut [CumEntry],
-    pool: &mut Vec<Vec<u64>>,
-    words: usize,
-    window: usize,
-    mut viol_for_round: impl FnMut(usize, &mut Vec<u64>),
-) {
-    let keep_from = stack.len().saturating_sub(window);
-    let mut running = pool.pop().unwrap_or_default();
-    running.clear();
-    running.resize(words, 0);
-    let mut viol = pool.pop().unwrap_or_default();
-    let mut pos = 0usize;
-    for (k, &clen) in chunk_lens.iter().enumerate() {
-        viol.clear();
-        viol.resize(words, 0);
-        for _ in 0..clen {
-            viol_for_round(pos, &mut viol);
-            pos += 1;
-        }
-        debug_assert_eq!(
-            row_digest(&viol),
-            stack[k].viol_digest,
-            "recomputed violation row diverged from its commit-time digest"
-        );
-        row_or(&mut running, &viol);
-        if k >= keep_from {
-            let mut cum = pool.pop().unwrap_or_default();
-            cum.clear();
-            cum.extend_from_slice(&running);
-            if let Some(buf) = stack[k].cum.replace(cum) {
-                pool.push(buf);
-            }
-        }
-    }
-    pool.push(viol);
-    pool.push(running);
+    Ok(tally.finish(protocol, inputs, &scratch.committed.prefix, channel))
 }

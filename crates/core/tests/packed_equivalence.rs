@@ -539,16 +539,15 @@ fn sparse_and_forced_dense_deliveries_agree_across_regimes() {
 /// Windowed committed-transcript retention is a pure memory
 /// optimization: sweeping the verification window from its minimum to
 /// effectively unbounded must not move a bit of any collapsed scheme's
-/// transcript, outputs, or stats relative to the default window, in any
-/// regime.
+/// full `Result` relative to the default window, in any regime.
 #[test]
 fn windowed_retention_matches_full_for_every_scheme() {
     let p = InputSet::new(4);
     let inputs = [1, 5, 5, 2];
     let owned_p = RollCall::new(8);
     let owned_inputs = [true, false, true, true, false, false, true, false];
-    let config = |window: Option<usize>| {
-        let mut b = SimulatorConfig::builder(4).model(NoiseModel::Correlated { epsilon: 0.1 });
+    let config = |n: usize, window: Option<usize>| {
+        let mut b = SimulatorConfig::builder(n).model(NoiseModel::Correlated { epsilon: 0.1 });
         if let Some(w) = window {
             b = b.verify_window(w);
         }
@@ -556,67 +555,121 @@ fn windowed_retention_matches_full_for_every_scheme() {
     };
     for model in models() {
         for seed in 0..2 {
-            let reference = RewindSimulator::new(&p, config(None)).simulate(&inputs, model, seed);
-            let hier_ref =
-                HierarchicalSimulator::new(&p, config(None)).simulate(&inputs, model, seed);
+            let rewind = |window| RewindSimulator::new(&p, config(4, window));
+            let hier = |window| HierarchicalSimulator::new(&p, config(4, window));
+            let owned = |window| OwnedRoundsSimulator::new(&owned_p, config(8, window));
+            let reference = rewind(None).simulate(&inputs, model, seed);
+            let hier_ref = hier(None).simulate(&inputs, model, seed);
+            let owned_ref = owned(None).simulate(&owned_inputs, model, seed);
             for window in [1usize, 2, usize::MAX] {
-                let windowed =
-                    RewindSimulator::new(&p, config(Some(window))).simulate(&inputs, model, seed);
-                match (&reference, &windowed) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(
-                            a.transcript(),
-                            b.transcript(),
-                            "rewind window {window} over {model} seed {seed}"
-                        );
-                        assert_eq!(a.outputs(), b.outputs());
-                        assert_eq!(a.stats(), b.stats());
-                    }
-                    (a, b) => assert_eq!(a.is_err(), b.is_err(), "window {window} over {model}"),
-                }
-                let hier = HierarchicalSimulator::new(&p, config(Some(window)))
-                    .simulate(&inputs, model, seed);
-                match (&hier_ref, &hier) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(
-                            a.transcript(),
-                            b.transcript(),
-                            "hierarchical window {window} over {model} seed {seed}"
-                        );
-                        assert_eq!(a.stats(), b.stats());
-                    }
-                    (a, b) => assert_eq!(a.is_err(), b.is_err(), "window {window} over {model}"),
-                }
-            }
-            let owned_config = |window: Option<usize>| {
-                let mut b =
-                    SimulatorConfig::builder(8).model(NoiseModel::Correlated { epsilon: 0.1 });
-                if let Some(w) = window {
-                    b = b.verify_window(w);
-                }
-                b.build()
-            };
-            let owned_ref = OwnedRoundsSimulator::new(&owned_p, owned_config(None)).simulate(
-                &owned_inputs,
-                model,
-                seed,
-            );
-            for window in [1usize, usize::MAX] {
-                let owned = OwnedRoundsSimulator::new(&owned_p, owned_config(Some(window)))
-                    .simulate(&owned_inputs, model, seed);
-                match (&owned_ref, &owned) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(
-                            a.transcript(),
-                            b.transcript(),
-                            "owned_rounds window {window} over {model} seed {seed}"
-                        );
-                        assert_eq!(a.stats(), b.stats());
-                    }
-                    (a, b) => assert_eq!(a.is_err(), b.is_err(), "window {window} over {model}"),
+                let context = format!("window {window} over {model} seed {seed}");
+                assert_matches_oracle(
+                    reference.clone(),
+                    rewind(Some(window)).simulate(&inputs, model, seed),
+                    &format!("rewind {context}"),
+                );
+                assert_matches_oracle(
+                    hier_ref.clone(),
+                    hier(Some(window)).simulate(&inputs, model, seed),
+                    &format!("hierarchical {context}"),
+                );
+                if window != 2 {
+                    assert_matches_oracle(
+                        owned_ref.clone(),
+                        owned(Some(window)).simulate(&owned_inputs, model, seed),
+                        &format!("owned_rounds {context}"),
+                    );
                 }
             }
         }
+    }
+}
+
+/// Records the marks emitted on the thread it is installed on.
+#[derive(Default)]
+struct Marks(std::sync::Mutex<Vec<&'static str>>);
+
+impl beeps_observe::Observer for Marks {
+    fn on_mark(&self, _worker: usize, name: &'static str, _at: u64) {
+        self.0.lock().expect("marks lock").push(name);
+    }
+}
+
+/// Runs `sim` over 64 seeds, holding each collapsed `simulate` run to
+/// the per-party oracle's full `Result`, and returns the failed runs and
+/// the `sim.<scheme>.rematerialize` marks the collapsed runs emitted.
+fn window_edge_runs<I, O: PartialEq + Debug>(
+    sim: &dyn Simulator<I, O>,
+    inputs: &[I],
+    model: NoiseModel,
+) -> (usize, usize) {
+    let marks = std::sync::Arc::new(Marks::default());
+    let mut failed = 0usize;
+    {
+        let _guard = beeps_observe::install(std::sync::Arc::clone(&marks) as _, 0);
+        for seed in 0..64 {
+            let oracle = sim.simulate_over(
+                inputs,
+                model,
+                &mut StochasticChannel::new(inputs.len(), model, seed),
+            );
+            let context = format!("{} {model} seed {seed}", sim.name());
+            failed += usize::from(assert_matches_oracle(
+                sim.simulate(inputs, model, seed),
+                oracle,
+                &context,
+            ));
+        }
+    }
+    let name = format!("sim.{}.rematerialize", sim.name());
+    let marks = marks.0.lock().expect("marks lock");
+    (failed, marks.iter().filter(|&&mark| mark == name).count())
+}
+
+/// The window edge: two-round chunks and windows of one and two rows
+/// make rewinds and truncations cut past the retained rows, so the
+/// collapsed rewind, owned-rounds and hierarchical engines re-derive
+/// evicted rows from the transcript. Each must still match the
+/// per-party oracle, through budget-starved runs, and the
+/// rematerialize marks prove the path ran.
+#[test]
+fn window_edge_rematerialization_matches_oracle() {
+    let model = NoiseModel::Correlated { epsilon: 0.2 };
+    let config = |n: usize, budget_factor: f64, window: usize| {
+        SimulatorConfig::builder(n)
+            .model(model)
+            .chunk_len(2)
+            .budget_factor(budget_factor)
+            .verify_window(window)
+            .build()
+    };
+    let input_set = InputSet::new(4);
+    let inputs = [1, 5, 5, 2];
+    let roll_call = RollCall::new(8);
+    let flags = [true, false, true, true, false, false, true, false];
+    // Per scheme (rewind, owned rounds, hierarchical): failed runs and
+    // rematerializations over both windows.
+    let mut totals = [(0usize, 0usize); 3];
+    for window in [1usize, 2] {
+        let rewind = RewindSimulator::new(&input_set, config(4, 1.0, window));
+        let owned = OwnedRoundsSimulator::new(&roll_call, config(8, 1.0, window));
+        let hierarchical = HierarchicalSimulator::new(&input_set, config(4, 0.3, window));
+        let runs = [
+            window_edge_runs(&rewind, &inputs, model),
+            window_edge_runs(&owned, &flags, model),
+            window_edge_runs(&hierarchical, &inputs, model),
+        ];
+        for (total, (failed, rematerialized)) in totals.iter_mut().zip(runs) {
+            total.0 += failed;
+            total.1 += rematerialized;
+        }
+    }
+    for (scheme, (failed, rematerialized)) in ["rewind", "owned_rounds", "hierarchical"]
+        .into_iter()
+        .zip(totals)
+    {
+        assert!(failed > 0, "{scheme}: starved budget never exhausted");
+        assert!(rematerialized > 0, "{scheme}: no rematerialization");
     }
 }
 

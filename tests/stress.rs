@@ -1,13 +1,11 @@
-//! Long-running statistical stress tests, `#[ignore]`d by default.
+//! Statistical stress tests: seed counts and sizes pushed far enough to
+//! expose rare-event bugs (decode miscorrections, rewind livelocks,
+//! agreement breaks) with real statistical power. They run with the rest
+//! of the suite (about a second in a debug build on two cores):
 //!
 //! ```text
-//! cargo test --release --test stress -- --ignored
+//! cargo test --test stress
 //! ```
-//!
-//! The default suite keeps per-test wall-clock small; these runs push the
-//! seed counts and sizes far enough to expose rare-event bugs (decode
-//! miscorrections, rewind livelocks, agreement breaks) with real
-//! statistical power.
 
 use noisy_beeps::channel::{run_noiseless, NoiseModel};
 use noisy_beeps::core::{
@@ -17,7 +15,6 @@ use noisy_beeps::protocols::{InputSet, LeaderElection, Membership};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 #[test]
-#[ignore = "minutes-long statistical sweep"]
 fn rewind_scheme_hundreds_of_seeds() {
     let n = 12;
     let p = InputSet::new(n);
@@ -38,7 +35,6 @@ fn rewind_scheme_hundreds_of_seeds() {
 }
 
 #[test]
-#[ignore = "minutes-long statistical sweep"]
 fn hierarchical_scheme_hundreds_of_seeds() {
     let n = 10;
     let p = LeaderElection::new(n, 12);
@@ -59,7 +55,6 @@ fn hierarchical_scheme_hundreds_of_seeds() {
 }
 
 #[test]
-#[ignore = "minutes-long statistical sweep"]
 fn one_to_zero_scheme_long_protocols() {
     // T = 2000-round protocols at the paper's eps = 1/3: the hierarchy of
     // checkpoints must hold the error probability down across hundreds of
@@ -85,7 +80,6 @@ fn one_to_zero_scheme_long_protocols() {
 }
 
 #[test]
-#[ignore = "minutes-long statistical sweep"]
 fn independent_noise_agreement_at_scale() {
     let n = 48;
     let p = InputSet::new(n);
@@ -118,7 +112,6 @@ fn independent_noise_agreement_at_scale() {
 }
 
 #[test]
-#[ignore = "minutes-long statistical sweep"]
 fn deep_membership_under_paper_noise() {
     // The heaviest adaptive workload at the paper's exposition rate.
     let p = Membership::new(6, 32);
