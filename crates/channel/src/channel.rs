@@ -20,15 +20,19 @@
 //! draws, flips and counts exactly as the same rounds delivered one at
 //! a time (pinned by `tests/proptests.rs`).
 //!
-//! Independent-noise flips land in per-round *buckets* of flipped-party
-//! indices, delivered as [`Delivery::Sparse`] when a round's flip count
-//! stays below [`sparse_crossover`] and expanded to a dense
-//! [`Delivery::PerParty`] row above it — so both delivery work and
-//! memory traffic scale with `εn` instead of `n` in the common lightly
-//! corrupted round. A word of up to 64 rounds
-//! ([`Channel::transmit_word`]) skips the per-round deliveries: each
-//! bucket's flips are XORed straight into the flipped parties' heard
-//! words.
+//! Independent-noise flips are drawn 64 rounds at a time into one
+//! *flip mask* per party that flips in the block: an ascending list of
+//! `(party, mask)` pairs, bit `r` of the mask set if the party's copy
+//! flips in block round `r`. A word of up to 64 rounds
+//! ([`Channel::transmit_word`]) XORs each listed party's shifted mask
+//! into its heard word and counts corrupted rounds with a popcount of
+//! the masks' OR, so it costs O(n + parties flipped in the block) and
+//! nothing per flip beyond its gap draw. A single round reads its
+//! sorted flip list off the same masks, delivered as
+//! [`Delivery::Sparse`] when the flip count stays below
+//! [`sparse_crossover`] and expanded to a dense [`Delivery::PerParty`]
+//! row above it — so both delivery work and memory traffic scale with
+//! `εn` instead of `n` in the common lightly corrupted round.
 
 use crate::bits::BitVec;
 use crate::noise::{Delivery, NoiseModel};
@@ -128,13 +132,16 @@ fn seed_calendar(
 }
 
 /// The independent-noise skip sampler of a [`StochasticChannel`]:
-/// per-party geometric skips expanded into 64-round blocks of per-round
-/// flipped-party buckets.
+/// per-party geometric skips expanded into 64-round blocks, each held
+/// as one flip mask per party that flips in it.
 #[derive(Debug)]
 struct IndependentSampler {
-    /// `buckets[r]`: ascending indices of the parties flipped in
-    /// block round `r`.
-    buckets: Vec<Vec<u32>>,
+    /// The block's flips: `(party, mask)` in ascending party order, one
+    /// entry per party that flips in the block, bit `r` of the mask set
+    /// if it flips in block round `r`.
+    masks: Vec<(u32, u64)>,
+    /// Scratch for a single round's flip list, one slot per mask.
+    round_flips: Vec<u32>,
     /// Next unconsumed round offset in the block; `BLOCK_ROUNDS`
     /// forces a refill.
     offset: usize,
@@ -164,7 +171,8 @@ impl IndependentSampler {
         let mut calendar = std::collections::BTreeMap::new();
         seed_calendar(&mut calendar, n, gap, rng);
         Self {
-            buckets: vec![Vec::new(); BLOCK_ROUNDS],
+            masks: Vec::new(),
+            round_flips: Vec::new(),
             offset: BLOCK_ROUNDS,
             calendar,
             block: 0,
@@ -173,28 +181,63 @@ impl IndependentSampler {
     }
 
     /// Returns the sampler to its just-constructed state (drawing from
-    /// `rng` in construction order) while reusing the bucket
-    /// allocations. Stale buckets are ignored because the reset offset
-    /// forces a bucket-clearing refill before the first delivery.
+    /// `rng` in construction order) while reusing the mask and flip
+    /// list allocations. The stale masks are never read: the reset
+    /// offset forces a refill, which clears them, before the first
+    /// delivery.
     fn restart(&mut self, n: usize, rng: &mut StdRng) {
         self.offset = BLOCK_ROUNDS;
         self.block = 0;
         seed_calendar(&mut self.calendar, n, self.gap, rng);
     }
 
-    /// Advances one round and returns the bucket of parties flipped in
-    /// it (ascending). The caller may `mem::take` the bucket; a taken
-    /// bucket is simply replaced by an empty one.
-    fn advance(&mut self, rng: &mut StdRng) -> &mut Vec<u32> {
+    /// Advances one round and returns the parties flipped in it, in
+    /// ascending order, read off the block's masks.
+    fn round(&mut self, rng: &mut StdRng) -> &[u32] {
         if self.offset == BLOCK_ROUNDS {
             self.refill(rng);
         }
-        let bucket = &mut self.buckets[self.offset];
+        let r = self.offset;
         self.offset += 1;
-        bucket
+        // Every party is written and the round's flippers kept, without
+        // a branch on the round's bit, which most masks lack. `kept`
+        // never passes the number of masks read, so its slot exists.
+        self.round_flips.resize(self.masks.len(), 0);
+        let mut kept = 0;
+        for &(p, mask) in &self.masks {
+            self.round_flips[kept] = p;
+            kept += ((mask >> r) & 1) as usize;
+        }
+        &self.round_flips[..kept]
     }
 
-    /// Rebuilds the flip buckets for the next block from the flip
+    /// Advances `len ≤ 64` rounds and XORs their flips into `heard`:
+    /// bit `k` of `heard[p]` toggles if party `p` flips in the `k`-th of
+    /// them. Returns how many of the rounds flipped any party.
+    fn flip_word(&mut self, rng: &mut StdRng, len: usize, heard: &mut [u64]) -> usize {
+        let mut corrupted = 0;
+        let mut k = 0;
+        while k < len {
+            if self.offset == BLOCK_ROUNDS {
+                self.refill(rng);
+            }
+            // The word's rounds k.. that fall in this block.
+            let take = (len - k).min(BLOCK_ROUNDS - self.offset);
+            let window = word_mask(take);
+            let mut any = 0u64;
+            for &(p, mask) in &self.masks {
+                let bits = (mask >> self.offset) & window;
+                heard[p as usize] ^= bits << k;
+                any |= bits;
+            }
+            corrupted += any.count_ones() as usize;
+            self.offset += take;
+            k += take;
+        }
+        corrupted
+    }
+
+    /// Rebuilds the flip masks for the next block from the flip
     /// calendar.
     ///
     /// Only the parties whose next flip lands in this block are
@@ -202,21 +245,21 @@ impl IndependentSampler {
     /// ascending party order with chained gap draws, exactly the points
     /// at which the full per-party skip walk this replaced consumed the
     /// RNG, so seeded flip sets are bitwise unchanged. Ascending party
-    /// order also leaves every bucket sorted as [`SparseDelivery::new`]
-    /// requires.
+    /// order also leaves the mask list sorted, so a round's flip list
+    /// comes out sorted as [`SparseDelivery::new`] requires.
     fn refill(&mut self, rng: &mut StdRng) {
-        for bucket in self.buckets.iter_mut() {
-            bucket.clear();
-        }
+        self.masks.clear();
         if let Some(mut due) = self.calendar.remove(&self.block) {
             due.sort_unstable();
             let base = self.block * BLOCK_ROUNDS as u64;
             for (p, off) in due {
+                let mut mask = 0u64;
                 let mut pos = u64::from(off);
                 while pos < BLOCK_ROUNDS as u64 {
-                    self.buckets[pos as usize].push(p);
+                    mask |= 1 << pos;
                     pos = next_flip_position(pos, self.gap, rng);
                 }
+                self.masks.push((p, mask));
                 calendar_insert(&mut self.calendar, p, base.saturating_add(pos));
             }
         }
@@ -401,10 +444,10 @@ enum Sampler {
     /// delivery scratch.
     Independent {
         rng: StdRng,
-        /// Per-round flip buckets behind the skip calendar.
+        /// Per-party flip masks behind the skip calendar.
         skipper: IndependentSampler,
-        /// Scratch row (`⌈n/64⌉` words) for expanding a bucket into a
-        /// dense delivery.
+        /// Scratch row (`⌈n/64⌉` words) for expanding a round's flip
+        /// list into a dense delivery.
         dense_row: Vec<u64>,
         /// Route every delivery through the dense path (see
         /// [`StochasticChannel::set_dense_deliveries`]).
@@ -580,15 +623,15 @@ impl StochasticChannel {
 
     /// Returns the channel to the state of [`StochasticChannel::new`]
     /// with the same party count and model but a fresh `seed`, reusing
-    /// the sampler's allocations (the independent-noise flip buckets
+    /// the sampler's allocations (the independent-noise flip masks
     /// and dense scratch row) — so a channel kept in a worker's scratch
     /// arena can serve many trials without per-trial allocation.
     ///
     /// Behavioral equivalence to a fresh channel is pinned by
     /// `reseeding_matches_a_fresh_channel` below: the RNG restarts from
     /// `seed` and the sampler re-draws its state in the same order as
-    /// construction (stale buckets are ignored because the reset
-    /// offset forces a bucket-clearing refill before the first
+    /// construction (stale masks are never read because the reset
+    /// offset forces a mask-clearing refill before the first
     /// delivery).
     pub fn reseed(&mut self, seed: u64) {
         let mut fresh = StdRng::seed_from_u64(seed);
@@ -689,24 +732,20 @@ impl Channel for StochasticChannel {
                 force_dense,
                 corrupted,
             } => {
-                let bucket = skipper.advance(rng);
-                if !bucket.is_empty() {
+                let flips = skipper.round(rng);
+                if !flips.is_empty() {
                     *corrupted += 1;
                 }
-                if *force_dense || bucket.len() >= sparse_crossover(n) {
-                    for word in dense_row.iter_mut() {
-                        *word = 0;
-                    }
-                    for &p in bucket.iter() {
+                if *force_dense || flips.len() >= sparse_crossover(n) {
+                    dense_row.fill(0);
+                    for &p in flips {
                         dense_row[p as usize / 64] |= 1u64 << (p as usize % 64);
                     }
-                    bucket.clear();
                     Delivery::PerParty(BitVec::from_flips(dense_row, true_or, n))
                 } else {
-                    // `mem::take` hands the bucket's buffer to the
-                    // delivery without copying; clean rounds move an
-                    // empty Vec, so the common case allocates nothing.
-                    Delivery::Sparse(SparseDelivery::new(true_or, n, std::mem::take(bucket)))
+                    // A clean round's list is an empty Vec, so the
+                    // common case allocates nothing.
+                    Delivery::Sparse(SparseDelivery::new(true_or, n, flips.to_vec()))
                 }
             }
         }
@@ -724,10 +763,10 @@ impl Channel for StochasticChannel {
     }
 
     /// Shared models run the one countdown over the word
-    /// ([`StochasticChannel::transmit_rounds`]). Independent noise walks
-    /// the same flip buckets `len` single rounds would and XORs each
-    /// flipped party's bit into its copy of `sent`, building no
-    /// per-round [`Delivery`].
+    /// ([`StochasticChannel::transmit_rounds`]). Independent noise XORs
+    /// the flip masks `len` single rounds would read into each flipped
+    /// party's copy of `sent`, a block at a time, building no per-round
+    /// [`Delivery`].
     fn transmit_word(&mut self, sent: u64, len: usize, heard: &mut [u64]) {
         assert!(len <= 64, "a word carries at most 64 rounds, got {len}");
         assert_eq!(heard.len(), self.n, "one heard word per party");
@@ -740,15 +779,7 @@ impl Channel for StochasticChannel {
                 ..
             } => {
                 heard.fill(sent & word_mask(len));
-                for k in 0..len {
-                    let bucket = skipper.advance(rng);
-                    if !bucket.is_empty() {
-                        *corrupted += 1;
-                    }
-                    for &p in bucket.iter() {
-                        heard[p as usize] ^= 1u64 << k;
-                    }
-                }
+                *corrupted += skipper.flip_word(rng, len, heard);
             }
         }
         self.rounds += len;
@@ -936,6 +967,8 @@ mod tests {
 
     #[test]
     fn reseeding_matches_a_fresh_channel() {
+        // Word lengths that stop mid-block.
+        const WORDS: [usize; 3] = [37, 64, 13];
         let models = [
             NoiseModel::Noiseless,
             NoiseModel::Correlated { epsilon: 0.3 },
@@ -945,24 +978,48 @@ mod tests {
         ];
         for model in models {
             // Dirty the channel first so reseeding has real state (and,
-            // for independent noise, a stale mask block) to erase.
+            // for independent noise, a half-read mask block) to erase.
             let mut reused = StochasticChannel::new(5, model, 0xDEAD);
             for r in 0..150 {
                 reused.transmit(r % 3 == 0);
+            }
+            let mut heard = [0u64; 5];
+            for len in WORDS {
+                reused.transmit_word(0x0F0F_3C3C_5A5A_9696, len, &mut heard);
             }
             for seed in [1u64, 99] {
                 reused.reseed(seed);
                 assert_eq!(reused.rounds(), 0);
                 assert_eq!(reused.corrupted_rounds(), 0);
                 let mut fresh = StochasticChannel::new(5, model, seed);
-                for r in 0..150 {
-                    let true_or = r % 3 == 0;
-                    assert_eq!(
-                        reused.transmit(true_or),
-                        fresh.transmit(true_or),
-                        "delivery diverged over {model} seed {seed} round {r}"
-                    );
+                let rounds = |reused: &mut StochasticChannel, fresh: &mut StochasticChannel| {
+                    for r in 0..150 {
+                        let true_or = r % 3 == 0;
+                        assert_eq!(
+                            reused.transmit(true_or),
+                            fresh.transmit(true_or),
+                            "delivery diverged over {model} seed {seed} round {r}"
+                        );
+                    }
+                };
+                let words = |reused: &mut StochasticChannel, fresh: &mut StochasticChannel| {
+                    for (w, len) in WORDS.into_iter().enumerate() {
+                        let sent = (w as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        let (mut got, mut want) = ([0u64; 5], [0u64; 5]);
+                        reused.transmit_word(sent, len, &mut got);
+                        fresh.transmit_word(sent, len, &mut want);
+                        assert_eq!(got, want, "word {w} diverged over {model} seed {seed}");
+                    }
+                };
+                // Each path gets to read the reseeded state first once.
+                if seed == 1 {
+                    rounds(&mut reused, &mut fresh);
+                    words(&mut reused, &mut fresh);
+                } else {
+                    words(&mut reused, &mut fresh);
+                    rounds(&mut reused, &mut fresh);
                 }
+                assert_eq!(reused.rounds(), fresh.rounds());
                 assert_eq!(reused.corrupted_rounds(), fresh.corrupted_rounds());
             }
         }
@@ -1054,7 +1111,7 @@ mod tests {
     #[test]
     fn sparse_and_dense_independent_deliveries_agree() {
         // The sparse fast path and the dense-forced path expand the same
-        // skip-sampled flip buckets, so deliveries must be bit-identical
+        // skip-sampled flip masks, so deliveries must be bit-identical
         // round for round (the manual `Delivery` equality compares the
         // representations semantically).
         for n in [1usize, 5, 64, 65, 200] {

@@ -2,7 +2,7 @@
 //! reference samplers.
 //!
 //! The stochastic channel draws noise in batches — geometric skip-sampling
-//! for shared/one-sided flips, 64-round flip buckets for independent
+//! for shared/one-sided flips, 64-round flip masks for independent
 //! noise — instead of one RNG draw per round. The batched draws consume
 //! the seed stream differently, so transcripts are **not** expected to be
 //! byte-identical to the old per-round code; what must hold is that the
@@ -247,7 +247,7 @@ fn independent_per_party_flip_rates_match_reference() {
 
 #[test]
 fn independent_flips_land_on_every_block_offset() {
-    // The flip buckets cover 64 rounds at a time; a refill bug would bias
+    // The flip masks cover 64 rounds at a time; a refill bug would bias
     // flips toward particular offsets within a block. Chi-squared of flip
     // positions mod 64 against uniform: df = 63, 0.001 critical 103.4.
     let n = 8;

@@ -424,9 +424,10 @@ impl SimulatorConfig {
     }
 }
 
-/// `⌈thr · r⌉` clamped into `1..=r`.
+/// `⌈thr · r⌉` clamped into `1..=r`, and 1 for `r = 0`: more ones than
+/// a zero-round block hears, as the majority threshold `r/2 + 1` is.
 fn biased_threshold(r: usize, thr: f64) -> usize {
-    ((thr * r as f64).ceil() as usize).clamp(1, r)
+    ((thr * r as f64).ceil() as usize).clamp(1, r.max(1))
 }
 
 /// Thresholds and decoding metric resolved against a concrete channel.

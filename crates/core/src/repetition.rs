@@ -51,13 +51,16 @@ impl<'a, P: Protocol> RepetitionSimulator<'a, P> {
 
     /// Runs the simulation with `repetitions` copies of each round.
     ///
-    /// The simulated protocol has fixed length `T · R`, so this never
-    /// exhausts a budget; the `Result` only reports invalid noise
-    /// parameters.
+    /// The simulated protocol has fixed length `T · R`, which is also its
+    /// budget, so any `R ≥ 1` finishes. At `R = 0` a block never ends
+    /// and the budget `T · 0` fits no round: a protocol of `T > 0`
+    /// rounds exhausts it before committing any.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnsupportedNoise`] if `model` has an invalid ε.
+    /// Returns [`SimError::UnsupportedNoise`] if `model` has an invalid ε,
+    /// and [`SimError::BudgetExhausted`] (0 rounds used, 0 committed) if
+    /// `repetitions` is 0 and the protocol has rounds.
     ///
     /// # Panics
     ///
@@ -79,7 +82,7 @@ impl<'a, P: Protocol> RepetitionSimulator<'a, P> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnsupportedNoise`] if `model` has an invalid ε.
+    /// As [`RepetitionSimulator::simulate`].
     ///
     /// # Panics
     ///
@@ -112,7 +115,7 @@ impl<'a, P: Protocol> RepetitionSimulator<'a, P> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnsupportedNoise`] if `model` has an invalid ε.
+    /// As [`RepetitionSimulator::simulate`].
     ///
     /// # Panics
     ///
@@ -144,7 +147,7 @@ impl<'a, P: Protocol> RepetitionSimulator<'a, P> {
                 budget(&self.config, self.protocol.length()),
             )
         };
-        debug_assert!(result.all_done, "fixed-length schedule must finish");
+        result.finished(&parties[0].seat)?;
         Ok(outcome(parties.iter().map(|p| &p.seat), result))
     }
 }

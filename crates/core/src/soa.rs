@@ -945,8 +945,14 @@ pub(crate) fn repetition_collapsed_over<P: Protocol>(
     let r = config.repetitions;
     scratch.reset();
     let mut tally = Tally::new(t, repetition::budget(config, t), channel);
-    let chunk_span = beeps_observe::phase("sim.repetition.chunk");
     let bits = &mut scratch.committed.prefix.bits;
+    if r == 0 && t > 0 {
+        // A zero-round block never ends (`driver::Block` closes one only
+        // on hearing a round), so the per-party machines burn the whole
+        // budget, T·0 rounds, and commit nothing.
+        return Err(tally.exhausted(bits));
+    }
+    let chunk_span = beeps_observe::phase("sim.repetition.chunk");
     for _ in 0..t {
         let mut beeps = 0usize;
         for (i, input) in inputs.iter().enumerate() {

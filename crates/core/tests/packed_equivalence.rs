@@ -358,15 +358,26 @@ fn repetition_scheme_matches_roundtrip() {
     let config = SimulatorConfig::builder(5)
         .model(NoiseModel::Correlated { epsilon: 0.1 })
         .build();
-    let sim = RepetitionSimulator::new(&p, config);
-    for model in models() {
-        for seed in 0..3 {
-            let packed = sim.simulate(&inputs, model, seed).unwrap();
-            let mut rt = RoundtripChannel::new(5, model, seed);
-            let unpacked = sim.simulate_over(&inputs, model, &mut rt).unwrap();
-            assert_eq!(packed.transcript(), unpacked.transcript());
-            assert_eq!(packed.outputs(), unpacked.outputs());
-            assert_eq!(packed.stats(), unpacked.stats());
+    // A zero-round block never ends, so at `repetitions = 0` the budget
+    // T·0 fits no round: every engine exhausts it before round 0.
+    let mut no_repetitions = config.clone();
+    no_repetitions.repetitions = 0;
+    for config in [config, no_repetitions] {
+        let r = config.repetitions;
+        let want_err = (r == 0).then_some(SimError::BudgetExhausted {
+            rounds_used: 0,
+            committed: 0,
+        });
+        let sim = RepetitionSimulator::new(&p, config);
+        for model in models() {
+            for seed in 0..3 {
+                let context = format!("{model} seed {seed} repetitions {r}");
+                let packed = sim.simulate(&inputs, model, seed);
+                assert_eq!(packed.as_ref().err(), want_err.as_ref(), "{context}");
+                let mut rt = RoundtripChannel::new(5, model, seed);
+                let unpacked = sim.simulate_over(&inputs, model, &mut rt);
+                assert_matches_oracle(packed, unpacked, &context);
+            }
         }
     }
 }

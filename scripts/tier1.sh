@@ -4,12 +4,14 @@
 #   scripts/tier1.sh
 #
 # Runs the release build, the full test suite, the vendored rand
-# crate's own tests, the benchmark's pinned digest self-test, clippy with warnings denied, the beeps-lint
-# static-analysis pass, the formatting check, rustdoc with warnings
-# denied (broken intra-doc links fail), a one-iteration smoke run of
-# the hot-path benchmark harness plus its baseline-comparison
-# plumbing, and observed smoke runs of fig6_phase_breakdown and
-# fig_scale — the same sequence CI runs.
+# crate's own tests (debug and release), the benchmark's pinned digest
+# self-test, clippy with warnings denied and the formatting check (both
+# on the workspace and on vendored rand), the beeps-lint
+# static-analysis pass, rustdoc with warnings denied (broken intra-doc
+# links fail), a one-iteration smoke run of the hot-path benchmark
+# harness plus its baseline-comparison plumbing, and observed smoke
+# runs of fig6_phase_breakdown and fig_scale — the same sequence CI
+# runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,21 +26,27 @@ fi
 cargo build --release
 cargo test -q
 # vendor/rand is excluded from the workspace, so the line above skips
-# its own tests: the ChaCha20 keystream vector of RFC 7539 and the
-# rand_core block-buffer straddle rule, which every seeded golden
-# rests on.
+# its own tests: the ChaCha20 keystream vector of RFC 7539, the SSE2
+# refill against the scalar block function, known stream words and the
+# rand_core block-buffer straddle rule, which every seeded golden rests
+# on. The release run checks the optimized SSE2 refill the binaries use.
 cargo test -q --manifest-path vendor/rand/Cargo.toml
+cargo test -q --release --manifest-path vendor/rand/Cargo.toml
 # The repository benchmark (perfbench/, a workspace of its own) checks
 # every workload's digest against its pinned value, E4's owners tables
 # included: a change that moves any bit of the benchmarked experiment
 # traffic fails here.
 cargo test --release --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
+# The workspace commands skip vendor/rand, which holds the repository's
+# one `unsafe` block.
+cargo clippy --manifest-path vendor/rand/Cargo.toml --all-targets -- -D warnings
 cargo xtask lint
 # Same findings as SARIF: proves the emitter stays valid on every run
 # (CI uploads this file for PR annotations).
 cargo xtask lint --format sarif > target/beeps-lint.sarif
 cargo fmt --check
+cargo fmt --check --manifest-path vendor/rand/Cargo.toml
 # Docs build with warnings denied: an intra-doc link left dangling by a
 # rename or deletion fails here instead of rotting silently.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
