@@ -205,7 +205,7 @@ pub fn main() {
         f3(last.1 / last.0),
     );
     println!("the sweep) — Theorem 1.2's Theta(log n) — while the scale regime's");
-    println!("windowed transcript + sparse channel keep a million-party trial inside");
+    println!("windowed transcript + collapsed engine keep a million-party trial inside");
     println!("one machine's RAM: retained window words are O(window * n/64), not O(T * n).");
 
     let mut log = ExperimentLog::new("fig_scale");

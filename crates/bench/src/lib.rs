@@ -1,6 +1,6 @@
 //! Shared helpers for the experiment binaries (`src/bin/fig*_*.rs`,
 //! `src/bin/tab*_*.rs`) that regenerate every experiment in
-//! `EXPERIMENTS.md`, and for the `bench_hotpaths` benchmark harness.
+//! `EXPERIMENTS.md`, and for the `bench_hotpaths` ratio gate.
 //!
 //! The experiment engine lives in [`runner`] (seed-deterministic
 //! parallel trial execution), [`json`] (dependency-free experiment

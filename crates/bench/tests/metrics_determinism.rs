@@ -4,8 +4,8 @@
 //! noise-free runs must report zero corruption and zero rewinds.
 //! Attaching the full observer stack (progress + profiler + run log)
 //! must not move a single bit of either results or metrics, and
-//! neither must the scaling knobs (windowed transcript retention, the
-//! sparse flip-list channel).
+//! neither must windowed transcript retention or independent noise in
+//! the per-party rewind engine.
 
 use std::sync::Arc;
 
@@ -129,12 +129,13 @@ fn merged_registries_are_thread_count_invariant_under_independent_noise() {
     }
 }
 
-/// The scaling knobs — a minimal committed-transcript retention window
-/// (heavy rematerialization) and the sparse flip-list channel under
-/// independent noise — must not open any thread-count dependence: the
-/// merged registry stays bitwise identical at 1, 2, and 8 threads with
-/// either knob engaged, for both collapsed-engine schemes that honor
-/// the window.
+/// A minimal committed-transcript retention window (heavy
+/// rematerialization) must not open any thread-count dependence, for
+/// both collapsed-engine schemes that honor the window, and neither
+/// must independent noise, which routes rewind to its per-party engine
+/// (it ignores the window) stepping words through the independent
+/// channel's `transmit_word`: the merged registry stays bitwise
+/// identical at 1, 2, and 8 threads in every case.
 #[test]
 fn merged_registries_are_thread_count_invariant_with_scaling_knobs() {
     let p = InputSet::new(N);
@@ -149,13 +150,13 @@ fn merged_registries_are_thread_count_invariant_with_scaling_knobs() {
 
     let rewind_windowed = RewindSimulator::new(&p, windowed(two));
     let hier_windowed = HierarchicalSimulator::new(&p, windowed(two));
-    let rewind_sparse = RewindSimulator::new(&p, windowed(indep));
+    let rewind_independent = RewindSimulator::new(&p, windowed(indep));
 
     type SetSim<'a> = &'a (dyn Simulator<usize, std::collections::BTreeSet<usize>> + Sync);
     let cases: [(SetSim, NoiseModel, &str); 3] = [
         (&rewind_windowed, two, "rewind window=1"),
         (&hier_windowed, two, "hierarchical window=1"),
-        (&rewind_sparse, indep, "rewind sparse channel"),
+        (&rewind_independent, indep, "rewind independent noise"),
     ];
     for (sim, model, label) in cases {
         let serial = merged_registry(sim, model, &input_set_gen, 1);

@@ -420,10 +420,10 @@ proptest! {
 
     /// `Channel::transmit_word` matches single `transmit`s for every
     /// model, in any interleaving with them: the stochastic channel's
-    /// override (the countdown for shared models, the flip buckets for
-    /// independent noise) and the provided per-round default over the
-    /// same channel, whose independent deliveries come sparse and, at
-    /// ε = 0.9, dense.
+    /// override (the countdown for shared models; for independent noise,
+    /// each flipped party's flip mask XORed into its heard word) and the
+    /// provided per-round default over the same channel, whose
+    /// independent deliveries come sparse and, at ε = 0.9, dense.
     #[test]
     fn channel_words_match_per_round_transmits(
         model in any_model(),

@@ -365,8 +365,9 @@ fn per_party_owners(
     }
 }
 
-/// The decoding metric matched to a noise model (shared with the rewind
-/// simulator).
+/// The decoding metric matched to a noise model: the one statement of
+/// the rule, which [`SimulatorConfig::resolve`](crate::SimulatorConfig::resolve)
+/// and the collapsed owners phase read too.
 pub(crate) fn metric_for(model: NoiseModel) -> BitMetric {
     match model {
         NoiseModel::OneSidedZeroToOne { .. } => BitMetric::ZUp,
@@ -555,6 +556,28 @@ mod tests {
         fn corrupted_rounds(&self) -> usize {
             self.0.corrupted_rounds()
         }
+    }
+
+    #[test]
+    fn metric_for_selects_metric() {
+        let eps = 0.1;
+        assert_eq!(metric_for(NoiseModel::Noiseless), BitMetric::Hamming);
+        assert_eq!(
+            metric_for(NoiseModel::Correlated { epsilon: eps }),
+            BitMetric::Hamming
+        );
+        assert_eq!(
+            metric_for(NoiseModel::Independent { epsilon: eps }),
+            BitMetric::Hamming
+        );
+        assert_eq!(
+            metric_for(NoiseModel::OneSidedZeroToOne { epsilon: eps }),
+            BitMetric::ZUp
+        );
+        assert_eq!(
+            metric_for(NoiseModel::OneSidedOneToZero { epsilon: eps }),
+            BitMetric::ZDown
+        );
     }
 
     #[test]

@@ -398,28 +398,23 @@ impl SimulatorConfig {
     /// Resolves decode thresholds and the decoding metric for the channel
     /// the simulation will actually run over.
     pub fn resolve(&self, model: NoiseModel) -> ResolvedParams {
-        let eps = model.epsilon();
-        let (rep_ones, verify_ones, metric) = match model {
-            NoiseModel::Noiseless => (1, 1, BitMetric::Hamming),
-            NoiseModel::Correlated { .. } | NoiseModel::Independent { .. } => (
-                self.repetitions / 2 + 1,
-                self.verify_repetitions / 2 + 1,
-                BitMetric::Hamming,
-            ),
-            NoiseModel::OneSidedZeroToOne { .. } => {
-                let thr = (1.0 + eps) / 2.0;
+        let (rep_ones, verify_ones) = match model {
+            NoiseModel::Noiseless | NoiseModel::OneSidedOneToZero { .. } => (1, 1),
+            NoiseModel::Correlated { .. } | NoiseModel::Independent { .. } => {
+                (self.repetitions / 2 + 1, self.verify_repetitions / 2 + 1)
+            }
+            NoiseModel::OneSidedZeroToOne { epsilon } => {
+                let thr = (1.0 + epsilon) / 2.0;
                 (
                     biased_threshold(self.repetitions, thr),
                     biased_threshold(self.verify_repetitions, thr),
-                    BitMetric::ZUp,
                 )
             }
-            NoiseModel::OneSidedOneToZero { .. } => (1, 1, BitMetric::ZDown),
         };
         ResolvedParams {
             rep_ones,
             verify_ones,
-            metric,
+            metric: crate::owners::metric_for(model),
         }
     }
 }

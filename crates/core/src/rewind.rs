@@ -32,10 +32,9 @@
 
 use crate::driver::{drive, outcome, Block, Seat, SimParty, WORD};
 use crate::outcome::{check_model, SimError, SimOutcome};
-use crate::owners::{metric_for, OwnersState, SharedCode};
+use crate::owners::{OwnersState, SharedCode};
 use crate::params::{ResolvedParams, SimulatorConfig};
 use beeps_channel::{NoiseModel, Protocol, StochasticChannel};
-use beeps_ecc::BitMetric;
 use std::sync::Arc;
 
 /// The Theorem 1.2 simulator: `O(T log n)` rounds for any noiseless
@@ -188,7 +187,6 @@ pub(crate) struct PartyRun<'a> {
     pub(crate) config: &'a SimulatorConfig,
     pub(crate) params: ResolvedParams,
     code: SharedCode,
-    metric: BitMetric,
     n: usize,
 }
 
@@ -198,7 +196,6 @@ impl<'a> PartyRun<'a> {
             config,
             params: config.resolve(model),
             code: config.build_code(),
-            metric: metric_for(model),
             n,
         }
     }
@@ -255,7 +252,7 @@ impl ChunkPhase {
                 seat.prefix.working[seat.prefix.bits.len()..].to_vec(),
                 std::mem::take(&mut self.my_bits),
                 Arc::clone(&scheme.code),
-                scheme.metric,
+                scheme.params.metric,
             ))
         })
     }

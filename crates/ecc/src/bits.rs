@@ -116,11 +116,6 @@ impl PackedBits {
         self.len == 0
     }
 
-    /// Number of set bits.
-    pub fn weight(&self) -> u32 {
-        self.limbs.iter().map(|l| l.count_ones()).sum()
-    }
-
     /// Hamming distance to `other`.
     ///
     /// # Panics
@@ -201,16 +196,6 @@ impl BitMetric {
             }
         }
     }
-
-    /// The metric appropriate for a noise regime described by its flips:
-    /// `(zero_to_one, one_to_zero)`.
-    pub fn for_flips(zero_to_one: bool, one_to_zero: bool) -> Self {
-        match (zero_to_one, one_to_zero) {
-            (true, false) => BitMetric::ZUp,
-            (false, true) => BitMetric::ZDown,
-            _ => BitMetric::Hamming,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -227,7 +212,11 @@ mod tests {
         let p = PackedBits::from_bools(&bits);
         assert_eq!(p.len(), 130);
         assert_eq!(p.to_bools(), bits);
-        assert_eq!(p.weight() as usize, bits.iter().filter(|&&b| b).count());
+        let zeros = PackedBits::from_bools(&[false; 130]);
+        assert_eq!(
+            p.hamming(&zeros) as usize,
+            bits.iter().filter(|&&b| b).count()
+        );
     }
 
     #[test]
@@ -326,14 +315,6 @@ mod tests {
         let cw2 = pb(&[0, 0, 0, 0]); // received 1 out of thin air: impossible
         let m = BitMetric::ZDown;
         assert!(m.cost(&cw1, &received) < m.cost(&cw2, &received));
-    }
-
-    #[test]
-    fn for_flips_selects_metric() {
-        assert_eq!(BitMetric::for_flips(true, false), BitMetric::ZUp);
-        assert_eq!(BitMetric::for_flips(false, true), BitMetric::ZDown);
-        assert_eq!(BitMetric::for_flips(true, true), BitMetric::Hamming);
-        assert_eq!(BitMetric::for_flips(false, false), BitMetric::Hamming);
     }
 
     #[test]

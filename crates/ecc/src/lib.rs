@@ -4,15 +4,8 @@
 //! turn transmit a codeword `C(j)` or `C(Next)` over the noisy beeping
 //! channel, where `C : [n] ∪ {Next} → {0,1}^{Θ(log n)}` is a
 //! "constant rate error correcting code" that all parties decode. This
-//! crate builds that substrate from scratch:
+//! crate builds that code:
 //!
-//! * [`gf`] — arithmetic in `GF(2^m)` via log/antilog tables;
-//! * [`rs`] — Reed–Solomon codes over `GF(2^m)` with
-//!   Berlekamp–Massey / Chien / Forney decoding;
-//! * [`hadamard`] — the Walsh–Hadamard binary code (relative distance 1/2),
-//!   used as the inner code of concatenations;
-//! * [`repetition`] — bitwise repetition with (biased) majority decoding;
-//! * [`mod@concat`] — concatenated RS ∘ Hadamard binary codes;
 //! * [`random_code`] — seeded random codes with maximum-likelihood
 //!   (nearest-codeword) decoding, the default for Algorithm 1;
 //! * [`constant_weight`] — fixed-weight codes for energy-frugal beeping
@@ -61,23 +54,13 @@
 #![deny(missing_docs)]
 
 pub mod bits;
-pub mod concat;
 pub mod constant_weight;
-pub mod gf;
-pub mod hadamard;
 pub mod random_code;
-pub mod repetition;
-pub mod rs;
 mod table;
 
 pub use bits::BitMetric;
-pub use concat::ConcatenatedCode;
 pub use constant_weight::ConstantWeightCode;
-pub use gf::GfField;
-pub use hadamard::Hadamard;
 pub use random_code::RandomCode;
-pub use repetition::RepetitionCode;
-pub use rs::{ReedSolomon, RsError};
 
 /// A code over a finite symbol alphabet `0..alphabet_size`, mapping each
 /// symbol to a binary codeword of fixed length — the interface Algorithm 1

@@ -8,10 +8,9 @@
 # self-test, clippy with warnings denied and the formatting check (both
 # on the workspace and on vendored rand), the beeps-lint
 # static-analysis pass, rustdoc with warnings denied (broken intra-doc
-# links fail), a one-iteration smoke run of the hot-path benchmark
-# harness plus its baseline-comparison plumbing, and observed smoke
-# runs of fig6_phase_breakdown and fig_scale — the same sequence CI
-# runs.
+# links fail), a one-iteration smoke run of the hot-path ratio gate,
+# and observed smoke runs of fig6_phase_breakdown and fig_scale — the
+# same sequence CI runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,15 +49,12 @@ cargo fmt --check --manifest-path vendor/rand/Cargo.toml
 # Docs build with warnings denied: an intra-doc link left dangling by a
 # rename or deletion fails here instead of rotting silently.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
-# Smoke-run the pinned benchmark harness (1 iteration, tiny rounds)
-# through the regression-gate script: catches bit-rot in the bench
-# binary and the comparison plumbing — including the "soa" section the
-# ratio gate reads, and the presence of every required gated key
-# (party.soa.*, channel.dense.*, the per-party scheme.* twins and their
-# scheme.*.soa rows): a renamed or dropped gated row fails the smoke,
-# not just the full run. Run `scripts/bench_compare.sh` without
-# --smoke for the real >25% regression gate plus the >=3x soa floor.
-scripts/bench_compare.sh --smoke
+# Smoke-run the hot-path ratio gate (one iteration per pair, small
+# sizes): every collapsed engine and its per-party twin, and the sparse
+# channel and its dense twin, must run and give a finite, positive
+# ratio, and a dropped pair fails. Run it without --smoke for the real
+# gate, a median ratio of at least 3x per pair over 5 iterations.
+cargo run --release -q -p beeps-bench --bin bench_hotpaths -- --smoke
 # Observability smoke: a real experiment run under --progress --profile
 # must produce a loadable Chrome trace and a sealed JSONL run log
 # (validated by the dependency-free observe-check parser).
@@ -70,9 +66,10 @@ cargo xtask observe-check \
   target/observe-smoke/fig6.trace.json \
   target/observe-smoke/fig6_phase_breakdown.runlog.jsonl
 # Scaling smoke: fig_scale's --smoke sweep (n up to 10^4) exercises the
-# collapsed struct-of-arrays engines, the sparse channel, and windowed
-# transcript retention end to end; the sealed run log (with the
-# peak_rss_bytes summary field) must validate like any other.
+# collapsed struct-of-arrays engines under correlated noise, whose
+# deliveries are one shared bit per round, and windowed transcript
+# retention end to end; the sealed run log (with the peak_rss_bytes
+# summary field) must validate like any other.
 BEEPS_EXPERIMENTS_DIR=target/observe-smoke \
   cargo run --release -q -p beeps-bench --bin fig_scale -- \
   --smoke --threads 2 --progress \
