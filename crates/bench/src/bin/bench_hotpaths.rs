@@ -15,15 +15,15 @@
 //! cargo run --release -p beeps-bench --bin bench_hotpaths [-- --smoke]
 //! ```
 //!
-//! A pair runs slow, then fast, [`K`] times (once under `--smoke`, at
-//! smaller sizes), and its gated ratio is the [`median`] of the
-//! per-iteration ratios slow ns/op ÷ fast ns/op: a ratio taken within
-//! one iteration cancels the host's speed, which drifts between runs on
-//! a shared machine, and the median drops a stray slow iteration. It
-//! prints one line per pair and exits 1 when [`passes`] rejects any
-//! ratio: below [`FLOOR`] in a full run, not finite and positive in
-//! either mode. A pair that fails to run panics, and a pair missing from
-//! the run fails it too.
+//! A pair runs its fast side once untimed, then slow, then fast, [`K`]
+//! times (once under `--smoke`, at smaller sizes), and its gated ratio
+//! is the [`median`] of the per-iteration ratios slow ns/op ÷ fast
+//! ns/op: a ratio taken within one iteration cancels the host's speed,
+//! which drifts between runs on a shared machine, and the median drops a
+//! stray slow iteration. It prints one line per pair and exits 1 when
+//! [`passes`] rejects any ratio: below [`FLOOR`] in a full run, not
+//! finite and positive in either mode. A pair that fails to run panics,
+//! and a pair missing from the run fails it too.
 //!
 //! Timing uses the sanctioned [`Stopwatch`]; everything else is
 //! seed-deterministic, so two runs measure the same work.
@@ -99,7 +99,9 @@ struct Gate {
 
 impl Gate {
     /// Times `slow` then `fast`, `K` times (once under `--smoke`), and
-    /// gates the median ratio.
+    /// gates the median ratio. `fast` runs once untimed first: the fast
+    /// sides reuse a [`SoaScratch`] across calls, and a cold first run
+    /// would time its growth, which `--smoke` reads alone.
     fn pair(
         &mut self,
         (slow_name, fast_name): (&'static str, &'static str),
@@ -107,6 +109,7 @@ impl Gate {
         mut fast: impl FnMut() -> usize,
     ) {
         let k = if self.smoke { 1 } else { K };
+        fast();
         let ratios: Vec<f64> = (0..k)
             .map(|_| ns_per_op(&mut slow) / ns_per_op(&mut fast))
             .collect();

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use beeps_bench::{trial_seed, TrialRunner};
-use beeps_channel::NoiseModel;
+use beeps_channel::{NoiseModel, Protocol};
 use beeps_core::{
     HierarchicalSimulator, NakedSimulator, OneToZeroSimulator, OwnedRoundsSimulator,
     RepetitionSimulator, RewindSimulator, Simulator, SimulatorConfig,
@@ -21,6 +21,9 @@ use rand::Rng;
 
 const N: usize = 6;
 const TRIALS: usize = 9;
+
+/// A scheme simulating [`InputSet`], as the tables below list them.
+type SetSim<'a> = &'a (dyn Simulator<usize, <InputSet as Protocol>::Output> + Sync);
 
 /// Runs `TRIALS` trials of `sim` under `model` at the given thread count
 /// and returns the merged registry.
@@ -64,10 +67,7 @@ fn merged_registries_are_thread_count_invariant_for_every_scheme() {
     let one_to_zero = OneToZeroSimulator::new(&p, 2, 32.0);
     let owned = OwnedRoundsSimulator::new(&owned_p, SimulatorConfig::builder(N).model(two).build());
 
-    let generic: [(
-        &(dyn Simulator<usize, std::collections::BTreeSet<usize>> + Sync),
-        NoiseModel,
-    ); 5] = [
+    let generic: [(SetSim, NoiseModel); 5] = [
         (&naked, two),
         (&repetition, two),
         (&rewind, two),
@@ -108,8 +108,7 @@ fn merged_registries_are_thread_count_invariant_under_independent_noise() {
     let repetition = RepetitionSimulator::new(&p, config.clone());
     let rewind = RewindSimulator::new(&p, config);
 
-    let schemes: [&(dyn Simulator<usize, std::collections::BTreeSet<usize>> + Sync); 3] =
-        [&naked, &repetition, &rewind];
+    let schemes: [SetSim; 3] = [&naked, &repetition, &rewind];
     for sim in schemes {
         let serial = merged_registry(sim, indep, &input_set_gen, 1);
         assert!(
@@ -152,7 +151,6 @@ fn merged_registries_are_thread_count_invariant_with_scaling_knobs() {
     let hier_windowed = HierarchicalSimulator::new(&p, windowed(two));
     let rewind_independent = RewindSimulator::new(&p, windowed(indep));
 
-    type SetSim<'a> = &'a (dyn Simulator<usize, std::collections::BTreeSet<usize>> + Sync);
     let cases: [(SetSim, NoiseModel, &str); 3] = [
         (&rewind_windowed, two, "rewind window=1"),
         (&hier_windowed, two, "hierarchical window=1"),
@@ -251,10 +249,7 @@ fn observed_runs_are_bitwise_identical_to_unobserved_runs() {
     let base = trial_seed(0x0B5E, 7);
     let trials = TRIALS * 4;
 
-    let generic: [(
-        &(dyn Simulator<usize, std::collections::BTreeSet<usize>> + Sync),
-        NoiseModel,
-    ); 5] = [
+    let generic: [(SetSim, NoiseModel); 5] = [
         (&naked, two),
         (&repetition, two),
         (&rewind, two),
@@ -335,8 +330,7 @@ fn epsilon_zero_runs_report_zero_flip_and_rewind_counters() {
     let repetition = RepetitionSimulator::new(&p, config());
     let rewind = RewindSimulator::new(&p, config());
     let hierarchical = HierarchicalSimulator::new(&p, config());
-    let schemes: [&(dyn Simulator<usize, std::collections::BTreeSet<usize>> + Sync); 4] =
-        [&naked, &repetition, &rewind, &hierarchical];
+    let schemes: [SetSim; 4] = [&naked, &repetition, &rewind, &hierarchical];
 
     for sim in schemes {
         let merged = merged_registry(sim, quiet, &input_set_gen, 2);

@@ -50,6 +50,28 @@ pub trait Protocol {
     fn true_or(&self, inputs: &[Self::Input], transcript: &[bool]) -> bool {
         (0..self.num_parties()).any(|i| self.beep(i, &inputs[i], transcript))
     }
+
+    /// Every party's output `g^i(x^i, π)` on one transcript `π` that all
+    /// of them hold, indexed by party id — what shared noise (A.1.1)
+    /// leaves every party with.
+    ///
+    /// The default calls [`Protocol::output`] once per party. An override
+    /// may share work across parties (when every `g^i` is one function of
+    /// `π`, it can evaluate it once), but must return exactly what the
+    /// default returns.
+    ///
+    /// [`run_noiseless`], [`run_protocol_over`] on shared views and
+    /// `beeps-core`'s collapsed engines call it. Wherever parties may
+    /// hold different views, engines call [`Protocol::output`] per party
+    /// instead, and `beeps-core`'s per-party engines always do: they are
+    /// the oracle its tests hold this batch to.
+    fn outputs(&self, inputs: &[Self::Input], transcript: &[bool]) -> Vec<Self::Output> {
+        inputs
+            .iter()
+            .enumerate()
+            .map(|(i, input)| self.output(i, input, transcript))
+            .collect()
+    }
 }
 
 /// A protocol whose per-party input domains are finite and enumerable.
@@ -103,6 +125,10 @@ impl<P: Protocol + ?Sized> Protocol for &P {
 
     fn output(&self, party: usize, input: &Self::Input, transcript: &[bool]) -> Self::Output {
         (**self).output(party, input, transcript)
+    }
+
+    fn outputs(&self, inputs: &[Self::Input], transcript: &[bool]) -> Vec<Self::Output> {
+        (**self).outputs(inputs, transcript)
     }
 }
 
@@ -171,9 +197,7 @@ pub fn run_noiseless<P: Protocol>(protocol: &P, inputs: &[P::Input]) -> Executio
         let or = protocol.true_or(inputs, &transcript);
         transcript.push(or);
     }
-    let outputs = (0..n)
-        .map(|i| protocol.output(i, &inputs[i], &transcript))
-        .collect();
+    let outputs = protocol.outputs(inputs, &transcript);
     Execution {
         transcript,
         outputs,
@@ -349,9 +373,12 @@ pub fn run_protocol_over<P: Protocol, C: Channel>(
         Some(t) => PartyViews::Shared(t),
         None => PartyViews::PerParty(per_party),
     };
-    let outputs = (0..n)
-        .map(|i| protocol.output(i, &inputs[i], views.view(i)))
-        .collect();
+    let outputs = match &views {
+        PartyViews::Shared(t) => protocol.outputs(inputs, t),
+        PartyViews::PerParty(views) => (0..n)
+            .map(|i| protocol.output(i, &inputs[i], &views[i]))
+            .collect(),
+    };
     NoisyExecution {
         views,
         true_ors,

@@ -473,7 +473,8 @@ impl Tally {
 
     /// The outcome of a finished run: the first `t` committed rounds,
     /// every party's output on them, and the run's stats. Shared noise
-    /// keeps every party's bookkeeping in lockstep, so all agree.
+    /// keeps every party's bookkeeping in lockstep, so all agree, and
+    /// one [`Protocol::outputs`] call builds every output.
     fn finish<P: Protocol>(
         self,
         protocol: &P,
@@ -483,10 +484,7 @@ impl Tally {
     ) -> SimOutcome<P::Output> {
         let mut transcript = Vec::with_capacity(self.t);
         transcript.extend_from_slice(&prefix.bits[..self.t]);
-        let mut outputs = Vec::with_capacity(inputs.len());
-        for (i, input) in inputs.iter().enumerate() {
-            outputs.push(protocol.output(i, input, &transcript));
-        }
+        let outputs = protocol.outputs(inputs, &transcript);
         let stats = SimStats {
             channel_rounds: self.rounds,
             phase_rounds: self.phase_rounds,

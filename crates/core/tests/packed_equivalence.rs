@@ -9,16 +9,17 @@
 //! boolean semantics, some scheme's transcript would diverge here.
 
 use beeps_channel::{
-    run_protocol, run_protocol_over, BitVec, Channel, Delivery, NoiseModel, StochasticChannel,
+    run_noiseless, run_protocol, run_protocol_over, BitVec, Channel, Delivery, NoiseModel,
+    Protocol, StochasticChannel,
 };
 use beeps_core::{
     HierarchicalSimulator, OneToZeroSimulator, OwnedRoundsSimulator, RepetitionSimulator,
     RewindSimulator, SimError, SimOutcome, Simulator, SimulatorConfig,
 };
 use beeps_protocols::{Broadcast, InputSet, MultiOr, RollCall};
-use std::collections::BTreeSet;
 use std::fmt::Debug;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Delegates to a [`StochasticChannel`] but re-materialises every
 /// per-party delivery through `Vec<bool>`, so downstream code consumes a
@@ -482,7 +483,7 @@ fn degenerate_party_counts_match_roundtrip() {
         let hierarchical = HierarchicalSimulator::new(&p, config.clone());
         let one_to_zero = OneToZeroSimulator::new(&p, 2, 32.0);
         let owned = OwnedRoundsSimulator::new(&roll_call, config);
-        let schemes: [&dyn Simulator<usize, BTreeSet<usize>>; 4] =
+        let schemes: [&dyn Simulator<usize, <InputSet as Protocol>::Output>; 4] =
             [&repetition, &rewind, &hierarchical, &one_to_zero];
         for model in models() {
             for seed in 0..2 {
@@ -500,6 +501,57 @@ fn degenerate_party_counts_match_roundtrip() {
                     &format!("owned_rounds n={n} {model} seed {seed}"),
                 );
             }
+        }
+    }
+}
+
+/// Under shared noise every party holds one transcript, and every engine
+/// that builds outputs on it goes through `Protocol::outputs`: the
+/// noiseless and naked runners and all four collapsed bodies that run
+/// `InputSet`. `InputSet` builds its set once there, so every party must
+/// hold the same allocation. The oracle tests compare outputs by value
+/// and would pass if an engine built one set per party again; this one
+/// would not.
+#[test]
+fn shared_transcript_outputs_share_one_set() {
+    fn assert_shared(outputs: &[<InputSet as Protocol>::Output], n: usize, context: &str) {
+        assert_eq!(outputs.len(), n, "{context}: one output per party");
+        assert!(
+            outputs.iter().all(|out| Arc::ptr_eq(out, &outputs[0])),
+            "{context}: parties hold separate sets"
+        );
+    }
+    let n = 12;
+    let p = InputSet::new(n);
+    let inputs: Vec<usize> = (0..n).map(|i| (5 * i + 3) % (2 * n)).collect();
+    assert_shared(run_noiseless(&p, &inputs).outputs(), n, "run_noiseless");
+    let correlated = NoiseModel::Correlated { epsilon: 0.1 };
+    let down = NoiseModel::OneSidedOneToZero { epsilon: 0.2 };
+    for seed in 0..2 {
+        let naked = run_protocol(&p, &inputs, correlated, seed);
+        assert_shared(naked.outputs(), n, &format!("run_protocol seed {seed}"));
+    }
+    let config = SimulatorConfig::builder(n).model(correlated).build();
+    let repetition = RepetitionSimulator::new(&p, config.clone());
+    let rewind = RewindSimulator::new(&p, config.clone());
+    let hierarchical = HierarchicalSimulator::new(&p, config);
+    let one_to_zero = OneToZeroSimulator::new(&p, 2, 32.0);
+    let cases: [(
+        &dyn Simulator<usize, <InputSet as Protocol>::Output>,
+        NoiseModel,
+    ); 4] = [
+        (&repetition, correlated),
+        (&rewind, correlated),
+        (&hierarchical, correlated),
+        (&one_to_zero, down),
+    ];
+    for (sim, model) in cases {
+        for seed in 0..2 {
+            let context = format!("{} {model} seed {seed}", sim.name());
+            let outcome = sim
+                .simulate(&inputs, model, seed)
+                .unwrap_or_else(|e| panic!("{context}: {e}"));
+            assert_shared(outcome.outputs(), n, &context);
         }
     }
 }

@@ -3,6 +3,7 @@
 
 use beeps_channel::{EnumerableInputs, Protocol};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// `InputSet_n`: each of `n` parties holds a number `x^i ∈ [2n]`
 /// (represented 0-based as `0..2n`); all parties must output the set
@@ -13,6 +14,11 @@ use std::collections::BTreeSet;
 /// answer off the transcript. Under `ε`-noise that protocol's output is
 /// wrong with probability `1 − (1−ε)^{2n} → 1`, and Theorem C.1 shows *any*
 /// protocol needs `Ω(n log n)` rounds — an `Ω(log n)` blow-up.
+///
+/// Every party outputs the same set, so the output type is an
+/// `Arc<BTreeSet<usize>>`: [`Protocol::outputs`], which every engine calls
+/// on a transcript all parties share, builds the set once and hands each
+/// party a pointer to that one allocation instead of `n` copies of it.
 ///
 /// # Examples
 ///
@@ -46,26 +52,39 @@ impl InputSet {
         2 * self.n
     }
 
-    /// The correct answer `L(x)` for an input vector.
+    /// The correct answer `L(x)` for an input vector, in the protocol's
+    /// output type, so it compares directly with any party's output.
     ///
     /// # Panics
     ///
     /// Panics if `inputs.len() != n` or an input is out of range.
-    pub fn answer(&self, inputs: &[usize]) -> BTreeSet<usize> {
+    pub fn answer(&self, inputs: &[usize]) -> Arc<BTreeSet<usize>> {
         assert_eq!(inputs.len(), self.n, "need one input per party");
-        inputs
+        let set = inputs
             .iter()
             .map(|&x| {
                 assert!(x < self.domain_size(), "input {x} outside [2n]");
                 x
             })
+            .collect();
+        Arc::new(set)
+    }
+
+    /// The set every party reads off `transcript`: the rounds that carried
+    /// a 1.
+    fn decode(&self, transcript: &[bool]) -> BTreeSet<usize> {
+        transcript
+            .iter()
+            .enumerate()
+            .filter(|(_, &b)| b)
+            .map(|(m, _)| m)
             .collect()
     }
 }
 
 impl Protocol for InputSet {
     type Input = usize;
-    type Output = BTreeSet<usize>;
+    type Output = Arc<BTreeSet<usize>>;
 
     fn num_parties(&self) -> usize {
         self.n
@@ -79,13 +98,14 @@ impl Protocol for InputSet {
         *input == transcript.len()
     }
 
-    fn output(&self, _party: usize, _input: &usize, transcript: &[bool]) -> BTreeSet<usize> {
-        transcript
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b)
-            .map(|(m, _)| m)
-            .collect()
+    fn output(&self, _party: usize, _input: &usize, transcript: &[bool]) -> Self::Output {
+        Arc::new(self.decode(transcript))
+    }
+
+    /// Builds the set once and hands every party the same allocation.
+    fn outputs(&self, inputs: &[usize], transcript: &[bool]) -> Vec<Self::Output> {
+        let set = Arc::new(self.decode(transcript));
+        vec![set; inputs.len()]
     }
 }
 
@@ -103,6 +123,10 @@ impl EnumerableInputs for InputSet {
 /// as a plain noiseless-model [`Protocol`] of length `2n·r` so that the
 /// lower-bound machinery (which needs an enumerable input domain) can
 /// analyze protocols of *growing length* — the knob experiment E5 turns.
+///
+/// As with [`InputSet`], every party decodes the same set, so the output
+/// is an `Arc<BTreeSet<usize>>` and [`Protocol::outputs`] decodes it once
+/// for all parties.
 ///
 /// # Examples
 ///
@@ -148,11 +172,22 @@ impl RepeatedInputSet {
     pub fn repetitions(&self) -> usize {
         self.repetitions
     }
+
+    /// The set every party decodes from `transcript`: the blocks holding at
+    /// least `threshold_ones` ones.
+    fn decode(&self, transcript: &[bool]) -> BTreeSet<usize> {
+        transcript
+            .chunks(self.repetitions)
+            .enumerate()
+            .filter(|(_, block)| block.iter().filter(|&&b| b).count() >= self.threshold_ones)
+            .map(|(m, _)| m)
+            .collect()
+    }
 }
 
 impl Protocol for RepeatedInputSet {
     type Input = usize;
-    type Output = BTreeSet<usize>;
+    type Output = Arc<BTreeSet<usize>>;
 
     fn num_parties(&self) -> usize {
         self.n
@@ -166,13 +201,14 @@ impl Protocol for RepeatedInputSet {
         transcript.len() / self.repetitions == *input
     }
 
-    fn output(&self, _party: usize, _input: &usize, transcript: &[bool]) -> BTreeSet<usize> {
-        transcript
-            .chunks(self.repetitions)
-            .enumerate()
-            .filter(|(_, block)| block.iter().filter(|&&b| b).count() >= self.threshold_ones)
-            .map(|(m, _)| m)
-            .collect()
+    fn output(&self, _party: usize, _input: &usize, transcript: &[bool]) -> Self::Output {
+        Arc::new(self.decode(transcript))
+    }
+
+    /// Decodes the set once and hands every party the same allocation.
+    fn outputs(&self, inputs: &[usize], transcript: &[bool]) -> Vec<Self::Output> {
+        let set = Arc::new(self.decode(transcript));
+        vec![set; inputs.len()]
     }
 }
 

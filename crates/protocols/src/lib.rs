@@ -26,7 +26,7 @@
 //! let p = InputSet::new(4); // 4 parties, inputs in [8]
 //! let exec = run_noiseless(&p, &[3, 5, 3, 0]);
 //! let expect: BTreeSet<usize> = [0, 3, 5].into_iter().collect();
-//! assert_eq!(exec.outputs()[0], expect);
+//! assert_eq!(*exec.outputs()[0], expect);
 //! ```
 
 #![forbid(unsafe_code)]

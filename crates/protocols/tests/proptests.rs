@@ -8,6 +8,34 @@ use beeps_protocols::{
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::Arc;
+
+/// Checks [`Protocol::outputs`] on one transcript every party holds: one
+/// output per party, each equal to that party's own [`Protocol::output`],
+/// and every one of them the same allocation.
+fn assert_outputs_share_one_set<P>(p: &P, inputs: &[usize], transcript: &[bool])
+where
+    P: Protocol<Input = usize, Output = Arc<BTreeSet<usize>>>,
+{
+    let outs = p.outputs(inputs, transcript);
+    prop_assert_eq!(outs.len(), inputs.len());
+    for (i, out) in outs.iter().enumerate() {
+        prop_assert_eq!(out, &p.output(i, &inputs[i], transcript));
+        prop_assert!(Arc::ptr_eq(out, &outs[0]), "party {} holds its own set", i);
+    }
+}
+
+/// A length-`len` transcript: random bits (`fill == 0`), all zeros
+/// (`fill == 1`) or all ones.
+fn transcript(rng: &mut impl rand::Rng, fill: u8, len: usize) -> Vec<bool> {
+    (0..len)
+        .map(|_| match fill {
+            0 => rng.gen_bool(0.5),
+            1 => false,
+            _ => true,
+        })
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -21,7 +49,7 @@ proptest! {
         let expect: BTreeSet<usize> = inputs.iter().copied().collect();
         let exec = run_noiseless(&p, &inputs);
         for out in exec.outputs() {
-            prop_assert_eq!(out, &expect);
+            prop_assert_eq!(&**out, &expect);
         }
     }
 
@@ -37,6 +65,40 @@ proptest! {
         let plain = run_noiseless(&InputSet::new(n), &inputs);
         let rep = run_noiseless(&RepeatedInputSet::new(n, r, r / 2 + 1), &inputs);
         prop_assert_eq!(&plain.outputs()[0], &rep.outputs()[0]);
+    }
+
+    /// The batch builds `L(x)` once and shares it, on any transcript, and
+    /// so does a `&InputSet` (the blanket impl must forward the batch).
+    #[test]
+    fn input_set_outputs_share_one_set(
+        n in 1usize..40,
+        fill in 0u8..3,
+        seed in any::<u64>(),
+    ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let p = InputSet::new(n);
+        let inputs: Vec<usize> = (0..n).map(|_| rng.gen_range(0..2 * n)).collect();
+        let t = transcript(&mut rng, fill, p.length());
+        assert_outputs_share_one_set(&p, &inputs, &t);
+        assert_outputs_share_one_set(&&p, &inputs, &t);
+    }
+
+    /// The same for the repetition-coded variant, at any threshold.
+    #[test]
+    fn repeated_input_set_outputs_share_one_set(
+        n in 1usize..8,
+        (r, threshold) in (1usize..6).prop_flat_map(|r| (Just(r), 1..=r)),
+        fill in 0u8..3,
+        seed in any::<u64>(),
+    ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let p = RepeatedInputSet::new(n, r, threshold);
+        let inputs: Vec<usize> = (0..n).map(|_| rng.gen_range(0..2 * n)).collect();
+        let t = transcript(&mut rng, fill, p.length());
+        assert_outputs_share_one_set(&p, &inputs, &t);
+        assert_outputs_share_one_set(&&p, &inputs, &t);
     }
 
     #[test]

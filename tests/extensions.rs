@@ -104,7 +104,7 @@ fn correcting_adversary_matches_one_sided_statistics_through_protocols() {
             CorrectingAdversaryChannel::new(n, 1.0 / 3.0, CorrectionPolicy::DownFlips, seed);
         let out = run_protocol_over(&p, &inputs, &mut ch);
         // Every true element must survive (beeps are never erased)...
-        for x in &expect {
+        for x in expect.iter() {
             assert!(
                 out.outputs()[0].contains(x),
                 "adversary channel erased a beep"
