@@ -4,12 +4,11 @@
 //! Each of the [`SOA_PAIRS`] runs one workload twice on the same seeds:
 //! through the slow twin and through the fast path. The collapsed
 //! rewind engine at n = 10^4 (`party.soa.*`) runs against the per-party
-//! engine, the sparse independent-noise channel against the dense one
-//! (`channel.*`), and every collapsed scheme engine `simulate` routes
-//! shared noise to (`simulate_with_scratch` with one reused
-//! [`SoaScratch`]) against the per-party oracle (`simulate_over` over an
-//! explicit channel). Both sides of a pair count the same ops, so the
-//! ratio is per unit of work.
+//! engine, and every collapsed scheme engine `simulate` routes shared
+//! noise to (`simulate_with_scratch` with one reused [`SoaScratch`])
+//! against the per-party oracle (`simulate_over` over an explicit
+//! channel). Both sides of a pair count the same ops, so the ratio is
+//! per unit of work.
 //!
 //! ```text
 //! cargo run --release -p beeps-bench --bin bench_hotpaths [-- --smoke]
@@ -28,7 +27,7 @@
 //! Timing uses the sanctioned [`Stopwatch`]; everything else is
 //! seed-deterministic, so two runs measure the same work.
 
-use beeps_channel::{Channel, NoiseModel, StochasticChannel};
+use beeps_channel::{NoiseModel, StochasticChannel};
 use beeps_core::{
     HierarchicalSimulator, OneToZeroSimulator, OwnedRoundsSimulator, RepetitionSimulator,
     RewindSimulator, SimError, SimOutcome, SimulatorConfig, SoaScratch,
@@ -40,12 +39,8 @@ use beeps_protocols::{Broadcast, InputSet, RollCall};
 /// binary runs exactly these, in this order, and fails when one goes
 /// missing. The scheme pairs cover every engine `simulate` routes shared
 /// noise to.
-const SOA_PAIRS: [(&str, &str); 7] = [
+const SOA_PAIRS: [(&str, &str); 6] = [
     ("party.soa.scalar.n1e4", "party.soa.collapsed.n1e4"),
-    (
-        "channel.dense.transmit.n1e4",
-        "channel.sparse.transmit.n1e4",
-    ),
     ("scheme.repetition.n64", "scheme.repetition.soa"),
     ("scheme.rewind", "scheme.rewind.soa"),
     ("scheme.hierarchical", "scheme.hierarchical.soa"),
@@ -197,34 +192,6 @@ fn party_pair(gate: &mut Gate) {
     );
 }
 
-fn channel_pair(gate: &mut Gate) {
-    // Independent-noise transmit at n = 10^4, consumed the way the
-    // schemes consume it: the uniform() fast path, per-party reads only
-    // on corrupted rounds. At ε = 10^-5 almost every round is clean: the
-    // sparse path classifies its (empty) flip list in O(1), while the
-    // dense twin (set_dense_deliveries) materializes and then scans an
-    // n/64-word row per round. The flip sampling is identical on both
-    // sides, so the ratio isolates the representation.
-    let n = 10_000;
-    let rounds = if gate.smoke { 2_000 } else { 200_000 };
-    let light = NoiseModel::Independent { epsilon: 1e-5 };
-    let consume = |dense: bool| {
-        let mut ch = StochasticChannel::new(n, light, 0x5BA);
-        ch.set_dense_deliveries(dense);
-        let mut sink = 0usize;
-        for r in 0..rounds {
-            let d = ch.transmit(r % 8 == 0);
-            sink += match d.uniform() {
-                Some(bit) => usize::from(bit),
-                None => usize::from(d.heard_by(r % n)),
-            };
-        }
-        std::hint::black_box(sink);
-        rounds
-    };
-    gate.pair(SOA_PAIRS[1], || consume(true), || consume(false));
-}
-
 fn scheme_pairs(gate: &mut Gate) {
     let trials = if gate.smoke { 1 } else { 8 };
     let two = NoiseModel::Correlated { epsilon: 0.1 };
@@ -237,7 +204,7 @@ fn scheme_pairs(gate: &mut Gate) {
     let wide_inputs: Vec<bool> = (0..wide).map(|i| i % 3 != 0).collect();
     let wide_config = SimulatorConfig::builder(wide).model(two).build();
     let rep = RepetitionSimulator::new(&wide_protocol, wide_config.clone());
-    scheme_pair!(gate, SOA_PAIRS[2], trials, rep, wide, &wide_inputs, two);
+    scheme_pair!(gate, SOA_PAIRS[1], trials, rep, wide, &wide_inputs, two);
 
     // Rewind and hierarchical run InputSet at n = 32, where the
     // per-party owners and verify work the collapsed engine removes
@@ -248,9 +215,9 @@ fn scheme_pairs(gate: &mut Gate) {
     let mid_inputs: Vec<usize> = (0..mid).map(|i| (5 * i + 3) % (2 * mid)).collect();
     let mid_config = SimulatorConfig::builder(mid).model(two).build();
     let rew = RewindSimulator::new(&mid_protocol, mid_config.clone());
-    scheme_pair!(gate, SOA_PAIRS[3], trials, rew, mid, &mid_inputs, two);
+    scheme_pair!(gate, SOA_PAIRS[2], trials, rew, mid, &mid_inputs, two);
     let hier = HierarchicalSimulator::new(&mid_protocol, mid_config);
-    scheme_pair!(gate, SOA_PAIRS[4], trials, hier, mid, &mid_inputs, two);
+    scheme_pair!(gate, SOA_PAIRS[3], trials, hier, mid, &mid_inputs, two);
 
     // One-to-zero runs at n = 16 under its dense ε = 1/3 erasure noise:
     // wide enough that the twin's cost is party-dominated.
@@ -259,10 +226,10 @@ fn scheme_pairs(gate: &mut Gate) {
     let z_inputs: Vec<usize> = (0..z_n).map(|i| (5 * i + 3) % (2 * z_n)).collect();
     let z = OneToZeroSimulator::new(&z_protocol, 2, 32.0);
     let down = NoiseModel::OneSidedOneToZero { epsilon: 1.0 / 3.0 };
-    scheme_pair!(gate, SOA_PAIRS[5], trials, z, z_n, &z_inputs, down);
+    scheme_pair!(gate, SOA_PAIRS[4], trials, z, z_n, &z_inputs, down);
 
     let owned = OwnedRoundsSimulator::new(&wide_protocol, wide_config);
-    scheme_pair!(gate, SOA_PAIRS[6], trials, owned, wide, &wide_inputs, two);
+    scheme_pair!(gate, SOA_PAIRS[5], trials, owned, wide, &wide_inputs, two);
 }
 
 pub fn main() {
@@ -281,7 +248,6 @@ pub fn main() {
         failed: false,
     };
     party_pair(&mut gate);
-    channel_pair(&mut gate);
     scheme_pairs(&mut gate);
 
     if gate.ran != SOA_PAIRS {

@@ -60,6 +60,7 @@ impl BitVec {
     }
 
     /// An empty bit vector with room for `bits` bits before reallocating.
+    #[inline]
     #[must_use]
     pub fn with_capacity(bits: usize) -> Self {
         if bits <= INLINE_WORDS * 64 {
@@ -142,6 +143,7 @@ impl BitVec {
     /// # Panics
     ///
     /// Panics if `flips` holds more words than `len` needs.
+    #[inline]
     #[must_use]
     pub fn from_flips(flips: &[u64], base: bool, len: usize) -> Self {
         assert!(
@@ -303,6 +305,7 @@ impl BitVec {
         self.iter().collect()
     }
 
+    #[inline]
     fn mask_tail(&mut self) {
         let rem = self.len % 64;
         if rem != 0 {
@@ -320,6 +323,7 @@ impl BitVec {
     }
 
     /// Ensures backing storage for at least `words` words, zero-filled.
+    #[inline]
     fn reserve_words(&mut self, words: usize) {
         match &mut self.store {
             Store::Inline(w) => {
@@ -339,6 +343,7 @@ impl BitVec {
     }
 
     /// Zero-extended mutable word storage of exactly `words` words.
+    #[inline]
     fn words_storage_mut(&mut self, words: usize) -> &mut [u64] {
         self.reserve_words(words);
         match &mut self.store {

@@ -27,16 +27,12 @@
 //! ([`Channel::transmit_word`]) XORs each listed party's shifted mask
 //! into its heard word and counts corrupted rounds with a popcount of
 //! the masks' OR, so it costs O(n + parties flipped in the block) and
-//! nothing per flip beyond its gap draw. A single round reads its
-//! sorted flip list off the same masks, delivered as
-//! [`Delivery::Sparse`] when the flip count stays below
-//! [`sparse_crossover`] and expanded to a dense [`Delivery::PerParty`]
-//! row above it — so both delivery work and memory traffic scale with
-//! `εn` instead of `n` in the common lightly corrupted round.
+//! nothing per flip beyond its gap draw. A single round reads its bit
+//! off the same masks into a dense [`Delivery::PerParty`] row, so it
+//! costs O(n/64 + parties flipped in the block).
 
 use crate::bits::BitVec;
 use crate::noise::{Delivery, NoiseModel};
-use crate::sparse::{sparse_crossover, SparseDelivery};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Rounds covered by one independent-noise mask block.
@@ -140,8 +136,6 @@ struct IndependentSampler {
     /// entry per party that flips in the block, bit `r` of the mask set
     /// if it flips in block round `r`.
     masks: Vec<(u32, u64)>,
-    /// Scratch for a single round's flip list, one slot per mask.
-    round_flips: Vec<u32>,
     /// Next unconsumed round offset in the block; `BLOCK_ROUNDS`
     /// forces a refill.
     offset: usize,
@@ -172,7 +166,6 @@ impl IndependentSampler {
         seed_calendar(&mut calendar, n, gap, rng);
         Self {
             masks: Vec::new(),
-            round_flips: Vec::new(),
             offset: BLOCK_ROUNDS,
             calendar,
             block: 0,
@@ -181,8 +174,8 @@ impl IndependentSampler {
     }
 
     /// Returns the sampler to its just-constructed state (drawing from
-    /// `rng` in construction order) while reusing the mask and flip
-    /// list allocations. The stale masks are never read: the reset
+    /// `rng` in construction order) while reusing the mask
+    /// allocation. The stale masks are never read: the reset
     /// offset forces a refill, which clears them, before the first
     /// delivery.
     fn restart(&mut self, n: usize, rng: &mut StdRng) {
@@ -191,24 +184,31 @@ impl IndependentSampler {
         seed_calendar(&mut self.calendar, n, self.gap, rng);
     }
 
-    /// Advances one round and returns the parties flipped in it, in
-    /// ascending order, read off the block's masks.
-    fn round(&mut self, rng: &mut StdRng) -> &[u32] {
+    /// Advances one round and writes its flips into `row`: bit `p % 64`
+    /// of `row[p / 64]` is set iff party `p` flips in it. Returns
+    /// whether any party flipped.
+    fn round(&mut self, rng: &mut StdRng, row: &mut [u64]) -> bool {
         if self.offset == BLOCK_ROUNDS {
             self.refill(rng);
         }
         let r = self.offset;
         self.offset += 1;
-        // Every party is written and the round's flippers kept, without
-        // a branch on the round's bit, which most masks lack. `kept`
-        // never passes the number of masks read, so its slot exists.
-        self.round_flips.resize(self.masks.len(), 0);
-        let mut kept = 0;
+        // The masks come in ascending party order, so each row word is
+        // built in a register, without a branch on the round's bit, and
+        // stored once.
+        row.fill(0);
+        let (mut at, mut word, mut any) = (0, 0u64, 0u64);
         for &(p, mask) in &self.masks {
-            self.round_flips[kept] = p;
-            kept += ((mask >> r) & 1) as usize;
+            let w = p as usize / 64;
+            if w != at {
+                row[at] = word;
+                any |= word;
+                (at, word) = (w, 0);
+            }
+            word |= ((mask >> r) & 1) << (p % 64);
         }
-        &self.round_flips[..kept]
+        row[at] = word;
+        (any | word) != 0
     }
 
     /// Advances `len ≤ 64` rounds and XORs their flips into `heard`:
@@ -245,8 +245,8 @@ impl IndependentSampler {
     /// ascending party order with chained gap draws, exactly the points
     /// at which the full per-party skip walk this replaced consumed the
     /// RNG, so seeded flip sets are bitwise unchanged. Ascending party
-    /// order also leaves the mask list sorted, so a round's flip list
-    /// comes out sorted as [`SparseDelivery::new`] requires.
+    /// order also leaves the mask list sorted, so a single round builds
+    /// each word of its row once.
     fn refill(&mut self, rng: &mut StdRng) {
         self.masks.clear();
         if let Some(mut due) = self.calendar.remove(&self.block) {
@@ -446,12 +446,8 @@ enum Sampler {
         rng: StdRng,
         /// Per-party flip masks behind the skip calendar.
         skipper: IndependentSampler,
-        /// Scratch row (`⌈n/64⌉` words) for expanding a round's flip
-        /// list into a dense delivery.
+        /// Scratch row (`⌈n/64⌉` words) for a single round's flips.
         dense_row: Vec<u64>,
-        /// Route every delivery through the dense path (see
-        /// [`StochasticChannel::set_dense_deliveries`]).
-        force_dense: bool,
         /// Rounds in which at least one party's copy flipped.
         corrupted: usize,
     },
@@ -464,7 +460,6 @@ impl Sampler {
                 skipper: IndependentSampler::new(n, epsilon, &mut rng),
                 rng,
                 dense_row: vec![0; n.div_ceil(64)],
-                force_dense: false,
                 corrupted: 0,
             },
             _ => Sampler::Shared(SharedCountdown::new(model, rng)),
@@ -500,10 +495,12 @@ pub trait Channel {
     ///
     /// The default makes `len` calls to [`Channel::transmit`], so every
     /// channel keeps its exact per-round behaviour, and reads each
-    /// delivery as a broadcast bit plus the parties that differ from it:
-    /// O(n + flips) per word for shared and sparse deliveries. Channels
-    /// that override it must draw, flip and count ([`Channel::rounds`],
-    /// [`Channel::corrupted_rounds`]) exactly as that default would.
+    /// delivery as a broadcast bit plus the parties that differ from it
+    /// (a per-party row against the round's true OR): O(n + flips) per
+    /// word for shared deliveries and O(len·n/64 + n + flips) for
+    /// per-party ones. Channels that override it must draw, flip and
+    /// count ([`Channel::rounds`], [`Channel::corrupted_rounds`])
+    /// exactly as that default would.
     ///
     /// # Panics
     ///
@@ -516,20 +513,18 @@ pub trait Channel {
         let mut base = 0u64;
         for k in 0..len {
             let round = 1u64 << k;
-            match self.transmit(sent & round != 0) {
+            let true_or = sent & round != 0;
+            match self.transmit(true_or) {
                 Delivery::Shared(bit) => base |= u64::from(bit) << k,
-                Delivery::Sparse(sparse) => {
-                    base |= u64::from(sparse.base()) << k;
-                    for &p in sparse.flips() {
-                        heard[p as usize] ^= round;
-                    }
-                }
                 Delivery::PerParty(bits) => {
-                    for (w, &word) in bits.words().iter().enumerate() {
-                        let mut ones = word;
-                        while ones != 0 {
-                            heard[w * 64 + ones.trailing_zeros() as usize] ^= round;
-                            ones &= ones - 1;
+                    base |= u64::from(true_or) << k;
+                    let fill = if true_or { u64::MAX } else { 0 };
+                    for (parties, &word) in heard.chunks_mut(64).zip(bits.words()) {
+                        // The row's tail past `n` is no party's.
+                        let mut diff = (word ^ fill) & word_mask(parties.len());
+                        while diff != 0 {
+                            parties[diff.trailing_zeros() as usize] ^= round;
+                            diff &= diff - 1;
                         }
                     }
                 }
@@ -542,6 +537,7 @@ pub trait Channel {
 }
 
 /// The low `len ≤ 64` bits of a word: the live rounds of a delivery.
+#[inline]
 fn word_mask(len: usize) -> u64 {
     if len == 64 {
         u64::MAX
@@ -651,18 +647,6 @@ impl StochasticChannel {
         }
     }
 
-    /// Forces every independent-noise delivery through the dense
-    /// [`Delivery::PerParty`] path instead of the sparse flip-list fast
-    /// path. Both representations expand the same skip-sampled flip
-    /// set, so this exists for the equivalence tests and benchmarks
-    /// that pin sparse-vs-dense bitwise identity; it is a no-op for
-    /// shared-noise models, whose deliveries are already a single bit.
-    pub fn set_dense_deliveries(&mut self, dense: bool) {
-        if let Sampler::Independent { force_dense, .. } = &mut self.sampler {
-            *force_dense = dense;
-        }
-    }
-
     /// Delivers `len ≤ 64` consecutive rounds at once: bit `k` of
     /// `sent` is the true OR of round `k`, bit `k` of the result is
     /// what every party hears in it. Bits of `sent` at or above `len`
@@ -729,24 +713,12 @@ impl Channel for StochasticChannel {
                 rng,
                 skipper,
                 dense_row,
-                force_dense,
                 corrupted,
             } => {
-                let flips = skipper.round(rng);
-                if !flips.is_empty() {
+                if skipper.round(rng, dense_row) {
                     *corrupted += 1;
                 }
-                if *force_dense || flips.len() >= sparse_crossover(n) {
-                    dense_row.fill(0);
-                    for &p in flips {
-                        dense_row[p as usize / 64] |= 1u64 << (p as usize % 64);
-                    }
-                    Delivery::PerParty(BitVec::from_flips(dense_row, true_or, n))
-                } else {
-                    // A clean round's list is an empty Vec, so the
-                    // common case allocates nothing.
-                    Delivery::Sparse(SparseDelivery::new(true_or, n, flips.to_vec()))
-                }
+                Delivery::PerParty(BitVec::from_flips(dense_row, true_or, n))
             }
         }
     }
@@ -1103,61 +1075,7 @@ mod tests {
         let mut ch = StochasticChannel::new(8, NoiseModel::Independent { epsilon: 0.2 }, 1);
         match ch.transmit(true) {
             Delivery::PerParty(bits) => assert_eq!(bits.len(), 8),
-            Delivery::Sparse(sparse) => assert_eq!(sparse.len(), 8),
             Delivery::Shared(_) => panic!("independent noise must deliver per party"),
-        }
-    }
-
-    #[test]
-    fn sparse_and_dense_independent_deliveries_agree() {
-        // The sparse fast path and the dense-forced path expand the same
-        // skip-sampled flip masks, so deliveries must be bit-identical
-        // round for round (the manual `Delivery` equality compares the
-        // representations semantically).
-        for n in [1usize, 5, 64, 65, 200] {
-            let model = NoiseModel::Independent { epsilon: 0.2 };
-            let mut sparse = StochasticChannel::new(n, model, 42);
-            let mut dense = StochasticChannel::new(n, model, 42);
-            dense.set_dense_deliveries(true);
-            for r in 0..300 {
-                let true_or = r % 3 == 0;
-                let got = sparse.transmit(true_or);
-                let want = dense.transmit(true_or);
-                assert!(
-                    matches!(want, Delivery::PerParty(_)),
-                    "dense-forced channel must deliver PerParty"
-                );
-                assert_eq!(got, want, "n={n} round {r}");
-            }
-            assert_eq!(sparse.corrupted_rounds(), dense.corrupted_rounds());
-        }
-    }
-
-    #[test]
-    fn heavy_corruption_falls_back_to_dense_deliveries() {
-        // At ε = 0.9 nearly every party flips each round, far above the
-        // crossover, so the channel must choose the dense representation
-        // on its own.
-        let mut ch = StochasticChannel::new(64, NoiseModel::Independent { epsilon: 0.9 }, 7);
-        let mut dense_rounds = 0;
-        for _ in 0..100 {
-            if matches!(ch.transmit(false), Delivery::PerParty(_)) {
-                dense_rounds += 1;
-            }
-        }
-        assert!(dense_rounds > 90, "only {dense_rounds}/100 rounds dense");
-    }
-
-    #[test]
-    fn light_corruption_stays_sparse() {
-        // At ε = 0.001 over 200 parties the crossover (12 flips) is
-        // essentially never reached.
-        let mut ch = StochasticChannel::new(200, NoiseModel::Independent { epsilon: 0.001 }, 7);
-        for r in 0..500 {
-            assert!(
-                matches!(ch.transmit(r % 2 == 0), Delivery::Sparse(_)),
-                "round {r} unexpectedly dense"
-            );
         }
     }
 }

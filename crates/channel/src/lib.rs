@@ -68,7 +68,6 @@ pub mod channel;
 pub mod multiplication;
 pub mod noise;
 pub mod protocol;
-pub mod sparse;
 pub mod trace;
 
 pub use adversary::{CorrectingAdversaryChannel, CorrectionPolicy};
@@ -81,5 +80,4 @@ pub use protocol::{
     run_noiseless, run_protocol, run_protocol_over, EnumerableInputs, Execution, NoisyExecution,
     PartyViews, Protocol, Transcript, UniquelyOwned,
 };
-pub use sparse::{sparse_crossover, SparseDelivery};
 pub use trace::{RoundTrace, TraceSummary, TracingChannel, DEFAULT_TRACE_CAPACITY};

@@ -1,7 +1,6 @@
 //! Noise regimes of the beeping channel (Appendix A.1 of the paper).
 
 use crate::bits::BitVec;
-use crate::sparse::SparseDelivery;
 use rand::Rng;
 use std::fmt;
 
@@ -181,24 +180,23 @@ impl fmt::Display for InvalidNoise {
 impl std::error::Error for InvalidNoise {}
 
 /// What the channel delivered in one round: a single bit heard by
-/// everyone (shared-noise regimes), one bit per party (independent
-/// noise, dense), or a broadcast base plus a flip list (independent
-/// noise, sparse).
+/// everyone (shared-noise regimes), or one bit per party (independent
+/// noise).
 ///
-/// Per-party deliveries are word-packed ([`BitVec`]): for up to 128
-/// parties the whole delivery lives inline, so independent-noise rounds
-/// allocate nothing. Lightly corrupted rounds at large `n` instead use
-/// [`SparseDelivery`], whose cost scales with the flip count rather
-/// than the party count; the stochastic channel picks per round via
-/// [`crate::sparse::sparse_crossover`].
-#[derive(Debug, Clone)]
+/// Per-party deliveries are one dense, word-packed row ([`BitVec`]):
+/// for up to 128 parties the whole row lives inline, so
+/// independent-noise rounds allocate nothing.
+///
+/// Equality is by variant and bits: `Shared` never equals a
+/// `PerParty` row, even one whose bits all agree. Being shared is a
+/// channel-level guarantee, not just a bit pattern, and collapsing it
+/// would hide a regime bug.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Delivery {
     /// All parties heard this bit.
     Shared(bool),
     /// Party `i` heard `bits.get(i)`.
     PerParty(BitVec),
-    /// Party `i` heard the base bit unless listed as flipped.
-    Sparse(SparseDelivery),
 }
 
 impl Delivery {
@@ -206,13 +204,12 @@ impl Delivery {
     ///
     /// # Panics
     ///
-    /// Panics if `i` is out of range for a per-party or sparse delivery.
+    /// Panics if `i` is out of range for a per-party delivery.
     #[inline]
     pub fn heard_by(&self, i: usize) -> bool {
         match self {
             Delivery::Shared(b) => *b,
             Delivery::PerParty(bits) => bits.get(i),
-            Delivery::Sparse(sparse) => sparse.heard_by(i),
         }
     }
 
@@ -221,42 +218,20 @@ impl Delivery {
     pub fn shared(&self) -> Option<bool> {
         match self {
             Delivery::Shared(b) => Some(*b),
-            Delivery::PerParty(_) | Delivery::Sparse(_) => None,
+            Delivery::PerParty(_) => None,
         }
     }
 
     /// The single bit everyone heard, whether the delivery is `Shared`
-    /// or a per-party/sparse delivery whose bits happen to agree.
+    /// or a per-party delivery whose bits happen to agree.
     #[inline]
     pub fn uniform(&self) -> Option<bool> {
         match self {
             Delivery::Shared(b) => Some(*b),
             Delivery::PerParty(bits) => bits.uniform(),
-            Delivery::Sparse(sparse) => sparse.uniform(),
         }
     }
 }
-
-/// Equality is bit-semantic across the per-party representations: a
-/// sparse delivery equals a dense one when every party hears the same
-/// bit, so equivalence tests can compare a sparse-producing channel
-/// against a dense-forced one with plain `assert_eq!`. `Shared` stays
-/// distinct from both — being shared is a channel-level guarantee, not
-/// just a bit pattern, and collapsing it would hide a regime bug.
-impl PartialEq for Delivery {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Delivery::Shared(a), Delivery::Shared(b)) => a == b,
-            (Delivery::PerParty(a), Delivery::PerParty(b)) => a == b,
-            (Delivery::Sparse(a), Delivery::Sparse(b)) => a == b,
-            (Delivery::Sparse(sparse), Delivery::PerParty(bits))
-            | (Delivery::PerParty(bits), Delivery::Sparse(sparse)) => sparse == bits,
-            (Delivery::Shared(_), _) | (_, Delivery::Shared(_)) => false,
-        }
-    }
-}
-
-impl Eq for Delivery {}
 
 #[cfg(test)]
 mod tests {
@@ -354,6 +329,8 @@ mod tests {
         assert_eq!(agree.shared(), None);
         assert_eq!(agree.uniform(), Some(true));
         assert_eq!(d.uniform(), Some(true));
+        // Equal bits do not make a per-party row shared.
+        assert_ne!(d, Delivery::PerParty(BitVec::broadcast(2, true)));
     }
 
     #[test]

@@ -355,17 +355,6 @@ pub fn run_protocol_over<P: Protocol, C: Channel>(
                     view.push(bit);
                 }
             }
-            Delivery::Sparse(sparse) => {
-                if let Some(view) = shared.take() {
-                    per_party = vec![view; n];
-                }
-                let base = sparse.base();
-                let mut flips = sparse.flips().iter().peekable();
-                for (i, view) in per_party.iter_mut().enumerate() {
-                    let flipped = flips.next_if(|&&p| p as usize == i).is_some();
-                    view.push(base ^ flipped);
-                }
-            }
         }
     }
 

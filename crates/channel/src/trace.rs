@@ -204,14 +204,6 @@ pub fn render_strips(log: &[RoundTrace], width: usize) -> String {
                 let bit = match &r.delivery {
                     Delivery::Shared(b) => *b,
                     Delivery::PerParty(bits) => bits.count_ones() * 2 >= bits.len(),
-                    Delivery::Sparse(sparse) => {
-                        let ones = if sparse.base() {
-                            sparse.len() - sparse.flips().len()
-                        } else {
-                            sparse.flips().len()
-                        };
-                        ones * 2 >= sparse.len()
-                    }
                 };
                 if bit {
                     '#'

@@ -31,7 +31,6 @@ fn channel_corruptions(
             match ch.transmit(or) {
                 Delivery::Shared(bit) => bit != or,
                 Delivery::PerParty(bits) => bits.uniform() != Some(or),
-                Delivery::Sparse(sparse) => sparse.uniform() != Some(or),
             }
         })
         .collect()
@@ -209,13 +208,6 @@ fn independent_per_party_flip_rates_match_reference() {
                     *c += usize::from(bits.get(i));
                 }
             }
-            Delivery::Sparse(sparse) => {
-                // Sent OR is false, so heard 1s are exactly the flips.
-                assert!(!sparse.base());
-                for &p in sparse.flips() {
-                    per_party[p as usize] += 1;
-                }
-            }
         }
     }
 
@@ -261,7 +253,6 @@ fn independent_flips_land_on_every_block_offset() {
         let flips = match ch.transmit(false) {
             // Sent OR is false, so heard 1s are exactly the flips.
             Delivery::PerParty(bits) => bits.count_ones() as f64,
-            Delivery::Sparse(sparse) => sparse.flips().len() as f64,
             Delivery::Shared(_) => panic!("independent noise must deliver per party"),
         };
         by_offset[r % 64] += flips;

@@ -120,7 +120,6 @@ proptest! {
         );
         match indep.transmit(or) {
             Delivery::PerParty(bits) => prop_assert_eq!(bits.len(), n),
-            Delivery::Sparse(sparse) => prop_assert_eq!(sparse.len(), n),
             Delivery::Shared(_) => prop_assert!(false, "independent must be per-party"),
         }
     }
@@ -274,8 +273,8 @@ fn words_and_rounds() -> impl Strategy<Value = Vec<Delivered>> {
 }
 
 /// Every model, independent noise included, at
-/// ε ∈ {0, 10⁻³, 0.1, 1/3, 0.49, 0.9}; at ε = 0.9 independent rounds
-/// cross `sparse_crossover` into dense rows.
+/// ε ∈ {0, 10⁻³, 0.1, 1/3, 0.49, 0.9}; at ε = 0.9 most parties' copies
+/// flip in every independent round.
 fn any_model() -> impl Strategy<Value = NoiseModel> {
     (0usize..5, 0usize..6).prop_map(|(kind, e)| {
         let epsilon = [0.0, 1e-3, 0.1, 1.0 / 3.0, 0.49, 0.9][e];
@@ -422,8 +421,8 @@ proptest! {
     /// model, in any interleaving with them: the stochastic channel's
     /// override (the countdown for shared models; for independent noise,
     /// each flipped party's flip mask XORed into its heard word) and the
-    /// provided per-round default over the same channel, whose
-    /// independent deliveries come sparse and, at ε = 0.9, dense.
+    /// provided per-round default over the same channel, which reads
+    /// each independent round's dense row against the round's true OR.
     #[test]
     fn channel_words_match_per_round_transmits(
         model in any_model(),

@@ -196,14 +196,16 @@ pub(crate) fn levels(k: usize, max_level: usize) -> impl Iterator<Item = usize> 
 
 /// The hierarchical round budget, in both engines: `budget_factor ×` the
 /// ideal per-iteration cost (chunk, owners, and the amortized checks at
-/// four level-0 votes), plus fixed slack for the deep checks.
+/// four level-0 votes), plus fixed slack for the deep checks. The sum
+/// saturates: a product past `usize::MAX` casts to it, and the slack
+/// must not wrap it round to a tiny budget.
 pub(crate) fn budget(config: &SimulatorConfig, n: usize, t: usize) -> usize {
     let max_level = max_level(config, t);
     let per_iter = config.chunk_len * config.repetitions
         + OwnersState::channel_rounds(config.chunk_len, n, config.code_len)
         + config.verify_repetitions * 4;
-    (config.budget_factor * (config.chunks_needed(t) * per_iter) as f64).ceil() as usize
-        + config.verify_repetitions * (max_level + 2) * (max_level + 2) * 4
+    ((config.budget_factor * (config.chunks_needed(t) * per_iter) as f64).ceil() as usize)
+        .saturating_add(config.verify_repetitions * (max_level + 2) * (max_level + 2) * 4)
 }
 
 /// Whether a vote of `vote_len` rounds that heard `ones` ones is

@@ -198,9 +198,10 @@ fn never_fabricates(model: NoiseModel) -> Result<(), SimError> {
 /// The one-to-zero round budget, in both engines: `budget_factor × t`
 /// plus four rounds of every checkpoint level's final confirmation. The
 /// deepest level is `log_depth(t)`: its rewinds cover the whole
-/// transcript.
+/// transcript. The sum saturates, as the hierarchical budget's does.
 pub(crate) fn budget(base: usize, budget_factor: f64, t: usize) -> usize {
-    (budget_factor * t.max(1) as f64).ceil() as usize + base * (log_depth(t) + 2) * 4
+    ((budget_factor * t.max(1) as f64).ceil() as usize)
+        .saturating_add(base * (log_depth(t) + 2) * 4)
 }
 
 /// What the lock-step schedule is doing right now.

@@ -49,15 +49,6 @@ impl Channel for RoundtripChannel {
                 assert_eq!(bits, bools, "packed bits disagree with bool view");
                 Delivery::PerParty(BitVec::from_bools(&bools))
             }
-            Delivery::Sparse(sparse) => {
-                // Expand the flip list through the boolean reference
-                // representation, so consumers of this channel exercise
-                // the dense path on bits the sparse path produced.
-                let bools: Vec<bool> = (0..sparse.len()).map(|i| sparse.heard_by(i)).collect();
-                let dense = BitVec::from_bools(&bools);
-                assert_eq!(sparse, dense, "sparse delivery disagrees with dense view");
-                Delivery::PerParty(dense)
-            }
         }
     }
 
@@ -108,11 +99,12 @@ fn models() -> Vec<NoiseModel> {
 /// The inputs the oracle tests sweep for a Theorem 1.2 scheme at `n`
 /// parties: the default budget over every regime, then a budget-starved
 /// config (ε = 0.2 against `budget_factor(starved)`) over more seeds,
-/// so `BudgetExhausted { rounds_used, committed }` is exercised too.
+/// so `BudgetExhausted { rounds_used, committed }` is exercised too,
+/// and last an unbounded budget (`budget_factor` ∞), whose runs must
+/// end in `Ok`.
 fn oracle_cases(n: usize, starved: f64) -> Vec<(SimulatorConfig, NoiseModel, Range<u64>)> {
-    let config = SimulatorConfig::builder(n)
-        .model(NoiseModel::Correlated { epsilon: 0.1 })
-        .build();
+    let default = NoiseModel::Correlated { epsilon: 0.1 };
+    let config = SimulatorConfig::builder(n).model(default).build();
     let mut cases: Vec<_> = models()
         .into_iter()
         .map(|model| (config.clone(), model, 0..2))
@@ -123,6 +115,11 @@ fn oracle_cases(n: usize, starved: f64) -> Vec<(SimulatorConfig, NoiseModel, Ran
         .budget_factor(starved)
         .build();
     cases.push((starved, model, 0..32));
+    let unbounded = SimulatorConfig::builder(n)
+        .model(default)
+        .budget_factor(f64::INFINITY)
+        .build();
+    cases.push((unbounded, default, 0..2));
     cases
 }
 
@@ -173,9 +170,12 @@ fn assert_words_match_rounds<O: PartialEq + Debug>(
 /// end, so the machines idle in one phase until the budget runs out.
 /// Codewords cross a limb boundary (65 bits) at n ≤ 5 and stay short
 /// (16 bits) at n ≥ 64, where every party decodes every codeword.
+/// The unbounded-budget case stays out: the callers' digests pin the
+/// outcomes the per-round engines gave the cases without it.
 fn word_cases(n: usize, starved: f64) -> Vec<(SimulatorConfig, NoiseModel)> {
     let mut cases: Vec<_> = oracle_cases(n, starved)
         .into_iter()
+        .filter(|(config, ..)| config.budget_factor.is_finite())
         .map(|(config, model, _)| (config, model))
         .collect();
     // Silence lets a vote pass: a block that wrongly ended would commit.
@@ -389,13 +389,16 @@ fn rewind_scheme_matches_roundtrip() {
     let inputs = [1, 5, 5, 2];
     let mut failed = 0usize;
     for (config, model, seeds) in oracle_cases(4, 1.0) {
+        let bounded = config.budget_factor.is_finite();
         let sim = RewindSimulator::new(&p, config);
         for seed in seeds {
             let packed = sim.simulate(&inputs, model, seed);
             let mut rt = RoundtripChannel::new(4, model, seed);
             let unpacked = sim.simulate_over(&inputs, model, &mut rt);
             let context = format!("{model} seed {seed}");
-            failed += usize::from(assert_matches_oracle(packed, unpacked, &context));
+            let err = assert_matches_oracle(packed, unpacked, &context);
+            assert!(bounded || !err, "unbounded budget ran out: {context}");
+            failed += usize::from(err);
         }
     }
     assert!(failed > 0, "starved budget never exhausted: weak test");
@@ -409,13 +412,16 @@ fn hierarchical_scheme_matches_roundtrip() {
     // The hierarchical budget carries fixed check slack on top of
     // `budget_factor`, so starving it takes a factor well below 1.
     for (config, model, seeds) in oracle_cases(4, 0.3) {
+        let bounded = config.budget_factor.is_finite();
         let sim = HierarchicalSimulator::new(&p, config);
         for seed in seeds {
             let packed = sim.simulate(&inputs, model, seed);
             let mut rt = RoundtripChannel::new(4, model, seed);
             let unpacked = sim.simulate_over(&inputs, model, &mut rt);
             let context = format!("{model} seed {seed}");
-            failed += usize::from(assert_matches_oracle(packed, unpacked, &context));
+            let err = assert_matches_oracle(packed, unpacked, &context);
+            assert!(bounded || !err, "unbounded budget ran out: {context}");
+            failed += usize::from(err);
         }
     }
     assert!(failed > 0, "starved budget never exhausted: weak test");
@@ -450,13 +456,16 @@ fn owned_rounds_scheme_matches_roundtrip() {
     let inputs = [true, false, true, true, false, false, true, false];
     let mut failed = 0usize;
     for (config, model, seeds) in oracle_cases(8, 1.0) {
+        let bounded = config.budget_factor.is_finite();
         let sim = OwnedRoundsSimulator::new(&p, config);
         for seed in seeds {
             let packed = sim.simulate(&inputs, model, seed);
             let mut rt = RoundtripChannel::new(8, model, seed);
             let unpacked = sim.simulate_over(&inputs, model, &mut rt);
             let context = format!("{model} seed {seed}");
-            failed += usize::from(assert_matches_oracle(packed, unpacked, &context));
+            let err = assert_matches_oracle(packed, unpacked, &context);
+            assert!(bounded || !err, "unbounded budget ran out: {context}");
+            failed += usize::from(err);
         }
     }
     assert!(failed > 0, "starved budget never exhausted: weak test");
@@ -552,49 +561,6 @@ fn shared_transcript_outputs_share_one_set() {
                 .simulate(&inputs, model, seed)
                 .unwrap_or_else(|e| panic!("{context}: {e}"));
             assert_shared(outcome.outputs(), n, &context);
-        }
-    }
-}
-
-/// Sparse flip lists and forced-dense rows are two encodings of the
-/// same delivery: round by round they must compare equal (the semantic
-/// `Delivery` equality) in every regime and at the degenerate party
-/// counts. The saturated case drives noise hard enough that rounds
-/// where *every* party's bit flips occur, forcing the sparse→dense
-/// fallback — both encodings must agree through the crossover too.
-#[test]
-fn sparse_and_forced_dense_deliveries_agree_across_regimes() {
-    let mut cases = models();
-    cases.push(NoiseModel::Independent { epsilon: 0.97 });
-    for n in [1usize, 65] {
-        for &model in &cases {
-            let mut sparse = StochasticChannel::new(n, model, 0xD15E);
-            let mut dense = StochasticChannel::new(n, model, 0xD15E);
-            dense.set_dense_deliveries(true);
-            let mut fallbacks = 0usize;
-            let mut all_flipped = 0usize;
-            for round in 0..400 {
-                let or = round % 3 == 0;
-                let a = sparse.transmit(or);
-                let b = dense.transmit(or);
-                assert_eq!(a, b, "n={n} round {round} over {model}");
-                if let Delivery::PerParty(_) = a {
-                    fallbacks += 1;
-                }
-                if (0..n).all(|i| a.heard_by(i) != or) {
-                    all_flipped += 1;
-                }
-            }
-            if n == 65 && matches!(model, NoiseModel::Independent { epsilon } if epsilon > 0.5) {
-                assert!(
-                    fallbacks > 0,
-                    "saturated noise never tripped the dense fallback"
-                );
-                assert!(
-                    all_flipped > 0,
-                    "saturated noise never flipped all parties in one round"
-                );
-            }
         }
     }
 }
@@ -786,14 +752,13 @@ fn one_to_zero_scheme_matches_roundtrip() {
     let p = InputSet::new(5);
     let inputs = [2, 8, 8, 1, 0];
     // The default budget, then the minimum legal one (`budget_factor`
-    // 2) under heavy erasure so `BudgetExhausted` is exercised too.
+    // 2) under heavy erasure so `BudgetExhausted` is exercised too, then
+    // an unbounded one, whose runs must end in `Ok`.
+    let default = NoiseModel::OneSidedOneToZero { epsilon: 1.0 / 3.0 };
     let cases = [
-        (
-            32.0,
-            NoiseModel::OneSidedOneToZero { epsilon: 1.0 / 3.0 },
-            0..4,
-        ),
+        (32.0, default, 0..4),
         (2.0, NoiseModel::OneSidedOneToZero { epsilon: 0.45 }, 0..32),
+        (f64::INFINITY, default, 0..2),
     ];
     let mut failed = 0usize;
     for (budget_factor, model, seeds) in cases {
@@ -803,7 +768,12 @@ fn one_to_zero_scheme_matches_roundtrip() {
             let mut rt = RoundtripChannel::new(5, model, seed);
             let unpacked = sim.simulate_over(&inputs, model, &mut rt);
             let context = format!("{model} seed {seed}");
-            failed += usize::from(assert_matches_oracle(packed, unpacked, &context));
+            let err = assert_matches_oracle(packed, unpacked, &context);
+            assert!(
+                budget_factor.is_finite() || !err,
+                "unbounded budget ran out: {context}"
+            );
+            failed += usize::from(err);
         }
     }
     assert!(failed > 0, "starved budget never exhausted: weak test");

@@ -145,11 +145,10 @@ impl RuleId {
                  documented in EXPERIMENTS.md's schema section"
             }
             RuleId::PartyLoopAlloc => {
-                "the collapsed engines and the sparse channel run their \
-                 loops once per party per round at n up to 10^6; any \
-                 heap constructor there turns O(1) amortized rounds \
-                 into allocator traffic — reuse the SoaScratch arenas \
-                 or the sampler's pooled rows instead"
+                "the collapsed engines run their loops once per party \
+                 per round at n up to 10^6; any heap constructor there \
+                 turns O(1) amortized rounds into allocator traffic — \
+                 reuse the SoaScratch arenas instead"
             }
             RuleId::TrialScopePrecompute => {
                 "code-table construction inside a TrialRunner per-trial \
@@ -220,12 +219,10 @@ const ENTROPY_PATTERNS: &[&str] = &["thread_rng", "from_entropy", "from_os_rng",
 const METRIC_METHODS: &[&str] = &[".inc(", ".observe(", ".event(", ".counter(", ".histogram("];
 
 /// Files holding the per-round per-party loops of the scaling path:
-/// the collapsed struct-of-arrays engines and the sparse delivery
-/// representation. Steady-state simulation there must reuse scratch
-/// arenas (`SoaScratch`, the sampler's pooled rows) — a heap
-/// constructor inside these files runs up to `n = 10^6` times per
-/// round.
-const PARTY_LOOP_FILES: &[&str] = &["crates/core/src/soa.rs", "crates/channel/src/sparse.rs"];
+/// the collapsed struct-of-arrays engines. Steady-state simulation
+/// there must reuse scratch arenas (`SoaScratch`) — a heap constructor
+/// inside these files runs up to `n = 10^6` times per round.
+const PARTY_LOOP_FILES: &[&str] = &["crates/core/src/soa.rs"];
 
 /// Heap-allocating constructors banned in party-loop files: `Vec`
 /// growth, `String` formatting and boxing. Matched against the
@@ -746,8 +743,8 @@ fn pass_party_loop_alloc(files: &[SourceFile], _facts: &Facts, out: &mut Vec<Fin
                         idx,
                         format!(
                             "`{pat}…` allocates inside a per-round per-party file; reuse \
-                             the SoaScratch arenas / pooled sampler rows, or hoist the \
-                             allocation into setup code outside this file"
+                             the SoaScratch arenas, or hoist the allocation into setup \
+                             code outside this file"
                         ),
                     ));
                 }

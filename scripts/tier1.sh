@@ -50,9 +50,8 @@ cargo fmt --check --manifest-path vendor/rand/Cargo.toml
 # rename or deletion fails here instead of rotting silently.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # Smoke-run the hot-path ratio gate (one iteration per pair, small
-# sizes): every collapsed engine and its per-party twin, and the sparse
-# channel and its dense twin, must run and give a finite, positive
-# ratio, and a dropped pair fails. Run it without --smoke for the real
+# sizes): every collapsed engine and its per-party twin must run and
+# give a finite, positive ratio, and a dropped pair fails. Run it without --smoke for the real
 # gate, a median ratio of at least 3x per pair over 5 iterations.
 cargo run --release -q -p beeps-bench --bin bench_hotpaths -- --smoke
 # Observability smoke: a real experiment run under --progress --profile
