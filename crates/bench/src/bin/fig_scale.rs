@@ -14,8 +14,9 @@
 //!    Here the per-chunk owners pass dominates (overhead grows like
 //!    `n·W/L` — amortization needs `T = Ω(n)`), and the interesting
 //!    rows are feasibility and footprint: wall-clock per trial, the
-//!    retained verification-window words (`O(window · n/64)` instead of
-//!    the old `O(T · n)` committed transcript), and process peak RSS.
+//!    verification stack's words (one `n`-bit row per committed chunk,
+//!    `O((T/L) · n/64)` instead of the old `O(T · n)` committed
+//!    transcript; the `window KiB` column), and process peak RSS.
 //!
 //! `--smoke` caps both sweeps at `n = 10⁴` totals suitable for tier-1 /
 //! CI. Trials run on the shared [`TrialRunner`] (`--threads N` /
@@ -94,8 +95,8 @@ fn amortized_sweep(
 /// feasibility and footprint rather than amortized overhead.
 ///
 /// Returns two tables because they live on opposite sides of the
-/// determinism contract: the first (overhead, rewinds, retained
-/// window words) is seed-deterministic and goes into the JSON log;
+/// determinism contract: the first (overhead, rewinds, verification
+/// stack words) is seed-deterministic and goes into the JSON log;
 /// the second (wall-clock per trial, process peak RSS) is
 /// machine-dependent, so it is printed under a NON-DETERMINISTIC
 /// banner and *never* serialized — the run log's `summary` line
@@ -205,8 +206,8 @@ pub fn main() {
         f3(last.1 / last.0),
     );
     println!("the sweep) — Theorem 1.2's Theta(log n) — while the scale regime's");
-    println!("windowed transcript + collapsed engine keep a million-party trial inside");
-    println!("one machine's RAM: retained window words are O(window * n/64), not O(T * n).");
+    println!("verification stack + collapsed engine keep a million-party trial inside");
+    println!("one machine's RAM: stack words are O((T/L) * n/64), not O(T * n).");
 
     let mut log = ExperimentLog::new("fig_scale");
     log.field("base_seed", base_seed)

@@ -4,8 +4,7 @@
 //! noise-free runs must report zero corruption and zero rewinds.
 //! Attaching the full observer stack (progress + profiler + run log)
 //! must not move a single bit of either results or metrics, and
-//! neither must windowed transcript retention or independent noise in
-//! the per-party rewind engine.
+//! neither must independent noise in the per-party rewind engine.
 
 use std::sync::Arc;
 
@@ -124,43 +123,6 @@ fn merged_registries_are_thread_count_invariant_under_independent_noise() {
                 "scheme {} threads {threads} under independent noise",
                 sim.name()
             );
-        }
-    }
-}
-
-/// A minimal committed-transcript retention window (heavy
-/// rematerialization) must not open any thread-count dependence, for
-/// both collapsed-engine schemes that honor the window, and neither
-/// must independent noise, which routes rewind to its per-party engine
-/// (it ignores the window) stepping words through the independent
-/// channel's `transmit_word`: the merged registry stays bitwise
-/// identical at 1, 2, and 8 threads in every case.
-#[test]
-fn merged_registries_are_thread_count_invariant_with_scaling_knobs() {
-    let p = InputSet::new(N);
-    let two = NoiseModel::Correlated { epsilon: 0.05 };
-    let indep = NoiseModel::Independent { epsilon: 0.05 };
-    let windowed = |model: NoiseModel| {
-        SimulatorConfig::builder(N)
-            .model(model)
-            .verify_window(1)
-            .build()
-    };
-
-    let rewind_windowed = RewindSimulator::new(&p, windowed(two));
-    let hier_windowed = HierarchicalSimulator::new(&p, windowed(two));
-    let rewind_independent = RewindSimulator::new(&p, windowed(indep));
-
-    let cases: [(SetSim, NoiseModel, &str); 3] = [
-        (&rewind_windowed, two, "rewind window=1"),
-        (&hier_windowed, two, "hierarchical window=1"),
-        (&rewind_independent, indep, "rewind independent noise"),
-    ];
-    for (sim, model, label) in cases {
-        let serial = merged_registry(sim, model, &input_set_gen, 1);
-        for threads in [2, 8] {
-            let parallel = merged_registry(sim, model, &input_set_gen, threads);
-            assert_eq!(serial, parallel, "{label} threads {threads}");
         }
     }
 }

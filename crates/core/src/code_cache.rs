@@ -33,8 +33,7 @@ type CodeKey = (usize, usize, Option<usize>, u64);
 /// A thread-safe cache of built symbol-code tables, shared across trials
 /// (and worker threads) of an experiment.
 ///
-/// Attach one to a [`SimulatorConfig`] with
-/// [`SimulatorConfig::with_code_cache`] or the builder's
+/// Attach one to a [`SimulatorConfig`] with the builder's
 /// [`code_cache`](crate::params::SimulatorConfigBuilder::code_cache)
 /// setter; `build_code()` then consults the cache transparently, so the
 /// simulators need no changes to benefit.

@@ -77,5 +77,5 @@ pub use owners::{run_owners_phase, OwnersOutcome};
 pub use params::{ResolvedParams, SimulatorConfig, SimulatorConfigBuilder};
 pub use repetition::RepetitionSimulator;
 pub use rewind::RewindSimulator;
-pub use simulator::{record_simulation, NakedSimulator, SimulationRecorder, Simulator};
+pub use simulator::{record_simulation, NakedSimulator, Simulator};
 pub use soa::SoaScratch;

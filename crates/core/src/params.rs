@@ -58,13 +58,6 @@ pub struct SimulatorConfig {
     pub code_weight: Option<usize>,
     /// Per-decision failure probability the parameters were sized for.
     pub target_error: f64,
-    /// Committed chunks whose verification bitsets the collapsed
-    /// struct-of-arrays engine keeps exact (one `n`-bit word row per
-    /// chunk); older chunks are evicted to a digest and recomputed from
-    /// the transcript only if a rewind storm pops past the window. A
-    /// pure memory knob: every value produces bitwise-identical results
-    /// (values below 1 behave as 1; `usize::MAX` retains everything).
-    pub verify_window: usize,
     /// Experiment-scoped cache consulted by
     /// [`build_code`](SimulatorConfig::build_code); `None` rebuilds the
     /// table on every call. Private so equality and the cache stay
@@ -86,7 +79,6 @@ impl PartialEq for SimulatorConfig {
             && self.code_seed == other.code_seed
             && self.code_weight == other.code_weight
             && self.target_error == other.target_error
-            && self.verify_window == other.verify_window
     }
 }
 
@@ -97,9 +89,8 @@ impl PartialEq for SimulatorConfig {
 /// repetition counts and codeword lengths are derived from the noise
 /// model and the per-decision error target. An explicit
 /// [`target_error`](SimulatorConfigBuilder::target_error) **overrides**
-/// the automatic target (the builder-time equivalent of calling
-/// [`SimulatorConfig::with_target_error`] on a finished config); the
-/// remaining setters override individual fields after sizing.
+/// the automatic target; the remaining setters override individual
+/// fields after sizing.
 ///
 /// # Examples
 ///
@@ -128,7 +119,6 @@ pub struct SimulatorConfigBuilder {
     budget_factor: Option<f64>,
     code_seed: Option<u64>,
     code_weight: Option<usize>,
-    verify_window: Option<usize>,
     code_cache: Option<std::sync::Arc<crate::code_cache::CodeCache>>,
 }
 
@@ -178,15 +168,6 @@ impl SimulatorConfigBuilder {
         self
     }
 
-    /// Overrides the committed-chunk verification window of the
-    /// collapsed engine (default 8). See
-    /// [`SimulatorConfig::verify_window`]; results are bitwise
-    /// identical for every value — only peak memory changes.
-    pub fn verify_window(mut self, window: usize) -> Self {
-        self.verify_window = Some(window);
-        self
-    }
-
     /// Attaches a shared [`crate::CodeCache`] that
     /// [`build_code`](SimulatorConfig::build_code) will consult, so
     /// repeated simulations over equal parameters build their symbol-code
@@ -227,7 +208,7 @@ impl SimulatorConfigBuilder {
                 (0.15 / decisions).clamp(1e-9, 0.25)
             }
         };
-        let mut config = SimulatorConfig::sized(n, chunk_len, self.model, target);
+        let mut config = SimulatorConfig::sized(chunk_len, self.model, target);
         if let Some(factor) = self.budget_factor {
             config.budget_factor = factor;
         }
@@ -236,9 +217,6 @@ impl SimulatorConfigBuilder {
         }
         if let Some(weight) = self.code_weight {
             config.code_weight = Some(weight);
-        }
-        if let Some(window) = self.verify_window {
-            config.verify_window = window;
         }
         if let Some(cache) = self.code_cache {
             config.code_cache = Some(cache);
@@ -263,33 +241,11 @@ impl SimulatorConfig {
             budget_factor: None,
             code_seed: None,
             code_weight: None,
-            verify_window: None,
             code_cache: None,
         }
     }
 
-    /// Re-sizes repetition counts and codeword lengths of an existing
-    /// config for a custom per-decision error target — the post-hoc
-    /// form of [`SimulatorConfigBuilder::target_error`]. The explicit
-    /// `target` **overrides** whatever target the config was originally
-    /// sized for: `repetitions`, `code_len`, and `verify_repetitions`
-    /// are recomputed from it, while `chunk_len`, `budget_factor`,
-    /// `code_seed`, and `code_weight` are kept as-is.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is not in `(0, 1)`.
-    pub fn with_target_error(mut self, n: usize, model: NoiseModel, target: f64) -> Self {
-        assert!(target > 0.0 && target < 1.0, "target must be in (0, 1)");
-        let sized = Self::sized(n, self.chunk_len, model, target);
-        self.repetitions = sized.repetitions;
-        self.code_len = sized.code_len;
-        self.verify_repetitions = sized.verify_repetitions;
-        self.target_error = target;
-        self
-    }
-
-    fn sized(_n: usize, chunk_len: usize, model: NoiseModel, target: f64) -> Self {
+    fn sized(chunk_len: usize, model: NoiseModel, target: f64) -> Self {
         let eps = model.epsilon();
         let q = chunk_len + 1; // symbols [L] plus Next
         let (repetitions, code_len, verify_repetitions): (usize, usize, usize) = match model {
@@ -325,24 +281,8 @@ impl SimulatorConfig {
             code_seed: 0x0B_EE_50_0D,
             code_weight: None,
             target_error: target,
-            verify_window: 8,
             code_cache: None,
         }
-    }
-
-    /// Attaches a shared [`crate::CodeCache`] to an already-built config;
-    /// the post-hoc form of
-    /// [`SimulatorConfigBuilder::code_cache`]. Subsequent
-    /// [`build_code`](SimulatorConfig::build_code) calls consult (and
-    /// populate) the cache; equality with other configs is unaffected.
-    pub fn with_code_cache(mut self, cache: std::sync::Arc<crate::code_cache::CodeCache>) -> Self {
-        self.code_cache = Some(cache);
-        self
-    }
-
-    /// The attached [`crate::CodeCache`], if any.
-    pub fn code_cache(&self) -> Option<&std::sync::Arc<crate::code_cache::CodeCache>> {
-        self.code_cache.as_ref()
     }
 
     /// Builds the owners-phase symbol code this configuration describes:
@@ -350,7 +290,7 @@ impl SimulatorConfig {
     /// [`SimulatorConfig::code_weight`] is set.
     ///
     /// With a cache attached (see
-    /// [`with_code_cache`](SimulatorConfig::with_code_cache)) the table is
+    /// [`SimulatorConfigBuilder::code_cache`]) the table is
     /// built at most once per distinct parameter tuple and shared;
     /// without one, every call constructs afresh. Either way the returned
     /// table is identical — it is a pure function of the parameters.
@@ -461,6 +401,8 @@ mod tests {
         let auto = SimulatorConfig::builder(16).build();
         let tight = SimulatorConfig::builder(16).target_error(1e-8).build();
         assert!(tight.repetitions > auto.repetitions);
+        assert!(tight.code_len > auto.code_len);
+        assert_eq!(tight.chunk_len, auto.chunk_len);
         assert!((tight.target_error - 1e-8).abs() < 1e-20);
     }
 
@@ -503,17 +445,6 @@ mod tests {
 
         let clean = cfg.resolve(NoiseModel::Noiseless);
         assert_eq!(clean.rep_ones, 1);
-    }
-
-    #[test]
-    fn tighter_target_grows_parameters() {
-        let base = SimulatorConfig::builder(16).build();
-        let tight =
-            base.clone()
-                .with_target_error(16, NoiseModel::Correlated { epsilon: 1.0 / 3.0 }, 1e-8);
-        assert!(tight.repetitions > base.repetitions);
-        assert!(tight.code_len > base.code_len);
-        assert_eq!(tight.chunk_len, base.chunk_len);
     }
 
     #[test]

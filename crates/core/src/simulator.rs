@@ -38,7 +38,7 @@
 use beeps_channel::{
     run_protocol, run_protocol_over, Channel, NoiseModel, NoisyExecution, Protocol, UniquelyOwned,
 };
-use beeps_metrics::{CounterHandle, MetricsRegistry};
+use beeps_metrics::MetricsRegistry;
 
 use crate::outcome::{check_model, PhaseRounds, SimError, SimOutcome, SimStats};
 use crate::{
@@ -121,7 +121,8 @@ pub trait Simulator<I, O> {
 ///   `rounds.owners` / `rounds.verify` / `rounds.total`,
 ///   `protocol_rounds`, `chunks_committed`, `rewinds`, `energy`,
 ///   `corrupted_rounds`, `disagreements`, and on failure
-///   `failures.budget_exhausted` / `failures.unsupported_noise`;
+///   `failures.budget_exhausted` / `failures.unsupported_noise` — every
+///   one of them created on every call, at 0 when nothing happened;
 /// * histograms `rounds`, `rewinds`, `energy` (per-run distributions);
 /// * a `sim.<scheme>.rewind_storm` event whenever a run rewound, carrying
 ///   the rewind count and anchored to the run's channel-round total.
@@ -133,103 +134,40 @@ pub fn record_simulation<O>(
     result: &Result<SimOutcome<O>, SimError>,
     metrics: &mut MetricsRegistry,
 ) {
-    SimulationRecorder::new(scheme, metrics).record(result, metrics);
-}
-
-/// The `sim.<scheme>.*` key set of [`record_simulation`], interned once.
-///
-/// Building counter keys with `format!` on every trial dominated the
-/// recording cost in tight trial loops; a recorder resolves each key to
-/// a [`CounterHandle`] up front and reuses it for every result.
-/// Handles stay valid across [`MetricsRegistry::reset`], so one
-/// recorder can serve a scratch registry for an entire trial batch.
-#[derive(Debug, Clone)]
-pub struct SimulationRecorder {
-    runs: CounterHandle,
-    rounds_chunk: CounterHandle,
-    rounds_owners: CounterHandle,
-    rounds_verify: CounterHandle,
-    rounds_total: CounterHandle,
-    protocol_rounds: CounterHandle,
-    chunks_committed: CounterHandle,
-    rewinds: CounterHandle,
-    energy: CounterHandle,
-    corrupted_rounds: CounterHandle,
-    disagreements: CounterHandle,
-    budget_exhausted: CounterHandle,
-    unsupported_noise: CounterHandle,
-    rounds_hist: String,
-    rewinds_hist: String,
-    energy_hist: String,
-    rewind_storm: String,
-}
-
-impl SimulationRecorder {
-    /// Interns every `sim.<scheme>.*` counter of [`record_simulation`]
-    /// in `metrics` and keeps the handles.
-    pub fn new(scheme: &str, metrics: &mut MetricsRegistry) -> Self {
-        let mut handle = |suffix: &str| metrics.counter_handle(&format!("sim.{scheme}.{suffix}"));
-        Self {
-            runs: handle("runs"),
-            rounds_chunk: handle("rounds.chunk"),
-            rounds_owners: handle("rounds.owners"),
-            rounds_verify: handle("rounds.verify"),
-            rounds_total: handle("rounds.total"),
-            protocol_rounds: handle("protocol_rounds"),
-            chunks_committed: handle("chunks_committed"),
-            rewinds: handle("rewinds"),
-            energy: handle("energy"),
-            corrupted_rounds: handle("corrupted_rounds"),
-            disagreements: handle("disagreements"),
-            budget_exhausted: handle("failures.budget_exhausted"),
-            unsupported_noise: handle("failures.unsupported_noise"),
-            rounds_hist: format!("sim.{scheme}.rounds"),
-            rewinds_hist: format!("sim.{scheme}.rewinds"),
-            energy_hist: format!("sim.{scheme}.energy"),
-            rewind_storm: format!("sim.{scheme}.rewind_storm"),
-        }
+    let key = |suffix: &str| format!("sim.{scheme}.{suffix}");
+    let (stats, budget_exhausted, unsupported_noise) = match result {
+        Ok(outcome) => (Some(outcome.stats()), 0, 0),
+        Err(SimError::BudgetExhausted { .. }) => (None, 1, 0),
+        Err(SimError::UnsupportedNoise { .. }) => (None, 0, 1),
+    };
+    let counted = |field: fn(&SimStats) -> usize| stats.map_or(0, |s| field(s) as u64);
+    for (suffix, by) in [
+        ("runs", 1),
+        ("rounds.chunk", counted(|s| s.phase_rounds.chunk)),
+        ("rounds.owners", counted(|s| s.phase_rounds.owners)),
+        ("rounds.verify", counted(|s| s.phase_rounds.verify)),
+        ("rounds.total", counted(|s| s.channel_rounds)),
+        ("protocol_rounds", counted(|s| s.protocol_rounds)),
+        ("chunks_committed", counted(|s| s.chunks_committed)),
+        ("rewinds", counted(|s| s.rewinds)),
+        ("energy", counted(|s| s.energy)),
+        ("corrupted_rounds", counted(|s| s.corrupted_rounds)),
+        ("disagreements", counted(|s| usize::from(!s.agreement))),
+        ("failures.budget_exhausted", budget_exhausted),
+        ("failures.unsupported_noise", unsupported_noise),
+    ] {
+        metrics.inc(&key(suffix), by);
     }
-
-    /// Folds one simulation attempt into `metrics` — identical keys and
-    /// values to [`record_simulation`], without rebuilding any key.
-    pub fn record<O>(
-        &self,
-        result: &Result<SimOutcome<O>, SimError>,
-        metrics: &mut MetricsRegistry,
-    ) {
-        metrics.inc_handle(self.runs, 1);
-        match result {
-            Ok(outcome) => {
-                let stats = outcome.stats();
-                metrics.inc_handle(self.rounds_chunk, stats.phase_rounds.chunk as u64);
-                metrics.inc_handle(self.rounds_owners, stats.phase_rounds.owners as u64);
-                metrics.inc_handle(self.rounds_verify, stats.phase_rounds.verify as u64);
-                metrics.inc_handle(self.rounds_total, stats.channel_rounds as u64);
-                metrics.inc_handle(self.protocol_rounds, stats.protocol_rounds as u64);
-                metrics.inc_handle(self.chunks_committed, stats.chunks_committed as u64);
-                metrics.inc_handle(self.rewinds, stats.rewinds as u64);
-                metrics.inc_handle(self.energy, stats.energy as u64);
-                metrics.inc_handle(self.corrupted_rounds, stats.corrupted_rounds as u64);
-                if !stats.agreement {
-                    metrics.inc_handle(self.disagreements, 1);
-                }
-                metrics.observe(&self.rounds_hist, stats.channel_rounds as u64);
-                metrics.observe(&self.rewinds_hist, stats.rewinds as u64);
-                metrics.observe(&self.energy_hist, stats.energy as u64);
-                if stats.rewinds > 0 {
-                    metrics.event(
-                        self.rewind_storm.clone(),
-                        stats.channel_rounds as u64,
-                        stats.rewinds as u64,
-                    );
-                }
-            }
-            Err(SimError::BudgetExhausted { .. }) => {
-                metrics.inc_handle(self.budget_exhausted, 1);
-            }
-            Err(SimError::UnsupportedNoise { .. }) => {
-                metrics.inc_handle(self.unsupported_noise, 1);
-            }
+    if let Some(stats) = stats {
+        metrics.observe(&key("rounds"), stats.channel_rounds as u64);
+        metrics.observe(&key("rewinds"), stats.rewinds as u64);
+        metrics.observe(&key("energy"), stats.energy as u64);
+        if stats.rewinds > 0 {
+            metrics.event(
+                key("rewind_storm"),
+                stats.channel_rounds as u64,
+                stats.rewinds as u64,
+            );
         }
     }
 }

@@ -23,10 +23,10 @@
 //!
 //! The chunked bodies (rewind, owned rounds, hierarchical) share every
 //! step they have in common, each written once: the committed prefix and
-//! its verification stack (`Committed`: one commit, one `truncate_to`
-//! that rematerializes the window), the chunk and owners phases and the
-//! owners schemes' violation rule (`ChunkedRun`), the verification vote of
-//! rewind and owned rounds, and the hierarchical binary-search check.
+//! its verification stack (`Committed`: one commit, one `truncate_to`),
+//! the chunk and owners phases and the owners schemes' violation rule
+//! (`ChunkedRun`), the verification vote of rewind and owned rounds, and
+//! the hierarchical binary-search check.
 //! Every body keeps its accounting in one `Tally`, which also builds its
 //! outcome, and takes its budget from the function its per-party engine
 //! uses. The bodies are built for very large `n`:
@@ -37,17 +37,14 @@
 //!   `n`-bit rows of `u64` words (the party axis is the bit axis), so
 //!   per-round updates stream through `⌈n/64⌉` contiguous words instead
 //!   of `n` scattered structs.
-//! * **Windowed verification state** — a party's verification flag over a
+//! * **Verification stack** — a party's verification flag over a
 //!   committed prefix is a *per-chunk* property: a committed chunk's
 //!   violation row (which parties would flag it) is immutable for as long
 //!   as the chunk stays committed, because the prefix below it never
 //!   changes. The engine keeps a stack with one cumulative-OR row per
-//!   committed chunk, retains only the most recent
-//!   [`SimulatorConfig::verify_window`](crate::SimulatorConfig) rows
-//!   exactly (older rows are evicted down to a digest), and recomputes
-//!   from the transcript in the rare event a rewind storm pops past the
-//!   window. Memory is `O(T + window · n/64 words)` instead of
-//!   `O(T · n)`.
+//!   committed chunk, so every vote reads its flags off one row. Memory
+//!   is `O(T + (T/L) · n/64)` words instead of `O(T · n)`: at the paper's
+//!   `L = n`, `T` bits of rows, each rounded up to whole words.
 //! * **Exact channel replay** — the engine feeds the stochastic channel
 //!   the exact per-round OR sequence the scalar parties would produce,
 //!   so the RNG stream, and therefore every transcript, statistic, and
@@ -109,40 +106,6 @@ fn row_fill(words: &mut [u64], n: usize) {
     if !n.is_multiple_of(64) {
         let last = words.len() - 1;
         words[last] &= (1u64 << (n % 64)) - 1;
-    }
-}
-
-/// FNV-style fold of a packed row, the integrity marker kept for rows
-/// evicted past the verification window (checked when a rewind storm
-/// forces the row to be recomputed from the transcript).
-fn row_digest(words: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &w in words {
-        h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// One committed chunk on the verification stack: the cumulative OR of
-/// all violation rows up to and including this chunk (exact inside the
-/// retention window, evicted to `None` beyond it) plus the digest of
-/// this chunk's own violation row.
-struct CumEntry {
-    cum: Option<Vec<u64>>,
-    viol_digest: u64,
-}
-
-impl CumEntry {
-    /// The materialized cumulative violation row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row was evicted from the retention window — the
-    /// engines rematerialize the window
-    /// ([`Committed::rematerialize_window`]) before reading past entries,
-    /// so a panic here is an engine bug, not a recoverable condition.
-    fn row(&self) -> &[u64] {
-        self.cum.as_ref().expect("stack entry inside the window")
     }
 }
 
@@ -232,175 +195,72 @@ impl SoaScratch {
     }
 
     /// Words currently held by the verification stack plus its pool —
-    /// the windowed part of the memory footprint, exposed so the scale
+    /// the stack's part of the memory footprint, exposed so the scale
     /// experiment can report it.
     pub fn retained_words(&self) -> usize {
-        let live: usize = self
-            .committed
+        let committed = &self.committed;
+        committed
             .stack
             .iter()
-            .map(|e| e.cum.as_ref().map_or(0, Vec::len))
-            .sum();
-        let pooled: usize = self.committed.pool.iter().map(Vec::len).sum();
-        live + pooled
+            .chain(&committed.pool)
+            .map(Vec::len)
+            .sum()
     }
 }
 
-/// The committed prefix of a collapsed run and its verification stack:
-/// one cumulative violation row per committed chunk, exact for the top
-/// `window` chunks and evicted to a digest below them. The rewind,
-/// owned-rounds and hierarchical bodies commit and truncate through it.
+/// The committed prefix of a collapsed run and its verification stack.
+/// The rewind, owned-rounds and hierarchical bodies commit and truncate
+/// through it.
 #[derive(Default)]
 struct Committed {
     prefix: Prefix,
-    stack: Vec<CumEntry>,
+    /// One row per committed chunk: row `k` holds the parties whose walk
+    /// over the first `k + 1` committed chunks finds a violation (the OR
+    /// of those chunks' violation rows).
+    stack: Vec<Vec<u64>>,
     /// Recycled row buffers.
     pool: Vec<Vec<u64>>,
-    /// The run's row width in words, its retained rows
-    /// ([`SimulatorConfig::verify_window`], at least 1), and the mark a
-    /// rematerialization emits.
-    words: usize,
-    window: usize,
-    rematerialize: &'static str,
 }
 
 impl Committed {
     /// Empties the prefix, returning stack rows to the pool.
     fn clear(&mut self) {
         self.prefix.clear();
-        while let Some(entry) = self.stack.pop() {
-            if let Some(buf) = entry.cum {
-                self.pool.push(buf);
-            }
-        }
+        self.pool.append(&mut self.stack);
     }
 
     /// Commits the pending chunk with its rounds' `owners` and its
-    /// violation row `viol`: pushes the chunk's cumulative row and evicts
-    /// the row that falls out of the window.
+    /// violation row `viol`, pushing the chunk's cumulative row.
     fn commit(&mut self, owners: &[Option<usize>], viol: &[u64]) {
         self.prefix.commit(owners);
         let mut cum = self.pool.pop().unwrap_or_default();
         cum.clear();
         cum.extend_from_slice(viol);
         if let Some(top) = self.stack.last() {
-            row_or(&mut cum, top.row());
+            row_or(&mut cum, top);
         }
-        self.stack.push(CumEntry {
-            cum: Some(cum),
-            viol_digest: row_digest(viol),
-        });
-        if self.stack.len() > self.window {
-            let evict = self.stack.len() - self.window - 1;
-            if let Some(buf) = self.stack[evict].cum.take() {
-                self.pool.push(buf);
-            }
-        }
+        self.stack.push(cum);
     }
 
     /// Keeps the first `boundary` committed chunks and drops the pending
     /// chunk ([`Prefix::truncate_to`]), returning the cut chunks' rows to
-    /// the pool. A cut that exposes an evicted row re-derives the window
-    /// from the transcript, with `violation` setting the bits of one
-    /// committed round into a zeroed row, and emits the rematerialize
-    /// mark. Returns whether a committed chunk was cut.
-    fn truncate_to(
-        &mut self,
-        boundary: usize,
-        violation: impl FnMut(&Prefix, usize, &mut [u64]),
-    ) -> bool {
+    /// the pool. Returns whether a committed chunk was cut.
+    fn truncate_to(&mut self, boundary: usize) -> bool {
         let cut = self.prefix.truncate_to(boundary);
-        while self.stack.len() > boundary {
-            if let Some(buf) = self.stack.pop().and_then(|entry| entry.cum) {
-                self.pool.push(buf);
-            }
-        }
-        if self.stack.last().is_some_and(|e| e.cum.is_none()) {
-            beeps_observe::mark(self.rematerialize);
-            self.rematerialize_window(violation);
+        if self.stack.len() > boundary {
+            self.pool.extend(self.stack.drain(boundary..));
         }
         cut
     }
 
-    /// Recomputes the violation rows of the committed prefix after a cut
-    /// exposed an evicted row: one pass over the transcript re-evaluating
-    /// the protocol (the same work one per-party verification does),
-    /// re-materializing exact cumulative rows for the top `window` chunks
-    /// and leaving deeper chunks evicted. Each recomputed row is checked
-    /// against the digest recorded at commit time.
-    fn rematerialize_window(&mut self, mut violation: impl FnMut(&Prefix, usize, &mut [u64])) {
-        let keep_from = self.stack.len().saturating_sub(self.window);
-        let mut running = self.pool.pop().unwrap_or_default();
-        row_clear(&mut running, self.words);
-        let mut viol = self.pool.pop().unwrap_or_default();
-        let mut pos = 0usize;
-        for (k, &clen) in self.prefix.chunk_lens.iter().enumerate() {
-            row_clear(&mut viol, self.words);
-            for _ in 0..clen {
-                violation(&self.prefix, pos, &mut viol);
-                pos += 1;
-            }
-            debug_assert_eq!(
-                row_digest(&viol),
-                self.stack[k].viol_digest,
-                "recomputed violation row diverged from its commit-time digest"
-            );
-            row_or(&mut running, &viol);
-            if k >= keep_from {
-                let mut cum = self.pool.pop().unwrap_or_default();
-                cum.clear();
-                cum.extend_from_slice(&running);
-                if let Some(buf) = self.stack[k].cum.replace(cum) {
-                    self.pool.push(buf);
-                }
-            }
-        }
-        self.pool.push(viol);
-        self.pool.push(running);
-    }
-
-    /// The progress-check flag row of chunk boundary `boundary` into
-    /// `flags`, returning its popcount. A party flags the boundary iff its
-    /// prefix walk over the first `boundary` chunks finds a violation,
-    /// which is bit `i` of the cumulative violation row through chunk
-    /// `boundary − 1`: `O(1)` from the stack inside the window,
-    /// recomputed from the transcript by `violation` into `viol`
-    /// (digest-checked chunk by chunk) when a deep check probes past it.
-    fn boundary_flags(
-        &self,
-        boundary: usize,
-        flags: &mut Vec<u64>,
-        viol: &mut Vec<u64>,
-        violation: impl Fn(&Prefix, usize, &mut [u64]),
-    ) -> usize {
-        flags.clear();
-        if boundary == 0 {
-            flags.resize(self.words, 0);
-            return 0;
-        }
-        if let Some(cum) = self.stack[boundary - 1].cum.as_ref() {
-            flags.extend_from_slice(cum);
-            return row_count(flags);
-        }
-        // Evicted entries form a prefix of the stack, so everything below
-        // `boundary` needs one transcript pass (the same work one
-        // per-party flag walk does).
-        flags.resize(self.words, 0);
-        let mut pos = 0usize;
-        for (k, &clen) in self.prefix.chunk_lens.iter().take(boundary).enumerate() {
-            row_clear(viol, self.words);
-            for _ in 0..clen {
-                violation(&self.prefix, pos, viol);
-                pos += 1;
-            }
-            debug_assert_eq!(
-                row_digest(viol),
-                self.stack[k].viol_digest,
-                "recomputed violation row diverged from its commit-time digest"
-            );
-            row_or(flags, viol);
-        }
-        row_count(flags)
+    /// How many parties flag chunk boundary `boundary` in a progress
+    /// check: a party flags it iff its walk over the first `boundary`
+    /// committed chunks finds a violation, which is its bit in stack row
+    /// `boundary − 1`. No party flags boundary 0.
+    fn boundary_flags(&self, boundary: usize) -> usize {
+        boundary
+            .checked_sub(1)
+            .map_or(0, |row| row_count(&self.stack[row]))
     }
 }
 
@@ -451,6 +311,19 @@ impl Tally {
             return Err(self.exhausted(committed));
         }
         Ok(())
+    }
+
+    /// `Ok` while a block of `len` rounds fits in the budget: a chunk
+    /// round or a vote. The per-party machines run both as a
+    /// [`Block`](crate::driver::Block), except the owned-rounds vote,
+    /// which never has zero rounds here. A zero-round block never ends,
+    /// so those machines idle in it until the budget is spent and
+    /// nothing more commits.
+    fn block_fits(&self, len: usize, committed: &[bool]) -> Result<(), SimError> {
+        if len == 0 {
+            return Err(self.exhausted(committed));
+        }
+        self.fits(len, committed)
     }
 
     fn chunk(&mut self, len: usize, energy: usize) {
@@ -637,11 +510,10 @@ pub(crate) fn owners_standalone<'s>(
     &scratch.chunk_owners
 }
 
-/// A chunked scheme's span and mark names.
+/// A chunked scheme's span names.
 struct Names {
     chunk: &'static str,
     verify: &'static str,
-    rematerialize: &'static str,
 }
 
 /// What a chunked collapsed body (rewind, owned rounds, hierarchical)
@@ -671,11 +543,7 @@ impl<'a, P: Protocol> ChunkedRun<'a, P> {
     ) -> Self {
         let n = protocol.num_parties();
         assert_eq!(inputs.len(), n, "need one input per party");
-        let words = n.div_ceil(64);
         scratch.reset();
-        scratch.committed.words = words;
-        scratch.committed.window = config.verify_window.max(1);
-        scratch.committed.rematerialize = names.rematerialize;
         Self {
             protocol,
             inputs,
@@ -684,7 +552,7 @@ impl<'a, P: Protocol> ChunkedRun<'a, P> {
             resolved: config.resolve(model),
             n,
             t: protocol.length(),
-            words,
+            words: n.div_ceil(64),
             r: config.repetitions,
             v: config.verify_repetitions,
         }
@@ -715,7 +583,7 @@ impl<'a, P: Protocol> ChunkedRun<'a, P> {
         scratch.bits.clear();
         row_clear(&mut scratch.cols, len * words);
         for j in 0..len {
-            tally.fits(self.r, &scratch.committed.prefix.bits)?;
+            tally.block_fits(self.r, &scratch.committed.prefix.bits)?;
             let col = &mut scratch.cols[j * words..(j + 1) * words];
             let mut beeps = 0usize;
             for (i, input) in self.inputs.iter().enumerate() {
@@ -777,52 +645,32 @@ impl<'a, P: Protocol> ChunkedRun<'a, P> {
         }
     }
 
-    /// The violation bits of committed round `m` by the same rule, into
-    /// `viol`, with the protocol re-run against the prefix before it.
-    fn round_violation(&self, prefix: &Prefix, m: usize, viol: &mut [u64]) {
-        let before = &prefix.bits[..m];
-        if !prefix.bits[m] {
-            for (i, input) in self.inputs.iter().enumerate() {
-                if self.protocol.beep(i, input, before) {
-                    row_set(viol, i);
-                }
-            }
-            return;
-        }
-        match prefix.owners[m] {
-            None => row_fill(viol, self.n),
-            Some(owner) => {
-                if !self.protocol.beep(owner, &self.inputs[owner], before) {
-                    row_set(viol, owner);
-                }
-            }
-        }
-    }
-
-    /// One verification vote over the committed prefix plus the pending
-    /// chunk: `violation` writes the pending chunk's row into the zeroed
-    /// `scratch.viol`, and every party set in it or in the stack top (the
-    /// committed prefix's cumulative row, `O(1)`) beeps for `V` rounds —
-    /// no per-party transcript re-walk. Returns whether the vote failed.
+    /// One verification vote of `len` rounds over the committed prefix
+    /// plus the pending chunk: `violation` writes the pending chunk's row
+    /// into the zeroed `scratch.viol`, and every party set in it or in the
+    /// stack top (the committed prefix's cumulative row, `O(1)`) beeps for
+    /// the vote — no per-party transcript re-walk. Returns whether the
+    /// vote failed.
     fn vote(
         &self,
+        len: usize,
         tally: &mut Tally,
         channel: &mut StochasticChannel,
         scratch: &mut SoaScratch,
         violation: impl FnOnce(&mut SoaScratch),
     ) -> Result<bool, SimError> {
         let _span = beeps_observe::phase(self.names.verify);
-        tally.fits(self.v, &scratch.committed.prefix.bits)?;
+        tally.block_fits(len, &scratch.committed.prefix.bits)?;
         row_clear(&mut scratch.viol, self.words);
         violation(scratch);
         scratch.flags.clear();
         scratch.flags.extend_from_slice(&scratch.viol);
         if let Some(top) = scratch.committed.stack.last() {
-            row_or(&mut scratch.flags, top.row());
+            row_or(&mut scratch.flags, top);
         }
         let flag_count = row_count(&scratch.flags);
-        let failed = ones(channel, self.v, flag_count > 0) >= self.resolved.verify_ones;
-        tally.verify(self.v, self.v * flag_count);
+        let failed = ones(channel, len, flag_count > 0) >= self.resolved.verify_ones;
+        tally.verify(len, len * flag_count);
         Ok(failed)
     }
 
@@ -838,22 +686,14 @@ impl<'a, P: Protocol> ChunkedRun<'a, P> {
         vote_len: usize,
         tally: &mut Tally,
         channel: &mut StochasticChannel,
-        scratch: &mut SoaScratch,
+        committed: &mut Committed,
     ) -> Result<(), SimError> {
-        let violation =
-            |prefix: &Prefix, m, viol: &mut [u64]| self.round_violation(prefix, m, viol);
         let mut steps_left = log_depth(hi - lo);
         loop {
             let boundary = (lo + hi).div_ceil(2);
-            let SoaScratch {
-                flags,
-                viol,
-                committed,
-                ..
-            } = &mut *scratch;
-            let flag_count = committed.boundary_flags(boundary, flags, viol, violation);
+            let flag_count = committed.boundary_flags(boundary);
             let vote_span = beeps_observe::phase(self.names.verify);
-            tally.fits(vote_len, &committed.prefix.bits)?;
+            tally.block_fits(vote_len, &committed.prefix.bits)?;
             let heard = ones(channel, vote_len, flag_count > 0);
             tally.verify(vote_len, vote_len * flag_count);
             drop(vote_span);
@@ -867,7 +707,7 @@ impl<'a, P: Protocol> ChunkedRun<'a, P> {
                 break;
             }
         }
-        if scratch.committed.truncate_to(lo, violation) {
+        if committed.truncate_to(lo) {
             tally.rewinds += 1;
             beeps_observe::mark("sim.hierarchical.truncate");
         }
@@ -893,22 +733,21 @@ pub(crate) fn rewind_collapsed_over<P: Protocol>(
     let names = Names {
         chunk: "sim.rewind.chunk",
         verify: "sim.rewind.verify",
-        rematerialize: "sim.rewind.rematerialize",
     };
     let run = ChunkedRun::new(protocol, inputs, config, model, names, scratch);
     let mut tally = Tally::new(run.t, rewind::budget(config, run.n, run.t), channel);
     load_codewords(code, scratch);
     while let Some(len) = scratch.committed.prefix.next_chunk(run.t, config.chunk_len) {
         run.chunk_and_owners("sim.rewind.owners", len, code, &mut tally, channel, scratch)?;
-        let failed = run.vote(&mut tally, channel, scratch, |s| run.chunk_violation(s))?;
+        let failed = run.vote(run.v, &mut tally, channel, scratch, |s| {
+            run.chunk_violation(s);
+        })?;
         if failed {
             tally.rewinds += 1;
             beeps_observe::mark("sim.rewind.rewind");
             // Discard the pending chunk and pop one committed chunk.
             let top = scratch.committed.prefix.chunk_lens.len().saturating_sub(1);
-            scratch
-                .committed
-                .truncate_to(top, |prefix, m, viol| run.round_violation(prefix, m, viol));
+            scratch.committed.truncate_to(top);
         } else {
             scratch
                 .committed
@@ -982,7 +821,6 @@ pub(crate) fn owned_rounds_collapsed_over<P: UniquelyOwned>(
     let names = Names {
         chunk: "sim.owned_rounds.chunk",
         verify: "sim.owned_rounds.verify",
-        rematerialize: "sim.owned_rounds.rematerialize",
     };
     let run = ChunkedRun::new(protocol, inputs, config, model, names, scratch);
     let mut tally = Tally::new(run.t, owned_rounds::budget(config, run.t), channel);
@@ -995,7 +833,7 @@ pub(crate) fn owned_rounds_collapsed_over<P: UniquelyOwned>(
         scratch.bits.clear();
         scratch.owner_beeps.clear();
         for j in 0..len {
-            tally.fits(run.r, &scratch.committed.prefix.bits)?;
+            tally.block_fits(run.r, &scratch.committed.prefix.bits)?;
             let owner = protocol.round_owner(committed + j);
             let mut beeps = 0usize;
             let mut owner_beep = false;
@@ -1013,8 +851,10 @@ pub(crate) fn owned_rounds_collapsed_over<P: UniquelyOwned>(
         }
         drop(chunk_span);
 
-        // --- Verification: V rounds of the owner-only flag OR.
-        let failed = run.vote(&mut tally, channel, scratch, |s| {
+        // --- Verification: V rounds of the owner-only flag OR. The
+        // per-party vote ends once `idx < V` fails, which a zero-round
+        // vote does after one round.
+        let failed = run.vote(run.v.max(1), &mut tally, channel, scratch, |s| {
             for j in 0..len {
                 if s.owner_beeps[j] != s.bits[j] {
                     row_set(&mut s.viol, protocol.round_owner(committed + j));
@@ -1025,12 +865,7 @@ pub(crate) fn owned_rounds_collapsed_over<P: UniquelyOwned>(
             tally.rewinds += 1;
             beeps_observe::mark("sim.owned_rounds.rewind");
             let top = scratch.committed.prefix.chunk_lens.len().saturating_sub(1);
-            scratch.committed.truncate_to(top, |prefix, m, viol| {
-                let owner = protocol.round_owner(m);
-                if protocol.beep(owner, &inputs[owner], &prefix.bits[..m]) != prefix.bits[m] {
-                    row_set(viol, owner);
-                }
-            });
+            scratch.committed.truncate_to(top);
         } else {
             scratch.committed.commit(&[], &scratch.viol);
         }
@@ -1159,8 +994,8 @@ pub(crate) fn one_to_zero_collapsed_over<P: Protocol>(
 /// provisionally after the owners phase and binary-search progress
 /// checks repair damage with exact back-jumps. Each check vote needs
 /// every party's prefix-cleanliness flag for a probed boundary, which
-/// [`Committed::boundary_flags`] reads off the cumulative violation stack
-/// instead of `n` transcript walks. The per-party path arms the *first*
+/// [`Committed::boundary_flags`] reads off one row of the cumulative
+/// violation stack instead of `n` transcript walks. The per-party path arms the *first*
 /// vote of the final full-coverage confirmation with a `false` flag for
 /// every party (without walking its prefix) — only fallback votes after
 /// a flagged confirmation probe real flags — and the collapsed engine
@@ -1179,7 +1014,6 @@ pub(crate) fn hierarchical_collapsed_over<P: Protocol>(
     let names = Names {
         chunk: "sim.hierarchical.chunk",
         verify: "sim.hierarchical.verify",
-        rematerialize: "sim.hierarchical.rematerialize",
     };
     let run = ChunkedRun::new(protocol, inputs, config, model, names, scratch);
     let max_level = hierarchical::max_level(config, run.t);
@@ -1196,14 +1030,21 @@ pub(crate) fn hierarchical_collapsed_over<P: Protocol>(
             let committed = scratch.committed.prefix.chunk_lens.len();
             let vote_len = run.v * (max_level + 1);
             let final_span = beeps_observe::phase(run.names.verify);
-            tally.fits(vote_len, &scratch.committed.prefix.bits)?;
+            tally.block_fits(vote_len, &scratch.committed.prefix.bits)?;
             let final_ones = ones(channel, vote_len, false);
             tally.verify(vote_len, 0);
             drop(final_span);
             if !flagged(&run.resolved, run.v, final_ones, vote_len) {
                 break;
             }
-            run.search(0, committed - 1, vote_len, &mut tally, channel, scratch)?;
+            run.search(
+                0,
+                committed - 1,
+                vote_len,
+                &mut tally,
+                channel,
+                &mut scratch.committed,
+            )?;
             continue;
         };
         run.chunk_and_owners(
@@ -1238,7 +1079,7 @@ pub(crate) fn hierarchical_collapsed_over<P: Protocol>(
                 vote_len,
                 &mut tally,
                 channel,
-                scratch,
+                &mut scratch.committed,
             )?;
         }
     }

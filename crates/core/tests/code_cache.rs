@@ -31,7 +31,10 @@ fn cached_and_uncached_simulations_agree() {
     let cache = Arc::new(CodeCache::new());
     for model in models() {
         let plain = SimulatorConfig::builder(4).model(model).build();
-        let cached = plain.clone().with_code_cache(Arc::clone(&cache));
+        let cached = SimulatorConfig::builder(4)
+            .model(model)
+            .code_cache(Arc::clone(&cache))
+            .build();
         assert_eq!(plain, cached, "the cache must not affect config equality");
 
         let rewind_plain = RewindSimulator::new(&p, plain.clone());

@@ -100,8 +100,12 @@ fn models() -> Vec<NoiseModel> {
 /// parties: the default budget over every regime, then a budget-starved
 /// config (ε = 0.2 against `budget_factor(starved)`) over more seeds,
 /// so `BudgetExhausted { rounds_used, committed }` is exercised too,
-/// and last an unbounded budget (`budget_factor` ∞), whose runs must
-/// end in `Ok`.
+/// then an unbounded budget (`budget_factor` ∞), whose runs must end in
+/// `Ok`, and last zero-round blocks (`repetitions = 0`, then
+/// `verify_repetitions = 0`) over every regime: a chunk round or a
+/// rewind or hierarchical vote of zero rounds never ends, so the run
+/// exhausts its budget, and a zero-round owned-rounds vote ends after
+/// one round.
 fn oracle_cases(n: usize, starved: f64) -> Vec<(SimulatorConfig, NoiseModel, Range<u64>)> {
     let default = NoiseModel::Correlated { epsilon: 0.1 };
     let config = SimulatorConfig::builder(n).model(default).build();
@@ -109,6 +113,10 @@ fn oracle_cases(n: usize, starved: f64) -> Vec<(SimulatorConfig, NoiseModel, Ran
         .into_iter()
         .map(|model| (config.clone(), model, 0..2))
         .collect();
+    let mut no_repetitions = config.clone();
+    no_repetitions.repetitions = 0;
+    let mut no_vote = config;
+    no_vote.verify_repetitions = 0;
     let model = NoiseModel::Correlated { epsilon: 0.2 };
     let starved = SimulatorConfig::builder(n)
         .model(model)
@@ -120,6 +128,13 @@ fn oracle_cases(n: usize, starved: f64) -> Vec<(SimulatorConfig, NoiseModel, Ran
         .budget_factor(f64::INFINITY)
         .build();
     cases.push((unbounded, default, 0..2));
+    for zero in [no_repetitions, no_vote] {
+        cases.extend(
+            models()
+                .into_iter()
+                .map(|model| (zero.clone(), model, 0..2)),
+        );
+    }
     cases
 }
 
@@ -170,12 +185,17 @@ fn assert_words_match_rounds<O: PartialEq + Debug>(
 /// end, so the machines idle in one phase until the budget runs out.
 /// Codewords cross a limb boundary (65 bits) at n ≤ 5 and stay short
 /// (16 bits) at n ≥ 64, where every party decodes every codeword.
-/// The unbounded-budget case stays out: the callers' digests pin the
-/// outcomes the per-round engines gave the cases without it.
+/// The oracle's unbounded-budget and zero-round cases stay out: the
+/// callers' digests pin the outcomes the per-round engines gave the
+/// cases without them.
 fn word_cases(n: usize, starved: f64) -> Vec<(SimulatorConfig, NoiseModel)> {
     let mut cases: Vec<_> = oracle_cases(n, starved)
         .into_iter()
-        .filter(|(config, ..)| config.budget_factor.is_finite())
+        .filter(|(config, ..)| {
+            config.budget_factor.is_finite()
+                && config.repetitions > 0
+                && config.verify_repetitions > 0
+        })
         .map(|(config, model, _)| (config, model))
         .collect();
     // Silence lets a vote pass: a block that wrongly ended would commit.
@@ -383,47 +403,61 @@ fn repetition_scheme_matches_roundtrip() {
     }
 }
 
+/// Holds `simulate` (the collapsed body under shared noise) to the
+/// per-party `simulate_over` over a [`RoundtripChannel`] in every
+/// [`oracle_cases`] case at `n` parties, for each input vector, with
+/// `scheme` building the simulator of a case's config. Returns how many
+/// runs exhausted their budget, leaving out the zero-round cases, most
+/// of which exhaust it by construction and so would keep the callers'
+/// starved-budget guards from ever failing.
+fn sweep_oracle_cases<I: Debug, O: PartialEq + Debug, S: Simulator<I, O>>(
+    n: usize,
+    starved: f64,
+    input_sets: &[&[I]],
+    scheme: impl Fn(SimulatorConfig) -> S,
+) -> usize {
+    let mut failed = 0usize;
+    for (config, model, seeds) in oracle_cases(n, starved) {
+        let bounded = config.budget_factor.is_finite();
+        let zero_round = config.repetitions == 0 || config.verify_repetitions == 0;
+        let sim = scheme(config);
+        for inputs in input_sets {
+            for seed in seeds.clone() {
+                let packed = sim.simulate(inputs, model, seed);
+                let mut rt = RoundtripChannel::new(n, model, seed);
+                let unpacked = sim.simulate_over(inputs, model, &mut rt);
+                let context = format!("{model} seed {seed} inputs {inputs:?}");
+                let err = assert_matches_oracle(packed, unpacked, &context);
+                assert!(bounded || !err, "unbounded budget ran out: {context}");
+                failed += usize::from(err && !zero_round);
+            }
+        }
+    }
+    failed
+}
+
+/// `InputSet::new(4)` inputs that are silent through the first
+/// four-round chunk, so decoding that chunk as all zeros is right and
+/// it commits: a collapsed run that left a zero-round block would show.
+const SILENT_FIRST_CHUNK: [usize; 4] = [5, 6, 6, 7];
+
 #[test]
 fn rewind_scheme_matches_roundtrip() {
     let p = InputSet::new(4);
-    let inputs = [1, 5, 5, 2];
-    let mut failed = 0usize;
-    for (config, model, seeds) in oracle_cases(4, 1.0) {
-        let bounded = config.budget_factor.is_finite();
-        let sim = RewindSimulator::new(&p, config);
-        for seed in seeds {
-            let packed = sim.simulate(&inputs, model, seed);
-            let mut rt = RoundtripChannel::new(4, model, seed);
-            let unpacked = sim.simulate_over(&inputs, model, &mut rt);
-            let context = format!("{model} seed {seed}");
-            let err = assert_matches_oracle(packed, unpacked, &context);
-            assert!(bounded || !err, "unbounded budget ran out: {context}");
-            failed += usize::from(err);
-        }
-    }
+    let failed = sweep_oracle_cases(4, 1.0, &[&[1, 5, 5, 2], &SILENT_FIRST_CHUNK], |config| {
+        RewindSimulator::new(&p, config)
+    });
     assert!(failed > 0, "starved budget never exhausted: weak test");
 }
 
 #[test]
 fn hierarchical_scheme_matches_roundtrip() {
     let p = InputSet::new(4);
-    let inputs = [1, 6, 6, 3];
-    let mut failed = 0usize;
     // The hierarchical budget carries fixed check slack on top of
     // `budget_factor`, so starving it takes a factor well below 1.
-    for (config, model, seeds) in oracle_cases(4, 0.3) {
-        let bounded = config.budget_factor.is_finite();
-        let sim = HierarchicalSimulator::new(&p, config);
-        for seed in seeds {
-            let packed = sim.simulate(&inputs, model, seed);
-            let mut rt = RoundtripChannel::new(4, model, seed);
-            let unpacked = sim.simulate_over(&inputs, model, &mut rt);
-            let context = format!("{model} seed {seed}");
-            let err = assert_matches_oracle(packed, unpacked, &context);
-            assert!(bounded || !err, "unbounded budget ran out: {context}");
-            failed += usize::from(err);
-        }
-    }
+    let failed = sweep_oracle_cases(4, 0.3, &[&[1, 6, 6, 3], &SILENT_FIRST_CHUNK], |config| {
+        HierarchicalSimulator::new(&p, config)
+    });
     assert!(failed > 0, "starved budget never exhausted: weak test");
 
     // A wider starved case: n = 8 at half the default budget, where
@@ -454,20 +488,10 @@ fn hierarchical_scheme_matches_roundtrip() {
 fn owned_rounds_scheme_matches_roundtrip() {
     let p = RollCall::new(8);
     let inputs = [true, false, true, true, false, false, true, false];
-    let mut failed = 0usize;
-    for (config, model, seeds) in oracle_cases(8, 1.0) {
-        let bounded = config.budget_factor.is_finite();
-        let sim = OwnedRoundsSimulator::new(&p, config);
-        for seed in seeds {
-            let packed = sim.simulate(&inputs, model, seed);
-            let mut rt = RoundtripChannel::new(8, model, seed);
-            let unpacked = sim.simulate_over(&inputs, model, &mut rt);
-            let context = format!("{model} seed {seed}");
-            let err = assert_matches_oracle(packed, unpacked, &context);
-            assert!(bounded || !err, "unbounded budget ran out: {context}");
-            failed += usize::from(err);
-        }
-    }
+    // The second roll call is silent, so its all-zero decode is right.
+    let failed = sweep_oracle_cases(8, 1.0, &[&inputs, &[false; 8]], |config| {
+        OwnedRoundsSimulator::new(&p, config)
+    });
     assert!(failed > 0, "starved budget never exhausted: weak test");
 }
 
@@ -565,186 +589,60 @@ fn shared_transcript_outputs_share_one_set() {
     }
 }
 
-/// Windowed committed-transcript retention is a pure memory
-/// optimization: sweeping the verification window from its minimum to
-/// effectively unbounded must not move a bit of any collapsed scheme's
-/// full `Result` relative to the default window, in any regime.
-#[test]
-fn windowed_retention_matches_full_for_every_scheme() {
-    let p = InputSet::new(4);
-    let inputs = [1, 5, 5, 2];
-    let owned_p = RollCall::new(8);
-    let owned_inputs = [true, false, true, true, false, false, true, false];
-    let config = |n: usize, window: Option<usize>| {
-        let mut b = SimulatorConfig::builder(n).model(NoiseModel::Correlated { epsilon: 0.1 });
-        if let Some(w) = window {
-            b = b.verify_window(w);
-        }
-        b.build()
-    };
-    for model in models() {
-        for seed in 0..2 {
-            let rewind = |window| RewindSimulator::new(&p, config(4, window));
-            let hier = |window| HierarchicalSimulator::new(&p, config(4, window));
-            let owned = |window| OwnedRoundsSimulator::new(&owned_p, config(8, window));
-            let reference = rewind(None).simulate(&inputs, model, seed);
-            let hier_ref = hier(None).simulate(&inputs, model, seed);
-            let owned_ref = owned(None).simulate(&owned_inputs, model, seed);
-            for window in [1usize, 2, usize::MAX] {
-                let context = format!("window {window} over {model} seed {seed}");
-                assert_matches_oracle(
-                    reference.clone(),
-                    rewind(Some(window)).simulate(&inputs, model, seed),
-                    &format!("rewind {context}"),
-                );
-                assert_matches_oracle(
-                    hier_ref.clone(),
-                    hier(Some(window)).simulate(&inputs, model, seed),
-                    &format!("hierarchical {context}"),
-                );
-                if window != 2 {
-                    assert_matches_oracle(
-                        owned_ref.clone(),
-                        owned(Some(window)).simulate(&owned_inputs, model, seed),
-                        &format!("owned_rounds {context}"),
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Records the marks emitted on the thread it is installed on.
-#[derive(Default)]
-struct Marks(std::sync::Mutex<Vec<&'static str>>);
-
-impl beeps_observe::Observer for Marks {
-    fn on_mark(&self, _worker: usize, name: &'static str, _at: u64) {
-        self.0.lock().expect("marks lock").push(name);
-    }
-}
-
 /// Runs `sim` over 64 seeds, holding each collapsed `simulate` run to
-/// the per-party oracle's full `Result`, and returns the failed runs and
-/// the `sim.<scheme>.rematerialize` marks the collapsed runs emitted.
-fn window_edge_runs<I, O: PartialEq + Debug>(
+/// the per-party oracle's full `Result`, and returns the failed runs.
+fn starved_runs<I, O: PartialEq + Debug>(
     sim: &dyn Simulator<I, O>,
     inputs: &[I],
     model: NoiseModel,
-) -> (usize, usize) {
-    let marks = std::sync::Arc::new(Marks::default());
+) -> usize {
     let mut failed = 0usize;
-    {
-        let _guard = beeps_observe::install(std::sync::Arc::clone(&marks) as _, 0);
-        for seed in 0..64 {
-            let oracle = sim.simulate_over(
-                inputs,
-                model,
-                &mut StochasticChannel::new(inputs.len(), model, seed),
-            );
-            let context = format!("{} {model} seed {seed}", sim.name());
-            failed += usize::from(assert_matches_oracle(
-                sim.simulate(inputs, model, seed),
-                oracle,
-                &context,
-            ));
-        }
+    for seed in 0..64 {
+        let oracle = sim.simulate_over(
+            inputs,
+            model,
+            &mut StochasticChannel::new(inputs.len(), model, seed),
+        );
+        let context = format!("{} {model} seed {seed}", sim.name());
+        failed += usize::from(assert_matches_oracle(
+            sim.simulate(inputs, model, seed),
+            oracle,
+            &context,
+        ));
     }
-    let name = format!("sim.{}.rematerialize", sim.name());
-    let marks = marks.0.lock().expect("marks lock");
-    (failed, marks.iter().filter(|&&mark| mark == name).count())
+    failed
 }
 
-/// The window edge: two-round chunks and windows of one and two rows
-/// make rewinds and truncations cut past the retained rows, so the
-/// collapsed rewind, owned-rounds and hierarchical engines re-derive
-/// evicted rows from the transcript. Each must still match the
-/// per-party oracle, through budget-starved runs, and the
-/// rematerialize marks prove the path ran.
+/// Deep stacks: two-round chunks give the collapsed rewind, owned-rounds
+/// and hierarchical engines their longest verification stacks of any
+/// oracle case, and starved budgets (`budget_factor` 1 for rewind and
+/// owned rounds, 0.3 for hierarchical, correlated ε = 0.2) make rewinds
+/// and truncations cut deep into them. Each must still match the
+/// per-party oracle, through runs that exhaust the budget.
 #[test]
-fn window_edge_rematerialization_matches_oracle() {
+fn deep_stacks_match_oracle_when_budget_starved() {
     let model = NoiseModel::Correlated { epsilon: 0.2 };
-    let config = |n: usize, budget_factor: f64, window: usize| {
+    let config = |n: usize, budget_factor: f64| {
         SimulatorConfig::builder(n)
             .model(model)
             .chunk_len(2)
             .budget_factor(budget_factor)
-            .verify_window(window)
             .build()
     };
     let input_set = InputSet::new(4);
     let inputs = [1, 5, 5, 2];
     let roll_call = RollCall::new(8);
     let flags = [true, false, true, true, false, false, true, false];
-    // Per scheme (rewind, owned rounds, hierarchical): failed runs and
-    // rematerializations over both windows.
-    let mut totals = [(0usize, 0usize); 3];
-    for window in [1usize, 2] {
-        let rewind = RewindSimulator::new(&input_set, config(4, 1.0, window));
-        let owned = OwnedRoundsSimulator::new(&roll_call, config(8, 1.0, window));
-        let hierarchical = HierarchicalSimulator::new(&input_set, config(4, 0.3, window));
-        let runs = [
-            window_edge_runs(&rewind, &inputs, model),
-            window_edge_runs(&owned, &flags, model),
-            window_edge_runs(&hierarchical, &inputs, model),
-        ];
-        for (total, (failed, rematerialized)) in totals.iter_mut().zip(runs) {
-            total.0 += failed;
-            total.1 += rematerialized;
-        }
-    }
-    for (scheme, (failed, rematerialized)) in ["rewind", "owned_rounds", "hierarchical"]
-        .into_iter()
-        .zip(totals)
-    {
+    let rewind = RewindSimulator::new(&input_set, config(4, 1.0));
+    let owned = OwnedRoundsSimulator::new(&roll_call, config(8, 1.0));
+    let hierarchical = HierarchicalSimulator::new(&input_set, config(4, 0.3));
+    for (scheme, failed) in [
+        ("rewind", starved_runs(&rewind, &inputs, model)),
+        ("owned_rounds", starved_runs(&owned, &flags, model)),
+        ("hierarchical", starved_runs(&hierarchical, &inputs, model)),
+    ] {
         assert!(failed > 0, "{scheme}: starved budget never exhausted");
-        assert!(rematerialized > 0, "{scheme}: no rematerialization");
     }
-}
-
-/// A starved budget must exhaust at the identical round regardless of
-/// the retention window: `BudgetExhausted { rounds_used, committed }`
-/// is part of the bitwise contract, and rematerializing evicted window
-/// entries must not perturb it.
-#[test]
-fn windowed_retention_matches_full_when_budget_starved() {
-    let p = InputSet::new(4);
-    let inputs = [1, 5, 5, 2];
-    let model = NoiseModel::Correlated { epsilon: 0.2 };
-    let config = |window: Option<usize>| {
-        let mut b = SimulatorConfig::builder(4).model(model).budget_factor(1.0);
-        if let Some(w) = window {
-            b = b.verify_window(w);
-        }
-        b.build()
-    };
-    let mut exhausted = 0usize;
-    for seed in 0..16 {
-        let reference = RewindSimulator::new(&p, config(None)).simulate(&inputs, model, seed);
-        if reference.is_err() {
-            exhausted += 1;
-        }
-        for window in [1usize, usize::MAX] {
-            let windowed =
-                RewindSimulator::new(&p, config(Some(window))).simulate(&inputs, model, seed);
-            match (&reference, &windowed) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(
-                        a.transcript(),
-                        b.transcript(),
-                        "window {window} seed {seed}"
-                    );
-                    assert_eq!(a.stats(), b.stats());
-                }
-                (a, b) => assert_eq!(
-                    a.as_ref().err(),
-                    b.as_ref().err(),
-                    "budget error mismatch window {window} seed {seed}"
-                ),
-            }
-        }
-    }
-    assert!(exhausted > 0, "starved budget never exhausted: weak test");
 }
 
 #[test]

@@ -48,4 +48,4 @@ pub mod render;
 
 pub use events::{Event, EventLog};
 pub use histogram::Histogram;
-pub use registry::{CounterHandle, MetricsRegistry, WallTiming};
+pub use registry::{MetricsRegistry, WallTiming};

@@ -16,13 +16,17 @@ pub struct WallTiming {
     pub total: Duration,
 }
 
-/// A pre-interned counter slot: increments through a handle skip the
-/// name lookup (and any key formatting) entirely, making the hot path
-/// allocation-free.
+/// Named counters, histograms, a bounded event log, and (separately)
+/// wall-clock timings.
 ///
-/// Handles are only meaningful for the registry that issued them
-/// ([`MetricsRegistry::counter_handle`]); they stay valid for that
-/// registry's whole lifetime.
+/// All deterministic collections are `BTreeMap`-keyed, so iteration
+/// order — and therefore every rendering — is a pure function of the
+/// recorded names and values, never of insertion or scheduling order.
+///
+/// Equality (`PartialEq`) compares **only the deterministic section**
+/// (counters, histograms, events); wall-clock timings are excluded, so
+/// two runs of the same seeded workload compare equal even though their
+/// wall times differ.
 ///
 /// # Examples
 ///
@@ -30,35 +34,17 @@ pub struct WallTiming {
 /// use beeps_metrics::MetricsRegistry;
 ///
 /// let mut m = MetricsRegistry::new();
-/// let h = m.counter_handle("sim.rewind.energy");
+/// m.inc("sim.rewind.rewinds", 0); // created at 0, and listed
 /// for _ in 0..3 {
-///     m.inc_handle(h, 2); // no lookup, no allocation
+///     m.inc("sim.rewind.energy", 2);
 /// }
 /// assert_eq!(m.counter("sim.rewind.energy"), 6);
+/// let names: Vec<_> = m.counters().map(|(name, _)| name).collect();
+/// assert_eq!(names, ["sim.rewind.energy", "sim.rewind.rewinds"]);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterHandle(usize);
-
-/// Named counters, histograms, a bounded event log, and (separately)
-/// wall-clock timings.
-///
-/// All deterministic collections are `BTreeMap`-keyed, so iteration
-/// order — and therefore every rendering — is a pure function of the
-/// recorded names and values, never of insertion or scheduling order.
-/// Counter *values* live in a dense slot vector indexed through the
-/// name map, so per-increment work on the interned path
-/// ([`MetricsRegistry::inc_handle`]) is one add, no lookup.
-///
-/// Equality (`PartialEq`) compares **only the deterministic section**
-/// (counters, histograms, events); wall-clock timings are excluded, so
-/// two runs of the same seeded workload compare equal even though their
-/// wall times differ. Counter slot order (which handle got which index)
-/// is likewise excluded: only the name → value mapping counts.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    /// Counter name → slot index into `counter_values`.
-    counter_slots: BTreeMap<String, usize>,
-    counter_values: Vec<u64>,
+    counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
     events: EventLog,
     wall: BTreeMap<String, WallTiming>,
@@ -66,7 +52,7 @@ pub struct MetricsRegistry {
 
 impl PartialEq for MetricsRegistry {
     fn eq(&self, other: &Self) -> bool {
-        self.counters().eq(other.counters())
+        self.counters == other.counters
             && self.histograms == other.histograms
             && self.events == other.events
     }
@@ -87,8 +73,7 @@ impl MetricsRegistry {
     #[must_use]
     pub fn with_event_capacity(capacity: usize) -> Self {
         Self {
-            counter_slots: BTreeMap::new(),
-            counter_values: Vec::new(),
+            counters: BTreeMap::new(),
             histograms: BTreeMap::new(),
             events: EventLog::with_capacity(capacity),
             wall: BTreeMap::new(),
@@ -97,56 +82,25 @@ impl MetricsRegistry {
 
     // --- deterministic section -------------------------------------
 
-    /// Interns the counter `name` (creating it at 0) and returns a
-    /// [`CounterHandle`] for allocation-free increments via
-    /// [`MetricsRegistry::inc_handle`].
-    pub fn counter_handle(&mut self, name: &str) -> CounterHandle {
-        let slot = self.slot(name);
-        CounterHandle(slot)
-    }
-
-    /// Adds `by` to an interned counter: one array add, no lookup, no
-    /// allocation — safe for per-round/per-beep hot loops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `handle` was issued by a different registry (slot out
-    /// of range; a foreign in-range handle silently hits the wrong
-    /// counter, so don't mix registries).
-    #[inline]
-    pub fn inc_handle(&mut self, handle: CounterHandle, by: u64) {
-        self.counter_values[handle.0] += by;
-    }
-
     /// Adds `by` to the counter `name` (creating it at 0).
     pub fn inc(&mut self, name: &str, by: u64) {
-        let slot = self.slot(name);
-        self.counter_values[slot] += by;
-    }
-
-    fn slot(&mut self, name: &str) -> usize {
-        if let Some(&slot) = self.counter_slots.get(name) {
-            return slot;
+        match self.counters.get_mut(name) {
+            Some(value) => *value += by,
+            None => {
+                self.counters.insert(name.to_owned(), by);
+            }
         }
-        let slot = self.counter_values.len();
-        self.counter_values.push(0);
-        self.counter_slots.insert(name.to_owned(), slot);
-        slot
     }
 
     /// Current value of counter `name` (0 if never incremented).
     #[must_use]
     pub fn counter(&self, name: &str) -> u64 {
-        self.counter_slots
-            .get(name)
-            .map_or(0, |&slot| self.counter_values[slot])
+        self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// All counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counter_slots
-            .iter()
-            .map(|(k, &slot)| (k.as_str(), self.counter_values[slot]))
+        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
     /// Records `value` into the histogram `name` (creating it empty).
@@ -194,18 +148,18 @@ impl MetricsRegistry {
         self.wall.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
-    /// Zeroes every measurement in place while keeping interned counter
-    /// slots, histogram keys, and all allocations — so a scratch
-    /// registry reused across trials records each trial exactly as a
-    /// fresh registry would, minus the per-trial allocation.
+    /// Zeroes every measurement in place while keeping counter and
+    /// histogram keys and all allocations — so a scratch registry reused
+    /// across trials records each trial exactly as a fresh registry
+    /// would, minus the per-trial allocation.
     ///
     /// Observational equivalence to a fresh registry: counters reset to
-    /// 0 (an interned-but-zero counter merges and compares identically
-    /// to an absent one once the key exists anywhere in the aggregate),
-    /// histograms and wall timings empty in place, and the event ring
-    /// restarts at zero recorded with its capacity unchanged.
+    /// 0 (a zero counter merges and compares identically to an absent
+    /// one once the key exists anywhere in the aggregate), histograms
+    /// and wall timings empty in place, and the event ring restarts at
+    /// zero recorded with its capacity unchanged.
     pub fn reset(&mut self) {
-        for v in &mut self.counter_values {
+        for v in self.counters.values_mut() {
             *v = 0;
         }
         for h in self.histograms.values_mut() {
@@ -227,9 +181,8 @@ impl MetricsRegistry {
     /// callers wanting bitwise-stable output must merge in a canonical
     /// order (the trial runner merges in trial-index order).
     pub fn merge_from(&mut self, other: &MetricsRegistry) {
-        for (name, &slot) in &other.counter_slots {
-            let mine = self.slot(name);
-            self.counter_values[mine] += other.counter_values[slot];
+        for (name, &value) in &other.counters {
+            self.inc(name, value);
         }
         for (name, h) in &other.histograms {
             self.histograms
@@ -248,7 +201,7 @@ impl MetricsRegistry {
     /// Whether the deterministic section is completely empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.counter_slots.is_empty() && self.histograms.is_empty() && self.events.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty() && self.events.is_empty()
     }
 }
 
@@ -266,34 +219,17 @@ mod tests {
     }
 
     #[test]
-    fn handles_and_names_hit_the_same_counter() {
-        let mut m = MetricsRegistry::new();
-        let h = m.counter_handle("c");
-        m.inc_handle(h, 2);
-        m.inc("c", 3);
-        let h2 = m.counter_handle("c");
-        assert_eq!(h, h2, "re-interning must return the same slot");
-        m.inc_handle(h2, 5);
-        assert_eq!(m.counter("c"), 10);
-        assert_eq!(m.counters().collect::<Vec<_>>(), vec![("c", 10)]);
-    }
-
-    #[test]
     fn interning_order_does_not_affect_equality_or_merge() {
-        // Same logical content, different slot assignment order.
+        // Same logical content, created in a different order.
         let mut a = MetricsRegistry::new();
-        let ax = a.counter_handle("x");
-        let ay = a.counter_handle("y");
-        a.inc_handle(ax, 1);
-        a.inc_handle(ay, 2);
+        a.inc("x", 1);
+        a.inc("y", 2);
         let mut b = MetricsRegistry::new();
-        let by = b.counter_handle("y");
-        let bx = b.counter_handle("x");
-        b.inc_handle(by, 2);
-        b.inc_handle(bx, 1);
+        b.inc("y", 2);
+        b.inc("x", 1);
         assert_eq!(a, b);
         let mut merged = MetricsRegistry::new();
-        merged.counter_handle("y"); // pre-intern in yet another order
+        merged.inc("y", 0); // create in yet another order
         merged.merge_from(&a);
         merged.merge_from(&b);
         assert_eq!(merged.counter("x"), 2);
@@ -303,9 +239,9 @@ mod tests {
     #[test]
     fn interned_counter_starts_at_zero_and_lists() {
         let mut m = MetricsRegistry::new();
-        m.counter_handle("later");
+        m.inc("later", 0);
         assert_eq!(m.counter("later"), 0);
-        assert!(!m.is_empty(), "interned counters are part of the registry");
+        assert!(!m.is_empty(), "zero counters are part of the registry");
         assert_eq!(m.counters().collect::<Vec<_>>(), vec![("later", 0)]);
     }
 
@@ -392,15 +328,14 @@ mod tests {
     }
 
     #[test]
-    fn reset_keeps_interned_handles_valid() {
+    fn reset_zeroes_counters_and_keeps_their_keys() {
         let mut m = MetricsRegistry::new();
-        let h = m.counter_handle("c");
-        m.inc_handle(h, 5);
+        m.inc("c", 5);
         m.observe("hist", 9);
         m.reset();
-        assert_eq!(m.counter("c"), 0);
+        assert_eq!(m.counters().collect::<Vec<_>>(), vec![("c", 0)]);
         assert_eq!(m.histogram("hist").unwrap().count(), 0);
-        m.inc_handle(h, 2);
+        m.inc("c", 2);
         assert_eq!(m.counter("c"), 2);
     }
 }

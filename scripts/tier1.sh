@@ -66,9 +66,9 @@ cargo xtask observe-check \
   target/observe-smoke/fig6_phase_breakdown.runlog.jsonl
 # Scaling smoke: fig_scale's --smoke sweep (n up to 10^4) exercises the
 # collapsed struct-of-arrays engines under correlated noise, whose
-# deliveries are one shared bit per round, and windowed transcript
-# retention end to end; the sealed run log (with the peak_rss_bytes
-# summary field) must validate like any other.
+# deliveries are one shared bit per round, and their verification stack
+# end to end; the sealed run log (with the peak_rss_bytes summary field)
+# must validate like any other.
 BEEPS_EXPERIMENTS_DIR=target/observe-smoke \
   cargo run --release -q -p beeps-bench --bin fig_scale -- \
   --smoke --threads 2 --progress \
