@@ -11,6 +11,15 @@
 //! *stream* of RNG draws differs, so seeded golden numbers change when
 //! switching between the two.
 //!
+//! A gap is the inverse-CDF value `⌊ln(1−U)/ln(1−ε)⌋` of one uniform
+//! draw `U`, which is always a multiple of 2⁻⁵². That formula is
+//! non-decreasing in `U`, so for each ε a process-wide table
+//! (`GapTable`) keeps the least `U` of every gap up to 128, and a draw
+//! reads its gap off those thresholds through a guide index over
+//! `⌊1024·U⌋`. It evaluates the `ln` only past the last threshold, or
+//! for an ε so small that most draws would land there. Every draw still
+//! takes one RNG word and returns the formula's integer.
+//!
 //! Shared-noise models run one such countdown over the rounds where a
 //! flip is possible (`SharedCountdown`). Besides single rounds it
 //! delivers a
@@ -34,20 +43,159 @@
 use crate::bits::BitVec;
 use crate::noise::{Delivery, NoiseModel};
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Rounds covered by one independent-noise mask block.
 const BLOCK_ROUNDS: usize = 64;
+
+/// A uniform draw `gen_range(0.0..1.0)` is `m·2⁻⁵²` for a grid index
+/// `m < 2⁵²`.
+const GRID_BITS: u32 = 52;
+
+/// The uniform at grid index `m`, exactly as a draw returns it.
+fn grid_uniform(m: u64) -> f64 {
+    m as f64 / (1u64 << GRID_BITS) as f64
+}
+
+/// The gap of the uniform `u` by inversion: `U ∈ [1−(1−ε)^k,
+/// 1−(1−ε)^{k+1})` ⇒ gap k, saturating at `u64::MAX` ("never"). Every
+/// draw returns this integer; a [`GapTable`] only finds it faster.
+fn formula_gap(u: f64, ln_keep: f64) -> u64 {
+    let gap = ((1.0 - u).ln() / ln_keep).floor();
+    if gap >= u64::MAX as f64 {
+        u64::MAX
+    } else {
+        gap as u64
+    }
+}
+
+/// Gaps a [`GapTable`] resolves; a draw past its last threshold takes
+/// the formula. `P(gap ≥ 128) = (1−ε)^128`, ≈ 1.4·10⁻⁶ at ε = 0.1.
+const TABLE_GAPS: usize = 128;
+
+/// log₂ of the guide's bucket count.
+const GUIDE_BITS: u32 = 10;
+
+/// At most this many distinct ε are looked up in one process; draws at
+/// any later one evaluate the formula.
+const MAX_TABLES: usize = 64;
+
+/// The gaps below [`TABLE_GAPS`] of one `ln(1−ε)`, by grid index.
+///
+/// The formula is non-decreasing in `m`: neighbouring grid points
+/// `1−u` differ in `ln` by at least e/2 times the sum of two faithfully
+/// rounded results' errors, and the divide and floor are monotone. So
+/// `gap(m) ≥ k` exactly when `m` reaches the least grid index of gap
+/// `k`, and the number of such thresholds at or below `m` is its gap.
+/// A guide over `⌊1024·u⌋` starts the count at each bucket's first gap
+/// (Chen & Asau's indexed search, 1974), so a draw steps past about one
+/// threshold.
+struct GapTable {
+    /// `thresholds[k]`: the least grid index whose gap is at least
+    /// `k + 1`, or 2⁵² when no grid index reaches it. Non-decreasing.
+    thresholds: [u64; TABLE_GAPS],
+    /// `guide[b]`: the number of thresholds at or below the bucket's
+    /// first grid index `b·2⁴²`.
+    guide: [u8; 1 << GUIDE_BITS],
+}
+
+impl GapTable {
+    /// Bisects the grid for each threshold with [`formula_gap`] itself,
+    /// so the table holds the integers draws have always returned.
+    fn build(ln_keep: f64) -> Self {
+        let gap = |m: u64| formula_gap(grid_uniform(m), ln_keep);
+        let top = (1u64 << GRID_BITS) - 1;
+        let mut thresholds = [1u64 << GRID_BITS; TABLE_GAPS];
+        // gap(lo) < k ≤ gap(hi) on every bisection; gap(0) = 0.
+        let mut lo = 0;
+        for (k, threshold) in (1..).zip(thresholds.iter_mut()) {
+            if gap(top) < k {
+                break;
+            }
+            let mut hi = top;
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if gap(mid) >= k {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+            }
+            *threshold = hi;
+        }
+        let guide = std::array::from_fn(|b| {
+            let start = (b as u64) << (GRID_BITS - GUIDE_BITS);
+            thresholds.partition_point(|&t| t <= start) as u8
+        });
+        Self { thresholds, guide }
+    }
+
+    /// The gap of grid index `m`, or `None` past the last threshold.
+    #[inline]
+    fn gap(&self, m: u64) -> Option<u64> {
+        let mut k = usize::from(self.guide[(m >> (GRID_BITS - GUIDE_BITS)) as usize]);
+        while k < TABLE_GAPS && self.thresholds[k] <= m {
+            k += 1;
+        }
+        (k < TABLE_GAPS).then_some(k as u64)
+    }
+}
+
+impl std::fmt::Debug for GapTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GapTable").finish_non_exhaustive()
+    }
+}
+
+/// The table of `ln_keep`, built on its first use in the process and
+/// shared by every later channel: channels are built per trial, and a
+/// build costs 0.04–0.13 ms. `None` when fewer than half of the draws
+/// would land in a table (ε below about 0.005), or once [`MAX_TABLES`]
+/// distinct ε are in use.
+///
+/// The tables live in static storage, not on the heap: a table
+/// allocated mid-run stays between that run's large buffers for the
+/// rest of the process, which kept the allocator from reusing their
+/// pages and made perfbench `million_party`'s set-up ~20% slower on a
+/// 2-core x86_64 host.
+fn gap_table(ln_keep: f64) -> Option<&'static GapTable> {
+    /// The distinct `ln_keep` bits seen so far, in order of first use,
+    /// each with whether it takes a table.
+    static SEEN: Mutex<(usize, [(u64, bool); MAX_TABLES])> =
+        Mutex::new((0, [(0, false); MAX_TABLES]));
+    /// The table of `SEEN`'s `i`-th entry, if it takes one.
+    static TABLES: [OnceLock<GapTable>; MAX_TABLES] = [const { OnceLock::new() }; MAX_TABLES];
+    let mut seen = SEEN.lock().unwrap_or_else(PoisonError::into_inner);
+    let (len, keys) = &mut *seen;
+    let key = ln_keep.to_bits();
+    let i = match keys[..*len].iter().position(|&(k, _)| k == key) {
+        Some(i) => i,
+        None if *len == MAX_TABLES => return None,
+        None => {
+            let half = formula_gap(0.5, ln_keep) < TABLE_GAPS as u64;
+            keys[*len] = (key, half);
+            *len += 1;
+            *len - 1
+        }
+    };
+    keys[i]
+        .1
+        .then(|| TABLES[i].get_or_init(|| GapTable::build(ln_keep)))
+}
 
 /// Geometric gap draws for one flip rate ε: the number of clean eligible
 /// rounds before the next flip of a Bernoulli(ε) stream, geometric on
 /// `{0, 1, …}` with `P(k) = ε(1−ε)^k`, by inversion of one uniform draw.
 ///
-/// `ln(1−ε)` is taken once, here, so a draw evaluates one `ln`.
+/// `ln(1−ε)` is taken once, here, and with it the ε's [`GapTable`], so
+/// a draw is one RNG word and, nearly always, a table lookup.
 #[derive(Debug, Clone, Copy)]
 struct GeometricGap {
     /// `ln(1−ε)`, or 0 for ε ≤ 0 ("never flips"); negative for every
     /// ε > 0.
     ln_keep: f64,
+    /// The thresholds of `ln_keep`, if it has a table.
+    table: Option<&'static GapTable>,
 }
 
 impl GeometricGap {
@@ -63,22 +211,34 @@ impl GeometricGap {
         } else {
             keep.ln()
         };
-        Self { ln_keep }
+        let table = if ln_keep == 0.0 {
+            None
+        } else {
+            gap_table(ln_keep)
+        };
+        Self { ln_keep, table }
     }
 
     /// Draws one gap. Returns `u64::MAX` ("never") for ε ≤ 0 without
     /// consuming randomness.
+    #[inline]
     fn draw(self, rng: &mut StdRng) -> u64 {
         if self.ln_keep == 0.0 {
             return u64::MAX;
         }
-        let u: f64 = rng.gen_range(0.0..1.0);
-        // floor(ln(1−U) / ln(1−ε)): U ∈ [1−(1−ε)^k, 1−(1−ε)^{k+1}) ⇒ gap k.
-        let gap = ((1.0 - u).ln() / self.ln_keep).floor();
-        if gap >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            gap as u64
+        self.gap(rng.gen_range(0.0..1.0))
+    }
+
+    /// The gap of the uniform draw `u`: [`formula_gap`], read off the
+    /// table where it has one.
+    #[inline]
+    fn gap(self, u: f64) -> u64 {
+        // `1 + u` is exact, and its mantissa is `u`'s grid index: cheaper
+        // than converting `u · 2⁵²` to an integer.
+        let m = (1.0 + u).to_bits() & ((1u64 << GRID_BITS) - 1);
+        match self.table.and_then(|table| table.gap(m)) {
+            Some(gap) => gap,
+            None => formula_gap(u, self.ln_keep),
         }
     }
 }
@@ -1022,6 +1182,136 @@ mod tests {
                 assert_eq!(ch.corrupted_rounds(), 0, "{model}");
             }
         }
+    }
+
+    /// Every ε an experiment, example, perfbench workload or the CLI's
+    /// default draws at, the ε ≤ 2⁻⁵⁴ branch, and the edges of the
+    /// table rule.
+    const TABLE_EPSILONS: [f64; 15] = [
+        1e-17,
+        f64::EPSILON / 4.0, // 2⁻⁵⁴
+        1e-5,
+        1e-3,
+        0.01,
+        0.05,
+        0.1,
+        0.15,
+        0.2,
+        0.25,
+        0.333,
+        1.0 / 3.0,
+        0.45,
+        0.49,
+        0.9,
+    ];
+
+    /// Holds the table of every [`TABLE_EPSILONS`] ε, used by a channel
+    /// or not, and the channels' own draw path to the formula at the
+    /// grid indices `ms` yields for it.
+    fn assert_tables_match_formula<I: Iterator<Item = u64>>(ms: impl Fn(&GapTable) -> I) {
+        for epsilon in TABLE_EPSILONS {
+            let gap = GeometricGap::new(epsilon);
+            let table = GapTable::build(gap.ln_keep);
+            for m in ms(&table) {
+                let u = grid_uniform(m);
+                let want = formula_gap(u, gap.ln_keep);
+                let got = table.gap(m).unwrap_or(want);
+                assert_eq!((got, gap.gap(u)), (want, want), "ε {epsilon} m {m}");
+            }
+        }
+    }
+
+    /// The grid indices within `radius` of any reachable threshold, each
+    /// once.
+    fn near_thresholds(table: &GapTable, radius: u64) -> impl Iterator<Item = u64> {
+        let top = (1u64 << GRID_BITS) - 1;
+        let mut next = 0;
+        table
+            .thresholds
+            .into_iter()
+            .filter(move |&t| t <= top)
+            .flat_map(move |t| {
+                let range = t.saturating_sub(radius).max(next)..=(t + radius).min(top);
+                next = range.end() + 1;
+                range
+            })
+    }
+
+    #[test]
+    fn gap_tables_match_the_formula() {
+        assert_tables_match_formula(|table| {
+            let mut rng = StdRng::seed_from_u64(0x6A7);
+            let random: Vec<u64> = (0..100_000).map(|_| rng.next_u64() >> 12).collect();
+            [0, (1u64 << GRID_BITS) - 1]
+                .into_iter()
+                .chain(near_thresholds(table, 64))
+                .chain(random)
+        });
+    }
+
+    /// Every grid index within 2¹⁶ of every threshold: the one
+    /// assumption of the table, a monotone `ln` near each jump, on this
+    /// host. ~6 s in release; CI runs it there.
+    #[test]
+    #[ignore = "exhaustive; run in release"]
+    fn gap_tables_match_the_formula_near_every_threshold() {
+        assert_tables_match_formula(|table| near_thresholds(table, 1 << 16));
+    }
+
+    #[test]
+    fn channels_take_a_table_when_most_draws_land_in_it() {
+        for epsilon in TABLE_EPSILONS {
+            let gap = GeometricGap::new(epsilon);
+            assert_eq!(gap.table.is_some(), epsilon >= 0.01, "ε {epsilon}");
+        }
+        assert!(GeometricGap::new(0.0).table.is_none());
+        // ε = 0.01 leaves (0.99)^128 ≈ 28% of the draws to the formula.
+        let gap = GeometricGap::new(0.01);
+        let table = gap.table.expect("ε = 0.01 has a table");
+        let top = (1u64 << GRID_BITS) - 1;
+        assert!(table.thresholds[TABLE_GAPS - 1] < top);
+        assert_eq!(table.gap(top), None);
+        let u = grid_uniform(top);
+        assert_eq!(gap.gap(u), formula_gap(u, gap.ln_keep));
+        assert!(gap.gap(u) >= TABLE_GAPS as u64);
+    }
+
+    #[test]
+    fn table_draws_take_the_formula_draws_rng_words() {
+        for epsilon in TABLE_EPSILONS {
+            let gap = GeometricGap::new(epsilon);
+            let mut table_rng = StdRng::seed_from_u64(11);
+            let mut formula_rng = table_rng.clone();
+            for i in 0..20_000 {
+                let want = formula_gap(formula_rng.gen_range(0.0..1.0), gap.ln_keep);
+                assert_eq!(gap.draw(&mut table_rng), want, "ε {epsilon} draw {i}");
+            }
+            assert_eq!(table_rng.next_u64(), formula_rng.next_u64(), "ε {epsilon}");
+        }
+    }
+
+    #[test]
+    fn channels_built_at_once_at_a_fresh_epsilon_draw_identically() {
+        // No other test draws at this ε, so both threads race to build
+        // its table.
+        let model = NoiseModel::Correlated { epsilon: 0.0421 };
+        let start = std::sync::Barrier::new(2);
+        let run = || {
+            start.wait();
+            let gap = GeometricGap::new(model.epsilon());
+            let mut ch = StochasticChannel::new(3, model, 5);
+            let words: Vec<u64> = (0..2_000).map(|_| ch.transmit_rounds(0, 64)).collect();
+            (gap.table, words, ch.corrupted_rounds())
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(run);
+            let b = s.spawn(run);
+            (a.join().expect("thread a"), b.join().expect("thread b"))
+        });
+        let (table_a, table_b) = (a.0.expect("ε = 0.0421 has a table"), b.0.expect("and so"));
+        assert!(std::ptr::eq(table_a, table_b), "one table per ε");
+        assert_eq!((a.1, a.2), (b.1, b.2));
+        assert!(a.2 > 0);
     }
 
     #[test]

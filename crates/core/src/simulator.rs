@@ -410,8 +410,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn per_party_engines_open_one_span_per_call() {
+    /// The phase spans `run` opens on this thread, in the order they
+    /// close.
+    fn spans_of(run: &dyn Fn()) -> Vec<&'static str> {
         #[derive(Default)]
         struct Recording(std::sync::Mutex<Vec<&'static str>>);
 
@@ -421,18 +422,25 @@ mod tests {
             }
         }
 
+        let recording = std::sync::Arc::new(Recording::default());
+        {
+            let _guard = beeps_observe::install(std::sync::Arc::clone(&recording) as _, 0);
+            run();
+        }
+        let spans = recording.0.lock().expect("recording lock");
+        spans.clone()
+    }
+
+    #[test]
+    fn per_party_engines_open_one_span_per_call() {
         let spans_of = |simulate_over: &dyn Fn(&mut dyn Channel)| {
-            let recording = std::sync::Arc::new(Recording::default());
-            {
-                let _guard = beeps_observe::install(std::sync::Arc::clone(&recording) as _, 0);
+            spans_of(&|| {
                 simulate_over(&mut beeps_channel::StochasticChannel::new(
                     4,
                     NoiseModel::Noiseless,
                     3,
                 ));
-            }
-            let spans = recording.0.lock().expect("recording lock");
-            spans.clone()
+            })
         };
         let protocol = InputSet::new(4);
         let inputs = [0usize, 2, 5, 7];
@@ -458,6 +466,34 @@ mod tests {
                 .expect("noiseless run");
         });
         assert_eq!(spans, [format!("sim.{}.per_party", owned.name())]);
+    }
+
+    #[test]
+    fn collapsed_engines_close_with_one_output_span() {
+        let assert_one_output_span = |name: &str, run: &dyn Fn()| {
+            let spans = spans_of(run);
+            let output = format!("sim.{name}.output");
+            assert_eq!(spans.last(), Some(&output.as_str()), "{name}: {spans:?}");
+            assert_eq!(spans.iter().filter(|&&s| s == output).count(), 1, "{name}");
+        };
+        let protocol = InputSet::new(4);
+        let inputs = [0usize, 2, 5, 7];
+        let config = SimulatorConfig::builder(4).build();
+        let rep = RepetitionSimulator::new(&protocol, config.clone());
+        let rewind = RewindSimulator::new(&protocol, config.clone());
+        let hier = HierarchicalSimulator::new(&protocol, config.clone());
+        let otz = OneToZeroSimulator::new(&protocol, 2, config.budget_factor);
+        let schemes: [&dyn Simulator<usize, _>; 4] = [&rep, &rewind, &hier, &otz];
+        for scheme in schemes {
+            assert_one_output_span(scheme.name(), &|| {
+                drop(scheme.simulate(&inputs, NoiseModel::Noiseless, 3));
+            });
+        }
+        let roll_call = beeps_protocols::RollCall::new(4);
+        let owned = OwnedRoundsSimulator::new(&roll_call, config);
+        assert_one_output_span(owned.name(), &|| {
+            drop(owned.simulate(&[true, false, true, true], NoiseModel::Noiseless, 3));
+        });
     }
 
     #[test]

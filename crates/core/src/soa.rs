@@ -347,14 +347,17 @@ impl Tally {
     /// The outcome of a finished run: the first `t` committed rounds,
     /// every party's output on them, and the run's stats. Shared noise
     /// keeps every party's bookkeeping in lockstep, so all agree, and
-    /// one [`Protocol::outputs`] call builds every output.
+    /// one [`Protocol::outputs`] call builds every output. Opens the
+    /// phase span `span` (the caller's `sim.<scheme>.output`) around it.
     fn finish<P: Protocol>(
         self,
+        span: &'static str,
         protocol: &P,
         inputs: &[P::Input],
         prefix: &Prefix,
         channel: &StochasticChannel,
     ) -> SimOutcome<P::Output> {
+        let _span = beeps_observe::phase(span);
         let mut transcript = Vec::with_capacity(self.t);
         transcript.extend_from_slice(&prefix.bits[..self.t]);
         let outputs = protocol.outputs(inputs, &transcript);
@@ -754,7 +757,13 @@ pub(crate) fn rewind_collapsed_over<P: Protocol>(
                 .commit(&scratch.chunk_owners, &scratch.viol);
         }
     }
-    Ok(tally.finish(protocol, inputs, &scratch.committed.prefix, channel))
+    Ok(tally.finish(
+        "sim.rewind.output",
+        protocol,
+        inputs,
+        &scratch.committed.prefix,
+        channel,
+    ))
 }
 
 /// The collapsed repetition engine: every simulated round is `R`
@@ -801,7 +810,13 @@ pub(crate) fn repetition_collapsed_over<P: Protocol>(
         tally.chunk(r, r * beeps);
     }
     drop(chunk_span);
-    Ok(tally.finish(protocol, inputs, &scratch.committed.prefix, channel))
+    Ok(tally.finish(
+        "sim.repetition.output",
+        protocol,
+        inputs,
+        &scratch.committed.prefix,
+        channel,
+    ))
 }
 
 /// The collapsed owned-rounds engine: chunked repetition plus the
@@ -870,7 +885,13 @@ pub(crate) fn owned_rounds_collapsed_over<P: UniquelyOwned>(
             scratch.committed.commit(&[], &scratch.viol);
         }
     }
-    Ok(tally.finish(protocol, inputs, &scratch.committed.prefix, channel))
+    Ok(tally.finish(
+        "sim.owned_rounds.output",
+        protocol,
+        inputs,
+        &scratch.committed.prefix,
+        channel,
+    ))
 }
 
 /// The collapsed one-to-zero engine: direct data rounds with the
@@ -987,7 +1008,7 @@ pub(crate) fn one_to_zero_collapsed_over<P: Protocol>(
         }
     };
     debug_assert!(done);
-    Ok(tally.finish(protocol, inputs, prefix, channel))
+    Ok(tally.finish("sim.one_to_zero.output", protocol, inputs, prefix, channel))
 }
 
 /// The collapsed hierarchical engine (Appendix D.2): chunks commit
@@ -1083,5 +1104,11 @@ pub(crate) fn hierarchical_collapsed_over<P: Protocol>(
             )?;
         }
     }
-    Ok(tally.finish(protocol, inputs, &scratch.committed.prefix, channel))
+    Ok(tally.finish(
+        "sim.hierarchical.output",
+        protocol,
+        inputs,
+        &scratch.committed.prefix,
+        channel,
+    ))
 }
