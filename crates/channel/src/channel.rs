@@ -22,12 +22,12 @@
 //!
 //! Shared-noise models run one such countdown over the rounds where a
 //! flip is possible (`SharedCountdown`). Besides single rounds it
-//! delivers a
-//! constant-OR span ([`StochasticChannel::flips_in_span`]) or a word of
-//! up to 64 rounds ([`StochasticChannel::transmit_rounds`], the shape
-//! of an owners codeword) by walking from flip to flip, and either
-//! draws, flips and counts exactly as the same rounds delivered one at
-//! a time (pinned by `tests/proptests.rs`).
+//! delivers a constant-OR span ([`StochasticChannel::flips_in_span`]) or
+//! a codeword of any length ([`StochasticChannel::transmit_codeword`],
+//! an owners turn; [`StochasticChannel::transmit_rounds`] is its
+//! one-word case) in one walk from flip to flip over the eligible
+//! rounds' offsets, and either draws, flips and counts exactly as the
+//! same rounds delivered one at a time (pinned by `tests/proptests.rs`).
 //!
 //! Independent-noise flips are drawn 64 rounds at a time into one
 //! *flip mask* per party that flips in the block: an ascending list of
@@ -38,7 +38,9 @@
 //! the masks' OR, so it costs O(n + parties flipped in the block) and
 //! nothing per flip beyond its gap draw. A single round reads its bit
 //! off the same masks into a dense [`Delivery::PerParty`] row, so it
-//! costs O(n/64 + parties flipped in the block).
+//! costs O(n/64 + parties flipped in the block), and O(n/64) in a round
+//! where no party flips: the OR of the block's masks, kept at refill,
+//! says which rounds those are.
 
 use crate::bits::BitVec;
 use crate::noise::{Delivery, NoiseModel};
@@ -296,6 +298,9 @@ struct IndependentSampler {
     /// entry per party that flips in the block, bit `r` of the mask set
     /// if it flips in block round `r`.
     masks: Vec<(u32, u64)>,
+    /// The OR of the block's masks: the block rounds in which any party
+    /// flips.
+    any: u64,
     /// Next unconsumed round offset in the block; `BLOCK_ROUNDS`
     /// forces a refill.
     offset: usize,
@@ -326,6 +331,7 @@ impl IndependentSampler {
         seed_calendar(&mut calendar, n, gap, rng);
         Self {
             masks: Vec::new(),
+            any: 0,
             offset: BLOCK_ROUNDS,
             calendar,
             block: 0,
@@ -353,22 +359,25 @@ impl IndependentSampler {
         }
         let r = self.offset;
         self.offset += 1;
+        row.fill(0);
+        if (self.any >> r) & 1 == 0 {
+            return false;
+        }
         // The masks come in ascending party order, so each row word is
         // built in a register, without a branch on the round's bit, and
         // stored once.
-        row.fill(0);
-        let (mut at, mut word, mut any) = (0, 0u64, 0u64);
+        let mut at = 0;
+        let mut word = 0u64;
         for &(p, mask) in &self.masks {
             let w = p as usize / 64;
             if w != at {
                 row[at] = word;
-                any |= word;
                 (at, word) = (w, 0);
             }
             word |= ((mask >> r) & 1) << (p % 64);
         }
         row[at] = word;
-        (any | word) != 0
+        true
     }
 
     /// Advances `len ≤ 64` rounds and XORs their flips into `heard`:
@@ -409,6 +418,7 @@ impl IndependentSampler {
     /// each word of its row once.
     fn refill(&mut self, rng: &mut StdRng) {
         self.masks.clear();
+        self.any = 0;
         if let Some(mut due) = self.calendar.remove(&self.block) {
             due.sort_unstable();
             let base = self.block * BLOCK_ROUNDS as u64;
@@ -420,6 +430,7 @@ impl IndependentSampler {
                     pos = next_flip_position(pos, self.gap, rng);
                 }
                 self.masks.push((p, mask));
+                self.any |= mask;
                 calendar_insert(&mut self.calendar, p, base.saturating_add(pos));
             }
         }
@@ -448,11 +459,12 @@ enum FlipsOn {
 /// This is the one flip process behind every shared-noise delivery of
 /// a [`StochasticChannel`]. Rounds can be delivered one at a time
 /// ([`SharedCountdown::step`]), as a constant-OR span
-/// ([`SharedCountdown::flips_in_span`]) or as a word of up to 64
-/// rounds ([`SharedCountdown::transmit_rounds`]); all three decrement
-/// the countdown once per eligible round and redraw it on each flip,
-/// so any interleaving draws, flips and counts exactly as the same
-/// rounds delivered one by one.
+/// ([`SharedCountdown::flips_in_span`]) or as a codeword of any length
+/// ([`SharedCountdown::deliver`]). The span and the codeword take the
+/// one walk over eligible-round offsets ([`SharedCountdown::walk`]), and
+/// every delivery decrements the countdown once per eligible round and
+/// redraws it on each flip, so any interleaving draws, flips and counts
+/// exactly as the same rounds delivered one by one.
 #[derive(Debug)]
 struct SharedCountdown {
     rng: StdRng,
@@ -529,69 +541,95 @@ impl SharedCountdown {
         !true_or
     }
 
-    /// Delivers `rounds` consecutive rounds with constant true OR
-    /// `true_or`; returns how many of them flipped. RNG work is
-    /// proportional to the flips, not the rounds.
-    fn flips_in_span(&mut self, rounds: u64, true_or: bool) -> u64 {
-        if rounds == 0 || self.eligible(u64::from(true_or)) & 1 == 0 {
-            return 0;
-        }
+    /// Passes `rounds` eligible rounds, calling `flip(k)` on each one
+    /// that flips, `k` its offset among them, in ascending order;
+    /// returns how many flipped. RNG work is one draw per flip, and
+    /// nothing per clean round.
+    #[inline]
+    fn walk(&mut self, rounds: u64, mut flip: impl FnMut(u64)) -> u64 {
         let mut flips = 0u64;
-        let mut rem = rounds;
+        // `at` rounds are passed; the next flip has `pos` clean eligible
+        // rounds ahead of it and spends pos + 1 of them.
+        let mut at = 0u64;
         let mut pos = self.skip;
-        // A flip with `pos` clean rounds ahead of it consumes pos + 1
-        // rounds of the span and forces a redraw.
-        while pos < rem {
+        while pos < rounds - at {
+            at += pos;
+            flip(at);
+            at += 1;
             flips += 1;
-            rem -= pos + 1;
             pos = self.gap.draw(&mut self.rng);
         }
-        self.skip = pos - rem;
+        self.skip = pos - (rounds - at);
         self.flips += flips;
         flips
     }
 
-    /// Delivers `len ≤ 64` consecutive rounds whose true ORs are the
-    /// low `len` bits of `sent` (round `k` is bit `k`); returns the
-    /// heard bits. Bits of `sent` at or above `len` are ignored and
-    /// the returned bits there are zero. RNG work is proportional to
-    /// the flips, not the rounds.
+    /// Delivers `rounds` consecutive rounds with constant true OR
+    /// `true_or`; returns how many of them flipped.
+    fn flips_in_span(&mut self, rounds: u64, true_or: bool) -> u64 {
+        if self.eligible(u64::from(true_or)) & 1 == 0 {
+            return 0;
+        }
+        self.walk(rounds, |_| {})
+    }
+
+    /// Delivers the `len` consecutive rounds whose true ORs are the bits
+    /// of `sent`, 64 to a limb (round `k` is bit `k % 64` of limb
+    /// `k / 64`), and writes the rounds that flipped into `flipped` the
+    /// same way; returns how many flipped. Bits at or above `len` are
+    /// ignored in `sent` and zero in `flipped`.
+    ///
+    /// Under correlated noise every round is eligible, so one
+    /// [`SharedCountdown::walk`] over all `len` rounds marks each flip at
+    /// its offset. Otherwise each limb is one walk over its eligible
+    /// rounds, counted once, and each flip clears the eligible bits below
+    /// its own.
     ///
     /// # Panics
     ///
-    /// Panics if `len > 64`.
-    fn transmit_rounds(&mut self, sent: u64, len: usize) -> u64 {
-        assert!(len <= 64, "a word carries at most 64 rounds, got {len}");
-        let live = word_mask(len);
-        let sent = sent & live;
-        let mut eligible = self.eligible(sent) & live;
-        let mut flipped = 0u64;
-        loop {
-            let count = u64::from(eligible.count_ones());
-            if self.skip >= count {
-                self.skip -= count;
-                break;
-            }
-            // The next flip lands on eligible round number `skip`: the
-            // `skip` eligible rounds below it are clean.
-            let round = if matches!(self.flips_on, FlipsOn::Every) {
-                // Every live round is eligible, so `eligible` is one
-                // contiguous run and its `skip`-th round is `skip` above
-                // its lowest.
-                (eligible & eligible.wrapping_neg()) << self.skip
-            } else {
-                for _ in 0..self.skip {
+    /// Panics if `flipped` and `sent` differ in length or `len` exceeds
+    /// their rounds.
+    #[inline]
+    fn deliver(&mut self, sent: &[u64], len: usize, flipped: &mut [u64]) -> u64 {
+        assert_eq!(flipped.len(), sent.len(), "one flip limb per sent limb");
+        assert!(
+            len <= 64 * sent.len(),
+            "{len} rounds overrun {} limbs",
+            sent.len()
+        );
+        if let FlipsOn::Every = self.flips_on {
+            flipped.fill(0);
+            return self.walk(len as u64, |round| {
+                flipped[(round / 64) as usize] |= 1 << (round % 64);
+            });
+        }
+        let mut flips = 0;
+        for (k, (&word, out)) in sent.iter().zip(flipped.iter_mut()).enumerate() {
+            let rounds = len.saturating_sub(64 * k).min(64);
+            let mut eligible = self.eligible(word) & word_mask(rounds);
+            let mut mask = 0;
+            // The offset of the lowest eligible round left in `eligible`.
+            let mut base = 0;
+            flips += self.walk(u64::from(eligible.count_ones()), |offset| {
+                for _ in base..offset {
                     eligible &= eligible - 1;
                 }
-                eligible & eligible.wrapping_neg()
-            };
-            flipped |= round;
-            // The flip and every eligible round below it are spent.
-            eligible &= round.wrapping_neg() << 1;
-            self.skip = self.gap.draw(&mut self.rng);
+                let round = eligible & eligible.wrapping_neg();
+                eligible ^= round;
+                mask |= round;
+                base = offset + 1;
+            });
+            *out = mask;
         }
-        self.flips += u64::from(flipped.count_ones());
-        sent ^ flipped
+        flips
+    }
+
+    /// [`SharedCountdown::deliver`] of one word of `len ≤ 64` rounds;
+    /// returns the heard bits, zero at and above `len`.
+    fn word(&mut self, sent: u64, len: usize) -> u64 {
+        let mut flipped = [0];
+        self.deliver(&[sent], len, &mut flipped);
+        (sent & word_mask(len)) ^ flipped[0]
     }
 }
 
@@ -812,7 +850,8 @@ impl StochasticChannel {
     /// what every party hears in it. Bits of `sent` at or above `len`
     /// are ignored and the result is zero there.
     ///
-    /// Draws, flips and counts ([`Channel::rounds`],
+    /// One word of [`StochasticChannel::transmit_codeword`]: it draws,
+    /// flips and counts ([`Channel::rounds`],
     /// [`Channel::corrupted_rounds`]) exactly as `len` calls to
     /// [`Channel::transmit`] would, with RNG work proportional to the
     /// flips rather than the rounds.
@@ -822,9 +861,34 @@ impl StochasticChannel {
     /// Panics if `len > 64` or the model is
     /// [`NoiseModel::Independent`] (whose deliveries differ per party).
     pub fn transmit_rounds(&mut self, sent: u64, len: usize) -> u64 {
-        let heard = self.shared_countdown().transmit_rounds(sent, len);
+        assert!(len <= 64, "a word carries at most 64 rounds, got {len}");
+        let heard = self.shared_countdown().word(sent, len);
         self.rounds += len;
         heard
+    }
+
+    /// Delivers a codeword of `len` consecutive rounds in one call: bit
+    /// `k % 64` of `sent[k / 64]` is the true OR of round `k`. Writes the
+    /// rounds that flipped into `flipped` the same way, so every party
+    /// hears `sent ^ flipped`, and returns how many flipped. Bits at or
+    /// above `len` are ignored in `sent` and zero in `flipped`.
+    ///
+    /// Draws, flips and counts ([`Channel::rounds`],
+    /// [`Channel::corrupted_rounds`]) exactly as `len` calls to
+    /// [`Channel::transmit`] would. It walks from flip to flip over the
+    /// rounds where a flip is possible, so its RNG work is one draw per
+    /// flip and its other work a few operations per flip and per limb.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flipped` and `sent` differ in length, `len` exceeds
+    /// their `64 · sent.len()` rounds, or the model is
+    /// [`NoiseModel::Independent`] (whose deliveries differ per party).
+    #[inline]
+    pub fn transmit_codeword(&mut self, sent: &[u64], len: usize, flipped: &mut [u64]) -> usize {
+        let flips = self.shared_countdown().deliver(sent, len, flipped);
+        self.rounds += len;
+        flips as usize
     }
 
     /// Delivers `rounds` consecutive rounds with constant true OR
@@ -894,8 +958,8 @@ impl Channel for StochasticChannel {
         }
     }
 
-    /// Shared models run the one countdown over the word
-    /// ([`StochasticChannel::transmit_rounds`]). Independent noise XORs
+    /// Shared models deliver the word as a one-limb codeword
+    /// ([`StochasticChannel::transmit_codeword`]). Independent noise XORs
     /// the flip masks `len` single rounds would read into each flipped
     /// party's copy of `sent`, a block at a time, building no per-round
     /// [`Delivery`].
@@ -903,7 +967,7 @@ impl Channel for StochasticChannel {
         assert!(len <= 64, "a word carries at most 64 rounds, got {len}");
         assert_eq!(heard.len(), self.n, "one heard word per party");
         match &mut self.sampler {
-            Sampler::Shared(countdown) => heard.fill(countdown.transmit_rounds(sent, len)),
+            Sampler::Shared(countdown) => heard.fill(countdown.word(sent, len)),
             Sampler::Independent {
                 rng,
                 skipper,
@@ -1155,6 +1219,48 @@ mod tests {
                 assert_eq!(reused.corrupted_rounds(), fresh.corrupted_rounds());
             }
         }
+    }
+
+    #[test]
+    fn independent_single_rounds_match_word_deliveries() {
+        // At n = 10⁴ and ε = 10⁻⁵ about nine rounds in ten flip no party:
+        // a single round reads that off the block's mask OR.
+        const LENS: [usize; 6] = [64, 37, 1, 63, 64, 50];
+        let (mut quiet, mut noisy) = (0, 0);
+        for n in [1usize, 63, 64, 65, 10_000] {
+            for epsilon in [1e-5, 0.1] {
+                let model = NoiseModel::Independent { epsilon };
+                let mut rounds = StochasticChannel::new(n, model, 0x5EED);
+                let mut words = StochasticChannel::new(n, model, 0x5EED);
+                let mut heard = vec![0u64; n];
+                for (w, len) in LENS.into_iter().enumerate() {
+                    let sent = (w as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    words.transmit_word(sent, len, &mut heard);
+                    for k in 0..len {
+                        let true_or = (sent >> k) & 1 == 1;
+                        let before = rounds.corrupted_rounds();
+                        let delivery = rounds.transmit(true_or);
+                        for (i, &word) in heard.iter().enumerate() {
+                            assert_eq!(
+                                delivery.heard_by(i),
+                                (word >> k) & 1 == 1,
+                                "n {n} ε {epsilon} word {w} round {k} party {i}"
+                            );
+                        }
+                        if n == 10_000 && epsilon == 1e-5 {
+                            if rounds.corrupted_rounds() == before {
+                                quiet += 1;
+                            } else {
+                                noisy += 1;
+                            }
+                        }
+                    }
+                    assert_eq!(rounds.rounds(), words.rounds());
+                    assert_eq!(rounds.corrupted_rounds(), words.corrupted_rounds());
+                }
+            }
+        }
+        assert!(quiet > 0 && noisy > 0, "quiet {quiet}, noisy {noisy}");
     }
 
     #[test]

@@ -471,3 +471,62 @@ proptest! {
         );
     }
 }
+
+/// Every shared-delivery model at ε ∈ {2⁻⁵⁴, 10⁻³, 0.1, 1/3, 0.9}: from
+/// the `1 − ε` that rounds to 1 to a flip in most eligible rounds.
+fn codeword_model() -> impl Strategy<Value = NoiseModel> {
+    (0usize..4, 0usize..5).prop_map(|(kind, e)| {
+        let epsilon = [f64::EPSILON / 4.0, 1e-3, 0.1, 1.0 / 3.0, 0.9][e];
+        match kind {
+            0 => NoiseModel::Noiseless,
+            1 => NoiseModel::Correlated { epsilon },
+            2 => NoiseModel::OneSidedZeroToOne { epsilon },
+            _ => NoiseModel::OneSidedOneToZero { epsilon },
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A codeword delivered in one call draws, flips and counts exactly
+    /// as its rounds delivered one `transmit` at a time: the same heard
+    /// bits and flip count, `rounds()` and `corrupted_rounds()`, and the
+    /// same next 100 deliveries. `pre` single rounds first leave the
+    /// countdown mid-gap; the limbs' bits past `len` are junk the call
+    /// must ignore.
+    #[test]
+    fn codeword_deliveries_match_per_round_transmits(
+        model in codeword_model(),
+        seed in any::<u64>(),
+        len in 1usize..=200,
+        limbs in prop::collection::vec(any::<u64>(), 4),
+        pre in 0usize..20,
+    ) {
+        let mut batched = StochasticChannel::new(3, model, seed);
+        let mut reference = StochasticChannel::new(3, model, seed);
+        for r in 0..pre {
+            let or = (seed >> r) & 1 == 1;
+            prop_assert_eq!(batched.transmit(or), reference.transmit(or));
+        }
+        let sent = &limbs[..len.div_ceil(64)];
+        let mut flipped = vec![u64::MAX; sent.len()];
+        let flips = batched.transmit_codeword(sent, len, &mut flipped);
+        let mut want = vec![0u64; sent.len()];
+        for k in 0..len {
+            let or = (sent[k / 64] >> (k % 64)) & 1 == 1;
+            let bit = reference.transmit(or).shared().expect("shared delivery");
+            want[k / 64] |= u64::from(bit != or) << (k % 64);
+        }
+        prop_assert_eq!(&flipped, &want, "{}: codeword of {}", model, len);
+        let want_flips: u32 = want.iter().map(|w| w.count_ones()).sum();
+        prop_assert_eq!(flips, want_flips as usize, "{}: flip count", model);
+        prop_assert_eq!(batched.rounds(), reference.rounds());
+        prop_assert_eq!(batched.corrupted_rounds(), reference.corrupted_rounds());
+        for r in 0..100u64 {
+            let or = (seed >> (r % 64)) & 1 == 0;
+            prop_assert_eq!(batched.transmit(or), reference.transmit(or), "{}: next round {}", model, r);
+        }
+        prop_assert_eq!(batched.corrupted_rounds(), reference.corrupted_rounds());
+    }
+}

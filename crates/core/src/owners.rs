@@ -403,8 +403,9 @@ mod tests {
 
     /// Forwards only the required [`SymbolCode`] methods and
     /// [`SymbolCode::decode_packed`], so [`SymbolCode::decode_near`]
-    /// takes its full-scan default: the per-party phase with every
-    /// decode a scan, the oracle the certified decode is held to.
+    /// takes its full-scan default and [`SymbolCode::certifies`] never
+    /// certifies: either owners phase with every decode a scan, the
+    /// oracle the certified decodes are held to.
     #[derive(Debug)]
     struct FullScan(SharedCode);
 
@@ -694,8 +695,9 @@ mod tests {
 
     /// Runs the per-party oracle with the full scan ([`FullScan`]) on
     /// random inputs for each `(n, len, code_len, model)` cell and
-    /// asserts the collapsed body, the certified per-party phase and the
-    /// certified phase over single-round deliveries all equal it. Half
+    /// asserts the collapsed body (certified, and with every turn
+    /// scanned), the certified per-party phase and the certified phase
+    /// over single-round deliveries all equal it. Half
     /// the codes carry more symbols than `len + 1` (as a tail chunk's
     /// code does), so decode errors also land on stray symbols in
     /// `[len, Next)`; some tables must come out invalid, proving decode
@@ -723,6 +725,8 @@ mod tests {
             let context =
                 format!("{model} n={n} len={len} code_len={code_len} alphabet={alphabet}");
             assert_eq!(got, want, "{context}");
+            let scanned = collapsed_owners(&bits, model, &FullScan(Arc::clone(&code)), seed);
+            assert_eq!(scanned, want, "collapsed, every turn scanned, {context}");
             let certified = per_party_owners(
                 &bits,
                 model,
@@ -787,6 +791,36 @@ mod tests {
             }
         }
         assert_collapsed_matches_oracle(&cells);
+    }
+
+    #[test]
+    fn collapsed_phase_matches_oracle_through_misread_next_and_repeat_claims() {
+        // A 10-bit code at correlated ε = 1/3, seeded so that both of the
+        // claim cursor's harder cases happen: party 2 beeps nowhere, so
+        // every round it owns is a `Next` turn decoded as a claim, after
+        // which its turn repeats; and party 0 claims several of its three
+        // 1-rounds, so the cursor passes its own claimed entries.
+        const SEED: u64 = 8;
+        let model = NoiseModel::Correlated { epsilon: 1.0 / 3.0 };
+        let bits = vec![
+            vec![true, false, true, true, false, false],
+            vec![false, true, true, false, false, false],
+            vec![false; 6],
+            vec![false, false, false, false, true, false],
+        ];
+        let code: SharedCode = Arc::new(RandomCode::with_length(7, 10, SEED));
+        let n = bits.len();
+        let want = per_party_owners(
+            &bits,
+            model,
+            Arc::new(FullScan(Arc::clone(&code))),
+            &mut StochasticChannel::new(n, model, SEED),
+        );
+        assert_eq!(collapsed_owners(&bits, model, &*code, SEED), want);
+        let table = &want.owners[0];
+        assert!(table.contains(&Some(2)), "no misread Next: {table:?}");
+        let held = (0..6).filter(|&j| bits[0][j] && table[j] == Some(0));
+        assert!(held.count() >= 2, "party 0 holds one round: {table:?}");
     }
 
     #[test]

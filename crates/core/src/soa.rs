@@ -16,10 +16,13 @@
 //! finding-owners phase of Algorithm 1 likewise exists once, as
 //! `owners_collapsed`: the rewind and hierarchical bodies run it per
 //! chunk, and [`crate::run_owners_phase`] runs it under shared noise
-//! through `owners_standalone`. It decodes each codeword once, not once
-//! per party, and sends it one channel word (≤ 64 rounds,
-//! [`StochasticChannel::transmit_rounds`]) at a time from a codeword
-//! table built once per body call.
+//! through `owners_standalone`. A turn there costs about its flips: a
+//! claim cursor over the chunk's beeps, listed once per phase, names the
+//! turn's symbol; its codeword, read from a table built once per body
+//! call, goes out in one [`StochasticChannel::transmit_codeword`]; and
+//! the flip count that call returns certifies the decode
+//! ([`SymbolCode::certifies`]), once for every party, so only an
+//! uncertified word is assembled and scanned.
 //!
 //! The chunked bodies (rewind, owned rounds, hierarchical) share every
 //! step they have in common, each written once: the committed prefix and
@@ -157,10 +160,17 @@ pub struct SoaScratch {
     /// Owners bookkeeping of the pending chunk.
     claimed: Vec<bool>,
     chunk_owners: Vec<Option<usize>>,
+    /// The pending chunk's claimable beeps, `party << 32 | round` for
+    /// every party that beeped in a 1-round, ascending (party-major);
+    /// the owners phase's claim cursor walks it.
+    claims: Vec<u64>,
     /// The owners code's codewords as packed limbs, `alphabet × limbs`
     /// flat, rebuilt once per body call (see [`load_codewords`]).
     codewords: Vec<u64>,
-    /// Heard bits of the in-flight owners codeword.
+    /// Flipped rounds of the in-flight owners codeword, one word per
+    /// limb.
+    flipped: Vec<u64>,
+    /// Heard bits of an owners codeword whose flips do not certify it.
     heard: PackedBits,
     /// Per-round beep bit of the schedule owner (owned-rounds engine).
     owner_beeps: Vec<bool>,
@@ -391,6 +401,32 @@ fn load_codewords(code: &dyn SymbolCode, scratch: &mut SoaScratch) {
     );
 }
 
+/// Lists into `claims` every beep the owners phase can claim, as the key
+/// `party << 32 | round`, ascending: party-major, and by round within a
+/// party. `cols` holds the chunk's beep rows, `words` words each, and
+/// `bits` its transcript; only 1-rounds are claimable.
+fn list_claims(cols: &[u64], words: usize, bits: &[bool], claims: &mut Vec<u64>) {
+    assert!(
+        u32::try_from(bits.len()).is_ok() && u32::try_from(64 * words).is_ok(),
+        "a claim key packs a party and a round into 32 bits each"
+    );
+    claims.clear();
+    for (round, col) in cols.chunks_exact(words).enumerate() {
+        if !bits[round] {
+            continue;
+        }
+        for (w, &word) in col.iter().enumerate() {
+            let mut beeped = word;
+            while beeped != 0 {
+                let party = 64 * w + beeped.trailing_zeros() as usize;
+                claims.push((party as u64) << 32 | round as u64);
+                beeped &= beeped - 1;
+            }
+        }
+    }
+    claims.sort_unstable();
+}
+
 /// One finding-owners phase of Algorithm 1 (Appendix D.1) on collapsed
 /// state: the one owners body of every engine that runs the phase.
 ///
@@ -399,18 +435,31 @@ fn load_codewords(code: &dyn SymbolCode, scratch: &mut SoaScratch) {
 /// round `j`), and `scratch.codewords` holds the code's table
 /// ([`load_codewords`]). The phase runs `len + n` iterations in turn
 /// order. The turn-holder sends the codeword of the smallest unclaimed
-/// 1-round it beeped in, else `Next`, one channel word (≤ 64 rounds) at
-/// a time. The heard word is decoded once, since every party hears the
-/// same one, with [`SymbolCode::decode_sent`]: knowing the sent symbol
-/// lets most decodes skip the full scan, with the scan's result. A claim
-/// lands in `scratch.claimed` /
-/// `scratch.chunk_owners`. Once every party has passed, the remaining
-/// iterations deliver silence.
+/// 1-round it beeped in, else `Next`. Once every party has passed, the
+/// remaining iterations deliver silence.
 ///
-/// Opens the phase span `span` (the caller's name for the phase) and
-/// decodes with the metric matched to `model`. Returns the beeping
-/// energy spent, or `None` as soon as an iteration's `code_len` rounds
-/// no longer fit in the `room` left of the caller's budget.
+/// Each turn costs about its flips, not the chunk or the code:
+///
+/// * **Claim cursor.** The chunk's claimable beeps are listed once per
+///   phase, party-major, in `scratch.claims`. One cursor advances with
+///   the turn and skips claimed rounds for good, since a claim never
+///   turns off within a phase: its first entry of the turn's party is
+///   the smallest unclaimed 1-round that party beeped in.
+/// * **One channel call.** The codeword goes out in one
+///   [`StochasticChannel::transmit_codeword`], which reports the
+///   flipped rounds and their count.
+/// * **Certificate from the count.** Every party hears the same word,
+///   so it is decoded once. Under the metric matched to `model` every
+///   flip costs one, so [`SymbolCode::certifies`] can prove from the
+///   count alone that the full scan returns the sent symbol. Only a turn
+///   it cannot certify assembles the heard word and scans.
+///
+/// A claim lands in `scratch.claimed` / `scratch.chunk_owners`.
+///
+/// Opens the phase span `span` (the caller's name for the phase).
+/// Returns the beeping energy spent, or `None` as soon as an iteration's
+/// `code_len` rounds no longer fit in the `room` left of the caller's
+/// budget.
 fn owners_collapsed(
     span: &'static str,
     n: usize,
@@ -431,7 +480,9 @@ fn owners_collapsed(
         bits,
         claimed,
         chunk_owners,
+        claims,
         codewords,
+        flipped,
         heard,
         ..
     } = scratch;
@@ -440,6 +491,17 @@ fn owners_collapsed(
     claimed.resize(len, false);
     chunk_owners.clear();
     chunk_owners.resize(len, None);
+    list_claims(cols, words, bits, claims);
+    flipped.clear();
+    flipped.resize(limbs, 0);
+    let weight = |symbol: usize| -> usize {
+        codewords[symbol * limbs..(symbol + 1) * limbs]
+            .iter()
+            .map(|limb| limb.count_ones() as usize)
+            .sum()
+    };
+    let next_weight = weight(next_symbol);
+    let mut cursor = 0usize;
     let mut turn = 0usize;
     let mut used = 0usize;
     let mut energy = 0usize;
@@ -454,17 +516,31 @@ fn owners_collapsed(
             let _ = ones(channel, code_len, false);
             continue;
         }
-        let claim = (0..len)
-            .find(|&j| bits[j] && !claimed[j] && row_get(&cols[j * words..(j + 1) * words], turn));
-        let symbol = claim.unwrap_or(next_symbol);
-        heard.clear();
-        let codeword = &codewords[symbol * limbs..(symbol + 1) * limbs];
-        for (k, &limb) in codeword.iter().enumerate() {
-            let rounds = (code_len - 64 * k).min(64);
-            energy += limb.count_ones() as usize;
-            heard.push_word(channel.transmit_rounds(limb, rounds), rounds);
+        // Entries of passed parties and claimed rounds are never the
+        // claim again.
+        while let Some(&key) = claims.get(cursor) {
+            if (key >> 32) as usize >= turn && !claimed[key as u32 as usize] {
+                break;
+            }
+            cursor += 1;
         }
-        let decoded = code.decode_sent(symbol, heard, metric);
+        let claim = claims
+            .get(cursor)
+            .filter(|&&key| (key >> 32) as usize == turn)
+            .map(|&key| key as u32 as usize);
+        let symbol = claim.unwrap_or(next_symbol);
+        energy += claim.map_or(next_weight, weight);
+        let codeword = &codewords[symbol * limbs..(symbol + 1) * limbs];
+        let flips = channel.transmit_codeword(codeword, code_len, flipped);
+        let decoded = if code.certifies(symbol, flips) {
+            symbol
+        } else {
+            heard.clear();
+            for (k, (&limb, &flip)) in codeword.iter().zip(flipped.iter()).enumerate() {
+                heard.push_word(limb ^ flip, (code_len - 64 * k).min(64));
+            }
+            code.decode_packed(heard, metric)
+        };
         if decoded == next_symbol {
             turn += 1;
         } else if decoded < len {
@@ -588,12 +664,10 @@ impl<'a, P: Protocol> ChunkedRun<'a, P> {
         for j in 0..len {
             tally.block_fits(self.r, &scratch.committed.prefix.bits)?;
             let col = &mut scratch.cols[j * words..(j + 1) * words];
+            let working = scratch.committed.prefix.working.as_slice();
             let mut beeps = 0usize;
             for (i, input) in self.inputs.iter().enumerate() {
-                if self
-                    .protocol
-                    .beep(i, input, &scratch.committed.prefix.working)
-                {
+                if self.protocol.beep(i, input, working) {
                     row_set(col, i);
                     beeps += 1;
                 }

@@ -113,8 +113,8 @@ impl SymbolCode for ConstantWeightCode {
         self.table.decode_packed(received, metric)
     }
 
-    fn decode_sent(&self, sent: usize, received: &PackedBits, metric: BitMetric) -> usize {
-        self.table.decode_sent(sent, received, metric)
+    fn certifies(&self, sent: usize, flips: usize) -> bool {
+        self.table.certifies(sent, flips)
     }
 
     fn decode_near(

@@ -27,16 +27,17 @@
 //!
 //! ## Certified decoding
 //!
-//! When the caller knows which symbol was sent, as the owners phase's
-//! collapsed engine does, [`SymbolCode::decode_sent`] returns the full
-//! scan's answer without running the scan whenever a distance
-//! certificate proves it. When it knows only the word that was sent, as
-//! each party of the per-party owners phase does (the simulator hands
-//! every party the true OR word), [`SymbolCode::decode_near`] looks that
-//! word up among the codewords and certifies against its symbol. The
-//! random and constant-weight codes share the one codeword table that
-//! implements both; the full scan, [`SymbolCode::decode_packed`], stays
-//! the oracle.
+//! When the caller knows which symbol was sent and how many of its
+//! bits flipped, as the owners phase's collapsed engine does,
+//! [`SymbolCode::certifies`] proves from that count alone, whenever a
+//! distance certificate allows, that the full scan would return the sent
+//! symbol; only a word it cannot certify is decoded. When the caller
+//! knows only the word that was sent, as each party of the per-party
+//! owners phase does (the simulator hands every party the true OR word),
+//! [`SymbolCode::decode_near`] looks that word up among the codewords
+//! and certifies against its symbol. The random and constant-weight
+//! codes share the one codeword table that implements both; the full
+//! scan, [`SymbolCode::decode_packed`], stays the oracle.
 //!
 //! # Examples
 //!
@@ -116,32 +117,36 @@ pub trait SymbolCode: std::fmt::Debug {
         self.decode(&received.to_bools(), metric)
     }
 
-    /// Decodes `received` when the caller knows it was sent as the
-    /// codeword of `sent` — the owners phase's case, where every party
-    /// hears the same word and the simulator knows what was sent.
+    /// Whether a word heard as the codeword of `sent` with `flips` of its
+    /// bits flipped is certain to decode to `sent` — the collapsed owners
+    /// phase's case, where every party hears the same word and the
+    /// channel reports how many of its rounds flipped.
     ///
-    /// Returns exactly [`SymbolCode::decode_packed`]`(received,
-    /// metric)`: `sent` only lets a code skip its scan when it can prove
-    /// the scan's answer. The default decodes in full. The random and
-    /// constant-weight codes return `sent` outright when
-    /// `c₀ + k < r`, where `k` is the Hamming distance from `sent`'s
-    /// codeword to `received`, `c₀` its `metric` cost and `r` the
-    /// distance from that codeword to its nearest other one (computed on
-    /// the symbol's first such decode and kept in the code). That is
-    /// exact: every metric's cost is at least the Hamming distance, so
-    /// every other codeword costs at least `r − k > c₀`.
+    /// A `true` is a proof: [`SymbolCode::decode_packed`]`(received,
+    /// metric)` returns `sent` for every `received` that differs from
+    /// `sent`'s codeword in `flips` bits, each of which `metric` charges
+    /// one — any flip under [`BitMetric::Hamming`], a 0 heard as 1 under
+    /// [`BitMetric::ZUp`], a 1 heard as 0 under [`BitMetric::ZDown`],
+    /// which is every flip of the noise model each metric is matched to.
+    /// The default never certifies. The random and constant-weight codes
+    /// certify when `2·flips < r`, `r` the distance from `sent`'s
+    /// codeword to its nearest other one (computed on the symbol's first
+    /// certificate and kept in the code). That is exact: every metric's
+    /// cost is at least the Hamming distance, so every other codeword
+    /// costs at least `r − flips > flips`, the cost of `sent`.
     ///
     /// # Panics
     ///
-    /// Panics if `sent >= self.alphabet_size()` or
-    /// `received.len() != self.codeword_len()`.
-    fn decode_sent(&self, sent: usize, received: &bits::PackedBits, metric: BitMetric) -> usize {
+    /// Panics if `sent >= self.alphabet_size()`.
+    fn certifies(&self, sent: usize, flips: usize) -> bool {
         assert!(
             sent < self.alphabet_size(),
             "symbol {sent} outside alphabet of {}",
             self.alphabet_size()
         );
-        self.decode_packed(received, metric)
+        // Without the code's distances no flip count proves anything.
+        let _ = flips;
+        false
     }
 
     /// Decodes `received` given `reference`, a word it was likely sent
@@ -154,11 +159,14 @@ pub trait SymbolCode: std::fmt::Debug {
     /// prove the scan's answer, so any `reference` gives the same
     /// symbol. The default decodes in full. The random and
     /// constant-weight codes look `reference` up in an index of their
-    /// codewords: if it is the codeword of `s`, they return
-    /// [`SymbolCode::decode_sent`]`(s, received, metric)`, which equals
-    /// the scan for every `s`; if it is no codeword (parties that
-    /// disagree on whose turn it is send the OR of two codewords, or
-    /// nothing), they run the scan.
+    /// codewords. If it is the codeword of `s`, they return `s` without
+    /// the scan when `c₀ + k < r`, where `k` is the Hamming distance from
+    /// that codeword to `received`, `c₀` its `metric` cost and `r` the
+    /// distance from that codeword to its nearest other one: every other
+    /// codeword costs at least `r − k > c₀`. If the certificate fails, or
+    /// `reference` is no codeword (parties that disagree on whose turn
+    /// it is send the OR of two codewords, or nothing), they run the
+    /// scan.
     ///
     /// # Panics
     ///

@@ -78,7 +78,7 @@ impl RandomCode {
     }
 
     /// Minimum pairwise Hamming distance of the code: the least of the
-    /// codewords' radii (see [`SymbolCode::decode_sent`]), computing
+    /// codewords' radii (see [`SymbolCode::certifies`]), computing
     /// the ones no decode has needed yet — O(q²) on a fresh code.
     pub fn min_distance(&self) -> u32 {
         self.table.min_distance()
@@ -111,8 +111,8 @@ impl SymbolCode for RandomCode {
         self.table.decode_packed(received, metric)
     }
 
-    fn decode_sent(&self, sent: usize, received: &PackedBits, metric: BitMetric) -> usize {
-        self.table.decode_sent(sent, received, metric)
+    fn certifies(&self, sent: usize, flips: usize) -> bool {
+        self.table.certifies(sent, flips)
     }
 
     fn decode_near(

@@ -110,40 +110,29 @@ impl CodeTable {
         best
     }
 
-    /// [`CodeTable::decode_packed`], returning `sent` without the scan
-    /// when a certificate proves the scan would.
-    ///
-    /// Let `k` be the Hamming distance from `sent`'s codeword to
-    /// `received`, `c₀` its `metric` cost and `r` its radius. Every
-    /// metric's cost is at least the Hamming distance, so by the
-    /// triangle inequality every other codeword costs at least
-    /// `r − k`. If `c₀ + k < r`, that is more than `c₀`: `sent` is the
-    /// unique least-cost symbol, which the scan returns.
+    /// Whether `sent`'s codeword, heard with `flips` bits flipped that
+    /// the decoding metric charges one each, decodes to `sent`: its cost
+    /// is `flips`, and by the triangle inequality every other codeword
+    /// costs at least `r − flips`, `r` its radius. So `2·flips < r`
+    /// makes `sent` the unique least-cost symbol, which the scan
+    /// returns.
     ///
     /// # Panics
     ///
-    /// Panics if `sent` is outside the alphabet or `received.len()` is
-    /// not the codeword length.
-    pub(crate) fn decode_sent(
-        &self,
-        sent: usize,
-        received: &PackedBits,
-        metric: BitMetric,
-    ) -> usize {
-        assert_eq!(received.len(), self.len, "wrong word length");
-        let cw = self.codeword(sent);
-        let certified = metric.cost(cw, received) + u64::from(cw.hamming(received));
-        if certified < u64::from(self.radius(sent)) {
-            sent
-        } else {
-            self.decode_packed(received, metric)
-        }
+    /// Panics if `sent` is outside the alphabet.
+    pub(crate) fn certifies(&self, sent: usize, flips: usize) -> bool {
+        (2 * flips as u64) < u64::from(self.radius(sent))
     }
 
-    /// [`CodeTable::decode_packed`], certified against `reference`: if
-    /// `reference` is the codeword of some symbol `s`, this is
-    /// [`CodeTable::decode_sent`]`(s, …)`, which returns the scan's
-    /// answer for every `s`; otherwise it is the scan.
+    /// [`CodeTable::decode_packed`], returning `s` without the scan when
+    /// `reference` is the codeword of `s` and a certificate proves the
+    /// scan would.
+    ///
+    /// Let `k` be the Hamming distance from that codeword to `received`,
+    /// `c₀` its `metric` cost and `r` its radius. Every metric's cost is
+    /// at least the Hamming distance, so by the triangle inequality
+    /// every other codeword costs at least `r − k`. If `c₀ + k < r`,
+    /// that is more than `c₀`: `s` is the unique least-cost symbol.
     ///
     /// # Panics
     ///
@@ -154,21 +143,30 @@ impl CodeTable {
         received: &PackedBits,
         metric: BitMetric,
     ) -> usize {
-        match self.symbols.get(reference) {
-            Some(&s) => self.decode_sent(s, received, metric),
-            None => self.decode_packed(received, metric),
+        assert_eq!(received.len(), self.len, "wrong word length");
+        if let Some(&s) = self.symbols.get(reference) {
+            let cw = &self.codewords[s];
+            let bound = metric.cost(cw, received) + u64::from(cw.hamming(received));
+            if bound < u64::from(self.radius(s)) {
+                return s;
+            }
         }
+        self.decode_packed(received, metric)
     }
 
     /// The radius of codeword `s`, computed on first request.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is outside the alphabet.
     fn radius(&self, s: usize) -> u32 {
+        let cw = self.codeword(s);
         // Threads racing on an unknown radius compute and store the same
         // value.
         let known = self.radii[s].load(Ordering::Acquire);
         if known != UNKNOWN {
             return known;
         }
-        let cw = &self.codewords[s];
         let radius = self
             .codewords
             .iter()

@@ -99,15 +99,32 @@ fn closest(codewords: &[PackedBits], word: &PackedBits) -> usize {
         .expect("q ≥ 2")
 }
 
+/// A random (`constant_weight` false) or constant-weight code of `q`
+/// symbols and length `len`, drawn from `seed`.
+fn table_code(q: usize, len: usize, constant_weight: bool, seed: u64) -> Box<dyn SymbolCode> {
+    if constant_weight {
+        // Every weight in 2..=len-2 has enough supports for q = 65 once
+        // len ≥ 63; at len 8 only weight 4 does.
+        let weight = if len == 8 {
+            4
+        } else {
+            2 + (seed % (len as u64 - 3)) as usize
+        };
+        Box::new(ConstantWeightCode::new(q, len, weight, seed))
+    } else {
+        Box::new(RandomCode::with_length(q, len, seed))
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The certified decodes return exactly the full scan's symbol, for
+    /// The certified decode returns exactly the full scan's symbol, for
     /// both table codes under every metric, at q ∈ {2, 3, 17, 65} and
     /// code lengths around the limb boundaries, on the words of
     /// [`certificate_words`]. Under Hamming an even radius puts the
     /// boundary word, a tie with the nearest neighbour, on both walks.
-    /// `decode_sent` is given the sent symbol; `decode_near` is given
+    /// `decode_near` is given
     /// each of these references: the codeword closest to the word, the
     /// walk's other codeword (so a tie's later symbol is a reference at
     /// the midpoint), the closest codeword with one bit flipped, the OR
@@ -123,14 +140,7 @@ proptest! {
     ) {
         let q = [2usize, 3, 17, 65][q_index];
         let len = [8usize, 63, 64, 65, 130][len_index];
-        let code: Box<dyn SymbolCode> = if constant_weight {
-            // Every weight in 2..=len-2 has enough supports for q = 65
-            // once len ≥ 63; at len 8 only weight 4 does.
-            let weight = if len == 8 { 4 } else { 2 + (seed % (len as u64 - 3)) as usize };
-            Box::new(ConstantWeightCode::new(q, len, weight, seed))
-        } else {
-            Box::new(RandomCode::with_length(q, len, seed))
-        };
+        let code = table_code(q, len, constant_weight, seed);
         let codewords: Vec<PackedBits> = (0..q).map(|s| code.encode_packed(s)).collect();
         let mut rng = StdRng::seed_from_u64(seed);
         let sent = rng.gen_range(0..q);
@@ -157,18 +167,73 @@ proptest! {
             ];
             for metric in [BitMetric::Hamming, BitMetric::ZUp, BitMetric::ZDown] {
                 let scan = code.decode_packed(&y, metric);
-                prop_assert_eq!(
-                    code.decode_sent(sent, &y, metric),
-                    scan,
-                    "q={} len={} constant_weight={} sent={} {:?}",
-                    q, len, constant_weight, sent, metric
-                );
                 for reference in &references {
                     prop_assert_eq!(
                         code.decode_near(reference, &y, metric),
                         scan,
                         "q={} len={} constant_weight={} reference={:?} {:?}",
                         q, len, constant_weight, reference, metric
+                    );
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The count-form certificate is a proof, and the table codes give
+    /// exactly `2k < r`: whenever `certifies(sent, k)` holds, the full
+    /// scan decodes `c ⊕ m` to `sent` for random masks `m` of weight `k`
+    /// on the bits `metric` charges one each — any bit under Hamming, a
+    /// 0 of `c` under `ZUp`, a 1 under `ZDown`, the flips of the noise
+    /// each metric is matched to. Every weight up to the eligible bits'
+    /// count is asked, for both table codes at the sizes of
+    /// `certified_decode_matches_full_scan`.
+    #[test]
+    fn count_certificate_holds_for_every_eligible_mask(
+        q_index in 0usize..4,
+        len_index in 0usize..5,
+        constant_weight in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let q = [2usize, 3, 17, 65][q_index];
+        let len = [8usize, 63, 64, 65, 130][len_index];
+        let code = table_code(q, len, constant_weight, seed);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sent = rng.gen_range(0..q);
+        let c = code.encode(sent);
+        let radius = (0..q)
+            .filter(|&t| t != sent)
+            .map(|t| code.encode(t).iter().zip(&c).filter(|(a, b)| a != b).count())
+            .min()
+            .expect("q ≥ 2");
+        for metric in [BitMetric::Hamming, BitMetric::ZUp, BitMetric::ZDown] {
+            let mut eligible: Vec<usize> = (0..len)
+                .filter(|&i| match metric {
+                    BitMetric::Hamming => true,
+                    BitMetric::ZUp => !c[i],
+                    BitMetric::ZDown => c[i],
+                })
+                .collect();
+            for k in 0..=eligible.len() {
+                let certified = code.certifies(sent, k);
+                prop_assert_eq!(certified, 2 * k < radius, "q={} len={} k={} r={}", q, len, k, radius);
+                if !certified {
+                    continue;
+                }
+                for _ in 0..4 {
+                    shuffle(&mut eligible, &mut rng);
+                    let mut y = c.clone();
+                    for &i in &eligible[..k] {
+                        y[i] = !y[i];
+                    }
+                    prop_assert_eq!(
+                        code.decode_packed(&PackedBits::from_bools(&y), metric),
+                        sent,
+                        "q={} len={} constant_weight={} sent={} k={} {:?}",
+                        q, len, constant_weight, sent, k, metric
                     );
                 }
             }

@@ -51,6 +51,14 @@ impl Broadcast {
     pub fn speaker(&self) -> usize {
         self.speaker
     }
+
+    /// The message a transcript carries, its first round the most
+    /// significant bit.
+    fn message(transcript: &[bool]) -> usize {
+        transcript
+            .iter()
+            .fold(0usize, |acc, &b| (acc << 1) | usize::from(b))
+    }
 }
 
 impl Protocol for Broadcast {
@@ -65,6 +73,7 @@ impl Protocol for Broadcast {
         self.width
     }
 
+    #[inline]
     fn beep(&self, party: usize, input: &usize, transcript: &[bool]) -> bool {
         if party != self.speaker {
             return false;
@@ -78,9 +87,12 @@ impl Protocol for Broadcast {
     }
 
     fn output(&self, _party: usize, _input: &usize, transcript: &[bool]) -> usize {
-        transcript
-            .iter()
-            .fold(0usize, |acc, &b| (acc << 1) | usize::from(b))
+        Self::message(transcript)
+    }
+
+    /// Every party outputs the same message: one fold of the transcript.
+    fn outputs(&self, inputs: &[usize], transcript: &[bool]) -> Vec<usize> {
+        vec![Self::message(transcript); inputs.len()]
     }
 }
 

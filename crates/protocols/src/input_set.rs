@@ -94,6 +94,7 @@ impl Protocol for InputSet {
         2 * self.n
     }
 
+    #[inline]
     fn beep(&self, _party: usize, input: &usize, transcript: &[bool]) -> bool {
         *input == transcript.len()
     }

@@ -150,6 +150,30 @@ proptest! {
         }
     }
 
+    /// `Broadcast::outputs` folds the transcript once; it must equal
+    /// every party's own `output`, the per-party default, on random,
+    /// all-zero and all-one transcripts, at n = 1 and at n.
+    #[test]
+    fn broadcast_outputs_match_per_party_outputs(
+        n in 2usize..9,
+        width in 1usize..=32,
+        fill in 0u8..3,
+        seed in any::<u64>(),
+    ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let t = transcript(&mut rng, fill, width);
+        for n in [1, n] {
+            let p = Broadcast::new(n, rng.gen_range(0..n), width);
+            let inputs: Vec<usize> = (0..n).map(|_| rng.gen_range(0..1usize << width)).collect();
+            let outs = p.outputs(&inputs, &t);
+            prop_assert_eq!(outs.len(), n);
+            for (i, &out) in outs.iter().enumerate() {
+                prop_assert_eq!(out, p.output(i, &inputs[i], &t), "party {} of {}", i, n);
+            }
+        }
+    }
+
     #[test]
     fn roll_call_counts(bits in prop::collection::vec(any::<bool>(), 1..16)) {
         let p = RollCall::new(bits.len());

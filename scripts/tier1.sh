@@ -9,7 +9,8 @@
 # on the workspace and on vendored rand), the beeps-lint
 # static-analysis pass, rustdoc with warnings denied (broken intra-doc
 # links fail), a one-iteration smoke run of the hot-path ratio gate,
-# and observed smoke runs of fig6_phase_breakdown and fig_scale — the
+# observed smoke runs of fig6_phase_breakdown and fig_scale, and the full
+# fig_scale sweep at one and two workers, whose JSON must match — the
 # same sequence CI runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -76,4 +77,12 @@ BEEPS_EXPERIMENTS_DIR=target/observe-smoke \
 cargo xtask observe-check \
   target/observe-smoke/fig_scale.trace.json \
   target/observe-smoke/fig_scale.runlog.jsonl
+# Thread invariance at scale: the full fig_scale sweep runs the n = 10^6
+# collapsed body, which the smoke run above never reaches, and must
+# write the same JSON at one worker and at two (~1 s each).
+for t in 1 2; do
+  BEEPS_EXPERIMENTS_DIR=target/scale-threads-$t \
+    cargo run --release -q -p beeps-bench --bin fig_scale -- --threads $t >/dev/null
+done
+cmp target/scale-threads-1/fig_scale.json target/scale-threads-2/fig_scale.json
 echo "tier-1: all green"
