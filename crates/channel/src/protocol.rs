@@ -46,9 +46,15 @@ pub trait Protocol {
     /// the bit the channel would carry absent noise.
     ///
     /// Provided for analysis code (the lower-bound machinery recomputes
-    /// `B_m`, the set of beeping parties, with it).
+    /// `B_m`, the set of beeping parties, with it) and for
+    /// [`run_noiseless`]. The default asks every party; an override may
+    /// ask fewer (when only some parties can beep), but must return
+    /// exactly what the default returns.
     fn true_or(&self, inputs: &[Self::Input], transcript: &[bool]) -> bool {
-        (0..self.num_parties()).any(|i| self.beep(i, &inputs[i], transcript))
+        // One bounds check for the whole loop, whatever the caller's
+        // inlining: the per-party index then provably stays in range.
+        let inputs = &inputs[..self.num_parties()];
+        (0..inputs.len()).any(|i| self.beep(i, &inputs[i], transcript))
     }
 
     /// Every party's output `g^i(x^i, π)` on one transcript `π` that all
@@ -125,6 +131,10 @@ impl<P: Protocol + ?Sized> Protocol for &P {
 
     fn output(&self, party: usize, input: &Self::Input, transcript: &[bool]) -> Self::Output {
         (**self).output(party, input, transcript)
+    }
+
+    fn true_or(&self, inputs: &[Self::Input], transcript: &[bool]) -> bool {
+        (**self).true_or(inputs, transcript)
     }
 
     fn outputs(&self, inputs: &[Self::Input], transcript: &[bool]) -> Vec<Self::Output> {

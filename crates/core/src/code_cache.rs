@@ -1,11 +1,12 @@
 //! Shared cache of owners-phase code tables.
 //!
-//! Building a symbol code ([`beeps_ecc::RandomCode`] /
-//! [`beeps_ecc::ConstantWeightCode`]) costs `O(q · len)` RNG draws plus
-//! duplicate rejection — roughly 10 µs at the default experiment sizes —
-//! and every `simulate_over` call pays it again. An experiment sweeping a
-//! few hundred trials over a handful of distinct configurations therefore
-//! rebuilds the same handful of tables hundreds of times. A [`CodeCache`]
+//! Building a symbol code ([`beeps_ecc::CodeTable::with_length`] /
+//! [`beeps_ecc::CodeTable::constant_weight`]) costs `O(q · len)` RNG
+//! draws plus duplicate rejection — roughly 10 µs at the default
+//! experiment sizes — and every `simulate_over` call pays it again. An
+//! experiment sweeping a few hundred trials over a handful of distinct
+//! configurations therefore rebuilds the same handful of tables hundreds
+//! of times. A [`CodeCache`]
 //! keys the built table by the exact tuple of inputs the constructors
 //! consume, so each distinct configuration builds once per experiment and
 //! every later request — from any worker thread — shares the same `Arc`.

@@ -8,7 +8,7 @@
 //! [`Channel::transmit_word`] and hands each party its heard word,
 //! together with the true OR word the channel was given. That word is a
 //! certificate hint for the owners decode (see
-//! [`beeps_ecc::SymbolCode::decode_near`]); no party's state depends on
+//! [`beeps_ecc::CodeTable::decode_near`]); no party's state depends on
 //! it.
 //!
 //! **The run rule.** A run ends exactly where the per-round machine

@@ -33,7 +33,7 @@
 
 use crate::driver::{drive, outcome, Block, Seat, SimParty, WORD};
 use crate::outcome::{check_model, SimError, SimOutcome};
-use crate::owners::OwnersState;
+use crate::owners::{channel_rounds, OwnersState};
 use crate::params::{ResolvedParams, SimulatorConfig};
 use crate::rewind::{ChunkPhase, PartyRun};
 use beeps_channel::{NoiseModel, Protocol, StochasticChannel};
@@ -128,7 +128,7 @@ impl<'a, P: Protocol> HierarchicalSimulator<'a, P> {
                 &self.config,
                 inputs,
                 model,
-                &*self.config.build_code(),
+                &self.config.build_code(),
                 &mut channel,
                 scratch,
             );
@@ -202,7 +202,7 @@ pub(crate) fn levels(k: usize, max_level: usize) -> impl Iterator<Item = usize> 
 pub(crate) fn budget(config: &SimulatorConfig, n: usize, t: usize) -> usize {
     let max_level = max_level(config, t);
     let per_iter = config.chunk_len * config.repetitions
-        + OwnersState::channel_rounds(config.chunk_len, n, config.code_len)
+        + channel_rounds(config.chunk_len, n, config.code_len)
         + config.verify_repetitions * 4;
     ((config.budget_factor * (config.chunks_needed(t) * per_iter) as f64).ceil() as usize)
         .saturating_add(config.verify_repetitions * (max_level + 2) * (max_level + 2) * 4)

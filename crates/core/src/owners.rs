@@ -25,7 +25,7 @@
 //!   per-party `OwnersState` machines each decode every codeword. Each
 //!   decode is certified against the codeword's true OR word, which the
 //!   driver hands every party beside its heard word
-//!   ([`SymbolCode::decode_near`]), and scans only when the certificate
+//!   ([`CodeTable::decode_near`]), and scans only when the certificate
 //!   fails. These machines are also the oracle the collapsed body is
 //!   tested against; a test-only full-scan code holds them to the scan.
 //!
@@ -45,23 +45,48 @@ use crate::driver::{drive, SimParty, WORD};
 use crate::soa::{owners_standalone, SoaScratch};
 use beeps_channel::{Channel, NoiseModel, StochasticChannel};
 use beeps_ecc::bits::PackedBits;
-use beeps_ecc::{BitMetric, RandomCode, SymbolCode};
+use beeps_ecc::{BitMetric, CodeTable};
+use std::sync::Arc;
 
 /// The shared symbol code used by the owners phase.
-pub type SharedCode = std::sync::Arc<dyn SymbolCode + Send + Sync>;
-use std::sync::Arc;
+pub type SharedCode = Arc<CodeTable>;
+
+/// The owners phase's code: its table, and the two certificates that
+/// let a decode skip the table's scan. The table itself is the one
+/// code every scheme runs; the tests' oracles override the
+/// certificates, to force the scan or to watch it.
+pub(crate) trait OwnersCode {
+    /// The codewords, and the full scan over them.
+    fn table(&self) -> &CodeTable;
+
+    /// [`CodeTable::certifies`].
+    fn certifies(&self, sent: usize, flips: usize) -> bool {
+        self.table().certifies(sent, flips)
+    }
+
+    /// [`CodeTable::decode_near`].
+    fn decode_near(&self, reference: &[u64], received: &[u64], metric: BitMetric) -> usize {
+        self.table().decode_near(reference, received, metric)
+    }
+}
+
+impl OwnersCode for CodeTable {
+    fn table(&self) -> &CodeTable {
+        self
+    }
+}
 
 /// Per-party state machine for one owners phase. Embedded by the rewind
 /// simulator and by the standalone [`run_owners_phase`] driver.
-#[derive(Debug, Clone)]
-pub(crate) struct OwnersState {
+#[derive(Debug)]
+pub(crate) struct OwnersState<C = CodeTable> {
     me: usize,
     n: usize,
     /// The shared chunk transcript `π` (length `L_c`).
     pi: Vec<bool>,
     /// The bits this party beeped in the chunk (length `L_c`).
     my_bits: Vec<bool>,
-    code: SharedCode,
+    code: Arc<C>,
     metric: BitMetric,
     /// The `Next` symbol is the last one in the code's alphabet.
     next_symbol: usize,
@@ -75,7 +100,9 @@ pub(crate) struct OwnersState {
     /// the reference the decode is certified against, never read
     /// otherwise.
     sent_or: PackedBits,
-    sending: Option<PackedBits>,
+    /// The symbol this party sends in the in-flight codeword, if it
+    /// holds the turn.
+    sending: Option<usize>,
     /// `T^i`: rounds already claimed by some owner.
     claimed: Vec<bool>,
     /// `turn^i`.
@@ -84,25 +111,26 @@ pub(crate) struct OwnersState {
     owners: Vec<Option<usize>>,
 }
 
-impl OwnersState {
+impl<C: OwnersCode> OwnersState<C> {
     /// `pi` and `my_bits` must have equal length `L_c ≤ code alphabet − 1`.
     pub(crate) fn new(
         me: usize,
         n: usize,
         pi: Vec<bool>,
         my_bits: Vec<bool>,
-        code: SharedCode,
+        code: Arc<C>,
         metric: BitMetric,
     ) -> Self {
         assert_eq!(pi.len(), my_bits.len(), "transcript/bits length mismatch");
+        let alphabet = code.table().alphabet_size();
         assert!(
-            pi.len() < code.alphabet_size(),
+            pi.len() < alphabet,
             "chunk of {} rounds needs an alphabet of at least {} symbols",
             pi.len(),
             pi.len() + 1
         );
         let len = pi.len();
-        let next_symbol = code.alphabet_size() - 1;
+        let next_symbol = alphabet - 1;
         let mut state = Self {
             me,
             n,
@@ -138,19 +166,13 @@ impl OwnersState {
         &self.owners
     }
 
-    /// Rounds one owners phase occupies on the channel.
-    pub(crate) fn channel_rounds(chunk_len: usize, n: usize, code_len: usize) -> usize {
-        (chunk_len + n) * code_len
-    }
-
     /// Chooses what to transmit this iteration (if this party holds the
     /// turn): the smallest unclaimed 1-round it beeped in, else `Next`.
     fn prepare_word(&mut self) {
         self.sending = if self.turn == self.me && self.turn < self.n {
             let claim =
                 (0..self.pi.len()).find(|&j| self.pi[j] && self.my_bits[j] && !self.claimed[j]);
-            let symbol = claim.unwrap_or(self.next_symbol);
-            Some(self.code.encode_packed(symbol))
+            Some(claim.unwrap_or(self.next_symbol))
         } else {
             None
         };
@@ -163,12 +185,12 @@ impl OwnersState {
         if self.finished() {
             return (0, WORD);
         }
+        let table = self.code.table();
         let offset = self.bit_idx % 64;
-        let run = (self.code.codeword_len() - self.bit_idx).min(64 - offset);
-        let beeps = self
-            .sending
-            .as_ref()
-            .map_or(0, |word| word.limbs()[self.bit_idx / 64] >> offset);
+        let run = (table.codeword_len() - self.bit_idx).min(64 - offset);
+        let beeps = self.sending.map_or(0, |symbol| {
+            table.codeword(symbol)[self.bit_idx / 64] >> offset
+        });
         (beeps, run)
     }
 
@@ -184,14 +206,13 @@ impl OwnersState {
         self.word.push_word(heard, len);
         self.sent_or.push_word(sent, len);
         self.bit_idx += len;
-        if self.bit_idx != self.code.codeword_len() {
+        if self.bit_idx != self.code.table().codeword_len() {
             return;
         }
         // Iteration complete: decode and update the shared bookkeeping.
         if self.turn < self.n {
-            let symbol = self
-                .code
-                .decode_near(&self.sent_or, &self.word, self.metric);
+            let (sent, heard) = (self.sent_or.limbs(), self.word.limbs());
+            let symbol = self.code.decode_near(sent, heard, self.metric);
             if symbol == self.next_symbol {
                 self.turn += 1;
             } else if symbol < self.pi.len() {
@@ -210,6 +231,11 @@ impl OwnersState {
             self.prepare_word();
         }
     }
+}
+
+/// Rounds one owners phase occupies on the channel.
+pub(crate) fn channel_rounds(chunk_len: usize, n: usize, code_len: usize) -> usize {
+    (chunk_len + n) * code_len
 }
 
 /// Result of a standalone owners phase (experiment E4 / Theorem D.1).
@@ -302,22 +328,22 @@ pub fn run_owners_phase(
     );
     model.validate().expect("invalid noise parameter");
 
-    let code: SharedCode = Arc::new(RandomCode::with_length(len + 1, code_len, code_seed));
+    let code = CodeTable::with_length(len + 1, code_len, code_seed);
     if model.is_shared() {
-        collapsed_owners(bits, model, &*code, channel_seed)
+        collapsed_owners(bits, model, &code, channel_seed)
     } else {
         let mut channel = StochasticChannel::new(n, model, channel_seed);
-        per_party_owners(bits, model, code, &mut channel)
+        per_party_owners(bits, model, Arc::new(code), &mut channel)
     }
 }
 
 /// The shared-noise owners phase: every party hears the same word, so
 /// the collapsed body runs once, over one channel, and its owner table
 /// is every party's. Opens the `owners.phase` span.
-fn collapsed_owners(
+fn collapsed_owners<C: OwnersCode>(
     bits: &[Vec<bool>],
     model: NoiseModel,
-    code: &dyn SymbolCode,
+    code: &C,
     channel_seed: u64,
 ) -> OwnersOutcome {
     let n = bits.len();
@@ -335,10 +361,10 @@ fn collapsed_owners(
 /// the codeword's true OR word. Independent noise runs here; under
 /// shared noise it is the oracle of [`collapsed_owners`]. Opens the
 /// `owners.phase` span.
-fn per_party_owners(
+fn per_party_owners<C: OwnersCode>(
     bits: &[Vec<bool>],
     model: NoiseModel,
-    code: SharedCode,
+    code: Arc<C>,
     channel: &mut dyn Channel,
 ) -> OwnersOutcome {
     let _span = beeps_observe::phase("owners.phase");
@@ -347,12 +373,12 @@ fn per_party_owners(
     let pi: Vec<bool> = (0..len).map(|j| bits.iter().any(|b| b[j])).collect();
     let metric = metric_for(model);
 
-    let mut parties: Vec<OwnersOnlyParty> = (0..n)
+    let mut parties: Vec<OwnersOnlyParty<C>> = (0..n)
         .map(|i| OwnersOnlyParty {
             state: OwnersState::new(i, n, pi.clone(), bits[i].clone(), Arc::clone(&code), metric),
         })
         .collect();
-    let budget = OwnersState::channel_rounds(len, n, code.codeword_len());
+    let budget = channel_rounds(len, n, code.table().codeword_len());
     let result = drive(&mut parties, channel, budget);
     debug_assert!(result.all_done);
 
@@ -376,11 +402,11 @@ pub(crate) fn metric_for(model: NoiseModel) -> BitMetric {
     }
 }
 
-struct OwnersOnlyParty {
-    state: OwnersState,
+struct OwnersOnlyParty<C> {
+    state: OwnersState<C>,
 }
 
-impl SimParty for OwnersOnlyParty {
+impl<C: OwnersCode> SimParty for OwnersOnlyParty<C> {
     fn plan(&mut self) -> (u64, usize) {
         self.state.plan()
     }
@@ -401,37 +427,28 @@ mod tests {
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// Forwards only the required [`SymbolCode`] methods and
-    /// [`SymbolCode::decode_packed`], so [`SymbolCode::decode_near`]
-    /// takes its full-scan default and [`SymbolCode::certifies`] never
-    /// certifies: either owners phase with every decode a scan, the
-    /// oracle the certified decodes are held to.
+    /// A table whose certificates never hold: [`OwnersCode::certifies`]
+    /// is false and [`OwnersCode::decode_near`] scans, so either owners
+    /// phase runs with every decode a scan, the oracle the certified
+    /// decodes are held to.
     #[derive(Debug)]
     struct FullScan(SharedCode);
 
-    impl SymbolCode for FullScan {
-        fn alphabet_size(&self) -> usize {
-            self.0.alphabet_size()
+    impl OwnersCode for FullScan {
+        fn table(&self) -> &CodeTable {
+            &self.0
         }
 
-        fn codeword_len(&self) -> usize {
-            self.0.codeword_len()
+        fn certifies(&self, _sent: usize, _flips: usize) -> bool {
+            false
         }
 
-        fn encode(&self, symbol: usize) -> Vec<bool> {
-            self.0.encode(symbol)
-        }
-
-        fn decode(&self, received: &[bool], metric: BitMetric) -> usize {
+        fn decode_near(&self, _reference: &[u64], received: &[u64], metric: BitMetric) -> usize {
             self.0.decode(received, metric)
-        }
-
-        fn decode_packed(&self, received: &PackedBits, metric: BitMetric) -> usize {
-            self.0.decode_packed(received, metric)
         }
     }
 
-    /// Which way a table code's [`SymbolCode::decode_near`] went.
+    /// Which way [`CodeTable::decode_near`] went.
     #[derive(Debug, Clone, Copy)]
     enum Branch {
         /// The reference is a codeword and its certificate holds.
@@ -442,14 +459,20 @@ mod tests {
         Stray,
     }
 
-    /// Forwards to a table code like [`FullScan`], and
-    /// [`SymbolCode::decode_near`] too, tallying the [`Branch`] each
-    /// call takes. The tally recomputes the certificate `c₀ + k < r`
-    /// from the codewords.
+    /// Hamming distance between two packed words.
+    fn hamming(a: &[u64], b: &[u64]) -> u64 {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| u64::from((x ^ y).count_ones()))
+            .sum()
+    }
+
+    /// The table with its certificates, tallying the [`Branch`] each
+    /// [`OwnersCode::decode_near`] takes. The tally recomputes the
+    /// certificate `c₀ + k < r` from the codewords.
     #[derive(Debug)]
     struct Branches {
         code: SharedCode,
-        codewords: Vec<PackedBits>,
         /// Each codeword's Hamming distance to its nearest other one.
         radii: Vec<u64>,
         taken: [AtomicUsize; 3],
@@ -457,39 +480,31 @@ mod tests {
 
     impl Branches {
         fn new(code: SharedCode) -> Self {
-            let codewords: Vec<PackedBits> = (0..code.alphabet_size())
-                .map(|s| code.encode_packed(s))
-                .collect();
-            let radii = codewords
-                .iter()
-                .enumerate()
-                .map(|(s, c)| {
-                    let others = codewords.iter().enumerate().filter(|&(t, _)| t != s);
+            let q = code.alphabet_size();
+            let radii = (0..q)
+                .map(|s| {
+                    let others = (0..q).filter(|&t| t != s);
                     others
-                        .map(|(_, o)| u64::from(c.hamming(o)))
+                        .map(|t| hamming(code.codeword(s), code.codeword(t)))
                         .min()
                         .expect("q ≥ 2")
                 })
                 .collect();
             Self {
                 code,
-                codewords,
                 radii,
                 taken: Default::default(),
             }
         }
 
-        fn branch(
-            &self,
-            reference: &PackedBits,
-            received: &PackedBits,
-            metric: BitMetric,
-        ) -> Branch {
-            match self.codewords.iter().position(|c| c == reference) {
+        fn branch(&self, reference: &[u64], received: &[u64], metric: BitMetric) -> Branch {
+            let code = &self.code;
+            match (0..code.alphabet_size()).position(|s| code.codeword(s) == reference) {
                 None => Branch::Stray,
                 Some(s) => {
-                    let c = &self.codewords[s];
-                    let bound = metric.cost(c, received) + u64::from(c.hamming(received));
+                    let c = code.codeword(s);
+                    let bound =
+                        metric.cost(c, received, code.codeword_len()) + hamming(c, received);
                     if bound < self.radii[s] {
                         Branch::Certified
                     } else {
@@ -504,33 +519,12 @@ mod tests {
         }
     }
 
-    impl SymbolCode for Branches {
-        fn alphabet_size(&self) -> usize {
-            self.code.alphabet_size()
+    impl OwnersCode for Branches {
+        fn table(&self) -> &CodeTable {
+            &self.code
         }
 
-        fn codeword_len(&self) -> usize {
-            self.code.codeword_len()
-        }
-
-        fn encode(&self, symbol: usize) -> Vec<bool> {
-            self.code.encode(symbol)
-        }
-
-        fn decode(&self, received: &[bool], metric: BitMetric) -> usize {
-            self.code.decode(received, metric)
-        }
-
-        fn decode_packed(&self, received: &PackedBits, metric: BitMetric) -> usize {
-            self.code.decode_packed(received, metric)
-        }
-
-        fn decode_near(
-            &self,
-            reference: &PackedBits,
-            received: &PackedBits,
-            metric: BitMetric,
-        ) -> usize {
+        fn decode_near(&self, reference: &[u64], received: &[u64], metric: BitMetric) -> usize {
             let branch = self.branch(reference, received, metric);
             self.taken[branch as usize].fetch_add(1, Ordering::Relaxed);
             self.code.decode_near(reference, received, metric)
@@ -712,8 +706,7 @@ mod tests {
                 .collect();
             let alphabet = if rng.gen_bool(0.5) { len + 1 } else { n + 4 };
             stray_codes += usize::from(alphabet > len + 1);
-            let code: SharedCode =
-                Arc::new(RandomCode::with_length(alphabet, code_len, rng.next_u64()));
+            let code = Arc::new(CodeTable::with_length(alphabet, code_len, rng.next_u64()));
             let seed = rng.next_u64();
             let want = per_party_owners(
                 &bits,
@@ -808,7 +801,7 @@ mod tests {
             vec![false; 6],
             vec![false, false, false, false, true, false],
         ];
-        let code: SharedCode = Arc::new(RandomCode::with_length(7, 10, SEED));
+        let code = Arc::new(CodeTable::with_length(7, 10, SEED));
         let n = bits.len();
         let want = per_party_owners(
             &bits,
@@ -847,20 +840,14 @@ mod tests {
                         .map(|_| (0..len).map(|_| rng.gen_bool(0.3)).collect())
                         .collect();
                     let alphabet = if rng.gen_bool(0.5) { len + 1 } else { n + 4 };
-                    let table: SharedCode =
-                        Arc::new(RandomCode::with_length(alphabet, code_len, rng.next_u64()));
+                    let table =
+                        Arc::new(CodeTable::with_length(alphabet, code_len, rng.next_u64()));
                     let branches = Arc::new(Branches::new(Arc::clone(&table)));
                     let seed = rng.next_u64();
-                    let run = |code: SharedCode| {
-                        per_party_owners(
-                            &bits,
-                            model,
-                            code,
-                            &mut StochasticChannel::new(n, model, seed),
-                        )
-                    };
-                    let want = run(Arc::new(FullScan(table)));
-                    let got = run(Arc::clone(&branches) as SharedCode);
+                    let channel = || StochasticChannel::new(n, model, seed);
+                    let want =
+                        per_party_owners(&bits, model, Arc::new(FullScan(table)), &mut channel());
+                    let got = per_party_owners(&bits, model, Arc::clone(&branches), &mut channel());
                     assert_eq!(
                         got, want,
                         "{model} n={n} len={len} code_len={code_len} alphabet={alphabet}"
@@ -901,8 +888,7 @@ mod tests {
                     let model = NoiseModel::Independent {
                         epsilon: if code_len == 8 { 0.3 } else { 0.1 },
                     };
-                    let code: SharedCode =
-                        Arc::new(RandomCode::with_length(len + 1, code_len, rng.next_u64()));
+                    let code = Arc::new(CodeTable::with_length(len + 1, code_len, rng.next_u64()));
                     let channel_seed = rng.next_u64();
                     let run = |channel: &mut dyn Channel| {
                         per_party_owners(&bits, model, Arc::clone(&code), channel)
@@ -981,7 +967,7 @@ mod tests {
     fn round_budget_matches_formula() {
         let bits = vec![vec![true, false]; 3];
         let out = run_owners_phase(&bits, NoiseModel::Noiseless, 16, 0, 0);
-        assert_eq!(out.channel_rounds, OwnersState::channel_rounds(2, 3, 16));
+        assert_eq!(out.channel_rounds, channel_rounds(2, 3, 16));
     }
 
     #[test]

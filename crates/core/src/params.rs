@@ -10,7 +10,7 @@
 //!   cutoff rate ([`beeps_info::tail::random_code_length`]).
 
 use beeps_channel::NoiseModel;
-use beeps_ecc::BitMetric;
+use beeps_ecc::{BitMetric, CodeTable};
 use beeps_info::tail;
 
 /// Tunable parameters of the chunked simulators.
@@ -313,20 +313,11 @@ impl SimulatorConfig {
     ///
     /// Panics if `code_weight` is incompatible with `code_len`.
     pub fn build_code_uncached(&self) -> crate::owners::SharedCode {
-        use std::sync::Arc;
-        match self.code_weight {
-            Some(w) => Arc::new(beeps_ecc::ConstantWeightCode::new(
-                self.chunk_len + 1,
-                self.code_len,
-                w,
-                self.code_seed,
-            )),
-            None => Arc::new(beeps_ecc::RandomCode::with_length(
-                self.chunk_len + 1,
-                self.code_len,
-                self.code_seed,
-            )),
-        }
+        let q = self.chunk_len + 1;
+        std::sync::Arc::new(match self.code_weight {
+            Some(w) => CodeTable::constant_weight(q, self.code_len, w, self.code_seed),
+            None => CodeTable::with_length(q, self.code_len, self.code_seed),
+        })
     }
 
     /// Chunks of `chunk_len` rounds a `t`-round protocol needs (at least

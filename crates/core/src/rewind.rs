@@ -32,7 +32,7 @@
 
 use crate::driver::{drive, outcome, Block, Seat, SimParty, WORD};
 use crate::outcome::{check_model, SimError, SimOutcome};
-use crate::owners::{OwnersState, SharedCode};
+use crate::owners::{channel_rounds, OwnersState, SharedCode};
 use crate::params::{ResolvedParams, SimulatorConfig};
 use beeps_channel::{NoiseModel, Protocol, StochasticChannel};
 use std::sync::Arc;
@@ -117,7 +117,7 @@ impl<'a, P: Protocol> RewindSimulator<'a, P> {
                 &self.config,
                 inputs,
                 model,
-                &*self.config.build_code(),
+                &self.config.build_code(),
                 &mut channel,
                 scratch,
             );
@@ -169,9 +169,7 @@ impl<'a, P: Protocol> RewindSimulator<'a, P> {
 /// owners phase and one vote.
 fn iteration_rounds(config: &SimulatorConfig, n: usize) -> usize {
     let l = config.chunk_len;
-    l * config.repetitions
-        + OwnersState::channel_rounds(l, n, config.code_len)
-        + config.verify_repetitions
+    l * config.repetitions + channel_rounds(l, n, config.code_len) + config.verify_repetitions
 }
 
 /// The rewind scheme's round budget, in both engines: `budget_factor ×`

@@ -18,10 +18,10 @@
 //! chunk, and [`crate::run_owners_phase`] runs it under shared noise
 //! through `owners_standalone`. A turn there costs about its flips: a
 //! claim cursor over the chunk's beeps, listed once per phase, names the
-//! turn's symbol; its codeword, read from a table built once per body
-//! call, goes out in one [`StochasticChannel::transmit_codeword`]; and
-//! the flip count that call returns certifies the decode
-//! ([`SymbolCode::certifies`]), once for every party, so only an
+//! turn's symbol; its codeword, read in place from the code's table,
+//! goes out in one [`StochasticChannel::transmit_codeword`]; and the
+//! flip count that call returns certifies the decode
+//! ([`CodeTable::certifies`]), once for every party, so only an
 //! uncertified word is assembled and scanned.
 //!
 //! The chunked bodies (rewind, owned rounds, hierarchical) share every
@@ -61,12 +61,11 @@
 use crate::driver::Prefix;
 use crate::hierarchical::{flagged, levels, log_depth};
 use crate::outcome::{PhaseRounds, SimError, SimOutcome, SimStats};
-use crate::owners::{metric_for, OwnersState};
+use crate::owners::{channel_rounds, metric_for, OwnersCode};
 use crate::params::{ResolvedParams, SimulatorConfig};
 use crate::{hierarchical, one_to_zero, owned_rounds, repetition, rewind};
 use beeps_channel::{Channel, NoiseModel, Protocol, StochasticChannel, UniquelyOwned};
-use beeps_ecc::bits::PackedBits;
-use beeps_ecc::SymbolCode;
+use beeps_ecc::CodeTable;
 
 /// Reads bit `i` of a packed party row.
 #[inline]
@@ -164,14 +163,10 @@ pub struct SoaScratch {
     /// every party that beeped in a 1-round, ascending (party-major);
     /// the owners phase's claim cursor walks it.
     claims: Vec<u64>,
-    /// The owners code's codewords as packed limbs, `alphabet × limbs`
-    /// flat, rebuilt once per body call (see [`load_codewords`]).
-    codewords: Vec<u64>,
     /// Flipped rounds of the in-flight owners codeword, one word per
-    /// limb.
+    /// limb; XORed with the codeword into the heard word when its flips
+    /// do not certify it.
     flipped: Vec<u64>,
-    /// Heard bits of an owners codeword whose flips do not certify it.
-    heard: PackedBits,
     /// Per-round beep bit of the schedule owner (owned-rounds engine).
     owner_beeps: Vec<bool>,
     /// Witnessed-erasure rows of the one-to-zero engine: `(position,
@@ -385,22 +380,6 @@ impl Tally {
     }
 }
 
-/// Packs every codeword of `code` into `scratch.codewords`, one
-/// `⌈code_len/64⌉`-limb row per symbol. Built once per body call, so an
-/// owners iteration reads its codeword instead of cloning it.
-fn load_codewords(code: &dyn SymbolCode, scratch: &mut SoaScratch) {
-    scratch.codewords.clear();
-    for symbol in 0..code.alphabet_size() {
-        scratch
-            .codewords
-            .extend_from_slice(code.encode_packed(symbol).limbs());
-    }
-    debug_assert_eq!(
-        scratch.codewords.len(),
-        code.alphabet_size() * code.codeword_len().div_ceil(64)
-    );
-}
-
 /// Lists into `claims` every beep the owners phase can claim, as the key
 /// `party << 32 | round`, ascending: party-major, and by round within a
 /// party. `cols` holds the chunk's beep rows, `words` words each, and
@@ -432,11 +411,10 @@ fn list_claims(cols: &[u64], words: usize, bits: &[bool], claims: &mut Vec<u64>)
 ///
 /// The chunk is `scratch.bits` (its transcript `π`, `len` rounds) with
 /// beep rows `scratch.cols` (bit `i` of row `j`: party `i` beeped in
-/// round `j`), and `scratch.codewords` holds the code's table
-/// ([`load_codewords`]). The phase runs `len + n` iterations in turn
-/// order. The turn-holder sends the codeword of the smallest unclaimed
-/// 1-round it beeped in, else `Next`. Once every party has passed, the
-/// remaining iterations deliver silence.
+/// round `j`). The phase runs `len + n` iterations in turn order. The
+/// turn-holder sends the codeword of the smallest unclaimed 1-round it
+/// beeped in, else `Next`. Once every party has passed, the remaining
+/// iterations deliver silence.
 ///
 /// Each turn costs about its flips, not the chunk or the code:
 ///
@@ -445,14 +423,14 @@ fn list_claims(cols: &[u64], words: usize, bits: &[bool], claims: &mut Vec<u64>)
 ///   the turn and skips claimed rounds for good, since a claim never
 ///   turns off within a phase: its first entry of the turn's party is
 ///   the smallest unclaimed 1-round that party beeped in.
-/// * **One channel call.** The codeword goes out in one
-///   [`StochasticChannel::transmit_codeword`], which reports the
-///   flipped rounds and their count.
+/// * **One channel call.** The codeword, read in place from the code's
+///   table, goes out in one [`StochasticChannel::transmit_codeword`],
+///   which reports the flipped rounds and their count.
 /// * **Certificate from the count.** Every party hears the same word,
 ///   so it is decoded once. Under the metric matched to `model` every
-///   flip costs one, so [`SymbolCode::certifies`] can prove from the
+///   flip costs one, so [`CodeTable::certifies`] can prove from the
 ///   count alone that the full scan returns the sent symbol. Only a turn
-///   it cannot certify assembles the heard word and scans.
+///   it cannot certify XORs its flips into the heard word and scans.
 ///
 /// A claim lands in `scratch.claimed` / `scratch.chunk_owners`.
 ///
@@ -460,10 +438,10 @@ fn list_claims(cols: &[u64], words: usize, bits: &[bool], claims: &mut Vec<u64>)
 /// Returns the beeping energy spent, or `None` as soon as an iteration's
 /// `code_len` rounds no longer fit in the `room` left of the caller's
 /// budget.
-fn owners_collapsed(
+fn owners_collapsed<C: OwnersCode>(
     span: &'static str,
     n: usize,
-    code: &dyn SymbolCode,
+    code: &C,
     model: NoiseModel,
     room: usize,
     channel: &mut StochasticChannel,
@@ -472,18 +450,16 @@ fn owners_collapsed(
     let _span = beeps_observe::phase(span);
     let metric = metric_for(model);
     let words = n.div_ceil(64);
-    let code_len = code.codeword_len();
-    let limbs = code_len.div_ceil(64);
-    let next_symbol = code.alphabet_size() - 1;
+    let table = code.table();
+    let code_len = table.codeword_len();
+    let next_symbol = table.alphabet_size() - 1;
     let SoaScratch {
         cols,
         bits,
         claimed,
         chunk_owners,
         claims,
-        codewords,
         flipped,
-        heard,
         ..
     } = scratch;
     let len = bits.len();
@@ -493,9 +469,10 @@ fn owners_collapsed(
     chunk_owners.resize(len, None);
     list_claims(cols, words, bits, claims);
     flipped.clear();
-    flipped.resize(limbs, 0);
+    flipped.resize(code_len.div_ceil(64), 0);
     let weight = |symbol: usize| -> usize {
-        codewords[symbol * limbs..(symbol + 1) * limbs]
+        table
+            .codeword(symbol)
             .iter()
             .map(|limb| limb.count_ones() as usize)
             .sum()
@@ -530,16 +507,15 @@ fn owners_collapsed(
             .map(|&key| key as u32 as usize);
         let symbol = claim.unwrap_or(next_symbol);
         energy += claim.map_or(next_weight, weight);
-        let codeword = &codewords[symbol * limbs..(symbol + 1) * limbs];
+        let codeword = table.codeword(symbol);
         let flips = channel.transmit_codeword(codeword, code_len, flipped);
         let decoded = if code.certifies(symbol, flips) {
             symbol
         } else {
-            heard.clear();
-            for (k, (&limb, &flip)) in codeword.iter().zip(flipped.iter()).enumerate() {
-                heard.push_word(limb ^ flip, (code_len - 64 * k).min(64));
+            for (heard, &limb) in flipped.iter_mut().zip(codeword) {
+                *heard ^= limb;
             }
-            code.decode_packed(heard, metric)
+            table.decode(flipped, metric)
         };
         if decoded == next_symbol {
             turn += 1;
@@ -556,13 +532,13 @@ fn owners_collapsed(
 /// The standalone owners phase of [`crate::run_owners_phase`] under
 /// shared noise, as in the premise of Theorem D.1: party `i` beeped
 /// `bits[i][j]` in round `j` of a chunk whose transcript
-/// `π_j = ⋁_i bits[i][j]` everyone knows. Loads the beep rows and `π`,
-/// builds the codeword table and runs [`owners_collapsed`] once under
-/// the `owners.phase` span, over exactly the phase's own rounds.
-/// Returns the owner table, which is every party's.
-pub(crate) fn owners_standalone<'s>(
+/// `π_j = ⋁_i bits[i][j]` everyone knows. Loads the beep rows and `π`
+/// and runs [`owners_collapsed`] once under the `owners.phase` span,
+/// over exactly the phase's own rounds. Returns the owner table, which
+/// is every party's.
+pub(crate) fn owners_standalone<'s, C: OwnersCode>(
     bits: &[Vec<bool>],
-    code: &dyn SymbolCode,
+    code: &C,
     model: NoiseModel,
     channel: &mut StochasticChannel,
     scratch: &'s mut SoaScratch,
@@ -582,8 +558,7 @@ pub(crate) fn owners_standalone<'s>(
     for col in scratch.cols.chunks_exact(words) {
         scratch.bits.push(row_count(col) > 0);
     }
-    load_codewords(code, scratch);
-    let rounds = OwnersState::channel_rounds(len, n, code.codeword_len());
+    let rounds = channel_rounds(len, n, code.table().codeword_len());
     let spent = owners_collapsed("owners.phase", n, code, model, rounds, channel, scratch);
     debug_assert!(spent.is_some(), "the phase fits its own round count");
     &scratch.chunk_owners
@@ -647,7 +622,7 @@ impl<'a, P: Protocol> ChunkedRun<'a, P> {
         &self,
         owners_span: &'static str,
         len: usize,
-        code: &dyn SymbolCode,
+        code: &CodeTable,
         tally: &mut Tally,
         channel: &mut StochasticChannel,
         scratch: &mut SoaScratch,
@@ -689,10 +664,7 @@ impl<'a, P: Protocol> ChunkedRun<'a, P> {
             scratch,
         )
         .ok_or_else(|| tally.exhausted(&scratch.committed.prefix.bits))?;
-        tally.owners(
-            OwnersState::channel_rounds(len, self.n, code.codeword_len()),
-            energy,
-        );
+        tally.owners(channel_rounds(len, self.n, code.codeword_len()), energy);
         Ok(())
     }
 
@@ -803,7 +775,7 @@ pub(crate) fn rewind_collapsed_over<P: Protocol>(
     config: &SimulatorConfig,
     inputs: &[P::Input],
     model: NoiseModel,
-    code: &dyn SymbolCode,
+    code: &CodeTable,
     channel: &mut StochasticChannel,
     scratch: &mut SoaScratch,
 ) -> Result<SimOutcome<P::Output>, SimError> {
@@ -813,7 +785,6 @@ pub(crate) fn rewind_collapsed_over<P: Protocol>(
     };
     let run = ChunkedRun::new(protocol, inputs, config, model, names, scratch);
     let mut tally = Tally::new(run.t, rewind::budget(config, run.n, run.t), channel);
-    load_codewords(code, scratch);
     while let Some(len) = scratch.committed.prefix.next_chunk(run.t, config.chunk_len) {
         run.chunk_and_owners("sim.rewind.owners", len, code, &mut tally, channel, scratch)?;
         let failed = run.vote(run.v, &mut tally, channel, scratch, |s| {
@@ -1102,7 +1073,7 @@ pub(crate) fn hierarchical_collapsed_over<P: Protocol>(
     config: &SimulatorConfig,
     inputs: &[P::Input],
     model: NoiseModel,
-    code: &dyn SymbolCode,
+    code: &CodeTable,
     channel: &mut StochasticChannel,
     scratch: &mut SoaScratch,
 ) -> Result<SimOutcome<P::Output>, SimError> {
@@ -1113,7 +1084,6 @@ pub(crate) fn hierarchical_collapsed_over<P: Protocol>(
     let run = ChunkedRun::new(protocol, inputs, config, model, names, scratch);
     let max_level = hierarchical::max_level(config, run.t);
     let mut tally = Tally::new(run.t, hierarchical::budget(config, run.n, run.t), channel);
-    load_codewords(code, scratch);
     let mut iteration = 0usize;
     loop {
         let Some(len) = scratch.committed.prefix.next_chunk(run.t, config.chunk_len) else {

@@ -676,3 +676,96 @@ fn one_to_zero_scheme_matches_roundtrip() {
     }
     assert!(failed > 0, "starved budget never exhausted: weak test");
 }
+
+/// Delivers each round of a shared-noise [`StochasticChannel`] as a
+/// [`Delivery::PerParty`] row in which every party hears the shared
+/// bit, so a per-party engine takes its independent-noise paths (one
+/// heard word per party, each party's own certified owners decode) on
+/// views that happen to agree. It forwards `transmit_word`, whose shared
+/// arm hands every party the same word; wrapped in [`PerRound`], words
+/// take the provided per-round default and read the rows.
+struct UniformRows(StochasticChannel);
+
+impl Channel for UniformRows {
+    fn num_parties(&self) -> usize {
+        self.0.num_parties()
+    }
+
+    fn transmit(&mut self, true_or: bool) -> Delivery {
+        let bit = self.0.transmit(true_or).shared().expect("a shared model");
+        Delivery::PerParty(BitVec::broadcast(self.num_parties(), bit))
+    }
+
+    fn transmit_word(&mut self, sent: u64, len: usize, heard: &mut [u64]) {
+        self.0.transmit_word(sent, len, heard);
+    }
+
+    fn rounds(&self) -> usize {
+        self.0.rounds()
+    }
+
+    fn corrupted_rounds(&self) -> usize {
+        self.0.corrupted_rounds()
+    }
+}
+
+/// The per-party engines under independent noise, held to the collapsed
+/// bodies: over [`UniformRows`] of a correlated channel, `simulate_over`
+/// with `Independent { ε }` must return exactly what `simulate` returns
+/// under `Correlated { ε }` at the same seed, full `Result` included.
+/// Every party hears the correlated channel's bit, and the two models
+/// resolve to the same thresholds and decoding metric, so any
+/// difference is an engine's. Rewind, hierarchical, repetition and owned
+/// rounds, at the default budget and at a starved one (`budget_factor`
+/// 0.6), with words delivered whole and round by round.
+#[test]
+fn independent_engines_match_collapsed_bodies_on_uniform_rows() {
+    let mut exhausted = 0usize;
+    for n in [1usize, 4, 5, 64, 65] {
+        let input_set = InputSet::new(n);
+        let inputs: Vec<usize> = (0..n).map(|i| (7 * i + 1) % (2 * n)).collect();
+        let roll_call = RollCall::new(n);
+        let flags: Vec<bool> = (0..n).map(|i| i % 3 != 1).collect();
+        let cases = [
+            (0.05, 8.0, 0..1),
+            (0.1, 8.0, 1..2),
+            (0.2, 8.0, 2..3),
+            (0.2, 0.6, 0..2),
+        ];
+        for (epsilon, budget_factor, seeds) in cases {
+            let correlated = NoiseModel::Correlated { epsilon };
+            let independent = NoiseModel::Independent { epsilon };
+            let config = SimulatorConfig::builder(n)
+                .model(correlated)
+                .budget_factor(budget_factor)
+                .build();
+            let repetition = RepetitionSimulator::new(&input_set, config.clone());
+            let rewind = RewindSimulator::new(&input_set, config.clone());
+            let hierarchical = HierarchicalSimulator::new(&input_set, config.clone());
+            let owned = OwnedRoundsSimulator::new(&roll_call, config);
+            let schemes: [&dyn Simulator<usize, <InputSet as Protocol>::Output>; 3] =
+                [&repetition, &rewind, &hierarchical];
+            for seed in seeds {
+                let rows = || UniformRows(StochasticChannel::new(n, correlated, seed));
+                let context = |name: &str, words: &str| {
+                    format!("{name} n={n} {independent} budget {budget_factor} seed {seed} {words}")
+                };
+                for sim in schemes {
+                    let want = || sim.simulate(&inputs, correlated, seed);
+                    let got = sim.simulate_over(&inputs, independent, &mut rows());
+                    let err = assert_matches_oracle(got, want(), &context(sim.name(), "words"));
+                    let got = sim.simulate_over(&inputs, independent, &mut PerRound(rows()));
+                    assert_matches_oracle(got, want(), &context(sim.name(), "rounds"));
+                    exhausted += usize::from(err);
+                }
+                let want = || owned.simulate(&flags, correlated, seed);
+                let got = owned.simulate_over(&flags, independent, &mut rows());
+                let err = assert_matches_oracle(got, want(), &context("owned_rounds", "words"));
+                let got = owned.simulate_over(&flags, independent, &mut PerRound(rows()));
+                assert_matches_oracle(got, want(), &context("owned_rounds", "rounds"));
+                exhausted += usize::from(err);
+            }
+        }
+    }
+    assert!(exhausted > 0, "starved budget never exhausted: weak test");
+}

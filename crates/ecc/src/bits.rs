@@ -4,13 +4,20 @@
 //! codeword; packing bits into `u64` limbs makes each comparison a handful
 //! of XOR/AND/popcount operations.
 
+/// Hamming distance between two equally long limb slices.
+pub(crate) fn hamming(a: &[u64], b: &[u64]) -> u32 {
+    a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones()).sum()
+}
+
+/// Number of positions set in `a` and clear in `b`, two equally long
+/// limb slices.
+pub(crate) fn ones_not_in(a: &[u64], b: &[u64]) -> u32 {
+    a.iter().zip(b).map(|(x, y)| (x & !y).count_ones()).sum()
+}
+
 /// A fixed-length bit string packed into `u64` limbs (LSB-first within each
 /// limb).
-///
-/// The derived ordering (lexicographic over the limbs, then the length) is
-/// arbitrary but total and stable — exactly what the seeded code
-/// constructors need for `BTreeSet` duplicate rejection.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedBits {
     limbs: Vec<u64>,
     len: usize,
@@ -123,11 +130,7 @@ impl PackedBits {
     /// Panics if lengths differ.
     pub fn hamming(&self, other: &Self) -> u32 {
         assert_eq!(self.len, other.len, "length mismatch");
-        self.limbs
-            .iter()
-            .zip(&other.limbs)
-            .map(|(a, b)| (a ^ b).count_ones())
-            .sum()
+        hamming(&self.limbs, &other.limbs)
     }
 
     /// Number of positions where `self` is 1 and `other` is 0.
@@ -137,11 +140,7 @@ impl PackedBits {
     /// Panics if lengths differ.
     pub fn ones_not_in(&self, other: &Self) -> u32 {
         assert_eq!(self.len, other.len, "length mismatch");
-        self.limbs
-            .iter()
-            .zip(&other.limbs)
-            .map(|(a, b)| (a & !b).count_ones())
-            .sum()
+        ones_not_in(&self.limbs, &other.limbs)
     }
 }
 
@@ -175,23 +174,29 @@ pub enum BitMetric {
 
 impl BitMetric {
     /// Decoding cost of explaining `received` given that `codeword` was
-    /// sent; lower is more likely. Impossible explanations are penalized
-    /// with a large (but finite) cost so decoding stays total even when the
-    /// caller's channel assumption is violated.
-    pub fn cost(&self, codeword: &PackedBits, received: &PackedBits) -> u64 {
-        let impossible = (codeword.len() as u64) + 1;
+    /// sent, both `len` bits in [`PackedBits::limbs`] layout; lower is
+    /// more likely. An impossible bit costs `len + 1`, large but finite,
+    /// so decoding stays total even when the caller's channel assumption
+    /// is violated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two words have different limb counts.
+    pub fn cost(&self, codeword: &[u64], received: &[u64], len: usize) -> u64 {
+        assert_eq!(codeword.len(), received.len(), "length mismatch");
+        let impossible = len as u64 + 1;
         match self {
-            BitMetric::Hamming => u64::from(codeword.hamming(received)),
+            BitMetric::Hamming => u64::from(hamming(codeword, received)),
             BitMetric::ZUp => {
                 // codeword 1s missing from received are impossible;
                 // received 1s not in codeword are noise.
-                let erased = u64::from(codeword.ones_not_in(received));
-                let spurious = u64::from(received.ones_not_in(codeword));
+                let erased = u64::from(ones_not_in(codeword, received));
+                let spurious = u64::from(ones_not_in(received, codeword));
                 erased * impossible + spurious
             }
             BitMetric::ZDown => {
-                let created = u64::from(received.ones_not_in(codeword));
-                let dropped = u64::from(codeword.ones_not_in(received));
+                let created = u64::from(ones_not_in(received, codeword));
+                let dropped = u64::from(ones_not_in(codeword, received));
                 created * impossible + dropped
             }
         }
@@ -263,20 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn ordering_is_total_and_consistent_with_equality() {
-        let a = pb(&[1, 0, 1]);
-        let b = pb(&[1, 0, 1]);
-        let c = pb(&[0, 1, 1]);
-        assert_eq!(a.cmp(&b), std::cmp::Ordering::Equal);
-        assert_ne!(a.cmp(&c), std::cmp::Ordering::Equal);
-        let mut set = std::collections::BTreeSet::new();
-        assert!(set.insert(a.clone()));
-        assert!(!set.insert(b));
-        assert!(set.insert(c));
-        assert_eq!(set.len(), 2);
-    }
-
-    #[test]
     fn hamming_basics() {
         let a = pb(&[1, 0, 1, 1]);
         let b = pb(&[1, 1, 0, 1]);
@@ -302,7 +293,8 @@ mod tests {
         let cw1 = pb(&[1, 0, 1, 0]); // covered: cost = 1 spurious one
         let cw2 = pb(&[1, 1, 1, 1]); // has a 1 erased: impossible under ZUp
         let m = BitMetric::ZUp;
-        assert!(m.cost(&cw1, &received) < m.cost(&cw2, &received));
+        let cost = |cw: &PackedBits| m.cost(cw.limbs(), received.limbs(), 4);
+        assert!(cost(&cw1) < cost(&cw2));
         // Even though cw2 is closer in Hamming distance... (both distance 1)
         assert_eq!(cw1.hamming(&received), 1);
         assert_eq!(cw2.hamming(&received), 1);
@@ -314,7 +306,8 @@ mod tests {
         let cw1 = pb(&[1, 1, 1, 0]); // 1s dropped: fine under ZDown, cost 2
         let cw2 = pb(&[0, 0, 0, 0]); // received 1 out of thin air: impossible
         let m = BitMetric::ZDown;
-        assert!(m.cost(&cw1, &received) < m.cost(&cw2, &received));
+        let cost = |cw: &PackedBits| m.cost(cw.limbs(), received.limbs(), 4);
+        assert!(cost(&cw1) < cost(&cw2));
     }
 
     #[test]

@@ -11,49 +11,39 @@
 //!   small pairwise support intersections excel.
 //!
 //! Codewords are random distinct `w`-subsets of the positions, drawn from
-//! a seed like [`crate::RandomCode`]; decoding is maximum likelihood under
-//! the caller's [`BitMetric`].
+//! a seed like [`CodeTable::with_length`]'s; decoding is maximum
+//! likelihood under the caller's [`crate::BitMetric`].
 
-use crate::bits::{BitMetric, PackedBits};
 use crate::table::CodeTable;
-use crate::SymbolCode;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-/// A code of `q` codewords of length `len`, each of Hamming weight
-/// exactly `weight`.
-///
-/// # Examples
-///
-/// ```
-/// use beeps_ecc::{BitMetric, ConstantWeightCode, SymbolCode};
-///
-/// let code = ConstantWeightCode::new(17, 48, 6, 0xC0DE);
-/// let w = code.encode(11);
-/// assert_eq!(w.iter().filter(|&&b| b).count(), 6);
-/// assert_eq!(code.decode(&w, BitMetric::ZUp), 11);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ConstantWeightCode {
-    weight: usize,
-    table: CodeTable,
-}
-
-impl ConstantWeightCode {
-    /// Builds the code from a seed.
+impl CodeTable {
+    /// Builds a code of `alphabet_size` codewords of `len` bits, each of
+    /// Hamming weight exactly `weight`, from `seed`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use beeps_ecc::{BitMetric, CodeTable};
+    ///
+    /// let code = CodeTable::constant_weight(17, 48, 6, 0xC0DE);
+    /// assert_eq!(code.codeword(11)[0].count_ones(), 6);
+    /// assert_eq!(code.decode(code.codeword(11), BitMetric::ZUp), 11);
+    /// ```
     ///
     /// # Panics
     ///
     /// Panics if `alphabet_size < 2`, `weight` is 0 or ≥ `len`, or
     /// distinct supports cannot be drawn (alphabet too large for
     /// `C(len, weight)`).
-    pub fn new(alphabet_size: usize, len: usize, weight: usize, seed: u64) -> Self {
+    pub fn constant_weight(alphabet_size: usize, len: usize, weight: usize, seed: u64) -> Self {
         assert!(alphabet_size >= 2, "alphabet must have at least 2 symbols");
         assert!(
             weight >= 1 && weight < len,
             "weight must be in 1..len, got {weight} of {len}"
         );
         let mut rng = StdRng::seed_from_u64(seed);
-        let table = CodeTable::draw(
+        Self::draw(
             alphabet_size,
             len,
             || {
@@ -63,88 +53,41 @@ impl ConstantWeightCode {
                     let j = rng.gen_range(i..len);
                     positions.swap(i, j);
                 }
-                let mut bits = vec![false; len];
+                let mut limbs = vec![0u64; len.div_ceil(64)];
                 for &p in &positions[..weight] {
-                    bits[p] = true;
+                    limbs[p / 64] |= 1 << (p % 64);
                 }
-                PackedBits::from_bools(&bits)
+                limbs
             },
             "could not draw distinct supports; increase len or weight",
-        );
-        Self { weight, table }
-    }
-
-    /// The common Hamming weight of every codeword.
-    pub fn weight(&self) -> usize {
-        self.weight
-    }
-
-    /// Largest pairwise support intersection: `|A ∩ B| = w − d/2` for
-    /// equal-weight words, largest at the minimum distance `d` (O(q²)
-    /// on a fresh code; for analysis).
-    pub fn max_support_overlap(&self) -> u32 {
-        self.weight as u32 - self.table.min_distance() / 2
-    }
-}
-
-impl SymbolCode for ConstantWeightCode {
-    fn alphabet_size(&self) -> usize {
-        self.table.alphabet_size()
-    }
-
-    fn codeword_len(&self) -> usize {
-        self.table.codeword_len()
-    }
-
-    fn encode(&self, symbol: usize) -> Vec<bool> {
-        self.table.codeword(symbol).to_bools()
-    }
-
-    fn decode(&self, received: &[bool], metric: BitMetric) -> usize {
-        self.table
-            .decode_packed(&PackedBits::from_bools(received), metric)
-    }
-
-    fn encode_packed(&self, symbol: usize) -> PackedBits {
-        self.table.codeword(symbol).clone()
-    }
-
-    fn decode_packed(&self, received: &PackedBits, metric: BitMetric) -> usize {
-        self.table.decode_packed(received, metric)
-    }
-
-    fn certifies(&self, sent: usize, flips: usize) -> bool {
-        self.table.certifies(sent, flips)
-    }
-
-    fn decode_near(
-        &self,
-        reference: &PackedBits,
-        received: &PackedBits,
-        metric: BitMetric,
-    ) -> usize {
-        self.table.decode_near(reference, received, metric)
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BitMetric;
+
+    /// Number of set bits of a packed word.
+    fn weight(word: &[u64]) -> u32 {
+        word.iter().map(|limb| limb.count_ones()).sum()
+    }
 
     #[test]
     fn every_codeword_has_the_declared_weight() {
-        let code = ConstantWeightCode::new(33, 60, 8, 1);
+        let code = CodeTable::constant_weight(33, 60, 8, 1);
         for s in 0..33 {
-            assert_eq!(code.encode(s).iter().filter(|&&b| b).count(), 8);
+            assert_eq!(weight(code.codeword(s)), 8);
         }
     }
 
     #[test]
     fn clean_roundtrip() {
-        let code = ConstantWeightCode::new(65, 80, 10, 2);
+        let code = CodeTable::constant_weight(65, 80, 10, 2);
         for s in 0..65 {
-            assert_eq!(code.decode(&code.encode(s), BitMetric::ZUp), s);
-            assert_eq!(code.decode(&code.encode(s), BitMetric::Hamming), s);
+            assert_eq!(code.decode(code.codeword(s), BitMetric::ZUp), s);
+            assert_eq!(code.decode(code.codeword(s), BitMetric::Hamming), s);
         }
     }
 
@@ -152,16 +95,16 @@ mod tests {
     fn z_channel_resilience_at_paper_rate() {
         // One-sided 0->1 at eps = 1/3: ones survive, zeros lift.
         use rand::{rngs::StdRng, Rng, SeedableRng};
-        let code = ConstantWeightCode::new(33, 72, 9, 3);
+        let code = CodeTable::constant_weight(33, 72, 9, 3);
         let mut rng = StdRng::seed_from_u64(0x2EE);
         let mut failures = 0u32;
         let trials = 400;
         for t in 0..trials {
             let sym = t as usize % 33;
-            let mut w = code.encode(sym);
-            for b in w.iter_mut() {
-                if !*b && rng.gen_bool(1.0 / 3.0) {
-                    *b = true;
+            let mut w = code.codeword(sym).to_vec();
+            for i in 0..72 {
+                if w[i / 64] >> (i % 64) & 1 == 0 && rng.gen_bool(1.0 / 3.0) {
+                    w[i / 64] |= 1 << (i % 64);
                 }
             }
             if code.decode(&w, BitMetric::ZUp) != sym {
@@ -176,16 +119,11 @@ mod tests {
 
     #[test]
     fn lighter_than_random_codes_at_same_length() {
-        use crate::RandomCode;
         let len = 72;
-        let cw = ConstantWeightCode::new(33, len, 9, 4);
-        let rc = RandomCode::with_length(33, len, 4);
-        let cw_energy: usize = (0..33)
-            .map(|s| cw.encode(s).iter().filter(|&&b| b).count())
-            .sum();
-        let rc_energy: usize = (0..33)
-            .map(|s| rc.encode(s).iter().filter(|&&b| b).count())
-            .sum();
+        let cw = CodeTable::constant_weight(33, len, 9, 4);
+        let rc = CodeTable::with_length(33, len, 4);
+        let energy = |code: &CodeTable| -> u32 { (0..33).map(|s| weight(code.codeword(s))).sum() };
+        let (cw_energy, rc_energy) = (energy(&cw), energy(&rc));
         assert!(
             cw_energy * 2 < rc_energy,
             "constant-weight {cw_energy} vs random {rc_energy}"
@@ -194,47 +132,26 @@ mod tests {
 
     #[test]
     fn support_overlap_is_small_for_sparse_codes() {
-        let code = ConstantWeightCode::new(17, 96, 8, 5);
-        // Random 8-of-96 supports rarely share more than a few positions.
-        assert!(
-            code.max_support_overlap() <= 4,
-            "{}",
-            code.max_support_overlap()
-        );
-    }
-
-    #[test]
-    fn packed_paths_match_bool_paths() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let code = ConstantWeightCode::new(17, 64, 7, 6);
-        let mut rng = StdRng::seed_from_u64(0x9B);
-        for sym in 0..17 {
-            assert_eq!(code.encode_packed(sym).to_bools(), code.encode(sym));
-            let mut w = code.encode(sym);
-            for b in w.iter_mut() {
-                if !*b && rng.gen_bool(0.2) {
-                    *b = true;
-                }
-            }
-            let packed = PackedBits::from_bools(&w);
-            for metric in [BitMetric::Hamming, BitMetric::ZUp, BitMetric::ZDown] {
-                assert_eq!(code.decode(&w, metric), code.decode_packed(&packed, metric));
-            }
-        }
+        let code = CodeTable::constant_weight(17, 96, 8, 5);
+        // Random 8-of-96 supports rarely share more than a few positions:
+        // equal-weight words at distance d share w − d/2 of them, most at
+        // the minimum distance.
+        let overlap = 8 - code.min_distance() / 2;
+        assert!(overlap <= 4, "{overlap}");
     }
 
     #[test]
     fn deterministic_per_seed() {
-        let a = ConstantWeightCode::new(9, 32, 5, 7);
-        let b = ConstantWeightCode::new(9, 32, 5, 7);
+        let a = CodeTable::constant_weight(9, 32, 5, 7);
+        let b = CodeTable::constant_weight(9, 32, 5, 7);
         for s in 0..9 {
-            assert_eq!(a.encode(s), b.encode(s));
+            assert_eq!(a.codeword(s), b.codeword(s));
         }
     }
 
     #[test]
     #[should_panic(expected = "weight must be in 1..len")]
     fn full_weight_rejected() {
-        ConstantWeightCode::new(4, 8, 8, 0);
+        CodeTable::constant_weight(4, 8, 8, 0);
     }
 }

@@ -3,9 +3,29 @@
 //! and received words, not just the hand-picked ones in the unit tests.
 
 use beeps_ecc::bits::PackedBits;
-use beeps_ecc::{BitMetric, ConstantWeightCode, RandomCode, SymbolCode};
+use beeps_ecc::{BitMetric, CodeTable};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
+
+/// Codeword `symbol` of `code`, unpacked.
+fn bools(code: &CodeTable, symbol: usize) -> Vec<bool> {
+    let word = code.codeword(symbol);
+    (0..code.codeword_len())
+        .map(|i| word[i / 64] >> (i % 64) & 1 == 1)
+        .collect()
+}
+
+/// `bits`, packed into limbs as a codeword is.
+fn limbs(bits: &[bool]) -> Vec<u64> {
+    PackedBits::from_bools(bits).limbs().to_vec()
+}
+
+/// A code of `q` symbols whose length is `expansion` times the bits
+/// that name one, `max(⌈log₂ q⌉, 1)`.
+fn expanded(q: usize, expansion: usize, seed: u64) -> CodeTable {
+    let bits = (usize::BITS - (q - 1).leading_zeros()).max(1) as usize;
+    CodeTable::with_length(q, expansion * bits, seed)
+}
 
 /// Shuffles `items` in place (Fisher–Yates).
 fn shuffle(items: &mut [usize], rng: &mut StdRng) {
@@ -55,9 +75,9 @@ proptest! {
     /// Random codes roundtrip cleanly for every symbol and seed.
     #[test]
     fn random_code_roundtrips(seed in any::<u64>(), q in 2usize..64) {
-        let code = RandomCode::new(q, 8, seed);
+        let code = expanded(q, 8, seed);
         for s in 0..q {
-            prop_assert_eq!(code.decode(&code.encode(s), BitMetric::Hamming), s);
+            prop_assert_eq!(code.decode(code.codeword(s), BitMetric::Hamming), s);
         }
     }
 
@@ -65,8 +85,8 @@ proptest! {
     /// codeword (no erasures of 1s have happened).
     #[test]
     fn zup_decodes_covering_words(seed in any::<u64>(), symbol in 0usize..16) {
-        let code = RandomCode::new(16, 10, seed);
-        let mut w = code.encode(symbol);
+        let code = expanded(16, 10, seed);
+        let mut w = bools(&code, symbol);
         // Lift every fourth zero.
         let mut count = 0;
         for b in w.iter_mut() {
@@ -81,10 +101,10 @@ proptest! {
         // codeword with a 1 outside the received word. (Another codeword
         // could also be covered, but with 40-bit random words at q=16 the
         // chance is negligible; accept rare mismatch by re-checking cost.)
-        let decoded = code.decode(&w, BitMetric::ZUp);
+        let decoded = code.decode(&limbs(&w), BitMetric::ZUp);
         if decoded != symbol {
             // Then the decoded word must also be covered and sparser.
-            let alt = code.encode(decoded);
+            let alt = bools(&code, decoded);
             let covered = alt.iter().zip(&w).all(|(&c, &r)| !c || r);
             prop_assert!(covered, "ZUp returned an impossible codeword");
         }
@@ -101,7 +121,7 @@ fn closest(codewords: &[PackedBits], word: &PackedBits) -> usize {
 
 /// A random (`constant_weight` false) or constant-weight code of `q`
 /// symbols and length `len`, drawn from `seed`.
-fn table_code(q: usize, len: usize, constant_weight: bool, seed: u64) -> Box<dyn SymbolCode> {
+fn table_code(q: usize, len: usize, constant_weight: bool, seed: u64) -> CodeTable {
     if constant_weight {
         // Every weight in 2..=len-2 has enough supports for q = 65 once
         // len ≥ 63; at len 8 only weight 4 does.
@@ -110,9 +130,9 @@ fn table_code(q: usize, len: usize, constant_weight: bool, seed: u64) -> Box<dyn
         } else {
             2 + (seed % (len as u64 - 3)) as usize
         };
-        Box::new(ConstantWeightCode::new(q, len, weight, seed))
+        CodeTable::constant_weight(q, len, weight, seed)
     } else {
-        Box::new(RandomCode::with_length(q, len, seed))
+        CodeTable::with_length(q, len, seed)
     }
 }
 
@@ -141,35 +161,35 @@ proptest! {
         let q = [2usize, 3, 17, 65][q_index];
         let len = [8usize, 63, 64, 65, 130][len_index];
         let code = table_code(q, len, constant_weight, seed);
-        let codewords: Vec<PackedBits> = (0..q).map(|s| code.encode_packed(s)).collect();
+        let codewords: Vec<PackedBits> = (0..q).map(|s| PackedBits::from_bools(&bools(&code, s))).collect();
         let mut rng = StdRng::seed_from_u64(seed);
         let sent = rng.gen_range(0..q);
-        let c = code.encode(sent);
-        let distance = |t: usize| code.encode(t).iter().zip(&c).filter(|(a, b)| a != b).count();
+        let c = bools(&code, sent);
+        let distance = |t: usize| bools(&code, t).iter().zip(&c).filter(|(a, b)| a != b).count();
         let nearest = (0..q)
             .filter(|&t| t != sent)
             .min_by_key(|&t| distance(t))
             .expect("q ≥ 2");
-        let or: Vec<bool> = c.iter().zip(code.encode(nearest)).map(|(&a, b)| a | b).collect();
-        for y in certificate_words(&c, &code.encode(nearest), &mut rng) {
+        let or: Vec<bool> = c.iter().zip(bools(&code, nearest)).map(|(&a, b)| a | b).collect();
+        for y in certificate_words(&c, &bools(&code, nearest), &mut rng) {
             let y = PackedBits::from_bools(&y);
             let close = closest(&codewords, &y);
             let other = if close == sent { nearest } else { sent };
-            let mut flipped = code.encode(close);
+            let mut flipped = bools(&code, close);
             let bit = rng.gen_range(0..len);
             flipped[bit] = !flipped[bit];
             let references = [
-                codewords[close].clone(),
-                codewords[other].clone(),
-                PackedBits::from_bools(&flipped),
-                PackedBits::from_bools(&or),
-                PackedBits::from_bools(&vec![false; len]),
+                codewords[close].limbs().to_vec(),
+                codewords[other].limbs().to_vec(),
+                limbs(&flipped),
+                limbs(&or),
+                limbs(&vec![false; len]),
             ];
             for metric in [BitMetric::Hamming, BitMetric::ZUp, BitMetric::ZDown] {
-                let scan = code.decode_packed(&y, metric);
+                let scan = code.decode(y.limbs(), metric);
                 for reference in &references {
                     prop_assert_eq!(
-                        code.decode_near(reference, &y, metric),
+                        code.decode_near(reference, y.limbs(), metric),
                         scan,
                         "q={} len={} constant_weight={} reference={:?} {:?}",
                         q, len, constant_weight, reference, metric
@@ -203,10 +223,10 @@ proptest! {
         let code = table_code(q, len, constant_weight, seed);
         let mut rng = StdRng::seed_from_u64(seed);
         let sent = rng.gen_range(0..q);
-        let c = code.encode(sent);
+        let c = bools(&code, sent);
         let radius = (0..q)
             .filter(|&t| t != sent)
-            .map(|t| code.encode(t).iter().zip(&c).filter(|(a, b)| a != b).count())
+            .map(|t| bools(&code, t).iter().zip(&c).filter(|(a, b)| a != b).count())
             .min()
             .expect("q ≥ 2");
         for metric in [BitMetric::Hamming, BitMetric::ZUp, BitMetric::ZDown] {
@@ -230,7 +250,7 @@ proptest! {
                         y[i] = !y[i];
                     }
                     prop_assert_eq!(
-                        code.decode_packed(&PackedBits::from_bools(&y), metric),
+                        code.decode(&limbs(&y), metric),
                         sent,
                         "q={} len={} constant_weight={} sent={} k={} {:?}",
                         q, len, constant_weight, sent, k, metric

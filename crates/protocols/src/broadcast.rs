@@ -90,6 +90,13 @@ impl Protocol for Broadcast {
         Self::message(transcript)
     }
 
+    /// Only the speaker ever beeps, so the OR is its bit: one `beep`
+    /// where the default asks every party.
+    fn true_or(&self, inputs: &[usize], transcript: &[bool]) -> bool {
+        let inputs = &inputs[..self.n];
+        self.beep(self.speaker, &inputs[self.speaker], transcript)
+    }
+
     /// Every party outputs the same message: one fold of the transcript.
     fn outputs(&self, inputs: &[usize], transcript: &[bool]) -> Vec<usize> {
         vec![Self::message(transcript); inputs.len()]

@@ -174,6 +174,29 @@ proptest! {
         }
     }
 
+    /// `Broadcast::true_or` asks only the speaker; it must equal the OR
+    /// of every party's `beep`, the default, on every prefix of random,
+    /// all-zero and all-one transcripts, at n = 1 and at n.
+    #[test]
+    fn broadcast_true_or_matches_every_partys_beep(
+        n in 2usize..9,
+        width in 1usize..=32,
+        fill in 0u8..3,
+        seed in any::<u64>(),
+    ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let t = transcript(&mut rng, fill, width);
+        for n in [1, n] {
+            let p = Broadcast::new(n, rng.gen_range(0..n), width);
+            let inputs: Vec<usize> = (0..n).map(|_| rng.gen_range(0..1usize << width)).collect();
+            for m in 0..width {
+                let any = (0..n).any(|i| p.beep(i, &inputs[i], &t[..m]));
+                prop_assert_eq!(p.true_or(&inputs, &t[..m]), any, "round {} of {}", m, width);
+            }
+        }
+    }
+
     #[test]
     fn roll_call_counts(bits in prop::collection::vec(any::<bool>(), 1..16)) {
         let p = RollCall::new(bits.len());

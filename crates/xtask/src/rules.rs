@@ -254,7 +254,8 @@ const TRIAL_RUN_MARKERS: &[&str] = &[".run(", ".run_with_metrics(", ".run_with_s
 const TRIAL_PRECOMPUTE_PATTERNS: &[&str] = &[
     "build_code(",
     "RandomCode::with_length(",
-    "ConstantWeightCode::new(",
+    "CodeTable::with_length(",
+    "CodeTable::constant_weight(",
 ];
 
 /// The atomics policy table: files whose `Ordering::Relaxed` uses are

@@ -8,8 +8,9 @@ pub fn main() {
         code.codeword_len() + extra.codeword_len() + hoisted.codeword_len()
     });
     let summary = runner.run(7, 4, |t| {
-        let cw = ConstantWeightCode::new(8, 32, t.index);
-        cw.codeword_len() > out.len()
+        let cw = CodeTable::constant_weight(8, 32, 4, t.index);
+        let rc = CodeTable::with_length(8, 32, t.index);
+        cw.codeword_len() > out.len() + rc.codeword_len()
     });
     let _ = summary;
 }

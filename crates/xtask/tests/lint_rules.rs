@@ -155,6 +155,7 @@ fn trial_scope_precompute_fires_inside_trial_closures_only() {
         [
             RuleId::TrialScopePrecompute,
             RuleId::TrialScopePrecompute,
+            RuleId::TrialScopePrecompute,
             RuleId::TrialScopePrecompute
         ]
     );
@@ -166,7 +167,7 @@ fn trial_scope_precompute_fires_inside_trial_closures_only() {
         "runner closures outside crates/bench/src/bin must not fire: {:?}",
         report.findings
     );
-    // The hoisted build_code on line 4 never fires; the three
+    // The hoisted build_code on line 4 never fires; the four
     // constructors inside the two runner closures do.
     assert_eq!(report.findings[0].line, 6);
     assert!(report.findings[0].message.contains("build_code"));
@@ -177,7 +178,11 @@ fn trial_scope_precompute_fires_inside_trial_closures_only() {
     assert_eq!(report.findings[2].line, 11);
     assert!(report.findings[2]
         .message
-        .contains("ConstantWeightCode::new"));
+        .contains("CodeTable::constant_weight"));
+    assert_eq!(report.findings[3].line, 12);
+    assert!(report.findings[3]
+        .message
+        .contains("CodeTable::with_length"));
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`channel`] | `beeps-channel` | the beeping channel in all five noise regimes, the `(T, f, g)` protocol formalism, and the `Channel` trait the schemes drive |
-//! | [`ecc`] | `beeps-ecc` | the seeded random and constant-weight symbol codes Algorithm 1's owners phase sends, with maximum-likelihood decoding |
+//! | [`ecc`] | `beeps-ecc` | the owners phase's symbol code: one flat codeword table (`CodeTable`), seeded random or constant-weight, with maximum-likelihood decoding |
 //! | [`info`] | `beeps-info` | entropy/mutual-information and the tail bounds that size repetition counts |
 //! | [`protocols`] | `beeps-protocols` | noiseless beeping protocols: `InputSet`, OR, leader election, census, membership, firefly sync |
 //! | [`core`] | `beeps-core` | **the paper's contribution**: repetition simulation, Algorithm 1 chunk simulation with owners, the rewind hierarchy of Theorem 1.2, and the constant-overhead one-sided scheme |
