@@ -30,7 +30,7 @@
 use beeps_channel::{NoiseModel, StochasticChannel};
 use beeps_core::{
     HierarchicalSimulator, OneToZeroSimulator, OwnedRoundsSimulator, RepetitionSimulator,
-    RewindSimulator, SimError, SimOutcome, SimulatorConfig, SoaScratch,
+    RewindSimulator, SimError, SimOutcome, Simulator, SimulatorConfig, SoaScratch,
 };
 use beeps_observe::clock::Stopwatch;
 use beeps_protocols::{Broadcast, InputSet, RollCall};

@@ -13,6 +13,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use beeps_metrics::MetricsRegistry;
+use beeps_observe::escape_json;
 
 use crate::Table;
 
@@ -140,7 +141,9 @@ impl Json {
                     out.push_str("null");
                 }
             }
-            Json::Str(s) => render_string(s, out),
+            Json::Str(s) => {
+                let _ = write!(out, "\"{}\"", escape_json(s));
+            }
             Json::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -157,32 +160,13 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    render_string(key, out);
-                    out.push(':');
+                    let _ = write!(out, "\"{}\":", escape_json(key));
                     value.render_into(out);
                 }
                 out.push('}');
             }
         }
     }
-}
-
-fn render_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// The **deterministic section** of `metrics` as an ordered JSON object:

@@ -4,7 +4,7 @@
 
 use beeps_bench::{ExperimentLog, Table, TrialRunner};
 use beeps_channel::{run_noiseless, run_protocol, NoiseModel, Protocol};
-use beeps_core::{RewindSimulator, SimulatorConfig};
+use beeps_core::{RewindSimulator, Simulator, SimulatorConfig};
 use beeps_protocols::InputSet;
 use rand::Rng;
 

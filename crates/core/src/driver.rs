@@ -24,8 +24,9 @@
 //! No run is 0, which would make the loop spin.
 //!
 //! The parts every per-party machine shares live here too: its [`Seat`]
-//! (index, input, committed [`Prefix`] and stats) and the [`outcome`]
-//! assembled from the seats once `drive` returns.
+//! (index, input, committed [`Prefix`] and stats), and [`run_parties`],
+//! which drives a scheme's machines and reads the outcome off their
+//! seats.
 
 use crate::outcome::{PhaseRounds, SimError, SimOutcome, SimStats};
 use beeps_channel::{Channel, Protocol};
@@ -228,30 +229,44 @@ pub(crate) struct DriveResult {
     pub corrupted: usize,
 }
 
-impl DriveResult {
-    /// `Ok` when every party finished, else the run's `BudgetExhausted`:
-    /// the rounds driven and the rounds `first` committed.
-    pub(crate) fn finished<P: Protocol>(&self, first: &Seat<'_, P>) -> Result<(), SimError> {
-        if self.all_done {
-            return Ok(());
-        }
-        Err(SimError::BudgetExhausted {
-            rounds_used: self.rounds,
-            committed: first.prefix.bits.len().min(first.protocol.length()),
-        })
-    }
+/// One seat per input, in party order.
+pub(crate) fn seats<'a, P: Protocol>(
+    protocol: &'a P,
+    inputs: &'a [P::Input],
+) -> impl Iterator<Item = Seat<'a, P>> {
+    let seat = move |(i, input): (usize, &P::Input)| Seat::new(protocol, i, input.clone());
+    inputs.iter().enumerate().map(seat)
 }
 
-/// The outcome of a per-party run whose parties all finished: the first
-/// party's committed transcript and stats, every party's output on its
-/// own transcript, and whether all transcripts agree. A finished party
-/// has committed exactly the protocol's rounds.
-pub(crate) fn outcome<'s, 'a: 's, P: Protocol + 'a>(
-    seats: impl Iterator<Item = &'s Seat<'a, P>> + Clone,
-    result: DriveResult,
-) -> SimOutcome<P::Output> {
-    let first = seats.clone().next().expect("at least one party");
+/// A per-party run, the one tail of every scheme's per-party engine:
+/// drives `parties` over `channel` under the phase span `span` (the
+/// scheme's `sim.<scheme>.per_party`) for at most `budget` rounds, then
+/// reads the outcome off their seats. A run whose parties all finished
+/// returns the first party's committed transcript and stats, every
+/// party's output on its own transcript, and whether all transcripts
+/// agree; a finished party has committed exactly the protocol's rounds.
+/// Any other run returns its `BudgetExhausted`: the rounds driven and
+/// the rounds the first party committed.
+pub(crate) fn run_parties<'a, P: Protocol + 'a, S: SimParty>(
+    span: &'static str,
+    mut parties: Vec<S>,
+    seat: fn(&S) -> &Seat<'a, P>,
+    channel: &mut dyn Channel,
+    budget: usize,
+) -> Result<SimOutcome<P::Output>, SimError> {
+    let result = {
+        let _span = beeps_observe::phase(span);
+        drive(&mut parties, channel, budget)
+    };
+    let first = seat(&parties[0]);
+    if !result.all_done {
+        return Err(SimError::BudgetExhausted {
+            rounds_used: result.rounds,
+            committed: first.prefix.bits.len().min(first.protocol.length()),
+        });
+    }
     let transcript = first.prefix.bits.clone();
+    let seats = parties.iter().map(seat);
     let agreement = seats.clone().all(|s| s.prefix.bits == transcript);
     let outputs = seats
         .map(|s| s.protocol.output(s.me, &s.input, &s.prefix.bits))
@@ -266,7 +281,7 @@ pub(crate) fn outcome<'s, 'a: 's, P: Protocol + 'a>(
         energy: result.energy,
         corrupted_rounds: result.corrupted,
     };
-    SimOutcome::new(transcript, outputs, stats)
+    Ok(SimOutcome::new(transcript, outputs, stats))
 }
 
 /// Runs the parties over the channel until every party reports done or the

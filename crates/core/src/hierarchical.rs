@@ -31,12 +31,14 @@
 //! provisionally and repairs with exact back-jumps — the trade-off the
 //! `tab5_scheme_ablation` experiment measures.
 
-use crate::driver::{drive, outcome, Block, Seat, SimParty, WORD};
-use crate::outcome::{check_model, SimError, SimOutcome};
+use crate::driver::{run_parties, seats, Block, Seat, SimParty, WORD};
+use crate::outcome::{SimError, SimOutcome};
 use crate::owners::{channel_rounds, OwnersState};
 use crate::params::{ResolvedParams, SimulatorConfig};
 use crate::rewind::{ChunkPhase, PartyRun};
-use beeps_channel::{NoiseModel, Protocol, StochasticChannel};
+use crate::simulator::Scheme;
+use crate::soa::{self, SoaScratch};
+use beeps_channel::{Channel, NoiseModel, Protocol, StochasticChannel};
 
 /// The Appendix D.2 hierarchical simulator (`A_l` with binary-search
 /// progress checks).
@@ -45,7 +47,7 @@ use beeps_channel::{NoiseModel, Protocol, StochasticChannel};
 ///
 /// ```
 /// use beeps_channel::{run_noiseless, NoiseModel};
-/// use beeps_core::{HierarchicalSimulator, SimulatorConfig};
+/// use beeps_core::{HierarchicalSimulator, Simulator, SimulatorConfig};
 /// use beeps_protocols::InputSet;
 ///
 /// let protocol = InputSet::new(4);
@@ -79,97 +81,57 @@ impl<'a, P: Protocol> HierarchicalSimulator<'a, P> {
     pub fn config(&self) -> &SimulatorConfig {
         &self.config
     }
+}
 
-    /// Runs the simulation.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`crate::RewindSimulator::simulate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != protocol.num_parties()`.
-    pub fn simulate(
-        &self,
-        inputs: &[P::Input],
-        model: NoiseModel,
-        seed: u64,
-    ) -> Result<SimOutcome<P::Output>, SimError> {
-        self.simulate_with_scratch(inputs, model, seed, &mut crate::soa::SoaScratch::default())
+impl<P: Protocol> Scheme for HierarchicalSimulator<'_, P> {
+    type Protocol = P;
+
+    fn name(&self) -> &'static str {
+        "hierarchical"
     }
 
-    /// [`HierarchicalSimulator::simulate`] with a caller-owned scratch
-    /// arena: shared-delivery models run on the collapsed
-    /// struct-of-arrays engine (see [`crate::soa`]), whose buffers live
-    /// in `scratch` so a worker thread can run many trials
-    /// allocation-free. Results are bitwise identical to
-    /// [`HierarchicalSimulator::simulate`] (which is this method with a
-    /// throwaway scratch).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`HierarchicalSimulator::simulate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != protocol.num_parties()`.
-    pub fn simulate_with_scratch(
-        &self,
-        inputs: &[P::Input],
-        model: NoiseModel,
-        seed: u64,
-        scratch: &mut crate::soa::SoaScratch,
-    ) -> Result<SimOutcome<P::Output>, SimError> {
-        check_model(model)?;
-        let mut channel = StochasticChannel::new(self.protocol.num_parties(), model, seed);
-        if model.is_shared() {
-            return crate::soa::hierarchical_collapsed_over(
-                self.protocol,
-                &self.config,
-                inputs,
-                model,
-                &self.config.build_code(),
-                &mut channel,
-                scratch,
-            );
-        }
-        self.simulate_over(inputs, model, &mut channel)
+    fn protocol(&self) -> &P {
+        self.protocol
     }
 
-    /// Runs over a caller-supplied channel (failure injection, reduction
-    /// channels); see [`crate::RewindSimulator::simulate_over`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`HierarchicalSimulator::simulate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on party-count mismatches.
-    pub fn simulate_over(
+    fn collapsed(
         &self,
         inputs: &[P::Input],
         model: NoiseModel,
-        channel: &mut dyn beeps_channel::Channel,
+        channel: &mut StochasticChannel,
+        scratch: &mut SoaScratch,
     ) -> Result<SimOutcome<P::Output>, SimError> {
-        let n = self.protocol.num_parties();
-        assert_eq!(inputs.len(), n, "need one input per party");
-        check_model(model)?;
-        let t = self.protocol.length();
-        let scheme = PartyRun::new(&self.config, model, n);
+        let code = self.config.build_code();
+        soa::hierarchical_collapsed_over(
+            self.protocol,
+            &self.config,
+            inputs,
+            model,
+            &code,
+            channel,
+            scratch,
+        )
+    }
+
+    fn per_party(
+        &self,
+        inputs: &[P::Input],
+        model: NoiseModel,
+        channel: &mut dyn Channel,
+    ) -> Result<SimOutcome<P::Output>, SimError> {
+        let (n, t) = (self.protocol.num_parties(), self.protocol.length());
+        let run = PartyRun::new(&self.config, model, n);
         let max_level = max_level(&self.config, t);
-        let mut parties: Vec<HierParty<'_, P>> = (0..n)
-            .map(|i| {
-                let seat = Seat::new(self.protocol, i, inputs[i].clone());
-                HierParty::new(&scheme, seat, max_level)
-            })
-            .collect();
-        let result = {
-            let _span = beeps_observe::phase("sim.hierarchical.per_party");
-            drive(&mut parties, channel, budget(&self.config, n, t))
-        };
-        result.finished(&parties[0].seat)?;
-        Ok(outcome(parties.iter().map(|p| &p.seat), result))
+        let parties =
+            seats(self.protocol, inputs).map(|seat| HierParty::new(&run, seat, max_level));
+        let budget = budget(&self.config, n, t);
+        run_parties(
+            "sim.hierarchical.per_party",
+            parties.collect(),
+            |p| &p.seat,
+            channel,
+            budget,
+        )
     }
 }
 
@@ -407,6 +369,7 @@ impl<P: Protocol> SimParty for HierParty<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Simulator;
     use beeps_channel::run_noiseless;
     use beeps_protocols::{InputSet, LeaderElection, Membership};
 

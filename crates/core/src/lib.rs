@@ -36,7 +36,7 @@
 //!
 //! ```
 //! use beeps_channel::{run_noiseless, NoiseModel};
-//! use beeps_core::{RewindSimulator, SimulatorConfig};
+//! use beeps_core::{RewindSimulator, Simulator, SimulatorConfig};
 //! use beeps_protocols::LeaderElection;
 //!
 //! let protocol = LeaderElection::new(4, 6);

@@ -27,18 +27,23 @@
 //! party can vouch for a heard 1 — and every scheme pays `Ω(log n)`.
 //! Experiment E3 plots the two regimes side by side.
 
-use crate::driver::{drive, held, ones, outcome, Seat, SimParty, WORD};
+use crate::driver::{held, ones, run_parties, seats, Seat, SimParty, WORD};
 use crate::hierarchical::{levels, log_depth};
-use crate::outcome::{check_model, SimError, SimOutcome};
-use beeps_channel::{NoiseModel, Protocol, StochasticChannel};
+use crate::outcome::{SimError, SimOutcome};
+use crate::simulator::Scheme;
+use crate::soa::{self, SoaScratch};
+use beeps_channel::{Channel, NoiseModel, Protocol, StochasticChannel};
 
-/// Constant-overhead simulator for the one-sided `1→0` noise regime.
+/// Constant-overhead simulator for the one-sided `1→0` noise regime. It
+/// runs only under noise that never creates beeps: any model but
+/// [`NoiseModel::OneSidedOneToZero`] and [`NoiseModel::Noiseless`] is
+/// [`SimError::UnsupportedNoise`].
 ///
 /// # Examples
 ///
 /// ```
 /// use beeps_channel::{run_noiseless, NoiseModel};
-/// use beeps_core::OneToZeroSimulator;
+/// use beeps_core::{OneToZeroSimulator, Simulator};
 /// use beeps_protocols::InputSet;
 ///
 /// let protocol = InputSet::new(8);
@@ -77,121 +82,76 @@ impl<'a, P: Protocol> OneToZeroSimulator<'a, P> {
             budget_factor,
         }
     }
+}
 
-    /// Runs the simulation.
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::UnsupportedNoise`] — the scheme's guarantees need
-    ///   noise that never creates beeps, so only
-    ///   [`NoiseModel::OneSidedOneToZero`] and [`NoiseModel::Noiseless`]
-    ///   are accepted;
-    /// * [`SimError::BudgetExhausted`] — erasure storms outran the budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != protocol.num_parties()`.
-    pub fn simulate(
-        &self,
-        inputs: &[P::Input],
-        model: NoiseModel,
-        seed: u64,
-    ) -> Result<SimOutcome<P::Output>, SimError> {
-        self.simulate_with_scratch(inputs, model, seed, &mut crate::soa::SoaScratch::default())
+impl<P: Protocol> Scheme for OneToZeroSimulator<'_, P> {
+    type Protocol = P;
+
+    fn name(&self) -> &'static str {
+        "one_to_zero"
     }
 
-    /// [`OneToZeroSimulator::simulate`] with a caller-owned scratch
-    /// arena, running on the collapsed struct-of-arrays engine (see
-    /// [`crate::soa`]) — bitwise identical to the scalar path. (Both
-    /// accepted models deliver shared bits, so there is no scalar
-    /// fallback here.)
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`OneToZeroSimulator::simulate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != protocol.num_parties()`.
-    pub fn simulate_with_scratch(
+    fn protocol(&self) -> &P {
+        self.protocol
+    }
+
+    /// The scheme's guarantees need noise that never creates beeps. Both
+    /// models that pass deliver shared bits, so `simulate` always runs
+    /// the collapsed body.
+    fn check_regime(model: NoiseModel) -> Result<(), SimError> {
+        match model {
+            NoiseModel::OneSidedOneToZero { .. } | NoiseModel::Noiseless => Ok(()),
+            _ => Err(SimError::UnsupportedNoise {
+                reason: "the constant-overhead scheme requires 1->0-only noise",
+            }),
+        }
+    }
+
+    fn collapsed(
         &self,
         inputs: &[P::Input],
-        model: NoiseModel,
-        seed: u64,
-        scratch: &mut crate::soa::SoaScratch,
+        _model: NoiseModel,
+        channel: &mut StochasticChannel,
+        scratch: &mut SoaScratch,
     ) -> Result<SimOutcome<P::Output>, SimError> {
-        let n = self.protocol.num_parties();
-        check_model(model)?;
-        assert_eq!(inputs.len(), n, "need one input per party");
-        never_fabricates(model)?;
-        crate::soa::one_to_zero_collapsed_over(
+        soa::one_to_zero_collapsed_over(
             self.protocol,
             self.base,
             self.budget_factor,
             inputs,
-            &mut StochasticChannel::new(n, model, seed),
+            channel,
             scratch,
         )
     }
 
-    /// Runs over a caller-supplied channel (failure injection). The
-    /// channel must never fabricate beeps — the scheme's detection
-    /// guarantees assume it.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`OneToZeroSimulator::simulate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on party-count mismatches.
-    pub fn simulate_over(
+    fn per_party(
         &self,
         inputs: &[P::Input],
-        model: NoiseModel,
-        channel: &mut dyn beeps_channel::Channel,
+        _model: NoiseModel,
+        channel: &mut dyn Channel,
     ) -> Result<SimOutcome<P::Output>, SimError> {
-        let n = self.protocol.num_parties();
-        assert_eq!(inputs.len(), n, "need one input per party");
-        check_model(model)?;
-        never_fabricates(model)?;
         let t = self.protocol.length();
         let max_level = log_depth(t);
-        let mut parties: Vec<ZParty<'_, P>> = (0..n)
-            .map(|i| ZParty {
-                seat: Seat::new(self.protocol, i, inputs[i].clone()),
-                base: self.base,
-                max_level,
-                final_rounds: self.base * (max_level + 2),
-                error_marks: Vec::new(),
-                slot: 0,
-                mode: Mode::Data {
-                    my_bit: false,
-                    decided: false,
-                },
-            })
-            .collect();
-        let result = {
-            let _span = beeps_observe::phase("sim.one_to_zero.per_party");
-            drive(
-                &mut parties,
-                channel,
-                budget(self.base, self.budget_factor, t),
-            )
-        };
-        result.finished(&parties[0].seat)?;
-        Ok(outcome(parties.iter().map(|p| &p.seat), result))
-    }
-}
-
-/// The scheme's regime check, run by both front doors after the model
-/// check: its guarantees need noise that never creates beeps.
-fn never_fabricates(model: NoiseModel) -> Result<(), SimError> {
-    match model {
-        NoiseModel::OneSidedOneToZero { .. } | NoiseModel::Noiseless => Ok(()),
-        _ => Err(SimError::UnsupportedNoise {
-            reason: "the constant-overhead scheme requires 1->0-only noise",
-        }),
+        let parties = seats(self.protocol, inputs).map(|seat| ZParty {
+            seat,
+            base: self.base,
+            max_level,
+            final_rounds: self.base * (max_level + 2),
+            error_marks: Vec::new(),
+            slot: 0,
+            mode: Mode::Data {
+                my_bit: false,
+                decided: false,
+            },
+        });
+        let budget = budget(self.base, self.budget_factor, t);
+        run_parties(
+            "sim.one_to_zero.per_party",
+            parties.collect(),
+            |p| &p.seat,
+            channel,
+            budget,
+        )
     }
 }
 
@@ -365,6 +325,7 @@ impl<P: Protocol> SimParty for ZParty<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Simulator;
     use beeps_channel::run_noiseless;
     use beeps_protocols::{InputSet, LeaderElection, MultiOr};
 
@@ -441,7 +402,8 @@ mod tests {
     #[test]
     fn rejects_two_sided_noise() {
         // The last three models also have a parameter outside [0, 1):
-        // both front doors must run the model check first and agree.
+        // `simulate` and `simulate_over` must run the model check first
+        // and agree.
         let p = InputSet::new(2);
         let sim = OneToZeroSimulator::new(&p, 2, 8.0);
         for model in [

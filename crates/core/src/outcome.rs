@@ -141,8 +141,8 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// The model check every front door runs first: a noise parameter
-/// outside `[0, 1)` is [`SimError::UnsupportedNoise`].
+/// The model check every [`Simulator`](crate::Simulator) runs first: a
+/// noise parameter outside `[0, 1)` is [`SimError::UnsupportedNoise`].
 pub(crate) fn check_model(model: NoiseModel) -> Result<(), SimError> {
     model.validate().map_err(|_| SimError::UnsupportedNoise {
         reason: "noise parameter outside [0, 1)",

@@ -17,10 +17,12 @@
 //! two simulators side by side on an owned workload to price the
 //! difference.
 
-use crate::driver::{drive, held, ones, outcome, Block, Seat, SimParty, WORD};
-use crate::outcome::{check_model, SimError, SimOutcome};
+use crate::driver::{held, ones, run_parties, seats, Block, Seat, SimParty, WORD};
+use crate::outcome::{SimError, SimOutcome};
 use crate::params::{ResolvedParams, SimulatorConfig};
-use beeps_channel::{NoiseModel, StochasticChannel, UniquelyOwned};
+use crate::simulator::Scheme;
+use crate::soa::{self, SoaScratch};
+use beeps_channel::{Channel, NoiseModel, StochasticChannel, UniquelyOwned};
 
 /// Chunk-plus-verify simulator for [`UniquelyOwned`] protocols (no owners
 /// phase).
@@ -29,7 +31,7 @@ use beeps_channel::{NoiseModel, StochasticChannel, UniquelyOwned};
 ///
 /// ```
 /// use beeps_channel::{run_noiseless, NoiseModel};
-/// use beeps_core::{OwnedRoundsSimulator, SimulatorConfig};
+/// use beeps_core::{OwnedRoundsSimulator, Simulator, SimulatorConfig};
 /// use beeps_protocols::RollCall;
 ///
 /// let protocol = RollCall::new(6);
@@ -62,106 +64,57 @@ impl<'a, P: UniquelyOwned> OwnedRoundsSimulator<'a, P> {
     pub fn config(&self) -> &SimulatorConfig {
         &self.config
     }
+}
 
-    /// Channel rounds of one full-length iteration (chunk + verification).
-    pub fn rounds_per_iteration(&self) -> usize {
-        iteration_rounds(&self.config)
+impl<P: UniquelyOwned> Scheme for OwnedRoundsSimulator<'_, P> {
+    type Protocol = P;
+
+    fn name(&self) -> &'static str {
+        "owned_rounds"
     }
 
-    /// Runs the simulation.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`crate::RewindSimulator::simulate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != protocol.num_parties()`.
-    pub fn simulate(
+    fn protocol(&self) -> &P {
+        self.protocol
+    }
+
+    fn collapsed(
         &self,
         inputs: &[P::Input],
         model: NoiseModel,
-        seed: u64,
+        channel: &mut StochasticChannel,
+        scratch: &mut SoaScratch,
     ) -> Result<SimOutcome<P::Output>, SimError> {
-        self.simulate_with_scratch(inputs, model, seed, &mut crate::soa::SoaScratch::default())
+        soa::owned_rounds_collapsed_over(
+            self.protocol,
+            &self.config,
+            inputs,
+            model,
+            channel,
+            scratch,
+        )
     }
 
-    /// [`OwnedRoundsSimulator::simulate`] with a caller-owned scratch
-    /// arena: shared-delivery models run on the collapsed
-    /// struct-of-arrays engine (see [`crate::soa`]), bitwise identical
-    /// to the scalar path.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`OwnedRoundsSimulator::simulate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != protocol.num_parties()`.
-    pub fn simulate_with_scratch(
+    fn per_party(
         &self,
         inputs: &[P::Input],
         model: NoiseModel,
-        seed: u64,
-        scratch: &mut crate::soa::SoaScratch,
+        channel: &mut dyn Channel,
     ) -> Result<SimOutcome<P::Output>, SimError> {
-        check_model(model)?;
-        let mut channel = StochasticChannel::new(self.protocol.num_parties(), model, seed);
-        if model.is_shared() {
-            return crate::soa::owned_rounds_collapsed_over(
-                self.protocol,
-                &self.config,
-                inputs,
-                model,
-                &mut channel,
-                scratch,
-            );
-        }
-        self.simulate_over(inputs, model, &mut channel)
-    }
-
-    /// Runs over a caller-supplied channel (failure injection, reduction
-    /// channels).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`OwnedRoundsSimulator::simulate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on party-count mismatches.
-    pub fn simulate_over(
-        &self,
-        inputs: &[P::Input],
-        model: NoiseModel,
-        channel: &mut dyn beeps_channel::Channel,
-    ) -> Result<SimOutcome<P::Output>, SimError> {
-        let n = self.protocol.num_parties();
-        assert_eq!(inputs.len(), n, "need one input per party");
-        check_model(model)?;
         let params = self.config.resolve(model);
-        let mut parties: Vec<OwnedParty<'_, P>> = (0..n)
-            .map(|i| {
-                let seat = Seat::new(self.protocol, i, inputs[i].clone());
-                let phase = start_chunk(&seat, self.config.chunk_len);
-                OwnedParty {
-                    config: &self.config,
-                    params,
-                    seat,
-                    phase,
-                }
-            })
-            .collect();
-        let result = {
-            let _span = beeps_observe::phase("sim.owned_rounds.per_party");
-            drive(
-                &mut parties,
-                channel,
-                budget(&self.config, self.protocol.length()),
-            )
-        };
-        result.finished(&parties[0].seat)?;
-        Ok(outcome(parties.iter().map(|p| &p.seat), result))
+        let parties = seats(self.protocol, inputs).map(|seat| OwnedParty {
+            config: &self.config,
+            params,
+            phase: start_chunk(&seat, self.config.chunk_len),
+            seat,
+        });
+        let budget = budget(&self.config, self.protocol.length());
+        run_parties(
+            "sim.owned_rounds.per_party",
+            parties.collect(),
+            |p| &p.seat,
+            channel,
+            budget,
+        )
     }
 }
 
@@ -286,6 +239,7 @@ impl<P: UniquelyOwned> SimParty for OwnedParty<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Simulator;
     use beeps_channel::run_noiseless;
     use beeps_protocols::{Broadcast, PointerChase, RollCall};
 

@@ -7,18 +7,23 @@
 //! correctly with high probability — the easy `O(log n)` upper bound the
 //! paper contrasts with its general Theorem 1.2.
 
-use crate::driver::{drive, outcome, Block, Seat, SimParty, WORD};
-use crate::outcome::{check_model, SimError, SimOutcome};
+use crate::driver::{run_parties, seats, Block, Seat, SimParty, WORD};
+use crate::outcome::{SimError, SimOutcome};
 use crate::params::SimulatorConfig;
-use beeps_channel::{NoiseModel, Protocol, StochasticChannel};
+use crate::simulator::Scheme;
+use crate::soa::{self, SoaScratch};
+use beeps_channel::{Channel, NoiseModel, Protocol, StochasticChannel};
 
-/// Simulates a noiseless protocol by per-round repetition.
+/// Simulates a noiseless protocol by per-round repetition. Its fixed
+/// length `T · R` is also its budget, so any `R ≥ 1` finishes; at
+/// `R = 0` a protocol with rounds returns [`SimError::BudgetExhausted`]
+/// with nothing committed.
 ///
 /// # Examples
 ///
 /// ```
 /// use beeps_channel::{run_noiseless, NoiseModel};
-/// use beeps_core::{RepetitionSimulator, SimulatorConfig};
+/// use beeps_core::{RepetitionSimulator, Simulator, SimulatorConfig};
 /// use beeps_protocols::InputSet;
 ///
 /// let protocol = InputSet::new(4);
@@ -48,107 +53,50 @@ impl<'a, P: Protocol> RepetitionSimulator<'a, P> {
     pub fn config(&self) -> &SimulatorConfig {
         &self.config
     }
+}
 
-    /// Runs the simulation with `repetitions` copies of each round.
-    ///
-    /// The simulated protocol has fixed length `T · R`, which is also its
-    /// budget, so any `R ≥ 1` finishes. At `R = 0` a block never ends
-    /// and the budget `T · 0` fits no round: a protocol of `T > 0`
-    /// rounds exhausts it before committing any.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnsupportedNoise`] if `model` has an invalid ε,
-    /// and [`SimError::BudgetExhausted`] (0 rounds used, 0 committed) if
-    /// `repetitions` is 0 and the protocol has rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != protocol.num_parties()`.
-    pub fn simulate(
-        &self,
-        inputs: &[P::Input],
-        model: NoiseModel,
-        seed: u64,
-    ) -> Result<SimOutcome<P::Output>, SimError> {
-        self.simulate_with_scratch(inputs, model, seed, &mut crate::soa::SoaScratch::default())
+impl<P: Protocol> Scheme for RepetitionSimulator<'_, P> {
+    type Protocol = P;
+
+    fn name(&self) -> &'static str {
+        "repetition"
     }
 
-    /// [`RepetitionSimulator::simulate`] with a caller-owned scratch
-    /// arena. Shared-delivery models run on the collapsed
-    /// struct-of-arrays engine (see [`crate::soa`]) — bitwise identical
-    /// to the scalar path; independent noise keeps the per-party state
-    /// machines (its deliveries diverge across parties).
-    ///
-    /// # Errors
-    ///
-    /// As [`RepetitionSimulator::simulate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != protocol.num_parties()`.
-    pub fn simulate_with_scratch(
-        &self,
-        inputs: &[P::Input],
-        model: NoiseModel,
-        seed: u64,
-        scratch: &mut crate::soa::SoaScratch,
-    ) -> Result<SimOutcome<P::Output>, SimError> {
-        check_model(model)?;
-        let mut channel = StochasticChannel::new(self.protocol.num_parties(), model, seed);
-        if matches!(model, NoiseModel::Independent { .. }) {
-            return self.simulate_over(inputs, model, &mut channel);
-        }
-        crate::soa::repetition_collapsed_over(
-            self.protocol,
-            &self.config,
-            inputs,
-            model,
-            &mut channel,
-            scratch,
-        )
+    fn protocol(&self) -> &P {
+        self.protocol
     }
 
-    /// Runs the simulation over a caller-supplied channel — the hook for
-    /// failure injection and channel-equivalence tests (same shape as
-    /// [`crate::RewindSimulator::simulate_over`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`RepetitionSimulator::simulate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != protocol.num_parties()` or the channel is
-    /// sized for a different number of parties.
-    pub fn simulate_over(
+    fn collapsed(
         &self,
         inputs: &[P::Input],
         model: NoiseModel,
-        channel: &mut dyn beeps_channel::Channel,
+        channel: &mut StochasticChannel,
+        scratch: &mut SoaScratch,
     ) -> Result<SimOutcome<P::Output>, SimError> {
-        let n = self.protocol.num_parties();
-        assert_eq!(inputs.len(), n, "need one input per party");
-        check_model(model)?;
+        soa::repetition_collapsed_over(self.protocol, &self.config, inputs, model, channel, scratch)
+    }
+
+    fn per_party(
+        &self,
+        inputs: &[P::Input],
+        model: NoiseModel,
+        channel: &mut dyn Channel,
+    ) -> Result<SimOutcome<P::Output>, SimError> {
         let rep_ones = self.config.resolve(model).rep_ones;
-        let mut parties: Vec<RepParty<'_, P>> = (0..n)
-            .map(|i| RepParty {
-                seat: Seat::new(self.protocol, i, inputs[i].clone()),
-                repetitions: self.config.repetitions,
-                rep_ones,
-                block: Block::default(),
-            })
-            .collect();
-        let result = {
-            let _span = beeps_observe::phase("sim.repetition.per_party");
-            drive(
-                &mut parties,
-                channel,
-                budget(&self.config, self.protocol.length()),
-            )
-        };
-        result.finished(&parties[0].seat)?;
-        Ok(outcome(parties.iter().map(|p| &p.seat), result))
+        let parties = seats(self.protocol, inputs).map(|seat| RepParty {
+            seat,
+            repetitions: self.config.repetitions,
+            rep_ones,
+            block: Block::default(),
+        });
+        let budget = budget(&self.config, self.protocol.length());
+        run_parties(
+            "sim.repetition.per_party",
+            parties.collect(),
+            |p| &p.seat,
+            channel,
+            budget,
+        )
     }
 }
 
@@ -196,6 +144,7 @@ impl<P: Protocol> SimParty for RepParty<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Simulator;
     use beeps_channel::run_noiseless;
     use beeps_protocols::{InputSet, LeaderElection, Membership};
 

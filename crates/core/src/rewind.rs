@@ -30,11 +30,13 @@
 //! prefixes are always correct there; over the two-sided channel the missed
 //! -flag probability is driven below `target_error` by `V`.
 
-use crate::driver::{drive, outcome, Block, Seat, SimParty, WORD};
-use crate::outcome::{check_model, SimError, SimOutcome};
+use crate::driver::{run_parties, seats, Block, Seat, SimParty, WORD};
+use crate::outcome::{SimError, SimOutcome};
 use crate::owners::{channel_rounds, OwnersState, SharedCode};
 use crate::params::{ResolvedParams, SimulatorConfig};
-use beeps_channel::{NoiseModel, Protocol, StochasticChannel};
+use crate::simulator::Scheme;
+use crate::soa::{self, SoaScratch};
+use beeps_channel::{Channel, NoiseModel, Protocol, StochasticChannel};
 use std::sync::Arc;
 
 /// The Theorem 1.2 simulator: `O(T log n)` rounds for any noiseless
@@ -60,108 +62,55 @@ impl<'a, P: Protocol> RewindSimulator<'a, P> {
     pub fn config(&self) -> &SimulatorConfig {
         &self.config
     }
+}
 
-    /// Channel rounds of one iteration (chunk + owners + verification) for
-    /// a full-length chunk.
-    pub fn rounds_per_iteration(&self) -> usize {
-        iteration_rounds(&self.config, self.protocol.num_parties())
+impl<P: Protocol> Scheme for RewindSimulator<'_, P> {
+    type Protocol = P;
+
+    fn name(&self) -> &'static str {
+        "rewind"
     }
 
-    /// Runs the simulation.
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::BudgetExhausted`] — rewinds consumed the round budget
-    ///   (`budget_factor ×` the rewind-free cost) before the protocol
-    ///   completed;
-    /// * [`SimError::UnsupportedNoise`] — invalid noise parameter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != protocol.num_parties()`.
-    pub fn simulate(
+    fn protocol(&self) -> &P {
+        self.protocol
+    }
+
+    fn collapsed(
         &self,
         inputs: &[P::Input],
         model: NoiseModel,
-        seed: u64,
+        channel: &mut StochasticChannel,
+        scratch: &mut SoaScratch,
     ) -> Result<SimOutcome<P::Output>, SimError> {
-        self.simulate_with_scratch(inputs, model, seed, &mut crate::soa::SoaScratch::default())
+        let code = self.config.build_code();
+        soa::rewind_collapsed_over(
+            self.protocol,
+            &self.config,
+            inputs,
+            model,
+            &code,
+            channel,
+            scratch,
+        )
     }
 
-    /// [`RewindSimulator::simulate`] with a caller-owned scratch arena:
-    /// shared-delivery models run on the collapsed struct-of-arrays
-    /// engine (see [`crate::soa`]), whose buffers live in `scratch` so a
-    /// worker thread can run many trials allocation-free. Results are
-    /// bitwise identical to [`RewindSimulator::simulate`] (which is this
-    /// method with a throwaway scratch).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`RewindSimulator::simulate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != protocol.num_parties()`.
-    pub fn simulate_with_scratch(
+    fn per_party(
         &self,
         inputs: &[P::Input],
         model: NoiseModel,
-        seed: u64,
-        scratch: &mut crate::soa::SoaScratch,
-    ) -> Result<SimOutcome<P::Output>, SimError> {
-        check_model(model)?;
-        let mut channel = StochasticChannel::new(self.protocol.num_parties(), model, seed);
-        if model.is_shared() {
-            return crate::soa::rewind_collapsed_over(
-                self.protocol,
-                &self.config,
-                inputs,
-                model,
-                &self.config.build_code(),
-                &mut channel,
-                scratch,
-            );
-        }
-        self.simulate_over(inputs, model, &mut channel)
-    }
-
-    /// Runs the simulation over a caller-supplied channel — the hook for
-    /// failure injection (scripted flip schedules) and the A.1.2 reduction
-    /// channel. `model` tells the parties which thresholds and decoding
-    /// metric to use; the channel is free to behave differently (that is
-    /// the point of injecting one).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`RewindSimulator::simulate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != protocol.num_parties()` or the channel is
-    /// sized for a different number of parties.
-    pub fn simulate_over(
-        &self,
-        inputs: &[P::Input],
-        model: NoiseModel,
-        channel: &mut dyn beeps_channel::Channel,
+        channel: &mut dyn Channel,
     ) -> Result<SimOutcome<P::Output>, SimError> {
         let n = self.protocol.num_parties();
-        assert_eq!(inputs.len(), n, "need one input per party");
-        check_model(model)?;
-        let scheme = PartyRun::new(&self.config, model, n);
-        let mut parties: Vec<RewindParty<'_, P>> = (0..n)
-            .map(|i| RewindParty::new(&scheme, Seat::new(self.protocol, i, inputs[i].clone())))
-            .collect();
-        let result = {
-            let _span = beeps_observe::phase("sim.rewind.per_party");
-            drive(
-                &mut parties,
-                channel,
-                budget(&self.config, n, self.protocol.length()),
-            )
-        };
-        result.finished(&parties[0].seat)?;
-        Ok(outcome(parties.iter().map(|p| &p.seat), result))
+        let run = PartyRun::new(&self.config, model, n);
+        let parties = seats(self.protocol, inputs).map(|seat| RewindParty::new(&run, seat));
+        let budget = budget(&self.config, n, self.protocol.length());
+        run_parties(
+            "sim.rewind.per_party",
+            parties.collect(),
+            |p| &p.seat,
+            channel,
+            budget,
+        )
     }
 }
 
@@ -382,6 +331,7 @@ impl<P: Protocol> SimParty for RewindParty<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Simulator;
     use beeps_channel::run_noiseless;
     use beeps_protocols::{InputSet, LeaderElection, Membership, MultiOr};
 

@@ -1,17 +1,22 @@
 //! The [`Simulator`] abstraction: one interface over every coding
-//! scheme in this crate.
+//! scheme in this crate, and the crate's one front door.
 //!
 //! Each scheme (repetition, rewind, hierarchical, `1→0` checkpointing,
-//! owned rounds) exposes the same inherent method
-//! `simulate(&self, inputs, model, seed)`; this trait lifts that shape
-//! into a common, object-safe interface so that experiment harnesses
-//! and the CLI can hold a `&dyn Simulator<I, O>` (or a boxed one) and
-//! treat every scheme uniformly.
+//! owned rounds) supplies only what differs between schemes: its name,
+//! its collapsed body in [`crate::soa`], its per-party machines with
+//! their round budget, and any regime check of its own. One blanket
+//! impl turns that into a [`Simulator`]. It checks the noise model and
+//! the input count before any channel is built, then routes every
+//! shared-delivery model ([`NoiseModel::is_shared`]) to the collapsed
+//! body and [`NoiseModel::Independent`] to the per-party machines, which
+//! all run through one per-party tail (span, drive, outcome). That is
+//! DESIGN.md §13's routing contract, in one place.
 //!
-//! The trait is generic over the protocol's `Input`/`Output` types
-//! rather than over the protocol itself, which keeps it object-safe:
-//! all schemes wrapping protocols with the same input/output types are
-//! interchangeable at runtime.
+//! The trait is object-safe, so experiment harnesses and the CLI can
+//! hold a `&dyn Simulator<I, O>` (or a boxed one) and treat every scheme
+//! uniformly. It is generic over the protocol's `Input`/`Output` types
+//! rather than over the protocol itself: all schemes wrapping protocols
+//! with the same input/output types are interchangeable at runtime.
 //!
 //! # Examples
 //!
@@ -36,15 +41,13 @@
 //! ```
 
 use beeps_channel::{
-    run_protocol, run_protocol_over, Channel, NoiseModel, NoisyExecution, Protocol, UniquelyOwned,
+    run_protocol, run_protocol_over, Channel, NoiseModel, NoisyExecution, Protocol,
+    StochasticChannel,
 };
 use beeps_metrics::MetricsRegistry;
 
 use crate::outcome::{check_model, PhaseRounds, SimError, SimOutcome, SimStats};
-use crate::{
-    HierarchicalSimulator, OneToZeroSimulator, OwnedRoundsSimulator, RepetitionSimulator,
-    RewindSimulator,
-};
+use crate::soa::SoaScratch;
 
 /// A noise-resilient simulation scheme for beeping protocols, viewed
 /// through its input/output types only (object-safe).
@@ -58,6 +61,11 @@ pub trait Simulator<I, O> {
     ///   out before the protocol was fully committed.
     /// * [`SimError::UnsupportedNoise`] — the scheme cannot run under
     ///   `model` (wrong regime or invalid parameter).
+    ///
+    /// # Panics
+    ///
+    /// The schemes of this crate panic if `inputs` does not hold one
+    /// input per party.
     fn simulate(
         &self,
         inputs: &[I],
@@ -71,27 +79,47 @@ pub trait Simulator<I, O> {
     /// Simulates the wrapped protocol over a **caller-supplied**
     /// channel instead of a freshly seeded stochastic one, so harnesses
     /// can inject scripted failures, traces, or adversaries through any
-    /// `&dyn Simulator` without downcasting to the concrete scheme.
+    /// `&dyn Simulator` without downcasting to the concrete scheme. The
+    /// schemes of this crate run their per-party machines here under
+    /// every model.
     ///
     /// `model` still names the noise regime the channel implements: the
     /// schemes use it to pick decode thresholds and owner metrics.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Simulator::simulate`]. The default body
-    /// rejects every model with [`SimError::UnsupportedNoise`]; all
-    /// schemes in this crate override it with their real
-    /// channel-generic path.
+    /// Same conditions as [`Simulator::simulate`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Simulator::simulate`], and if the channel is sized for a
+    /// different number of parties.
     fn simulate_over(
         &self,
         inputs: &[I],
         model: NoiseModel,
         channel: &mut dyn Channel,
+    ) -> Result<SimOutcome<O>, SimError>;
+
+    /// [`Simulator::simulate`] with a caller-owned scratch arena. The
+    /// schemes of this crate run their collapsed bodies in it (see
+    /// [`crate::soa`]), so a worker thread can run many trials without
+    /// per-trial allocation; results are bitwise identical to
+    /// [`Simulator::simulate`], which is this method with a throwaway
+    /// scratch. The default body ignores `scratch`.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Simulator::simulate`].
+    fn simulate_with_scratch(
+        &self,
+        inputs: &[I],
+        model: NoiseModel,
+        seed: u64,
+        scratch: &mut SoaScratch,
     ) -> Result<SimOutcome<O>, SimError> {
-        let _ = (inputs, model, channel);
-        Err(SimError::UnsupportedNoise {
-            reason: "scheme does not support caller-supplied channels",
-        })
+        let _ = scratch;
+        self.simulate(inputs, model, seed)
     }
 
     /// Like [`Simulator::simulate`], but records the attempt into
@@ -172,124 +200,103 @@ pub fn record_simulation<O>(
     }
 }
 
-impl<P: Protocol> Simulator<P::Input, P::Output> for RepetitionSimulator<'_, P> {
+/// What one coding scheme adds to the front door: its name, its
+/// collapsed body and its per-party machines. The five schemes of this
+/// crate implement it, and the blanket [`Simulator`] impl below does the
+/// rest once. The trait is crate-private, which seals it.
+pub(crate) trait Scheme {
+    /// The wrapped protocol.
+    type Protocol: Protocol;
+
+    /// The scheme's [`Simulator::name`].
+    fn name(&self) -> &'static str;
+
+    /// The wrapped protocol.
+    fn protocol(&self) -> &Self::Protocol;
+
+    /// The scheme's own regime check, after the model check. Every
+    /// valid model passes unless a scheme says otherwise.
+    fn check_regime(_model: NoiseModel) -> Result<(), SimError> {
+        Ok(())
+    }
+
+    /// The scheme's collapsed body over one trial's channel, for a
+    /// checked shared-delivery model.
+    fn collapsed(
+        &self,
+        inputs: &[In<Self>],
+        model: NoiseModel,
+        channel: &mut StochasticChannel,
+        scratch: &mut SoaScratch,
+    ) -> Result<SimOutcome<Out<Self>>, SimError>;
+
+    /// The scheme's per-party machines over `channel`, for a checked
+    /// model: built from their seats and handed, with their round
+    /// budget, to [`run_parties`](crate::driver::run_parties).
+    fn per_party(
+        &self,
+        inputs: &[In<Self>],
+        model: NoiseModel,
+        channel: &mut dyn Channel,
+    ) -> Result<SimOutcome<Out<Self>>, SimError>;
+}
+
+/// A scheme's protocol inputs and outputs.
+type In<S> = <<S as Scheme>::Protocol as Protocol>::Input;
+type Out<S> = <<S as Scheme>::Protocol as Protocol>::Output;
+
+impl<I, O, S> Simulator<I, O> for S
+where
+    S: Scheme<Protocol: Protocol<Input = I, Output = O>>,
+{
     fn simulate(
         &self,
-        inputs: &[P::Input],
+        inputs: &[I],
         model: NoiseModel,
         seed: u64,
-    ) -> Result<SimOutcome<P::Output>, SimError> {
-        RepetitionSimulator::simulate(self, inputs, model, seed)
+    ) -> Result<SimOutcome<O>, SimError> {
+        self.simulate_with_scratch(inputs, model, seed, &mut SoaScratch::default())
     }
 
     fn name(&self) -> &'static str {
-        "repetition"
+        Scheme::name(self)
+    }
+
+    /// The routing contract: a shared-delivery model runs the collapsed
+    /// body, `Independent` the per-party machines.
+    fn simulate_with_scratch(
+        &self,
+        inputs: &[I],
+        model: NoiseModel,
+        seed: u64,
+        scratch: &mut SoaScratch,
+    ) -> Result<SimOutcome<O>, SimError> {
+        admit(self, inputs, model)?;
+        let mut channel = StochasticChannel::new(self.protocol().num_parties(), model, seed);
+        if model.is_shared() {
+            return self.collapsed(inputs, model, &mut channel, scratch);
+        }
+        self.per_party(inputs, model, &mut channel)
     }
 
     fn simulate_over(
         &self,
-        inputs: &[P::Input],
+        inputs: &[I],
         model: NoiseModel,
         channel: &mut dyn Channel,
-    ) -> Result<SimOutcome<P::Output>, SimError> {
-        RepetitionSimulator::simulate_over(self, inputs, model, channel)
+    ) -> Result<SimOutcome<O>, SimError> {
+        admit(self, inputs, model)?;
+        self.per_party(inputs, model, channel)
     }
 }
 
-impl<P: Protocol> Simulator<P::Input, P::Output> for RewindSimulator<'_, P> {
-    fn simulate(
-        &self,
-        inputs: &[P::Input],
-        model: NoiseModel,
-        seed: u64,
-    ) -> Result<SimOutcome<P::Output>, SimError> {
-        RewindSimulator::simulate(self, inputs, model, seed)
-    }
-
-    fn name(&self) -> &'static str {
-        "rewind"
-    }
-
-    fn simulate_over(
-        &self,
-        inputs: &[P::Input],
-        model: NoiseModel,
-        channel: &mut dyn Channel,
-    ) -> Result<SimOutcome<P::Output>, SimError> {
-        RewindSimulator::simulate_over(self, inputs, model, channel)
-    }
-}
-
-impl<P: Protocol> Simulator<P::Input, P::Output> for HierarchicalSimulator<'_, P> {
-    fn simulate(
-        &self,
-        inputs: &[P::Input],
-        model: NoiseModel,
-        seed: u64,
-    ) -> Result<SimOutcome<P::Output>, SimError> {
-        HierarchicalSimulator::simulate(self, inputs, model, seed)
-    }
-
-    fn name(&self) -> &'static str {
-        "hierarchical"
-    }
-
-    fn simulate_over(
-        &self,
-        inputs: &[P::Input],
-        model: NoiseModel,
-        channel: &mut dyn Channel,
-    ) -> Result<SimOutcome<P::Output>, SimError> {
-        HierarchicalSimulator::simulate_over(self, inputs, model, channel)
-    }
-}
-
-impl<P: Protocol> Simulator<P::Input, P::Output> for OneToZeroSimulator<'_, P> {
-    fn simulate(
-        &self,
-        inputs: &[P::Input],
-        model: NoiseModel,
-        seed: u64,
-    ) -> Result<SimOutcome<P::Output>, SimError> {
-        OneToZeroSimulator::simulate(self, inputs, model, seed)
-    }
-
-    fn name(&self) -> &'static str {
-        "one_to_zero"
-    }
-
-    fn simulate_over(
-        &self,
-        inputs: &[P::Input],
-        model: NoiseModel,
-        channel: &mut dyn Channel,
-    ) -> Result<SimOutcome<P::Output>, SimError> {
-        OneToZeroSimulator::simulate_over(self, inputs, model, channel)
-    }
-}
-
-impl<P: UniquelyOwned> Simulator<P::Input, P::Output> for OwnedRoundsSimulator<'_, P> {
-    fn simulate(
-        &self,
-        inputs: &[P::Input],
-        model: NoiseModel,
-        seed: u64,
-    ) -> Result<SimOutcome<P::Output>, SimError> {
-        OwnedRoundsSimulator::simulate(self, inputs, model, seed)
-    }
-
-    fn name(&self) -> &'static str {
-        "owned_rounds"
-    }
-
-    fn simulate_over(
-        &self,
-        inputs: &[P::Input],
-        model: NoiseModel,
-        channel: &mut dyn Channel,
-    ) -> Result<SimOutcome<P::Output>, SimError> {
-        OwnedRoundsSimulator::simulate_over(self, inputs, model, channel)
-    }
+/// The front door's checks, before any channel is built: the noise
+/// model, the input count and the scheme's own regime.
+fn admit<S: Scheme>(scheme: &S, inputs: &[In<S>], model: NoiseModel) -> Result<(), SimError> {
+    check_model(model)?;
+    let n = scheme.protocol().num_parties();
+    assert_eq!(inputs.len(), n, "need one input per party");
+    S::check_regime(model)
 }
 
 /// The identity "scheme": runs the protocol directly over the noisy
@@ -369,9 +376,12 @@ impl<P: Protocol> Simulator<P::Input, P::Output> for NakedSimulator<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimulatorConfig;
+    use crate::{
+        HierarchicalSimulator, OneToZeroSimulator, OwnedRoundsSimulator, RepetitionSimulator,
+        RewindSimulator, SimulatorConfig,
+    };
     use beeps_channel::run_noiseless;
-    use beeps_protocols::InputSet;
+    use beeps_protocols::{InputSet, RollCall};
 
     #[test]
     fn dyn_dispatch_covers_all_schemes() {
@@ -410,9 +420,9 @@ mod tests {
         }
     }
 
-    /// The phase spans `run` opens on this thread, in the order they
-    /// close.
-    fn spans_of(run: &dyn Fn()) -> Vec<&'static str> {
+    /// What `run` returns, and the phase spans it opens on this thread
+    /// in the order they close.
+    fn spans_of<R>(run: impl FnOnce() -> R) -> (R, Vec<&'static str>) {
         #[derive(Default)]
         struct Recording(std::sync::Mutex<Vec<&'static str>>);
 
@@ -423,76 +433,106 @@ mod tests {
         }
 
         let recording = std::sync::Arc::new(Recording::default());
-        {
+        let result = {
             let _guard = beeps_observe::install(std::sync::Arc::clone(&recording) as _, 0);
-            run();
-        }
+            run()
+        };
         let spans = recording.0.lock().expect("recording lock");
-        spans.clone()
+        (result, spans.clone())
+    }
+
+    /// The noise models of DESIGN.md §13's engine matrix.
+    const MODELS: [NoiseModel; 5] = [
+        NoiseModel::Noiseless,
+        NoiseModel::Correlated { epsilon: 0.1 },
+        NoiseModel::OneSidedZeroToOne { epsilon: 0.1 },
+        NoiseModel::OneSidedOneToZero { epsilon: 0.1 },
+        NoiseModel::Independent { epsilon: 0.1 },
+    ];
+
+    const ROLL_CALL_INPUTS: [bool; 4] = [true, false, true, true];
+
+    /// Calls `check` with each of the five schemes, all over
+    /// `RollCall(4)`, which every scheme can run, and whether the scheme
+    /// accepts each model: one-to-zero takes only noise that never
+    /// creates beeps.
+    fn for_each_scheme(check: impl Fn(&dyn Simulator<bool, usize>, &dyn Fn(NoiseModel) -> bool)) {
+        let protocol = RollCall::new(4);
+        let config = SimulatorConfig::builder(4).build();
+        let rep = RepetitionSimulator::new(&protocol, config.clone());
+        let rewind = RewindSimulator::new(&protocol, config.clone());
+        let hier = HierarchicalSimulator::new(&protocol, config.clone());
+        let owned = OwnedRoundsSimulator::new(&protocol, config.clone());
+        let otz = OneToZeroSimulator::new(&protocol, 2, config.budget_factor);
+        let every = |_: NoiseModel| true;
+        let never_fabricates = |model: NoiseModel| {
+            matches!(
+                model,
+                NoiseModel::Noiseless | NoiseModel::OneSidedOneToZero { .. }
+            )
+        };
+        check(&rep, &every);
+        check(&rewind, &every);
+        check(&hier, &every);
+        check(&owned, &every);
+        check(&otz, &never_fabricates);
+    }
+
+    /// Asserts that a call under a model its scheme rejects returned
+    /// `UnsupportedNoise` and opened no span.
+    fn assert_rejected<O>(result: Result<SimOutcome<O>, SimError>, spans: &[&str], call: &str) {
+        let rejected = matches!(result, Err(SimError::UnsupportedNoise { .. }));
+        assert!(rejected, "{call}: not rejected");
+        assert!(spans.is_empty(), "{call}: {spans:?}");
     }
 
     #[test]
     fn per_party_engines_open_one_span_per_call() {
-        let spans_of = |simulate_over: &dyn Fn(&mut dyn Channel)| {
-            spans_of(&|| {
-                simulate_over(&mut beeps_channel::StochasticChannel::new(
-                    4,
-                    NoiseModel::Noiseless,
-                    3,
-                ));
-            })
-        };
-        let protocol = InputSet::new(4);
-        let inputs = [0usize, 2, 5, 7];
-        let config = SimulatorConfig::builder(4).build();
-        let rep = RepetitionSimulator::new(&protocol, config.clone());
-        let rewind = RewindSimulator::new(&protocol, config.clone());
-        let hier = HierarchicalSimulator::new(&protocol, config.clone());
-        let otz = OneToZeroSimulator::new(&protocol, 2, config.budget_factor);
-        let schemes: [&dyn Simulator<usize, _>; 4] = [&rep, &rewind, &hier, &otz];
-        for scheme in schemes {
-            let spans = spans_of(&|channel| {
-                scheme
-                    .simulate_over(&inputs, NoiseModel::Noiseless, channel)
-                    .expect("noiseless run");
-            });
-            assert_eq!(spans, [format!("sim.{}.per_party", scheme.name())]);
-        }
-        let roll_call = beeps_protocols::RollCall::new(4);
-        let owned = OwnedRoundsSimulator::new(&roll_call, config);
-        let spans = spans_of(&|channel| {
-            owned
-                .simulate_over(&[true, false, true, true], NoiseModel::Noiseless, channel)
-                .expect("noiseless run");
+        for_each_scheme(|scheme, accepts| {
+            let name = scheme.name();
+            let per_party = [format!("sim.{name}.per_party")];
+            for model in MODELS {
+                let call = format!("{name} over {model}");
+                let (result, spans) = spans_of(|| {
+                    let mut channel = StochasticChannel::new(4, model, 3);
+                    scheme.simulate_over(&ROLL_CALL_INPUTS, model, &mut channel)
+                });
+                if accepts(model) {
+                    result.unwrap_or_else(|e| panic!("{call}: {e}"));
+                    assert_eq!(spans, per_party, "{call}");
+                } else {
+                    assert_rejected(result, &spans, &call);
+                }
+            }
+            // `simulate` routes independent noise to the same machines.
+            let independent = NoiseModel::Independent { epsilon: 0.1 };
+            let call = format!("{name} under {independent}");
+            let (result, spans) = spans_of(|| scheme.simulate(&ROLL_CALL_INPUTS, independent, 3));
+            if accepts(independent) {
+                result.unwrap_or_else(|e| panic!("{call}: {e}"));
+                assert_eq!(spans, per_party, "{call}");
+            } else {
+                assert_rejected(result, &spans, &call);
+            }
         });
-        assert_eq!(spans, [format!("sim.{}.per_party", owned.name())]);
     }
 
     #[test]
     fn collapsed_engines_close_with_one_output_span() {
-        let assert_one_output_span = |name: &str, run: &dyn Fn()| {
-            let spans = spans_of(run);
+        for_each_scheme(|scheme, accepts| {
+            let name = scheme.name();
             let output = format!("sim.{name}.output");
-            assert_eq!(spans.last(), Some(&output.as_str()), "{name}: {spans:?}");
-            assert_eq!(spans.iter().filter(|&&s| s == output).count(), 1, "{name}");
-        };
-        let protocol = InputSet::new(4);
-        let inputs = [0usize, 2, 5, 7];
-        let config = SimulatorConfig::builder(4).build();
-        let rep = RepetitionSimulator::new(&protocol, config.clone());
-        let rewind = RewindSimulator::new(&protocol, config.clone());
-        let hier = HierarchicalSimulator::new(&protocol, config.clone());
-        let otz = OneToZeroSimulator::new(&protocol, 2, config.budget_factor);
-        let schemes: [&dyn Simulator<usize, _>; 4] = [&rep, &rewind, &hier, &otz];
-        for scheme in schemes {
-            assert_one_output_span(scheme.name(), &|| {
-                drop(scheme.simulate(&inputs, NoiseModel::Noiseless, 3));
-            });
-        }
-        let roll_call = beeps_protocols::RollCall::new(4);
-        let owned = OwnedRoundsSimulator::new(&roll_call, config);
-        assert_one_output_span(owned.name(), &|| {
-            drop(owned.simulate(&[true, false, true, true], NoiseModel::Noiseless, 3));
+            for model in MODELS.into_iter().filter(NoiseModel::is_shared) {
+                let call = format!("{name} under {model}");
+                let (result, spans) = spans_of(|| scheme.simulate(&ROLL_CALL_INPUTS, model, 3));
+                if accepts(model) {
+                    result.unwrap_or_else(|e| panic!("{call}: {e}"));
+                    assert_eq!(spans.last(), Some(&output.as_str()), "{call}: {spans:?}");
+                    assert_eq!(spans.iter().filter(|&&s| s == output).count(), 1, "{call}");
+                } else {
+                    assert_rejected(result, &spans, &call);
+                }
+            }
         });
     }
 

@@ -1,18 +1,20 @@
 //! Collapsed struct-of-arrays engines: the one shared-noise body of
 //! every scheme.
 //!
-//! The per-party engines (`simulate_over`) keep one heap-allocated state
-//! machine per party — an array-of-structs layout whose per-round cost
-//! is `O(n)` pointer-chasing `hear` calls and whose committed transcript
-//! costs `O(T · n)` memory (every party stores its own copy). Under
+//! The per-party engines keep one heap-allocated state machine per
+//! party — an array-of-structs layout whose per-round cost is `O(n)`
+//! pointer-chasing `hear` calls and whose committed transcript costs
+//! `O(T · n)` memory (every party stores its own copy). Under
 //! every *shared*-delivery regime (all models except `Independent`) that
 //! redundancy is structural: each party hears the same bit each round,
 //! so decoded chunk bits, owners bookkeeping, and the committed prefix
 //! are identical across parties, and one collapsed copy suffices.
 //!
 //! Each scheme has exactly one collapsed body here (`*_collapsed_over`),
-//! run over one trial's [`StochasticChannel`] by the `simulate` /
-//! `simulate_with_scratch` front doors, up to million-party `n`. The
+//! which the crate's one front door, the blanket
+//! [`Simulator`](crate::Simulator) impl, runs over one trial's
+//! [`StochasticChannel`] for every shared-delivery model, once it has
+//! checked the model and the input count, up to million-party `n`. The
 //! finding-owners phase of Algorithm 1 likewise exists once, as
 //! `owners_collapsed`: the rewind and hierarchical bodies run it per
 //! chunk, and [`crate::run_owners_phase`] runs it under shared noise
@@ -142,7 +144,7 @@ fn ones(channel: &mut StochasticChannel, span: usize, or: bool) -> usize {
 }
 
 /// Reusable buffers of the collapsed engines; hand one to
-/// [`RewindSimulator::simulate_with_scratch`](crate::RewindSimulator::simulate_with_scratch)
+/// [`Simulator::simulate_with_scratch`](crate::Simulator::simulate_with_scratch)
 /// (typically from a `run_with_scratch` worker arena) to run many trials
 /// without per-trial allocation. A `Default`-constructed scratch is
 /// empty and grows to the working-set size of the first trial.
@@ -596,7 +598,6 @@ impl<'a, P: Protocol> ChunkedRun<'a, P> {
         scratch: &mut SoaScratch,
     ) -> Self {
         let n = protocol.num_parties();
-        assert_eq!(inputs.len(), n, "need one input per party");
         scratch.reset();
         Self {
             protocol,
@@ -814,8 +815,8 @@ pub(crate) fn rewind_collapsed_over<P: Protocol>(
 /// The collapsed repetition engine: every simulated round is `R`
 /// channel rounds decoded by one threshold majority — shared delivery
 /// keeps every party's decoded transcript identical, so one copy
-/// suffices and the per-party state machines of
-/// [`RepetitionSimulator::simulate_over`](crate::RepetitionSimulator::simulate_over)
+/// suffices and the scheme's per-party state machines (what
+/// [`Simulator::simulate_over`](crate::Simulator::simulate_over) runs)
 /// collapse entirely. Caller guarantees `model` is a validated
 /// shared-delivery model; `Independent` noise must take the scalar path.
 pub(crate) fn repetition_collapsed_over<P: Protocol>(
@@ -826,11 +827,6 @@ pub(crate) fn repetition_collapsed_over<P: Protocol>(
     channel: &mut StochasticChannel,
     scratch: &mut SoaScratch,
 ) -> Result<SimOutcome<P::Output>, SimError> {
-    assert_eq!(
-        inputs.len(),
-        protocol.num_parties(),
-        "need one input per party"
-    );
     let t = protocol.length();
     let rep_ones = config.resolve(model).rep_ones;
     let r = config.repetitions;
@@ -955,10 +951,8 @@ pub(crate) fn one_to_zero_collapsed_over<P: Protocol>(
     channel: &mut StochasticChannel,
     scratch: &mut SoaScratch,
 ) -> Result<SimOutcome<P::Output>, SimError> {
-    let n = protocol.num_parties();
-    assert_eq!(inputs.len(), n, "need one input per party");
     let t = protocol.length();
-    let words = n.div_ceil(64);
+    let words = protocol.num_parties().div_ceil(64);
     let max_level = log_depth(t);
     let final_rounds = base * (max_level + 2);
     scratch.reset();

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use beeps_channel::NoiseModel;
-use beeps_core::{CodeCache, HierarchicalSimulator, RewindSimulator, SimulatorConfig};
+use beeps_core::{CodeCache, HierarchicalSimulator, RewindSimulator, Simulator, SimulatorConfig};
 use beeps_protocols::InputSet;
 
 fn models() -> Vec<NoiseModel> {

@@ -14,7 +14,7 @@ use beeps_channel::{
 };
 use beeps_core::{
     HierarchicalSimulator, OneToZeroSimulator, OwnedRoundsSimulator, RepetitionSimulator,
-    RewindSimulator, SimError, SimOutcome, Simulator, SimulatorConfig,
+    RewindSimulator, SimError, SimOutcome, Simulator, SimulatorConfig, SoaScratch,
 };
 use beeps_protocols::{Broadcast, InputSet, MultiOr, RollCall};
 use std::fmt::Debug;
@@ -403,13 +403,37 @@ fn repetition_scheme_matches_roundtrip() {
     }
 }
 
+/// Runs `simulate` and, on the `scratch` earlier runs left behind,
+/// `simulate_with_scratch`, and asserts that both return the same full
+/// `Result`: a reused scratch must act as a fresh one, whatever scheme,
+/// config or budget-exhausted run used it last. Returns `simulate`'s.
+fn simulate_twice<I, O: PartialEq + Debug>(
+    sim: &dyn Simulator<I, O>,
+    inputs: &[I],
+    model: NoiseModel,
+    seed: u64,
+    scratch: &mut SoaScratch,
+) -> Result<SimOutcome<O>, SimError> {
+    let fresh = sim.simulate(inputs, model, seed);
+    let reused = sim.simulate_with_scratch(inputs, model, seed, scratch);
+    assert_eq!(
+        reused,
+        fresh,
+        "reused scratch: {} {model} seed {seed}",
+        sim.name()
+    );
+    fresh
+}
+
 /// Holds `simulate` (the collapsed body under shared noise) to the
 /// per-party `simulate_over` over a [`RoundtripChannel`] in every
 /// [`oracle_cases`] case at `n` parties, for each input vector, with
-/// `scheme` building the simulator of a case's config. Returns how many
-/// runs exhausted their budget, leaving out the zero-round cases, most
-/// of which exhaust it by construction and so would keep the callers'
-/// starved-budget guards from ever failing.
+/// `scheme` building the simulator of a case's config, and every
+/// `simulate` run to `simulate_with_scratch` on one scratch kept for
+/// the whole sweep. Returns how many runs exhausted their budget,
+/// leaving out the zero-round cases, most of which exhaust it by
+/// construction and so would keep the callers' starved-budget guards
+/// from ever failing.
 fn sweep_oracle_cases<I: Debug, O: PartialEq + Debug, S: Simulator<I, O>>(
     n: usize,
     starved: f64,
@@ -417,13 +441,14 @@ fn sweep_oracle_cases<I: Debug, O: PartialEq + Debug, S: Simulator<I, O>>(
     scheme: impl Fn(SimulatorConfig) -> S,
 ) -> usize {
     let mut failed = 0usize;
+    let mut scratch = SoaScratch::default();
     for (config, model, seeds) in oracle_cases(n, starved) {
         let bounded = config.budget_factor.is_finite();
         let zero_round = config.repetitions == 0 || config.verify_repetitions == 0;
         let sim = scheme(config);
         for inputs in input_sets {
             for seed in seeds.clone() {
-                let packed = sim.simulate(inputs, model, seed);
+                let packed = simulate_twice(&sim, inputs, model, seed, &mut scratch);
                 let mut rt = RoundtripChannel::new(n, model, seed);
                 let unpacked = sim.simulate_over(inputs, model, &mut rt);
                 let context = format!("{model} seed {seed} inputs {inputs:?}");
@@ -590,11 +615,13 @@ fn shared_transcript_outputs_share_one_set() {
 }
 
 /// Runs `sim` over 64 seeds, holding each collapsed `simulate` run to
-/// the per-party oracle's full `Result`, and returns the failed runs.
+/// the per-party oracle's full `Result` and to `simulate_with_scratch`
+/// on the reused `scratch`, and returns the failed runs.
 fn starved_runs<I, O: PartialEq + Debug>(
     sim: &dyn Simulator<I, O>,
     inputs: &[I],
     model: NoiseModel,
+    scratch: &mut SoaScratch,
 ) -> usize {
     let mut failed = 0usize;
     for seed in 0..64 {
@@ -605,7 +632,7 @@ fn starved_runs<I, O: PartialEq + Debug>(
         );
         let context = format!("{} {model} seed {seed}", sim.name());
         failed += usize::from(assert_matches_oracle(
-            sim.simulate(inputs, model, seed),
+            simulate_twice(sim, inputs, model, seed, scratch),
             oracle,
             &context,
         ));
@@ -618,7 +645,8 @@ fn starved_runs<I, O: PartialEq + Debug>(
 /// oracle case, and starved budgets (`budget_factor` 1 for rewind and
 /// owned rounds, 0.3 for hierarchical, correlated ε = 0.2) make rewinds
 /// and truncations cut deep into them. Each must still match the
-/// per-party oracle, through runs that exhaust the budget.
+/// per-party oracle, through runs that exhaust the budget, and one
+/// scratch serves all three schemes.
 #[test]
 fn deep_stacks_match_oracle_when_budget_starved() {
     let model = NoiseModel::Correlated { epsilon: 0.2 };
@@ -636,10 +664,14 @@ fn deep_stacks_match_oracle_when_budget_starved() {
     let rewind = RewindSimulator::new(&input_set, config(4, 1.0));
     let owned = OwnedRoundsSimulator::new(&roll_call, config(8, 1.0));
     let hierarchical = HierarchicalSimulator::new(&input_set, config(4, 0.3));
+    let scratch = &mut SoaScratch::default();
     for (scheme, failed) in [
-        ("rewind", starved_runs(&rewind, &inputs, model)),
-        ("owned_rounds", starved_runs(&owned, &flags, model)),
-        ("hierarchical", starved_runs(&hierarchical, &inputs, model)),
+        ("rewind", starved_runs(&rewind, &inputs, model, scratch)),
+        ("owned_rounds", starved_runs(&owned, &flags, model, scratch)),
+        (
+            "hierarchical",
+            starved_runs(&hierarchical, &inputs, model, scratch),
+        ),
     ] {
         assert!(failed > 0, "{scheme}: starved budget never exhausted");
     }
@@ -651,18 +683,23 @@ fn one_to_zero_scheme_matches_roundtrip() {
     let inputs = [2, 8, 8, 1, 0];
     // The default budget, then the minimum legal one (`budget_factor`
     // 2) under heavy erasure so `BudgetExhausted` is exercised too, then
-    // an unbounded one, whose runs must end in `Ok`.
+    // a budget of 3, whose exhausted runs leave witnessed-erasure rows in
+    // the reused scratch for later runs to trip over, then an unbounded
+    // one, whose runs must end in `Ok`.
     let default = NoiseModel::OneSidedOneToZero { epsilon: 1.0 / 3.0 };
+    let erasing = NoiseModel::OneSidedOneToZero { epsilon: 0.45 };
     let cases = [
         (32.0, default, 0..4),
-        (2.0, NoiseModel::OneSidedOneToZero { epsilon: 0.45 }, 0..32),
+        (2.0, erasing, 0..32),
+        (3.0, erasing, 0..128),
         (f64::INFINITY, default, 0..2),
     ];
     let mut failed = 0usize;
+    let mut scratch = SoaScratch::default();
     for (budget_factor, model, seeds) in cases {
         let sim = OneToZeroSimulator::new(&p, 2, budget_factor);
         for seed in seeds {
-            let packed = sim.simulate(&inputs, model, seed);
+            let packed = simulate_twice(&sim, &inputs, model, seed, &mut scratch);
             let mut rt = RoundtripChannel::new(5, model, seed);
             let unpacked = sim.simulate_over(&inputs, model, &mut rt);
             let context = format!("{model} seed {seed}");

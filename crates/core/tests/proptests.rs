@@ -2,7 +2,7 @@
 //! for arbitrary inputs, not just curated scenarios.
 
 use beeps_channel::{NoiseModel, Protocol};
-use beeps_core::{run_owners_phase, RewindSimulator, SimulatorConfig};
+use beeps_core::{run_owners_phase, RewindSimulator, Simulator, SimulatorConfig};
 use beeps_protocols::InputSet;
 use proptest::prelude::*;
 

@@ -10,7 +10,7 @@
 //! and the `fig2_lower_bound_crossover` bench prints the resulting curve.
 
 use beeps_channel::NoiseModel;
-use beeps_core::{RepetitionSimulator, SimulatorConfig};
+use beeps_core::{RepetitionSimulator, Simulator, SimulatorConfig};
 use beeps_info::tail;
 use beeps_protocols::InputSet;
 use rand::{rngs::StdRng, Rng, SeedableRng};

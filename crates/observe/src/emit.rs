@@ -1,8 +1,10 @@
 //! Minimal JSON string escaping shared by the trace and run-log
-//! writers (the crate is dependency-free by design).
+//! writers and the experiment logs (the crate is dependency-free by
+//! design).
 
-/// Escapes `s` for embedding inside a JSON string literal.
-pub(crate) fn escape_json(s: &str) -> String {
+/// Escapes `s` for embedding inside a JSON string literal: quotes,
+/// backslashes and control characters.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -51,6 +51,7 @@ pub mod progress;
 pub mod runlog;
 
 pub use ambient::{install, is_active, mark, phase, InstallGuard, PhaseSpan, MAIN_WORKER};
+pub use emit::escape_json;
 pub use observer::{MultiObserver, NoopObserver, Observer, RunInfo};
 pub use profile::PhaseProfiler;
 pub use progress::{ProgressReporter, ProgressSnapshot, ProgressTracker};

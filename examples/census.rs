@@ -9,7 +9,7 @@
 //! ```
 
 use noisy_beeps::channel::{run_noiseless, run_protocol, NoiseModel};
-use noisy_beeps::core::{RewindSimulator, SimulatorConfig};
+use noisy_beeps::core::{RewindSimulator, Simulator, SimulatorConfig};
 use noisy_beeps::protocols::Census;
 use rand::{rngs::StdRng, SeedableRng};
 

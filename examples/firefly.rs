@@ -7,7 +7,7 @@
 //! ```
 
 use noisy_beeps::channel::{run_noiseless, run_protocol, NoiseModel, PartyViews};
-use noisy_beeps::core::{RewindSimulator, SimulatorConfig};
+use noisy_beeps::core::{RewindSimulator, Simulator, SimulatorConfig};
 use noisy_beeps::protocols::FireflySync;
 
 fn main() {

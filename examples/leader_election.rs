@@ -8,7 +8,7 @@
 
 use noisy_beeps::channel::{run_noiseless, run_protocol, NoiseModel};
 use noisy_beeps::core::{
-    OneToZeroSimulator, RepetitionSimulator, RewindSimulator, SimulatorConfig,
+    OneToZeroSimulator, RepetitionSimulator, RewindSimulator, Simulator, SimulatorConfig,
 };
 use noisy_beeps::protocols::LeaderElection;
 

@@ -8,7 +8,7 @@
 //! ```
 
 use noisy_beeps::channel::{run_noiseless, NoiseModel, Protocol};
-use noisy_beeps::core::{OneToZeroSimulator, RewindSimulator, SimulatorConfig};
+use noisy_beeps::core::{OneToZeroSimulator, RewindSimulator, Simulator, SimulatorConfig};
 use noisy_beeps::lowerbound::min_repetitions_exact;
 use noisy_beeps::protocols::InputSet;
 

@@ -6,7 +6,7 @@
 //! ```
 
 use noisy_beeps::channel::{run_noiseless, run_protocol, NoiseModel, Protocol};
-use noisy_beeps::core::{RewindSimulator, SimulatorConfig};
+use noisy_beeps::core::{RewindSimulator, Simulator, SimulatorConfig};
 use noisy_beeps::protocols::InputSet;
 
 fn main() {

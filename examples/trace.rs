@@ -9,7 +9,7 @@ use noisy_beeps::channel::{
     run_noiseless, run_protocol_over, Channel, NoiseModel, Protocol, StochasticChannel,
     TracingChannel,
 };
-use noisy_beeps::core::{RewindSimulator, SimulatorConfig};
+use noisy_beeps::core::{RewindSimulator, Simulator, SimulatorConfig};
 use noisy_beeps::protocols::InputSet;
 
 fn main() {

@@ -9,9 +9,9 @@
 # on the workspace and on vendored rand), the beeps-lint
 # static-analysis pass, rustdoc with warnings denied (broken intra-doc
 # links fail), a one-iteration smoke run of the hot-path ratio gate,
-# observed smoke runs of fig6_phase_breakdown and fig_scale, and the full
-# fig_scale sweep at one and two workers, whose JSON must match — the
-# same sequence CI runs.
+# observed smoke runs of fig6_phase_breakdown and fig_scale, the full
+# fig_scale sweep at one and two workers, whose JSON must match, and the
+# pinned hashes of every experiment's JSON — the same sequence CI runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -85,4 +85,14 @@ for t in 1 2; do
     cargo run --release -q -p beeps-bench --bin fig_scale -- --threads $t >/dev/null
 done
 cmp target/scale-threads-1/fig_scale.json target/scale-threads-2/fig_scale.json
+# No bit moves unseen: the 14 JSON files all_experiments writes (E1-E14)
+# and the one-worker fig_scale.json above must hash to the values pinned
+# in crates/bench/experiments.sha256. A change that moves an experiment
+# on purpose updates that file in the same change. The JSON carries
+# floats from the host's `ln` and `exp`, so the pin holds for x86-64
+# Linux, where CI runs; perfbench's digests assume the same.
+rm -rf target/experiments-pin
+BEEPS_EXPERIMENTS_DIR=target/experiments-pin \
+  cargo run --release -q -p beeps-bench --bin all_experiments -- --threads 2 >/dev/null
+sha256sum --strict --quiet -c crates/bench/experiments.sha256
 echo "tier-1: all green"

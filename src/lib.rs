@@ -23,7 +23,7 @@
 //!
 //! ```
 //! use noisy_beeps::channel::{NoiseModel, Protocol};
-//! use noisy_beeps::core::{RewindSimulator, SimulatorConfig};
+//! use noisy_beeps::core::{RewindSimulator, Simulator, SimulatorConfig};
 //! use noisy_beeps::protocols::InputSet;
 //!
 //! let n = 8;

@@ -6,7 +6,7 @@
 use noisy_beeps::channel::{run_protocol, NoiseModel};
 use noisy_beeps::core::{
     run_owners_phase, HierarchicalSimulator, OneToZeroSimulator, OwnedRoundsSimulator,
-    RepetitionSimulator, RewindSimulator, SimulatorConfig,
+    RepetitionSimulator, RewindSimulator, Simulator, SimulatorConfig,
 };
 use noisy_beeps::protocols::{InputSet, RollCall};
 

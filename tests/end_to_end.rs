@@ -4,7 +4,7 @@
 
 use noisy_beeps::channel::{run_noiseless, NoiseModel, Protocol};
 use noisy_beeps::core::{
-    OneToZeroSimulator, RepetitionSimulator, RewindSimulator, SimulatorConfig,
+    OneToZeroSimulator, RepetitionSimulator, RewindSimulator, Simulator, SimulatorConfig,
 };
 use noisy_beeps::protocols::{Census, FireflySync, InputSet, LeaderElection, Membership, MultiOr};
 use rand::{rngs::StdRng, SeedableRng};

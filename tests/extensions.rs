@@ -6,7 +6,7 @@ use noisy_beeps::channel::{
     run_noiseless, run_protocol_over, BurstNoiseChannel, Channel, CorrectingAdversaryChannel,
     CorrectionPolicy, NoiseModel, Protocol, ScriptedChannel,
 };
-use noisy_beeps::core::{HierarchicalSimulator, RewindSimulator, SimulatorConfig};
+use noisy_beeps::core::{HierarchicalSimulator, RewindSimulator, Simulator, SimulatorConfig};
 use noisy_beeps::protocols::combinators::{Chained, ParallelRepeat};
 use noisy_beeps::protocols::{Broadcast, InputSet, PointerChase, RollCall};
 

@@ -4,7 +4,7 @@
 //! rewind, budget exhaustion) fire exactly as designed.
 
 use noisy_beeps::channel::{run_noiseless, NoiseModel, Protocol, ScriptedChannel};
-use noisy_beeps::core::{RewindSimulator, SimulatorConfig};
+use noisy_beeps::core::{RewindSimulator, Simulator, SimulatorConfig};
 use noisy_beeps::protocols::{InputSet, MultiOr};
 
 fn config_for(n: usize) -> SimulatorConfig {

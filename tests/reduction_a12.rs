@@ -6,7 +6,7 @@ use noisy_beeps::channel::{
     run_noiseless, run_protocol, run_protocol_over, Channel, NoiseModel, ReducedTwoSidedChannel,
     StochasticChannel,
 };
-use noisy_beeps::core::{RewindSimulator, SimulatorConfig};
+use noisy_beeps::core::{RewindSimulator, Simulator, SimulatorConfig};
 use noisy_beeps::info::entropy::binary_entropy;
 use noisy_beeps::protocols::InputSet;
 

@@ -3,7 +3,7 @@
 //! protocols — not just the curated library ones.
 
 use noisy_beeps::channel::{run_noiseless, NoiseModel, Protocol};
-use noisy_beeps::core::{RepetitionSimulator, RewindSimulator, SimulatorConfig};
+use noisy_beeps::core::{RepetitionSimulator, RewindSimulator, Simulator, SimulatorConfig};
 use proptest::prelude::*;
 
 /// A pseudorandom adaptive protocol: each party's beep decision is a hash

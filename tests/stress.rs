@@ -9,7 +9,7 @@
 
 use noisy_beeps::channel::{run_noiseless, NoiseModel};
 use noisy_beeps::core::{
-    HierarchicalSimulator, OneToZeroSimulator, RewindSimulator, SimulatorConfig,
+    HierarchicalSimulator, OneToZeroSimulator, RewindSimulator, Simulator, SimulatorConfig,
 };
 use noisy_beeps::protocols::{InputSet, LeaderElection, Membership};
 use rand::{rngs::StdRng, Rng, SeedableRng};
