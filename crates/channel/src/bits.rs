@@ -1,142 +1,72 @@
-//! A word-packed bit vector for transcripts and per-party deliveries.
+//! The per-party delivery row: what each party heard in one round under
+//! independent noise, one bit per party, packed 64 to a word.
 //!
-//! The simulation stack moves a lot of bits: channel deliveries (one bit
-//! per party per round under independent noise), transcripts, and noise
-//! masks. [`BitVec`] stores them 64 to a machine word, with an inline
-//! two-word buffer so vectors of up to 128 bits — every per-party
-//! delivery at realistic `n` — never touch the heap.
-//!
-//! The type is `&[bool]`-compatible at the edges ([`BitVec::from_bools`],
-//! [`BitVec::to_bools`], `PartialEq` against bool slices, `FromIterator`),
-//! so call sites built around `Vec<bool>` can migrate incrementally; the
-//! word-level views ([`BitVec::words`], [`BitVec::uniform`],
-//! [`BitVec::count_ones`]) are what the hot paths use.
+//! A row is written once, when it is built, and only read after. Up to
+//! 128 parties it lives in a two-word inline store, so a round delivered
+//! per party allocates nothing: [`run_protocol`](crate::run_protocol)
+//! and the provided [`Channel::transmit_word`](crate::Channel::transmit_word)
+//! behind wrapper channels build one every round.
 
 /// Number of 64-bit words stored inline before spilling to the heap.
 const INLINE_WORDS: usize = 2;
 
-#[derive(Clone, Debug)]
+/// The words of a row: inline up to [`INLINE_WORDS`], else exactly the
+/// row's words on the heap. Inline words past the row are zero.
+#[derive(Clone, Debug, PartialEq, Eq)]
 enum Store {
     Inline([u64; INLINE_WORDS]),
     Heap(Vec<u64>),
 }
 
-/// A growable bit vector packed 64 bits to a word.
+/// One round's per-party delivery: party `i` heard bit `i % 64` of word
+/// `i / 64`.
 ///
-/// Bits past `len` in the last word are always zero, so word-level
-/// comparisons and population counts need no masking.
+/// Bits past `len` are always zero, so word-level comparisons and
+/// population counts need no masking, and equal rows have equal stores.
 ///
 /// # Examples
 ///
 /// ```
 /// use beeps_channel::BitVec;
 ///
-/// let bits = BitVec::from_bools(&[true, false, true]);
-/// assert_eq!(bits.len(), 3);
+/// // Parties 0 and 2 of three heard a beep that party 1 missed.
+/// let bits = BitVec::from_flips(&[0b010], true, 3);
+/// assert_eq!(bits, BitVec::from_bools(&[true, false, true]));
 /// assert!(bits.get(0) && !bits.get(1));
 /// assert_eq!(bits.count_ones(), 2);
-/// assert_eq!(bits, [true, false, true].as_slice());
+/// assert_eq!(bits.uniform(), None);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BitVec {
     store: Store,
     len: usize,
 }
 
-#[inline]
-fn words_for(bits: usize) -> usize {
-    bits.div_ceil(64)
-}
-
 impl BitVec {
-    /// An empty bit vector (inline storage, no allocation).
+    /// A row of `len` bits whose words, zeroed, `write` fills; the bits
+    /// it sets past `len` are cleared.
     #[inline]
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            store: Store::Inline([0; INLINE_WORDS]),
-            len: 0,
-        }
-    }
-
-    /// An empty bit vector with room for `bits` bits before reallocating.
-    #[inline]
-    #[must_use]
-    pub fn with_capacity(bits: usize) -> Self {
-        if bits <= INLINE_WORDS * 64 {
-            Self::new()
+    fn build(len: usize, write: impl FnOnce(&mut [u64])) -> Self {
+        let words = len.div_ceil(64);
+        let mut store = if words <= INLINE_WORDS {
+            Store::Inline([0; INLINE_WORDS])
         } else {
-            Self {
-                store: Store::Heap(Vec::with_capacity(words_for(bits))),
-                len: 0,
-            }
+            Store::Heap(vec![0; words])
+        };
+        let row = match &mut store {
+            Store::Inline(w) => &mut w[..words],
+            Store::Heap(w) => &mut w[..],
+        };
+        write(row);
+        if !len.is_multiple_of(64) {
+            row[words - 1] &= (1u64 << (len % 64)) - 1;
         }
+        Self { store, len }
     }
 
-    /// `len` copies of `bit`.
-    #[must_use]
-    pub fn broadcast(len: usize, bit: bool) -> Self {
-        let mut v = Self::with_capacity(len);
-        let words = words_for(len);
-        let fill = if bit { u64::MAX } else { 0 };
-        {
-            let w = v.words_storage_mut(words);
-            for x in w.iter_mut() {
-                *x = fill;
-            }
-        }
-        v.len = len;
-        v.mask_tail();
-        v
-    }
-
-    /// Packs a bool slice.
-    #[must_use]
-    pub fn from_bools(bools: &[bool]) -> Self {
-        let mut v = Self::with_capacity(bools.len());
-        let words = words_for(bools.len());
-        {
-            let w = v.words_storage_mut(words);
-            for (i, &b) in bools.iter().enumerate() {
-                if b {
-                    w[i / 64] |= 1u64 << (i % 64);
-                }
-            }
-        }
-        v.len = bools.len();
-        v
-    }
-
-    /// Builds a bit vector of `len` bits directly from packed words.
-    ///
-    /// Bits of `words` beyond `len` are cleared; missing words are
-    /// treated as zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words` holds more words than `len` needs.
-    #[must_use]
-    pub fn from_words(words: &[u64], len: usize) -> Self {
-        assert!(
-            words.len() <= words_for(len),
-            "{} words exceed the {} needed for {len} bits",
-            words.len(),
-            words_for(len)
-        );
-        let mut v = Self::with_capacity(len);
-        {
-            let w = v.words_storage_mut(words_for(len));
-            w[..words.len()].copy_from_slice(words);
-        }
-        v.len = len;
-        v.mask_tail();
-        v
-    }
-
-    /// `len` bits where bit `i` is `base` XOR bit `i` of `flips` —
-    /// builds a channel delivery from a flip mask and the broadcast bit
-    /// in one pass over words, without intermediate allocation for
-    /// `len ≤ 128`.
+    /// `len` bits where bit `i` is `base` XOR bit `i` of `flips`: the
+    /// delivery of a round whose true OR is `base`, in which the parties
+    /// set in `flips` heard the other bit.
     ///
     /// Missing words of `flips` are treated as zero (no flip).
     ///
@@ -147,22 +77,27 @@ impl BitVec {
     #[must_use]
     pub fn from_flips(flips: &[u64], base: bool, len: usize) -> Self {
         assert!(
-            flips.len() <= words_for(len),
+            flips.len() <= len.div_ceil(64),
             "{} words exceed the {} needed for {len} bits",
             flips.len(),
-            words_for(len)
+            len.div_ceil(64)
         );
         let fill = if base { u64::MAX } else { 0 };
-        let mut v = Self::with_capacity(len);
-        {
-            let w = v.words_storage_mut(words_for(len));
-            for (i, x) in w.iter_mut().enumerate() {
-                *x = fill ^ flips.get(i).copied().unwrap_or(0);
+        Self::build(len, |row| {
+            for (i, word) in row.iter_mut().enumerate() {
+                *word = fill ^ flips.get(i).copied().unwrap_or(0);
             }
-        }
-        v.len = len;
-        v.mask_tail();
-        v
+        })
+    }
+
+    /// Packs a bool slice.
+    #[must_use]
+    pub fn from_bools(bools: &[bool]) -> Self {
+        Self::build(bools.len(), |row| {
+            for (i, &bit) in bools.iter().enumerate() {
+                row[i / 64] |= u64::from(bit) << (i % 64);
+            }
+        })
     }
 
     /// Number of bits.
@@ -172,20 +107,20 @@ impl BitVec {
         self.len
     }
 
-    /// Whether the vector holds no bits.
+    /// Whether the row holds no bits.
     #[inline]
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    /// The backing words; bits past [`BitVec::len`] are zero.
+    /// The packed words; bits past [`BitVec::len`] are zero.
     #[inline]
     #[must_use]
     pub fn words(&self) -> &[u64] {
         match &self.store {
-            Store::Inline(w) => &w[..words_for(self.len).min(INLINE_WORDS)],
-            Store::Heap(w) => &w[..words_for(self.len)],
+            Store::Inline(w) => &w[..self.len.div_ceil(64)],
+            Store::Heap(w) => w,
         }
     }
 
@@ -205,63 +140,6 @@ impl BitVec {
         (word >> (i % 64)) & 1 == 1
     }
 
-    /// Sets bit `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len`.
-    #[inline]
-    pub fn set(&mut self, i: usize, bit: bool) {
-        assert!(i < self.len, "bit {i} out of range for {} bits", self.len);
-        let w = match &mut self.store {
-            Store::Inline(w) => &mut w[i / 64],
-            Store::Heap(w) => &mut w[i / 64],
-        };
-        if bit {
-            *w |= 1u64 << (i % 64);
-        } else {
-            *w &= !(1u64 << (i % 64));
-        }
-    }
-
-    /// Appends a bit.
-    #[inline]
-    pub fn push(&mut self, bit: bool) {
-        let i = self.len;
-        self.reserve_words(words_for(i + 1));
-        self.len = i + 1;
-        if bit {
-            self.set(i, true);
-        }
-    }
-
-    /// Shortens to `len` bits (no-op if already shorter).
-    pub fn truncate(&mut self, len: usize) {
-        if len < self.len {
-            self.len = len;
-            // Clear the dropped range so the tail invariant holds.
-            let keep = words_for(len);
-            match &mut self.store {
-                Store::Inline(w) => {
-                    for x in w.iter_mut().skip(keep) {
-                        *x = 0;
-                    }
-                }
-                Store::Heap(w) => {
-                    for x in w.iter_mut().skip(keep) {
-                        *x = 0;
-                    }
-                }
-            }
-            self.mask_tail();
-        }
-    }
-
-    /// Removes all bits, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.truncate(0);
-    }
-
     /// Number of set bits.
     #[inline]
     #[must_use]
@@ -269,149 +147,21 @@ impl BitVec {
         self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Whether any bit is set.
-    #[inline]
-    #[must_use]
-    pub fn any(&self) -> bool {
-        self.words().iter().any(|&w| w != 0)
-    }
-
-    /// `Some(bit)` if every stored bit equals `bit` (the empty vector is
-    /// uniformly `false` by convention), `None` if the bits diverge.
-    ///
-    /// This is the delivery fast path: one word-compare per 64 parties
-    /// decides whether a per-party delivery needs per-party handling.
+    /// `Some(bit)` if every bit equals `bit` (the empty row is uniformly
+    /// `false` by convention), `None` if the bits diverge.
     #[inline]
     #[must_use]
     pub fn uniform(&self) -> Option<bool> {
-        let ones = self.count_ones();
-        if ones == 0 {
-            Some(false)
-        } else if ones == self.len {
-            Some(true)
-        } else {
-            None
+        match self.count_ones() {
+            0 => Some(false),
+            ones if ones == self.len => Some(true),
+            _ => None,
         }
     }
 
     /// Iterates the bits in order.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(move |i| self.get(i))
-    }
-
-    /// Unpacks into a `Vec<bool>` — the adapter for `&[bool]` APIs.
-    #[must_use]
-    pub fn to_bools(&self) -> Vec<bool> {
-        self.iter().collect()
-    }
-
-    #[inline]
-    fn mask_tail(&mut self) {
-        let rem = self.len % 64;
-        if rem != 0 {
-            let last = self.len / 64;
-            let mask = (1u64 << rem) - 1;
-            match &mut self.store {
-                Store::Inline(w) => w[last] &= mask,
-                Store::Heap(w) => {
-                    if last < w.len() {
-                        w[last] &= mask;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Ensures backing storage for at least `words` words, zero-filled.
-    #[inline]
-    fn reserve_words(&mut self, words: usize) {
-        match &mut self.store {
-            Store::Inline(w) => {
-                if words > INLINE_WORDS {
-                    let mut heap = Vec::with_capacity(words);
-                    heap.extend_from_slice(w);
-                    heap.resize(words, 0);
-                    self.store = Store::Heap(heap);
-                }
-            }
-            Store::Heap(w) => {
-                if words > w.len() {
-                    w.resize(words, 0);
-                }
-            }
-        }
-    }
-
-    /// Zero-extended mutable word storage of exactly `words` words.
-    #[inline]
-    fn words_storage_mut(&mut self, words: usize) -> &mut [u64] {
-        self.reserve_words(words);
-        match &mut self.store {
-            Store::Inline(w) => &mut w[..words],
-            Store::Heap(w) => &mut w[..words],
-        }
-    }
-}
-
-impl Default for BitVec {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PartialEq for BitVec {
-    fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.words() == other.words()
-    }
-}
-
-impl Eq for BitVec {}
-
-impl PartialEq<[bool]> for BitVec {
-    fn eq(&self, other: &[bool]) -> bool {
-        self.len == other.len() && self.iter().zip(other.iter()).all(|(a, &b)| a == b)
-    }
-}
-
-impl PartialEq<&[bool]> for BitVec {
-    fn eq(&self, other: &&[bool]) -> bool {
-        *self == **other
-    }
-}
-
-impl PartialEq<Vec<bool>> for BitVec {
-    fn eq(&self, other: &Vec<bool>) -> bool {
-        self == other.as_slice()
-    }
-}
-
-impl PartialEq<BitVec> for [bool] {
-    fn eq(&self, other: &BitVec) -> bool {
-        other == self
-    }
-}
-
-impl From<&[bool]> for BitVec {
-    fn from(bools: &[bool]) -> Self {
-        Self::from_bools(bools)
-    }
-}
-
-impl FromIterator<bool> for BitVec {
-    fn from_iter<T: IntoIterator<Item = bool>>(iter: T) -> Self {
-        let mut v = Self::new();
-        for bit in iter {
-            v.push(bit);
-        }
-        v
-    }
-}
-
-impl Extend<bool> for BitVec {
-    fn extend<T: IntoIterator<Item = bool>>(&mut self, iter: T) {
-        for bit in iter {
-            self.push(bit);
-        }
     }
 }
 
@@ -425,101 +175,61 @@ mod tests {
             let bools: Vec<bool> = (0..len).map(|i| i % 3 == 0).collect();
             let packed = BitVec::from_bools(&bools);
             assert_eq!(packed.len(), len);
-            assert_eq!(packed.to_bools(), bools, "len {len}");
-            assert_eq!(packed, bools.as_slice());
+            assert!(packed.iter().eq(bools.iter().copied()), "len {len}");
             for (i, &b) in bools.iter().enumerate() {
                 assert_eq!(packed.get(i), b);
+                assert_eq!(packed.words()[i / 64] >> (i % 64) & 1 == 1, b);
             }
+            assert_eq!(packed.words().len(), len.div_ceil(64));
+            assert_eq!(packed.count_ones(), bools.iter().filter(|&&b| b).count());
         }
-    }
-
-    #[test]
-    fn push_crosses_word_and_inline_boundaries() {
-        let mut v = BitVec::new();
-        let mut reference = Vec::new();
-        for i in 0..300 {
-            let bit = i % 5 != 0;
-            v.push(bit);
-            reference.push(bit);
-        }
-        assert_eq!(v, reference.as_slice());
-        assert_eq!(v.count_ones(), reference.iter().filter(|&&b| b).count());
     }
 
     #[test]
     fn broadcast_is_uniform() {
         for len in [1usize, 64, 65, 130] {
-            let ones = BitVec::broadcast(len, true);
+            let ones = BitVec::from_flips(&[], true, len);
             assert_eq!(ones.uniform(), Some(true), "len {len}");
             assert_eq!(ones.count_ones(), len);
-            let zeros = BitVec::broadcast(len, false);
+            let zeros = BitVec::from_flips(&[], false, len);
             assert_eq!(zeros.uniform(), Some(false));
-            assert!(!zeros.any());
+            assert_eq!(zeros.count_ones(), 0);
         }
     }
 
     #[test]
     fn uniform_detects_divergence() {
-        let mut v = BitVec::broadcast(70, true);
-        assert_eq!(v.uniform(), Some(true));
-        v.set(69, false);
+        assert_eq!(BitVec::from_flips(&[0, 0], true, 70).uniform(), Some(true));
+        let v = BitVec::from_flips(&[0, 1 << 5], true, 70);
         assert_eq!(v.uniform(), None);
-        assert_eq!(BitVec::new().uniform(), Some(false));
-    }
-
-    #[test]
-    fn from_words_masks_tail() {
-        let v = BitVec::from_words(&[u64::MAX], 10);
-        assert_eq!(v.len(), 10);
-        assert_eq!(v.count_ones(), 10);
-        assert_eq!(v.words(), &[(1u64 << 10) - 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceed")]
-    fn from_words_rejects_excess_words() {
-        let _ = BitVec::from_words(&[0, 0], 64);
+        assert!(!v.get(69));
+        assert_eq!(BitVec::from_bools(&[]).uniform(), Some(false));
     }
 
     #[test]
     fn from_flips_xors_against_broadcast() {
         // base=true: everyone hears 1 except flipped parties.
         let v = BitVec::from_flips(&[0b101], true, 5);
-        assert_eq!(v, [false, true, false, true, true].as_slice());
+        assert_eq!(v, BitVec::from_bools(&[false, true, false, true, true]));
         // base=false: only flipped parties hear 1.
         let v = BitVec::from_flips(&[0b101], false, 5);
-        assert_eq!(v, [true, false, true, false, false].as_slice());
+        assert_eq!(v, BitVec::from_bools(&[true, false, true, false, false]));
         // Missing words mean "no flip".
         let v = BitVec::from_flips(&[], true, 70);
         assert_eq!(v.uniform(), Some(true));
         assert_eq!(v.count_ones(), 70);
+        // Bits past the row are cleared, inline and on the heap.
+        let v = BitVec::from_flips(&[u64::MAX], false, 10);
+        assert_eq!((v.words(), v.count_ones()), (&[(1u64 << 10) - 1][..], 10));
+        assert_eq!(BitVec::from_flips(&[], true, 10), v);
+        let v = BitVec::from_flips(&[0, 0, u64::MAX], false, 129);
+        assert_eq!((v.words(), v.count_ones()), (&[0, 0, 1][..], 1));
     }
 
     #[test]
-    fn truncate_clears_dropped_bits() {
-        let mut v = BitVec::broadcast(130, true);
-        v.truncate(100);
-        assert_eq!(v.len(), 100);
-        assert_eq!(v.count_ones(), 100);
-        // Re-grow: the dropped range must read as zero.
-        for _ in 0..30 {
-            v.push(false);
-        }
-        assert_eq!(v.count_ones(), 100);
-        v.clear();
-        assert!(v.is_empty() && !v.any());
-    }
-
-    #[test]
-    fn set_and_get_are_word_exact() {
-        let mut v = BitVec::broadcast(128, false);
-        v.set(0, true);
-        v.set(63, true);
-        v.set(64, true);
-        v.set(127, true);
-        assert_eq!(v.words(), &[(1 << 63) | 1, (1 << 63) | 1]);
-        v.set(63, false);
-        assert_eq!(v.count_ones(), 3);
+    #[should_panic(expected = "exceed")]
+    fn from_flips_rejects_excess_words() {
+        let _ = BitVec::from_flips(&[0, 0], true, 64);
     }
 
     #[test]
@@ -528,17 +238,7 @@ mod tests {
         let b = BitVec::from_bools(&[true, false, false]);
         assert_ne!(a, b);
         assert_eq!(a, BitVec::from_bools(&[true, false]));
-        assert_eq!([true, false].as_slice(), &a);
-    }
-
-    #[test]
-    fn from_iterator_and_extend() {
-        let v: BitVec = (0..100).map(|i| i % 2 == 0).collect();
-        assert_eq!(v.len(), 100);
-        assert_eq!(v.count_ones(), 50);
-        let mut w = BitVec::new();
-        w.extend(v.iter());
-        assert_eq!(v, w);
+        assert_eq!(a, BitVec::from_flips(&[0b10], true, 2));
     }
 
     #[test]

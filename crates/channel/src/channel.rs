@@ -24,7 +24,7 @@
 //! flip is possible (`SharedCountdown`). Besides single rounds it
 //! delivers a constant-OR span ([`StochasticChannel::flips_in_span`]) or
 //! a codeword of any length ([`StochasticChannel::transmit_codeword`],
-//! an owners turn; [`StochasticChannel::transmit_rounds`] is its
+//! an owners turn; the shared arm of [`Channel::transmit_word`] is its
 //! one-word case) in one walk from flip to flip over the eligible
 //! rounds' offsets, and either draws, flips and counts exactly as the
 //! same rounds delivered one at a time (pinned by `tests/proptests.rs`).
@@ -274,21 +274,6 @@ fn calendar_insert(
         .push((p, (abs_round % BLOCK_ROUNDS as u64) as u8));
 }
 
-/// Draws each party's first flip round — ascending party order, exactly
-/// one geometric draw per party, the construction-time RNG contract —
-/// and files them into a cleared calendar.
-fn seed_calendar(
-    calendar: &mut std::collections::BTreeMap<u64, Vec<(u32, u8)>>,
-    n: usize,
-    gap: GeometricGap,
-    rng: &mut StdRng,
-) {
-    calendar.clear();
-    for p in 0..n {
-        calendar_insert(calendar, p as u32, gap.draw(rng));
-    }
-}
-
 /// The independent-noise skip sampler of a [`StochasticChannel`]:
 /// per-party geometric skips expanded into 64-round blocks, each held
 /// as one flip mask per party that flips in it.
@@ -322,13 +307,16 @@ struct IndependentSampler {
 }
 
 impl IndependentSampler {
-    /// Seeds the flip calendar with one geometric draw per party — the
+    /// Seeds the flip calendar with each party's first flip round, one
+    /// geometric draw per party in ascending party order — the
     /// construction-time RNG contract of `StochasticChannel::new` under
     /// independent noise.
     fn new(n: usize, epsilon: f64, rng: &mut StdRng) -> Self {
         let gap = GeometricGap::new(epsilon);
         let mut calendar = std::collections::BTreeMap::new();
-        seed_calendar(&mut calendar, n, gap, rng);
+        for p in 0..n {
+            calendar_insert(&mut calendar, p as u32, gap.draw(rng));
+        }
         Self {
             masks: Vec::new(),
             any: 0,
@@ -337,17 +325,6 @@ impl IndependentSampler {
             block: 0,
             gap,
         }
-    }
-
-    /// Returns the sampler to its just-constructed state (drawing from
-    /// `rng` in construction order) while reusing the mask
-    /// allocation. The stale masks are never read: the reset
-    /// offset forces a refill, which clears them, before the first
-    /// delivery.
-    fn restart(&mut self, n: usize, rng: &mut StdRng) {
-        self.offset = BLOCK_ROUNDS;
-        self.block = 0;
-        seed_calendar(&mut self.calendar, n, self.gap, rng);
     }
 
     /// Advances one round and writes its flips into `row`: bit `p % 64`
@@ -501,14 +478,6 @@ impl SharedCountdown {
             skip,
             flips: 0,
         }
-    }
-
-    /// Restarts the countdown from `rng` as [`SharedCountdown::new`]
-    /// would.
-    fn restart(&mut self, mut rng: StdRng) {
-        self.skip = self.gap.draw(&mut rng);
-        self.rng = rng;
-        self.flips = 0;
     }
 
     /// Flipped rounds delivered so far.
@@ -815,58 +784,6 @@ impl StochasticChannel {
         self.model
     }
 
-    /// Returns the channel to the state of [`StochasticChannel::new`]
-    /// with the same party count and model but a fresh `seed`, reusing
-    /// the sampler's allocations (the independent-noise flip masks
-    /// and dense scratch row) — so a channel kept in a worker's scratch
-    /// arena can serve many trials without per-trial allocation.
-    ///
-    /// Behavioral equivalence to a fresh channel is pinned by
-    /// `reseeding_matches_a_fresh_channel` below: the RNG restarts from
-    /// `seed` and the sampler re-draws its state in the same order as
-    /// construction (stale masks are never read because the reset
-    /// offset forces a mask-clearing refill before the first
-    /// delivery).
-    pub fn reseed(&mut self, seed: u64) {
-        let mut fresh = StdRng::seed_from_u64(seed);
-        self.rounds = 0;
-        match &mut self.sampler {
-            Sampler::Shared(countdown) => countdown.restart(fresh),
-            Sampler::Independent {
-                rng,
-                skipper,
-                corrupted,
-                ..
-            } => {
-                skipper.restart(self.n, &mut fresh);
-                *rng = fresh;
-                *corrupted = 0;
-            }
-        }
-    }
-
-    /// Delivers `len ≤ 64` consecutive rounds at once: bit `k` of
-    /// `sent` is the true OR of round `k`, bit `k` of the result is
-    /// what every party hears in it. Bits of `sent` at or above `len`
-    /// are ignored and the result is zero there.
-    ///
-    /// One word of [`StochasticChannel::transmit_codeword`]: it draws,
-    /// flips and counts ([`Channel::rounds`],
-    /// [`Channel::corrupted_rounds`]) exactly as `len` calls to
-    /// [`Channel::transmit`] would, with RNG work proportional to the
-    /// flips rather than the rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len > 64` or the model is
-    /// [`NoiseModel::Independent`] (whose deliveries differ per party).
-    pub fn transmit_rounds(&mut self, sent: u64, len: usize) -> u64 {
-        assert!(len <= 64, "a word carries at most 64 rounds, got {len}");
-        let heard = self.shared_countdown().word(sent, len);
-        self.rounds += len;
-        heard
-    }
-
     /// Delivers a codeword of `len` consecutive rounds in one call: bit
     /// `k % 64` of `sent[k / 64]` is the true OR of round `k`. Writes the
     /// rounds that flipped into `flipped` the same way, so every party
@@ -1162,72 +1079,12 @@ mod tests {
     }
 
     #[test]
-    fn reseeding_matches_a_fresh_channel() {
-        // Word lengths that stop mid-block.
-        const WORDS: [usize; 3] = [37, 64, 13];
-        let models = [
-            NoiseModel::Noiseless,
-            NoiseModel::Correlated { epsilon: 0.3 },
-            NoiseModel::OneSidedZeroToOne { epsilon: 0.25 },
-            NoiseModel::OneSidedOneToZero { epsilon: 0.25 },
-            NoiseModel::Independent { epsilon: 0.2 },
-        ];
-        for model in models {
-            // Dirty the channel first so reseeding has real state (and,
-            // for independent noise, a half-read mask block) to erase.
-            let mut reused = StochasticChannel::new(5, model, 0xDEAD);
-            for r in 0..150 {
-                reused.transmit(r % 3 == 0);
-            }
-            let mut heard = [0u64; 5];
-            for len in WORDS {
-                reused.transmit_word(0x0F0F_3C3C_5A5A_9696, len, &mut heard);
-            }
-            for seed in [1u64, 99] {
-                reused.reseed(seed);
-                assert_eq!(reused.rounds(), 0);
-                assert_eq!(reused.corrupted_rounds(), 0);
-                let mut fresh = StochasticChannel::new(5, model, seed);
-                let rounds = |reused: &mut StochasticChannel, fresh: &mut StochasticChannel| {
-                    for r in 0..150 {
-                        let true_or = r % 3 == 0;
-                        assert_eq!(
-                            reused.transmit(true_or),
-                            fresh.transmit(true_or),
-                            "delivery diverged over {model} seed {seed} round {r}"
-                        );
-                    }
-                };
-                let words = |reused: &mut StochasticChannel, fresh: &mut StochasticChannel| {
-                    for (w, len) in WORDS.into_iter().enumerate() {
-                        let sent = (w as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                        let (mut got, mut want) = ([0u64; 5], [0u64; 5]);
-                        reused.transmit_word(sent, len, &mut got);
-                        fresh.transmit_word(sent, len, &mut want);
-                        assert_eq!(got, want, "word {w} diverged over {model} seed {seed}");
-                    }
-                };
-                // Each path gets to read the reseeded state first once.
-                if seed == 1 {
-                    rounds(&mut reused, &mut fresh);
-                    words(&mut reused, &mut fresh);
-                } else {
-                    words(&mut reused, &mut fresh);
-                    rounds(&mut reused, &mut fresh);
-                }
-                assert_eq!(reused.rounds(), fresh.rounds());
-                assert_eq!(reused.corrupted_rounds(), fresh.corrupted_rounds());
-            }
-        }
-    }
-
-    #[test]
     fn independent_single_rounds_match_word_deliveries() {
         // At n = 10⁴ and ε = 10⁻⁵ about nine rounds in ten flip no party:
         // a single round reads that off the block's mask OR.
         const LENS: [usize; 6] = [64, 37, 1, 63, 64, 50];
         let (mut quiet, mut noisy) = (0, 0);
-        for n in [1usize, 63, 64, 65, 10_000] {
+        for n in [1usize, 63, 64, 65, 128, 129, 10_000] {
             for epsilon in [1e-5, 0.1] {
                 let model = NoiseModel::Independent { epsilon };
                 let mut rounds = StochasticChannel::new(n, model, 0x5EED);
@@ -1406,7 +1263,13 @@ mod tests {
             start.wait();
             let gap = GeometricGap::new(model.epsilon());
             let mut ch = StochasticChannel::new(3, model, 5);
-            let words: Vec<u64> = (0..2_000).map(|_| ch.transmit_rounds(0, 64)).collect();
+            let mut heard = [0u64; 3];
+            let words: Vec<[u64; 3]> = (0..2_000)
+                .map(|_| {
+                    ch.transmit_word(0, 64, &mut heard);
+                    heard
+                })
+                .collect();
             (gap.table, words, ch.corrupted_rounds())
         };
         let (a, b) = std::thread::scope(|s| {

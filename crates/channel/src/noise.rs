@@ -330,7 +330,7 @@ mod tests {
         assert_eq!(agree.uniform(), Some(true));
         assert_eq!(d.uniform(), Some(true));
         // Equal bits do not make a per-party row shared.
-        assert_ne!(d, Delivery::PerParty(BitVec::broadcast(2, true)));
+        assert_ne!(d, Delivery::PerParty(BitVec::from_flips(&[], true, 2)));
     }
 
     #[test]

@@ -175,7 +175,7 @@ proptest! {
 /// One delivery call of the word-primitive equivalence tests.
 #[derive(Debug, Clone, Copy)]
 enum Delivered {
-    /// `transmit_rounds(sent, len)`, or `Channel::transmit_word`.
+    /// `Channel::transmit_word(sent, len, heard)`.
     Word { sent: u64, len: usize },
     /// `flips_in_span(rounds, or)`.
     Span { rounds: usize, or: bool },
@@ -392,13 +392,18 @@ proptest! {
     ) {
         let mut batched = StochasticChannel::new(3, model, seed);
         let mut reference = StochasticChannel::new(3, model, seed);
+        let mut heard = [0u64; 3];
         for op in ops {
             let (want, want_flips) = per_round(&mut reference, op);
             match op {
                 Delivered::Word { sent, len } => {
-                    let heard = batched.transmit_rounds(sent, len);
-                    prop_assert_eq!(above(heard, len), 0, "{}: bits above len {}", model, len);
-                    prop_assert_eq!(heard, want, "{}: word of {}", model, len);
+                    // Junk in the buffer must not survive the call.
+                    heard.fill(u64::MAX);
+                    batched.transmit_word(sent, len, &mut heard);
+                    for word in heard {
+                        prop_assert_eq!(above(word, len), 0, "{}: bits above len {}", model, len);
+                        prop_assert_eq!(word, want, "{}: word of {}", model, len);
+                    }
                 }
                 Delivered::Span { rounds, or } => {
                     prop_assert_eq!(batched.flips_in_span(rounds, or), want_flips, "{}: span", model);

@@ -79,7 +79,7 @@ pub(crate) fn held(beep: bool) -> u64 {
 
 /// The low `len` bits of a word, `1 ≤ len ≤ WORD`: the rounds a step
 /// delivers.
-fn live(len: usize) -> u64 {
+pub(crate) fn live(len: usize) -> u64 {
     u64::MAX >> (WORD - len)
 }
 

@@ -41,10 +41,9 @@
 //! * once every party has passed (`turn = n`), the remaining iterations
 //!   idle instead of decoding silence into garbage.
 
-use crate::driver::{drive, SimParty, WORD};
+use crate::driver::{drive, live, SimParty, WORD};
 use crate::soa::{owners_standalone, SoaScratch};
 use beeps_channel::{Channel, NoiseModel, StochasticChannel};
-use beeps_ecc::bits::PackedBits;
 use beeps_ecc::{BitMetric, CodeTable};
 use std::sync::Arc;
 
@@ -93,13 +92,12 @@ pub(crate) struct OwnersState<C = CodeTable> {
     iterations: usize,
     iter: usize,
     bit_idx: usize,
-    /// Heard bits of the in-flight codeword, accumulated packed so the
-    /// per-iteration decode needs no unpack/repack round-trip.
-    word: PackedBits,
-    /// The true OR word of the in-flight codeword, accumulated alike:
-    /// the reference the decode is certified against, never read
-    /// otherwise.
-    sent_or: PackedBits,
+    /// Heard bits of the in-flight codeword, one limb per 64 of its
+    /// bits as the code lays a codeword out; bits not heard yet are zero.
+    word: Vec<u64>,
+    /// The true OR word of the in-flight codeword, kept alike: the
+    /// reference the decode is certified against, never read otherwise.
+    sent_or: Vec<u64>,
     /// The symbol this party sends in the in-flight codeword, if it
     /// holds the turn.
     sending: Option<usize>,
@@ -131,6 +129,7 @@ impl<C: OwnersCode> OwnersState<C> {
         );
         let len = pi.len();
         let next_symbol = alphabet - 1;
+        let limbs = code.table().codeword_len().div_ceil(64);
         let mut state = Self {
             me,
             n,
@@ -144,8 +143,8 @@ impl<C: OwnersCode> OwnersState<C> {
             iterations: len + n,
             iter: 0,
             bit_idx: 0,
-            word: PackedBits::new(),
-            sent_or: PackedBits::new(),
+            word: vec![0; limbs],
+            sent_or: vec![0; limbs],
             sending: None,
             claimed: vec![false; len],
             turn: 0,
@@ -195,23 +194,24 @@ impl<C: OwnersCode> OwnersState<C> {
     }
 
     /// Takes in `len` heard bits of the in-flight codeword (at most the
-    /// run of [`OwnersState::plan`]) and the `sent` OR word over the same
-    /// rounds, decoding the heard codeword once it is complete. The
-    /// decode returns the full scan's symbol whatever was sent; `sent`
-    /// only lets it skip the scan.
+    /// run of [`OwnersState::plan`], so they stay in one limb) and the
+    /// `sent` OR word over the same rounds, decoding the heard codeword
+    /// once it is complete. The decode returns the full scan's symbol
+    /// whatever was sent; `sent` only lets it skip the scan.
     pub(crate) fn hear_word(&mut self, heard: u64, sent: u64, len: usize) {
         if self.finished() {
             return;
         }
-        self.word.push_word(heard, len);
-        self.sent_or.push_word(sent, len);
+        let (limb, offset) = (self.bit_idx / 64, self.bit_idx % 64);
+        self.word[limb] |= (heard & live(len)) << offset;
+        self.sent_or[limb] |= (sent & live(len)) << offset;
         self.bit_idx += len;
         if self.bit_idx != self.code.table().codeword_len() {
             return;
         }
         // Iteration complete: decode and update the shared bookkeeping.
         if self.turn < self.n {
-            let (sent, heard) = (self.sent_or.limbs(), self.word.limbs());
+            let (sent, heard) = (&self.sent_or, &self.word);
             let symbol = self.code.decode_near(sent, heard, self.metric);
             if symbol == self.next_symbol {
                 self.turn += 1;
@@ -223,8 +223,8 @@ impl<C: OwnersCode> OwnersState<C> {
             // (possible in tail chunks or under decode errors): ignore it,
             // keeping all parties' bookkeeping in lockstep.
         }
-        self.word.clear();
-        self.sent_or.clear();
+        self.word.fill(0);
+        self.sent_or.fill(0);
         self.bit_idx = 0;
         self.iter += 1;
         if !self.finished() {
@@ -912,6 +912,77 @@ mod tests {
             digest, 0xb2c5_d378_71bd_393f,
             "owner tables moved off the per-round machines'"
         );
+    }
+
+    /// An owners machine whose runs stop after at most `cap` rounds.
+    struct Capped {
+        party: OwnersOnlyParty<CodeTable>,
+        cap: usize,
+    }
+
+    impl SimParty for Capped {
+        fn plan(&mut self) -> (u64, usize) {
+            let (beeps, run) = self.party.plan();
+            (beeps, run.min(self.cap))
+        }
+
+        fn hear_word(&mut self, heard: u64, sent: u64, len: usize) {
+            self.party.hear_word(heard, sent, len);
+        }
+
+        fn is_done(&self) -> bool {
+            self.party.is_done()
+        }
+    }
+
+    #[test]
+    fn per_party_phase_is_unchanged_by_steps_cut_mid_limb() {
+        // An uncapped step starts at a codeword limb's first bit and runs
+        // to its end; capped runs take each limb in pieces, so the heard
+        // and sent words are written at every offset inside a limb.
+        let mut rng = StdRng::seed_from_u64(0xD7);
+        let model = NoiseModel::Independent { epsilon: 0.1 };
+        for n in [1usize, 5, 64] {
+            for code_len in CODE_LENS {
+                let len = 1 + rng.gen_range(0..n + 3);
+                let bits: Vec<Vec<bool>> = (0..n)
+                    .map(|_| (0..len).map(|_| rng.gen_bool(0.3)).collect())
+                    .collect();
+                let pi: Vec<bool> = (0..len).map(|j| bits.iter().any(|b| b[j])).collect();
+                let code = Arc::new(CodeTable::with_length(len + 1, code_len, rng.next_u64()));
+                let seed = rng.next_u64();
+                let channel = || StochasticChannel::new(n, model, seed);
+                let want = per_party_owners(&bits, model, Arc::clone(&code), &mut channel());
+                for cap in [1, 3, 7, 63] {
+                    let mut parties: Vec<Capped> = (0..n)
+                        .map(|i| Capped {
+                            party: OwnersOnlyParty {
+                                state: OwnersState::new(
+                                    i,
+                                    n,
+                                    pi.clone(),
+                                    bits[i].clone(),
+                                    Arc::clone(&code),
+                                    metric_for(model),
+                                ),
+                            },
+                            cap,
+                        })
+                        .collect();
+                    let budget = channel_rounds(len, n, code_len);
+                    let result = drive(&mut parties, &mut channel(), budget);
+                    let owners: Vec<_> = parties
+                        .iter()
+                        .map(|p| p.party.state.owners().to_vec())
+                        .collect();
+                    assert_eq!(
+                        (owners, result.rounds),
+                        (want.owners.clone(), want.channel_rounds),
+                        "n={n} len={len} code_len={code_len} cap={cap}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

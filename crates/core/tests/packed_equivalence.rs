@@ -1,12 +1,12 @@
 //! Property tests for the word-packed delivery path: every scheme must
 //! behave **bit-identically** whether per-party deliveries travel as the
-//! packed [`BitVec`] the channel produces or are round-tripped through a
+//! packed [`BitVec`] row the channel produces or are unpacked into a
 //! plain `Vec<bool>` and re-packed.
 //!
-//! This pins the `BitVec` adapter layer (`to_bools` / `from_bools` /
-//! `uniform`) against the reference representation: if packing, tail
-//! masking, or the uniform-delivery fast path ever disagreed with the
-//! boolean semantics, some scheme's transcript would diverge here.
+//! This pins the row's bit view (`iter` / `from_bools`) against its
+//! words: if packing or tail masking ever disagreed with the boolean
+//! semantics, the re-packed row would differ from the channel's, or some
+//! scheme's transcript would diverge here.
 
 use beeps_channel::{
     run_noiseless, run_protocol, run_protocol_over, BitVec, Channel, Delivery, NoiseModel,
@@ -45,9 +45,10 @@ impl Channel for RoundtripChannel {
         match self.inner.transmit(true_or) {
             Delivery::Shared(bit) => Delivery::Shared(bit),
             Delivery::PerParty(bits) => {
-                let bools = bits.to_bools();
-                assert_eq!(bits, bools, "packed bits disagree with bool view");
-                Delivery::PerParty(BitVec::from_bools(&bools))
+                let bools: Vec<bool> = bits.iter().collect();
+                let repacked = BitVec::from_bools(&bools);
+                assert_eq!(repacked, bits, "packed bits disagree with bool view");
+                Delivery::PerParty(repacked)
             }
         }
     }
@@ -730,7 +731,7 @@ impl Channel for UniformRows {
 
     fn transmit(&mut self, true_or: bool) -> Delivery {
         let bit = self.0.transmit(true_or).shared().expect("a shared model");
-        Delivery::PerParty(BitVec::broadcast(self.num_parties(), bit))
+        Delivery::PerParty(BitVec::from_flips(&[], bit, self.num_parties()))
     }
 
     fn transmit_word(&mut self, sent: u64, len: usize, heard: &mut [u64]) {

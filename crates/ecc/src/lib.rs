@@ -11,7 +11,8 @@
 //!   Algorithm 1;
 //! * [`CodeTable::constant_weight`] — fixed-weight codes for
 //!   energy-frugal beeping and the Z-channel;
-//! * [`bits`] — packed bit-vectors and the channel-aware distance metrics.
+//! * [`BitMetric`] — the channel-aware distance metrics decoding
+//!   minimizes, over words packed 64 bits to a `u64` limb.
 //!
 //! ## Why random codes are the default
 //!
@@ -51,7 +52,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod bits;
+mod bits;
 mod constant_weight;
 mod random_code;
 mod table;

@@ -15,11 +15,11 @@ const UNKNOWN: u32 = u32::MAX;
 /// [`CodeTable::constant_weight`]), so every party builds the same
 /// code, with maximum-likelihood decoding that always returns a symbol.
 ///
-/// Codeword `s` is `⌈len/64⌉` limbs, LSB-first as
-/// [`crate::bits::PackedBits::limbs`] lays them out, in one flat
-/// `q × limbs` array read in place. Its *radius*, the Hamming distance
-/// to its nearest other codeword, is computed on first need and kept,
-/// so every holder of a shared code pays for it once.
+/// Codeword `s` is `⌈len/64⌉` limbs, bit `i` at bit `i % 64` of limb
+/// `i / 64`, in one flat `q × limbs` array read in place. Its *radius*,
+/// the Hamming distance to its nearest other codeword, is computed on
+/// first need and kept, so every holder of a shared code pays for it
+/// once.
 #[derive(Debug)]
 pub struct CodeTable {
     len: usize,

@@ -2,7 +2,6 @@
 //! decoding and certified decoding hold for *arbitrary* seeds, symbols
 //! and received words, not just the hand-picked ones in the unit tests.
 
-use beeps_ecc::bits::PackedBits;
 use beeps_ecc::{BitMetric, CodeTable};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -17,7 +16,11 @@ fn bools(code: &CodeTable, symbol: usize) -> Vec<bool> {
 
 /// `bits`, packed into limbs as a codeword is.
 fn limbs(bits: &[bool]) -> Vec<u64> {
-    PackedBits::from_bools(bits).limbs().to_vec()
+    let mut limbs = vec![0u64; bits.len().div_ceil(64)];
+    for (i, &bit) in bits.iter().enumerate() {
+        limbs[i / 64] |= u64::from(bit) << (i % 64);
+    }
+    limbs
 }
 
 /// A code of `q` symbols whose length is `expansion` times the bits
@@ -113,9 +116,17 @@ proptest! {
 
 /// The symbol whose codeword is nearest `word` in Hamming distance,
 /// the first on a tie.
-fn closest(codewords: &[PackedBits], word: &PackedBits) -> usize {
-    (0..codewords.len())
-        .min_by_key(|&t| codewords[t].hamming(word))
+fn closest(code: &CodeTable, word: &[u64]) -> usize {
+    let distance = |t: usize| -> u32 {
+        let codeword = code.codeword(t);
+        codeword
+            .iter()
+            .zip(word)
+            .map(|(x, y)| (x ^ y).count_ones())
+            .sum()
+    };
+    (0..code.alphabet_size())
+        .min_by_key(|&t| distance(t))
         .expect("q ≥ 2")
 }
 
@@ -161,7 +172,6 @@ proptest! {
         let q = [2usize, 3, 17, 65][q_index];
         let len = [8usize, 63, 64, 65, 130][len_index];
         let code = table_code(q, len, constant_weight, seed);
-        let codewords: Vec<PackedBits> = (0..q).map(|s| PackedBits::from_bools(&bools(&code, s))).collect();
         let mut rng = StdRng::seed_from_u64(seed);
         let sent = rng.gen_range(0..q);
         let c = bools(&code, sent);
@@ -172,24 +182,24 @@ proptest! {
             .expect("q ≥ 2");
         let or: Vec<bool> = c.iter().zip(bools(&code, nearest)).map(|(&a, b)| a | b).collect();
         for y in certificate_words(&c, &bools(&code, nearest), &mut rng) {
-            let y = PackedBits::from_bools(&y);
-            let close = closest(&codewords, &y);
+            let y = limbs(&y);
+            let close = closest(&code, &y);
             let other = if close == sent { nearest } else { sent };
             let mut flipped = bools(&code, close);
             let bit = rng.gen_range(0..len);
             flipped[bit] = !flipped[bit];
             let references = [
-                codewords[close].limbs().to_vec(),
-                codewords[other].limbs().to_vec(),
+                code.codeword(close).to_vec(),
+                code.codeword(other).to_vec(),
                 limbs(&flipped),
                 limbs(&or),
                 limbs(&vec![false; len]),
             ];
             for metric in [BitMetric::Hamming, BitMetric::ZUp, BitMetric::ZDown] {
-                let scan = code.decode(y.limbs(), metric);
+                let scan = code.decode(&y, metric);
                 for reference in &references {
                     prop_assert_eq!(
-                        code.decode_near(reference, y.limbs(), metric),
+                        code.decode_near(reference, &y, metric),
                         scan,
                         "q={} len={} constant_weight={} reference={:?} {:?}",
                         q, len, constant_weight, reference, metric

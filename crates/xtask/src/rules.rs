@@ -297,7 +297,8 @@ const REGISTRY_MUTATORS: &[&str] = &["inc", "observe", "event", "merge", "record
 /// Cross-file facts gathered before the analysis passes run.
 #[derive(Debug, Default)]
 pub struct Facts {
-    /// `Simulator::name()` return literals (`rewind`, `naked`, …).
+    /// `name()` return literals of the `Scheme` and `Simulator` impls
+    /// (`rewind`, `naked`, …).
     pub simulator_names: BTreeSet<String>,
     /// Metric families documented in EXPERIMENTS.md (`sim`, `exp`, …).
     pub metric_families: BTreeSet<String>,
@@ -323,16 +324,25 @@ impl Facts {
                     facts.seed_fns.insert(f.name.clone());
                 }
             }
-            for (idx, line) in file.lines.iter().enumerate() {
-                // fn name(&self) -> &'static str { "rewind" }
-                if line.code.contains("fn name(")
-                    && line.code.contains("&'static str")
-                    && !line.code.trim_end().ends_with(';')
-                {
-                    for look in file.lines.iter().skip(idx).take(4) {
-                        if let Some(lit) = look.strings.first() {
-                            facts.simulator_names.insert(lit.clone());
-                            break;
+            // fn name(&self) -> &'static str { "rewind" }, in an
+            // `impl … Scheme for …` or `impl … Simulator<…> for …` body:
+            // an inherent or other trait's `name` names no scheme.
+            let scheme_impls =
+                file.items.impls.iter().filter(|imp| {
+                    matches!(imp.trait_name.as_deref(), Some("Scheme" | "Simulator"))
+                });
+            for imp in scheme_impls {
+                let body = &file.lines[imp.body_lines.0..=imp.body_lines.1];
+                for (idx, line) in body.iter().enumerate() {
+                    if line.code.contains("fn name(")
+                        && line.code.contains("&'static str")
+                        && !line.code.trim_end().ends_with(';')
+                    {
+                        for look in body.iter().skip(idx).take(4) {
+                            if let Some(lit) = look.strings.first() {
+                                facts.simulator_names.insert(lit.clone());
+                                break;
+                            }
                         }
                     }
                 }

@@ -3,6 +3,8 @@ pub fn fine(m: &mut M, seed: u64) {
     m.inc("sim.rewind.runs", 1);
     let _ = rng;
 }
-fn name(&self) -> &'static str {
-    "rewind"
+impl Scheme for Rewind {
+    fn name(&self) -> &'static str {
+        "rewind"
+    }
 }

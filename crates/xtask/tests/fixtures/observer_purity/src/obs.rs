@@ -1,5 +1,7 @@
-fn name(&self) -> &'static str {
-    "rewind"
+impl Scheme for Rewind {
+    fn name(&self) -> &'static str {
+        "rewind"
+    }
 }
 
 impl Observer for Progress {

@@ -80,13 +80,20 @@ fn env_read_allows_beeps_prefix_only() {
 #[test]
 fn sim_name_prefix_catches_typos() {
     let report = run("sim_name");
-    assert_eq!(rules_of(&report), [RuleId::SimNamePrefix]);
-    assert!(report.findings[0].message.contains("sim.rewnd"));
-    assert!(
-        report.findings[0].message.contains("rewind"),
-        "message lists the known names: {}",
-        report.findings[0].message
+    assert_eq!(
+        rules_of(&report),
+        [RuleId::SimNamePrefix, RuleId::SimNamePrefix]
     );
+    assert!(report.findings[0].message.contains("sim.rewnd"));
+    // An inherent `fn name` names no scheme.
+    assert!(report.findings[1].message.contains("sim.shared_sweep"));
+    for finding in &report.findings {
+        assert!(
+            finding.message.ends_with("(known: rewind)"),
+            "message lists the known names: {}",
+            finding.message
+        );
+    }
 }
 
 #[test]
@@ -254,7 +261,7 @@ fn observer_purity_scans_impls_and_hook_args_only() {
     assert!(report.findings[0].message.contains("simulate_once"));
     assert!(report.findings[0].message.contains("Observer"));
     assert!(report.findings[1].message.contains("StdRng"));
-    assert_eq!(report.findings[2].line, 17);
+    assert_eq!(report.findings[2].line, 19);
     assert!(report.findings[2].message.contains("callsite"));
     // The registry write *outside* the hook args, the empty Quiet impl,
     // and the cfg(test) probe impl never fire.
